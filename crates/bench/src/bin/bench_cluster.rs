@@ -25,7 +25,8 @@
 //!    requests across every scale-up, drain and retire.
 //! 4. **Fleet-scale parallel stepping** — a 32-deployment fleet on a
 //!    100k-request seeded trace, run serially and through the 4-thread
-//!    lockstep fan-out pool. The two [`ClusterReport`]s are asserted
+//!    lockstep fan-out pool. The two
+//!    [`ClusterReport`](hilos_core::ClusterReport)s are asserted
 //!    bit-identical (the determinism contract), the serial-vs-parallel
 //!    wall clock and speedup are recorded next to the machine's logical
 //!    core count, and the `fleet-smoke` CI job gates speedup ≥2× on

@@ -1,6 +1,6 @@
 //! `bench_serving` — the request-level serving smoke bench.
 //!
-//! Nine measurements, recorded into `BENCH_serving.json` (current
+//! Eight measurements, recorded into `BENCH_serving.json` (current
 //! directory, or the path given as the first argument):
 //!
 //! 1. **Engine indexing** — a serving-shaped event loop on the raw
@@ -10,45 +10,36 @@
 //!    timed twice: once answering `next_completion_time` from the
 //!    heap index, once from the retained linear reference scan. CI fails
 //!    if the heap is slower than the scan.
-//! 2. **Fair-share crossover** — steady-state churn on a single shared
-//!    link at 256 / 4k / 64k / 1M concurrent jobs, comparing the
-//!    virtual-time engine (`FlowEngineImpl::VirtualTime`, O(log n) per
-//!    composition change) against the progressive-filling oracle
-//!    answered through the linear reference scan (O(n) rescan per
-//!    event). The per-event speedup record pins where the fast path
-//!    overtakes the scan; the `flow-smoke` CI job gates >= 5x at 64k
-//!    jobs and above.
-//! 3. **Trace throughput** — a 1M-request seeded heterogeneous trace
-//!    served by the continuous-batching layer under the virtual-time
-//!    engine, recording wall-clock requests/s and the step-cache hit
-//!    behavior. The `flow-smoke` CI job holds the run to a 60 s
-//!    wall-clock budget.
-//! 4. **Policy comparison** — the contended 256-request Azure-mix trace
+//! 2. **Trace throughput** — a 1M-request seeded heterogeneous trace
+//!    served by the continuous-batching layer, recording wall-clock
+//!    requests/s and the step-cache hit behavior. The run asserts its
+//!    60 s wall-clock budget inline.
+//! 3. **Policy comparison** — the contended 256-request Azure-mix trace
 //!    served under FIFO, deadline-EDF and priority-preemptive
 //!    scheduling. The simulation is bit-deterministic, so CI gates the
 //!    exact claims: EDF beats FIFO on SLO goodput, priority preemption
 //!    beats FIFO on high-class (Short) p95 TTFT.
-//! 5. **Chunked prefill** — the long-prompt contended trace served with
+//! 4. **Chunked prefill** — the long-prompt contended trace served with
 //!    inline lump prefill vs token-budgeted chunks, plus a
 //!    `ChunkMode::Off` golden-equivalence smoke (the FNV constant
 //!    `tests/serving.rs` pins). CI gates the chunking claim exactly:
 //!    the decode-gap tail (per-emission ITL p95/p99/max) improves.
-//! 6. **Overload shedding** — plain deadline-EDF vs EDF with shedding on
+//! 5. **Overload shedding** — plain deadline-EDF vs EDF with shedding on
 //!    the overloaded seeded trace; CI gates the SLO-goodput lift.
-//! 7. **Prefix KV-cache reuse** — the seeded shared-prefix long-context
+//! 6. **Prefix KV-cache reuse** — the seeded shared-prefix long-context
 //!    trace (8192-token shared document prefix, 60% session follow-ups)
 //!    served with the cache off and on. Hits skip their prefix's prefill
 //!    chunks and pay the residency ladder's recall I/O instead; the
 //!    `cache-smoke` CI job gates the claim exactly: TTFT p95 improves
 //!    >= 2x while every request generates the same tokens.
-//! 8. **Ledger admission aggregates** — `can_allocate` answered from the
+//! 7. **Ledger admission aggregates** — `can_allocate` answered from the
 //!    [`KvShardLedger`]'s O(1) cached aggregates vs the O(devices)
 //!    reference scan on a 4096-device array; CI gates >= 2x.
-//! 9. **Lifecycle tracing** — the shared-prefix trace re-run with the
+//! 8. **Lifecycle tracing** — the shared-prefix trace re-run with the
 //!    event ring on: the deterministic stream FNV (the `trace-smoke` CI
 //!    job's pin), event conservation, the exact additive latency
 //!    attribution, and a schema-checked Perfetto export. The 1M-request
-//!    trace in (3) runs with tracing off and asserts its 60 s wall-clock
+//!    trace in (2) runs with tracing off and asserts its 60 s wall-clock
 //!    budget inline — the `NullSink` fast path must stay free.
 //!
 //! ```text
@@ -61,7 +52,7 @@ use hilos_core::{
 };
 use hilos_llm::{presets, RequestClass, SharedPrefixConfig, TraceConfig};
 use hilos_platform::SystemSpec;
-use hilos_sim::{FlowEngine, FlowEngineImpl, ResourceId, ResourceKind, ResourceSpec, SimTime};
+use hilos_sim::{FlowEngine, ResourceKind, ResourceSpec, SimTime};
 use hilos_storage::{KvShardLedger, ShardSpec};
 use std::hint::black_box;
 use std::time::Instant;
@@ -132,67 +123,6 @@ fn engine_run(use_heap: bool) -> (u64, SimTime) {
     (events, eng.now())
 }
 
-/// Crossover sweep: (steady-state concurrent jobs, timed churn events).
-/// The event count shrinks with the population so every point stays
-/// inside the CI budget — at 1M jobs a single scan event already costs
-/// three full O(n) passes (recompute + scan + advance).
-const CROSSOVER: [(usize, usize); 4] = [(256, 2048), (4096, 2048), (65_536, 256), (1_000_000, 32)];
-
-/// Strictly increasing demands keep steady-state completions staggered
-/// one per event (equal demands submitted together would finish together
-/// and collapse the sweep into a handful of mass-completion events).
-fn crossover_amount(i: usize) -> f64 {
-    1e8 + i as f64 * 1e3
-}
-
-/// Drives `count` steady-state churn events: pop the next completion,
-/// advance to it, and replace every finished job so the population holds
-/// at `n`. The fast variant answers from the virtual-time engine's
-/// completion heap; the reference variant pays the oracle's full-rescan
-/// path on every event.
-fn churn_events(
-    eng: &mut FlowEngine,
-    link: ResourceId,
-    next_job: &mut usize,
-    count: usize,
-    fast: bool,
-) {
-    for _ in 0..count {
-        let t = if fast {
-            eng.next_completion_time().unwrap()
-        } else {
-            eng.next_completion_time_scan().unwrap()
-        };
-        let done = eng.advance_to(t).unwrap();
-        for _ in done {
-            eng.submit(&[link], crossover_amount(*next_job), None).unwrap();
-            *next_job += 1;
-        }
-    }
-}
-
-/// Best-of-3 seconds per steady-state churn event at `n` concurrent
-/// uniform single-link jobs under the selected engine.
-fn crossover_seconds_per_event(n: usize, events: usize, fast: bool) -> f64 {
-    let sel = if fast { FlowEngineImpl::VirtualTime } else { FlowEngineImpl::ProgressiveFilling };
-    let mut eng = FlowEngine::with_impl(sel);
-    let link = eng.add_resource(ResourceSpec::new("link", ResourceKind::Link, 64e9));
-    for i in 0..n {
-        eng.submit(&[link], crossover_amount(i), None).unwrap();
-    }
-    let mut next_job = n;
-    // Settle into steady state before timing (first completions pay the
-    // initial rate computation / heap build).
-    churn_events(&mut eng, link, &mut next_job, events.min(64), fast);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        churn_events(&mut eng, link, &mut next_job, events, fast);
-        best = best.min(start.elapsed().as_secs_f64() / events as f64);
-    }
-    best
-}
-
 fn hilos_system(n: usize) -> HilosSystem {
     HilosSystem::new(&SystemSpec::a100_smartssd(n), &presets::opt_30b(), &HilosConfig::new(n))
         .unwrap()
@@ -234,26 +164,6 @@ fn main() {
          {ev_heap} completion events"
     );
 
-    // -- 1b: virtual-time vs rescan fair-share crossover --
-    let crossover_rows: Vec<String> = CROSSOVER
-        .iter()
-        .map(|&(n, events)| {
-            let scan_spe = crossover_seconds_per_event(n, events, false);
-            let fair_spe = crossover_seconds_per_event(n, events, true);
-            let x = scan_spe / fair_spe;
-            eprintln!(
-                "crossover@{n}: scan {:.3}us/event, virtual-time {:.3}us/event ({x:.1}x)",
-                scan_spe * 1e6,
-                fair_spe * 1e6
-            );
-            format!(
-                "{{\"jobs\": {n}, \"events\": {events}, \
-                 \"scan_seconds_per_event\": {scan_spe:.9}, \
-                 \"fair_seconds_per_event\": {fair_spe:.9}, \"fair_vs_scan\": {x:.3}}}"
-            )
-        })
-        .collect();
-
     // -- 2: continuous-batching trace throughput (1M requests) --
     let trace = TraceConfig::azure_mix(1_000_000, 42).generate().expect("valid trace config");
     let system =
@@ -261,11 +171,7 @@ fn main() {
             .unwrap()
             .with_sim_layers(1);
     let start = Instant::now();
-    let report =
-        ServeEngine::new(system, ServeConfig::new(32).with_flow_impl(FlowEngineImpl::VirtualTime))
-            .unwrap()
-            .run_trace(&trace)
-            .unwrap();
+    let report = ServeEngine::new(system, ServeConfig::new(32)).unwrap().run_trace(&trace).unwrap();
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(report.outcomes.len(), trace.len(), "trace must complete");
     // Tracing is off here, so every emission site takes the NullSink
@@ -565,13 +471,12 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"serving\",\n  \"note\": \"heap-indexed vs linear-scan \
          next_completion_time on a serving-shaped event loop ({CONCURRENT} concurrent jobs, \
-         {POLLS} partial-advance polls per completion), the virtual-time vs rescan fair-share \
-         crossover sweep, 1M-request continuous-batching trace throughput, and the three-way \
-         scheduling-policy comparison on the contended seeded trace\",\n  \"engine\": {{\"concurrent_jobs\": {CONCURRENT}, \
+         {POLLS} partial-advance polls per completion), 1M-request continuous-batching trace \
+         throughput, and the three-way scheduling-policy comparison on the contended seeded trace\",\n  \"engine\": {{\"concurrent_jobs\": {CONCURRENT}, \
          \"total_jobs\": {TOTAL_JOBS}, \"completion_events\": {ev_heap}, \
          \"heap_seconds\": {heap_s:.6}, \"scan_seconds\": {scan_s:.6}, \
-         \"heap_vs_scan\": {speedup:.3}}},\n  \"crossover\": [\n    {}\n  ],\n  \
-         \"trace\": {{\"requests\": {}, \"flow_impl\": \"virtual-time\", \
+         \"heap_vs_scan\": {speedup:.3}}},\n  \
+         \"trace\": {{\"requests\": {}, \
          \"wall_seconds\": {wall:.4}, \"requests_per_second\": {rps:.1}, \
          \"serving_steps\": {}, \"step_cache_entries\": {}, \"peak_batch\": {}, \
          \"simulated_tokens_per_second\": {:.3}, \"ttft_p99_seconds\": {:.3}}},\n  \
@@ -594,7 +499,6 @@ fn main() {
          \"event_stream_fnv\": \"{stream_fnv:#018x}\", \"conserved_arrivals\": {}, \
          \"attribution_rows\": {}, \"attribution_exact\": true, \"json_valid\": true, \
          \"nested_spans\": {nested}, \"untraced_wall_seconds\": {wall:.4}}}\n}}\n",
-        crossover_rows.join(",\n    "),
         trace.len(),
         report.steps,
         report.step_cache_entries,

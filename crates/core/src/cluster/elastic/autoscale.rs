@@ -419,7 +419,6 @@ mod tests {
             max_batch: 8,
             clock_s: 0.0,
             pressure: 0.0,
-            device_pressure: vec![],
             placeable_free_bytes: 1 << 30,
             bandwidth_weight: 1.0,
             device_count: 4,

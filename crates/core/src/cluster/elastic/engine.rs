@@ -7,10 +7,11 @@ use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, Life
 use crate::cluster::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
 use crate::cluster::report::ClusterReport;
 use crate::cluster::router::{
-    clamp_route, deployment_view, install_shared_warm_start, provisioning_cost, ClusterConfig, Slot,
+    clamp_route, deployment_view, install_shared_warm_start, provisioning_cost, ClusterConfig,
+    PhaseA, Slot,
 };
 use crate::runner::CoreError;
-use crate::serve::engine::{QueueEntry, StepProgress};
+use crate::serve::engine::StepProgress;
 use crate::serve::ServeEngine;
 use hilos_accel::with_fanout;
 use hilos_llm::{DeploymentId, Request};
@@ -320,25 +321,23 @@ impl ElasticClusterEngine {
         // Phase A of the lockstep iteration (identical to the fixed
         // engine): one slot's serving iteration plus its victim drain,
         // touching only the slot it is handed.
-        let advance =
-            |_d: usize, slot: &mut Slot| -> (Result<StepProgress, CoreError>, Vec<QueueEntry>) {
-                let (eng, st) = slot;
-                match eng.advance_once(st) {
-                    Ok(p) => (Ok(p), st.drain_just_preempted()),
-                    Err(e) => (Err(e), Vec::new()),
-                }
-            };
+        let advance = |_d: usize, slot: &mut Slot| -> PhaseA {
+            let (eng, st) = slot;
+            match eng.advance_once(st) {
+                Ok(p) => (Ok(p), st.drain_just_preempted()),
+                Err(e) => (Err(e), Vec::new()),
+            }
+        };
 
         let run: Result<(), CoreError> = with_fanout(threads, advance, |pool| {
             let mut idx = 0usize;
             let mut gstep = 0u64;
-            let mut results: Vec<Option<(Result<StepProgress, CoreError>, Vec<QueueEntry>)>> =
-                (0..n).map(|_| None).collect();
+            let mut results: Vec<Option<PhaseA>> = (0..n).map(|_| None).collect();
             loop {
                 // 1: lifecycle transits — cold starts whose thresholds have
                 // passed turn Warming/Active.
-                for d in 0..n {
-                    for ev in self.lifecycles[d].tick(gstep, d as u32) {
+                for (d, lifecycle) in self.lifecycles.iter_mut().enumerate() {
+                    for ev in lifecycle.tick(gstep, d as u32) {
                         let (_, st) = slots[d].as_mut().expect("slot checked in");
                         st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
                         events.push(ev);

@@ -71,9 +71,9 @@
 //! out over a persistent worker pool
 //! ([`ClusterConfig::with_cluster_threads`]) when one is configured.
 //! **Phase B (merge)**: back on the calling thread, the per-slot results
-//! ([`StepProgress`](crate::StepProgress) plus freshly preempted
-//! victims) are folded **in deployment-index order** — stall detection,
-//! victim re-routing, cross-deployment migration, elastic lifecycle
+//! (each slot's step progress plus its freshly preempted victims) are
+//! folded **in deployment-index order** — stall detection, victim
+//! re-routing, cross-deployment migration, elastic lifecycle
 //! transitions and autoscale decisions all happen here, serially.
 //!
 //! # Determinism

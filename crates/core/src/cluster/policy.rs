@@ -134,9 +134,6 @@ pub struct DeploymentView {
     /// Aggregate KV shard-ledger pressure, `[0, 1]`
     /// ([`KvShardLedger::pressure`](hilos_storage::KvShardLedger::pressure)).
     pub pressure: f64,
-    /// Per-device ledger pressure in device index order — the degradation
-    /// profile shows up here as skewed occupancy.
-    pub device_pressure: Vec<f64>,
     /// Free bytes across placement-eligible devices.
     pub placeable_free_bytes: u64,
     /// Sum of the ledger's placement weights: aggregate storage bandwidth
@@ -439,7 +436,6 @@ mod tests {
             max_batch: 8,
             clock_s: 0.0,
             pressure: 0.0,
-            device_pressure: vec![],
             placeable_free_bytes: free,
             bandwidth_weight: bw,
             device_count: 4,

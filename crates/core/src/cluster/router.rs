@@ -30,6 +30,10 @@ use std::sync::Arc;
 /// a slot can be checked out for its iteration and checked back in.
 pub(crate) type Slot = (ServeEngine, RunState);
 
+/// One slot's phase-A result: its serving-iteration outcome plus the
+/// victims it just preempted.
+pub(crate) type PhaseA = (Result<StepProgress, CoreError>, Vec<QueueEntry>);
+
 /// Cluster-execution knobs, shared by [`ClusterEngine`] and the elastic
 /// engine (via
 /// [`ElasticConfig::cluster`](super::elastic::ElasticConfig::cluster)).
@@ -129,7 +133,6 @@ pub(crate) fn deployment_view(
         max_batch: eng.config().max_batch,
         clock_s: st.clock,
         pressure: ledger.pressure(),
-        device_pressure: ledger.pressure_by_device(),
         placeable_free_bytes: ledger.placeable_free(),
         bandwidth_weight: ledger.total_weight(),
         device_count: ledger.device_count(),
@@ -341,21 +344,19 @@ impl ClusterEngine {
         // Phase A's unit of work: one deployment's serving iteration,
         // plus the drain of its freshly preempted victims. Touches only
         // the slot it is handed — the determinism contract.
-        let advance =
-            |_d: usize, slot: &mut Slot| -> (Result<StepProgress, CoreError>, Vec<QueueEntry>) {
-                let (eng, st) = slot;
-                match eng.advance_once(st) {
-                    Ok(p) => (Ok(p), st.drain_just_preempted()),
-                    Err(e) => (Err(e), Vec::new()),
-                }
-            };
+        let advance = |_d: usize, slot: &mut Slot| -> PhaseA {
+            let (eng, st) = slot;
+            match eng.advance_once(st) {
+                Ok(p) => (Ok(p), st.drain_just_preempted()),
+                Err(e) => (Err(e), Vec::new()),
+            }
+        };
 
         let run: Result<(), CoreError> = with_fanout(threads, advance, |pool| {
             let mut idx = 0usize;
             let mut gstep = 0u64;
             // Per-slot phase-A results, merged in deployment order.
-            let mut results: Vec<Option<(Result<StepProgress, CoreError>, Vec<QueueEntry>)>> =
-                (0..n).map(|_| None).collect();
+            let mut results: Vec<Option<PhaseA>> = (0..n).map(|_| None).collect();
             loop {
                 // 1: dispatch arrivals up to the global serving step.
                 while idx < trace.len() && trace[idx].arrival_step <= gstep {

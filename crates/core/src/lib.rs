@@ -78,7 +78,6 @@ pub use cluster::{
 };
 pub use config::{AlphaPolicy, HilosConfig};
 pub use functional::FunctionalBlock;
-pub use hilos_sim::FlowEngineImpl;
 pub use hilos_trace as trace;
 pub use middleware::{CacheScheduler, WeightsPrefetcher};
 pub use runner::{CoreError, HilosSystem, JobReport, PrefillReport, RunReport};

@@ -258,20 +258,12 @@ impl HilosSystem {
     }
 
     pub(crate) fn build_world(&self) -> Result<BuiltSystem, CoreError> {
-        self.build_world_with(hilos_sim::FlowEngineImpl::default())
-    }
-
-    pub(crate) fn build_world_with(
-        &self,
-        flow_impl: hilos_sim::FlowEngineImpl,
-    ) -> Result<BuiltSystem, CoreError> {
         let accel = AccelTimingModel::smartssd(self.model.d_group());
-        BuiltSystem::build_with_engine_impl(
+        BuiltSystem::build_with_degradations(
             &self.spec,
             Some(&accel),
             self.model.head_dim(),
             &self.degradations,
-            flow_impl,
         )
         .map_err(|e| CoreError::Platform(e.to_string()))
     }

@@ -21,7 +21,6 @@ use crate::step::{AlphaSelector, DecodeStepExecutor};
 use crate::writeback::{SpillDecision, WritebackManager};
 use hilos_llm::{DeploymentId, ModelConfig, Request};
 use hilos_metrics::{PrefillBreakdown, PrefixCacheStats};
-use hilos_sim::FlowEngineImpl;
 use hilos_storage::{KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, SsdSpec, TierTraffic};
 use hilos_trace::{Event, EventKind, EventRing, NullSink, TraceSink};
 use std::collections::{HashMap, VecDeque};
@@ -132,11 +131,6 @@ pub struct ServeConfig {
     /// How prompt ingestion shares the step with decoding (defaults to
     /// the legacy side-prefill [`ChunkMode::Off`]).
     pub chunk_mode: ChunkMode,
-    /// Which rate-sharing implementation the underlying flow engine uses.
-    /// The default [`FlowEngineImpl::ProgressiveFilling`] is the oracle
-    /// every golden pin is taken under; [`FlowEngineImpl::VirtualTime`]
-    /// is the O(log n) fast path for very large traces.
-    pub flow_impl: FlowEngineImpl,
     /// Workers building the per-device sub-graphs of each simulated step
     /// (intra-step sharding). Outcomes are identical for any value —
     /// pinned by a determinism test — so this is purely a wall-clock
@@ -174,7 +168,6 @@ impl ServeConfig {
             deadline_s: 120.0,
             ctx_quantum: 1024,
             chunk_mode: ChunkMode::Off,
-            flow_impl: FlowEngineImpl::default(),
             step_threads: 1,
             prefix_cache: None,
             trace_events: None,
@@ -207,12 +200,6 @@ impl ServeConfig {
             assert!(step_budget_tokens > 0, "step budget must be positive");
         }
         self.chunk_mode = mode;
-        self
-    }
-
-    /// Selects the flow-engine implementation the serving world runs on.
-    pub fn with_flow_impl(mut self, flow_impl: FlowEngineImpl) -> Self {
-        self.flow_impl = flow_impl;
         self
     }
 
@@ -578,7 +565,7 @@ impl ServeEngine {
         config: ServeConfig,
         policy: Box<dyn SchedulingPolicy>,
     ) -> Result<Self, CoreError> {
-        let mut exec = DecodeStepExecutor::with_flow_impl(&system, config.flow_impl)?;
+        let mut exec = DecodeStepExecutor::new(&system)?;
         exec.set_step_threads(config.step_threads);
         let alpha_sel = AlphaSelector::new(system.config(), exec.system());
         let mut ledger = exec.system().kv_ledger();
@@ -665,12 +652,12 @@ impl ServeEngine {
     }
 
     /// FNV-1a over everything the step/prefill memo values depend on:
-    /// the full system (spec, degradations, model, config, sim layers)
-    /// and the flow-engine implementation. Two deployments with equal
+    /// the full system (spec, degradations, model, config, sim layers).
+    /// Two deployments with equal
     /// fingerprints compute bit-identical values for every memo key, so
     /// they may share one [`SharedStepCache`].
     pub(crate) fn system_fingerprint(&self) -> u64 {
-        let desc = format!("{:?}|{:?}", self.system, self.config.flow_impl);
+        let desc = format!("{:?}", self.system);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in desc.into_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);

@@ -60,20 +60,7 @@ impl DecodeStepExecutor {
     ///
     /// Propagates platform build errors.
     pub fn new(system: &HilosSystem) -> Result<Self, CoreError> {
-        DecodeStepExecutor::with_flow_impl(system, hilos_sim::FlowEngineImpl::default())
-    }
-
-    /// Like [`DecodeStepExecutor::new`], but selecting the rate-sharing
-    /// implementation of the world's flow engine. The virtual-time
-    /// implementation keeps step execution O(log n) in concurrent flows —
-    /// the difference between simulating thousands and millions of
-    /// requests — at the cost of bit-identity with the progressive-filling
-    /// oracle (golden pins are always taken under the default).
-    pub fn with_flow_impl(
-        system: &HilosSystem,
-        flow_impl: hilos_sim::FlowEngineImpl,
-    ) -> Result<Self, CoreError> {
-        let sys = system.build_world_with(flow_impl)?;
+        let sys = system.build_world()?;
         let sim_layers = system.sim_layers();
         Ok(DecodeStepExecutor {
             sys,

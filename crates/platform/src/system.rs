@@ -8,7 +8,7 @@
 use crate::catalog::{GpuSpec, HostSpec, StoragePricePower};
 use hilos_accel::AccelTimingModel;
 use hilos_interconnect::{LinkSpec, NodeId, PcieGen, Topology, TopologyInstance};
-use hilos_sim::{FlowEngine, FlowEngineImpl, ResourceId, ResourceKind, ResourceSpec};
+use hilos_sim::{FlowEngine, ResourceId, ResourceKind, ResourceSpec};
 use hilos_storage::{KvShardLedger, ShardSpec, SsdDevice, SsdInstance, SsdSpec};
 use std::error::Error;
 use std::fmt;
@@ -262,30 +262,10 @@ impl BuiltSystem {
         head_dim: u32,
         degradations: &[(usize, f64)],
     ) -> Result<BuiltSystem, SystemError> {
-        BuiltSystem::build_with_engine_impl(
-            spec,
-            accel_model,
-            head_dim,
-            degradations,
-            FlowEngineImpl::default(),
-        )
-    }
-
-    /// Like [`BuiltSystem::build_with_degradations`], but selecting the
-    /// rate-sharing implementation of the underlying [`FlowEngine`]
-    /// (exact progressive filling — the bit-reproducible default — or the
-    /// O(log n) virtual-time engine for large-scale traces).
-    pub fn build_with_engine_impl(
-        spec: &SystemSpec,
-        accel_model: Option<&AccelTimingModel>,
-        head_dim: u32,
-        degradations: &[(usize, f64)],
-        flow_impl: FlowEngineImpl,
-    ) -> Result<BuiltSystem, SystemError> {
         if spec.storage.device_count() == 0 {
             return Err(SystemError::NoStorageDevices);
         }
-        let mut engine = FlowEngine::with_impl(flow_impl);
+        let mut engine = FlowEngine::new();
 
         let host_dram = engine.add_resource(ResourceSpec::new(
             "host:dram",

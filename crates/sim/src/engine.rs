@@ -9,25 +9,18 @@
 //! bandwidth-shared links and a good first-order model for memory ports,
 //! storage channels and compute engines.
 //!
-//! Two interchangeable implementations sit behind [`FlowEngine`], selected
-//! by [`FlowEngineImpl`]:
-//!
-//! * [`FlowEngineImpl::ProgressiveFilling`] (the default) recomputes exact
-//!   max-min rates over all jobs × resources on every composition change —
-//!   O(jobs × resources), bit-reproducible, and the equivalence oracle for
-//!   everything else.
-//! * [`FlowEngineImpl::VirtualTime`] exploits the invariance of completion
-//!   *order* under fair sharing: per-resource virtual clocks advance with
-//!   the active-job count and each job's completion is predicted once at
-//!   submit, making submit/complete/cancel O(log n). See [`crate::fair`]'s
-//!   module docs for the algorithm and its (bounded, conservative)
-//!   divergence from the oracle on capped and multi-resource jobs.
+//! Rates are recomputed over all jobs × resources on every composition
+//! change (submit, completion or cancel) — O(jobs × resources), exact and
+//! bit-reproducible. Pure time advances keep rates, so each job's absolute
+//! completion prediction is indexed once per rate change in a
+//! lazily-invalidated min-heap; `next_completion_time_scan` keeps the
+//! slow, obviously-correct linear scan as its reference.
 
 use crate::error::SimError;
-use crate::fair::FairEngine;
-use crate::oracle::OracleEngine;
 use crate::resource::{ResourceId, ResourceSpec, ResourceStats};
 use crate::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifier of an in-flight job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,28 +47,29 @@ pub struct Completion {
 
 /// A job is considered complete once its remaining demand drops below this
 /// epsilon (absolute floor plus a term relative to the original demand).
-pub(crate) fn completion_eps(demand: f64) -> f64 {
+fn completion_eps(demand: f64) -> f64 {
     1e-9 + 1e-12 * demand.abs()
 }
 
-/// Selects the rate-sharing algorithm behind a [`FlowEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FlowEngineImpl {
-    /// Exact max-min progressive filling; O(jobs × resources) per
-    /// composition change. Bit-reproducible — all golden pins are taken
-    /// under this engine.
-    #[default]
-    ProgressiveFilling,
-    /// Virtual-time fair sharing; O(log n) per composition change.
-    /// Completion times are exact for single-resource uncapped jobs and
-    /// conservative (never earlier than the oracle's) otherwise.
-    VirtualTime,
+#[derive(Debug, Clone)]
+struct JobState {
+    seq: u64,
+    demand: f64,
+    remaining: f64,
+    route: Vec<ResourceId>,
+    rate_cap: Option<f64>,
+    rate: f64,
+    /// Predicted absolute completion instant under the current rate, or
+    /// `None` if the job cannot progress (rate zero). Valid as long as the
+    /// rate is unchanged: progress is linear, so an absolute prediction
+    /// survives pure time advances without recomputation.
+    pred: Option<SimTime>,
 }
 
-#[derive(Debug)]
-enum Inner {
-    Oracle(OracleEngine),
-    Fair(FairEngine),
+#[derive(Debug, Clone)]
+struct ResourceState {
+    spec: ResourceSpec,
+    stats: ResourceStats,
 }
 
 /// Deterministic flow-level simulation engine.
@@ -94,84 +88,49 @@ enum Inner {
 /// let end = eng.run_to_idle().unwrap();
 /// assert_eq!(end, SimTime::from_secs(2));
 /// ```
-///
-/// The same run under the O(log n) virtual-time engine:
-///
-/// ```
-/// use hilos_sim::{FlowEngine, FlowEngineImpl, ResourceKind, ResourceSpec, SimTime};
-///
-/// let mut eng = FlowEngine::with_impl(FlowEngineImpl::VirtualTime);
-/// let link = eng.add_resource(ResourceSpec::new("link", ResourceKind::Link, 1e9));
-/// eng.submit(&[link], 1e9, None).unwrap();
-/// eng.submit(&[link], 1e9, None).unwrap();
-/// let end = eng.run_to_idle().unwrap();
-/// assert_eq!(end, SimTime::from_secs(2));
-/// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlowEngine {
-    inner: Inner,
-}
-
-impl Default for FlowEngine {
-    fn default() -> Self {
-        FlowEngine::new()
-    }
+    resources: Vec<ResourceState>,
+    jobs: Vec<Option<JobState>>,
+    free_slots: Vec<u32>,
+    next_seq: u64,
+    now: SimTime,
+    rates_dirty: bool,
+    active_jobs: usize,
+    /// Min-heap of `(predicted completion, seq, slot)` — the completion
+    /// index behind `next_completion_time`. Entries are lazily
+    /// invalidated: a rate change re-pushes a fresh entry and the stale
+    /// one is discarded when it surfaces (its time no longer matches the
+    /// job's stored prediction, or the job is gone).
+    pred_heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
 }
 
 impl FlowEngine {
-    /// Creates an empty engine at time zero, using the default
-    /// (progressive-filling) implementation.
+    /// Creates an empty engine at time zero.
     pub fn new() -> Self {
-        FlowEngine::with_impl(FlowEngineImpl::default())
-    }
-
-    /// Creates an empty engine at time zero with the given implementation.
-    pub fn with_impl(sel: FlowEngineImpl) -> Self {
-        let inner = match sel {
-            FlowEngineImpl::ProgressiveFilling => Inner::Oracle(OracleEngine::new()),
-            FlowEngineImpl::VirtualTime => Inner::Fair(FairEngine::new()),
-        };
-        FlowEngine { inner }
-    }
-
-    /// Which implementation this engine runs on.
-    pub fn engine_impl(&self) -> FlowEngineImpl {
-        match &self.inner {
-            Inner::Oracle(_) => FlowEngineImpl::ProgressiveFilling,
-            Inner::Fair(_) => FlowEngineImpl::VirtualTime,
-        }
+        FlowEngine::default()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            Inner::Oracle(e) => e.now(),
-            Inner::Fair(e) => e.now(),
-        }
+        self.now
     }
 
     /// Number of jobs currently in flight.
     pub fn active_jobs(&self) -> usize {
-        match &self.inner {
-            Inner::Oracle(e) => e.active_jobs(),
-            Inner::Fair(e) => e.active_jobs(),
-        }
+        self.active_jobs
     }
 
     /// Registers a resource and returns its id.
     pub fn add_resource(&mut self, spec: ResourceSpec) -> ResourceId {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.add_resource(spec),
-            Inner::Fair(e) => e.add_resource(spec),
-        }
+        let id = ResourceId(self.resources.len() as u32);
+        self.resources.push(ResourceState { spec, stats: ResourceStats::default() });
+        id
     }
 
     /// Number of registered resources.
     pub fn resource_count(&self) -> usize {
-        match &self.inner {
-            Inner::Oracle(e) => e.resource_count(),
-            Inner::Fair(e) => e.resource_count(),
-        }
+        self.resources.len()
     }
 
     /// The static description of a resource.
@@ -180,10 +139,7 @@ impl FlowEngine {
     ///
     /// Panics if `id` does not belong to this engine.
     pub fn resource(&self, id: ResourceId) -> &ResourceSpec {
-        match &self.inner {
-            Inner::Oracle(e) => e.resource(id),
-            Inner::Fair(e) => e.resource(id),
-        }
+        &self.resources[id.index()].spec
     }
 
     /// Cumulative statistics of a resource since engine creation.
@@ -192,29 +148,20 @@ impl FlowEngine {
     ///
     /// Panics if `id` does not belong to this engine.
     pub fn stats(&self, id: ResourceId) -> ResourceStats {
-        match &self.inner {
-            Inner::Oracle(e) => e.stats(id),
-            Inner::Fair(e) => e.stats(id),
-        }
+        self.resources[id.index()].stats
     }
 
     /// Snapshot of all resource statistics, indexed by resource index.
     pub fn stats_snapshot(&self) -> Vec<ResourceStats> {
-        match &self.inner {
-            Inner::Oracle(e) => e.stats_snapshot(),
-            Inner::Fair(e) => e.stats_snapshot(),
-        }
+        self.resources.iter().map(|r| r.stats).collect()
     }
 
     /// Total entries (live + stale) in the lazily-invalidated completion
-    /// index. Diagnostic: the engines compact once stale entries outnumber
+    /// index. Diagnostic: the engine compacts once stale entries outnumber
     /// live jobs 2:1, so this stays within a small factor of
     /// [`FlowEngine::active_jobs`] no matter how churn-heavy the workload.
     pub fn completion_index_len(&self) -> usize {
-        match &self.inner {
-            Inner::Oracle(e) => e.completion_index_len(),
-            Inner::Fair(e) => e.completion_index_len(),
-        }
+        self.pred_heap.len()
     }
 
     /// Submits a job demanding `amount` units across `route`.
@@ -236,10 +183,46 @@ impl FlowEngine {
         amount: f64,
         rate_cap: Option<f64>,
     ) -> Result<JobId, SimError> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.submit(route, amount, rate_cap),
-            Inner::Fair(e) => e.submit(route, amount, rate_cap),
+        if route.is_empty() {
+            return Err(SimError::EmptyRoute);
         }
+        for r in route {
+            if r.index() >= self.resources.len() {
+                return Err(SimError::UnknownResource(r.index()));
+            }
+        }
+        if !amount.is_finite() || amount < 0.0 {
+            return Err(SimError::InvalidAmount(amount));
+        }
+        if let Some(cap) = rate_cap {
+            if !cap.is_finite() || cap <= 0.0 {
+                return Err(SimError::InvalidAmount(cap));
+            }
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let state = JobState {
+            seq,
+            demand: amount,
+            remaining: amount,
+            route: route.to_vec(),
+            rate_cap,
+            rate: 0.0,
+            pred: None,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(s) => {
+                self.jobs[s as usize] = Some(state);
+                s
+            }
+            None => {
+                self.jobs.push(Some(state));
+                (self.jobs.len() - 1) as u32
+            }
+        };
+        self.active_jobs += 1;
+        self.rates_dirty = true;
+        Ok(JobId { slot, seq })
     }
 
     /// Removes a job before it completes, returning its remaining demand,
@@ -248,9 +231,169 @@ impl FlowEngine {
     /// `core::serve` preempts requests and `core::cluster` migrates them
     /// mid-flight.
     pub fn cancel(&mut self, id: JobId) -> Option<f64> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.cancel(id),
-            Inner::Fair(e) => e.cancel(id),
+        match self.jobs.get(id.slot as usize)? {
+            Some(j) if j.seq == id.seq => {
+                let remaining = j.remaining.max(0.0);
+                self.jobs[id.slot as usize] = None;
+                self.free_slots.push(id.slot);
+                self.active_jobs -= 1;
+                self.rates_dirty = true;
+                Some(remaining)
+            }
+            _ => None,
+        }
+    }
+
+    /// Recomputes max-min fair rates (progressive filling with caps), then
+    /// refreshes the completion index for every job whose rate changed.
+    fn recompute_rates(&mut self) {
+        if !self.rates_dirty {
+            return;
+        }
+        self.rates_dirty = false;
+
+        // Old rates, slot-aligned, to detect which predictions survive.
+        let old_rates: Vec<f64> =
+            self.jobs.iter().map(|j| j.as_ref().map_or(0.0, |job| job.rate)).collect();
+
+        let n_res = self.resources.len();
+        let mut residual: Vec<f64> = self.resources.iter().map(|r| r.spec.capacity()).collect();
+        let mut load: Vec<u32> = vec![0; n_res];
+
+        // Collect indices of unfrozen jobs.
+        let mut unfrozen: Vec<u32> = Vec::with_capacity(self.active_jobs);
+        for (i, j) in self.jobs.iter().enumerate() {
+            if let Some(job) = j {
+                for r in &job.route {
+                    load[r.index()] += 1;
+                }
+                unfrozen.push(i as u32);
+            }
+        }
+
+        // Progressive filling.
+        while !unfrozen.is_empty() {
+            // Bottleneck share among resources used by unfrozen jobs.
+            let mut share = f64::INFINITY;
+            for r in 0..n_res {
+                if load[r] > 0 {
+                    let s = (residual[r] / load[r] as f64).max(0.0);
+                    if s < share {
+                        share = s;
+                    }
+                }
+            }
+            debug_assert!(share.is_finite(), "unfrozen jobs must load some resource");
+
+            // Jobs whose cap is below the share freeze at their cap first.
+            let min_cap = unfrozen
+                .iter()
+                .filter_map(|&i| self.jobs[i as usize].as_ref().unwrap().rate_cap)
+                .fold(f64::INFINITY, f64::min);
+
+            let eps = 1e-12 * (1.0 + share.abs());
+            if min_cap < share - eps {
+                // Freeze every job whose cap is (close to) the minimum cap.
+                let mut next = Vec::with_capacity(unfrozen.len());
+                for &i in &unfrozen {
+                    let job = self.jobs[i as usize].as_ref().unwrap();
+                    let frozen = match job.rate_cap {
+                        Some(c) => c <= min_cap + eps,
+                        None => false,
+                    };
+                    if frozen {
+                        let rate = job.rate_cap.unwrap();
+                        let route = job.route.clone();
+                        self.jobs[i as usize].as_mut().unwrap().rate = rate;
+                        for r in &route {
+                            residual[r.index()] = (residual[r.index()] - rate).max(0.0);
+                            load[r.index()] -= 1;
+                        }
+                    } else {
+                        next.push(i);
+                    }
+                }
+                unfrozen = next;
+            } else {
+                // Freeze jobs that cross a bottleneck resource at `share`.
+                let mut bottleneck = vec![false; n_res];
+                for r in 0..n_res {
+                    if load[r] > 0 {
+                        let s = residual[r] / load[r] as f64;
+                        if s <= share + eps {
+                            bottleneck[r] = true;
+                        }
+                    }
+                }
+                let mut next = Vec::with_capacity(unfrozen.len());
+                let mut froze_any = false;
+                for &i in &unfrozen {
+                    let job = self.jobs[i as usize].as_ref().unwrap();
+                    let hits = job.route.iter().any(|r| bottleneck[r.index()]);
+                    if hits {
+                        froze_any = true;
+                        let rate = match job.rate_cap {
+                            Some(c) => c.min(share),
+                            None => share,
+                        };
+                        let route = job.route.clone();
+                        self.jobs[i as usize].as_mut().unwrap().rate = rate;
+                        for r in &route {
+                            residual[r.index()] = (residual[r.index()] - rate).max(0.0);
+                            load[r.index()] -= 1;
+                        }
+                    } else {
+                        next.push(i);
+                    }
+                }
+                // Safety net against numerical stalls: freeze everything at
+                // the current share if no bottleneck was detected.
+                if !froze_any {
+                    for &i in &next {
+                        let job = self.jobs[i as usize].as_mut().unwrap();
+                        job.rate = match job.rate_cap {
+                            Some(c) => c.min(share),
+                            None => share,
+                        };
+                    }
+                    next.clear();
+                }
+                unfrozen = next;
+            }
+        }
+
+        // Re-index completions for jobs whose rate changed (or that never
+        // had a prediction). Unchanged-rate jobs progress linearly, so
+        // their absolute predictions stay exact across time advances.
+        let now = self.now;
+        for (slot, (j, old)) in self.jobs.iter_mut().zip(&old_rates).enumerate() {
+            let Some(j) = j else { continue };
+            if j.rate.to_bits() == old.to_bits() && j.pred.is_some() {
+                continue;
+            }
+            let pred = if j.remaining <= completion_eps(j.demand) {
+                Some(now)
+            } else if j.rate > 0.0 {
+                Some(now + SimTime::from_secs_f64_ceil(j.remaining / j.rate))
+            } else {
+                None
+            };
+            j.pred = pred;
+            if let Some(t) = pred {
+                self.pred_heap.push(Reverse((t, j.seq, slot as u32)));
+            }
+        }
+        // Bound stale-entry accumulation: compact when the heap holds far
+        // more entries than live jobs.
+        if self.pred_heap.len() > 2 * self.active_jobs + 64 {
+            self.pred_heap.clear();
+            for (slot, j) in self.jobs.iter().enumerate() {
+                if let Some(j) = j {
+                    if let Some(t) = j.pred {
+                        self.pred_heap.push(Reverse((t, j.seq, slot as u32)));
+                    }
+                }
+            }
         }
     }
 
@@ -261,20 +404,44 @@ impl FlowEngine {
     /// request-level serving loops (hundreds of concurrent flows polled
     /// every step) off the engine's critical path.
     pub fn next_completion_time(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.next_completion_time(),
-            Inner::Fair(e) => e.next_completion_time(),
+        if self.active_jobs == 0 {
+            return None;
         }
+        self.recompute_rates();
+        while let Some(&Reverse((t, seq, slot))) = self.pred_heap.peek() {
+            match self.jobs.get(slot as usize).and_then(Option::as_ref) {
+                Some(j) if j.seq == seq && j.pred == Some(t) => return Some(t),
+                _ => {
+                    self.pred_heap.pop();
+                }
+            }
+        }
+        None
     }
 
     /// Reference implementation of [`FlowEngine::next_completion_time`]:
     /// a linear scan over every active job. Kept for equivalence tests and
-    /// the `bench_serving` heap-vs-scan and crossover comparisons.
+    /// the `bench_serving` heap-vs-scan comparison.
     pub fn next_completion_time_scan(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.next_completion_time_scan(),
-            Inner::Fair(e) => e.next_completion_time_scan(),
+        if self.active_jobs == 0 {
+            return None;
         }
+        self.recompute_rates();
+        let mut best: Option<SimTime> = None;
+        for j in self.jobs.iter().flatten() {
+            let t = if j.remaining <= completion_eps(j.demand) {
+                self.now
+            } else if j.rate > 0.0 {
+                self.now + SimTime::from_secs_f64_ceil(j.remaining / j.rate)
+            } else {
+                continue;
+            };
+            best = Some(match best {
+                Some(b) => b.min(t),
+                None => t,
+            });
+        }
+        best
     }
 
     /// Advances simulated time to `t`, progressing every active job at its
@@ -286,10 +453,52 @@ impl FlowEngine {
     /// Returns [`SimError::TimeReversal`] if `t` is earlier than
     /// [`FlowEngine::now`].
     pub fn advance_to(&mut self, t: SimTime) -> Result<Vec<Completion>, SimError> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.advance_to(t),
-            Inner::Fair(e) => e.advance_to(t),
+        if t < self.now {
+            return Err(SimError::TimeReversal { now: self.now, requested: t });
         }
+        self.recompute_rates();
+        let dt = (t - self.now).as_secs_f64();
+
+        // Accumulate resource statistics for the elapsed window.
+        if dt > 0.0 {
+            let mut allocated: Vec<f64> = vec![0.0; self.resources.len()];
+            for j in self.jobs.iter().flatten() {
+                for r in &j.route {
+                    allocated[r.index()] += j.rate;
+                }
+            }
+            for (r, state) in self.resources.iter_mut().enumerate() {
+                let rate = allocated[r].min(state.spec.capacity());
+                state.stats.units_served += rate * dt;
+                state.stats.busy_seconds += (rate / state.spec.capacity()) * dt;
+                state.stats.observed_seconds += dt;
+            }
+        }
+
+        // Progress jobs and collect completions.
+        let mut done: Vec<(u64, JobId)> = Vec::new();
+        for (i, slot) in self.jobs.iter_mut().enumerate() {
+            if let Some(j) = slot {
+                if dt > 0.0 {
+                    j.remaining -= j.rate * dt;
+                }
+                let eps = completion_eps(j.demand);
+                if j.remaining <= eps {
+                    done.push((j.seq, JobId { slot: i as u32, seq: j.seq }));
+                }
+            }
+        }
+        done.sort_by_key(|(seq, _)| *seq);
+        let mut completions = Vec::with_capacity(done.len());
+        for (_, id) in done {
+            self.jobs[id.slot as usize] = None;
+            self.free_slots.push(id.slot);
+            self.active_jobs -= 1;
+            self.rates_dirty = true;
+            completions.push(Completion { job: id, at: t });
+        }
+        self.now = t;
+        Ok(completions)
     }
 
     /// Runs until no jobs remain, returning the final time.
@@ -300,25 +509,27 @@ impl FlowEngine {
     /// progress (all rates zero), which indicates an engine bug or a
     /// zero-capacity configuration.
     pub fn run_to_idle(&mut self) -> Result<SimTime, SimError> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.run_to_idle(),
-            Inner::Fair(e) => e.run_to_idle(),
+        while self.active_jobs > 0 {
+            let t = self.next_completion_time().ok_or(SimError::Stalled)?;
+            self.advance_to(t)?;
         }
+        Ok(self.now)
     }
 
     /// The current fair rate of a job, or `None` if it is not active.
     pub fn job_rate(&mut self, id: JobId) -> Option<f64> {
-        match &mut self.inner {
-            Inner::Oracle(e) => e.job_rate(id),
-            Inner::Fair(e) => e.job_rate(id),
+        self.recompute_rates();
+        match self.jobs.get(id.slot as usize)? {
+            Some(j) if j.seq == id.seq => Some(j.rate),
+            _ => None,
         }
     }
 
     /// Remaining demand of a job, or `None` if it is not active.
     pub fn job_remaining(&self, id: JobId) -> Option<f64> {
-        match &self.inner {
-            Inner::Oracle(e) => e.job_remaining(id),
-            Inner::Fair(e) => e.job_remaining(id),
+        match self.jobs.get(id.slot as usize)? {
+            Some(j) if j.seq == id.seq => Some(j.remaining),
+            _ => None,
         }
     }
 }
@@ -559,230 +770,41 @@ mod tests {
         assert!((eng.stats(l).units_served - total).abs() < 1e3);
     }
 
-    // ---- virtual-time engine ----
-
-    fn fair() -> FlowEngine {
-        FlowEngine::with_impl(FlowEngineImpl::VirtualTime)
-    }
-
-    #[test]
-    fn impl_selector_round_trips() {
-        assert_eq!(FlowEngine::new().engine_impl(), FlowEngineImpl::ProgressiveFilling);
-        assert_eq!(fair().engine_impl(), FlowEngineImpl::VirtualTime);
-        assert_eq!(FlowEngineImpl::default(), FlowEngineImpl::ProgressiveFilling);
-    }
-
-    #[test]
-    fn fair_single_flow_exact_time() {
-        let mut eng = fair();
-        let l = link(&mut eng, 2e9);
-        eng.submit(&[l], 1e9, None).unwrap();
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_millis(500));
-    }
-
-    #[test]
-    fn fair_two_flows_share_fairly() {
-        let mut eng = fair();
-        let l = link(&mut eng, 1e9);
-        let a = eng.submit(&[l], 1e9, None).unwrap();
-        eng.submit(&[l], 1e9, None).unwrap();
-        assert!((eng.job_rate(a).unwrap() - 0.5e9).abs() < 1.0);
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn fair_unequal_flows_speedup_after_first_completion() {
-        let mut eng = fair();
-        let l = link(&mut eng, 1e9);
-        eng.submit(&[l], 0.5e9, None).unwrap();
-        let b = eng.submit(&[l], 1.5e9, None).unwrap();
-        let t1 = eng.next_completion_time().unwrap();
-        assert_eq!(t1, SimTime::from_secs(1));
-        assert_eq!(eng.advance_to(t1).unwrap().len(), 1);
-        assert!((eng.job_remaining(b).unwrap() - 1.0e9).abs() < 1.0);
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn fair_route_bottleneck_is_min_link() {
-        let mut eng = fair();
-        let fast = link(&mut eng, 10e9);
-        let slow = link(&mut eng, 1e9);
-        eng.submit(&[fast, slow], 2e9, None).unwrap();
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn fair_shares_are_conservative_on_shared_routes() {
-        // Same topology as max_min_asymmetric_three_flows. The uniform
-        // model gives C the share 2/2 = 1.0 GB/s instead of the oracle's
-        // redistributed 1.5 GB/s: a *lower bound*, never an overestimate.
-        let mut eng = fair();
-        let l1 = link(&mut eng, 1e9);
-        let l2 = link(&mut eng, 2e9);
-        let a = eng.submit(&[l1], 1e18, None).unwrap();
-        let b = eng.submit(&[l1, l2], 1e18, None).unwrap();
-        let c = eng.submit(&[l2], 1e18, None).unwrap();
-        assert!((eng.job_rate(a).unwrap() - 0.5e9).abs() < 1.0);
-        assert!((eng.job_rate(b).unwrap() - 0.5e9).abs() < 1.0);
-        assert!((eng.job_rate(c).unwrap() - 1.0e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn fair_rate_cap_respected() {
-        // The cap binds; the uncapped job keeps its uniform share (the
-        // oracle would redistribute the capped job's slack — see
-        // rate_cap_respected_and_redistributed).
-        let mut eng = fair();
-        let l = link(&mut eng, 3e9);
-        let a = eng.submit(&[l], 1e18, Some(0.5e9)).unwrap();
-        let b = eng.submit(&[l], 1e18, None).unwrap();
-        assert!((eng.job_rate(a).unwrap() - 0.5e9).abs() < 1.0);
-        assert!((eng.job_rate(b).unwrap() - 1.5e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn fair_zero_amount_job_completes_immediately() {
-        let mut eng = fair();
-        let l = link(&mut eng, 1e9);
-        eng.submit(&[l], 0.0, None).unwrap();
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::ZERO);
-        // Zero-amount on a multi-resource route too.
-        let l2 = link(&mut eng, 1e9);
-        eng.submit(&[l, l2], 0.0, None).unwrap();
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn fair_submit_validation_matches_oracle() {
-        let mut eng = fair();
-        let l = link(&mut eng, 1e9);
-        assert!(matches!(eng.submit(&[], 1.0, None), Err(SimError::EmptyRoute)));
-        assert!(matches!(
-            eng.submit(&[ResourceId(9)], 1.0, None),
-            Err(SimError::UnknownResource(9))
-        ));
-        assert!(matches!(eng.submit(&[l], -1.0, None), Err(SimError::InvalidAmount(_))));
-        assert!(matches!(eng.submit(&[l], 1.0, Some(0.0)), Err(SimError::InvalidAmount(_))));
-        assert!(matches!(eng.submit(&[l], f64::NAN, None), Err(SimError::InvalidAmount(_))));
-        assert!(matches!(eng.advance_to(SimTime::ZERO), Ok(v) if v.is_empty()));
-    }
-
-    #[test]
-    fn fair_partial_advances_keep_predictions() {
-        let mut eng = fair();
-        let l1 = link(&mut eng, 1e9);
-        let l2 = link(&mut eng, 2e9);
-        eng.submit(&[l1], 3e9, None).unwrap(); // completes at 3 s
-        eng.submit(&[l2], 2e9, None).unwrap(); // completes at 1 s
-        assert_eq!(eng.next_completion_time().unwrap(), SimTime::from_secs(1));
-        eng.advance_to(SimTime::from_millis(250)).unwrap();
-        assert_eq!(eng.next_completion_time().unwrap(), SimTime::from_secs(1));
-        eng.advance_to(SimTime::from_millis(999)).unwrap();
-        assert_eq!(eng.next_completion_time().unwrap(), SimTime::from_secs(1));
-        let done = eng.advance_to(SimTime::from_secs(1)).unwrap();
-        assert_eq!(done.len(), 1);
-        assert_eq!(eng.next_completion_time().unwrap(), SimTime::from_secs(3));
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn fair_simultaneous_completions_ordered_by_sequence() {
-        let mut eng = fair();
-        let ids: Vec<JobId> = (0..4)
-            .map(|_| {
-                let l = link(&mut eng, 1e9);
-                eng.submit(&[l], 1e9, None).unwrap()
-            })
-            .collect();
-        let t = eng.next_completion_time().unwrap();
-        assert_eq!(t, SimTime::from_secs(1));
-        let done = eng.advance_to(t).unwrap();
-        let seqs: Vec<u64> = done.iter().map(|c| c.job.sequence()).collect();
-        let expect: Vec<u64> = ids.iter().map(|id| id.sequence()).collect();
-        assert_eq!(seqs, expect, "ties must resolve in submission order");
-    }
-
-    #[test]
-    fn fair_heap_matches_its_reference_scan() {
-        let mut eng = fair();
-        let shared = link(&mut eng, 4e9);
-        let private: Vec<ResourceId> = (0..8).map(|_| link(&mut eng, 1e9)).collect();
-        for i in 0..32u64 {
-            let amount = 1e8 * (1 + (i * 7) % 13) as f64;
-            if i % 3 == 0 {
-                eng.submit(&[shared, private[(i % 8) as usize]], amount, None).unwrap();
-            } else {
-                eng.submit(&[private[(i % 8) as usize]], amount, None).unwrap();
-            }
-        }
-        let mut guard = 0;
-        while eng.active_jobs() > 0 {
-            let scan = eng.next_completion_time_scan();
-            let heap = eng.next_completion_time();
-            let (h, s) = (heap.unwrap().as_picos(), scan.unwrap().as_picos());
-            assert!(h.abs_diff(s) <= 1, "fair heap {h} ps diverged from its scan {s} ps");
-            eng.advance_to(heap.unwrap()).unwrap();
-            guard += 1;
-            assert!(guard < 1000, "fair engine failed to drain");
-        }
-        assert_eq!(eng.next_completion_time(), None);
-    }
-
-    #[test]
-    fn fair_stats_accumulate_like_oracle() {
-        let mut eng = fair();
-        let l = link(&mut eng, 2e9);
-        eng.submit(&[l], 1e9, None).unwrap();
-        eng.run_to_idle().unwrap();
-        let idle_until = eng.now() + SimTime::from_millis(500);
-        eng.advance_to(idle_until).unwrap();
-        let s = eng.stats(l);
-        assert!((s.units_served - 1e9).abs() < 1e3);
-        assert!((s.busy_seconds - 0.5).abs() < 1e-9);
-        assert!((s.observed_seconds - 1.0).abs() < 1e-9);
-        assert!((s.utilization() - 0.5).abs() < 1e-9);
-    }
-
     // ---- cancellation ----
 
     #[test]
     fn cancel_frees_capacity_for_both_impls() {
-        for sel in [FlowEngineImpl::ProgressiveFilling, FlowEngineImpl::VirtualTime] {
-            let mut eng = FlowEngine::with_impl(sel);
-            let l = link(&mut eng, 1e9);
-            let a = eng.submit(&[l], 1e9, None).unwrap();
-            let b = eng.submit(&[l], 1e9, None).unwrap();
-            // Both at 0.5 GB/s; advance half a second, then cancel A.
-            eng.advance_to(SimTime::from_millis(500)).unwrap();
-            let rem = eng.cancel(a).unwrap();
-            assert!((rem - 0.75e9).abs() < 1e3, "{sel:?}: cancelled remaining {rem}");
-            // B has 0.75e9 left at full rate: finishes 0.75 s later.
-            assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_millis(1250), "{sel:?}");
-            assert_eq!(eng.cancel(b), None, "{sel:?}: completed job cannot be cancelled");
-            assert_eq!(eng.cancel(a), None, "{sel:?}: double cancel returns None");
-        }
+        let mut eng = FlowEngine::new();
+        let l = link(&mut eng, 1e9);
+        let a = eng.submit(&[l], 1e9, None).unwrap();
+        let b = eng.submit(&[l], 1e9, None).unwrap();
+        // Both at 0.5 GB/s; advance half a second, then cancel A.
+        eng.advance_to(SimTime::from_millis(500)).unwrap();
+        let rem = eng.cancel(a).unwrap();
+        assert!((rem - 0.75e9).abs() < 1e3, "cancelled remaining {rem}");
+        // B has 0.75e9 left at full rate: finishes 0.75 s later.
+        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_millis(1250));
+        assert_eq!(eng.cancel(b), None, "completed job cannot be cancelled");
+        assert_eq!(eng.cancel(a), None, "double cancel returns None");
     }
 
     #[test]
     fn cancel_custom_job_reanchors_survivors() {
         // A multi-resource job and a capped job share a link with a simple
         // job; cancelling them must hand their share back.
-        for sel in [FlowEngineImpl::ProgressiveFilling, FlowEngineImpl::VirtualTime] {
-            let mut eng = FlowEngine::with_impl(sel);
-            let l1 = link(&mut eng, 1e9);
-            let l2 = link(&mut eng, 1e9);
-            let multi = eng.submit(&[l1, l2], 1e9, None).unwrap();
-            let capped = eng.submit(&[l1], 1e9, Some(0.1e9)).unwrap();
-            let simple = eng.submit(&[l1], 1e9, None).unwrap();
-            eng.advance_to(SimTime::from_millis(100)).unwrap();
-            assert!(eng.cancel(multi).is_some(), "{sel:?}");
-            assert!(eng.cancel(capped).is_some(), "{sel:?}");
-            // The simple job is now alone on l1: full capacity.
-            assert!((eng.job_rate(simple).unwrap() - 1e9).abs() < 1.0, "{sel:?}");
-            eng.run_to_idle().unwrap();
-            assert_eq!(eng.active_jobs(), 0, "{sel:?}");
-        }
+        let mut eng = FlowEngine::new();
+        let l1 = link(&mut eng, 1e9);
+        let l2 = link(&mut eng, 1e9);
+        let multi = eng.submit(&[l1, l2], 1e9, None).unwrap();
+        let capped = eng.submit(&[l1], 1e9, Some(0.1e9)).unwrap();
+        let simple = eng.submit(&[l1], 1e9, None).unwrap();
+        eng.advance_to(SimTime::from_millis(100)).unwrap();
+        assert!(eng.cancel(multi).is_some());
+        assert!(eng.cancel(capped).is_some());
+        // The simple job is now alone on l1: full capacity.
+        assert!((eng.job_rate(simple).unwrap() - 1e9).abs() < 1.0);
+        eng.run_to_idle().unwrap();
+        assert_eq!(eng.active_jobs(), 0);
     }
 
     // ---- completion-index compaction (stale-entry growth bound) ----
@@ -792,29 +814,23 @@ mod tests {
         // Regression pin: a submit/cancel churn loop must not grow the
         // lazily-invalidated completion index without bound. With
         // compaction at stale > 2x live + 64, peak length stays within
-        // 2*live + 64 entries (+1 for the probe ordering) for both impls.
-        for sel in [FlowEngineImpl::ProgressiveFilling, FlowEngineImpl::VirtualTime] {
-            let mut eng = FlowEngine::with_impl(sel);
-            let l = link(&mut eng, 1e9);
-            let live = 8usize;
-            let mut ids: Vec<JobId> =
-                (0..live).map(|_| eng.submit(&[l], 1e9, None).unwrap()).collect();
-            let mut peak = 0usize;
-            for round in 0..200 {
-                // Cancel the oldest job, replace it, poll the index (as the
-                // serving loop does every step).
-                let victim = ids.remove(0);
-                assert!(eng.cancel(victim).is_some());
-                ids.push(eng.submit(&[l], 1e9 + round as f64, None).unwrap());
-                let _ = eng.next_completion_time();
-                peak = peak.max(eng.completion_index_len());
-            }
-            let bound = 2 * live + 64 + 1;
-            assert!(
-                peak <= bound,
-                "{sel:?}: completion index peaked at {peak} entries (bound {bound})"
-            );
-            assert_eq!(eng.active_jobs(), live, "{sel:?}");
+        // 2*live + 64 entries (+1 for the probe ordering).
+        let mut eng = FlowEngine::new();
+        let l = link(&mut eng, 1e9);
+        let live = 8usize;
+        let mut ids: Vec<JobId> = (0..live).map(|_| eng.submit(&[l], 1e9, None).unwrap()).collect();
+        let mut peak = 0usize;
+        for round in 0..200 {
+            // Cancel the oldest job, replace it, poll the index (as the
+            // serving loop does every step).
+            let victim = ids.remove(0);
+            assert!(eng.cancel(victim).is_some());
+            ids.push(eng.submit(&[l], 1e9 + round as f64, None).unwrap());
+            let _ = eng.next_completion_time();
+            peak = peak.max(eng.completion_index_len());
         }
+        let bound = 2 * live + 64 + 1;
+        assert!(peak <= bound, "completion index peaked at {peak} entries (bound {bound})");
+        assert_eq!(eng.active_jobs(), live);
     }
 }

@@ -8,37 +8,17 @@
 //! share capacity by **max-min fairness** (progressive filling with optional
 //! per-job rate caps), the classical flow-level model of bandwidth sharing.
 //!
-//! # Two engines, one contract
+//! # The engine
 //!
-//! [`FlowEngine`] hides two interchangeable implementations behind the
-//! [`FlowEngineImpl`] selector:
-//!
-//! * **Progressive filling** (default): exact max-min rates, recomputed
-//!   over all jobs × resources whenever the active set changes. This is
-//!   O(jobs × resources) per submit/complete/cancel — fine for thousands
-//!   of concurrent flows, a wall at millions. It is bit-reproducible and
-//!   serves as the *equivalence oracle*: every golden FNV pin in the
-//!   serving and cluster layers is taken under it.
-//! * **Virtual time**: the dslab-style `fair_fast_with_cancel`
-//!   construction. The key observation is that under fair sharing the
-//!   completion *order* of jobs on a resource is invariant — each job gets
-//!   the same share `capacity / n`, so whoever needs the least service
-//!   finishes first, no matter how `n` changes later. A per-resource
-//!   *virtual clock* (cumulative per-job service, advanced by
-//!   `share · dt`) therefore lets each job's completion be characterised
-//!   *once at submit* by its virtual finish `V + demand`; the completion
-//!   index is a min-heap on that number, and submit/complete/cancel are
-//!   O(log n) with no per-job rate rescans. Multi-resource routes and
-//!   rate-capped jobs fall outside the uniform model and are carried
-//!   explicitly with re-anchored predictions; their completion times are
-//!   conservative (never earlier than the oracle's). The module docs of
-//!   `src/fair.rs` and the differential proptests in
-//!   `tests/differential.rs` spell out the exact guarantees.
-//!
-//! The oracle is the right choice when bit-stable baselines matter
-//! (golden-pinned regression runs); virtual time is the right choice when
-//! trace scale matters (the 1M-request serving benchmark in
-//! `bench_serving` runs under it).
+//! [`FlowEngine`] computes exact max-min rates by progressive filling,
+//! recomputed over all jobs × resources whenever the active set changes —
+//! O(jobs × resources) per submit/complete/cancel. Exact rates matter
+//! here: HILOS step transfers are multi-link PCIe routes, some of them
+//! rate-capped, contending for shared root ports. Pure time advances keep
+//! rates, so `next_completion_time` answers from a heap of absolute
+//! completion predictions, and serving loops that poll it every step stay
+//! cheap. Every golden FNV pin in the serving and cluster layers is taken
+//! under this engine.
 //!
 //! On top of the engine sits a [`TaskGraph`] layer: DAGs of transfers,
 //! computes, fixed delays and milestones, with *background* tasks that
@@ -82,14 +62,12 @@
 mod engine;
 mod error;
 mod executor;
-mod fair;
-mod oracle;
 mod resource;
 mod task;
 mod time;
 mod trace;
 
-pub use engine::{Completion, FlowEngine, FlowEngineImpl, JobId};
+pub use engine::{Completion, FlowEngine, JobId};
 pub use error::SimError;
 pub use executor::{execute, TaskSpan, Timeline};
 pub use resource::{ResourceId, ResourceKind, ResourceSpec, ResourceStats};

@@ -1,10 +1,12 @@
 //! Property-based tests for the flow engine's fairness and conservation
 //! invariants.
 
-use hilos_sim::{execute, FlowEngine, ResourceKind, ResourceSpec, SimTime, TaskGraph};
+use hilos_sim::{execute, FlowEngine, ResourceId, ResourceKind, ResourceSpec, SimTime, TaskGraph};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
-fn engine_with_links(bws: &[f64]) -> (FlowEngine, Vec<hilos_sim::ResourceId>) {
+fn engine_with_links(bws: &[f64]) -> (FlowEngine, Vec<ResourceId>) {
     let mut eng = FlowEngine::new();
     let ids = bws
         .iter()
@@ -14,8 +16,88 @@ fn engine_with_links(bws: &[f64]) -> (FlowEngine, Vec<hilos_sim::ResourceId>) {
     (eng, ids)
 }
 
+/// Drives one random interleaving of submits, completion-boundary
+/// advances, partial advances and cancellations over multi-link routes,
+/// rate caps and zero-amount jobs. At every step the completion heap must
+/// agree with the reference scan; at the end the engine must drain.
+fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_links = rng.random_range(1..5usize);
+    let bws: Vec<f64> = (0..n_links).map(|_| rng.random_range(1.0e8..1.0e10)).collect();
+    let (mut eng, links) = engine_with_links(&bws);
+    let mut live = Vec::new();
+
+    // The heap's absolute prediction rounds `remaining/rate` once; the scan
+    // re-divides a drifted `remaining` and can land one picosecond away.
+    let heap_matches_scan = |eng: &mut FlowEngine| -> Result<Option<SimTime>, TestCaseError> {
+        let scan = eng.next_completion_time_scan();
+        let heap = eng.next_completion_time();
+        let agree = match (heap, scan) {
+            (Some(h), Some(s)) => h.as_picos().abs_diff(s.as_picos()) <= 1,
+            (h, s) => h == s,
+        };
+        prop_assert!(agree, "completion heap {heap:?} diverged from the reference scan {scan:?}");
+        Ok(heap)
+    };
+
+    for _ in 0..n_ops {
+        match rng.random_range(0..10u32) {
+            0..=4 => {
+                let amount = if rng.random_range(0..10u32) == 0 {
+                    0.0
+                } else {
+                    rng.random_range(1.0e6..1.0e9)
+                };
+                let route = if n_links >= 2 && rng.random_range(0..4u32) == 0 {
+                    let a = rng.random_range(0..n_links);
+                    let b = (a + 1 + rng.random_range(0..n_links - 1)) % n_links;
+                    vec![links[a], links[b]]
+                } else {
+                    vec![links[rng.random_range(0..n_links)]]
+                };
+                let cap = if rng.random_range(0..4u32) == 0 {
+                    Some(rng.random_range(1.0e6..1.0e9))
+                } else {
+                    None
+                };
+                live.push(eng.submit(&route, amount, cap).unwrap());
+            }
+            5..=6 => {
+                if let Some(t) = heap_matches_scan(&mut eng)? {
+                    eng.advance_to(t).unwrap();
+                }
+            }
+            7..=8 => {
+                let dt = SimTime::from_secs_f64_ceil(rng.random_range(1.0e-6..1.0e-2));
+                eng.advance_to(eng.now() + dt).unwrap();
+            }
+            _ => {
+                live.retain(|&id| eng.job_remaining(id).is_some());
+                if !live.is_empty() {
+                    let id = live.swap_remove(rng.random_range(0..live.len()));
+                    prop_assert!(eng.cancel(id).is_some(), "cancel of a live job failed");
+                    prop_assert_eq!(eng.cancel(id), None, "double cancel must return None");
+                }
+            }
+        }
+        heap_matches_scan(&mut eng)?;
+    }
+    eng.run_to_idle().unwrap();
+    prop_assert_eq!(eng.active_jobs(), 0, "run_to_idle left jobs behind");
+    prop_assert_eq!(heap_matches_scan(&mut eng)?, None);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random submit / partial-advance / cancel interleavings with capped,
+    /// multi-link and zero-amount jobs keep the completion heap within a
+    /// picosecond of its reference scan and drain to idle.
+    #[test]
+    fn mixed_churn_heap_matches_scan_and_drains(seed in any::<u64>(), n_ops in 10usize..60) {
+        drive_mixed(seed, n_ops)?;
+    }
 
     /// A single shared link is work-conserving: N parallel flows finish in
     /// exactly (total bytes / bandwidth), regardless of flow sizes.
@@ -43,8 +125,7 @@ proptest! {
         n_jobs in 1usize..16,
         seed in any::<u64>(),
     ) {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let bws: Vec<f64> = (0..n_links).map(|_| rng.random_range(1.0e8..1.0e10)).collect();
         let (mut eng, r) = engine_with_links(&bws);
         let mut jobs = Vec::new();

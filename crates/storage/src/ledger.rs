@@ -211,12 +211,6 @@ impl KvShardLedger {
         }
     }
 
-    /// Per-device occupancy pressures in device index order — the routing
-    /// signal a cluster-level balancer reads per deployment.
-    pub fn pressure_by_device(&self) -> Vec<f64> {
-        (0..self.shards.len()).map(|i| self.device_pressure(i)).collect()
-    }
-
     /// Aggregate occupancy pressure over placement-eligible (non-zero
     /// weight) devices: total held bytes over total capacity, in `[0, 1]`.
     /// `1.0` when no device accepts placement at all — a fully degraded
@@ -505,7 +499,7 @@ mod tests {
             ShardSpec { capacity_bytes: 3000, weight: 1.0 },
         ]);
         assert_eq!(l.pressure(), 0.0);
-        assert_eq!(l.pressure_by_device(), vec![0.0, 0.0]);
+        assert_eq!([l.device_pressure(0), l.device_pressure(1)], [0.0, 0.0]);
         assert_eq!(l.total_weight(), 3.0);
         let placed = l.allocate(1, 2000).unwrap();
         // Aggregate: 2000 held of 4000 capacity.
@@ -517,7 +511,7 @@ mod tests {
         // Release restores zero pressure exactly.
         l.release(1).unwrap();
         assert_eq!(l.pressure(), 0.0);
-        assert_eq!(l.pressure_by_device(), vec![0.0, 0.0]);
+        assert_eq!([l.device_pressure(0), l.device_pressure(1)], [0.0, 0.0]);
     }
 
     #[test]
@@ -531,7 +525,7 @@ mod tests {
         // Aggregate pressure is over placeable capacity only: 500/1000.
         assert!((l.pressure() - 0.5).abs() < 1e-12);
         // Per-device pressure reports every device, weightless included.
-        assert_eq!(l.pressure_by_device(), vec![0.5, 0.5]);
+        assert_eq!([l.device_pressure(0), l.device_pressure(1)], [0.5, 0.5]);
         // A fully weightless ledger is saturated by definition.
         let dead = KvShardLedger::new(vec![ShardSpec { capacity_bytes: 1000, weight: 0.0 }]);
         assert_eq!(dead.pressure(), 1.0);

@@ -5,9 +5,9 @@
 
 use hilos::baselines::VllmMultiNode;
 use hilos::core::{
-    ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, FlowEngineImpl, HilosConfig, HilosSystem,
-    PrefixCacheConfig, PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine,
-    ServingCampaign, SpillDecision, TraceReport,
+    ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, HilosConfig, HilosSystem, PrefixCacheConfig,
+    PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine, ServingCampaign, SpillDecision,
+    TraceReport,
 };
 use hilos::llm::{presets, BatchSpec, RequestClass, TraceConfig};
 use hilos::platform::SystemSpec;
@@ -114,31 +114,6 @@ fn step_thread_sharding_is_outcome_identical() {
     let serial = run(1);
     assert_eq!(serial.outcomes.len(), 256);
     assert_eq!(serial, run(4), "sharded step build drifted from the serial build");
-}
-
-/// The virtual-time flow engine serves the same workload to completion,
-/// deterministically, and conserves the trace's token accounting — only
-/// timing may differ (conservatively) from the progressive-filling
-/// oracle.
-#[test]
-fn virtual_time_engine_serves_deterministically() {
-    let trace = TraceConfig::azure_mix(512, 42).generate().unwrap();
-    let run = |flow_impl| {
-        let cfg = ServeConfig::new(16).with_flow_impl(flow_impl);
-        let mut eng = ServeEngine::new(hilos(8, 1), cfg).unwrap();
-        eng.run_trace(&trace).unwrap()
-    };
-    let fast = run(FlowEngineImpl::VirtualTime);
-    assert_eq!(fast.outcomes.len(), 512);
-    assert!(fast.rejected.is_empty());
-    assert!(fast.tokens_per_second() > 0.0);
-    assert_eq!(fast, run(FlowEngineImpl::VirtualTime), "same seed must serve bit-identically");
-
-    // Work conservation across engines: identical requests, identical
-    // token totals — only the clock may differ.
-    let oracle = run(FlowEngineImpl::ProgressiveFilling);
-    assert_eq!(fast.generated_tokens, oracle.generated_tokens);
-    assert_eq!(fast.outcomes.len(), oracle.outcomes.len());
 }
 
 /// Golden pin of the FIFO policy against the pre-policy-API engine: the
