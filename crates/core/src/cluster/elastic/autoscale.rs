@@ -12,8 +12,9 @@
 //!
 //! Three policies ship:
 //!
-//! * [`PinnedFleet`] — never scales: the elasticity-off control whose
-//!   runs stay bit-identical to a fixed [`ClusterEngine`](crate::cluster::ClusterEngine).
+//! * [`PinnedFleet`] — never scales: the elasticity-off control, and
+//!   what a fixed [`ClusterEngine`](crate::cluster::ClusterEngine) runs
+//!   under.
 //! * [`TargetPressureScaler`] — reactive: scale up when fleet pressure
 //!   (load per unit of admission capacity) crosses a high-water mark,
 //!   down when it falls below a low-water mark. Pays full cold-start
@@ -134,9 +135,12 @@ pub trait AutoscalePolicy: fmt::Debug {
     }
 }
 
-/// The elasticity-off control: never scales. A 1-slot pinned fleet runs
-/// bit-identically to the fixed [`ClusterEngine`](crate::cluster::ClusterEngine)
-/// — the elastic golden-pin test routes through this policy.
+/// The elasticity-off control: never scales. The fixed
+/// [`ClusterEngine`](crate::cluster::ClusterEngine) is the elastic
+/// engine under this policy with every slot Active, and a 1-slot pinned
+/// fleet runs bit-identically to
+/// [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) — the
+/// elastic golden-pin test routes through this policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PinnedFleet;
 
@@ -417,17 +421,13 @@ mod tests {
             prefilling: 0,
             decoding,
             max_batch: 8,
-            clock_s: 0.0,
             pressure: 0.0,
             placeable_free_bytes: 1 << 30,
             bandwidth_weight: 1.0,
-            device_count: 4,
             dispatched: 0,
-            prefill_backlog_tokens: 0,
             prefix_hit_rate: 0.0,
             lifecycle,
             hourly_cost_usd: 1.0,
-            active_power_w: 100.0,
         }
     }
 

@@ -1,34 +1,85 @@
-//! The elastic cluster engine: [`ClusterEngine`](crate::cluster::ClusterEngine)'s
-//! lockstep serving loop with a deployment lifecycle, an autoscaler, and
-//! utilization billing wrapped around it.
+//! The elastic cluster engine: the crate's one lockstep serving loop —
+//! routing, cross-deployment migration and stall detection — with a
+//! deployment lifecycle, an autoscaler and utilization billing around it.
+//! The fixed [`ClusterEngine`](crate::cluster::ClusterEngine) runs this
+//! loop under [`PinnedFleet`](super::PinnedFleet).
 
 use super::autoscale::{AutoscalePolicy, FleetSnapshot, ScaleDecision};
 use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};
 use crate::cluster::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
 use crate::cluster::report::ClusterReport;
-use crate::cluster::router::{
-    clamp_route, deployment_view, install_shared_warm_start, provisioning_cost, ClusterConfig,
-    PhaseA, Slot,
-};
+use crate::cluster::ClusterConfig;
 use crate::runner::CoreError;
-use crate::serve::engine::StepProgress;
+use crate::serve::engine::{QueueEntry, RunState, SharedStepCache, StepProgress};
 use crate::serve::ServeEngine;
 use hilos_accel::with_fanout;
 use hilos_llm::{DeploymentId, Request};
 use hilos_metrics::{FleetBill, SlotBill};
 use hilos_trace::{EventKind, NO_REQUEST};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-/// The trace-event kind a lifecycle transition lands as in the slot's
-/// event ring (the full [`LifecycleEvent`] audit trail is reported
-/// separately; the ring carries the serving-interleaved view).
-fn lifecycle_kind(to: LifecycleState) -> EventKind {
-    match to {
+/// One deployment's engine plus its live run state — the unit phase A
+/// moves to a fan-out worker and back. `Option`-wrapped in the driver so
+/// a slot can be checked out for its iteration and checked back in.
+type Slot = (ServeEngine, RunState);
+
+/// One slot's phase-A result: its serving-iteration outcome plus the
+/// victims it just preempted.
+type PhaseA = (Result<StepProgress, CoreError>, Vec<QueueEntry>);
+
+/// Records a lifecycle transition: into the audit trail, and into the
+/// slot's event ring as the matching trace event (the ring carries the
+/// serving-interleaved view).
+fn log_transition(
+    slots: &mut [Option<Slot>],
+    events: &mut Vec<LifecycleEvent>,
+    ev: LifecycleEvent,
+) {
+    let kind = match ev.to {
         LifecycleState::Provisioning => EventKind::ScaleUp,
         LifecycleState::Warming => EventKind::Warming,
         LifecycleState::Active => EventKind::Activated,
         LifecycleState::Draining => EventKind::Drain,
         LifecycleState::Retired => EventKind::Retired,
-    }
+    };
+    let (_, st) = slots[ev.deployment as usize].as_mut().expect("slot checked in");
+    st.emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
+    events.push(ev);
+}
+
+/// Moves `entry` from slot `from` onto slot `to`, progress retained.
+///
+/// Demoted KV is parked in the *source* deployment's ladder; a migrated
+/// request cannot recall it from another deployment — drop it there and
+/// let the target recompute (booked as wasted prefill). Deployment
+/// clocks are independent busy-time axes (idle gaps are skipped, so they
+/// diverge freely), so the entry's timestamps are re-based by the clock
+/// delta: the *durations* accrued so far survive the move — TTFT/e2e
+/// then sum busy time spent on each deployment, stay non-negative, and
+/// keep `first_token_s <= finished_s`.
+fn migrate(slots: &mut [Option<Slot>], from: usize, to: usize, mut entry: QueueEntry) {
+    let from_clock = {
+        let (eng, st) = slots[from].as_mut().expect("slot checked in");
+        eng.forget_demoted(st, entry.req.id);
+        st.clock
+    };
+    let (eng, st) = slots[to].as_mut().expect("slot checked in");
+    let shift = st.clock - from_clock;
+    entry.arrival_s += shift;
+    entry.first_token_s = entry.first_token_s.map(|t| t + shift);
+    entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
+    st.emit(
+        DeploymentId(to as u32),
+        entry.req.id,
+        EventKind::Migrated {
+            from: from as u32,
+            arrival_s: entry.arrival_s,
+            first_token_s: entry.first_token_s.unwrap_or(0.0),
+            emitted: entry.emitted,
+        },
+    );
+    eng.requeue(st, entry);
 }
 
 /// Fleet-elasticity knobs.
@@ -51,8 +102,7 @@ pub struct ElasticConfig {
     /// the cluster migrates this many requests per step.
     pub drain_batch: usize,
     /// Cluster-execution knobs (lockstep fan-out width, shared
-    /// warm-start) — the same contract as the fixed engine: any
-    /// `cluster_threads` value is bit-identical.
+    /// warm-start): any `cluster_threads` value is bit-identical.
     pub cluster: ClusterConfig,
 }
 
@@ -93,10 +143,11 @@ impl Default for ElasticConfig {
 ///
 /// Routing sees lifecycle state: every shipped [`RoutingPolicy`] places
 /// only on Active slots, and the engine enforces it even against a
-/// misbehaving policy. With every slot Active (a [`PinnedFleet`]
-/// single-slot run) the engine reduces *bit-identically* to
-/// [`ClusterEngine`](crate::cluster::ClusterEngine) — pinned by a golden
-/// test.
+/// misbehaving policy. This is the crate's one lockstep cluster loop:
+/// the fixed [`ClusterEngine`](crate::cluster::ClusterEngine) is this
+/// engine with every slot Active and the never-scaling [`PinnedFleet`]
+/// policy, and a 1-slot pinned run is bit-identical to
+/// [`ServeEngine::run_trace`] — pinned by a golden test.
 ///
 /// Billing is by utilization: a slot bills its busy seconds plus any
 /// cold starts it paid, not the run's wall clock — the
@@ -111,7 +162,8 @@ pub struct ElasticClusterEngine {
     routing: Box<dyn RoutingPolicy>,
     autoscale: Box<dyn AutoscalePolicy>,
     config: ElasticConfig,
-    /// Per-slot `(hourly cost USD, watts)`, for routing views.
+    /// Per-slot `(hourly cost USD, full-utilization watts)`: the first
+    /// for routing views, the second for billing.
     costs: Vec<(f64, f64)>,
     /// Per-slot purchase price, for billing.
     prices: Vec<f64>,
@@ -149,7 +201,11 @@ impl ElasticClusterEngine {
             // Identical-fingerprint slots share one memo table, so a
             // scale-up warm-starts from what its Active twins already
             // computed instead of re-paying every memoization miss.
-            install_shared_warm_start(&mut deployments);
+            let mut groups: HashMap<u64, Arc<SharedStepCache>> = HashMap::new();
+            for eng in deployments.iter_mut() {
+                let shared = groups.entry(eng.system_fingerprint()).or_default().clone();
+                eng.set_shared_cache(shared);
+            }
         }
         let lifecycles = deployments
             .iter()
@@ -163,7 +219,16 @@ impl ElasticClusterEngine {
                 }
             })
             .collect();
-        let costs: Vec<(f64, f64)> = deployments.iter().map(provisioning_cost).collect();
+        // The system spec never changes mid-run, so each slot's price is
+        // computed once.
+        let costs = deployments
+            .iter()
+            .map(|eng| {
+                let spec = eng.system().spec();
+                let power_w = hilos_metrics::provisioned_power_w(spec);
+                (hilos_metrics::hourly_cost_usd(spec.total_price_usd(), power_w), power_w)
+            })
+            .collect();
         let prices = deployments.iter().map(|e| e.system().spec().total_price_usd()).collect();
         ElasticClusterEngine {
             engines: deployments,
@@ -206,6 +271,7 @@ impl ElasticClusterEngine {
         &self.engines
     }
 
+    /// The read-only per-slot views routing and autoscaling decide on.
     fn slot_views(
         lifecycles: &[DeploymentLifecycle],
         slots: &[Option<Slot>],
@@ -216,9 +282,23 @@ impl ElasticClusterEngine {
             .iter()
             .zip(dispatched.iter().zip(costs))
             .zip(lifecycles)
-            .map(|((slot, (&d, &cost)), lc)| {
+            .map(|((slot, (&dispatched, &(hourly_cost_usd, _))), lc)| {
                 let (eng, st) = slot.as_ref().expect("slot checked in");
-                deployment_view(eng, st, d, lc.state(), cost)
+                let ledger = eng.ledger();
+                DeploymentView {
+                    id: eng.deployment().0,
+                    queued: st.queued_len(),
+                    prefilling: st.prefilling_len(),
+                    decoding: st.decoding_len(),
+                    max_batch: eng.config().max_batch,
+                    pressure: ledger.pressure(),
+                    placeable_free_bytes: ledger.placeable_free(),
+                    bandwidth_weight: ledger.total_weight(),
+                    dispatched,
+                    prefix_hit_rate: eng.prefix_hit_rate(),
+                    lifecycle: lc.state(),
+                    hourly_cost_usd,
+                }
             })
             .collect()
     }
@@ -236,10 +316,14 @@ impl ElasticClusterEngine {
             .expect("min_active >= 1 keeps at least one slot Active")
     }
 
-    /// Routes through the policy over lifecycle-aware views, validating
-    /// out-of-range answers ([`clamp_route`]), then *enforces* the
-    /// lifecycle: a pick that lands on a non-Active slot is overridden
-    /// to the least-loaded Active one.
+    /// Routes through the policy over lifecycle-aware views, then
+    /// validates the answer. An out-of-range pick trips a
+    /// `debug_assert!` (a buggy policy should fail loudly in
+    /// development); in release builds it is counted into
+    /// [`ClusterReport::misrouted`] and clamped to the last slot so the
+    /// run can still complete. Last, the lifecycle is *enforced*: a pick
+    /// that lands on a non-Active slot is overridden to the least-loaded
+    /// Active one.
     #[allow(clippy::too_many_arguments)]
     fn route_slots(
         routing: &mut dyn RoutingPolicy,
@@ -253,7 +337,16 @@ impl ElasticClusterEngine {
     ) -> usize {
         let views = Self::slot_views(lifecycles, slots, dispatched, costs);
         let snapshot = ClusterSnapshot { step, deployments: &views };
-        let d = clamp_route(routing.route(&request, &snapshot), slots.len(), misrouted);
+        let n = slots.len();
+        let mut d = routing.route(&request, &snapshot);
+        if d >= n {
+            debug_assert!(
+                false,
+                "routing policy picked deployment {d} of a {n}-deployment cluster"
+            );
+            *misrouted += 1;
+            d = n - 1;
+        }
         if lifecycles[d].state() == LifecycleState::Active {
             d
         } else {
@@ -273,8 +366,9 @@ impl ElasticClusterEngine {
     /// in-flight ones `drain_batch` per step with progress retained and
     /// timestamps re-based, demoted KV dropped at the source — and
     /// retire once empty; (5) every slot with work runs one serving
-    /// iteration, preemption victims re-dispatching exactly as in the
-    /// fixed engine. An idle fleet jumps to the next arrival, lifecycle
+    /// iteration, and requests it preempted are offered back to the
+    /// router, which may re-dispatch them (progress retained) onto
+    /// another Active slot. An idle fleet jumps to the next arrival, lifecycle
     /// transition, or the autoscaler's pre-warm point, whichever comes
     /// first; once the trace is exhausted the autoscaler is retired and
     /// still-provisioning slots cancel into Retired.
@@ -282,7 +376,8 @@ impl ElasticClusterEngine {
     /// # Errors
     ///
     /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
-    /// exactly as the fixed engine does.
+    /// if every slot with queued work holds it forever with nothing in
+    /// flight.
     ///
     /// # Panics
     ///
@@ -318,9 +413,9 @@ impl ElasticClusterEngine {
         let mut peak_active = self.config.initial_active;
         let mut cold_start_s = vec![0.0f64; n];
 
-        // Phase A of the lockstep iteration (identical to the fixed
-        // engine): one slot's serving iteration plus its victim drain,
-        // touching only the slot it is handed.
+        // Phase A's unit of work: one slot's serving iteration plus the
+        // drain of its freshly preempted victims. Touches only the slot
+        // it is handed — the determinism contract.
         let advance = |_d: usize, slot: &mut Slot| -> PhaseA {
             let (eng, st) = slot;
             match eng.advance_once(st) {
@@ -338,9 +433,7 @@ impl ElasticClusterEngine {
                 // passed turn Warming/Active.
                 for (d, lifecycle) in self.lifecycles.iter_mut().enumerate() {
                     for ev in lifecycle.tick(gstep, d as u32) {
-                        let (_, st) = slots[d].as_mut().expect("slot checked in");
-                        st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
-                        events.push(ev);
+                        log_transition(&mut slots, &mut events, ev);
                     }
                 }
                 let active_now =
@@ -375,13 +468,7 @@ impl ElasticClusterEngine {
                                 if let Some(ev) =
                                     self.lifecycles[d].begin_provision(gstep, hint, d as u32)
                                 {
-                                    let (_, st) = slots[d].as_mut().expect("slot checked in");
-                                    st.emit(
-                                        DeploymentId(d as u32),
-                                        NO_REQUEST,
-                                        lifecycle_kind(ev.to),
-                                    );
-                                    events.push(ev);
+                                    log_transition(&mut slots, &mut events, ev);
                                     scale_ups += 1;
                                     cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
                                 }
@@ -410,13 +497,7 @@ impl ElasticClusterEngine {
                                     })
                                     .expect("non-empty active list");
                                 if let Some(ev) = self.lifecycles[d].begin_drain(gstep, d as u32) {
-                                    let (_, st) = slots[d].as_mut().expect("slot checked in");
-                                    st.emit(
-                                        DeploymentId(d as u32),
-                                        NO_REQUEST,
-                                        lifecycle_kind(ev.to),
-                                    );
-                                    events.push(ev);
+                                    log_transition(&mut slots, &mut events, ev);
                                     drains += 1;
                                 }
                             }
@@ -460,7 +541,7 @@ impl ElasticClusterEngine {
                         moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
                         moved
                     };
-                    for mut entry in moved {
+                    for entry in moved {
                         let view = RouteRequest::of(&entry.req, entry.emitted, true);
                         let target = Self::route_slots(
                             self.routing.as_mut(),
@@ -474,33 +555,11 @@ impl ElasticClusterEngine {
                         );
                         redispatches += 1;
                         drained_requests += 1;
-                        {
-                            let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                            eng.forget_demoted(st, entry.req.id);
-                        }
-                        let from_clock = slots[d].as_ref().expect("slot checked in").1.clock;
-                        let (eng_t, st_t) = slots[target].as_mut().expect("slot checked in");
-                        let shift = st_t.clock - from_clock;
-                        entry.arrival_s += shift;
-                        entry.first_token_s = entry.first_token_s.map(|t| t + shift);
-                        entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
-                        st_t.emit(
-                            DeploymentId(target as u32),
-                            entry.req.id,
-                            EventKind::Migrated {
-                                from: d as u32,
-                                arrival_s: entry.arrival_s,
-                                first_token_s: entry.first_token_s.unwrap_or(0.0),
-                                emitted: entry.emitted,
-                            },
-                        );
-                        eng_t.requeue(st_t, entry);
+                        migrate(&mut slots, d, target, entry);
                     }
                     if !slots[d].as_ref().expect("slot checked in").1.has_work() {
                         if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                            let (_, st) = slots[d].as_mut().expect("slot checked in");
-                            st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
-                            events.push(ev);
+                            log_transition(&mut slots, &mut events, ev);
                             retires += 1;
                         }
                     }
@@ -526,9 +585,7 @@ impl ElasticClusterEngine {
                         // cost money).
                         for d in pending {
                             if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                                let (_, st) = slots[d].as_mut().expect("slot checked in");
-                                st.emit(DeploymentId(d as u32), NO_REQUEST, lifecycle_kind(ev.to));
-                                events.push(ev);
+                                log_transition(&mut slots, &mut events, ev);
                                 retires += 1;
                             }
                         }
@@ -562,11 +619,14 @@ impl ElasticClusterEngine {
                 }
 
                 // 6: one lockstep iteration of every slot with work, in two
-                // phases identical to the fixed engine. Phase A fans the
-                // independent per-slot iterations out over the worker pool;
-                // phase B merges progress and re-dispatches fresh victims in
+                // phases. Phase A fans the independent per-slot iterations
+                // out over the worker pool; phase B merges progress and
+                // offers fresh victims back to the router in
                 // deployment-index order (a victim preempted on a Draining
-                // slot re-routes onto an Active one).
+                // slot re-routes onto an Active one). Their engine
+                // re-queued them locally, and draining and re-queuing on
+                // the same slot is a no-op, so a router that keeps them
+                // local preserves single-engine behavior exactly.
                 let mut batch: Vec<(usize, Slot)> = Vec::new();
                 for (d, slot) in slots.iter_mut().enumerate() {
                     let has_work = slot.as_ref().expect("slot checked in").1.has_work();
@@ -591,7 +651,7 @@ impl ElasticClusterEngine {
                     if progress != StepProgress::Stalled {
                         all_stalled = false;
                     }
-                    for mut entry in moved {
+                    for entry in moved {
                         let view = RouteRequest::of(&entry.req, entry.emitted, true);
                         let target = Self::route_slots(
                             self.routing.as_mut(),
@@ -603,31 +663,13 @@ impl ElasticClusterEngine {
                             view,
                             &mut misrouted,
                         );
-                        if target != d {
+                        if target == d {
+                            let (eng, st) = slots[d].as_mut().expect("slot checked in");
+                            eng.requeue(st, entry);
+                        } else {
                             redispatches += 1;
-                            {
-                                let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                                eng.forget_demoted(st, entry.req.id);
-                            }
-                            let from_clock = slots[d].as_ref().expect("slot checked in").1.clock;
-                            let (_, st_t) = slots[target].as_mut().expect("slot checked in");
-                            let shift = st_t.clock - from_clock;
-                            entry.arrival_s += shift;
-                            entry.first_token_s = entry.first_token_s.map(|t| t + shift);
-                            entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
-                            st_t.emit(
-                                DeploymentId(target as u32),
-                                entry.req.id,
-                                EventKind::Migrated {
-                                    from: d as u32,
-                                    arrival_s: entry.arrival_s,
-                                    first_token_s: entry.first_token_s.unwrap_or(0.0),
-                                    emitted: entry.emitted,
-                                },
-                            );
+                            migrate(&mut slots, d, target, entry);
                         }
-                        let (eng_t, st_t) = slots[target].as_mut().expect("slot checked in");
-                        eng_t.requeue(st_t, entry);
                     }
                 }
                 if all_stalled {
@@ -647,6 +689,8 @@ impl ElasticClusterEngine {
             Ok(())
         });
 
+        // Check every slot back into the engine before surfacing any
+        // error — a failed run must not eat the deployments.
         let mut engines = Vec::with_capacity(n);
         let mut states = Vec::with_capacity(n);
         for s in slots {

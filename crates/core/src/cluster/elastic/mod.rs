@@ -1,9 +1,11 @@
 //! Fleet elasticity: deployment lifecycle, autoscaling, live drain, and
 //! utilization billing.
 //!
-//! The fixed [`ClusterEngine`](crate::cluster::ClusterEngine) answers
-//! "how should N deployments share a trace"; this module answers "how
-//! many deployments should exist at each moment of it". Three pieces:
+//! Routing answers "how should N deployments share a trace"; this module
+//! answers "how many deployments should exist at each moment of it", and
+//! holds the cluster's one lockstep loop. The fixed
+//! [`ClusterEngine`](crate::cluster::ClusterEngine) is that loop with
+//! every slot Active under [`PinnedFleet`]. Three pieces:
 //!
 //! * [`lifecycle`](self) — [`DeploymentLifecycle`], the per-slot state
 //!   machine (`Provisioning → Warming → Active → Draining → Retired`,
@@ -15,9 +17,10 @@
 //!   scales — the elasticity-off control), [`TargetPressureScaler`]
 //!   (reactive water marks) and [`HybridHistogramKeepAlive`]
 //!   (inter-burst gap histogram → early release + predictive pre-warm).
-//! * [`ElasticClusterEngine`] — the serving loop that executes both,
-//!   drains slots live through the cross-deployment migration machinery,
-//!   and bills by utilization into an [`ElasticReport`].
+//! * [`ElasticClusterEngine`] — the lockstep serving loop: routes,
+//!   re-dispatches preempted work, executes the lifecycle and autoscale
+//!   decisions, drains slots live through the cross-deployment migration
+//!   path, and bills by utilization into an [`ElasticReport`].
 
 mod autoscale;
 mod engine;

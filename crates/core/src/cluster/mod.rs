@@ -4,33 +4,59 @@
 //! The paper's cost story is about serving long-context offline
 //! inference on *cheap, heterogeneous* near-storage deployments: arrays
 //! differ in device count, degradation state and therefore KV capacity
-//! and sweep bandwidth. This module turns that into two serving layers
-//! above [`crate::serve`] — a **fixed** cluster (how should N
-//! deployments share a trace) and an **elastic** one (how many
-//! deployments should exist at each moment of it).
+//! and sweep bandwidth. This module turns that into one serving layer
+//! above [`crate::serve`] that answers two questions: how should N
+//! deployments share a trace, and how many deployments should exist at
+//! each moment of it.
 //!
-//! # The fixed cluster
+//! # One lockstep loop
 //!
-//! * [`ClusterEngine`] owns N independent deployments (each a complete
-//!   [`ServeEngine`](crate::ServeEngine): its own
-//!   [`HilosSystem`](crate::HilosSystem), its own
-//!   [`SchedulingPolicy`](crate::SchedulingPolicy), its own per-device
-//!   [`KvShardLedger`](hilos_storage::KvShardLedger)) and advances them
-//!   in lockstep under one global arrival cursor.
+//! [`ElasticClusterEngine`] owns N deployment slots (each a complete
+//! [`ServeEngine`](crate::ServeEngine): its own
+//! [`HilosSystem`](crate::HilosSystem), its own
+//! [`SchedulingPolicy`](crate::SchedulingPolicy), its own per-device
+//! [`KvShardLedger`](hilos_storage::KvShardLedger)) and advances them in
+//! lockstep under one global arrival cursor. It is the crate's only
+//! cluster loop.
+//!
 //! * Each arriving [`Request`](hilos_llm::Request) is dispatched through
 //!   a pluggable [`RoutingPolicy`] fed a read-only [`ClusterSnapshot`] —
 //!   queue depth, batch composition, ledger pressure, the degradation
-//!   profile, prefill backlog
-//!   ([`DeploymentView::prefill_backlog_tokens`]), prefix-cache warmth,
-//!   and now each deployment's **lifecycle state and hourly cost**
-//!   ([`DeploymentView::lifecycle`], [`DeploymentView::hourly_cost_usd`]).
+//!   profile, prefix-cache warmth, and each deployment's **lifecycle
+//!   state and hourly cost** ([`DeploymentView::lifecycle`],
+//!   [`DeploymentView::hourly_cost_usd`]).
 //! * Requests a deployment preempts are offered back to the router,
 //!   which may **re-dispatch them across deployments** with generated
 //!   progress retained.
-//! * A run aggregates into a [`ClusterReport`]: per-deployment
-//!   [`TraceReport`](crate::TraceReport)s plus global TTFT/ITL/goodput
-//!   views, including [`ClusterReport::goodput_tokens`], the numerator
-//!   of fleet-cost accounting.
+//! * Every slot carries a [`DeploymentLifecycle`]
+//!   (`Provisioning → Warming → Active → Draining → Retired`, with
+//!   `Retired → Provisioning` closing the keep-alive cycle); a cold start
+//!   is priced by [`ColdStartModel`] from the slot's own model size and
+//!   device bandwidth. Once per global step an [`AutoscalePolicy`] (the
+//!   reactive [`TargetPressureScaler`], or [`HybridHistogramKeepAlive`],
+//!   which learns the inter-burst gap histogram, releases capacity the
+//!   moment a burst is confirmed over and pre-warms a cold start ahead
+//!   of the predicted next one) sees a [`FleetSnapshot`] and scales the
+//!   fleet. A scale-down drains live through the same migration path as
+//!   a re-dispatch: queued work re-routes at once, in-flight work
+//!   evacuates a batch per step with progress retained, parked demoted
+//!   KV drops at the source, and the slot retires only once empty.
+//! * A run aggregates into an [`ElasticReport`]: a [`ClusterReport`]
+//!   (per-deployment [`TraceReport`](crate::TraceReport)s plus global
+//!   TTFT/ITL/goodput views, including [`ClusterReport::goodput_tokens`],
+//!   the numerator of fleet-cost accounting), the lifecycle audit trail
+//!   and a utilization [`FleetBill`](hilos_metrics::FleetBill) (busy
+//!   seconds + paid cold starts per slot) to compare against a
+//!   statically-provisioned peak fleet.
+//!
+//! # The fixed cluster
+//!
+//! [`ClusterEngine`] is that loop with every slot Active from the start
+//! and the never-scaling [`PinnedFleet`] autoscaler: no lifecycle
+//! transition, drain or cold start ever happens, and its
+//! [`run_trace`](ClusterEngine::run_trace) returns the
+//! [`ClusterReport`] alone. It exists for callers that size the fleet
+//! themselves and never need to see autoscalers, lifecycles or bills.
 //!
 //! Four routing policies ship in [`policy`]: [`RoundRobin`],
 //! [`JoinShortestQueue`], [`LedgerPressure`] (power-of-two-choices on
@@ -38,32 +64,12 @@
 //! [`CostNormalizedPressure`] (the same score per dollar of hourly
 //! provisioning cost — placement by goodput-per-dollar). All of them
 //! route only to [routable](DeploymentView::routable) (Active)
-//! deployments; on a fixed, fully-Active fleet that filter is the
+//! deployments; on a pinned, fully-Active fleet that filter is the
 //! identity.
-//!
-//! # The elastic cluster
-//!
-//! [`elastic`] wraps the same lockstep loop in a fleet-sizing loop.
-//! Every slot carries a [`DeploymentLifecycle`]
-//! (`Provisioning → Warming → Active → Draining → Retired`, with
-//! `Retired → Provisioning` closing the keep-alive cycle); a cold start
-//! is priced by [`ColdStartModel`] from the slot's own model size and
-//! device bandwidth. Once per global step an [`AutoscalePolicy`] (the
-//! reactive [`TargetPressureScaler`], or [`HybridHistogramKeepAlive`],
-//! which learns the inter-burst gap histogram, releases capacity the
-//! moment a burst is confirmed over and pre-warms a cold start ahead of
-//! the predicted next one) sees a [`FleetSnapshot`] and scales the
-//! fleet. A scale-down drains live through the migration machinery:
-//! queued work re-routes at once, in-flight work evacuates a batch per
-//! step with progress retained, parked demoted KV drops at the source,
-//! and the slot retires only once empty. [`ElasticReport`] adds the
-//! lifecycle audit trail and a utilization [`FleetBill`](hilos_metrics::FleetBill)
-//! (busy seconds + paid cold starts per slot) to compare against a
-//! statically-provisioned peak fleet.
 //!
 //! # The two-phase lockstep iteration
 //!
-//! Both engines execute every global step in two phases. **Phase A
+//! The loop executes every global step in two phases. **Phase A
 //! (advance)**: each deployment with work runs one serving iteration
 //! ([`ServeEngine::advance_once`](crate::ServeEngine)) touching only its
 //! own state — queues, batch, ledgers, step caches, trace sink all live
@@ -73,8 +79,9 @@
 //! **Phase B (merge)**: back on the calling thread, the per-slot results
 //! (each slot's step progress plus its freshly preempted victims) are
 //! folded **in deployment-index order** — stall detection, victim
-//! re-routing, cross-deployment migration, elastic lifecycle
-//! transitions and autoscale decisions all happen here, serially.
+//! re-routing and cross-deployment migration happen here, serially,
+//! as do the lifecycle transitions and autoscale decisions that open
+//! each step.
 //!
 //! # Determinism
 //!
@@ -91,12 +98,12 @@
 //! changes only which deployment computes an entry first, never what
 //! any deployment observes.
 //!
-//! A cluster of **one** deployment is bit-identical to
+//! A pinned fleet of **one** deployment — a one-deployment
+//! [`ClusterEngine`], or a one-slot [`ElasticClusterEngine`] under
+//! [`PinnedFleet`] — is bit-identical to
 //! [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) on the same
-//! system under any routing policy — and an [`ElasticClusterEngine`]
-//! with one slot and the never-scaling [`PinnedFleet`] policy is
-//! bit-identical to both (all golden-pinned down to the FNV hash of
-//! every outcome's lifecycle timestamps): the cluster layers add no
+//! system under any routing policy (golden-pinned down to the FNV hash
+//! of every outcome's lifecycle timestamps): the cluster loop adds no
 //! simulation drift, only dispatch and fleet sizing.
 
 pub mod elastic;

@@ -4,10 +4,11 @@
 //! [`RoutingPolicy`] is consulted once per dispatch with a read-only
 //! [`ClusterSnapshot`] (per-deployment queue depth, in-flight batch
 //! composition, KV shard-ledger pressure, degradation-discounted
-//! bandwidth) and answers with a deployment index. The
-//! [`ClusterEngine`](super::ClusterEngine) executes the choice — an
-//! out-of-range index is a policy bug, `debug_assert!`ed in debug
-//! builds and counted in
+//! bandwidth) and answers with a deployment index. The cluster loop
+//! ([`ElasticClusterEngine`](super::ElasticClusterEngine), which the
+//! fixed [`ClusterEngine`](super::ClusterEngine) wraps) executes the
+//! choice — an out-of-range index is a policy bug, `debug_assert!`ed in
+//! debug builds and counted in
 //! [`ClusterReport::misrouted`](super::ClusterReport::misrouted) (then
 //! clamped to the last deployment) in release builds.
 //!
@@ -128,9 +129,6 @@ pub struct DeploymentView {
     pub decoding: usize,
     /// The deployment's admission cap.
     pub max_batch: u32,
-    /// The deployment's simulated clock, seconds (idle deployments lag —
-    /// simulated time only advances under work).
-    pub clock_s: f64,
     /// Aggregate KV shard-ledger pressure, `[0, 1]`
     /// ([`KvShardLedger::pressure`](hilos_storage::KvShardLedger::pressure)).
     pub pressure: f64,
@@ -139,17 +137,8 @@ pub struct DeploymentView {
     /// Sum of the ledger's placement weights: aggregate storage bandwidth
     /// with degraded/offline devices discounted.
     pub bandwidth_weight: f64,
-    /// Number of storage devices.
-    pub device_count: usize,
     /// Requests dispatched to this deployment so far.
     pub dispatched: u64,
-    /// Prompt tokens the deployment's in-flight prefills still have to
-    /// ingest — its remaining chunk debt under the token-budgeted step
-    /// (see [`ChunkMode`](crate::ChunkMode)). The signal size-aware
-    /// placement needs: a long prompt routed onto a deployment already
-    /// drowning in prefill backlog pays for every queued chunk ahead of
-    /// it before its first token.
-    pub prefill_backlog_tokens: u64,
     /// Lifetime prefix KV-cache hit rate of the deployment's engine,
     /// `[0, 1]` — `0.0` with the cache off (or before any probe), so
     /// cache-off routing scores are untouched. A warm cache makes a
@@ -167,9 +156,6 @@ pub struct DeploymentView {
     /// ([`hilos_metrics::hourly_cost_usd`]). The denominator of
     /// cost-normalized routing.
     pub hourly_cost_usd: f64,
-    /// Full-utilization power draw of the deployment's system, watts
-    /// ([`hilos_metrics::provisioned_power_w`]).
-    pub active_power_w: f64,
 }
 
 impl DeploymentView {
@@ -434,17 +420,13 @@ mod tests {
             prefilling: 0,
             decoding,
             max_batch: 8,
-            clock_s: 0.0,
             pressure: 0.0,
             placeable_free_bytes: free,
             bandwidth_weight: bw,
-            device_count: 4,
             dispatched: 0,
-            prefill_backlog_tokens: 0,
             prefix_hit_rate: 0.0,
             lifecycle: LifecycleState::Active,
             hourly_cost_usd: 0.0,
-            active_power_w: 0.0,
         }
     }
 

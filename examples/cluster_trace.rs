@@ -141,8 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- Chunked vs lump prefill across the same cluster -----------------
     // The token-budgeted serving step one level up: every deployment
     // ingests prompts inside its steps, and the cluster report merges the
-    // interference/stall breakdown. Routers also see each deployment's
-    // prefill backlog (`DeploymentView::prefill_backlog_tokens`).
+    // interference/stall breakdown.
     let mut long_cfg = TraceConfig::long_context(96, 42, 4).with_mean_interarrival(30);
     long_cfg.class_weights = [2, 4, 4];
     let long_trace = long_cfg.generate()?;

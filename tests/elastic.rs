@@ -6,9 +6,9 @@
 //! anything.
 
 use hilos::core::cluster::{
-    AutoscalePolicy, ClusterConfig, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
-    FleetSnapshot, HybridHistogramKeepAlive, LedgerPressure, LifecycleState, PinnedFleet,
-    RoundRobin, ScaleDecision,
+    AutoscalePolicy, ClusterConfig, ClusterSnapshot, CostNormalizedPressure, ElasticClusterEngine,
+    ElasticConfig, FleetSnapshot, HybridHistogramKeepAlive, LedgerPressure, LifecycleState,
+    PinnedFleet, RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision,
 };
 use hilos::core::{HilosConfig, HilosSystem, PrefixCacheConfig, ServeConfig, ServeEngine};
 use hilos::llm::{presets, TraceConfig};
@@ -54,6 +54,55 @@ fn pinned_single_slot_elastic_cluster_stays_on_the_golden_pin() {
     assert_eq!(report.bills[0].billed_seconds, direct.elapsed_s);
     assert!(report.fleet_bill().cost_usd() > 0.0);
     assert!(report.cost_per_1k_goodput_tokens().is_finite());
+}
+
+/// A misbehaving router: always picks the last slot, whatever its
+/// lifecycle state.
+#[derive(Debug)]
+struct LastSlot;
+
+impl RoutingPolicy for LastSlot {
+    fn name(&self) -> &'static str {
+        "last-slot"
+    }
+
+    fn route(&mut self, _request: &RouteRequest, snapshot: &ClusterSnapshot<'_>) -> usize {
+        snapshot.deployments.len() - 1
+    }
+}
+
+/// Lifecycle enforcement: a router that keeps picking a Retired slot is
+/// overridden onto the least-loaded Active one. With one Active slot of
+/// three under [`PinnedFleet`], every request lands on slot 0; the
+/// override is not a misroute (the pick was in range), nothing is lost,
+/// and the traced event stream still balances.
+#[test]
+fn routing_onto_a_retired_slot_falls_back_to_an_active_one() {
+    let trace = TraceConfig::azure_mix(96, 42).generate().unwrap();
+    let serve = || ServeConfig::new(8).with_tracing(1 << 20);
+    let mut elastic = ElasticClusterEngine::new(
+        (0..3).map(|_| ServeEngine::new(hilos(8), serve()).unwrap()).collect(),
+        Box::new(LastSlot),
+        Box::new(PinnedFleet),
+        ElasticConfig::new(1),
+    );
+    assert_eq!(elastic.lifecycle_state(2), LifecycleState::Retired);
+    let report = elastic.run_trace(&trace).unwrap();
+
+    assert_eq!(report.cluster.dispatched, vec![96, 0, 0], "a request reached a Retired slot");
+    assert!(report.cluster.deployments[1].outcomes.is_empty());
+    assert!(report.cluster.deployments[2].outcomes.is_empty());
+    assert_eq!(report.cluster.misrouted, 0);
+    assert_eq!(report.cluster.redispatches, 0, "victims fall back onto their own slot");
+    assert_eq!(report.lost(), 0);
+    assert_eq!(report.cluster.completed(), 96);
+
+    let rings: Vec<&[hilos::trace::Event]> =
+        report.cluster.deployments.iter().map(|d| d.events.as_slice()).collect();
+    let cons = hilos::trace::check_conservation(&rings);
+    assert!(cons.holds(), "event conservation violated under fallback routing: {cons:?}");
+    assert_eq!(cons.arrived, 96);
+    assert_eq!(cons.completed, 96);
 }
 
 /// A scripted autoscaler for directed lifecycle tests: provisions slot
