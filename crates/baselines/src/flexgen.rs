@@ -245,7 +245,7 @@ impl FlexGenSystem {
                 KvLocation::SsdArray => {
                     let mut parts = Vec::with_capacity(n);
                     for (d, dev) in sys.devices.iter().enumerate() {
-                        let mut tail = sys.device_to_host_route(d);
+                        let mut tail = sys.device_to_host_route(d).to_vec();
                         tail.push(sys.host_dram);
                         let bytes = kv_layer_bytes / n as f64 / (HOST_IO_EFFICIENCY * fabric);
                         parts.push(dev.ssd.read_task(
@@ -295,7 +295,7 @@ impl FlexGenSystem {
                         &mut g,
                         &format!("storekv:l{l}.d{d}"),
                         bytes,
-                        &sys.host_to_device_route(d),
+                        sys.host_to_device_route(d),
                         &[qkv],
                     );
                     g.set_background(store);
@@ -425,7 +425,7 @@ impl FlexGenSystem {
                             &mut g,
                             &format!("writekv:pf{l}.d{d}"),
                             kv_layer / n as f64,
-                            &sys.gpu_to_device_route(d),
+                            sys.gpu_to_device_route(d),
                             &[c],
                         ));
                     }

@@ -82,8 +82,8 @@ pub use hilos_trace as trace;
 pub use middleware::{CacheScheduler, WeightsPrefetcher};
 pub use runner::{CoreError, HilosSystem, JobReport, PrefillReport, RunReport};
 pub use scheduler::{
-    build_hilos_decode_step, build_hilos_decode_step_sharded, build_hilos_prefill, load_weights,
-    weight_source, DecodeStepSpec, WeightSource, GDS_EFFICIENCY, SUB_PAGE_WRITE_PENALTY_S,
+    build_hilos_decode_step, build_hilos_prefill, load_weights, weight_source, DecodeStepSpec,
+    WeightSource, GDS_EFFICIENCY, SUB_PAGE_WRITE_PENALTY_S,
 };
 pub use serve::{
     class_breakdown_of, outcome_lifecycle_fnv, throughput_of, token_goodput_of, ttft_stats_of,

@@ -3,7 +3,7 @@
 
 use crate::config::{AlphaPolicy, HilosConfig};
 use crate::scheduler::{weight_source, WeightSource};
-use crate::step::DecodeStepExecutor;
+use crate::step::{AlphaSelector, DecodeStepExecutor};
 use crate::writeback::{spill_nand_bytes_per_token, WritebackManager};
 use hilos_accel::{AccelTimingModel, ResourceModel};
 use hilos_llm::{BatchSpec, ModelConfig};
@@ -158,8 +158,9 @@ impl JobReport {
 /// A configured HILOS deployment — the paper's *Inference Controller*.
 ///
 /// Owns the system spec, model and configuration, and runs simulated
-/// prefill/decode jobs. Each run builds a fresh simulation world so runs
-/// are independent and deterministic.
+/// prefill/decode jobs. Each call builds one fresh simulation world — the
+/// α selection, the capacity check and the simulated steps all read that
+/// world — so runs are independent and deterministic.
 #[derive(Debug, Clone)]
 pub struct HilosSystem {
     spec: SystemSpec,
@@ -281,7 +282,7 @@ impl HilosSystem {
             return Ok(a);
         }
         let sys = self.build_world()?;
-        Ok(crate::step::AlphaSelector::new(&self.config, &sys).select(&self.model, batch, context))
+        Ok(AlphaSelector::new(&self.config, &sys).select(&self.model, batch, context))
     }
 
     /// Validates capacity for a job through the per-device KV shard
@@ -290,15 +291,30 @@ impl HilosSystem {
     /// device rejects placement even when the aggregate has room — and
     /// the writeback buffer must fit host DRAM.
     pub fn check_capacity(&self, spec: &BatchSpec) -> Result<(), CoreError> {
+        let sys = self.build_world()?;
+        let alpha = AlphaSelector::new(&self.config, &sys).select(
+            &self.model,
+            spec.batch,
+            spec.context_len,
+        );
+        self.check_capacity_in(&sys, spec, alpha)
+    }
+
+    /// [`HilosSystem::check_capacity`] on an already-built world, at the
+    /// α selected for the job.
+    fn check_capacity_in(
+        &self,
+        sys: &BuiltSystem,
+        spec: &BatchSpec,
+        alpha: f64,
+    ) -> Result<(), CoreError> {
         let max_ctx = spec.context_len + spec.output_len;
-        let alpha = self.select_alpha(spec.batch, spec.context_len)?;
         let m = &self.model;
         let per_seq = ((1.0 - alpha) * m.kv_bytes_per_token() as f64
             + alpha * m.x_bytes_per_token() as f64) as u64
             * max_ctx;
         let cache = per_seq * spec.batch as u64;
-        let sys = self.build_world()?;
-        let weights_on_dev = match weight_source(&sys, m, 32 << 30) {
+        let weights_on_dev = match weight_source(sys, m, 32 << 30) {
             WeightSource::Storage => m.weight_bytes(),
             WeightSource::HostDram => 0,
         };
@@ -349,8 +365,10 @@ impl HilosSystem {
         output_len: u64,
     ) -> Result<RunReport, CoreError> {
         let spec = BatchSpec::new(batch, context, output_len);
-        self.check_capacity(&spec)?;
-        let alpha = self.select_alpha(batch, context)?;
+        let mut exec = DecodeStepExecutor::new(self)?;
+        let alpha =
+            AlphaSelector::new(&self.config, exec.system()).select(&self.model, batch, context);
+        self.check_capacity_in(exec.system(), &spec, alpha)?;
 
         let steps = if self.config.delayed_writeback() {
             (self.config.spill_interval() as u64).min(output_len).max(1)
@@ -362,7 +380,6 @@ impl HilosSystem {
         // approximation used. For output_len ≤ c the window is exact.
         let window_start = (output_len - steps) / 2;
 
-        let mut exec = DecodeStepExecutor::new(self)?;
         let mut wb = WritebackManager::new(self.config.spill_interval());
         let mut total = 0.0;
         let mut last_categories = Vec::new();
@@ -383,14 +400,17 @@ impl HilosSystem {
                 }
             };
             let ctx = spec.context_at_step(window_start + i);
-            let o = exec.execute_step(batch, ctx, alpha, &decision)?;
+            // Only the last step's breakdown is reported.
+            let last = i + 1 == steps;
+            let (o, categories) =
+                exec.execute_step_breakdown(batch, ctx, alpha, &decision, last)?;
             total += o.seconds;
             gpu_u += o.gpu_utilization;
             cpu_u += o.cpu_utilization;
             dram_u += o.dram_utilization;
             host_bytes += o.host_pcie_bytes;
             internal_bytes += o.internal_read_bytes;
-            last_categories = o.category_seconds;
+            last_categories = categories;
         }
 
         let avg = total / steps as f64;
@@ -430,8 +450,9 @@ impl HilosSystem {
     ///
     /// Capacity/validation errors, or a wrapped simulation error.
     pub fn run_prefill(&self, batch: u32, context: u64) -> Result<PrefillReport, CoreError> {
-        let alpha = self.select_alpha(batch, context)?;
         let mut exec = DecodeStepExecutor::new(self)?;
+        let alpha =
+            AlphaSelector::new(&self.config, exec.system()).select(&self.model, batch, context);
         let seconds = exec.execute_prefill(batch, context, alpha)?;
         let cache_bytes = ((1.0 - alpha) * self.model.kv_bytes_per_token() as f64
             + alpha * self.model.x_bytes_per_token() as f64)

@@ -23,6 +23,8 @@ use crate::config::HilosConfig;
 use hilos_llm::ModelConfig;
 use hilos_platform::BuiltSystem;
 use hilos_sim::{TaskGraph, TaskId};
+use std::fmt;
+use std::iter::once;
 
 /// Calibrated efficiency of GPUDirect Storage reads relative to raw link
 /// bandwidth. The paper's profiled `B_SSD/B_PCI ≈ 3` (§6.4) on a testbed
@@ -67,27 +69,27 @@ pub fn load_weights(
     graph: &mut TaskGraph,
     sys: &BuiltSystem,
     source: WeightSource,
-    label: &str,
+    label: impl fmt::Display + Copy,
     bytes: f64,
     prev: Option<TaskId>,
 ) -> TaskId {
-    let deps: Vec<TaskId> = prev.into_iter().collect();
+    let deps = prev.as_slice();
     match source {
         WeightSource::HostDram => {
-            let mut route = vec![sys.host_dram];
-            route.extend(sys.host_to_gpu_route());
-            graph.transfer(label, bytes, route, &deps)
+            let route = once(&sys.host_dram).chain(sys.host_to_gpu_route());
+            graph.transfer(label, bytes, route, deps)
         }
         WeightSource::Storage => {
             let n = sys.devices.len();
             let per = bytes / n as f64;
-            let mut parts = Vec::with_capacity(n);
-            for d in 0..n {
-                let mut route = vec![sys.devices[d].ssd.read_resource()];
-                route.extend(sys.device_to_gpu_route(d));
-                parts.push(graph.transfer(format!("{label}.d{d}"), per, route, &deps));
-            }
-            graph.milestone(format!("{label}.done"), &parts)
+            let parts: Vec<TaskId> = (0..n)
+                .map(|d| {
+                    let read = sys.devices[d].ssd.read_resource();
+                    let route = once(&read).chain(sys.device_to_gpu_route(d));
+                    graph.transfer(format_args!("{label}.d{d}"), per, route, deps)
+                })
+                .collect();
+            graph.milestone(format_args!("{label}.done"), &parts)
         }
     }
 }
@@ -114,6 +116,11 @@ pub struct DecodeStepSpec {
 
 /// Builds the task graph of one HILOS decoding step.
 ///
+/// Tasks are appended in a fixed order — per layer: weights, QKV, each
+/// device's ANS fragment (scatter → store → load-KV → attention →
+/// gather) in device order, the buffered tail, the X-cache portion, the
+/// MLP and the background spills — so equal inputs build equal graphs.
+///
 /// # Panics
 ///
 /// Panics if the system has no accelerator-equipped devices (callers
@@ -123,25 +130,6 @@ pub fn build_hilos_decode_step(
     model: &ModelConfig,
     config: &HilosConfig,
     step: &DecodeStepSpec,
-) -> TaskGraph {
-    build_hilos_decode_step_sharded(sys, model, config, step, 1)
-}
-
-/// [`build_hilos_decode_step`] with the per-device ANS sub-graphs built
-/// on up to `threads` workers.
-///
-/// The devices' step-3 fragments (scatter → store → load-KV → attention →
-/// gather) are independent given the QKV projection, so each is assembled
-/// against a local placeholder via [`hilos_accel::parallel_map`] and
-/// grafted back in device order — the result is task-for-task identical
-/// to the serial build for any thread count (pinned by a test), so
-/// callers trade nothing for the fan-out.
-pub fn build_hilos_decode_step_sharded(
-    sys: &BuiltSystem,
-    model: &ModelConfig,
-    config: &HilosConfig,
-    step: &DecodeStepSpec,
-    threads: usize,
 ) -> TaskGraph {
     let mut g = TaskGraph::new();
     let n = sys.devices.len();
@@ -166,8 +154,18 @@ pub fn build_hilos_decode_step_sharded(
     let gather_bytes = (1.0 - alpha) * bs * h * 2.0;
     let page = sys.spec.storage.ssd_spec().page_bytes() as f64;
 
+    // Each device reads its KV shard over its internal P2P path into the
+    // accelerator's DRAM.
+    let internal_routes: Vec<Vec<_>> = sys
+        .devices
+        .iter()
+        .map(|dev| dev.internal_path.into_iter().chain(dev.fpga_dram).collect())
+        .collect();
+
     let mut prev_w: Option<TaskId> = None;
     let mut prev_layer: Option<TaskId> = None;
+    let mut deps: Vec<TaskId> = Vec::new();
+    let mut atn_parts: Vec<TaskId> = Vec::new();
 
     for l in 0..step.sim_layers {
         // -- 1: attention weights --
@@ -175,85 +173,67 @@ pub fn build_hilos_decode_step_sharded(
             &mut g,
             sys,
             source,
-            &format!("loadw:attn{l}"),
+            format_args!("loadw:attn{l}"),
             model.attn_weight_bytes_per_layer() as f64,
             prev_w,
         );
         // -- 2: QKV projection --
-        let mut qkv_deps = vec![w_attn];
-        qkv_deps.extend(prev_layer);
-        let qkv = g.compute(format!("qkv:l{l}"), qkv_flops, sys.gpu, &qkv_deps);
+        deps.clear();
+        deps.push(w_attn);
+        deps.extend(prev_layer);
+        let qkv = g.compute(format_args!("qkv:l{l}"), qkv_flops, sys.gpu, &deps);
 
-        let mut atn_parts: Vec<TaskId> = Vec::new();
+        atn_parts.clear();
 
         // -- 3: ANS portion on the devices --
         if alpha < 1.0 {
-            // Each device's fragment depends only on `qkv`, so it is
-            // built against a local placeholder (possibly on another
-            // worker) and grafted back in device order — task for task
-            // the graph the old serial loop appended.
-            let build_device = |d: usize, dev: &hilos_platform::DeviceResources| -> TaskGraph {
-                let mut sub = TaskGraph::new();
-                let qkv = sub.milestone("ext:qkv", &[]);
-                let scatter = sub.transfer(
-                    format!("scatter:qkv{l}.d{d}"),
+            for (d, dev) in sys.devices.iter().enumerate() {
+                let scatter = g.transfer(
+                    format_args!("scatter:qkv{l}.d{d}"),
                     scatter_bytes / n as f64,
                     sys.gpu_to_device_route(d),
                     &[qkv],
                 );
                 // Naive write-through: sub-page KV writes gate the read,
                 // each entry paying a page read-modify-write in firmware.
-                let mut read_deps = vec![scatter];
+                deps.clear();
+                deps.push(scatter);
                 if !wb {
                     let entries = ((1.0 - alpha) * bs * model.kv_heads() as f64 / n as f64).ceil();
                     let write = dev.ssd.write_task(
-                        &mut sub,
-                        &format!("storekv:l{l}.d{d}"),
+                        &mut g,
+                        format_args!("storekv:l{l}.d{d}"),
                         entries * page, // each 256 B entry programs a page
-                        &sys.gpu_to_device_route(d),
+                        sys.gpu_to_device_route(d),
                         &[qkv],
                     );
-                    let rmw = sub.delay(
-                        format!("storekv:rmw{l}.d{d}"),
+                    let rmw = g.delay(
+                        format_args!("storekv:rmw{l}.d{d}"),
                         hilos_sim::SimTime::from_secs_f64(entries * SUB_PAGE_WRITE_PENALTY_S),
                         &[write],
                     );
-                    read_deps.push(rmw);
-                }
-                let mut internal_route = Vec::new();
-                if let Some(p2p) = dev.internal_path {
-                    internal_route.push(p2p);
-                }
-                if let Some(dram) = dev.fpga_dram {
-                    internal_route.push(dram);
+                    deps.push(rmw);
                 }
                 let read = dev.ssd.read_task(
-                    &mut sub,
-                    &format!("loadkv:l{l}.d{d}"),
+                    &mut g,
+                    format_args!("loadkv:l{l}.d{d}"),
                     (1.0 - alpha) * kv_layer_bytes / n as f64,
-                    &internal_route,
-                    &read_deps,
+                    &internal_routes[d],
+                    &deps,
                 );
                 let accel = dev.accel.expect("HILOS requires accelerator-equipped devices");
-                let atn = sub.compute(
-                    format!("atn:l{l}.d{d}"),
+                let atn = g.compute(
+                    format_args!("atn:l{l}.d{d}"),
                     (1.0 - alpha) * atn_flops_layer / n as f64,
                     accel,
                     &[scatter],
                 );
-                sub.transfer(
-                    format!("gather:out{l}.d{d}"),
+                atn_parts.push(g.transfer(
+                    format_args!("gather:out{l}.d{d}"),
                     gather_bytes / n as f64,
                     sys.device_to_host_route(d),
                     &[read, atn],
-                );
-                sub
-            };
-            let subs = hilos_accel::parallel_map(&sys.devices, threads, build_device);
-            for sub in subs {
-                let ids = g.graft(sub, &[qkv]);
-                // The gather is each fragment's last task.
-                atn_parts.push(*ids.last().expect("device fragment is never empty"));
+                ));
             }
         }
 
@@ -261,17 +241,16 @@ pub fn build_hilos_decode_step_sharded(
         // V rows and score scalars shipped to the devices --
         if wb && step.buffered_tokens > 0 {
             let flops = 2.0 * bs * heads * d_head * step.buffered_tokens as f64 * (1.0 - alpha);
-            let partial = g.compute(format!("partial:l{l}"), flops, sys.cpu, &[qkv]);
+            let partial = g.compute(format_args!("partial:l{l}"), flops, sys.cpu, &[qkv]);
             let tail_bytes = step.buffered_tokens as f64
                 * bs
                 * (1.0 - alpha)
                 * (kv_dim * 2.0 + heads * 4.0 / kv_dim.max(1.0))
                 / n as f64;
             for d in 0..n {
-                let mut route = vec![sys.host_dram];
-                route.extend(sys.host_to_device_route(d));
+                let route = once(&sys.host_dram).chain(sys.host_to_device_route(d));
                 atn_parts.push(g.transfer(
-                    format!("tailv:l{l}.d{d}"),
+                    format_args!("tailv:l{l}.d{d}"),
                     tail_bytes,
                     route,
                     &[partial],
@@ -284,10 +263,10 @@ pub fn build_hilos_decode_step_sharded(
         if alpha > 0.0 {
             let dev_link_bw = sys.effective_pci_bw() / n as f64;
             for (d, dev) in sys.devices.iter().enumerate() {
-                let mut route = vec![dev.ssd.read_resource()];
-                route.extend(sys.device_to_gpu_route(d));
+                let read = dev.ssd.read_resource();
+                let route = once(&read).chain(sys.device_to_gpu_route(d));
                 let lx = g.transfer_capped(
-                    format!("loadx:l{l}.d{d}"),
+                    format_args!("loadx:l{l}.d{d}"),
                     alpha * x_layer_bytes / n as f64,
                     route,
                     GDS_EFFICIENCY * dev_link_bw,
@@ -295,12 +274,13 @@ pub fn build_hilos_decode_step_sharded(
                 );
                 atn_parts.push(lx);
             }
-            let regen = g.compute(format!("regen:l{l}"), regen_flops_layer, sys.gpu, &[qkv]);
-            let atnx = g.compute(format!("atnx:l{l}"), alpha * atn_flops_layer, sys.gpu, &[qkv]);
+            let regen = g.compute(format_args!("regen:l{l}"), regen_flops_layer, sys.gpu, &[qkv]);
+            let atnx =
+                g.compute(format_args!("atnx:l{l}"), alpha * atn_flops_layer, sys.gpu, &[qkv]);
             let atnx_mem = g.transfer(
-                format!("atnxmem:l{l}"),
+                format_args!("atnxmem:l{l}"),
                 alpha * bs * 3.0 * s * h * 2.0,
-                vec![sys.gpu_hbm],
+                [sys.gpu_hbm],
                 &[qkv],
             );
             atn_parts.push(regen);
@@ -308,20 +288,20 @@ pub fn build_hilos_decode_step_sharded(
             atn_parts.push(atnx_mem);
         }
 
-        let atn_done = g.milestone(format!("sync:atn{l}"), &atn_parts);
+        let atn_done = g.milestone(format_args!("sync:atn{l}"), &atn_parts);
 
         // -- 6: MLP --
         let w_mlp = load_weights(
             &mut g,
             sys,
             source,
-            &format!("loadw:mlp{l}"),
+            format_args!("loadw:mlp{l}"),
             (model.decode_weight_traffic_bytes(step.batch) / model.layers() as u64
                 - model.attn_weight_bytes_per_layer()) as f64,
             Some(w_attn),
         );
         let mlp = g.compute(
-            format!("mlp:l{l}"),
+            format_args!("mlp:l{l}"),
             bs * model.mlp_flops_per_token_layer(l),
             sys.gpu,
             &[w_mlp, atn_done],
@@ -341,9 +321,9 @@ pub fn build_hilos_decode_step_sharded(
             for (d, dev) in sys.devices.iter().enumerate() {
                 let spill = dev.ssd.write_task(
                     &mut g,
-                    &format!("spill:l{l}.d{d}"),
+                    format_args!("spill:l{l}.d{d}"),
                     pages * page,
-                    &sys.host_to_device_route(d),
+                    sys.host_to_device_route(d),
                     &[qkv],
                 );
                 g.set_background(spill);
@@ -384,7 +364,7 @@ pub fn build_hilos_prefill(
             &mut g,
             sys,
             source,
-            &format!("loadw:pf{l}"),
+            format_args!("loadw:pf{l}"),
             (model.attn_weight_bytes_per_layer()
                 + model.decode_weight_traffic_bytes(batch) / model.layers() as u64)
                 as f64,
@@ -392,20 +372,20 @@ pub fn build_hilos_prefill(
         );
         let mut deps = vec![w];
         deps.extend(prev_layer);
-        let compute = g.compute(format!("prefill:l{l}"), per_layer_flops, sys.gpu, &deps);
+        let compute = g.compute(format_args!("prefill:l{l}"), per_layer_flops, sys.gpu, &deps);
         // Row-wise KV/X writes: large and page-aligned, so they run at
         // full sequential bandwidth.
         let mut writes = Vec::with_capacity(n);
         for (d, dev) in sys.devices.iter().enumerate() {
             writes.push(dev.ssd.write_task(
                 &mut g,
-                &format!("writekv:pf{l}.d{d}"),
+                format_args!("writekv:pf{l}.d{d}"),
                 write_bytes,
-                &sys.gpu_to_device_route(d),
+                sys.gpu_to_device_route(d),
                 &[compute],
             ));
         }
-        let done = g.milestone(format!("sync:pf{l}"), &writes);
+        let done = g.milestone(format_args!("sync:pf{l}"), &writes);
         prev_layer = Some(done);
         prev_w = Some(w);
     }
@@ -514,26 +494,6 @@ mod tests {
         let spilling = run(true);
         // Spills contend a little but must not serialize into the step.
         assert!(spilling < quiet * 1.25, "spill stalled the step: {spilling} vs {quiet}");
-    }
-
-    #[test]
-    fn sharded_step_build_is_identical_for_any_thread_count() {
-        let model = presets::opt_66b();
-        let sys = built(8, 1);
-        // Cover both the write-through (rmw sub-tasks) and writeback
-        // device fragments, with and without the X-cache sections.
-        for (wb, alpha) in [(false, 0.0), (true, 0.5), (false, 0.5)] {
-            let cfg = HilosConfig::new(8).with_writeback(wb);
-            let mut step = default_step(16, 32 * 1024, alpha);
-            if !wb {
-                step.buffered_tokens = 0;
-            }
-            let serial = build_hilos_decode_step_sharded(&sys, &model, &cfg, &step, 1);
-            for threads in [2, 8] {
-                let sharded = build_hilos_decode_step_sharded(&sys, &model, &cfg, &step, threads);
-                assert_eq!(serial, sharded, "graph diverged at threads={threads} wb={wb}");
-            }
-        }
     }
 
     #[test]

@@ -131,11 +131,6 @@ pub struct ServeConfig {
     /// How prompt ingestion shares the step with decoding (defaults to
     /// the legacy side-prefill [`ChunkMode::Off`]).
     pub chunk_mode: ChunkMode,
-    /// Workers building the per-device sub-graphs of each simulated step
-    /// (intra-step sharding). Outcomes are identical for any value —
-    /// pinned by a determinism test — so this is purely a wall-clock
-    /// knob. Defaults to 1 (serial).
-    pub step_threads: usize,
     /// Prefix KV-cache reuse over a tiered residency ladder: admissions
     /// probe for cached shared prefixes and skip that much prefill, and
     /// preemption victims demote their KV down the ladder instead of
@@ -168,7 +163,6 @@ impl ServeConfig {
             deadline_s: 120.0,
             ctx_quantum: 1024,
             chunk_mode: ChunkMode::Off,
-            step_threads: 1,
             prefix_cache: None,
             trace_events: None,
         }
@@ -200,13 +194,6 @@ impl ServeConfig {
             assert!(step_budget_tokens > 0, "step budget must be positive");
         }
         self.chunk_mode = mode;
-        self
-    }
-
-    /// Sets how many workers build each step's per-device sub-graphs.
-    pub fn with_step_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker");
-        self.step_threads = threads;
         self
     }
 
@@ -565,8 +552,7 @@ impl ServeEngine {
         config: ServeConfig,
         policy: Box<dyn SchedulingPolicy>,
     ) -> Result<Self, CoreError> {
-        let mut exec = DecodeStepExecutor::new(&system)?;
-        exec.set_step_threads(config.step_threads);
+        let exec = DecodeStepExecutor::new(&system)?;
         let alpha_sel = AlphaSelector::new(system.config(), exec.system());
         let mut ledger = exec.system().kv_ledger();
         let model = system.model().clone();

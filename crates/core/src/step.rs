@@ -13,7 +13,7 @@
 use crate::config::HilosConfig;
 use crate::runner::{CoreError, HilosSystem};
 use crate::scheduler::GDS_EFFICIENCY;
-use crate::scheduler::{build_hilos_decode_step_sharded, build_hilos_prefill, DecodeStepSpec};
+use crate::scheduler::{build_hilos_decode_step, build_hilos_prefill, DecodeStepSpec};
 use crate::writeback::SpillDecision;
 use crate::xcache::AlphaModel;
 use hilos_llm::ModelConfig;
@@ -35,8 +35,6 @@ pub struct StepOutcome {
     pub host_pcie_bytes: f64,
     /// Bytes read over the devices' internal paths (whole model).
     pub internal_read_bytes: f64,
-    /// Per-category task seconds (for the breakdown figures).
-    pub category_seconds: Vec<(String, f64)>,
 }
 
 /// Executes decode (and prefill) steps against one built simulation world.
@@ -50,7 +48,6 @@ pub struct DecodeStepExecutor {
     config: HilosConfig,
     sim_layers: u32,
     layer_scale: f64,
-    step_threads: usize,
 }
 
 impl DecodeStepExecutor {
@@ -68,15 +65,7 @@ impl DecodeStepExecutor {
             config: system.config().clone(),
             sim_layers,
             layer_scale: system.model().layers() as f64 / sim_layers as f64,
-            step_threads: 1,
         })
-    }
-
-    /// Sets how many workers build the per-device sub-graphs of each step
-    /// (see [`build_hilos_decode_step_sharded`]). The built graph — and
-    /// therefore every outcome — is identical for any thread count.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        self.step_threads = threads.max(1);
     }
 
     /// The built world (resources, devices, engine).
@@ -102,6 +91,25 @@ impl DecodeStepExecutor {
         alpha: f64,
         decision: &SpillDecision,
     ) -> Result<StepOutcome, CoreError> {
+        self.execute_step_breakdown(batch, context, alpha, decision, false).map(|(o, _)| o)
+    }
+
+    /// [`DecodeStepExecutor::execute_step`], also returning the step's
+    /// per-category task seconds (for the breakdown figures), sorted by
+    /// category, when `breakdown` is set; empty otherwise, so callers that
+    /// never read a breakdown never pay for one.
+    ///
+    /// # Errors
+    ///
+    /// Wraps simulation errors.
+    pub(crate) fn execute_step_breakdown(
+        &mut self,
+        batch: u32,
+        context: u64,
+        alpha: f64,
+        decision: &SpillDecision,
+        breakdown: bool,
+    ) -> Result<(StepOutcome, Vec<(String, f64)>), CoreError> {
         let step = DecodeStepSpec {
             batch,
             context,
@@ -111,13 +119,7 @@ impl DecodeStepExecutor {
             spill_tokens: decision.spill_tokens,
             sim_layers: self.sim_layers,
         };
-        let graph = build_hilos_decode_step_sharded(
-            &self.sys,
-            &self.model,
-            &self.config,
-            &step,
-            self.step_threads,
-        );
+        let graph = build_hilos_decode_step(&self.sys, &self.model, &self.config, &step);
         let timeline = execute(&mut self.sys.engine, &graph)?;
 
         // Traffic accounting (whole model, analytic — every flow that
@@ -148,15 +150,16 @@ impl DecodeStepExecutor {
             * 2.0
             * layers;
 
-        Ok(StepOutcome {
+        let outcome = StepOutcome {
             seconds: timeline.makespan().as_secs_f64() * self.layer_scale,
             gpu_utilization: timeline.utilization(self.sys.gpu),
             cpu_utilization: timeline.utilization(self.sys.cpu),
             dram_utilization: timeline.utilization(self.sys.host_dram),
             host_pcie_bytes: weights + scatter + gather + x_reads + spill,
             internal_read_bytes: internal,
-            category_seconds: timeline.category_seconds(&graph),
-        })
+        };
+        let categories = if breakdown { timeline.category_seconds(&graph) } else { Vec::new() };
+        Ok((outcome, categories))
     }
 
     /// Executes the prefill phase for a `batch × context` job and returns
@@ -247,11 +250,14 @@ mod tests {
         let system = hilos(8);
         let mut exec = DecodeStepExecutor::new(&system).unwrap();
         let quiet = SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 };
-        let short = exec.execute_step(16, 16 * 1024, 0.5, &quiet).unwrap();
+        let (short, categories) =
+            exec.execute_step_breakdown(16, 16 * 1024, 0.5, &quiet, true).unwrap();
         let long = exec.execute_step(16, 64 * 1024, 0.5, &quiet).unwrap();
         assert!(long.seconds > 2.0 * short.seconds, "{} vs {}", long.seconds, short.seconds);
         assert!(short.internal_read_bytes > 0.0);
-        assert!(!short.category_seconds.is_empty());
+        assert!(categories.iter().any(|(c, _)| c == "loadkv"), "{categories:?}");
+        let (_, none) = exec.execute_step_breakdown(16, 16 * 1024, 0.5, &quiet, false).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use hilos_sim::{FlowEngine, ResourceId, ResourceKind, ResourceSpec};
 use hilos_storage::{KvShardLedger, ShardSpec, SsdDevice, SsdInstance, SsdSpec};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The storage complex of a system.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,6 +207,22 @@ pub struct DeviceResources {
     pub internal_path: Option<ResourceId>,
 }
 
+/// The routes between the host, the GPU and one storage device.
+#[derive(Debug)]
+struct DeviceRoutes {
+    to_host: Vec<ResourceId>,
+    from_host: Vec<ResourceId>,
+    to_gpu: Vec<ResourceId>,
+    from_gpu: Vec<ResourceId>,
+}
+
+/// Every route the step builders ask for, walked once from the topology.
+#[derive(Debug)]
+struct Routes {
+    host_to_gpu: Vec<ResourceId>,
+    devices: Vec<DeviceRoutes>,
+}
+
 /// A [`SystemSpec`] materialized into a [`FlowEngine`].
 #[derive(Debug)]
 pub struct BuiltSystem {
@@ -231,6 +248,9 @@ pub struct BuiltSystem {
     pub devices: Vec<DeviceResources>,
     /// Mutable SSD device states (counters), index-aligned with `devices`.
     pub ssd_states: Vec<SsdDevice>,
+    /// Routes, resolved on first use: a world that only answers capacity
+    /// questions never walks the topology.
+    routes: OnceLock<Routes>,
 }
 
 impl BuiltSystem {
@@ -394,32 +414,55 @@ impl BuiltSystem {
             gpu_node,
             devices,
             ssd_states,
+            routes: OnceLock::new(),
+        })
+    }
+
+    fn routes(&self) -> &Routes {
+        self.routes.get_or_init(|| {
+            let route = |from, to| self.topo.route(from, to).expect("route exists");
+            Routes {
+                host_to_gpu: route(self.host_node, self.gpu_node),
+                devices: self
+                    .devices
+                    .iter()
+                    .map(|d| DeviceRoutes {
+                        to_host: route(d.node, self.host_node),
+                        from_host: route(self.host_node, d.node),
+                        to_gpu: route(d.node, self.gpu_node),
+                        from_gpu: route(self.gpu_node, d.node),
+                    })
+                    .collect(),
+            }
         })
     }
 
     /// Route (directed link resources) from a storage device to the host.
-    pub fn device_to_host_route(&self, device: usize) -> Vec<ResourceId> {
-        self.topo.route(self.devices[device].node, self.host_node).expect("route exists")
+    ///
+    /// All routes are walked from the topology once, on the first route
+    /// query, and served from that table afterwards.
+    pub fn device_to_host_route(&self, device: usize) -> &[ResourceId] {
+        &self.routes().devices[device].to_host
     }
 
     /// Route from the host to a storage device.
-    pub fn host_to_device_route(&self, device: usize) -> Vec<ResourceId> {
-        self.topo.route(self.host_node, self.devices[device].node).expect("route exists")
+    pub fn host_to_device_route(&self, device: usize) -> &[ResourceId] {
+        &self.routes().devices[device].from_host
     }
 
     /// Route from a device directly to the GPU (GPUDirect Storage / P2P).
-    pub fn device_to_gpu_route(&self, device: usize) -> Vec<ResourceId> {
-        self.topo.route(self.devices[device].node, self.gpu_node).expect("route exists")
+    pub fn device_to_gpu_route(&self, device: usize) -> &[ResourceId] {
+        &self.routes().devices[device].to_gpu
     }
 
     /// Route from the host to the GPU.
-    pub fn host_to_gpu_route(&self) -> Vec<ResourceId> {
-        self.topo.route(self.host_node, self.gpu_node).expect("route exists")
+    pub fn host_to_gpu_route(&self) -> &[ResourceId] {
+        &self.routes().host_to_gpu
     }
 
     /// Route from the GPU to a device (e.g. scattering fresh Q/K/V).
-    pub fn gpu_to_device_route(&self, device: usize) -> Vec<ResourceId> {
-        self.topo.route(self.gpu_node, self.devices[device].node).expect("route exists")
+    pub fn gpu_to_device_route(&self, device: usize) -> &[ResourceId] {
+        &self.routes().devices[device].from_gpu
     }
 
     /// A per-device KV shard ledger over this system's devices: capacity

@@ -10,7 +10,7 @@ use crate::resource::{ResourceId, ResourceStats};
 use crate::task::{TaskGraph, TaskId, TaskKind};
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Start and end instant of one executed task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,15 +77,20 @@ impl Timeline {
     /// the makespan; use the result for *relative* breakdowns as the paper
     /// does in Figs. 2b, 4b and 11b.
     pub fn category_seconds(&self, graph: &TaskGraph) -> Vec<(String, f64)> {
-        let mut acc: HashMap<&str, f64> = HashMap::new();
+        // A graph has a handful of categories, so a linear probe stands in
+        // for a map; each sum accumulates in task order either way.
+        let mut acc: Vec<(&str, f64)> = Vec::new();
         for (id, task) in graph.iter() {
             if let Some(span) = self.span(id) {
-                *acc.entry(task.category()).or_insert(0.0) += span.seconds();
+                let category = task.category();
+                match acc.iter_mut().find(|(c, _)| *c == category) {
+                    Some((_, sum)) => *sum += span.seconds(),
+                    None => acc.push((category, span.seconds())),
+                }
             }
         }
-        let mut v: Vec<(String, f64)> = acc.into_iter().map(|(k, s)| (k.to_string(), s)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+        acc.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        acc.into_iter().map(|(c, s)| (c.to_string(), s)).collect()
     }
 
     /// Per-resource statistics accumulated over this execution window.
@@ -115,26 +120,51 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
     let started_at = engine.now();
     let stats_before = engine.stats_snapshot();
 
-    // Build dependency counts and successor lists.
+    // Dependency counts and successor lists in compressed rows: the tasks
+    // waiting on `t` are `successors[first[t]..first[t + 1]]`, in task
+    // order.
     let mut indegree: Vec<u32> = vec![0; n];
-    let mut successors: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut first: Vec<u32> = vec![0; n + 1];
     for (id, task) in graph.iter() {
         for d in task.deps() {
             if d.index() >= n {
                 return Err(SimError::UnknownTask(d.index()));
             }
-            indegree[id.index()] += 1;
-            successors[d.index()].push(id.0);
+            first[d.index() + 1] += 1;
+        }
+        indegree[id.index()] = task.deps().len() as u32;
+    }
+    for t in 0..n {
+        first[t + 1] += first[t];
+    }
+    let mut cursor: Vec<u32> = first[..n].to_vec();
+    let mut successors: Vec<u32> = vec![0; first[n] as usize];
+    for (id, task) in graph.iter() {
+        for d in task.deps() {
+            let c = &mut cursor[d.index()];
+            successors[*c as usize] = id.0;
+            *c += 1;
         }
     }
 
     let mut spans: Vec<Option<TaskSpan>> = vec![None; n];
-    let mut starts: Vec<Option<SimTime>> = vec![None; n];
+    let mut starts: Vec<SimTime> = vec![started_at; n];
     let mut completed = 0usize;
     let mut foreground_end = started_at;
     let mut finished_at = started_at;
 
-    let mut job_to_task: HashMap<JobId, u32> = HashMap::new();
+    // The task each engine job slot is running, keyed by job sequence so
+    // a job submitted outside this graph is never mistaken for one of its
+    // tasks.
+    let mut slot_task: Vec<(u64, u32)> = Vec::new();
+    fn run_on(slot_task: &mut Vec<(u64, u32)>, job: JobId, task: u32) {
+        let slot = job.slot as usize;
+        if slot >= slot_task.len() {
+            slot_task.resize(slot + 1, (u64::MAX, 0));
+        }
+        slot_task[slot] = (job.seq, task);
+    }
+    let mut completions = Vec::new();
     // (wake time, insertion order, task) — min-heap via Reverse.
     let mut wakeups: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
     let mut wake_seq = 0u64;
@@ -147,16 +177,15 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
     // Completes `task` at `now`, unlocking successors onto `ready`.
     macro_rules! complete {
         ($task:expr, $now:expr, $ready:expr) => {{
-            let t: u32 = $task;
+            let t = $task as usize;
             let now: SimTime = $now;
-            let start = starts[t as usize].unwrap_or(now);
-            spans[t as usize] = Some(TaskSpan { start, end: now });
+            spans[t] = Some(TaskSpan { start: starts[t], end: now });
             completed += 1;
             finished_at = finished_at.max(now);
-            if !graph.task(TaskId(t)).is_background() {
+            if !graph.task(TaskId(t as u32)).is_background() {
                 foreground_end = foreground_end.max(now);
             }
-            for &s in &successors[t as usize] {
+            for &s in &successors[first[t] as usize..first[t + 1] as usize] {
                 indegree[s as usize] -= 1;
                 if indegree[s as usize] == 0 {
                     $ready.push(s);
@@ -170,31 +199,31 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
         // zero-work tasks complete (and cascade) immediately.
         while let Some(t) = ready.pop() {
             let now = engine.now();
-            starts[t as usize] = Some(now);
+            starts[t as usize] = now;
             match graph.task(TaskId(t)).kind() {
                 TaskKind::Milestone => complete!(t, now, ready),
                 TaskKind::Delay { duration } => {
                     if duration.is_zero() {
                         complete!(t, now, ready);
                     } else {
-                        wakeups.push(Reverse((now + *duration, wake_seq, t)));
+                        wakeups.push(Reverse((now + duration, wake_seq, t)));
                         wake_seq += 1;
                     }
                 }
                 TaskKind::Transfer { bytes, route, rate_cap } => {
-                    if *bytes <= 0.0 {
+                    if bytes <= 0.0 {
                         complete!(t, now, ready);
                     } else {
-                        let job = engine.submit(route, *bytes, *rate_cap)?;
-                        job_to_task.insert(job, t);
+                        let job = engine.submit(route, bytes, rate_cap)?;
+                        run_on(&mut slot_task, job, t);
                     }
                 }
                 TaskKind::Compute { ops, resource } => {
-                    if *ops <= 0.0 {
+                    if ops <= 0.0 {
                         complete!(t, now, ready);
                     } else {
-                        let job = engine.submit(&[*resource], *ops, None)?;
-                        job_to_task.insert(job, t);
+                        let job = engine.submit(&[resource], ops, None)?;
+                        run_on(&mut slot_task, job, t);
                     }
                 }
             }
@@ -218,8 +247,11 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
         };
 
         // Advance flows; collect flow completions at `next`.
-        for c in engine.advance_to(next)? {
-            if let Some(t) = job_to_task.remove(&c.job) {
+        completions.clear();
+        engine.advance_into(next, &mut completions)?;
+        for c in &completions {
+            let entry = slot_task.get(c.job.slot as usize).copied();
+            if let Some((_, t)) = entry.filter(|&(seq, _)| seq == c.job.seq) {
                 complete!(t, next, ready);
             }
         }
@@ -390,6 +422,19 @@ mod tests {
         assert_eq!(t2.finished_at(), SimTime::from_secs(2));
         // Window stats are deltas, not cumulative.
         assert!((t2.resource_stats(r[0]).units_served - 1e9).abs() < 1e3);
+    }
+
+    #[test]
+    fn jobs_submitted_outside_the_graph_complete_no_task() {
+        // A job already in flight holds engine slot 0 and finishes first;
+        // its completion must not be taken for the graph's task.
+        let (mut eng, r) = engine_with(&[1e9, 1e9]);
+        eng.submit(&[r[0]], 0.5e9, None).unwrap();
+        let mut g = TaskGraph::new();
+        let a = g.transfer("a", 2e9, [r[1]], &[]);
+        let tl = execute(&mut eng, &g).unwrap();
+        assert_eq!(tl.span(a).unwrap().end, SimTime::from_secs(2));
+        assert_eq!(tl.makespan(), SimTime::from_secs(2));
     }
 
     #[test]

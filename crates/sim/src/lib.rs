@@ -11,20 +11,23 @@
 //! # The engine
 //!
 //! [`FlowEngine`] computes exact max-min rates by progressive filling,
-//! recomputed over all jobs × resources whenever the active set changes —
-//! O(jobs × resources) per submit/complete/cancel. Exact rates matter
-//! here: HILOS step transfers are multi-link PCIe routes, some of them
-//! rate-capped, contending for shared root ports. Pure time advances keep
-//! rates, so `next_completion_time` answers from a heap of absolute
-//! completion predictions, and serving loops that poll it every step stay
-//! cheap. Every golden FNV pin in the serving and cluster layers is taken
-//! under this engine.
+//! recomputed whenever the active set changes (submit, complete, cancel).
+//! A recompute touches only the jobs in flight and the resources they
+//! cross, in reused working memory: a 16-SmartSSD world registers 136
+//! resources, but a decode step loads a few dozen at a time. Exact rates
+//! matter here: HILOS step transfers are multi-link PCIe routes, some of
+//! them rate-capped, contending for shared root ports. Pure time advances
+//! keep rates, so `next_completion_time` answers from a heap of absolute
+//! completion predictions. Every golden FNV pin in the serving and
+//! cluster layers is taken under this engine.
 //!
 //! On top of the engine sits a [`TaskGraph`] layer: DAGs of transfers,
 //! computes, fixed delays and milestones, with *background* tasks that
 //! contend for bandwidth without extending the foreground makespan (used
-//! for the paper's delayed KV-cache writeback). [`execute`] runs a graph
-//! and returns a [`Timeline`] with per-task spans and per-resource
+//! for the paper's delayed KV-cache writeback). A graph keeps every
+//! task's label, dependencies and route in shared arenas, so building one
+//! allocates per graph, not per task. [`execute`] runs a graph and
+//! returns a [`Timeline`] with per-task spans and per-resource
 //! utilization — the raw material of the paper's breakdown and energy
 //! figures.
 //!

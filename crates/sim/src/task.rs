@@ -13,7 +13,8 @@
 
 use crate::resource::ResourceId;
 use crate::time::SimTime;
-use std::fmt;
+use std::borrow::Borrow;
+use std::fmt::{self, Write as _};
 
 /// Identifier of a task inside one [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,14 +34,14 @@ impl fmt::Display for TaskId {
 }
 
 /// The work a task performs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TaskKind<'g> {
     /// Move `bytes` across every resource in `route` simultaneously.
     Transfer {
         /// Payload size in bytes.
         bytes: f64,
         /// Resources crossed (links, memory ports, storage channels).
-        route: Vec<ResourceId>,
+        route: &'g [ResourceId],
         /// Optional per-task rate cap in bytes/s.
         rate_cap: Option<f64>,
     },
@@ -60,47 +61,96 @@ pub enum TaskKind {
     Milestone,
 }
 
-/// One node of a [`TaskGraph`].
+/// A task's work, with its route stored in the graph's route arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Work {
+    Transfer { bytes: f64, route: Span, rate_cap: Option<f64> },
+    Compute { ops: f64, resource: ResourceId },
+    Delay { duration: SimTime },
+    Milestone,
+}
+
+/// A `start..end` range into one of the graph's arenas.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span(u32, u32);
+
+impl Span {
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.0 as usize..self.1 as usize]
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
-pub struct Task {
-    label: String,
-    kind: TaskKind,
-    deps: Vec<TaskId>,
+struct Node {
+    label: Span,
+    work: Work,
+    deps: Span,
     background: bool,
 }
 
-impl Task {
+/// One node of a [`TaskGraph`], borrowed from it.
+#[derive(Clone, Copy)]
+pub struct Task<'g> {
+    graph: &'g TaskGraph,
+    node: &'g Node,
+}
+
+impl<'g> Task<'g> {
     /// The task's label.
-    pub fn label(&self) -> &str {
-        &self.label
+    pub fn label(&self) -> &'g str {
+        let Span(start, end) = self.node.label;
+        &self.graph.labels[start as usize..end as usize]
     }
 
     /// The label's category: the prefix up to the first `':'`, or the whole
     /// label if it contains none.
-    pub fn category(&self) -> &str {
-        match self.label.split_once(':') {
+    pub fn category(&self) -> &'g str {
+        let label = self.label();
+        match label.split_once(':') {
             Some((head, _)) => head,
-            None => &self.label,
+            None => label,
         }
     }
 
     /// The work this task performs.
-    pub fn kind(&self) -> &TaskKind {
-        &self.kind
+    pub fn kind(&self) -> TaskKind<'g> {
+        match self.node.work {
+            Work::Transfer { bytes, route, rate_cap } => {
+                TaskKind::Transfer { bytes, route: route.of(&self.graph.routes), rate_cap }
+            }
+            Work::Compute { ops, resource } => TaskKind::Compute { ops, resource },
+            Work::Delay { duration } => TaskKind::Delay { duration },
+            Work::Milestone => TaskKind::Milestone,
+        }
     }
 
     /// Tasks that must complete before this one starts.
-    pub fn deps(&self) -> &[TaskId] {
-        &self.deps
+    pub fn deps(&self) -> &'g [TaskId] {
+        self.node.deps.of(&self.graph.deps)
     }
 
     /// Whether the task is excluded from the foreground makespan.
     pub fn is_background(&self) -> bool {
-        self.background
+        self.node.background
+    }
+}
+
+impl fmt::Debug for Task<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Task")
+            .field("label", &self.label())
+            .field("kind", &self.kind())
+            .field("deps", &self.deps())
+            .field("background", &self.is_background())
+            .finish()
     }
 }
 
 /// A DAG of tasks to execute on a [`crate::FlowEngine`].
+///
+/// Labels, dependency lists and routes of all tasks live in three shared
+/// arenas that grow with the graph, so adding a task allocates nothing of
+/// its own, and a label is formatted straight into place.
 ///
 /// # Examples
 ///
@@ -112,14 +162,18 @@ impl Task {
 /// let gpu = eng.add_resource(ResourceSpec::new("gpu", ResourceKind::Compute, 1e12));
 ///
 /// let mut g = TaskGraph::new();
-/// let load = g.transfer("loadw:l0", 1e9, vec![link], &[]);
-/// let mm = g.compute("gemm:l0", 2e12, gpu, &[load]);
+/// let load = g.transfer("loadw:l0", 1e9, [link], &[]);
+/// let mm = g.compute(format_args!("gemm:l{}", 0), 2e12, gpu, &[load]);
 /// assert_eq!(g.len(), 2);
 /// assert_eq!(g.task(mm).deps(), &[load]);
+/// assert_eq!(g.task(mm).label(), "gemm:l0");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
-    tasks: Vec<Task>,
+    nodes: Vec<Node>,
+    labels: String,
+    deps: Vec<TaskId>,
+    routes: Vec<ResourceId>,
 }
 
 impl TaskGraph {
@@ -130,12 +184,12 @@ impl TaskGraph {
 
     /// Number of tasks in the graph.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.nodes.len()
     }
 
     /// True if the graph holds no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Returns the task with the given id.
@@ -143,68 +197,88 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `id` is out of range for this graph.
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+    pub fn task(&self, id: TaskId) -> Task<'_> {
+        Task { graph: self, node: &self.nodes[id.index()] }
     }
 
-    /// Iterates over `(TaskId, &Task)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Task)> {
-        self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i as u32), t))
+    /// Iterates over `(TaskId, Task)` pairs in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (TaskId, Task<'_>)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (TaskId(i as u32), Task { graph: self, node }))
     }
 
-    fn push(&mut self, label: impl Into<String>, kind: TaskKind, deps: &[TaskId]) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(Task { label: label.into(), kind, deps: deps.to_vec(), background: false });
+    fn push(&mut self, label: impl fmt::Display, work: Work, deps: &[TaskId]) -> TaskId {
+        let id = TaskId(self.nodes.len() as u32);
+        let label_start = self.labels.len() as u32;
+        write!(self.labels, "{label}").expect("formatting into a String cannot fail");
+        let deps_start = self.deps.len() as u32;
+        self.deps.extend_from_slice(deps);
+        self.nodes.push(Node {
+            label: Span(label_start, self.labels.len() as u32),
+            work,
+            deps: Span(deps_start, self.deps.len() as u32),
+            background: false,
+        });
         id
+    }
+
+    fn push_route(&mut self, route: impl IntoIterator<Item = impl Borrow<ResourceId>>) -> Span {
+        let start = self.routes.len() as u32;
+        self.routes.extend(route.into_iter().map(|r| *r.borrow()));
+        Span(start, self.routes.len() as u32)
     }
 
     /// Adds a transfer task.
     pub fn transfer(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         bytes: f64,
-        route: Vec<ResourceId>,
+        route: impl IntoIterator<Item = impl Borrow<ResourceId>>,
         deps: &[TaskId],
     ) -> TaskId {
-        self.push(label, TaskKind::Transfer { bytes, route, rate_cap: None }, deps)
+        let route = self.push_route(route);
+        self.push(label, Work::Transfer { bytes, route, rate_cap: None }, deps)
     }
 
     /// Adds a transfer task with a per-task rate cap in bytes/s.
     pub fn transfer_capped(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         bytes: f64,
-        route: Vec<ResourceId>,
+        route: impl IntoIterator<Item = impl Borrow<ResourceId>>,
         rate_cap: f64,
         deps: &[TaskId],
     ) -> TaskId {
-        self.push(label, TaskKind::Transfer { bytes, route, rate_cap: Some(rate_cap) }, deps)
+        let route = self.push_route(route);
+        self.push(label, Work::Transfer { bytes, route, rate_cap: Some(rate_cap) }, deps)
     }
 
     /// Adds a compute task.
     pub fn compute(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         ops: f64,
         resource: ResourceId,
         deps: &[TaskId],
     ) -> TaskId {
-        self.push(label, TaskKind::Compute { ops, resource }, deps)
+        self.push(label, Work::Compute { ops, resource }, deps)
     }
 
     /// Adds a fixed-latency task.
     pub fn delay(
         &mut self,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         duration: SimTime,
         deps: &[TaskId],
     ) -> TaskId {
-        self.push(label, TaskKind::Delay { duration }, deps)
+        self.push(label, Work::Delay { duration }, deps)
     }
 
     /// Adds a zero-cost synchronization milestone.
-    pub fn milestone(&mut self, label: impl Into<String>, deps: &[TaskId]) -> TaskId {
-        self.push(label, TaskKind::Milestone, deps)
+    pub fn milestone(&mut self, label: impl fmt::Display, deps: &[TaskId]) -> TaskId {
+        self.push(label, Work::Milestone, deps)
     }
 
     /// Marks a task as background: it still contends for resources but does
@@ -214,7 +288,7 @@ impl TaskGraph {
     ///
     /// Panics if `id` is out of range.
     pub fn set_background(&mut self, id: TaskId) {
-        self.tasks[id.index()].background = true;
+        self.nodes[id.index()].background = true;
     }
 
     /// Adds extra dependencies to an existing task.
@@ -224,66 +298,28 @@ impl TaskGraph {
     /// Panics if `id` or any dependency is out of range.
     pub fn add_deps(&mut self, id: TaskId, deps: &[TaskId]) {
         for d in deps {
-            assert!(d.index() < self.tasks.len(), "dependency {d} out of range");
+            assert!(d.index() < self.nodes.len(), "dependency {d} out of range");
         }
-        self.tasks[id.index()].deps.extend_from_slice(deps);
-    }
-
-    /// Grafts an independently-built sub-graph onto this graph.
-    ///
-    /// The first `externals.len()` tasks of `sub` must be
-    /// [`TaskKind::Milestone`] placeholders standing for the given
-    /// existing tasks of `self`, in order; they are dropped, not copied.
-    /// Every remaining task of `sub` is appended in insertion order with
-    /// its dependencies remapped (placeholders to the external tasks,
-    /// internal ids to their new positions). Returns the new ids of the
-    /// appended tasks, in `sub` insertion order.
-    ///
-    /// This is what makes sub-graphs buildable in parallel: each worker
-    /// assembles its fragment against local ids, and grafting in a fixed
-    /// order reproduces, task for task, the graph a serial build would
-    /// have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub` has fewer tasks than `externals`, if a placeholder
-    /// is not a milestone, or if an external id is out of range for
-    /// `self`.
-    pub fn graft(&mut self, sub: TaskGraph, externals: &[TaskId]) -> Vec<TaskId> {
-        assert!(sub.tasks.len() >= externals.len(), "sub-graph smaller than its placeholder set");
-        for e in externals {
-            assert!(e.index() < self.tasks.len(), "external task {e} out of range");
-        }
-        let n_ext = externals.len();
-        let mut map: Vec<TaskId> = Vec::with_capacity(sub.tasks.len());
-        let mut appended = Vec::with_capacity(sub.tasks.len() - n_ext);
-        for (i, mut task) in sub.tasks.into_iter().enumerate() {
-            if i < n_ext {
-                assert!(
-                    matches!(task.kind, TaskKind::Milestone),
-                    "placeholder {i} must be a milestone, got {:?}",
-                    task.kind
-                );
-                map.push(externals[i]);
-                continue;
-            }
-            for d in &mut task.deps {
-                *d = map[d.index()];
-            }
-            let id = TaskId(self.tasks.len() as u32);
-            self.tasks.push(task);
-            map.push(id);
-            appended.push(id);
-        }
-        appended
+        // Move the task's list to the arena's end (unless it is already
+        // there) so it can grow in place.
+        let Span(start, end) = self.nodes[id.index()].deps;
+        let start = if end as usize == self.deps.len() {
+            start
+        } else {
+            let moved = self.deps.len() as u32;
+            self.deps.extend_from_within(start as usize..end as usize);
+            moved
+        };
+        self.deps.extend_from_slice(deps);
+        self.nodes[id.index()].deps = Span(start, self.deps.len() as u32);
     }
 
     /// Total bytes across all transfer tasks (useful for traffic analyses).
     pub fn total_transfer_bytes(&self) -> f64 {
-        self.tasks
+        self.nodes
             .iter()
-            .map(|t| match &t.kind {
-                TaskKind::Transfer { bytes, .. } => *bytes,
+            .map(|n| match n.work {
+                Work::Transfer { bytes, .. } => bytes,
                 _ => 0.0,
             })
             .sum()
@@ -291,10 +327,14 @@ impl TaskGraph {
 
     /// Bytes transferred across tasks whose route includes `resource`.
     pub fn transfer_bytes_through(&self, resource: ResourceId) -> f64 {
-        self.tasks
+        self.nodes
             .iter()
-            .map(|t| match &t.kind {
-                TaskKind::Transfer { bytes, route, .. } if route.contains(&resource) => *bytes,
+            .map(|n| match n.work {
+                Work::Transfer { bytes, route, .. }
+                    if route.of(&self.routes).contains(&resource) =>
+                {
+                    bytes
+                }
                 _ => 0.0,
             })
             .sum()
@@ -348,36 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn graft_reproduces_a_serial_build() {
-        // Serial build: root, then two "device" fragments of two tasks.
-        let link = ResourceId(0);
-        let mut serial = TaskGraph::new();
-        let root = serial.milestone("root", &[]);
-        for d in 0..2 {
-            let a = serial.transfer(format!("in:d{d}"), 10.0, vec![link], &[root]);
-            serial.compute(format!("work:d{d}"), 1e6, link, &[a]);
-        }
-
-        // Parallel-style build: each fragment against a local placeholder.
-        let mut grafted = TaskGraph::new();
-        let root2 = grafted.milestone("root", &[]);
-        let subs: Vec<TaskGraph> = (0..2)
-            .map(|d| {
-                let mut sub = TaskGraph::new();
-                let ext = sub.milestone("ext:root", &[]);
-                let a = sub.transfer(format!("in:d{d}"), 10.0, vec![link], &[ext]);
-                sub.compute(format!("work:d{d}"), 1e6, link, &[a]);
-                sub
-            })
-            .collect();
-        for sub in subs {
-            let ids = grafted.graft(sub, &[root2]);
-            assert_eq!(ids.len(), 2);
-        }
-        assert_eq!(serial, grafted);
-    }
-
-    #[test]
     fn add_deps_appends() {
         let mut g = TaskGraph::new();
         let a = g.milestone("a", &[]);
@@ -385,5 +395,12 @@ mod tests {
         let c = g.milestone("c", &[a]);
         g.add_deps(c, &[b]);
         assert_eq!(g.task(c).deps(), &[a, b]);
+        // A task whose list is not at the arena's end keeps its old deps
+        // and leaves its neighbours' untouched.
+        g.add_deps(b, &[a]);
+        g.add_deps(b, &[c]);
+        assert_eq!(g.task(b).deps(), &[a, c]);
+        assert_eq!(g.task(c).deps(), &[a, b]);
+        assert_eq!(g.task(a).deps(), &[]);
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::spec::SsdSpec;
 use hilos_sim::{ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
+use std::fmt;
 
 /// How a write stream hits the flash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,14 +168,13 @@ impl SsdInstance {
     pub fn read_task(
         &self,
         graph: &mut TaskGraph,
-        label: &str,
+        label: impl fmt::Display + Copy,
         bytes: f64,
         route_tail: &[ResourceId],
         deps: &[TaskId],
     ) -> TaskId {
-        let cmd = graph.delay(format!("{label}.cmd"), self.cmd_latency, deps);
-        let mut route = vec![self.read];
-        route.extend_from_slice(route_tail);
+        let cmd = graph.delay(format_args!("{label}.cmd"), self.cmd_latency, deps);
+        let route = std::iter::once(self.read).chain(route_tail.iter().copied());
         graph.transfer(label, bytes, route, &[cmd])
     }
 
@@ -183,14 +183,13 @@ impl SsdInstance {
     pub fn write_task(
         &self,
         graph: &mut TaskGraph,
-        label: &str,
+        label: impl fmt::Display + Copy,
         bytes: f64,
         route_head: &[ResourceId],
         deps: &[TaskId],
     ) -> TaskId {
-        let cmd = graph.delay(format!("{label}.cmd"), self.cmd_latency, deps);
-        let mut route = route_head.to_vec();
-        route.push(self.write);
+        let cmd = graph.delay(format_args!("{label}.cmd"), self.cmd_latency, deps);
+        let route = route_head.iter().copied().chain(std::iter::once(self.write));
         graph.transfer(label, bytes, route, &[cmd])
     }
 }

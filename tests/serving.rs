@@ -100,22 +100,6 @@ fn ten_thousand_request_trace_is_deterministic() {
     assert_eq!(report, again, "same seed must serve bit-identically");
 }
 
-/// Intra-step sharding pin: building each step's per-device sub-graphs
-/// on N workers must change *nothing* — the whole trace report, every
-/// outcome timestamp included, is bit-identical to the serial build.
-#[test]
-fn step_thread_sharding_is_outcome_identical() {
-    let trace = TraceConfig::azure_mix(256, 42).generate().unwrap();
-    let run = |threads: usize| {
-        let cfg = ServeConfig::new(16).with_step_threads(threads);
-        let mut eng = ServeEngine::new(hilos(8, 1), cfg).unwrap();
-        eng.run_trace(&trace).unwrap()
-    };
-    let serial = run(1);
-    assert_eq!(serial.outcomes.len(), 256);
-    assert_eq!(serial, run(4), "sharded step build drifted from the serial build");
-}
-
 /// Golden pin of the FIFO policy against the pre-policy-API engine: the
 /// hard-wired admission loop of PR 2 produced exactly these numbers on
 /// the seeded Azure-mix trace, and the policy-generic engine driving
