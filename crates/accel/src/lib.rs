@@ -73,7 +73,7 @@ pub use kernel::{
 };
 #[cfg(feature = "simd")]
 pub use kernel::{attention_kernel_simd, attention_kernel_simd_with_scratch};
-pub use parallel::{attention_kernel_batch, parallel_map, with_fanout, Fanout};
+pub use parallel::{attention_kernel_batch, parallel_map};
 pub use reference::{attention_reference, attention_streaming, attention_streaming_f16};
 pub use resources::{FpgaPart, ResourceError, ResourceModel, ResourceReport};
 pub use softmax::{

@@ -3,16 +3,11 @@
 //! The build environment cannot fetch `rayon`, so this module provides
 //! the small slice of it the workspace needs on top of
 //! `std::thread::scope`: a work-stealing indexed map whose **output order
-//! is deterministic** regardless of thread scheduling ([`parallel_map`]),
-//! and a persistent owned-slot pool ([`with_fanout`]) for lockstep loops
-//! that fan out *mutable* work every iteration — spawning a scope per
-//! iteration would cost more than the iteration itself, so the workers
-//! live for the whole loop and receive one batched message per round.
-//! Workers pull item indices from a shared atomic counter (or whole
-//! batches over a channel) and send indexed results back; results are
-//! re-assembled by index, so the reduction order — and therefore every
-//! downstream floating-point aggregation — is identical to the serial
-//! order.
+//! is deterministic** regardless of thread scheduling ([`parallel_map`]).
+//! Workers pull item indices from a shared atomic counter and send
+//! indexed results back; results are re-assembled by index, so the
+//! reduction order — and therefore every downstream floating-point
+//! aggregation — is identical to the serial order.
 //!
 //! Parallelism is opt-in: callers pass the worker count explicitly, and
 //! `threads <= 1` runs inline with zero thread overhead.
@@ -67,139 +62,6 @@ where
     slots.into_iter().map(|slot| slot.expect("every index produced a result")).collect()
 }
 
-/// One worker's reply: the processed slots, or the payload of a panic
-/// raised by the caller's closure (re-raised on the submitting thread).
-type FanoutBatch<T, U> = Result<Vec<(usize, T, U)>, Box<dyn std::any::Any + Send>>;
-
-enum FanoutInner<'a, T, U> {
-    /// `threads <= 1`: apply the closure inline, no threads involved.
-    Inline(&'a (dyn Fn(usize, &mut T) -> U + Sync)),
-    /// Persistent workers, one inbox each, one shared result channel.
-    Pool { txs: Vec<mpsc::Sender<Vec<(usize, T)>>>, rx: mpsc::Receiver<FanoutBatch<T, U>> },
-}
-
-/// A persistent fan-out pool over *owned* work slots, created by
-/// [`with_fanout`].
-///
-/// Unlike [`parallel_map`] (borrowed items, one scope per call), a
-/// `Fanout` keeps its workers alive across many [`Fanout::run`] calls:
-/// each call moves the submitted slots to the workers — one batched
-/// channel message per worker, not one per item — and moves them back
-/// with their results. That makes it the right shape for lockstep
-/// simulation loops that fan out `&mut` state every iteration: the
-/// per-iteration cost is a handful of channel operations instead of a
-/// thread spawn per round.
-pub struct Fanout<'a, T, U> {
-    inner: FanoutInner<'a, T, U>,
-}
-
-impl<T, U> Fanout<'_, T, U> {
-    /// Processes every `(index, slot)` pair through the pool's closure
-    /// and returns `(index, slot, result)` triples in **unspecified
-    /// order** — callers re-assemble by index. Each slot is visited
-    /// exactly once; with `threads <= 1` everything runs inline in
-    /// submission order.
-    ///
-    /// # Panics
-    ///
-    /// A panic raised by the closure on any worker is re-raised here on
-    /// the calling thread (remaining in-flight slots are dropped).
-    pub fn run(&mut self, items: Vec<(usize, T)>) -> Vec<(usize, T, U)> {
-        match &mut self.inner {
-            FanoutInner::Inline(f) => items
-                .into_iter()
-                .map(|(i, mut item)| {
-                    let u = f(i, &mut item);
-                    (i, item, u)
-                })
-                .collect(),
-            FanoutInner::Pool { txs, rx } => {
-                let w = txs.len();
-                let mut shares: Vec<Vec<(usize, T)>> = (0..w).map(|_| Vec::new()).collect();
-                for (k, it) in items.into_iter().enumerate() {
-                    shares[k % w].push(it);
-                }
-                let mut pending = 0usize;
-                for (tx, share) in txs.iter().zip(shares) {
-                    if share.is_empty() {
-                        continue;
-                    }
-                    tx.send(share).expect("fanout worker exited before shutdown");
-                    pending += 1;
-                }
-                let mut out = Vec::new();
-                for _ in 0..pending {
-                    match rx.recv().expect("fanout worker disconnected") {
-                        Ok(mut results) => out.append(&mut results),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                out
-            }
-        }
-    }
-}
-
-/// Runs `body` with a [`Fanout`] pool of up to `threads` persistent
-/// workers applying `f` to submitted slots; the workers are joined when
-/// `body` returns (or unwinds).
-///
-/// `f` must produce the same result for the same `(index, slot)`
-/// regardless of which worker runs it — under that (purely functional)
-/// contract every [`Fanout::run`] outcome is bit-identical at any thread
-/// count, including the inline `threads <= 1` path.
-pub fn with_fanout<T, U, R>(
-    threads: usize,
-    f: impl Fn(usize, &mut T) -> U + Sync,
-    body: impl FnOnce(&mut Fanout<'_, T, U>) -> R,
-) -> R
-where
-    T: Send,
-    U: Send,
-{
-    if threads <= 1 {
-        return body(&mut Fanout { inner: FanoutInner::Inline(&f) });
-    }
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = mpsc::channel();
-        let f = &f;
-        let txs: Vec<mpsc::Sender<Vec<(usize, T)>>> = (0..threads)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel::<Vec<(usize, T)>>();
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(batch) = rx.recv() {
-                        // Catch panics from `f` and ship them back as a
-                        // result: the submitter re-raises, and this
-                        // worker exits cleanly so the scope join does
-                        // not double-panic.
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            batch
-                                .into_iter()
-                                .map(|(i, mut item)| {
-                                    let u = f(i, &mut item);
-                                    (i, item, u)
-                                })
-                                .collect::<Vec<_>>()
-                        }));
-                        let poisoned = out.is_err();
-                        if res_tx.send(out).is_err() || poisoned {
-                            break;
-                        }
-                    }
-                });
-                tx
-            })
-            .collect();
-        drop(res_tx);
-        body(&mut Fanout { inner: FanoutInner::Pool { txs, rx: res_rx } })
-        // The Fanout (and with it every work sender) drops here; workers
-        // see the hangup, exit their loop, and the scope joins them —
-        // also on the unwind path, so a panicking `body` cannot leak
-        // workers.
-    })
-}
-
 /// Runs the attention kernel over a batch of independent invocations
 /// (e.g. the query groups of all heads, or one entry per KV shard) on up
 /// to `threads` workers.
@@ -243,71 +105,6 @@ mod tests {
     fn more_threads_than_items() {
         let items = [1u32, 2, 3];
         assert_eq!(parallel_map(&items, 64, |_, &x| x * 10), vec![10, 20, 30]);
-    }
-
-    /// Drives a fanout at the given thread count through several rounds
-    /// of mutating owned slots, returning the final slot values.
-    fn drive_fanout(threads: usize, rounds: usize) -> Vec<u64> {
-        let mut slots: Vec<Option<u64>> = (0..13).map(|i| Some(i as u64)).collect();
-        with_fanout(
-            threads,
-            |i, slot: &mut u64| {
-                *slot = slot.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-                *slot >> 33
-            },
-            |pool| {
-                for round in 0..rounds {
-                    // Submit a varying subset each round, like a lockstep
-                    // loop skipping idle deployments.
-                    let items: Vec<(usize, u64)> = (0..slots.len())
-                        .filter(|i| (i + round) % 3 != 0)
-                        .map(|i| (i, slots[i].take().expect("slot present")))
-                        .collect();
-                    for (i, slot, echo) in pool.run(items) {
-                        assert_eq!(echo, slot >> 33, "result computed from updated slot");
-                        slots[i] = Some(slot);
-                    }
-                }
-            },
-        );
-        slots.into_iter().map(|s| s.expect("every slot returned")).collect()
-    }
-
-    #[test]
-    fn fanout_matches_inline_across_thread_counts_and_rounds() {
-        let serial = drive_fanout(1, 20);
-        for threads in [2, 4, 8] {
-            assert_eq!(drive_fanout(threads, 20), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fanout_handles_empty_and_oversubscribed_rounds() {
-        with_fanout(
-            4,
-            |_, slot: &mut u32| *slot + 1,
-            |pool| {
-                assert!(pool.run(Vec::new()).is_empty());
-                let one = pool.run(vec![(7, 41u32)]);
-                assert_eq!(one, vec![(7, 41, 42)]);
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "fanout worker boom")]
-    fn fanout_propagates_worker_panics() {
-        with_fanout(
-            2,
-            |i, _slot: &mut u8| {
-                if i == 3 {
-                    panic!("fanout worker boom");
-                }
-            },
-            |pool| {
-                pool.run((0..8).map(|i| (i, 0u8)).collect());
-            },
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `bench_cluster` — the multi-deployment routing smoke bench.
 //!
-//! Two measurements, recorded into `BENCH_cluster.json` (current
+//! Four measurements, recorded into `BENCH_cluster.json` (current
 //! directory, or the path given as the first argument):
 //!
 //! 1. **Routing comparison** — the seeded contended trace (384 Azure-mix
@@ -23,14 +23,13 @@
 //!    at peak for the whole run. CI gates: the keep-alive fleet beats
 //!    the reserved one on $/1k-goodput-tokens by ≥1.3×, with zero lost
 //!    requests across every scale-up, drain and retire.
-//! 4. **Fleet-scale parallel stepping** — a 32-deployment fleet on a
-//!    100k-request seeded trace, run serially and through the 4-thread
-//!    lockstep fan-out pool. The two
-//!    [`ClusterReport`](hilos_core::ClusterReport)s are asserted
-//!    bit-identical (the determinism contract), the serial-vs-parallel
-//!    wall clock and speedup are recorded next to the machine's logical
-//!    core count, and the `fleet-smoke` CI job gates speedup ≥2× on
-//!    runners with ≥4 cores.
+//! 4. **Fleet-scale stepping** — a 32-deployment fleet on a
+//!    100k-request seeded trace, run with per-deployment (cold) memo
+//!    tables and with the shared warm-start. The two runs' per-request
+//!    outcomes are asserted identical (warm-start is
+//!    outcome-transparent); the `fleet-smoke` CI job gates the fleet
+//!    shape, full completion, that equality, a warm-start speedup ≥1×
+//!    and a 60-second wall budget.
 //!
 //! ```text
 //! Usage: bench_cluster [output.json]
@@ -244,60 +243,50 @@ fn main() {
     let fixed_vs_elastic = fixed_cost_per_1k / hybrid_cost_per_1k;
     eprintln!("reserved vs keep-alive elastic $/1k-goodput: {fixed_vs_elastic:.3}x");
 
-    // -- 4: fleet-scale parallel lockstep stepping --
-    // 32 identical deployments on a 100k-request seeded trace: the same
-    // run serially and through the 4-thread fan-out pool. The simulation
-    // is bit-deterministic at any thread count, so the two ClusterReports
-    // are asserted equal outright; the speedup is recorded next to the
-    // machine's logical core count (a 1-core runner cannot show one).
+    // -- 4: fleet-scale lockstep stepping --
+    // 32 identical deployments on a 100k-request seeded trace, once with
+    // per-deployment memo tables and once with the shared warm-start.
     const FLEET_DEPLOYMENTS: usize = 32;
     const FLEET_REQUESTS: usize = 100_000;
-    const FLEET_THREADS: usize = 4;
     // Offline inference shape: the whole campaign is enqueued up front
     // (mean interarrival 0), every deployment runs a full batch every
-    // step, and the lockstep rounds are few and heavy — the regime the
-    // fan-out pool is built for.
+    // step, and the lockstep rounds are few and heavy.
     let fleet_trace =
         TraceConfig { mean_interarrival_steps: 0, ..TraceConfig::azure_mix(FLEET_REQUESTS, SEED) }
             .generate()
             .expect("valid trace config");
-    let run_fleet = |threads: usize, shared_warm_start: bool| {
+    let run_fleet = |shared_warm_start: bool| {
         let slots: Vec<ServeEngine> = (0..FLEET_DEPLOYMENTS)
             .map(|_| ServeEngine::new(hilos(4), ServeConfig::new(32)).unwrap())
             .collect();
         let mut cluster = ClusterEngine::with_config(
             slots,
             Box::new(RoundRobin::new()),
-            ClusterConfig::new()
-                .with_cluster_threads(threads)
-                .with_shared_warm_start(shared_warm_start),
+            ClusterConfig::new().with_shared_warm_start(shared_warm_start),
         );
         let start = Instant::now();
         let r = cluster.run_trace(&fleet_trace).unwrap();
         (r, start.elapsed().as_secs_f64())
     };
-    // Thread scaling on per-deployment (cold) caches: every slot does its
-    // own flow-model compute, the work the pool actually spreads.
-    let (fleet_serial, serial_s) = run_fleet(1, false);
-    let (fleet_parallel, parallel_s) = run_fleet(FLEET_THREADS, false);
-    let reports_identical = fleet_serial == fleet_parallel;
-    assert!(reports_identical, "thread count must not change any report field");
-    assert_eq!(fleet_serial.completed(), FLEET_REQUESTS, "fleet trace must complete");
-    let fleet_speedup = serial_s / parallel_s;
-    // The second perf layer: 32 identical deployments sharing one
+    // Cold caches: every slot does its own flow-model compute.
+    let (fleet_cold, cold_s) = run_fleet(false);
+    assert_eq!(fleet_cold.completed(), FLEET_REQUESTS, "fleet trace must complete");
+    // The shared warm-start: 32 identical deployments sharing one
     // copy-on-write step-cache memo table. Same outcomes, one deployment
     // computes each step value, the other 31 reuse it.
-    let (fleet_shared, shared_s) = run_fleet(1, true);
-    for (d, (a, b)) in fleet_serial.deployments.iter().zip(&fleet_shared.deployments).enumerate() {
-        assert_eq!(a.outcomes, b.outcomes, "warm-start sharing changed deployment {d} outcomes");
-    }
-    let warm_start_speedup = serial_s / shared_s;
+    let (fleet_shared, shared_s) = run_fleet(true);
+    let warm_start_outcomes_identical = fleet_cold
+        .deployments
+        .iter()
+        .zip(&fleet_shared.deployments)
+        .all(|(a, b)| a.outcomes == b.outcomes);
+    assert!(warm_start_outcomes_identical, "warm-start sharing changed deployment outcomes");
+    let warm_start_speedup = cold_s / shared_s;
     let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     eprintln!(
-        "fleet: {FLEET_DEPLOYMENTS} deployments x {FLEET_REQUESTS} requests, serial {serial_s:.2}s \
-         vs {FLEET_THREADS}-thread {parallel_s:.2}s = {fleet_speedup:.2}x \
-         ({logical_cores} logical cores, reports identical: {reports_identical}); \
-         shared warm-start serial {shared_s:.2}s = {warm_start_speedup:.2}x",
+        "fleet: {FLEET_DEPLOYMENTS} deployments x {FLEET_REQUESTS} requests, cold caches \
+         {cold_s:.2}s, shared warm-start {shared_s:.2}s = {warm_start_speedup:.2}x \
+         ({logical_cores} logical cores, outcomes identical: {warm_start_outcomes_identical})",
     );
 
     let json = format!(
@@ -322,11 +311,11 @@ fn main() {
          \"fixed_vs_elastic_cost_per_1k\": {fixed_vs_elastic:.4}\n  }},\n  \
          \"fleet\": {{\"deployments\": {FLEET_DEPLOYMENTS}, \"requests\": {FLEET_REQUESTS}, \
          \"seed\": {SEED}, \"logical_cores\": {logical_cores}, \
-         \"serial_seconds\": {serial_s:.4}, \"threads\": {FLEET_THREADS}, \
-         \"parallel_seconds\": {parallel_s:.4}, \"speedup\": {fleet_speedup:.4}, \
-         \"warm_start_serial_seconds\": {shared_s:.4}, \
+         \"cold_seconds\": {cold_s:.4}, \
+         \"warm_start_seconds\": {shared_s:.4}, \
          \"warm_start_speedup\": {warm_start_speedup:.4}, \
-         \"reports_identical\": {reports_identical}, \"completed\": {}}}\n}}\n",
+         \"warm_start_outcomes_identical\": {warm_start_outcomes_identical}, \
+         \"completed\": {}}}\n}}\n",
         policy_rows.join(",\n    "),
         balanced.len(),
         rd.preemptions(),
@@ -336,7 +325,7 @@ fn main() {
         reserved_bill.cost_usd(),
         fixed_report.elapsed_s(),
         fixed_report.completed(),
-        fleet_serial.completed(),
+        fleet_cold.completed(),
     );
     std::fs::write(&out_path, &json).expect("write BENCH_cluster.json");
     println!("{json}");

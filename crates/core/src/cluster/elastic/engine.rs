@@ -12,30 +12,16 @@ use crate::cluster::ClusterConfig;
 use crate::runner::CoreError;
 use crate::serve::engine::{QueueEntry, RunState, SharedStepCache, StepProgress};
 use crate::serve::ServeEngine;
-use hilos_accel::with_fanout;
 use hilos_llm::{DeploymentId, Request};
 use hilos_metrics::{FleetBill, SlotBill};
 use hilos_trace::{EventKind, NO_REQUEST};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One deployment's engine plus its live run state — the unit phase A
-/// moves to a fan-out worker and back. `Option`-wrapped in the driver so
-/// a slot can be checked out for its iteration and checked back in.
-type Slot = (ServeEngine, RunState);
-
-/// One slot's phase-A result: its serving-iteration outcome plus the
-/// victims it just preempted.
-type PhaseA = (Result<StepProgress, CoreError>, Vec<QueueEntry>);
-
 /// Records a lifecycle transition: into the audit trail, and into the
 /// slot's event ring as the matching trace event (the ring carries the
 /// serving-interleaved view).
-fn log_transition(
-    slots: &mut [Option<Slot>],
-    events: &mut Vec<LifecycleEvent>,
-    ev: LifecycleEvent,
-) {
+fn log_transition(states: &mut [RunState], events: &mut Vec<LifecycleEvent>, ev: LifecycleEvent) {
     let kind = match ev.to {
         LifecycleState::Provisioning => EventKind::ScaleUp,
         LifecycleState::Warming => EventKind::Warming,
@@ -43,8 +29,7 @@ fn log_transition(
         LifecycleState::Draining => EventKind::Drain,
         LifecycleState::Retired => EventKind::Retired,
     };
-    let (_, st) = slots[ev.deployment as usize].as_mut().expect("slot checked in");
-    st.emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
+    states[ev.deployment as usize].emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
     events.push(ev);
 }
 
@@ -58,14 +43,16 @@ fn log_transition(
 /// delta: the *durations* accrued so far survive the move — TTFT/e2e
 /// then sum busy time spent on each deployment, stay non-negative, and
 /// keep `first_token_s <= finished_s`.
-fn migrate(slots: &mut [Option<Slot>], from: usize, to: usize, mut entry: QueueEntry) {
-    let from_clock = {
-        let (eng, st) = slots[from].as_mut().expect("slot checked in");
-        eng.forget_demoted(st, entry.req.id);
-        st.clock
-    };
-    let (eng, st) = slots[to].as_mut().expect("slot checked in");
-    let shift = st.clock - from_clock;
+fn migrate(
+    engines: &mut [ServeEngine],
+    states: &mut [RunState],
+    from: usize,
+    to: usize,
+    mut entry: QueueEntry,
+) {
+    engines[from].forget_demoted(&mut states[from], entry.req.id);
+    let shift = states[to].clock - states[from].clock;
+    let st = &mut states[to];
     entry.arrival_s += shift;
     entry.first_token_s = entry.first_token_s.map(|t| t + shift);
     entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
@@ -79,7 +66,7 @@ fn migrate(slots: &mut [Option<Slot>], from: usize, to: usize, mut entry: QueueE
             emitted: entry.emitted,
         },
     );
-    eng.requeue(st, entry);
+    engines[to].requeue(st, entry);
 }
 
 /// Fleet-elasticity knobs.
@@ -101,8 +88,8 @@ pub struct ElasticConfig {
     /// is *stepwise*: the slot keeps serving what it still holds while
     /// the cluster migrates this many requests per step.
     pub drain_batch: usize,
-    /// Cluster-execution knobs (lockstep fan-out width, shared
-    /// warm-start): any `cluster_threads` value is bit-identical.
+    /// Cluster-execution settings (the shared warm-start, which is
+    /// outcome-transparent).
     pub cluster: ClusterConfig,
 }
 
@@ -272,18 +259,13 @@ impl ElasticClusterEngine {
     }
 
     /// The read-only per-slot views routing and autoscaling decide on.
-    fn slot_views(
-        lifecycles: &[DeploymentLifecycle],
-        slots: &[Option<Slot>],
-        dispatched: &[u64],
-        costs: &[(f64, f64)],
-    ) -> Vec<DeploymentView> {
-        slots
+    fn slot_views(&self, states: &[RunState], dispatched: &[u64]) -> Vec<DeploymentView> {
+        self.engines
             .iter()
-            .zip(dispatched.iter().zip(costs))
-            .zip(lifecycles)
-            .map(|((slot, (&dispatched, &(hourly_cost_usd, _))), lc)| {
-                let (eng, st) = slot.as_ref().expect("slot checked in");
+            .zip(states)
+            .zip(dispatched.iter().zip(&self.costs))
+            .zip(&self.lifecycles)
+            .map(|(((eng, st), (&dispatched, &(hourly_cost_usd, _))), lc)| {
                 let ledger = eng.ledger();
                 DeploymentView {
                     id: eng.deployment().0,
@@ -306,11 +288,11 @@ impl ElasticClusterEngine {
     /// Least-loaded Active slot (ties to the lower index) — the fallback
     /// target when a routing policy misbehaves. The engine never drains
     /// below `min_active >= 1`, so an Active slot always exists.
-    fn least_loaded_active(lifecycles: &[DeploymentLifecycle], slots: &[Option<Slot>]) -> usize {
-        (0..slots.len())
-            .filter(|&d| lifecycles[d].state() == LifecycleState::Active)
+    fn least_loaded_active(&self, states: &[RunState]) -> usize {
+        (0..states.len())
+            .filter(|&d| self.lifecycles[d].state() == LifecycleState::Active)
             .min_by_key(|&d| {
-                let st = &slots[d].as_ref().expect("slot checked in").1;
+                let st = &states[d];
                 (st.queued_len() + st.prefilling_len() + st.decoding_len(), d)
             })
             .expect("min_active >= 1 keeps at least one slot Active")
@@ -324,21 +306,18 @@ impl ElasticClusterEngine {
     /// run can still complete. Last, the lifecycle is *enforced*: a pick
     /// that lands on a non-Active slot is overridden to the least-loaded
     /// Active one.
-    #[allow(clippy::too_many_arguments)]
     fn route_slots(
-        routing: &mut dyn RoutingPolicy,
-        lifecycles: &[DeploymentLifecycle],
-        slots: &[Option<Slot>],
+        &mut self,
+        states: &[RunState],
         dispatched: &[u64],
-        costs: &[(f64, f64)],
         step: u64,
         request: RouteRequest,
         misrouted: &mut u64,
     ) -> usize {
-        let views = Self::slot_views(lifecycles, slots, dispatched, costs);
+        let views = self.slot_views(states, dispatched);
         let snapshot = ClusterSnapshot { step, deployments: &views };
-        let n = slots.len();
-        let mut d = routing.route(&request, &snapshot);
+        let n = states.len();
+        let mut d = self.routing.route(&request, &snapshot);
         if d >= n {
             debug_assert!(
                 false,
@@ -347,10 +326,10 @@ impl ElasticClusterEngine {
             *misrouted += 1;
             d = n - 1;
         }
-        if lifecycles[d].state() == LifecycleState::Active {
+        if self.lifecycles[d].state() == LifecycleState::Active {
             d
         } else {
-            Self::least_loaded_active(lifecycles, slots)
+            self.least_loaded_active(states)
         }
     }
 
@@ -393,14 +372,7 @@ impl ElasticClusterEngine {
         let cold_start_steps =
             self.lifecycles.iter().map(|lc| lc.cold_start().total_steps(hint)).max().unwrap_or(1);
 
-        let threads = self.config.cluster.cluster_threads.min(n);
-        let mut slots: Vec<Option<Slot>> = std::mem::take(&mut self.engines)
-            .into_iter()
-            .map(|e| {
-                let st = e.new_run_state();
-                Some((e, st))
-            })
-            .collect();
+        let mut states: Vec<RunState> = self.engines.iter().map(|e| e.new_run_state()).collect();
         let mut dispatched = vec![0u64; n];
         let mut redispatches = 0u64;
         let mut misrouted = 0u64;
@@ -413,293 +385,220 @@ impl ElasticClusterEngine {
         let mut peak_active = self.config.initial_active;
         let mut cold_start_s = vec![0.0f64; n];
 
-        // Phase A's unit of work: one slot's serving iteration plus the
-        // drain of its freshly preempted victims. Touches only the slot
-        // it is handed — the determinism contract.
-        let advance = |_d: usize, slot: &mut Slot| -> PhaseA {
-            let (eng, st) = slot;
-            match eng.advance_once(st) {
-                Ok(p) => (Ok(p), st.drain_just_preempted()),
-                Err(e) => (Err(e), Vec::new()),
+        let mut idx = 0usize;
+        let mut gstep = 0u64;
+        // Phase A's output, one entry per slot that advanced: its
+        // progress and the victims it just preempted.
+        let mut advanced: Vec<(usize, StepProgress, Vec<QueueEntry>)> = Vec::new();
+        loop {
+            // 1: lifecycle transits — cold starts whose thresholds have
+            // passed turn Warming/Active.
+            for (d, lifecycle) in self.lifecycles.iter_mut().enumerate() {
+                for ev in lifecycle.tick(gstep, d as u32) {
+                    log_transition(&mut states, &mut events, ev);
+                }
             }
-        };
+            let active_now =
+                self.lifecycles.iter().filter(|l| l.state() == LifecycleState::Active).count();
+            peak_active = peak_active.max(active_now);
 
-        let run: Result<(), CoreError> = with_fanout(threads, advance, |pool| {
-            let mut idx = 0usize;
-            let mut gstep = 0u64;
-            let mut results: Vec<Option<PhaseA>> = (0..n).map(|_| None).collect();
-            loop {
-                // 1: lifecycle transits — cold starts whose thresholds have
-                // passed turn Warming/Active.
-                for (d, lifecycle) in self.lifecycles.iter_mut().enumerate() {
-                    for ev in lifecycle.tick(gstep, d as u32) {
-                        log_transition(&mut slots, &mut events, ev);
-                    }
-                }
-                let active_now =
-                    self.lifecycles.iter().filter(|l| l.state() == LifecycleState::Active).count();
-                peak_active = peak_active.max(active_now);
-
-                // 2: autoscale — skipped once the trace is exhausted (no
-                // arrival can ever justify new capacity, and a predictive
-                // policy must not re-provision what the tail is retiring).
-                if idx < trace.len() {
-                    let arrivals_now =
-                        trace[idx..].iter().take_while(|r| r.arrival_step <= gstep).count();
-                    let views =
-                        Self::slot_views(&self.lifecycles, &slots, &dispatched, &self.costs);
-                    let snap = FleetSnapshot {
-                        step: gstep,
-                        arrivals_this_step: arrivals_now,
-                        cold_start_steps,
-                        min_active,
-                        deployments: &views,
-                    };
-                    match self.autoscale.decide(&snap) {
-                        ScaleDecision::Hold => {}
-                        ScaleDecision::ScaleUp { count } => {
-                            for _ in 0..count {
-                                // Lowest-indexed Retired slot first.
-                                let Some(d) = (0..n).find(|&d| {
-                                    self.lifecycles[d].state() == LifecycleState::Retired
-                                }) else {
-                                    break;
-                                };
-                                if let Some(ev) =
-                                    self.lifecycles[d].begin_provision(gstep, hint, d as u32)
-                                {
-                                    log_transition(&mut slots, &mut events, ev);
-                                    scale_ups += 1;
-                                    cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
-                                }
+            // 2: autoscale — skipped once the trace is exhausted (no
+            // arrival can ever justify new capacity, and a predictive
+            // policy must not re-provision what the tail is retiring).
+            if idx < trace.len() {
+                let arrivals_now =
+                    trace[idx..].iter().take_while(|r| r.arrival_step <= gstep).count();
+                let views = self.slot_views(&states, &dispatched);
+                let snap = FleetSnapshot {
+                    step: gstep,
+                    arrivals_this_step: arrivals_now,
+                    cold_start_steps,
+                    min_active,
+                    deployments: &views,
+                };
+                match self.autoscale.decide(&snap) {
+                    ScaleDecision::Hold => {}
+                    ScaleDecision::ScaleUp { count } => {
+                        for _ in 0..count {
+                            // Lowest-indexed Retired slot first.
+                            let Some(d) = (0..n)
+                                .find(|&d| self.lifecycles[d].state() == LifecycleState::Retired)
+                            else {
+                                break;
+                            };
+                            if let Some(ev) =
+                                self.lifecycles[d].begin_provision(gstep, hint, d as u32)
+                            {
+                                log_transition(&mut states, &mut events, ev);
+                                scale_ups += 1;
+                                cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
                             }
                         }
-                        ScaleDecision::ScaleDown { count } => {
-                            for _ in 0..count {
-                                let active: Vec<usize> = (0..n)
-                                    .filter(|&d| {
-                                        self.lifecycles[d].state() == LifecycleState::Active
-                                    })
-                                    .collect();
-                                if active.len() <= min_active {
-                                    break;
-                                }
-                                // Least-loaded first; ties drain the highest
-                                // index (the most recently provisioned spare).
-                                let d = *active
-                                    .iter()
-                                    .min_by_key(|&&d| {
-                                        let st = &slots[d].as_ref().expect("slot checked in").1;
-                                        let load = st.queued_len()
-                                            + st.prefilling_len()
-                                            + st.decoding_len();
-                                        (load, usize::MAX - d)
-                                    })
-                                    .expect("non-empty active list");
-                                if let Some(ev) = self.lifecycles[d].begin_drain(gstep, d as u32) {
-                                    log_transition(&mut slots, &mut events, ev);
-                                    drains += 1;
-                                }
+                    }
+                    ScaleDecision::ScaleDown { count } => {
+                        for _ in 0..count {
+                            let active: Vec<usize> = (0..n)
+                                .filter(|&d| self.lifecycles[d].state() == LifecycleState::Active)
+                                .collect();
+                            if active.len() <= min_active {
+                                break;
+                            }
+                            // Least-loaded first; ties drain the highest
+                            // index (the most recently provisioned spare).
+                            let d = *active
+                                .iter()
+                                .min_by_key(|&&d| {
+                                    let st = &states[d];
+                                    let load =
+                                        st.queued_len() + st.prefilling_len() + st.decoding_len();
+                                    (load, usize::MAX - d)
+                                })
+                                .expect("non-empty active list");
+                            if let Some(ev) = self.lifecycles[d].begin_drain(gstep, d as u32) {
+                                log_transition(&mut states, &mut events, ev);
+                                drains += 1;
                             }
                         }
                     }
                 }
+            }
 
-                // 3: dispatch arrivals up to the global serving step.
-                while idx < trace.len() && trace[idx].arrival_step <= gstep {
-                    let req = trace[idx];
-                    let view = RouteRequest::of(&req, 0, false);
-                    let d = Self::route_slots(
-                        self.routing.as_mut(),
-                        &self.lifecycles,
-                        &slots,
-                        &dispatched,
-                        &self.costs,
-                        gstep,
-                        view,
-                        &mut misrouted,
-                    );
-                    dispatched[d] += 1;
-                    let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                    st.emit(DeploymentId(d as u32), req.id, EventKind::Routed);
-                    eng.enqueue_arrival(st, req);
-                    idx += 1;
+            // 3: dispatch arrivals up to the global serving step.
+            while idx < trace.len() && trace[idx].arrival_step <= gstep {
+                let req = trace[idx];
+                let view = RouteRequest::of(&req, 0, false);
+                let d = self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
+                dispatched[d] += 1;
+                states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
+                self.engines[d].enqueue_arrival(&mut states[d], req);
+                idx += 1;
+            }
+
+            // 4: live drain — Draining slots evacuate queued work
+            // wholesale and in-flight work a batch per step, migrating
+            // each request (progress retained, timestamps re-based onto
+            // the target's clock, demoted KV dropped at the source), and
+            // retire once empty.
+            for d in 0..n {
+                if self.lifecycles[d].state() != LifecycleState::Draining {
+                    continue;
                 }
+                let (eng, st) = (&mut self.engines[d], &mut states[d]);
+                let mut moved = eng.evacuate_queued(st);
+                moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
+                for entry in moved {
+                    let view = RouteRequest::of(&entry.req, entry.emitted, true);
+                    let target =
+                        self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
+                    redispatches += 1;
+                    drained_requests += 1;
+                    migrate(&mut self.engines, &mut states, d, target, entry);
+                }
+                if !states[d].has_work() {
+                    if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
+                        log_transition(&mut states, &mut events, ev);
+                        retires += 1;
+                    }
+                }
+            }
 
-                // 4: live drain — Draining slots evacuate queued work
-                // wholesale and in-flight work a batch per step, migrating
-                // each request (progress retained, timestamps re-based onto
-                // the target's clock, demoted KV dropped at the source), and
-                // retire once empty.
-                for d in 0..n {
-                    if self.lifecycles[d].state() != LifecycleState::Draining {
-                        continue;
-                    }
-                    let moved = {
-                        let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                        let mut moved = eng.evacuate_queued(st);
-                        moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
-                        moved
-                    };
-                    for entry in moved {
-                        let view = RouteRequest::of(&entry.req, entry.emitted, true);
-                        let target = Self::route_slots(
-                            self.routing.as_mut(),
-                            &self.lifecycles,
-                            &slots,
-                            &dispatched,
-                            &self.costs,
-                            gstep,
-                            view,
-                            &mut misrouted,
-                        );
-                        redispatches += 1;
-                        drained_requests += 1;
-                        migrate(&mut slots, d, target, entry);
-                    }
-                    if !slots[d].as_ref().expect("slot checked in").1.has_work() {
+            // 5: fully idle everywhere — jump time or finish.
+            if !states.iter().any(RunState::has_work) {
+                if idx >= trace.len() {
+                    let pending: Vec<usize> = (0..n)
+                        .filter(|&d| {
+                            matches!(
+                                self.lifecycles[d].state(),
+                                LifecycleState::Provisioning | LifecycleState::Warming
+                            )
+                        })
+                        .collect();
+                    // Trace exhausted with cold starts still in flight:
+                    // cancel them — there is nothing left to serve (the
+                    // wasted cold start stays billed; mispredictions
+                    // cost money).
+                    for d in pending {
                         if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                            log_transition(&mut slots, &mut events, ev);
+                            log_transition(&mut states, &mut events, ev);
                             retires += 1;
                         }
                     }
+                    break;
                 }
-
-                // 5: fully idle everywhere — jump time or finish.
-                if !slots.iter().any(|s| s.as_ref().expect("slot checked in").1.has_work()) {
-                    if idx >= trace.len() {
-                        let pending: Vec<usize> = (0..n)
-                            .filter(|&d| {
-                                matches!(
-                                    self.lifecycles[d].state(),
-                                    LifecycleState::Provisioning | LifecycleState::Warming
-                                )
-                            })
-                            .collect();
-                        if pending.is_empty() {
-                            break;
-                        }
-                        // Trace exhausted with cold starts still in flight:
-                        // cancel them — there is nothing left to serve (the
-                        // wasted cold start stays billed; mispredictions
-                        // cost money).
-                        for d in pending {
-                            if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                                log_transition(&mut slots, &mut events, ev);
-                                retires += 1;
-                            }
-                        }
-                        break;
-                    }
-                    // Wake at the next arrival, the next lifecycle
-                    // transition, or the autoscaler's pre-warm point,
-                    // whichever comes first.
-                    let mut wake = trace[idx].arrival_step;
-                    for lc in &self.lifecycles {
-                        if let Some(t) = lc.next_transition_step() {
-                            wake = wake.min(t);
-                        }
-                    }
-                    let views =
-                        Self::slot_views(&self.lifecycles, &slots, &dispatched, &self.costs);
-                    let snap = FleetSnapshot {
-                        step: gstep,
-                        arrivals_this_step: 0,
-                        cold_start_steps,
-                        min_active,
-                        deployments: &views,
-                    };
-                    if let Some(p) = self.autoscale.prewarm_at(&snap) {
-                        if p > gstep {
-                            wake = wake.min(p);
-                        }
-                    }
-                    gstep = wake.max(gstep + 1);
-                    continue;
-                }
-
-                // 6: one lockstep iteration of every slot with work, in two
-                // phases. Phase A fans the independent per-slot iterations
-                // out over the worker pool; phase B merges progress and
-                // offers fresh victims back to the router in
-                // deployment-index order (a victim preempted on a Draining
-                // slot re-routes onto an Active one). Their engine
-                // re-queued them locally, and draining and re-queuing on
-                // the same slot is a no-op, so a router that keeps them
-                // local preserves single-engine behavior exactly.
-                let mut batch: Vec<(usize, Slot)> = Vec::new();
-                for (d, slot) in slots.iter_mut().enumerate() {
-                    let has_work = slot.as_ref().expect("slot checked in").1.has_work();
-                    if !has_work {
-                        continue;
-                    }
-                    let mut s = slot.take().expect("slot checked in");
-                    s.1.step = gstep;
-                    batch.push((d, s));
-                }
-                for (d, slot, out) in pool.run(batch) {
-                    slots[d] = Some(slot);
-                    results[d] = Some(out);
-                }
-
-                let mut all_stalled = true;
-                for d in 0..n {
-                    let Some((progress, moved)) = results[d].take() else {
-                        continue;
-                    };
-                    let progress = progress?;
-                    if progress != StepProgress::Stalled {
-                        all_stalled = false;
-                    }
-                    for entry in moved {
-                        let view = RouteRequest::of(&entry.req, entry.emitted, true);
-                        let target = Self::route_slots(
-                            self.routing.as_mut(),
-                            &self.lifecycles,
-                            &slots,
-                            &dispatched,
-                            &self.costs,
-                            gstep,
-                            view,
-                            &mut misrouted,
-                        );
-                        if target == d {
-                            let (eng, st) = slots[d].as_mut().expect("slot checked in");
-                            eng.requeue(st, entry);
-                        } else {
-                            redispatches += 1;
-                            migrate(&mut slots, d, target, entry);
-                        }
+                // Wake at the next arrival, the next lifecycle
+                // transition, or the autoscaler's pre-warm point,
+                // whichever comes first.
+                let mut wake = trace[idx].arrival_step;
+                for lc in &self.lifecycles {
+                    if let Some(t) = lc.next_transition_step() {
+                        wake = wake.min(t);
                     }
                 }
-                if all_stalled {
-                    if idx >= trace.len() {
-                        return Err(CoreError::SchedulerStalled {
-                            queued: slots
-                                .iter()
-                                .map(|s| s.as_ref().expect("slot checked in").1.queued_len())
-                                .sum(),
-                        });
+                let views = self.slot_views(&states, &dispatched);
+                let snap = FleetSnapshot {
+                    step: gstep,
+                    arrivals_this_step: 0,
+                    cold_start_steps,
+                    min_active,
+                    deployments: &views,
+                };
+                if let Some(p) = self.autoscale.prewarm_at(&snap) {
+                    if p > gstep {
+                        wake = wake.min(p);
                     }
-                    gstep = trace[idx].arrival_step;
-                    continue;
                 }
-                gstep += 1;
+                gstep = wake.max(gstep + 1);
+                continue;
             }
-            Ok(())
-        });
 
-        // Check every slot back into the engine before surfacing any
-        // error — a failed run must not eat the deployments.
-        let mut engines = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        for s in slots {
-            let (eng, st) = s.expect("every slot checked back in");
-            engines.push(eng);
-            states.push(st);
+            // 6: one lockstep iteration of every slot with work, in two
+            // phases. Phase A advances each busy slot in place, in
+            // deployment-index order; phase B then merges progress and
+            // offers fresh victims back to the router in the same order
+            // (a victim preempted on a Draining slot re-routes onto an
+            // Active one). Their engine re-queued them locally, and
+            // draining and re-queuing on the same slot is a no-op, so a
+            // router that keeps them local preserves single-engine
+            // behavior exactly. Routing waits for phase B so that no
+            // victim lands on a slot that has yet to run this step's
+            // iteration.
+            for (d, (eng, st)) in self.engines.iter_mut().zip(&mut states).enumerate() {
+                if !st.has_work() {
+                    continue;
+                }
+                st.step = gstep;
+                let progress = eng.advance_once(st)?;
+                advanced.push((d, progress, st.drain_just_preempted()));
+            }
+
+            let mut all_stalled = true;
+            for (d, progress, moved) in advanced.drain(..) {
+                if progress != StepProgress::Stalled {
+                    all_stalled = false;
+                }
+                for entry in moved {
+                    let view = RouteRequest::of(&entry.req, entry.emitted, true);
+                    let target =
+                        self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
+                    if target == d {
+                        self.engines[d].requeue(&mut states[d], entry);
+                    } else {
+                        redispatches += 1;
+                        migrate(&mut self.engines, &mut states, d, target, entry);
+                    }
+                }
+            }
+            if all_stalled {
+                if idx >= trace.len() {
+                    return Err(CoreError::SchedulerStalled {
+                        queued: states.iter().map(RunState::queued_len).sum(),
+                    });
+                }
+                gstep = trace[idx].arrival_step;
+                continue;
+            }
+            gstep += 1;
         }
-        self.engines = engines;
-        run?;
 
         let deployments: Vec<_> =
             self.engines.iter().zip(states).map(|(eng, st)| eng.finish(st)).collect();

@@ -71,28 +71,26 @@
 //!
 //! The loop executes every global step in two phases. **Phase A
 //! (advance)**: each deployment with work runs one serving iteration
-//! ([`ServeEngine::advance_once`](crate::ServeEngine)) touching only its
-//! own state — queues, batch, ledgers, step caches, trace sink all live
-//! inside the slot. Because the iterations are independent, they fan
-//! out over a persistent worker pool
-//! ([`ClusterConfig::with_cluster_threads`]) when one is configured.
-//! **Phase B (merge)**: back on the calling thread, the per-slot results
-//! (each slot's step progress plus its freshly preempted victims) are
-//! folded **in deployment-index order** — stall detection, victim
-//! re-routing and cross-deployment migration happen here, serially,
-//! as do the lifecycle transitions and autoscale decisions that open
-//! each step.
+//! ([`ServeEngine::advance_once`](crate::ServeEngine)) in place, in
+//! deployment-index order, touching only its own state — queues,
+//! batch, ledgers, step caches and trace sink all live inside the slot.
+//! **Phase B (merge)**: the per-slot results (each slot's step progress
+//! plus its freshly preempted victims) are folded **in
+//! deployment-index order** — stall detection, victim re-routing and
+//! cross-deployment migration happen here, as do the lifecycle
+//! transitions and autoscale decisions that open each step. Routing
+//! waits for phase B so that a victim never lands on a slot before that
+//! slot's own iteration of the step.
 //!
 //! # Determinism
 //!
-//! The two-phase split is the determinism contract: every routing
-//! decision, migration, trace event and report field depends only on
-//! the phase-B fold, whose inputs and order are independent of how
-//! phase A was scheduled. A run is therefore **bit-identical at any
-//! `cluster_threads` value** — same [`ClusterReport`], same
-//! [`ElasticReport`], same event-stream FNV — and threads only change
-//! wall-clock time. Likewise the copy-on-write shared warm-start
-//! (identical-model deployments sharing one step-cache memo table,
+//! Every routing decision, migration, trace event and report field is a
+//! function of the trace, the configuration and the fixed slot order
+//! alone — no wall clock, OS randomness or hash-order iteration reaches
+//! a decision — so a run reproduces bit for bit: same
+//! [`ClusterReport`], same [`ElasticReport`], same event-stream FNV.
+//! The copy-on-write shared warm-start (identical-model deployments
+//! sharing one step-cache memo table,
 //! [`ClusterConfig::with_shared_warm_start`]) is outcome-transparent:
 //! cached step values are pure functions of their keys, so sharing
 //! changes only which deployment computes an entry first, never what

@@ -9,15 +9,12 @@ use crate::runner::CoreError;
 use crate::serve::ServeEngine;
 use hilos_llm::Request;
 
-/// Cluster-execution knobs of the lockstep loop, taken by
-/// [`ClusterEngine::with_config`] and carried by
+/// Cluster-execution settings of the lockstep loop — today only the
+/// shared warm-start — taken by [`ClusterEngine::with_config`] and
+/// carried by
 /// [`ElasticConfig::cluster`](super::elastic::ElasticConfig::cluster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// Worker threads for the phase-A lockstep fan-out. `1` (the
-    /// default) advances deployments inline on the driving thread; any
-    /// value produces bit-identical reports and trace streams.
-    pub cluster_threads: usize,
     /// Share one step/prefill memo table among deployments with
     /// identical system fingerprints (on by default), so the fleet pays
     /// each memoization miss once instead of once per twin — and a
@@ -29,22 +26,14 @@ pub struct ClusterConfig {
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig { cluster_threads: 1, shared_warm_start: true }
+        ClusterConfig { shared_warm_start: true }
     }
 }
 
 impl ClusterConfig {
-    /// The default configuration: single-threaded stepping, shared
-    /// warm-start on.
+    /// The default configuration: shared warm-start on.
     pub fn new() -> Self {
         ClusterConfig::default()
-    }
-
-    /// Sets the lockstep fan-out width (clamped to at least 1).
-    #[must_use]
-    pub fn with_cluster_threads(mut self, threads: usize) -> Self {
-        self.cluster_threads = threads.max(1);
-        self
     }
 
     /// Enables or disables the fingerprint-grouped shared memo tables.
@@ -86,11 +75,11 @@ impl ClusterConfig {
 ///
 /// # Determinism
 ///
-/// The shared loop's two-phase step (per-slot advance fanned out over
-/// the worker pool, then a serial merge in deployment-index order where
-/// every routing and migration decision happens) makes reports, golden
-/// FNV pins and traced event streams bit-identical at any
-/// `cluster_threads`; the thread count only changes wall-clock.
+/// The shared loop's two-phase step (every busy slot advances in place,
+/// then a merge in deployment-index order makes every routing and
+/// migration decision) makes a run a deterministic function of its
+/// trace and configuration: reports, golden FNV pins and traced event
+/// streams reproduce bit for bit.
 ///
 /// # Examples
 ///
@@ -139,7 +128,7 @@ impl ClusterEngine {
         ClusterEngine::with_config(deployments, routing, ClusterConfig::default())
     }
 
-    /// [`ClusterEngine::new`] with explicit execution knobs.
+    /// [`ClusterEngine::new`] with explicit execution settings.
     ///
     /// # Panics
     ///

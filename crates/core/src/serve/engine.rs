@@ -333,9 +333,8 @@ struct CachedStep {
 ///
 /// Read-mostly: lookups take the read lock, only misses take the write
 /// lock. A cached value is a *pure function* of its key given the shared
-/// fingerprint, so concurrent double-computes insert the same bits and
-/// the simulation outcome is independent of which deployment (or thread)
-/// filled an entry first — the cache changes wall-clock, never results.
+/// fingerprint, so the simulation outcome is independent of which
+/// deployment filled an entry first — the cache changes wall-clock, never results.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStepCache {
     steps: RwLock<HashMap<StepKey, CachedStep>>,
@@ -1687,8 +1686,8 @@ impl ServeEngine {
             step_cache_entries: match &self.shared_cache {
                 // The shared table is the deterministic union of every
                 // group member's (identical-per-deployment) key set —
-                // the same number at any thread count, and equal to the
-                // local count for a group of one.
+                // the same number whichever member filled it, and equal
+                // to the local count for a group of one.
                 Some(shared) => shared.steps.read().expect("shared step cache poisoned").len(),
                 None => self.step_cache.len(),
             },

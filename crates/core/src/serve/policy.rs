@@ -102,9 +102,9 @@ pub enum SchedDecision {
 
 /// An admission/preemption policy consulted once per serving step.
 ///
-/// `Send` is a supertrait so a deployment (engine + policy) can be
-/// handed to a cluster fan-out worker for its lockstep iteration; every
-/// shipped policy is plain owned data.
+/// `Send` is a supertrait so a deployment (engine + policy) can move to
+/// another thread, for instance to run independent engines side by
+/// side; every shipped policy is plain owned data.
 pub trait SchedulingPolicy: fmt::Debug + Send {
     /// Stable policy name, recorded in
     /// [`TraceReport::policy`](super::TraceReport::policy).

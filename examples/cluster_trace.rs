@@ -11,19 +11,14 @@
 //! scale-up/drain/retire instants included) as a Chrome/Perfetto JSON
 //! document that <https://ui.perfetto.dev> opens directly.
 //!
-//! Pass `--cluster-threads <n>` to step the deployments through the
-//! lockstep fan-out pool — every table is bit-identical at any thread
-//! count; only wall-clock time changes.
-//!
 //! ```sh
-//! cargo run --release --example cluster_trace -- \
-//!     --trace-out cluster.trace.json --cluster-threads 4
+//! cargo run --release --example cluster_trace -- --trace-out cluster.trace.json
 //! ```
 
 use hilos::core::cluster::{
-    AutoscalePolicy, ClusterConfig, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine,
-    ElasticConfig, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin,
-    RoutingPolicy, TargetPressureScaler,
+    AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
+    HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin, RoutingPolicy,
+    TargetPressureScaler,
 };
 use hilos::core::{
     ChunkMode, HilosConfig, HilosSystem, PrefixCacheConfig, ServeConfig, ServeEngine,
@@ -51,31 +46,14 @@ fn deployment(n: usize, degraded: Option<(usize, f64)>) -> ServeEngine {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut cluster_threads = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--trace-out" => {
                 trace_out = Some(args.next().expect("--trace-out needs a path").into());
             }
-            "--cluster-threads" => {
-                cluster_threads = args
-                    .next()
-                    .expect("--cluster-threads needs a count")
-                    .parse()
-                    .expect("--cluster-threads needs a number");
-            }
-            other => panic!(
-                "unknown argument {other:?} \
-                 (supported: --trace-out <path>, --cluster-threads <n>)"
-            ),
+            other => panic!("unknown argument {other:?} (supported: --trace-out <path>)"),
         }
-    }
-    // Every run below is bit-identical at any thread count — the flag
-    // only changes wall-clock time.
-    let ccfg = ClusterConfig::new().with_cluster_threads(cluster_threads);
-    if cluster_threads > 1 {
-        println!("Stepping deployments through {cluster_threads} lockstep fan-out threads.\n");
     }
 
     // The seeded contended trace of `BENCH_cluster.json`: one arrival
@@ -107,14 +85,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(JoinShortestQueue),
         Box::new(LedgerPressure::new()),
     ] {
-        let mut cluster = ClusterEngine::with_config(
+        let mut cluster = ClusterEngine::new(
             vec![
                 deployment(8, None),
                 deployment(6, Some((1, 0.5))),
                 deployment(4, Some((0, 0.25))),
             ],
             routing,
-            ccfg,
         );
         let r = cluster.run_trace(&trace)?;
         assert_eq!(r.completed(), trace.len(), "every request completes");
@@ -160,14 +137,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, mode) in
         [("lump (inline)", ChunkMode::Lump), ("chunked (256 @ 2048)", ChunkMode::chunked())]
     {
-        let mut cluster = ClusterEngine::with_config(
+        let mut cluster = ClusterEngine::new(
             vec![
                 deployment_with(8, None, mode),
                 deployment_with(6, Some((1, 0.5)), mode),
                 deployment_with(4, Some((0, 0.25)), mode),
             ],
             Box::new(LedgerPressure::new()),
-            ccfg,
         );
         let r = cluster.run_trace(&long_trace)?;
         assert_eq!(r.completed(), long_trace.len(), "every request completes");
@@ -235,10 +211,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             ServeEngine::new(sys, cfg).expect("deployment builds")
         };
-        let mut cluster = ClusterEngine::with_config(
+        let mut cluster = ClusterEngine::new(
             vec![build(8, None), build(6, Some((1, 0.5))), build(4, Some((0, 0.25)))],
             Box::new(LedgerPressure::new()),
-            ccfg,
         );
         let r = cluster.run_trace(&prefix_trace)?;
         assert_eq!(r.completed(), prefix_trace.len(), "every request completes");
@@ -284,7 +259,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "retires",
         "peak active",
     ]);
-    let mut fixed = ClusterEngine::with_config(fleet(), Box::new(CostNormalizedPressure), ccfg);
+    let mut fixed = ClusterEngine::new(fleet(), Box::new(CostNormalizedPressure));
     let fr = fixed.run_trace(&bursty)?;
     assert_eq!(fr.completed(), bursty.len(), "every request completes");
     let slot_costs: Vec<(f64, f64)> = fixed
@@ -316,7 +291,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fleet(),
             Box::new(CostNormalizedPressure),
             autoscale,
-            ElasticConfig { cluster: ccfg, ..ElasticConfig::new(1) },
+            ElasticConfig::new(1),
         );
         let r = elastic.run_trace(&bursty)?;
         assert_eq!(r.cluster.completed(), bursty.len(), "elasticity loses nothing");
@@ -364,7 +339,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![traced_slot(8), traced_slot(6), traced_slot(4), traced_slot(4)],
         Box::new(CostNormalizedPressure),
         Box::new(HybridHistogramKeepAlive::new(64)),
-        ElasticConfig { cluster: ccfg, ..ElasticConfig::new(1) },
+        ElasticConfig::new(1),
     );
     let r = elastic.run_trace(&bursty)?;
     let rings: Vec<&[Event]> = r.cluster.deployments.iter().map(|d| d.events.as_slice()).collect();

@@ -4,14 +4,17 @@
 //! cross-deployment re-dispatch of preempted requests.
 
 use hilos::core::cluster::{
-    ClusterConfig, ClusterEngine, ClusterSnapshot, JoinShortestQueue, LedgerPressure, RoundRobin,
-    RouteRequest, RoutingPolicy,
+    ClusterEngine, ClusterSnapshot, JoinShortestQueue, LedgerPressure, RoundRobin, RouteRequest,
+    RoutingPolicy,
 };
 use hilos::core::{
-    ChunkMode, ClusterReport, HilosConfig, HilosSystem, PriorityPreempt, ServeConfig, ServeEngine,
+    ChunkMode, ClusterReport, CoreError, Fifo, HilosConfig, HilosSystem, PriorityPreempt,
+    SchedDecision, SchedSnapshot, SchedulingPolicy, ServeConfig, ServeEngine,
 };
 use hilos::llm::{presets, DeploymentId, Request, TraceConfig};
 use hilos::platform::SystemSpec;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn hilos(n: usize) -> HilosSystem {
     HilosSystem::new(&SystemSpec::a100_smartssd(n), &presets::opt_30b(), &HilosConfig::new(n))
@@ -254,43 +257,6 @@ impl RoutingPolicy for MigrateToSpare {
     }
 }
 
-/// Parallel lockstep stepping is outcome-identical: the same seeded
-/// heterogeneous contended run produces a bit-identical [`ClusterReport`]
-/// at 1, 2 and 4 worker threads — phase B's deployment-index-order merge
-/// is the only place routing, migration and reporting observe state, so
-/// how phase A was scheduled cannot leak into any result.
-#[test]
-fn parallel_stepping_is_bit_identical_across_thread_counts() {
-    let run_at = |threads: usize| {
-        let mut cluster = ClusterEngine::with_config(
-            heterogeneous_deployments(),
-            Box::new(LedgerPressure::new()),
-            ClusterConfig::new().with_cluster_threads(threads),
-        );
-        cluster.run_trace(&contended_trace()).unwrap()
-    };
-    let serial = run_at(1);
-    for threads in [2, 4] {
-        assert_eq!(serial, run_at(threads), "{threads}-thread run drifted from serial");
-    }
-}
-
-/// The golden 1-deployment pin holds with the worker pool engaged: a
-/// single-slot cluster stepped through 4 fan-out threads still produces
-/// the exact pre-cluster FNV constant.
-#[test]
-fn golden_pin_survives_four_worker_threads() {
-    let trace = TraceConfig::azure_mix(512, 42).generate().unwrap();
-    let mut cluster = ClusterEngine::with_config(
-        vec![ServeEngine::new(hilos(8), ServeConfig::new(16)).unwrap()],
-        Box::new(RoundRobin::new()),
-        ClusterConfig::new().with_cluster_threads(4),
-    );
-    let report = cluster.run_trace(&trace).unwrap();
-    assert_eq!(outcome_hash(&report.deployments[0].outcomes), 0x988a698736a9c8fe);
-    assert_eq!(report.misrouted, 0);
-}
-
 /// A policy that answers with a deployment index past the end of the
 /// fleet — a routing bug the engine must surface, not silently absorb.
 #[derive(Debug)]
@@ -369,4 +335,54 @@ fn migrated_victims_finish_on_the_spare_deployment_with_sane_latencies() {
     for eng in cluster.deployments() {
         assert_eq!(eng.ledger().live_requests(), 0);
     }
+}
+
+/// A scheduling policy that admits nothing while its shared gate is
+/// closed, and schedules first-in-first-out once it opens.
+#[derive(Debug)]
+struct Gated {
+    open: Arc<AtomicBool>,
+    fifo: Fifo,
+}
+
+impl SchedulingPolicy for Gated {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn schedule(&mut self, snapshot: &SchedSnapshot<'_>) -> Vec<SchedDecision> {
+        if self.open.load(Ordering::Relaxed) {
+            self.fifo.schedule(snapshot)
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// A cluster whose every deployment holds its queue forever reports
+/// `SchedulerStalled` with the queue lengths summed across deployments,
+/// and the failed run leaves the cluster whole: both deployments are
+/// still there, and the next run serves a trace to completion.
+#[test]
+fn stalled_cluster_reports_every_queued_request_and_stays_usable() {
+    let open = Arc::new(AtomicBool::new(false));
+    let deployment = || {
+        let policy = Gated { open: Arc::clone(&open), fifo: Fifo };
+        ServeEngine::with_policy(hilos(8), ServeConfig::new(4), Box::new(policy)).unwrap()
+    };
+    let mut cluster =
+        ClusterEngine::new(vec![deployment(), deployment()], Box::new(RoundRobin::new()));
+
+    // Round-robin splits the six requests three and three.
+    let stuck = TraceConfig::azure_mix(6, 1).generate().unwrap();
+    match cluster.run_trace(&stuck) {
+        Err(CoreError::SchedulerStalled { queued }) => assert_eq!(queued, 6),
+        other => panic!("expected SchedulerStalled, got {other:?}"),
+    }
+    assert_eq!(cluster.deployments().len(), 2);
+
+    open.store(true, Ordering::Relaxed);
+    let trace = TraceConfig::azure_mix(24, 7).generate().unwrap();
+    let report = cluster.run_trace(&trace).unwrap();
+    assert_eq!(report.completed(), trace.len());
+    assert!(report.dispatched.iter().all(|&d| d > 0), "both deployments must serve");
 }

@@ -6,9 +6,9 @@
 //! anything.
 
 use hilos::core::cluster::{
-    AutoscalePolicy, ClusterConfig, ClusterSnapshot, CostNormalizedPressure, ElasticClusterEngine,
-    ElasticConfig, FleetSnapshot, HybridHistogramKeepAlive, LedgerPressure, LifecycleState,
-    PinnedFleet, RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision,
+    AutoscalePolicy, ClusterSnapshot, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
+    FleetSnapshot, HybridHistogramKeepAlive, LedgerPressure, LifecycleState, PinnedFleet,
+    RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision,
 };
 use hilos::core::{HilosConfig, HilosSystem, PrefixCacheConfig, ServeConfig, ServeEngine};
 use hilos::llm::{presets, TraceConfig};
@@ -346,61 +346,4 @@ fn bursty_keep_alive_run_scales_both_ways_with_zero_lost_requests() {
     // Deterministic end to end: lifecycle events, bills and outcomes.
     let mut again = build();
     assert_eq!(report, again.run_trace(&trace).unwrap());
-}
-
-/// Parallel lockstep stepping through the elastic engine: both the
-/// bursty keep-alive run (scale-ups, pre-warms, retires) and a scripted
-/// live drain (mid-run migration of in-flight work) produce a
-/// bit-identical [`hilos::core::ElasticReport`] at 1, 2 and 4 worker
-/// threads. The fleet-sizing loop is pure phase-B work, so the thread
-/// count cannot reach any lifecycle, migration or billing decision.
-#[test]
-fn elastic_parallel_stepping_is_bit_identical_across_thread_counts() {
-    let bursty_trace = TraceConfig::flash_crowd_mix(384, 42, 6, 2400).generate().unwrap();
-    let bursty_at = |threads: usize| {
-        let mut elastic = ElasticClusterEngine::new(
-            vec![
-                ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
-                ServeEngine::new(hilos(6), ServeConfig::new(8)).unwrap(),
-                ServeEngine::new(hilos(4), ServeConfig::new(8)).unwrap(),
-            ],
-            Box::new(CostNormalizedPressure),
-            Box::new(HybridHistogramKeepAlive::new(64)),
-            ElasticConfig {
-                cluster: ClusterConfig::new().with_cluster_threads(threads),
-                ..ElasticConfig::new(1)
-            },
-        );
-        elastic.run_trace(&bursty_trace).unwrap()
-    };
-    let serial = bursty_at(1);
-    assert!(serial.scale_ups >= 1 && serial.retires >= 1, "the fleet must breathe");
-    for threads in [2, 4] {
-        assert_eq!(serial, bursty_at(threads), "{threads}-thread bursty run drifted from serial");
-    }
-
-    let drain_trace = TraceConfig { mean_interarrival_steps: 6, ..TraceConfig::azure_mix(192, 42) }
-        .generate()
-        .unwrap();
-    let drain_at = |threads: usize| {
-        let mut elastic = ElasticClusterEngine::new(
-            vec![
-                ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
-                ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
-            ],
-            Box::new(RoundRobin::new()),
-            Box::new(ScriptedScaler { up_at: None, down_at: Some(300) }),
-            ElasticConfig {
-                initial_active: 2,
-                cluster: ClusterConfig::new().with_cluster_threads(threads),
-                ..ElasticConfig::new(2)
-            },
-        );
-        elastic.run_trace(&drain_trace).unwrap()
-    };
-    let serial = drain_at(1);
-    assert!(serial.drained_requests > 0, "the drain must migrate mid-flight work");
-    for threads in [2, 4] {
-        assert_eq!(serial, drain_at(threads), "{threads}-thread drain run drifted from serial");
-    }
 }
