@@ -24,21 +24,18 @@
 //!    the reserved one on $/1k-goodput-tokens by ≥1.3×, with zero lost
 //!    requests across every scale-up, drain and retire.
 //! 4. **Fleet-scale stepping** — a 32-deployment fleet on a
-//!    100k-request seeded trace, run with per-deployment (cold) memo
-//!    tables and with the shared warm-start. The two runs' per-request
-//!    outcomes are asserted identical (warm-start is
-//!    outcome-transparent); the `fleet-smoke` CI job gates the fleet
-//!    shape, full completion, that equality, a warm-start speedup ≥1×
-//!    and a 60-second wall budget.
+//!    100k-request seeded trace, one lockstep run over the fleet's one
+//!    shared memo table; the `fleet-smoke` CI job gates the fleet shape,
+//!    full completion and a 60-second wall budget.
 //!
 //! ```text
 //! Usage: bench_cluster [output.json]
 //! ```
 
 use hilos_core::cluster::{
-    AutoscalePolicy, ClusterConfig, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine,
-    ElasticConfig, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin,
-    RoutingPolicy, TargetPressureScaler,
+    AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
+    HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin, RoutingPolicy,
+    TargetPressureScaler,
 };
 use hilos_core::{HilosConfig, HilosSystem, PriorityPreempt, ServeConfig, ServeEngine};
 use hilos_llm::{presets, TraceConfig};
@@ -244,8 +241,7 @@ fn main() {
     eprintln!("reserved vs keep-alive elastic $/1k-goodput: {fixed_vs_elastic:.3}x");
 
     // -- 4: fleet-scale lockstep stepping --
-    // 32 identical deployments on a 100k-request seeded trace, once with
-    // per-deployment memo tables and once with the shared warm-start.
+    // 32 identical deployments on a 100k-request seeded trace.
     const FLEET_DEPLOYMENTS: usize = 32;
     const FLEET_REQUESTS: usize = 100_000;
     // Offline inference shape: the whole campaign is enqueued up front
@@ -255,38 +251,18 @@ fn main() {
         TraceConfig { mean_interarrival_steps: 0, ..TraceConfig::azure_mix(FLEET_REQUESTS, SEED) }
             .generate()
             .expect("valid trace config");
-    let run_fleet = |shared_warm_start: bool| {
-        let slots: Vec<ServeEngine> = (0..FLEET_DEPLOYMENTS)
-            .map(|_| ServeEngine::new(hilos(4), ServeConfig::new(32)).unwrap())
-            .collect();
-        let mut cluster = ClusterEngine::with_config(
-            slots,
-            Box::new(RoundRobin::new()),
-            ClusterConfig::new().with_shared_warm_start(shared_warm_start),
-        );
-        let start = Instant::now();
-        let r = cluster.run_trace(&fleet_trace).unwrap();
-        (r, start.elapsed().as_secs_f64())
-    };
-    // Cold caches: every slot does its own flow-model compute.
-    let (fleet_cold, cold_s) = run_fleet(false);
-    assert_eq!(fleet_cold.completed(), FLEET_REQUESTS, "fleet trace must complete");
-    // The shared warm-start: 32 identical deployments sharing one
-    // copy-on-write step-cache memo table. Same outcomes, one deployment
-    // computes each step value, the other 31 reuse it.
-    let (fleet_shared, shared_s) = run_fleet(true);
-    let warm_start_outcomes_identical = fleet_cold
-        .deployments
-        .iter()
-        .zip(&fleet_shared.deployments)
-        .all(|(a, b)| a.outcomes == b.outcomes);
-    assert!(warm_start_outcomes_identical, "warm-start sharing changed deployment outcomes");
-    let warm_start_speedup = cold_s / shared_s;
+    let slots: Vec<ServeEngine> = (0..FLEET_DEPLOYMENTS)
+        .map(|_| ServeEngine::new(hilos(4), ServeConfig::new(32)).unwrap())
+        .collect();
+    let mut fleet_cluster = ClusterEngine::new(slots, Box::new(RoundRobin::new()));
+    let start = Instant::now();
+    let fleet = fleet_cluster.run_trace(&fleet_trace).unwrap();
+    let fleet_s = start.elapsed().as_secs_f64();
+    assert_eq!(fleet.completed(), FLEET_REQUESTS, "fleet trace must complete");
     let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     eprintln!(
-        "fleet: {FLEET_DEPLOYMENTS} deployments x {FLEET_REQUESTS} requests, cold caches \
-         {cold_s:.2}s, shared warm-start {shared_s:.2}s = {warm_start_speedup:.2}x \
-         ({logical_cores} logical cores, outcomes identical: {warm_start_outcomes_identical})",
+        "fleet: {FLEET_DEPLOYMENTS} deployments x {FLEET_REQUESTS} requests in {fleet_s:.2}s \
+         ({logical_cores} logical cores)",
     );
 
     let json = format!(
@@ -311,11 +287,7 @@ fn main() {
          \"fixed_vs_elastic_cost_per_1k\": {fixed_vs_elastic:.4}\n  }},\n  \
          \"fleet\": {{\"deployments\": {FLEET_DEPLOYMENTS}, \"requests\": {FLEET_REQUESTS}, \
          \"seed\": {SEED}, \"logical_cores\": {logical_cores}, \
-         \"cold_seconds\": {cold_s:.4}, \
-         \"warm_start_seconds\": {shared_s:.4}, \
-         \"warm_start_speedup\": {warm_start_speedup:.4}, \
-         \"warm_start_outcomes_identical\": {warm_start_outcomes_identical}, \
-         \"completed\": {}}}\n}}\n",
+         \"seconds\": {fleet_s:.4}, \"completed\": {}}}\n}}\n",
         policy_rows.join(",\n    "),
         balanced.len(),
         rd.preemptions(),
@@ -325,7 +297,7 @@ fn main() {
         reserved_bill.cost_usd(),
         fixed_report.elapsed_s(),
         fixed_report.completed(),
-        fleet_cold.completed(),
+        fleet.completed(),
     );
     std::fs::write(&out_path, &json).expect("write BENCH_cluster.json");
     println!("{json}");

@@ -8,7 +8,6 @@ use super::autoscale::{AutoscalePolicy, FleetSnapshot, ScaleDecision};
 use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};
 use crate::cluster::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
 use crate::cluster::report::ClusterReport;
-use crate::cluster::ClusterConfig;
 use crate::runner::CoreError;
 use crate::serve::engine::{QueueEntry, RunState, SharedStepCache, StepProgress};
 use crate::serve::ServeEngine;
@@ -88,9 +87,6 @@ pub struct ElasticConfig {
     /// is *stepwise*: the slot keeps serving what it still holds while
     /// the cluster migrates this many requests per step.
     pub drain_batch: usize,
-    /// Cluster-execution settings (the shared warm-start, which is
-    /// outcome-transparent).
-    pub cluster: ClusterConfig,
 }
 
 impl ElasticConfig {
@@ -111,7 +107,6 @@ impl Default for ElasticConfig {
             provision_s: 30.0,
             step_seconds_hint: 0.25,
             drain_batch: 4,
-            cluster: ClusterConfig::default(),
         }
     }
 }
@@ -184,15 +179,13 @@ impl ElasticClusterEngine {
         for (i, d) in deployments.iter_mut().enumerate() {
             d.set_deployment(DeploymentId(i as u32));
         }
-        if config.cluster.shared_warm_start {
-            // Identical-fingerprint slots share one memo table, so a
-            // scale-up warm-starts from what its Active twins already
-            // computed instead of re-paying every memoization miss.
-            let mut groups: HashMap<u64, Arc<SharedStepCache>> = HashMap::new();
-            for eng in deployments.iter_mut() {
-                let shared = groups.entry(eng.system_fingerprint()).or_default().clone();
-                eng.set_shared_cache(shared);
-            }
+        // Identical-fingerprint slots share one memo table, so a
+        // scale-up warm-starts from what its Active twins already
+        // computed instead of re-paying every memoization miss.
+        let mut groups: HashMap<u64, Arc<SharedStepCache>> = HashMap::new();
+        for eng in deployments.iter_mut() {
+            let shared = groups.entry(eng.system_fingerprint()).or_default().clone();
+            eng.set_shared_cache(shared);
         }
         let lifecycles = deployments
             .iter()

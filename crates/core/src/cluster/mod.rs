@@ -73,7 +73,9 @@
 //! (advance)**: each deployment with work runs one serving iteration
 //! ([`ServeEngine::advance_once`](crate::ServeEngine)) in place, in
 //! deployment-index order, touching only its own state — queues,
-//! batch, ledgers, step caches and trace sink all live inside the slot.
+//! batch, ledgers and trace sink all live inside the slot; the one thing
+//! slots share is their fingerprint group's memo table (see
+//! Determinism).
 //! **Phase B (merge)**: the per-slot results (each slot's step progress
 //! plus its freshly preempted victims) are folded **in
 //! deployment-index order** — stall detection, victim re-routing and
@@ -89,12 +91,12 @@
 //! alone — no wall clock, OS randomness or hash-order iteration reaches
 //! a decision — so a run reproduces bit for bit: same
 //! [`ClusterReport`], same [`ElasticReport`], same event-stream FNV.
-//! The copy-on-write shared warm-start (identical-model deployments
-//! sharing one step-cache memo table,
-//! [`ClusterConfig::with_shared_warm_start`]) is outcome-transparent:
-//! cached step values are pure functions of their keys, so sharing
-//! changes only which deployment computes an entry first, never what
-//! any deployment observes.
+//! Memo sharing is unconditional within a fingerprint group: every
+//! deployment whose system (spec, degradations, model, configuration)
+//! fingerprints alike reads and fills one step/prefill memo table. It is
+//! outcome-transparent: cached step values are pure functions of their
+//! keys, so sharing changes only which deployment computes an entry
+//! first, never what any deployment observes.
 //!
 //! A pinned fleet of **one** deployment — a one-deployment
 //! [`ClusterEngine`], or a one-slot [`ElasticClusterEngine`] under
@@ -119,4 +121,4 @@ pub use policy::{
     RoundRobin, RouteRequest, RoutingPolicy,
 };
 pub use report::ClusterReport;
-pub use router::{ClusterConfig, ClusterEngine};
+pub use router::ClusterEngine;

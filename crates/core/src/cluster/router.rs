@@ -9,41 +9,6 @@ use crate::runner::CoreError;
 use crate::serve::ServeEngine;
 use hilos_llm::Request;
 
-/// Cluster-execution settings of the lockstep loop — today only the
-/// shared warm-start — taken by [`ClusterEngine::with_config`] and
-/// carried by
-/// [`ElasticConfig::cluster`](super::elastic::ElasticConfig::cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Share one step/prefill memo table among deployments with
-    /// identical system fingerprints (on by default), so the fleet pays
-    /// each memoization miss once instead of once per twin — and a
-    /// freshly provisioned elastic slot warm-starts from its siblings.
-    /// Purely a wall-clock optimization: results are bit-identical
-    /// either way.
-    pub shared_warm_start: bool,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig { shared_warm_start: true }
-    }
-}
-
-impl ClusterConfig {
-    /// The default configuration: shared warm-start on.
-    pub fn new() -> Self {
-        ClusterConfig::default()
-    }
-
-    /// Enables or disables the fingerprint-grouped shared memo tables.
-    #[must_use]
-    pub fn with_shared_warm_start(mut self, on: bool) -> Self {
-        self.shared_warm_start = on;
-        self
-    }
-}
-
 /// A multi-deployment cluster: one trace balanced across heterogeneous
 /// HILOS deployments.
 ///
@@ -112,49 +77,26 @@ impl ClusterConfig {
 #[derive(Debug)]
 pub struct ClusterEngine {
     fleet: ElasticClusterEngine,
-    config: ClusterConfig,
 }
 
 impl ClusterEngine {
     /// Assembles a cluster from fully-built deployments (each keeps the
-    /// scheduling policy it was built with) and a routing policy, with
-    /// the default [`ClusterConfig`]. Deployments are assigned
-    /// [`DeploymentId`](hilos_llm::DeploymentId)s in vector order.
+    /// scheduling policy it was built with) and a routing policy.
+    /// Deployments are assigned [`DeploymentId`](hilos_llm::DeploymentId)s
+    /// in vector order.
     ///
     /// # Panics
     ///
     /// Panics if `deployments` is empty.
     pub fn new(deployments: Vec<ServeEngine>, routing: Box<dyn RoutingPolicy>) -> Self {
-        ClusterEngine::with_config(deployments, routing, ClusterConfig::default())
-    }
-
-    /// [`ClusterEngine::new`] with explicit execution settings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deployments` is empty.
-    pub fn with_config(
-        deployments: Vec<ServeEngine>,
-        routing: Box<dyn RoutingPolicy>,
-        config: ClusterConfig,
-    ) -> Self {
-        let elastic = ElasticConfig {
-            initial_active: deployments.len(),
-            cluster: config,
-            ..Default::default()
-        };
+        let elastic = ElasticConfig::new(deployments.len());
         let fleet = ElasticClusterEngine::new(deployments, routing, Box::new(PinnedFleet), elastic);
-        ClusterEngine { fleet, config }
+        ClusterEngine { fleet }
     }
 
     /// Number of deployments.
     pub fn deployment_count(&self) -> usize {
         self.fleet.deployment_count()
-    }
-
-    /// The cluster-execution configuration.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
     }
 
     /// The active routing policy's name.

@@ -70,7 +70,7 @@ mod xcache;
 
 pub use campaign::{CampaignSummary, ServingCampaign};
 pub use cluster::{
-    AutoscalePolicy, ClusterConfig, ClusterEngine, ClusterReport, ClusterSnapshot, ColdStartModel,
+    AutoscalePolicy, ClusterEngine, ClusterReport, ClusterSnapshot, ColdStartModel,
     CostNormalizedPressure, DeploymentView, ElasticClusterEngine, ElasticConfig, ElasticReport,
     FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, LifecycleEvent,
     LifecycleState, PinnedFleet, RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision,

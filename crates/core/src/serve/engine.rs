@@ -5,12 +5,19 @@
 //! Internally the loop is split into a *stepwise core*
 //! ([`ServeEngine::advance_once`] over a [`RunState`]) and a thin driver
 //! ([`ServeEngine::run_trace`]). The split exists for the cluster layer
-//! ([`crate::cluster`]): a [`ClusterEngine`](crate::cluster::ClusterEngine)
-//! drives N engines' run states in lockstep under one global arrival
-//! cursor, dispatching each arrival through a routing policy instead of
-//! a fixed trace. The single-deployment driver performs *exactly* the
-//! iteration sequence the pre-split loop did — the FIFO golden test pins
-//! it bit for bit.
+//! ([`crate::cluster`]): the one lockstep loop,
+//! [`ElasticClusterEngine::run_trace`](crate::cluster::ElasticClusterEngine::run_trace),
+//! drives N engines' run states under one global arrival cursor,
+//! dispatching each arrival through a routing policy instead of a fixed
+//! trace. The single-deployment driver performs *exactly* the iteration
+//! sequence the pre-split loop did — the FIFO golden test pins it bit for
+//! bit.
+//!
+//! One `advance_once` is six stage methods, named after the steps of the
+//! [module docs](super): [`ServeEngine::schedule`],
+//! [`ServeEngine::execute_decisions`], [`ServeEngine::ingest_chunks`],
+//! [`ServeEngine::join_prefills`], [`ServeEngine::decode`] and
+//! [`ServeEngine::emit_and_evict`].
 
 use super::policy::{Fifo, SchedDecision, SchedulingPolicy};
 use super::snapshot::{InFlightView, QueuedView, SchedSnapshot};
@@ -24,6 +31,7 @@ use hilos_metrics::{PrefillBreakdown, PrefixCacheStats};
 use hilos_storage::{KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, SsdSpec, TierTraffic};
 use hilos_trace::{Event, EventKind, EventRing, NullSink, TraceSink};
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::{Arc, RwLock};
 
 /// Context quantum of the chunk-path prefill memoization. Chunk cursors
@@ -266,6 +274,25 @@ struct InFlight {
     prefill_charged: u64,
 }
 
+impl InFlight {
+    /// The queue entry a preempted request re-enters admission as — the
+    /// one construction of a victim's [`QueueEntry`], so the preemption
+    /// and evacuation paths cannot diverge on what a victim retains:
+    /// generated progress, first timestamps and lifetime prefill, plus
+    /// one more preemption.
+    fn requeued(&self) -> QueueEntry {
+        QueueEntry {
+            req: self.req,
+            arrival_s: self.arrival_s,
+            emitted: self.emitted,
+            first_token_s: self.first_token_s,
+            first_admitted_s: Some(self.admitted_s),
+            preemptions: self.preemptions + 1,
+            prefill_tokens: self.prefill_charged,
+        }
+    }
+}
+
 /// A preemption victim's ingested KV parked in the residency ladder,
 /// awaiting recall on re-admission.
 #[derive(Debug, Clone, Copy)]
@@ -280,7 +307,7 @@ struct DemotedKv {
 
 /// Live prefix-cache state of one deployment, present only when
 /// [`ServeConfig::prefix_cache`] is set. Persists across runs (like the
-/// step caches); per-run reporting subtracts the [`CacheBaseline`]
+/// step memo); per-run reporting subtracts the [`CacheBaseline`]
 /// captured at run start.
 #[derive(Debug)]
 struct PrefixCacheState {
@@ -326,10 +353,11 @@ struct CachedStep {
     internal_read_bytes: f64,
 }
 
-/// Step/prefill memoization tables shared by every deployment of one
-/// identical system fingerprint in a cluster — a freshly provisioned
-/// elastic slot (or the 31 siblings of a homogeneous fleet) warm-starts
-/// from what any twin already computed instead of re-paying the misses.
+/// Step/prefill memoization tables. Every engine owns one; a cluster
+/// hands every deployment of one system fingerprint the same table, so a
+/// freshly provisioned elastic slot (or the 31 siblings of a homogeneous
+/// fleet) warm-starts from what any twin already computed instead of
+/// re-paying the misses.
 ///
 /// Read-mostly: lookups take the read lock, only misses take the write
 /// lock. A cached value is a *pure function* of its key given the shared
@@ -339,6 +367,23 @@ struct CachedStep {
 pub(crate) struct SharedStepCache {
     steps: RwLock<HashMap<StepKey, CachedStep>>,
     prefills: RwLock<HashMap<(u64, u64), f64>>,
+}
+
+impl SharedStepCache {
+    /// Copies `other`'s entries in, keeping any this table already holds
+    /// (within one fingerprint group equal keys hold equal values).
+    fn absorb(&self, other: &SharedStepCache) {
+        let steps = other.steps.read().expect("step memo poisoned").clone();
+        let mut mine = self.steps.write().expect("step memo poisoned");
+        for (k, v) in steps {
+            mine.entry(k).or_insert(v);
+        }
+        let prefills = other.prefills.read().expect("prefill memo poisoned").clone();
+        let mut mine = self.prefills.write().expect("prefill memo poisoned");
+        for (k, v) in prefills {
+            mine.entry(k).or_insert(v);
+        }
+    }
 }
 
 /// What one call to [`ServeEngine::advance_once`] accomplished — the
@@ -359,7 +404,8 @@ pub(crate) enum StepProgress {
 /// The mutable state of one serving run, separated from the engine so a
 /// cluster driver can hold N of them and advance them in lockstep. All
 /// per-run counters live here; the engine keeps only the cross-run
-/// caches (step/prefill memoization) and the immutable configuration.
+/// caches (the step/prefill memo, the prefix cache) and the immutable
+/// configuration.
 #[derive(Debug)]
 pub(crate) struct RunState {
     pub(crate) queue: VecDeque<QueueEntry>,
@@ -467,22 +513,23 @@ impl RunState {
     }
 
     /// Re-queues a preemption victim with its retained progress and
-    /// marks it for potential cross-deployment re-dispatch — the single
-    /// construction point of a victim's `QueueEntry`, shared by the
-    /// decoding- and prefilling-victim preempt arms so their retained
-    /// state cannot diverge. The caller releases the ledger and books
-    /// the wasted work.
-    fn requeue_victim(&mut self, r: InFlight) {
-        self.queue.push_back(QueueEntry {
-            req: r.req,
-            arrival_s: r.arrival_s,
-            emitted: r.emitted,
-            first_token_s: r.first_token_s,
-            first_admitted_s: Some(r.admitted_s),
-            preemptions: r.preemptions + 1,
-            prefill_tokens: r.prefill_charged,
-        });
+    /// marks it for potential cross-deployment re-dispatch. The caller
+    /// has already taken it off the deployment
+    /// ([`ServeEngine::preempt`]).
+    fn requeue_victim(&mut self, r: &InFlight) {
+        self.queue.push_back(r.requeued());
         self.just_preempted.push(r.req.id);
+    }
+
+    /// Moves finished prefills into the running batch — the tail both
+    /// join rules share.
+    fn join(&mut self, deployment: DeploymentId, ready: Vec<InFlight>) {
+        self.joins += ready.len() as u64;
+        for p in &ready {
+            self.emit(deployment, p.req.id, EventKind::Joined);
+        }
+        self.running.extend(ready);
+        self.composition_changed = true;
     }
 
     /// Removes the entries named by `just_preempted` from the queue (they
@@ -516,12 +563,9 @@ pub struct ServeEngine {
     /// Placeable bytes of the empty array (after weight reservations) —
     /// the bound beyond which a request can never be admitted.
     max_placeable: u64,
-    step_cache: HashMap<StepKey, CachedStep>,
-    prefill_cache: HashMap<(u64, u64), f64>,
-    /// Fingerprint-group shared memo tables (`None` outside a cluster or
-    /// with warm-start sharing off): when set, it is authoritative and
-    /// the local maps above stay empty.
-    shared_cache: Option<Arc<SharedStepCache>>,
+    /// The step/prefill memo: this engine's own until a cluster hands it
+    /// its fingerprint group's shared table.
+    memo: Arc<SharedStepCache>,
     /// Prefix KV cache over the tiered residency ladder (`None` = off).
     cache: Option<PrefixCacheState>,
 }
@@ -589,9 +633,7 @@ impl ServeEngine {
             model,
             deployment: DeploymentId::default(),
             max_placeable,
-            step_cache: HashMap::new(),
-            prefill_cache: HashMap::new(),
-            shared_cache: None,
+            memo: Arc::default(),
             cache,
         })
     }
@@ -651,23 +693,12 @@ impl ServeEngine {
     }
 
     /// Installs the fingerprint-group shared memo tables, seeding them
-    /// with anything this engine already computed locally. Only a
-    /// cluster constructor calls this, and only across deployments whose
+    /// with anything this engine already computed. Only a cluster
+    /// constructor calls this, and only across deployments whose
     /// [`ServeEngine::system_fingerprint`] match.
     pub(crate) fn set_shared_cache(&mut self, shared: Arc<SharedStepCache>) {
-        {
-            let mut steps = shared.steps.write().expect("shared step cache poisoned");
-            for (k, v) in self.step_cache.drain() {
-                steps.entry(k).or_insert(v);
-            }
-        }
-        {
-            let mut prefills = shared.prefills.write().expect("shared prefill cache poisoned");
-            for (k, v) in self.prefill_cache.drain() {
-                prefills.entry(k).or_insert(v);
-            }
-        }
-        self.shared_cache = Some(shared);
+        shared.absorb(&self.memo);
+        self.memo = shared;
     }
 
     /// The prefix cache's lifetime hit rate on this deployment (`0.0`
@@ -837,24 +868,11 @@ impl ServeEngine {
     /// cached value's meaning cannot drift between them.
     fn prefill_seconds_rounded(&mut self, ctx: u64, alpha: f64) -> Result<f64, CoreError> {
         let key = (ctx, alpha.to_bits());
-        if let Some(shared) = &self.shared_cache {
-            if let Some(&s) =
-                shared.prefills.read().expect("shared prefill cache poisoned").get(&key)
-            {
-                return Ok(s);
-            }
-        } else if let Some(&s) = self.prefill_cache.get(&key) {
+        if let Some(&s) = self.memo.prefills.read().expect("prefill memo poisoned").get(&key) {
             return Ok(s);
         }
         let s = self.exec.execute_prefill(1, ctx, alpha)?;
-        match &self.shared_cache {
-            Some(shared) => {
-                shared.prefills.write().expect("shared prefill cache poisoned").insert(key, s);
-            }
-            None => {
-                self.prefill_cache.insert(key, s);
-            }
-        }
+        self.memo.prefills.write().expect("prefill memo poisoned").insert(key, s);
         Ok(s)
     }
 
@@ -907,11 +925,7 @@ impl ServeEngine {
             spill_now: decision.spill_now,
             spill_tokens: decision.spill_tokens,
         };
-        if let Some(shared) = &self.shared_cache {
-            if let Some(&o) = shared.steps.read().expect("shared step cache poisoned").get(&key) {
-                return Ok(o);
-            }
-        } else if let Some(&o) = self.step_cache.get(&key) {
+        if let Some(&o) = self.memo.steps.read().expect("step memo poisoned").get(&key) {
             return Ok(o);
         }
         let o = self.exec.execute_step(batch, key.context, alpha, decision)?;
@@ -920,14 +934,7 @@ impl ServeEngine {
             host_pcie_bytes: o.host_pcie_bytes,
             internal_read_bytes: o.internal_read_bytes,
         };
-        match &self.shared_cache {
-            Some(shared) => {
-                shared.steps.write().expect("shared step cache poisoned").insert(key, cached);
-            }
-            None => {
-                self.step_cache.insert(key, cached);
-            }
-        }
+        self.memo.steps.write().expect("step memo poisoned").insert(key, cached);
         Ok(cached)
     }
 
@@ -1025,179 +1032,252 @@ impl ServeEngine {
     /// requests — prefilling first (only ingested chunks are lost), then
     /// decoding, oldest first — and returns them as [`QueueEntry`]s with
     /// their generated progress retained, for re-dispatch to another
-    /// deployment. Each evacuation releases the victim's shard-ledger
-    /// allocation and prefix pin and counts as a preemption; its
-    /// already-ingested KV cannot follow it off the deployment, so the
-    /// tokens are booked as wasted re-materialization debt (the target
-    /// re-runs prefill over `prompt + progress`, exactly like a
-    /// cross-deployment preemption re-dispatch).
+    /// deployment. Each evacuation is a [`ServeEngine::preempt`] that
+    /// cannot park: the victim's already-ingested KV cannot follow it off
+    /// the deployment, so the tokens are booked as wasted
+    /// re-materialization debt (the target re-runs prefill over
+    /// `prompt + progress`, exactly like a cross-deployment preemption
+    /// re-dispatch).
     ///
     /// The cap makes draining *stepwise*: a draining deployment keeps
     /// serving what it still holds while the cluster moves `max` requests
     /// per step, rather than dumping its whole batch at once.
     pub(crate) fn evacuate_in_flight(&mut self, st: &mut RunState, max: usize) -> Vec<QueueEntry> {
         let inline = self.config.chunk_mode.is_inline();
-        let mut out = Vec::new();
-        while out.len() < max && !st.prefilling.is_empty() {
-            let p = st.prefilling.remove(0);
-            self.ledger.release(p.req.id).expect("prefilling request holds allocation");
-            self.release_prefix_hold(p.req.id);
-            st.preemptions += 1;
-            st.emit(self.deployment, p.req.id, EventKind::Preempted { emitted: p.emitted });
-            // An inline (chunked) prefill has ingested `prefill_done`
-            // tokens; a side-prefill charged its whole context at
-            // admission — either way the work is lost with the shards.
-            st.wasted_prefill_tokens += if inline { p.prefill_done } else { p.prefill_total };
-            out.push(QueueEntry {
-                req: p.req,
-                arrival_s: p.arrival_s,
-                emitted: p.emitted,
-                first_token_s: p.first_token_s,
-                first_admitted_s: Some(p.admitted_s),
-                preemptions: p.preemptions + 1,
-                prefill_tokens: p.prefill_charged,
-            });
-        }
-        while out.len() < max && !st.running.is_empty() {
-            let r = st.running.remove(0);
-            self.ledger.release(r.req.id).expect("running request holds allocation");
-            self.release_prefix_hold(r.req.id);
-            st.preemptions += 1;
-            st.emit(self.deployment, r.req.id, EventKind::Preempted { emitted: r.emitted });
-            st.wasted_prefill_tokens += r.req.prompt_len + r.emitted;
-            st.composition_changed = true;
-            out.push(QueueEntry {
-                req: r.req,
-                arrival_s: r.arrival_s,
-                emitted: r.emitted,
-                first_token_s: r.first_token_s,
-                first_admitted_s: Some(r.admitted_s),
-                preemptions: r.preemptions + 1,
-                prefill_tokens: r.prefill_charged,
-            });
-        }
-        out
+        let from_prefilling = max.min(st.prefilling.len());
+        let from_running = (max - from_prefilling).min(st.running.len());
+        // An inline (chunked) prefill has ingested `prefill_done` tokens;
+        // a side-prefill charged its whole context at admission — either
+        // way the work is lost with the shards.
+        let victims: Vec<(InFlight, u64)> = st
+            .prefilling
+            .drain(..from_prefilling)
+            .map(|p| (p, if inline { p.prefill_done } else { p.prefill_total }))
+            .chain(st.running.drain(..from_running).map(|r| (r, r.req.prompt_len + r.emitted)))
+            .collect();
+        st.composition_changed |= from_running > 0;
+        victims
+            .into_iter()
+            .map(|(v, tokens)| {
+                self.preempt(st, &v, tokens, false);
+                v.requeued()
+            })
+            .collect()
     }
 
-    /// Runs one serving iteration over `st`: scheduling, prefill joins,
-    /// one decode step of the running batch, token emission and eviction
-    /// — everything the pre-split loop body did between two visits of the
-    /// arrival cursor. Advancing the cursor (and feeding arrivals) is the
-    /// driver's job.
+    /// Takes a preempted request off the deployment — the one preemption
+    /// path behind both the policy's `Preempt` decisions and drain
+    /// evacuations: releases its shard allocation, counts the preemption
+    /// and emits `Preempted`, then either parks its `tokens` of ingested
+    /// KV down the residency ladder (`park`, see
+    /// [`ServeEngine::demote_victim`]) or drops its prefix pin; whatever
+    /// is not parked is booked as wasted re-materialization debt. The
+    /// caller has removed `r` from the batch and re-queues or migrates
+    /// it.
+    fn preempt(&mut self, st: &mut RunState, r: &InFlight, tokens: u64, park: bool) {
+        self.ledger.release(r.req.id).expect("an in-flight request holds its allocation");
+        st.preemptions += 1;
+        st.emit(self.deployment, r.req.id, EventKind::Preempted { emitted: r.emitted });
+        let parked = if park {
+            self.demote_victim(st, r.req.id, tokens)
+        } else {
+            self.release_prefix_hold(r.req.id);
+            false
+        };
+        if !parked {
+            st.wasted_prefill_tokens += tokens;
+        }
+    }
+
+    /// Drops the queued request at `pos`, which can never be placed on
+    /// this deployment. A preempted victim carries generated tokens, so
+    /// it completes with its retained progress instead of vanishing into
+    /// `rejected` (the generated-token accounting must keep summing over
+    /// outcomes).
+    fn drop_unplaceable(&mut self, st: &mut RunState, pos: usize) {
+        let entry = st.queue.remove(pos).expect("position came from a live scan");
+        self.forget_demoted(st, entry.req.id);
+        if entry.emitted == 0 {
+            st.rejected.push(entry.req.id);
+            st.emit(self.deployment, entry.req.id, EventKind::Rejected);
+            return;
+        }
+        st.outcomes.push(RequestOutcome {
+            id: entry.req.id,
+            class: entry.req.class,
+            deployment: self.deployment,
+            prompt_len: entry.req.prompt_len,
+            output_len: entry.emitted,
+            arrival_s: entry.arrival_s,
+            admitted_s: entry.first_admitted_s.expect("preempted request was admitted"),
+            first_token_s: entry.first_token_s.expect("preempted request emitted tokens"),
+            finished_s: st.clock,
+            slo_deadline_s: entry.req.slo.deadline_s(),
+            preemptions: entry.preemptions,
+            prefill_tokens: entry.prefill_tokens,
+        });
+        st.emit(
+            self.deployment,
+            entry.req.id,
+            EventKind::Completed { output_tokens: entry.emitted },
+        );
+    }
+
+    /// Runs one serving iteration over `st` — everything between two
+    /// visits of the arrival cursor, as the six stages of the
+    /// [module docs](super). Advancing the cursor (and feeding arrivals)
+    /// is the driver's job.
     pub(crate) fn advance_once(&mut self, st: &mut RunState) -> Result<StepProgress, CoreError> {
         st.just_preempted.clear();
-        let wb_enabled = self.system.config().delayed_writeback();
-        let inline = self.config.chunk_mode.is_inline();
-
-        // 2: admission & preemption — the policy decides, the engine
-        // executes under the batch-cap and shard-ledger invariants.
-        // An admission-only policy ([`SchedulingPolicy::may_preempt`]
-        // == false) provably has nothing to say when there is nothing
-        // to admit (empty queue) or no room (full batch), so those
-        // steps skip the snapshot build entirely — it is O(queue), the
-        // dominant cost on a backlogged trace. Policies that may
-        // preempt are consulted every step, and shedding policies
-        // ([`SchedulingPolicy::may_shed`]) whenever the queue is
-        // non-empty — a full batch is exactly when shedding matters.
-        let batch_full = st.running.len() + st.prefilling.len() >= self.config.max_batch as usize;
-        let skip_policy = !self.policy.may_preempt()
-            && (st.queue.is_empty() || (batch_full && !self.policy.may_shed()));
-        let decisions = if skip_policy {
-            Vec::new()
-        } else {
-            let in_flight_len = (st.running.len() + st.prefilling.len()) as u32;
-            // The policy may bound how much of the backlog its snapshot
-            // needs ([`SchedulingPolicy::queue_horizon`]); the view build
-            // is O(horizon) instead of O(queue).
-            let free_slots =
-                (self.config.max_batch as usize).saturating_sub(in_flight_len as usize);
-            let horizon =
-                self.policy.queue_horizon(free_slots).unwrap_or(usize::MAX).min(st.queue.len());
-            let held = |id: u64| self.ledger.held_bytes(id).unwrap_or(0);
-            let view_of = |r: &InFlight, decoding: bool| InFlightView {
-                id: r.req.id,
-                class: r.req.class,
-                priority: r.req.slo.priority,
-                arrival_s: r.arrival_s,
-                deadline_s: r.arrival_s + r.req.slo.deadline_s(),
-                emitted: r.emitted,
-                output_budget: r.req.output_budget,
-                decoding,
-                held_bytes: held(r.req.id),
-                preemptions: r.preemptions,
-                // A decoding request's prefill is complete whatever the
-                // chunk mode; a side-prefill (ChunkMode::Off) in flight
-                // reports its whole context as pending.
-                prefill_done: if decoding { r.prefill_total } else { r.prefill_done },
-                prefill_total: r.prefill_total,
-            };
-            let mut queue_views: Vec<QueuedView> = Vec::with_capacity(horizon);
-            let footprint_estimates = &mut st.footprint_estimates;
-            for q in st.queue.iter().take(horizon) {
-                // The snapshot's footprint is an *estimate* (the engine
-                // re-derives the exact value at admission), so it is
-                // memoized per request rather than re-derived for the
-                // whole backlog on every step — α drifts with batch
-                // composition, the stored estimate does not.
-                let footprint_bytes = match footprint_estimates.get(&q.req.id) {
-                    Some(&f) => f,
-                    None => {
-                        let admit_alpha = self.alpha_sel.select(
-                            &self.model,
-                            in_flight_len + 1,
-                            q.req.prompt_len.max(1),
-                        );
-                        let f = self.request_footprint(&q.req, admit_alpha);
-                        footprint_estimates.insert(q.req.id, f);
-                        f
-                    }
-                };
-                // Surface parked (demoted) KV so a policy can weigh
-                // recall-vs-recompute when ordering re-admissions.
-                let (demoted_tokens, recall_cost_s) = match &self.cache {
-                    Some(cs) => match cs.demoted.get(&q.req.id) {
-                        Some(d) => (d.tokens, cs.ladder.recall_seconds(d.tier, d.bytes)),
-                        None => (0, 0.0),
-                    },
-                    None => (0, 0.0),
-                };
-                queue_views.push(QueuedView {
-                    id: q.req.id,
-                    class: q.req.class,
-                    priority: q.req.slo.priority,
-                    arrival_s: q.arrival_s,
-                    deadline_s: q.arrival_s + q.req.slo.deadline_s(),
-                    prompt_len: q.req.prompt_len,
-                    output_budget: q.req.output_budget,
-                    emitted: q.emitted,
-                    preemptions: q.preemptions,
-                    footprint_bytes,
-                    demoted_tokens,
-                    recall_cost_s,
-                });
+        let decisions = self.schedule(st);
+        let queue_moved = self.execute_decisions(st, decisions)?;
+        if st.running.is_empty() && st.prefilling.is_empty() {
+            if st.queue.is_empty() {
+                // Everything drained mid-step (e.g. the whole queue was
+                // rejected as unplaceable): nothing left to decode.
+                return Ok(StepProgress::NoDecode);
             }
-            let flight_views: Vec<InFlightView> = st
-                .running
-                .iter()
-                .map(|r| view_of(r, true))
-                .chain(st.prefilling.iter().map(|p| view_of(p, false)))
-                .collect();
-            let device_free = self.ledger.free_by_device();
-            let snapshot = SchedSnapshot {
-                clock_s: st.clock,
-                step: st.step,
-                max_batch: self.config.max_batch,
-                queue: &queue_views,
-                in_flight: &flight_views,
-                device_free_bytes: &device_free,
-                placeable_free: self.ledger.placeable_free(),
-                prefill_backlog_tokens: st.prefill_backlog_tokens(),
-            };
-            self.policy.schedule(&snapshot)
+            if !queue_moved {
+                // A policy that holds everything while nothing is in
+                // flight can never make progress by itself — hand the
+                // stall to the driver (which feeds the next arrival, or
+                // fails loudly once the trace is exhausted).
+                return Ok(StepProgress::Stalled);
+            }
+        }
+        let interference_s = self.ingest_chunks(st)?;
+        self.join_prefills(st);
+        if st.running.is_empty() {
+            // Prefills still in flight but none ready — chunk modes keep
+            // ingesting next call; the side-prefill path can only get
+            // here before its clock fast-forward. Defensive tick.
+            return Ok(StepProgress::NoDecode);
+        }
+        self.decode(st, interference_s)?;
+        self.emit_and_evict(st, interference_s);
+        Ok(StepProgress::Decoded)
+    }
+
+    /// Stage 2a, scheduling: builds the [`SchedSnapshot`] and asks the
+    /// policy for this step's decisions.
+    ///
+    /// An admission-only policy ([`SchedulingPolicy::may_preempt`] ==
+    /// false) provably has nothing to say when there is nothing to admit
+    /// (empty queue) or no room (full batch), so those steps skip the
+    /// snapshot build entirely — it is O(queue), the dominant cost on a
+    /// backlogged trace. Policies that may preempt are consulted every
+    /// step, and shedding policies ([`SchedulingPolicy::may_shed`])
+    /// whenever the queue is non-empty — a full batch is exactly when
+    /// shedding matters.
+    fn schedule(&mut self, st: &mut RunState) -> Vec<SchedDecision> {
+        let batch_full = st.running.len() + st.prefilling.len() >= self.config.max_batch as usize;
+        if !self.policy.may_preempt()
+            && (st.queue.is_empty() || (batch_full && !self.policy.may_shed()))
+        {
+            return Vec::new();
+        }
+        let in_flight_len = (st.running.len() + st.prefilling.len()) as u32;
+        // The policy may bound how much of the backlog its snapshot
+        // needs ([`SchedulingPolicy::queue_horizon`]); the view build
+        // is O(horizon) instead of O(queue).
+        let free_slots = (self.config.max_batch as usize).saturating_sub(in_flight_len as usize);
+        let horizon =
+            self.policy.queue_horizon(free_slots).unwrap_or(usize::MAX).min(st.queue.len());
+        let held = |id: u64| self.ledger.held_bytes(id).unwrap_or(0);
+        let view_of = |r: &InFlight, decoding: bool| InFlightView {
+            id: r.req.id,
+            class: r.req.class,
+            priority: r.req.slo.priority,
+            arrival_s: r.arrival_s,
+            deadline_s: r.arrival_s + r.req.slo.deadline_s(),
+            emitted: r.emitted,
+            output_budget: r.req.output_budget,
+            decoding,
+            held_bytes: held(r.req.id),
+            preemptions: r.preemptions,
+            // A decoding request's prefill is complete whatever the
+            // chunk mode; a side-prefill (ChunkMode::Off) in flight
+            // reports its whole context as pending.
+            prefill_done: if decoding { r.prefill_total } else { r.prefill_done },
+            prefill_total: r.prefill_total,
         };
-        let mut admissions_executed = 0usize;
-        let mut sheds_executed = 0usize;
-        'decisions: for d in decisions {
+        let mut queue_views: Vec<QueuedView> = Vec::with_capacity(horizon);
+        let footprint_estimates = &mut st.footprint_estimates;
+        for q in st.queue.iter().take(horizon) {
+            // The snapshot's footprint is an *estimate* (the engine
+            // re-derives the exact value at admission), so it is
+            // memoized per request rather than re-derived for the
+            // whole backlog on every step — α drifts with batch
+            // composition, the stored estimate does not.
+            let footprint_bytes = match footprint_estimates.get(&q.req.id) {
+                Some(&f) => f,
+                None => {
+                    let admit_alpha = self.alpha_sel.select(
+                        &self.model,
+                        in_flight_len + 1,
+                        q.req.prompt_len.max(1),
+                    );
+                    let f = self.request_footprint(&q.req, admit_alpha);
+                    footprint_estimates.insert(q.req.id, f);
+                    f
+                }
+            };
+            // Surface parked (demoted) KV so a policy can weigh
+            // recall-vs-recompute when ordering re-admissions.
+            let (demoted_tokens, recall_cost_s) = match &self.cache {
+                Some(cs) => match cs.demoted.get(&q.req.id) {
+                    Some(d) => (d.tokens, cs.ladder.recall_seconds(d.tier, d.bytes)),
+                    None => (0, 0.0),
+                },
+                None => (0, 0.0),
+            };
+            queue_views.push(QueuedView {
+                id: q.req.id,
+                class: q.req.class,
+                priority: q.req.slo.priority,
+                arrival_s: q.arrival_s,
+                deadline_s: q.arrival_s + q.req.slo.deadline_s(),
+                prompt_len: q.req.prompt_len,
+                output_budget: q.req.output_budget,
+                emitted: q.emitted,
+                preemptions: q.preemptions,
+                footprint_bytes,
+                demoted_tokens,
+                recall_cost_s,
+            });
+        }
+        let flight_views: Vec<InFlightView> = st
+            .running
+            .iter()
+            .map(|r| view_of(r, true))
+            .chain(st.prefilling.iter().map(|p| view_of(p, false)))
+            .collect();
+        let device_free = self.ledger.free_by_device();
+        let snapshot = SchedSnapshot {
+            clock_s: st.clock,
+            step: st.step,
+            max_batch: self.config.max_batch,
+            queue: &queue_views,
+            in_flight: &flight_views,
+            device_free_bytes: &device_free,
+            placeable_free: self.ledger.placeable_free(),
+            prefill_backlog_tokens: st.prefill_backlog_tokens(),
+        };
+        self.policy.schedule(&snapshot)
+    }
+
+    /// Stage 2b, executing decisions: preempts, sheds and admits in the
+    /// policy's order under the batch-cap and shard-ledger invariants.
+    /// Returns whether the queue moved — an admission or a shed executed
+    /// (the driver's stall test).
+    fn execute_decisions(
+        &mut self,
+        st: &mut RunState,
+        decisions: Vec<SchedDecision>,
+    ) -> Result<bool, CoreError> {
+        let inline = self.config.chunk_mode.is_inline();
+        let mut queue_moved = false;
+        for d in decisions {
             match d {
                 SchedDecision::Preempt { victim } => {
                     // Decoding requests are always preemptable; under the
@@ -1205,42 +1285,21 @@ impl ServeEngine {
                     // and cheap: only its executed chunks are discarded,
                     // no decode progress is lost. Stale or invalid ids
                     // are ignored.
-                    if let Some(pos) = st.running.iter().position(|r| r.req.id == victim) {
-                        let r = st.running.remove(pos);
-                        self.ledger.release(r.req.id).expect("running request holds allocation");
-                        st.preemptions += 1;
-                        st.emit(
-                            self.deployment,
-                            r.req.id,
-                            EventKind::Preempted { emitted: r.emitted },
-                        );
-                        // Demote the victim's ingested KV down the
-                        // residency ladder; only what the ladder cannot
-                        // hold becomes re-materialization debt (all of
-                        // it, with the cache off).
-                        if !self.demote_victim(st, r.req.id, r.req.prompt_len + r.emitted) {
-                            st.wasted_prefill_tokens += r.req.prompt_len + r.emitted;
-                        }
-                        st.composition_changed = true;
-                        st.requeue_victim(r);
-                    } else if inline {
-                        let Some(pos) = st.prefilling.iter().position(|p| p.req.id == victim)
-                        else {
+                    let (r, tokens) =
+                        if let Some(pos) = st.running.iter().position(|r| r.req.id == victim) {
+                            st.composition_changed = true;
+                            let r = st.running.remove(pos);
+                            (r, r.req.prompt_len + r.emitted)
+                        } else if let Some(pos) =
+                            st.prefilling.iter().position(|p| inline && p.req.id == victim)
+                        {
+                            let p = st.prefilling.remove(pos);
+                            (p, p.prefill_done)
+                        } else {
                             continue;
                         };
-                        let p = st.prefilling.remove(pos);
-                        self.ledger.release(p.req.id).expect("prefilling request holds allocation");
-                        st.preemptions += 1;
-                        st.emit(
-                            self.deployment,
-                            p.req.id,
-                            EventKind::Preempted { emitted: p.emitted },
-                        );
-                        if !self.demote_victim(st, p.req.id, p.prefill_done) {
-                            st.wasted_prefill_tokens += p.prefill_done;
-                        }
-                        st.requeue_victim(p);
-                    }
+                    self.preempt(st, &r, tokens, true);
+                    st.requeue_victim(&r);
                 }
                 SchedDecision::Shed { request } => {
                     let Some(pos) = st.queue.iter().position(|q| q.req.id == request) else {
@@ -1266,306 +1325,234 @@ impl ServeEngine {
                         shed_s: st.clock,
                         slo_deadline_s: entry.req.slo.deadline_s(),
                     });
-                    sheds_executed += 1;
+                    queue_moved = true;
                     st.emit(self.deployment, entry.req.id, EventKind::Shed);
                 }
-                SchedDecision::Admit { request } => {
-                    if st.running.len() + st.prefilling.len() >= self.config.max_batch as usize {
-                        break 'decisions;
-                    }
-                    let Some(pos) = st.queue.iter().position(|q| q.req.id == request) else {
-                        continue;
-                    };
-                    let entry = st.queue[pos];
-                    // α for the composition this request would join.
-                    let admit_alpha = self.alpha_sel.select(
-                        &self.model,
-                        (st.running.len() + st.prefilling.len() + 1) as u32,
-                        entry.req.prompt_len.max(1),
-                    );
-                    let footprint = self.request_footprint(&entry.req, admit_alpha);
-                    // A request that can never be placed is dropped — but
-                    // a preempted victim carries generated tokens, so it
-                    // completes with its retained progress instead of
-                    // vanishing into `rejected` (the generated-token
-                    // accounting must keep summing over outcomes).
-                    let deployment = self.deployment;
-                    let drop_unplaceable = |entry: QueueEntry,
-                                            outcomes: &mut Vec<RequestOutcome>,
-                                            rejected: &mut Vec<u64>,
-                                            clock: f64| {
-                        if entry.emitted > 0 {
-                            outcomes.push(RequestOutcome {
-                                id: entry.req.id,
-                                class: entry.req.class,
-                                deployment,
-                                prompt_len: entry.req.prompt_len,
-                                output_len: entry.emitted,
-                                arrival_s: entry.arrival_s,
-                                admitted_s: entry
-                                    .first_admitted_s
-                                    .expect("preempted request was admitted"),
-                                first_token_s: entry
-                                    .first_token_s
-                                    .expect("preempted request emitted tokens"),
-                                finished_s: clock,
-                                slo_deadline_s: entry.req.slo.deadline_s(),
-                                preemptions: entry.preemptions,
-                                prefill_tokens: entry.prefill_tokens,
-                            });
-                        } else {
-                            rejected.push(entry.req.id);
-                        }
-                    };
-                    if footprint > self.max_placeable {
-                        self.forget_demoted(st, entry.req.id);
-                        drop_unplaceable(entry, &mut st.outcomes, &mut st.rejected, st.clock);
-                        st.queue.remove(pos);
-                        if entry.emitted > 0 {
-                            st.emit(
-                                deployment,
-                                entry.req.id,
-                                EventKind::Completed { output_tokens: entry.emitted },
-                            );
-                        } else {
-                            st.emit(deployment, entry.req.id, EventKind::Rejected);
-                        }
-                        continue;
-                    }
-                    match self.ledger.allocate(entry.req.id, footprint) {
-                        Ok(placed) => {
-                            for (acc, &b) in st.kv_placed.iter_mut().zip(&placed) {
-                                *acc += b as f64;
-                            }
-                        }
-                        Err(_) => {
-                            if self.ledger.live_requests() == 0 {
-                                // Nothing live and still unplaceable
-                                // (e.g. a stripe member filled by static
-                                // reservations): the request can never be
-                                // admitted.
-                                self.forget_demoted(st, entry.req.id);
-                                drop_unplaceable(
-                                    entry,
-                                    &mut st.outcomes,
-                                    &mut st.rejected,
-                                    st.clock,
-                                );
-                                st.queue.remove(pos);
-                                if entry.emitted > 0 {
-                                    st.emit(
-                                        deployment,
-                                        entry.req.id,
-                                        EventKind::Completed { output_tokens: entry.emitted },
-                                    );
-                                } else {
-                                    st.emit(deployment, entry.req.id, EventKind::Rejected);
-                                }
-                                continue;
-                            }
-                            // Head-of-line wait: abandon the rest of this
-                            // step's decisions; evictions will free space.
-                            break 'decisions;
-                        }
-                    }
-                    st.queue.remove(pos);
-                    // A re-admitted preemption victim re-materializes the
-                    // KV of its generated progress too.
-                    let pf_ctx = entry.req.prompt_len + entry.emitted;
-                    // Prefix-cache probe: recall a demoted victim's parked
-                    // KV, or a published prefix hit, and start the chunk
-                    // cursor past the reused tokens. Both legs are inert
-                    // with the cache off (`reused == 0`, `recall_s == 0`),
-                    // keeping the golden-pinned path untouched.
-                    let (reused, recall_s) = self.reuse_cached_kv(st, &entry, pf_ctx);
-                    // Stamped before the recall charge lands on the clock:
-                    // the admission instant is when the decision was made,
-                    // the recall I/O is accounted by its own event above.
-                    st.emit(
-                        deployment,
-                        entry.req.id,
-                        EventKind::Admitted { reused_tokens: reused },
-                    );
-                    if recall_s > 0.0 {
-                        // Recall I/O is critical-path: it delays this
-                        // step's clock (and thus the hit's TTFT) just as
-                        // the paper's recovery reads do.
-                        st.clock += recall_s;
-                        st.prefix.recall_seconds += recall_s;
-                    }
-                    // Side-prefill (ChunkMode::Off) simulates the whole
-                    // prefill now and joins on the clock; the inline
-                    // modes leave joining to the chunk cursor.
-                    let join_s = if inline {
-                        f64::INFINITY
-                    } else {
-                        // A cache hit pays only the un-cached suffix; the
-                        // miss path keeps the adaptive-quantum rounding of
-                        // `prefill_seconds` bit-identical to the pins.
-                        let pf = if reused == 0 {
-                            self.prefill_seconds(pf_ctx, admit_alpha)
-                        } else {
-                            self.prefill_chunk_seconds(reused, pf_ctx - reused, admit_alpha)
-                        };
-                        match pf {
-                            Ok(pf) => st.clock + pf,
-                            Err(e) => {
-                                // Don't leak the shard allocation (or the
-                                // prefix pin) on a failed prefill
-                                // simulation — the engine stays reusable.
-                                let _ = self.ledger.release(entry.req.id);
-                                self.release_prefix_hold(entry.req.id);
-                                return Err(e);
-                            }
-                        }
-                    };
-                    st.prefill_payload += footprint as f64 * (pf_ctx - reused) as f64
-                        / entry.req.total_tokens() as f64;
-                    admissions_executed += 1;
-                    st.prefilling.push(InFlight {
-                        req: entry.req,
-                        arrival_s: entry.arrival_s,
-                        admitted_s: entry.first_admitted_s.unwrap_or(st.clock),
-                        join_s,
-                        first_token_s: entry.first_token_s,
-                        emitted: entry.emitted,
-                        preemptions: entry.preemptions,
-                        prefill_done: reused,
-                        prefill_total: pf_ctx,
-                        admit_alpha,
-                        // The lump side-prefill executes in full right
-                        // here; chunks charge as they run — reused tokens
-                        // are charged to neither (that is the saving).
-                        prefill_charged: entry.prefill_tokens
-                            + if inline { 0 } else { pf_ctx - reused },
-                    });
-                }
+                SchedDecision::Admit { request } => match self.admit(st, request)? {
+                    ControlFlow::Continue(admitted) => queue_moved |= admitted,
+                    ControlFlow::Break(()) => break,
+                },
             }
         }
-        // A policy that holds everything while nothing is in flight can
-        // never make progress by itself — hand the stall to the driver
-        // (which feeds the next arrival, or fails loudly once the trace
-        // is exhausted). Executed sheds count as progress: the queue
-        // shrank, so the loop is not stuck.
-        if st.running.is_empty() && st.prefilling.is_empty() {
-            if !st.queue.is_empty() && admissions_executed == 0 && sheds_executed == 0 {
-                return Ok(StepProgress::Stalled);
-            }
-            if st.queue.is_empty() {
-                // Everything drained mid-step (e.g. the whole queue was
-                // rejected as unplaceable): nothing left to decode.
-                return Ok(StepProgress::NoDecode);
-            }
-        }
+        Ok(queue_moved)
+    }
 
-        // 3a (inline chunk modes): ingest prompt chunks under the step
-        // token budget. The running batch reserves one budget token per
-        // sequence (decode keeps its cadence — that is the whole point
-        // of chunking); the remainder is spent front-to-back over the
-        // pending prefills, up to one chunk each, and the time is
-        // charged to this step's clock.
-        let mut chunk_seconds = 0.0f64;
-        // Whether a decode stream was live *while* the chunks executed —
-        // decides below whether their time was interference (inflating
-        // running requests' emission gaps) or a stall (the joiner's own
-        // TTFT, with nothing decoding to disturb).
-        let mut chunks_overlapped_decode = false;
-        if inline && !st.prefilling.is_empty() {
-            chunks_overlapped_decode = !st.running.is_empty();
-            let (chunk_len, step_budget) = self.config.chunk_mode.knobs();
-            let mut budget = step_budget.saturating_sub(st.running.len() as u64);
-            for i in 0..st.prefilling.len() {
-                if budget == 0 {
-                    break;
-                }
-                let (id, done, total, alpha) = {
-                    let p = &st.prefilling[i];
-                    (p.req.id, p.prefill_done, p.prefill_total, p.admit_alpha)
-                };
-                let remaining = total - done;
-                if remaining == 0 {
-                    continue;
-                }
-                let take = chunk_len.min(remaining).min(budget);
-                let seconds = self.prefill_chunk_seconds(done, take, alpha)?;
-                chunk_seconds += seconds;
-                st.emit(
-                    self.deployment,
-                    id,
-                    EventKind::PrefillChunk {
-                        start: done,
-                        tokens: take,
-                        seconds,
-                        interference: chunks_overlapped_decode,
-                    },
-                );
-                let p = &mut st.prefilling[i];
-                p.prefill_done += take;
-                p.prefill_charged += take;
-                budget -= take;
-                st.prefill_chunks += 1;
-                st.prefill_chunk_tokens += take;
-            }
-            st.clock += chunk_seconds;
-            if chunk_seconds > 0.0 {
-                if chunks_overlapped_decode {
-                    st.prefill_interference_s += chunk_seconds;
-                } else {
-                    st.prefill_stall_s += chunk_seconds;
-                }
-            }
+    /// Executes one admission: sizes the request at the α of the
+    /// composition it would join, places it on the shard ledger, reuses
+    /// cached KV and starts its prefill. `Continue(true)` admitted it;
+    /// `Continue(false)` skipped a stale id or dropped an unplaceable
+    /// request; `Break` abandons the rest of the step's decisions (full
+    /// batch, or a head-of-line wait on the ledger).
+    fn admit(
+        &mut self,
+        st: &mut RunState,
+        request: u64,
+    ) -> Result<ControlFlow<(), bool>, CoreError> {
+        if st.running.len() + st.prefilling.len() >= self.config.max_batch as usize {
+            return Ok(ControlFlow::Break(()));
         }
-
-        // 3: join finished prefills at this step boundary.
-        if inline {
-            // The chunk cursor decides: fully-ingested prompts join in
-            // admission order (the order their last chunks executed).
-            if st.prefilling.iter().any(|p| p.prefill_done >= p.prefill_total) {
-                let (ready, pending): (Vec<InFlight>, Vec<InFlight>) =
-                    st.prefilling.drain(..).partition(|p| p.prefill_done >= p.prefill_total);
-                st.prefilling = pending;
-                st.joins += ready.len() as u64;
-                for p in &ready {
-                    st.emit(self.deployment, p.req.id, EventKind::Joined);
+        let Some(pos) = st.queue.iter().position(|q| q.req.id == request) else {
+            return Ok(ControlFlow::Continue(false));
+        };
+        let entry = st.queue[pos];
+        let inline = self.config.chunk_mode.is_inline();
+        // α for the composition this request would join.
+        let admit_alpha = self.alpha_sel.select(
+            &self.model,
+            (st.running.len() + st.prefilling.len() + 1) as u32,
+            entry.req.prompt_len.max(1),
+        );
+        let footprint = self.request_footprint(&entry.req, admit_alpha);
+        if footprint > self.max_placeable {
+            self.drop_unplaceable(st, pos);
+            return Ok(ControlFlow::Continue(false));
+        }
+        match self.ledger.allocate(entry.req.id, footprint) {
+            Ok(placed) => {
+                for (acc, &b) in st.kv_placed.iter_mut().zip(&placed) {
+                    *acc += b as f64;
                 }
-                st.running.extend(ready);
-                st.composition_changed = true;
             }
+            // Nothing live and still unplaceable (e.g. a stripe member
+            // filled by static reservations): the request can never be
+            // admitted.
+            Err(_) if self.ledger.live_requests() == 0 => {
+                self.drop_unplaceable(st, pos);
+                return Ok(ControlFlow::Continue(false));
+            }
+            // Head-of-line wait: evictions will free space.
+            Err(_) => return Ok(ControlFlow::Break(())),
+        }
+        st.queue.remove(pos);
+        // A re-admitted preemption victim re-materializes the KV of its
+        // generated progress too.
+        let pf_ctx = entry.req.prompt_len + entry.emitted;
+        // Prefix-cache probe: recall a demoted victim's parked KV, or a
+        // published prefix hit, and start the chunk cursor past the
+        // reused tokens. Both legs are inert with the cache off
+        // (`reused == 0`, `recall_s == 0`), keeping the golden-pinned
+        // path untouched.
+        let (reused, recall_s) = self.reuse_cached_kv(st, &entry, pf_ctx);
+        // Stamped before the recall charge lands on the clock: the
+        // admission instant is when the decision was made, the recall
+        // I/O is accounted by its own event above.
+        st.emit(self.deployment, entry.req.id, EventKind::Admitted { reused_tokens: reused });
+        if recall_s > 0.0 {
+            // Recall I/O is critical-path: it delays this step's clock
+            // (and thus the hit's TTFT) just as the paper's recovery
+            // reads do.
+            st.clock += recall_s;
+            st.prefix.recall_seconds += recall_s;
+        }
+        // Side-prefill (ChunkMode::Off) simulates the whole prefill now
+        // and joins on the clock; the inline modes leave joining to the
+        // chunk cursor.
+        let join_s = if inline {
+            f64::INFINITY
         } else {
-            // Side-prefill: the simulated completion clock decides. If
-            // nothing is decoding, fast-forward to the earliest join.
+            // A cache hit pays only the un-cached suffix; the miss path
+            // keeps the adaptive-quantum rounding of `prefill_seconds`
+            // bit-identical to the pins.
+            let pf = if reused == 0 {
+                self.prefill_seconds(pf_ctx, admit_alpha)
+            } else {
+                self.prefill_chunk_seconds(reused, pf_ctx - reused, admit_alpha)
+            };
+            match pf {
+                Ok(pf) => st.clock + pf,
+                Err(e) => {
+                    // Don't leak the shard allocation (or the prefix
+                    // pin) on a failed prefill simulation — the engine
+                    // stays reusable.
+                    let _ = self.ledger.release(entry.req.id);
+                    self.release_prefix_hold(entry.req.id);
+                    return Err(e);
+                }
+            }
+        };
+        st.prefill_payload +=
+            footprint as f64 * (pf_ctx - reused) as f64 / entry.req.total_tokens() as f64;
+        st.prefilling.push(InFlight {
+            req: entry.req,
+            arrival_s: entry.arrival_s,
+            admitted_s: entry.first_admitted_s.unwrap_or(st.clock),
+            join_s,
+            first_token_s: entry.first_token_s,
+            emitted: entry.emitted,
+            preemptions: entry.preemptions,
+            prefill_done: reused,
+            prefill_total: pf_ctx,
+            admit_alpha,
+            // The lump side-prefill executes in full right here; chunks
+            // charge as they run — reused tokens are charged to neither
+            // (that is the saving).
+            prefill_charged: entry.prefill_tokens + if inline { 0 } else { pf_ctx - reused },
+        });
+        Ok(ControlFlow::Continue(true))
+    }
+
+    /// Stage 3, chunked prefill (inline chunk modes only): ingests prompt
+    /// chunks under the step token budget. The running batch reserves
+    /// one budget token per sequence (decode keeps its cadence — that is
+    /// the whole point of chunking); the remainder is spent
+    /// front-to-back over the pending prefills, up to one chunk each, and
+    /// the time is charged to this step's clock.
+    ///
+    /// Returns the chunk seconds that interfered with decoding: all of
+    /// them when a decode stream was live while they executed (they
+    /// inflate the running requests' emission gaps), none when the
+    /// pipeline was empty (then they are the joiner's own TTFT, booked
+    /// as a stall).
+    fn ingest_chunks(&mut self, st: &mut RunState) -> Result<f64, CoreError> {
+        if !self.config.chunk_mode.is_inline() || st.prefilling.is_empty() {
+            return Ok(0.0);
+        }
+        let overlapped_decode = !st.running.is_empty();
+        let (chunk_len, step_budget) = self.config.chunk_mode.knobs();
+        let mut budget = step_budget.saturating_sub(st.running.len() as u64);
+        let mut chunk_seconds = 0.0f64;
+        for i in 0..st.prefilling.len() {
+            if budget == 0 {
+                break;
+            }
+            let (id, done, total, alpha) = {
+                let p = &st.prefilling[i];
+                (p.req.id, p.prefill_done, p.prefill_total, p.admit_alpha)
+            };
+            let remaining = total - done;
+            if remaining == 0 {
+                continue;
+            }
+            let take = chunk_len.min(remaining).min(budget);
+            let seconds = self.prefill_chunk_seconds(done, take, alpha)?;
+            chunk_seconds += seconds;
+            st.emit(
+                self.deployment,
+                id,
+                EventKind::PrefillChunk {
+                    start: done,
+                    tokens: take,
+                    seconds,
+                    interference: overlapped_decode,
+                },
+            );
+            let p = &mut st.prefilling[i];
+            p.prefill_done += take;
+            p.prefill_charged += take;
+            budget -= take;
+            st.prefill_chunks += 1;
+            st.prefill_chunk_tokens += take;
+        }
+        st.clock += chunk_seconds;
+        if chunk_seconds > 0.0 {
+            if overlapped_decode {
+                st.prefill_interference_s += chunk_seconds;
+            } else {
+                st.prefill_stall_s += chunk_seconds;
+            }
+        }
+        Ok(if overlapped_decode { chunk_seconds } else { 0.0 })
+    }
+
+    /// Stage 4, join: finished prefills join the running batch at this
+    /// step boundary. Under the inline chunk modes the chunk cursor
+    /// decides, and fully-ingested prompts join in admission order (the
+    /// order their last chunks executed). Under the side-prefill the
+    /// simulated completion clock decides, fast-forwarding to the
+    /// earliest join when nothing is decoding, and joiners order by
+    /// prefill completion, then id.
+    fn join_prefills(&self, st: &mut RunState) {
+        let ready = if self.config.chunk_mode.is_inline() {
+            if !st.prefilling.iter().any(|p| p.prefill_done >= p.prefill_total) {
+                return;
+            }
+            let (ready, pending): (Vec<InFlight>, Vec<InFlight>) =
+                st.prefilling.drain(..).partition(|p| p.prefill_done >= p.prefill_total);
+            st.prefilling = pending;
+            ready
+        } else {
             if st.running.is_empty() && !st.prefilling.is_empty() {
                 let earliest = st.prefilling.iter().map(|p| p.join_s).fold(f64::INFINITY, f64::min);
                 st.clock = st.clock.max(earliest);
             }
-            if !st.prefilling.is_empty() {
-                let mut ready: Vec<InFlight> =
-                    st.prefilling.iter().copied().filter(|p| p.join_s <= st.clock).collect();
-                if !ready.is_empty() {
-                    let clock = st.clock;
-                    st.prefilling.retain(|p| p.join_s > clock);
-                    // Deterministic join order: prefill completion, then
-                    // id.
-                    ready.sort_by(|a, b| {
-                        a.join_s.total_cmp(&b.join_s).then(a.req.id.cmp(&b.req.id))
-                    });
-                    st.joins += ready.len() as u64;
-                    for p in &ready {
-                        st.emit(self.deployment, p.req.id, EventKind::Joined);
-                    }
-                    st.running.extend(ready);
-                    st.composition_changed = true;
-                }
+            let clock = st.clock;
+            let mut ready: Vec<InFlight> =
+                st.prefilling.iter().copied().filter(|p| p.join_s <= clock).collect();
+            if ready.is_empty() {
+                return;
             }
-        }
-        if st.running.is_empty() {
-            // Prefills still in flight but none ready — chunk modes keep
-            // ingesting next call; the side-prefill path can only get
-            // here before the clock advance above. Defensive tick.
-            return Ok(StepProgress::NoDecode);
-        }
+            st.prefilling.retain(|p| p.join_s > clock);
+            ready.sort_by(|a, b| a.join_s.total_cmp(&b.join_s).then(a.req.id.cmp(&b.req.id)));
+            ready
+        };
+        st.join(self.deployment, ready);
+    }
 
-        // 4: one decode step of the running batch at its mean context.
+    /// Stage 5, decode: one step of the running batch at its mean
+    /// context, α re-selected on a composition change. The step's
+    /// emission gap is its decode time plus the chunk seconds that
+    /// interfered with it.
+    fn decode(&mut self, st: &mut RunState, interference_s: f64) -> Result<(), CoreError> {
         let batch = st.running.len() as u32;
         st.peak_batch = st.peak_batch.max(batch);
         let total_ctx: u64 = st.running.iter().map(|r| r.req.context_at(r.emitted)).sum();
@@ -1575,7 +1562,7 @@ impl ServeEngine {
             st.alpha_recomputes += 1;
             st.composition_changed = false;
         }
-        let decision = if wb_enabled {
+        let decision = if self.system.config().delayed_writeback() {
             st.wb.on_step()
         } else {
             SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 }
@@ -1583,20 +1570,19 @@ impl ServeEngine {
         let outcome = self.decode_step(batch, mean_ctx, st.alpha, &decision)?;
         st.clock += outcome.seconds;
         st.decode_seconds += outcome.seconds;
-        // The gap between this emission and the previous one includes
-        // the prefill chunks the step absorbed — but only when a stream
-        // was already decoding while they ran; chunks that executed with
-        // the pipeline empty delayed nobody's next token (they are the
-        // joiner's own TTFT, booked as stall above).
-        let interference = if chunks_overlapped_decode { chunk_seconds } else { 0.0 };
-        st.step_latency.push(interference + outcome.seconds);
+        st.step_latency.push(interference_s + outcome.seconds);
         st.decode_steps += 1;
         st.generated += batch as u64;
         st.alpha_steps_sum += st.alpha;
         st.host_bytes += outcome.host_pcie_bytes;
         st.internal_bytes += outcome.internal_read_bytes;
+        Ok(())
+    }
 
-        // Token emission + 5: eviction of completed requests.
+    /// Stage 6, emission and eviction: every running request emits the
+    /// step's token; those that exhausted their output budget leave the
+    /// batch, release their shard allocations and publish their prefix.
+    fn emit_and_evict(&mut self, st: &mut RunState, interference_s: f64) {
         let mut still_running = Vec::with_capacity(st.running.len());
         for mut r in std::mem::take(&mut st.running) {
             r.emitted += 1;
@@ -1606,42 +1592,37 @@ impl ServeEngine {
             st.emit(
                 self.deployment,
                 r.req.id,
-                EventKind::Emit { index: r.emitted - 1, interference_s: interference },
+                EventKind::Emit { index: r.emitted - 1, interference_s },
             );
-            if r.emitted >= r.req.output_budget {
-                self.ledger.release(r.req.id).expect("running request holds allocation");
-                // A finished request's prefix KV is worth keeping:
-                // release its read pin and publish the prefix (and the
-                // session's full context, if keyed) into the ladder for
-                // later arrivals to reuse.
-                self.publish_finished(&r);
-                st.evictions += 1;
-                st.outcomes.push(RequestOutcome {
-                    id: r.req.id,
-                    class: r.req.class,
-                    deployment: self.deployment,
-                    prompt_len: r.req.prompt_len,
-                    output_len: r.emitted,
-                    arrival_s: r.arrival_s,
-                    admitted_s: r.admitted_s,
-                    first_token_s: r.first_token_s.unwrap(),
-                    finished_s: st.clock,
-                    slo_deadline_s: r.req.slo.deadline_s(),
-                    preemptions: r.preemptions,
-                    prefill_tokens: r.prefill_charged,
-                });
-                st.emit(
-                    self.deployment,
-                    r.req.id,
-                    EventKind::Completed { output_tokens: r.emitted },
-                );
-                st.composition_changed = true;
-            } else {
+            if r.emitted < r.req.output_budget {
                 still_running.push(r);
+                continue;
             }
+            self.ledger.release(r.req.id).expect("running request holds allocation");
+            // A finished request's prefix KV is worth keeping: release
+            // its read pin and publish the prefix (and the session's
+            // full context, if keyed) into the ladder for later arrivals
+            // to reuse.
+            self.publish_finished(&r);
+            st.evictions += 1;
+            st.outcomes.push(RequestOutcome {
+                id: r.req.id,
+                class: r.req.class,
+                deployment: self.deployment,
+                prompt_len: r.req.prompt_len,
+                output_len: r.emitted,
+                arrival_s: r.arrival_s,
+                admitted_s: r.admitted_s,
+                first_token_s: r.first_token_s.expect("an emitting request has a first token"),
+                finished_s: st.clock,
+                slo_deadline_s: r.req.slo.deadline_s(),
+                preemptions: r.preemptions,
+                prefill_tokens: r.prefill_charged,
+            });
+            st.emit(self.deployment, r.req.id, EventKind::Completed { output_tokens: r.emitted });
+            st.composition_changed = true;
         }
         st.running = still_running;
-        Ok(StepProgress::Decoded)
     }
 
     /// Seals a finished run state into its [`TraceReport`].
@@ -1683,14 +1664,10 @@ impl ServeEngine {
             } else {
                 0.0
             },
-            step_cache_entries: match &self.shared_cache {
-                // The shared table is the deterministic union of every
-                // group member's (identical-per-deployment) key set —
-                // the same number whichever member filled it, and equal
-                // to the local count for a group of one.
-                Some(shared) => shared.steps.read().expect("shared step cache poisoned").len(),
-                None => self.step_cache.len(),
-            },
+            // A shared table is the deterministic union of every group
+            // member's (identical-per-deployment) key set — the same
+            // number whichever member filled it.
+            step_cache_entries: self.memo.steps.read().expect("step memo poisoned").len(),
             host_pcie_bytes: st.host_bytes,
             internal_read_bytes: st.internal_bytes,
             prefill_payload_bytes: st.prefill_payload,
@@ -1768,7 +1745,7 @@ mod tests {
     use super::super::policy::{DeadlineEdf, PriorityPreempt};
     use super::*;
     use crate::config::HilosConfig;
-    use hilos_llm::{presets, TraceConfig};
+    use hilos_llm::{presets, RequestClass, TraceConfig};
     use hilos_platform::SystemSpec;
 
     fn system(n: usize) -> HilosSystem {
@@ -2097,6 +2074,42 @@ mod tests {
         let off_report = off.run_trace(&trace).unwrap();
         assert_eq!(off_report.preemptions, 0);
         assert_eq!(off_report.outcomes.len(), 32);
+    }
+
+    #[test]
+    fn evacuation_takes_prefills_then_decoders_oldest_first() {
+        let mut eng =
+            ServeEngine::new(system(8), ServeConfig::new(8).with_chunk_mode(ChunkMode::chunked()))
+                .unwrap();
+        let mut st = eng.new_run_state();
+        // One step under the 2048-token budget ingests both short prompts
+        // whole (they join and decode) and one 256-token chunk of each
+        // long prompt (still prefilling).
+        for (id, prompt_len) in [(0, 200), (1, 200), (2, 4096), (3, 4096), (4, 4096)] {
+            let req = Request::new(id, 0, prompt_len, 64, RequestClass::Short).unwrap();
+            eng.enqueue_arrival(&mut st, req);
+        }
+        assert_eq!(eng.advance_once(&mut st).unwrap(), StepProgress::Decoded);
+        assert_eq!(st.running.iter().map(|r| r.req.id).collect::<Vec<_>>(), [0, 1]);
+        assert!(st.running.iter().all(|r| r.emitted == 1));
+        assert_eq!(st.prefilling.iter().map(|p| p.req.id).collect::<Vec<_>>(), [2, 3, 4]);
+        assert!(st.prefilling.iter().all(|p| p.prefill_done > 0 && p.prefill_done < 4096));
+        let ingested: u64 = st.prefilling.iter().map(|p| p.prefill_done).sum();
+        let (wasted, preemptions) = (st.wasted_prefill_tokens, st.preemptions);
+        let live = eng.ledger().live_requests();
+
+        let out = eng.evacuate_in_flight(&mut st, 4);
+        // Every prefill (oldest first), then the oldest decoder.
+        assert_eq!(out.iter().map(|e| e.req.id).collect::<Vec<_>>(), [2, 3, 4, 0]);
+        assert!(out.iter().all(|e| e.preemptions == 1));
+        assert_eq!(out[3].emitted, 1, "decode progress is retained");
+        // Lost work: each prefill's ingested chunks, and the decoder's
+        // prompt plus its emitted token.
+        assert_eq!(st.wasted_prefill_tokens - wasted, ingested + 200 + 1);
+        assert_eq!(st.preemptions - preemptions, 4);
+        assert_eq!(live - eng.ledger().live_requests(), 4);
+        assert!(st.prefilling.is_empty());
+        assert_eq!(st.running.iter().map(|r| r.req.id).collect::<Vec<_>>(), [1]);
     }
 
     #[test]

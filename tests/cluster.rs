@@ -58,6 +58,34 @@ fn single_deployment_cluster_is_bit_identical_to_serve_engine() {
     }
 }
 
+/// Memo sharing is unconditional within a fingerprint group, and it is
+/// outcome-transparent: a second run of the same trace starts with every
+/// step and prefill time already memoized (by whichever twin computed it
+/// first) and must reproduce the first run's report exactly. The three
+/// identical deployments form one group and read one table, so they
+/// report one entry count; the degraded deployment is a group of its own.
+#[test]
+fn warm_shared_memo_leaves_the_cluster_report_unchanged() {
+    let deployments = vec![
+        ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
+        ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
+        ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
+        ServeEngine::new(hilos(8).with_degraded_device(0, 0.5), ServeConfig::new(8)).unwrap(),
+    ];
+    let mut cluster = ClusterEngine::new(deployments, Box::new(JoinShortestQueue));
+    let trace = TraceConfig { mean_interarrival_steps: 10, ..TraceConfig::azure_mix(192, 42) }
+        .generate()
+        .unwrap();
+    let cold = cluster.run_trace(&trace).unwrap();
+    assert_eq!(cold.completed(), trace.len());
+    assert!(cold.dispatched.iter().all(|&d| d > 0), "every deployment must serve");
+    let warm = cluster.run_trace(&trace).unwrap();
+    assert_eq!(warm, cold, "a warm memo changed the cluster report");
+    let entries: Vec<usize> = cold.deployments.iter().map(|d| d.step_cache_entries).collect();
+    assert!(entries[0] > 0);
+    assert!(entries[..3].iter().all(|&e| e == entries[0]), "twins share one table: {entries:?}");
+}
+
 /// The seeded contended heterogeneous cluster of the acceptance
 /// criteria: three deployments with distinct device counts and
 /// degradations, arrivals well above the weakest deployment's service
