@@ -17,10 +17,33 @@ use hilos_trace::{EventKind, NO_REQUEST};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Runs a slot's owed quiet steps — those of its open window before
+/// global step `until` — and closes the window. Every interaction point
+/// calls this before it touches the slot, so the slot's clock, counters
+/// and event ring are exactly what advancing it on every global step
+/// would have left there.
+fn catch_up(eng: &mut ServeEngine, st: &mut RunState, until: u64) -> Result<(), CoreError> {
+    if let Some((from, last)) = st.window.take() {
+        let owed = (last + 1).min(until).saturating_sub(from);
+        if owed > 0 {
+            eng.advance_quiet(st, owed)?;
+        }
+    }
+    Ok(())
+}
+
 /// Records a lifecycle transition: into the audit trail, and into the
 /// slot's event ring as the matching trace event (the ring carries the
-/// serving-interleaved view).
-fn log_transition(states: &mut [RunState], events: &mut Vec<LifecycleEvent>, ev: LifecycleEvent) {
+/// serving-interleaved view). The slot catches up first, so the event
+/// lands after every step before the transition's.
+fn log_transition(
+    engines: &mut [ServeEngine],
+    states: &mut [RunState],
+    events: &mut Vec<LifecycleEvent>,
+    ev: LifecycleEvent,
+) -> Result<(), CoreError> {
+    let d = ev.deployment as usize;
+    catch_up(&mut engines[d], &mut states[d], ev.step)?;
     let kind = match ev.to {
         LifecycleState::Provisioning => EventKind::ScaleUp,
         LifecycleState::Warming => EventKind::Warming,
@@ -28,8 +51,9 @@ fn log_transition(states: &mut [RunState], events: &mut Vec<LifecycleEvent>, ev:
         LifecycleState::Draining => EventKind::Drain,
         LifecycleState::Retired => EventKind::Retired,
     };
-    states[ev.deployment as usize].emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
+    states[d].emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
     events.push(ev);
+    Ok(())
 }
 
 /// Moves `entry` from slot `from` onto slot `to`, progress retained.
@@ -345,6 +369,19 @@ impl ElasticClusterEngine {
     /// first; once the trace is exhausted the autoscaler is retired and
     /// still-provisioning slots cancel into Retired.
     ///
+    /// Step (5) is lazy. A slot whose iteration decoded may open a quiet
+    /// window, `(first owed step, last quiet step)`: steps that provably
+    /// only decode (see [`crate::serve#quiet-windows`]). Inside it the
+    /// slot is skipped and counts as progress. Its owed steps run in one
+    /// call once the window is over, or earlier when something touches the
+    /// slot: an arrival routed to it, its evacuation while Draining, a
+    /// drain migration onto it, or a lifecycle transition written into its
+    /// ring. Each catches the slot up to the previous step and closes the
+    /// window. A step (5) re-dispatch onto a slot catches it up through the
+    /// current step. Routing and autoscaling read only counts a window
+    /// cannot change, so the run is bit-identical to advancing every busy
+    /// slot on every step.
+    ///
     /// # Errors
     ///
     /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
@@ -388,7 +425,7 @@ impl ElasticClusterEngine {
             // passed turn Warming/Active.
             for (d, lifecycle) in self.lifecycles.iter_mut().enumerate() {
                 for ev in lifecycle.tick(gstep, d as u32) {
-                    log_transition(&mut states, &mut events, ev);
+                    log_transition(&mut self.engines, &mut states, &mut events, ev)?;
                 }
             }
             let active_now =
@@ -422,7 +459,7 @@ impl ElasticClusterEngine {
                             if let Some(ev) =
                                 self.lifecycles[d].begin_provision(gstep, hint, d as u32)
                             {
-                                log_transition(&mut states, &mut events, ev);
+                                log_transition(&mut self.engines, &mut states, &mut events, ev)?;
                                 scale_ups += 1;
                                 cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
                             }
@@ -448,7 +485,7 @@ impl ElasticClusterEngine {
                                 })
                                 .expect("non-empty active list");
                             if let Some(ev) = self.lifecycles[d].begin_drain(gstep, d as u32) {
-                                log_transition(&mut states, &mut events, ev);
+                                log_transition(&mut self.engines, &mut states, &mut events, ev)?;
                                 drains += 1;
                             }
                         }
@@ -462,6 +499,7 @@ impl ElasticClusterEngine {
                 let view = RouteRequest::of(&req, 0, false);
                 let d = self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
                 dispatched[d] += 1;
+                catch_up(&mut self.engines[d], &mut states[d], gstep)?;
                 states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
                 self.engines[d].enqueue_arrival(&mut states[d], req);
                 idx += 1;
@@ -477,6 +515,7 @@ impl ElasticClusterEngine {
                     continue;
                 }
                 let (eng, st) = (&mut self.engines[d], &mut states[d]);
+                catch_up(eng, st, gstep)?;
                 let mut moved = eng.evacuate_queued(st);
                 moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
                 for entry in moved {
@@ -485,11 +524,12 @@ impl ElasticClusterEngine {
                         self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
                     redispatches += 1;
                     drained_requests += 1;
+                    catch_up(&mut self.engines[target], &mut states[target], gstep)?;
                     migrate(&mut self.engines, &mut states, d, target, entry);
                 }
                 if !states[d].has_work() {
                     if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                        log_transition(&mut states, &mut events, ev);
+                        log_transition(&mut self.engines, &mut states, &mut events, ev)?;
                         retires += 1;
                     }
                 }
@@ -512,7 +552,7 @@ impl ElasticClusterEngine {
                     // cost money).
                     for d in pending {
                         if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                            log_transition(&mut states, &mut events, ev);
+                            log_transition(&mut self.engines, &mut states, &mut events, ev)?;
                             retires += 1;
                         }
                     }
@@ -554,17 +594,30 @@ impl ElasticClusterEngine {
             // router that keeps them local preserves single-engine
             // behavior exactly. Routing waits for phase B so that no
             // victim lands on a slot that has yet to run this step's
-            // iteration.
+            // iteration. A slot inside a quiet window is skipped; one
+            // whose window just ended runs its owed steps first, and a
+            // decoded iteration may open the next window.
+            let mut all_stalled = true;
             for (d, (eng, st)) in self.engines.iter_mut().zip(&mut states).enumerate() {
                 if !st.has_work() {
                     continue;
                 }
+                if st.window.is_some_and(|(_, last)| gstep <= last) {
+                    all_stalled = false;
+                    continue;
+                }
+                catch_up(eng, st, gstep)?;
                 st.step = gstep;
                 let progress = eng.advance_once(st)?;
+                if progress == StepProgress::Decoded {
+                    let k = eng.quiet_steps_ahead(st);
+                    if k > 0 {
+                        st.window = Some((gstep + 1, gstep + k));
+                    }
+                }
                 advanced.push((d, progress, st.drain_just_preempted()));
             }
 
-            let mut all_stalled = true;
             for (d, progress, moved) in advanced.drain(..) {
                 if progress != StepProgress::Stalled {
                     all_stalled = false;
@@ -573,6 +626,7 @@ impl ElasticClusterEngine {
                     let view = RouteRequest::of(&entry.req, entry.emitted, true);
                     let target =
                         self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
+                    catch_up(&mut self.engines[target], &mut states[target], gstep + 1)?;
                     if target == d {
                         self.engines[d].requeue(&mut states[d], entry);
                     } else {

@@ -84,6 +84,23 @@
 //! waits for phase B so that a victim never lands on a slot before that
 //! slot's own iteration of the step.
 //!
+//! Slots are advanced **lazily** through quiet stretches (see the
+//! [`serve` module's quiet windows](crate::serve#quiet-windows)). After a
+//! slot's iteration decodes, it may open a window: the next steps that
+//! provably only decode. Phase A skips the slot while the global step is
+//! inside its window, and the skipped steps count as progress for stall
+//! detection. The slot catches up, running its owed steps in one call,
+//! at the next step past the window or as soon as the loop touches it:
+//! before an arrival is routed onto it, before it evacuates as a
+//! Draining slot, before a drain migration lands on it, and before a
+//! lifecycle transition is written into its event ring. Each of those
+//! runs the owed steps up to the previous global step and closes the
+//! window. A phase-B re-dispatch onto a slot runs them through the
+//! current step instead, since that slot's own iteration of the step is
+//! already owed. Routing and autoscaling read queue, in-flight and ledger
+//! counts, and none of these change inside a window, so every decision
+//! sees what stepping every slot on every step would have shown it.
+//!
 //! # Determinism
 //!
 //! Every routing decision, migration, trace event and report field is a
@@ -96,7 +113,12 @@
 //! fingerprints alike reads and fills one step/prefill memo table. It is
 //! outcome-transparent: cached step values are pure functions of their
 //! keys, so sharing changes only which deployment computes an entry
-//! first, never what any deployment observes.
+//! first, never what any deployment observes. Lazy slots are transparent
+//! the same way: a slot catches up before anything reads its clock or
+//! writes its ring, and a window adds the memoized step values in the
+//! same order as single steps, so the report and every event stream
+//! match a loop that advances every busy slot on every step (a golden
+//! pin in `tests/elastic.rs` covers each catch-up point).
 //!
 //! A pinned fleet of **one** deployment — a one-deployment
 //! [`ClusterEngine`], or a one-slot [`ElasticClusterEngine`] under

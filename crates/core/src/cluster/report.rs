@@ -81,6 +81,17 @@ impl ClusterReport {
         self.deployments.iter().map(|d| d.shed.len()).sum()
     }
 
+    /// Decode steps executed across the cluster.
+    pub fn steps(&self) -> u64 {
+        self.deployments.iter().map(|d| d.steps).sum()
+    }
+
+    /// Of [`ClusterReport::steps`], those run inside quiet windows (see
+    /// [`TraceReport::windowed_steps`]).
+    pub fn windowed_steps(&self) -> u64 {
+        self.deployments.iter().map(|d| d.windowed_steps).sum()
+    }
+
     /// Prefill re-materialization debt left by preemptions across the
     /// cluster, in tokens.
     pub fn wasted_prefill_tokens(&self) -> u64 {
@@ -208,6 +219,7 @@ mod tests {
             rejected: vec![],
             shed: vec![],
             steps: 4,
+            windowed_steps: 0,
             peak_batch: 2,
             joins: 2,
             evictions: 2,

@@ -41,8 +41,9 @@ use hilos_llm::Request;
 /// # Determinism
 ///
 /// The shared loop's two-phase step (every busy slot advances in place,
-/// then a merge in deployment-index order makes every routing and
-/// migration decision) makes a run a deterministic function of its
+/// or catches up through a quiet window before anything touches it, then
+/// a merge in deployment-index order makes every routing and migration
+/// decision) makes a run a deterministic function of its
 /// trace and configuration: reports, golden FNV pins and traced event
 /// streams reproduce bit for bit.
 ///

@@ -18,6 +18,12 @@
 //! [`ServeEngine::execute_decisions`], [`ServeEngine::ingest_chunks`],
 //! [`ServeEngine::join_prefills`], [`ServeEngine::decode`] and
 //! [`ServeEngine::emit_and_evict`].
+//!
+//! Both drivers run provably quiet stretches in one call
+//! ([`ServeEngine::quiet_steps_ahead`], [`ServeEngine::advance_quiet`];
+//! see the [module docs](super#quiet-windows)): the single-deployment
+//! driver up to its next arrival, the cluster lazily, when something
+//! next touches the slot.
 
 use super::policy::{Fifo, SchedDecision, SchedulingPolicy};
 use super::snapshot::{InFlightView, QueuedView, SchedSnapshot};
@@ -418,7 +424,16 @@ pub(crate) struct RunState {
     /// The arrival cursor (jumps over idle gaps). Owned by the driver;
     /// the body only reads it into the scheduling snapshot.
     pub(crate) step: u64,
+    /// A lazily-run quiet window, `(first owed step, last quiet step)`
+    /// on the driver's step axis: steps [`ServeEngine::quiet_steps_ahead`]
+    /// proved quiet that a cluster driver defers until something
+    /// touches the slot. Owned by the driver; `None` while every step
+    /// has run.
+    pub(crate) window: Option<(u64, u64)>,
     decode_steps: u64,
+    /// Decode steps run inside quiet windows (a subset of
+    /// `decode_steps`).
+    windowed_steps: u64,
     alpha: f64,
     composition_changed: bool,
     joins: u64,
@@ -519,6 +534,20 @@ impl RunState {
     fn requeue_victim(&mut self, r: &InFlight) {
         self.queue.push_back(r.requeued());
         self.just_preempted.push(r.req.id);
+    }
+
+    /// Books one executed decode step of the running batch: the clock,
+    /// the step's emission gap (its decode time plus the prefill-chunk
+    /// seconds that interfered with it) and the step accumulators.
+    fn book_step(&mut self, step: CachedStep, interference_s: f64) {
+        self.clock += step.seconds;
+        self.decode_seconds += step.seconds;
+        self.step_latency.push(interference_s + step.seconds);
+        self.decode_steps += 1;
+        self.generated += self.running.len() as u64;
+        self.alpha_steps_sum += self.alpha;
+        self.host_bytes += step.host_pcie_bytes;
+        self.internal_bytes += step.internal_read_bytes;
     }
 
     /// Moves finished prefills into the running batch — the tail both
@@ -910,16 +939,17 @@ impl ServeEngine {
         Ok((end - begin).max(0.0))
     }
 
+    /// The memoized decode step at an already-quantized context.
     fn decode_step(
         &mut self,
         batch: u32,
-        mean_ctx: u64,
+        context: u64,
         alpha: f64,
         decision: &SpillDecision,
     ) -> Result<CachedStep, CoreError> {
         let key = StepKey {
             batch,
-            context: self.quantize(mean_ctx),
+            context,
             alpha_bits: alpha.to_bits(),
             buffered_tokens: decision.buffered_tokens,
             spill_now: decision.spill_now,
@@ -958,7 +988,9 @@ impl ServeEngine {
             shed: Vec::new(),
             clock: 0.0,
             step: 0,
+            window: None,
             decode_steps: 0,
+            windowed_steps: 0,
             alpha: 0.0,
             composition_changed: true,
             joins: 0,
@@ -1562,21 +1594,20 @@ impl ServeEngine {
             st.alpha_recomputes += 1;
             st.composition_changed = false;
         }
-        let decision = if self.system.config().delayed_writeback() {
+        let decision = self.spill_decision(st);
+        let outcome = self.decode_step(batch, self.quantize(mean_ctx), st.alpha, &decision)?;
+        st.book_step(outcome, interference_s);
+        Ok(())
+    }
+
+    /// The next decode step's writeback decision: the manager's tick, or
+    /// a constant no-spill decision with delayed writeback off.
+    fn spill_decision(&self, st: &mut RunState) -> SpillDecision {
+        if self.system.config().delayed_writeback() {
             st.wb.on_step()
         } else {
             SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 }
-        };
-        let outcome = self.decode_step(batch, mean_ctx, st.alpha, &decision)?;
-        st.clock += outcome.seconds;
-        st.decode_seconds += outcome.seconds;
-        st.step_latency.push(interference_s + outcome.seconds);
-        st.decode_steps += 1;
-        st.generated += batch as u64;
-        st.alpha_steps_sum += st.alpha;
-        st.host_bytes += outcome.host_pcie_bytes;
-        st.internal_bytes += outcome.internal_read_bytes;
-        Ok(())
+        }
     }
 
     /// Stage 6, emission and eviction: every running request emits the
@@ -1625,6 +1656,91 @@ impl ServeEngine {
         st.running = still_running;
     }
 
+    /// How many of the next serving iterations are provably *quiet*:
+    /// iterations in which [`ServeEngine::advance_once`] would only
+    /// decode and emit — no policy call, admission, chunk, join, α
+    /// recompute or completion. Read it after a step that decoded; 0
+    /// means the next iteration must run in full.
+    ///
+    /// The batch must be decoding with nothing prefilling, its
+    /// composition unchanged since α was selected, nothing preempted this
+    /// step, and [`ServeEngine::schedule`] must skip the policy: an
+    /// admission-only policy with an empty queue, or a full batch and no
+    /// shedding. All of that holds until the next arrival or the first
+    /// completion, so the window is the smallest remaining output budget
+    /// minus one (the completing step runs in full). The caller bounds
+    /// it by its next arrival.
+    pub(crate) fn quiet_steps_ahead(&self, st: &RunState) -> u64 {
+        let batch_full = st.running.len() >= self.config.max_batch as usize;
+        let quiet = !st.running.is_empty()
+            && st.prefilling.is_empty()
+            && !st.composition_changed
+            && st.just_preempted.is_empty()
+            && !self.policy.may_preempt()
+            && (st.queue.is_empty() || (batch_full && !self.policy.may_shed()));
+        if !quiet {
+            return 0;
+        }
+        st.running.iter().map(|r| r.req.output_budget - r.emitted).min().map_or(0, |m| m - 1)
+    }
+
+    /// Runs `k` quiet iterations (see [`ServeEngine::quiet_steps_ahead`])
+    /// in one call. Each step repeats [`ServeEngine::decode`]'s work in
+    /// the same order — writeback tick, the memoized step at the batch's
+    /// mean context, then the clock and accumulators — so the state
+    /// after the window is bit-identical to `k` calls of
+    /// [`ServeEngine::advance_once`]. Emission is batched
+    /// (`emitted += k`); with tracing on, every step still records its
+    /// `Emit` events in running order.
+    ///
+    /// Within a window the batch and α are fixed, so a step's memo key
+    /// moves only with the writeback phase and the context bucket. A
+    /// window-local row indexed by the phase serves repeat keys without
+    /// the shared memo's lock and hash; it resets when the bucket moves.
+    pub(crate) fn advance_quiet(&mut self, st: &mut RunState, k: u64) -> Result<(), CoreError> {
+        st.just_preempted.clear();
+        let batch = st.running.len() as u64;
+        let total_ctx: u64 = st.running.iter().map(|r| r.req.context_at(r.emitted)).sum();
+        // Indexed by the writeback phase, the buffered tokens before the
+        // step (always 0 with delayed writeback off).
+        let mut row = vec![None; st.wb.spill_interval() as usize];
+        let mut bucket = 0;
+        for i in 0..k {
+            let context = self.quantize(((total_ctx + i * batch) / batch).max(1));
+            if context != bucket {
+                row.fill(None);
+                bucket = context;
+            }
+            let decision = self.spill_decision(st);
+            let phase = decision.buffered_tokens as usize;
+            let outcome = match row[phase] {
+                Some(o) => o,
+                None => {
+                    let o = self.decode_step(batch as u32, context, st.alpha, &decision)?;
+                    row[phase] = Some(o);
+                    o
+                }
+            };
+            // No prefill chunk runs in a quiet step, so nothing interferes.
+            st.book_step(outcome, 0.0);
+            if st.trace_on {
+                for r in &st.running {
+                    st.trace.record(Event {
+                        t_s: st.clock,
+                        deployment: self.deployment.0,
+                        request: r.req.id,
+                        kind: EventKind::Emit { index: r.emitted + i, interference_s: 0.0 },
+                    });
+                }
+            }
+        }
+        for r in &mut st.running {
+            r.emitted += k;
+        }
+        st.windowed_steps += k;
+        Ok(())
+    }
+
     /// Seals a finished run state into its [`TraceReport`].
     pub(crate) fn finish(&self, st: RunState) -> TraceReport {
         // The index and ladder persist across runs (that is the point of
@@ -1652,6 +1768,7 @@ impl ServeEngine {
             rejected: st.rejected,
             shed: st.shed,
             steps: st.decode_steps,
+            windowed_steps: st.windowed_steps,
             elapsed_s: st.clock,
             generated_tokens: st.generated,
             peak_batch: st.peak_batch,
@@ -1732,7 +1849,18 @@ impl ServeEngine {
                     }
                     st.step = trace[idx].arrival_step;
                 }
-                StepProgress::Decoded | StepProgress::NoDecode => st.step += 1,
+                StepProgress::NoDecode => st.step += 1,
+                StepProgress::Decoded => {
+                    st.step += 1;
+                    // Run the quiet stretch up to the next arrival in one
+                    // call.
+                    let next_arrival = trace.get(idx).map_or(u64::MAX, |r| r.arrival_step);
+                    let k = self.quiet_steps_ahead(&st).min(next_arrival - st.step);
+                    if k > 0 {
+                        self.advance_quiet(&mut st, k)?;
+                        st.step += k;
+                    }
+                }
             }
         }
 
@@ -1745,7 +1873,7 @@ mod tests {
     use super::super::policy::{DeadlineEdf, PriorityPreempt};
     use super::*;
     use crate::config::HilosConfig;
-    use hilos_llm::{presets, RequestClass, TraceConfig};
+    use hilos_llm::{presets, Priority, RequestClass, Slo, TraceConfig};
     use hilos_platform::SystemSpec;
 
     fn system(n: usize) -> HilosSystem {
@@ -1903,6 +2031,7 @@ mod tests {
         .unwrap();
         let report = eng.run_trace(&trace).unwrap();
         assert!(report.preemptions > 0, "contended trace should preempt");
+        assert_eq!(report.windowed_steps, 0, "a preempting policy is consulted every step");
         assert_eq!(report.outcomes.len(), 96, "preempted requests must still complete");
         assert_eq!(eng.ledger().live_requests(), 0);
         let preempted: Vec<_> = report.outcomes.iter().filter(|o| o.preemptions > 0).collect();
@@ -2275,5 +2404,111 @@ mod tests {
             on.wasted_prefill_tokens,
             off.wasted_prefill_tokens
         );
+    }
+
+    /// The stepwise reference: the single-deployment loop as it ran
+    /// before quiet windows, one [`ServeEngine::advance_once`] per step.
+    fn run_stepwise(eng: &mut ServeEngine, trace: &[Request]) -> TraceReport {
+        let mut st = eng.new_run_state();
+        let mut idx = 0usize;
+        while idx < trace.len() || st.has_work() {
+            while idx < trace.len() && trace[idx].arrival_step <= st.step {
+                eng.enqueue_arrival(&mut st, trace[idx]);
+                idx += 1;
+            }
+            if !st.has_work() {
+                if idx >= trace.len() {
+                    break;
+                }
+                st.step = trace[idx].arrival_step;
+                continue;
+            }
+            match eng.advance_once(&mut st).unwrap() {
+                StepProgress::Stalled => {
+                    assert!(idx < trace.len(), "the reference run stalled");
+                    st.step = trace[idx].arrival_step;
+                }
+                StepProgress::Decoded | StepProgress::NoDecode => st.step += 1,
+            }
+        }
+        eng.finish(st)
+    }
+
+    /// Runs `trace` through the windowed `run_trace` and the stepwise
+    /// reference on fresh engines. Returns both reports and the windowed
+    /// step count, which is taken off the windowed report (zeroed) so the
+    /// two compare whole.
+    fn windowed_and_stepwise(
+        trace: &[Request],
+        config: &ServeConfig,
+        policy: impl Fn() -> Box<dyn SchedulingPolicy>,
+    ) -> (TraceReport, TraceReport, u64) {
+        let build = || ServeEngine::with_policy(system(8), config.clone(), policy()).unwrap();
+        let mut windowed = build().run_trace(trace).unwrap();
+        let reference = run_stepwise(&mut build(), trace);
+        let opened = std::mem::take(&mut windowed.windowed_steps);
+        (windowed, reference, opened)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Quiet windows are exact: on random traces under every shipped
+        /// policy, chunk mode and tracing setting (a small ring, so
+        /// events drop), `run_trace` reproduces the stepwise reference's
+        /// whole report, events and memo size included.
+        #[test]
+        fn windows_equal_single_steps(
+            seed in 0u64..1_000_000,
+            requests in 4usize..28,
+            gap in 0u64..48,
+            max_batch in 2u32..9,
+            policy_i in 0usize..4,
+            chunk_i in 0usize..3,
+            traced in 0u8..2,
+            deadline_s in 0.5f64..60.0,
+        ) {
+            // Tight per-class deadlines, so the shedding policy sheds.
+            let slos = [(1.0, Priority::High), (2.0, Priority::Normal), (4.0, Priority::Low)]
+                .map(|(scale, priority)| Slo::new(scale * deadline_s, priority));
+            let trace = TraceConfig::azure_mix(requests, seed)
+                .with_mean_interarrival(gap)
+                .with_class_slos(slos)
+                .generate()
+                .unwrap();
+            let policy = || -> Box<dyn SchedulingPolicy> {
+                match policy_i {
+                    0 => Box::new(Fifo),
+                    1 => Box::new(DeadlineEdf::new()),
+                    2 => Box::new(DeadlineEdf::with_shedding()),
+                    _ => Box::new(PriorityPreempt::new()),
+                }
+            };
+            let mode = [ChunkMode::Off, ChunkMode::Lump, ChunkMode::chunked()][chunk_i];
+            let mut config = ServeConfig::new(max_batch).with_chunk_mode(mode);
+            if traced == 1 {
+                config = config.with_tracing(64);
+            }
+            let (windowed, reference, _) = windowed_and_stepwise(&trace, &config, policy);
+            proptest::prop_assert!(
+                windowed == reference,
+                "policy {policy_i}, chunk mode {chunk_i}, traced {traced}: windows diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn fifo_runs_open_windows_that_match_single_steps() {
+        let trace = TraceConfig::azure_mix(32, 5).with_mean_interarrival(24).generate().unwrap();
+        let config = ServeConfig::new(8).with_tracing(1 << 16);
+        let (windowed, reference, opened) =
+            windowed_and_stepwise(&trace, &config, || Box::new(Fifo));
+        assert!(
+            opened > reference.steps / 2,
+            "only {opened} of {} steps windowed",
+            reference.steps
+        );
+        assert_eq!(windowed.events_dropped, 0);
+        assert!(windowed == reference, "windowed Fifo run diverged from the stepwise reference");
     }
 }

@@ -86,6 +86,27 @@
 //! so a 10k-request trace costs a few hundred graph simulations instead
 //! of tens of thousands while remaining bit-deterministic for a fixed
 //! trace and policy.
+//!
+//! # Quiet windows
+//!
+//! Most steps of a long decode only move the clock. After a step that
+//! decoded, the engine checks whether the next steps are *quiet*: the
+//! batch is decoding with nothing prefilling, its composition has not
+//! changed since α was selected, the step preempted nothing, and the
+//! policy would not be consulted (it never preempts, and the queue is
+//! empty or the batch is full and it never sheds). Then nothing can
+//! admit, chunk, join, re-select α or complete until the next arrival or
+//! the first completion, which comes after the smallest remaining output
+//! budget. Such a stretch runs in one call: each step still takes the
+//! writeback tick, looks up the same memoized operating point at the
+//! batch's growing mean context, and adds the same values to the clock
+//! and counters in the same order, and with tracing on it records the
+//! same `Emit` events. A window is therefore bit-identical to stepping
+//! by construction. Only [`TraceReport::windowed_steps`] shows it, and a
+//! property test holds it equal to a one-step-at-a-time reference over
+//! every shipped policy, chunk mode and tracing setting. Preempting
+//! policies (such as [`PriorityPreempt`]) are consulted every step, so
+//! they never open a window.
 
 pub(crate) mod engine;
 pub mod policy;
@@ -287,6 +308,11 @@ pub struct TraceReport {
     /// Decode steps actually executed (idle gaps between arrivals are
     /// skipped, not counted).
     pub steps: u64,
+    /// Of `steps`, those run inside quiet windows: stretches of decode
+    /// steps with no policy call, admission, chunk, join, α recompute or
+    /// completion, which the engine runs in one call (see the module
+    /// docs). A deterministic work counter; no other field depends on it.
+    pub windowed_steps: u64,
     /// Simulated wall-clock seconds.
     pub elapsed_s: f64,
     /// Total tokens generated.
@@ -465,6 +491,7 @@ mod tests {
             rejected: vec![],
             shed: vec![],
             steps: 0,
+            windowed_steps: 0,
             elapsed_s: 0.0,
             generated_tokens: 0,
             peak_batch: 0,
@@ -507,6 +534,7 @@ mod tests {
             rejected: vec![],
             shed: vec![],
             steps: 2,
+            windowed_steps: 0,
             elapsed_s: 50.0,
             generated_tokens: 20,
             peak_batch: 2,

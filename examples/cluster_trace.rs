@@ -258,6 +258,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scale-ups",
         "retires",
         "peak active",
+        "steps (windowed)",
     ]);
     let mut fixed = ClusterEngine::new(fleet(), Box::new(CostNormalizedPressure));
     let fr = fixed.run_trace(&bursty)?;
@@ -280,6 +281,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "-".into(),
         "-".into(),
         "4".into(),
+        format!("{} ({})", fr.steps(), fr.windowed_steps()),
     ]);
     let mut hybrid_cost = f64::INFINITY;
     for autoscale in [
@@ -308,6 +310,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.scale_ups.to_string(),
             r.retires.to_string(),
             r.peak_active.to_string(),
+            format!("{} ({})", r.cluster.steps(), r.cluster.windowed_steps()),
         ]);
     }
     println!("{t}");

@@ -77,10 +77,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t}");
 
     println!(
-        "Completed {} / rejected {} over {} serving steps ({} simulated, {:.1?} wall)",
+        "Completed {} / rejected {} over {} serving steps, {} of them in quiet windows \
+         ({} simulated, {:.1?} wall)",
         report.outcomes.len(),
         report.rejected.len(),
         report.steps,
+        report.windowed_steps,
         fmt_seconds(report.elapsed_s),
         wall,
     );

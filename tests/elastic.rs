@@ -8,9 +8,12 @@
 use hilos::core::cluster::{
     AutoscalePolicy, ClusterSnapshot, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
     FleetSnapshot, HybridHistogramKeepAlive, LedgerPressure, LifecycleState, PinnedFleet,
-    RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision,
+    RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision, TargetPressureScaler,
 };
-use hilos::core::{HilosConfig, HilosSystem, PrefixCacheConfig, ServeConfig, ServeEngine};
+use hilos::core::{
+    Fifo, HilosConfig, HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedulingPolicy,
+    ServeConfig, ServeEngine,
+};
 use hilos::llm::{presets, TraceConfig};
 use hilos::platform::SystemSpec;
 
@@ -346,4 +349,92 @@ fn bursty_keep_alive_run_scales_both_ways_with_zero_lost_requests() {
     // Deterministic end to end: lifecycle events, bills and outcomes.
     let mut again = build();
     assert_eq!(report, again.run_trace(&trace).unwrap());
+}
+
+/// A router for the interaction-point pin: fresh arrivals join the
+/// least-loaded routable slot, and re-dispatched victims prefer the
+/// least-loaded routable *Fifo* slot (every index but 1 and 4), so
+/// victims a `PriorityPreempt` slot sheds land mid-window on a Fifo slot.
+#[derive(Debug)]
+struct VictimsToFifo;
+
+impl RoutingPolicy for VictimsToFifo {
+    fn name(&self) -> &'static str {
+        "victims-to-fifo"
+    }
+
+    fn route(&mut self, request: &RouteRequest, snapshot: &ClusterSnapshot<'_>) -> usize {
+        let least_loaded = |fifo_only: bool| {
+            snapshot
+                .deployments
+                .iter()
+                .filter(|d| d.routable() && (!fifo_only || d.id % 3 != 1))
+                .min_by_key(|d| (d.load(), d.id))
+                .map(|d| d.id as usize)
+        };
+        let fifo = if request.redispatch { least_loaded(true) } else { None };
+        fifo.or_else(|| least_loaded(false)).unwrap_or(0)
+    }
+}
+
+/// Golden pin over every point where the lockstep loop touches a slot
+/// from outside its own serving iteration: arrivals routed onto it,
+/// drain evacuation, drain migrations onto it, lifecycle transitions
+/// written into its ring, and phase-B re-dispatch of another slot's
+/// victims. Six slots, four `Fifo` and two `PriorityPreempt` (slots 1
+/// and 4), run under a reactive scaler whose low-water mark sits above
+/// full admission capacity, so it drains slots that still hold queued
+/// and in-flight work; they evacuate one in-flight request per step.
+/// The FNV covers every outcome, every per-deployment
+/// event stream, the lifecycle trail and the bills, so any drift in
+/// when a slot catches up shows here.
+#[test]
+fn every_cluster_interaction_point_stays_on_its_golden_pin() {
+    let trace = TraceConfig::flash_crowd_mix(288, 42, 4, 3000).generate().unwrap();
+    let serve = || ServeConfig::new(4).with_tracing(1 << 20);
+    let slots = (0..6)
+        .map(|d| {
+            let policy: Box<dyn SchedulingPolicy> =
+                if d % 3 == 1 { Box::new(PriorityPreempt::new()) } else { Box::new(Fifo) };
+            ServeEngine::with_policy(hilos(8), serve(), policy).unwrap()
+        })
+        .collect();
+    let mut elastic = ElasticClusterEngine::new(
+        slots,
+        Box::new(VictimsToFifo),
+        Box::new(TargetPressureScaler::new(2.0, 1.5, 32)),
+        ElasticConfig { min_active: 1, drain_batch: 1, ..ElasticConfig::new(2) },
+    );
+    let report = elastic.run_trace(&trace).unwrap();
+
+    assert!(report.drains > 0, "the scaler must drain");
+    assert!(report.drained_requests > 0, "a drain must migrate in-flight work");
+    assert!(
+        report.cluster.redispatches > report.drained_requests,
+        "phase-B victims must re-dispatch across slots too"
+    );
+    assert_eq!(report.cluster.completed() + report.lost(), 288);
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for d in &report.cluster.deployments {
+        mix(outcome_hash(&d.outcomes));
+        mix(hilos::trace::events_fnv(&d.events));
+        mix(d.events_dropped);
+        mix(d.steps);
+        mix(d.elapsed_s.to_bits());
+    }
+    for e in &report.events {
+        mix(e.step);
+        mix(u64::from(e.deployment));
+        mix(e.to as u64);
+    }
+    for b in &report.bills {
+        mix(b.billed_seconds.to_bits());
+    }
+    assert_eq!(h, 0xe646_f576_0f15_99f8, "cluster interaction-point pin drifted");
 }

@@ -116,6 +116,7 @@ fn fifo_is_bit_identical_to_pre_policy_engine() {
     assert_eq!(r.outcomes.len(), 512);
     assert_eq!(r.rejected.len(), 0);
     assert_eq!(r.steps, 6562);
+    assert_eq!(r.windowed_steps, 4510, "quiet-window count moved");
     assert_eq!(r.elapsed_s.to_bits(), 0x40ce34c80da9f4da, "elapsed_s drifted: {}", r.elapsed_s);
     assert_eq!(r.generated_tokens, 99_823);
     assert_eq!(r.peak_batch, 16);
