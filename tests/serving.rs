@@ -4,12 +4,14 @@
 //! parity.
 
 use hilos::baselines::VllmMultiNode;
+use hilos::core::cluster::{ClusterEngine, RoundRobin};
 use hilos::core::{
     ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, HilosConfig, HilosSystem, PrefixCacheConfig,
     PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine, ServingCampaign, SpillDecision,
     TraceReport,
 };
 use hilos::llm::{presets, BatchSpec, RequestClass, TraceConfig};
+use hilos::metrics::LatencyStats;
 use hilos::platform::SystemSpec;
 use hilos::trace::{
     check_conservation, events_fnv, perfetto_json, prefill_chunk_totals, spans_nest, validate_json,
@@ -203,6 +205,100 @@ fn chunked_prefill_tames_the_decode_gap_tail_vs_lump() {
     // with running decodes on this trace.
     assert!(chunked.prefill.interference_seconds > chunked.prefill.stall_seconds);
     assert!(chunked.prefill.interference_ratio() > 0.0);
+}
+
+/// Every [`LatencyStats`] field as raw bits, so a pin catches a one-ulp
+/// drift.
+fn stats_bits(s: &LatencyStats) -> [u64; 6] {
+    [
+        s.count as u64,
+        s.mean.to_bits(),
+        s.p50.to_bits(),
+        s.p95.to_bits(),
+        s.p99.to_bits(),
+        s.max.to_bits(),
+    ]
+}
+
+/// Golden pin of the per-emission decode-gap statistics on three seeded
+/// traces: the chunked-vs-lump gate's long-prompt trace (both inline
+/// modes), the contended trace under priority preemption, and a pooled
+/// two-deployment chunked cluster. How the engine stores step latencies
+/// may change; these numbers may not.
+#[test]
+fn step_itl_stats_are_pinned_bit_for_bit() {
+    let trace = long_prompt_trace();
+    let run = |mode| {
+        let mut eng =
+            ServeEngine::new(hilos(8, 1), ServeConfig::new(8).with_chunk_mode(mode)).unwrap();
+        eng.run_trace(&trace).unwrap()
+    };
+    let lump = run(ChunkMode::Lump).step_itl_stats();
+    let chunked = run(ChunkMode::chunked()).step_itl_stats();
+    let preempt = run_policy(Box::new(PriorityPreempt::new())).step_itl_stats();
+    let chunked_config = || ServeConfig::new(16).with_chunk_mode(ChunkMode::chunked());
+    let mut cluster = ClusterEngine::new(
+        vec![
+            ServeEngine::new(hilos(8, 1), chunked_config()).unwrap(),
+            ServeEngine::new(hilos(4, 1), chunked_config()).unwrap(),
+        ],
+        Box::new(RoundRobin::new()),
+    );
+    let pooled = cluster.run_trace(&contended_trace()).unwrap().step_itl_stats();
+
+    let pins: [(&str, LatencyStats, [u64; 6]); 4] = [
+        (
+            "lump",
+            lump,
+            [
+                0x20cc,
+                0x401c2254c7b2b81a,
+                0x4018d2629bf75234,
+                0x4029add1528869aa,
+                0x403521bf0c359b5d,
+                0x4053694161661e6c,
+            ],
+        ),
+        (
+            "chunked",
+            chunked,
+            [
+                0x2183,
+                0x401b9aa58757a0c4,
+                0x401a6bb77a213d03,
+                0x4026b17f032e84ef,
+                0x40315c906cf31110,
+                0x403165c402fed6ee,
+            ],
+        ),
+        (
+            "preempt",
+            preempt,
+            [
+                0x1a0e,
+                0x4000f1905d997602,
+                0x3ffff59871a4ba46,
+                0x4008510a396acf56,
+                0x4008521356a5af28,
+                0x4008524e40b3af04,
+            ],
+        ),
+        (
+            "pooled",
+            pooled,
+            [
+                0x291d,
+                0x4000df7c1d6b541c,
+                0x40000b5932502635,
+                0x40037dce7ba26456,
+                0x40127aa60304c884,
+                0x4017b5c88f7131f5,
+            ],
+        ),
+    ];
+    for (name, stats, bits) in pins {
+        assert_eq!(stats_bits(&stats), bits, "{name}: decode-gap statistics drifted: {stats:?}");
+    }
 }
 
 /// Acceptance: EDF with overload shedding strictly lifts SLO goodput
