@@ -5,8 +5,9 @@
 //! consumption grows with `d_group` because the MAC array, exponential
 //! units and per-query buffers replicate per query lane, with a
 //! super-linear LUT term for routing congestion. Coefficients are
-//! calibrated against the paper's Table 3 (see `EXPERIMENTS.md` for
-//! model-vs-paper numbers).
+//! calibrated against the paper's Table 3: the `TABLE3` test below holds
+//! the paper's numbers and tolerances, and `repro table3` prints the model
+//! next to them.
 
 use std::error::Error;
 use std::fmt;

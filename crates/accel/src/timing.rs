@@ -13,7 +13,8 @@
 //!
 //! A single calibrated constant — the pipeline efficiency against raw DRAM
 //! bandwidth — reproduces the measured Table 3 GFLOPS for all three
-//! `d_group` configurations (see `EXPERIMENTS.md`).
+//! `d_group` configurations (pinned by the `table3_gflops_shape` test below;
+//! `repro table3` prints model and paper side by side).
 
 use crate::kernel::BLOCK_TOKENS;
 

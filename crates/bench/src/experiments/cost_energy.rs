@@ -213,7 +213,8 @@ mod tests {
         let saving = 1.0 - hilos_jpt / flex_jpt;
         // Direction and a solid margin; our conservative GPU/SmartSSD
         // active-power figures keep the magnitude below the paper's
-        // up-to-85% headline (see EXPERIMENTS.md).
+        // up-to-85% headline (`repro fig17a` prints each system's J/token
+        // normalized to FLEX(SSD)).
         assert!(saving > 0.25, "energy saving {saving} too small");
     }
 

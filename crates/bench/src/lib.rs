@@ -2,8 +2,9 @@
 //!
 //! One experiment module per table/figure of the paper's evaluation. The
 //! `repro` binary dispatches to them; each returns its rendered table so
-//! integration tests can assert on the numbers. `EXPERIMENTS.md` records
-//! paper-vs-measured for every experiment.
+//! integration tests can assert on the numbers; `tests/paper_claims.rs`
+//! checks the paper's headline claims against them, each within a stated
+//! band.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

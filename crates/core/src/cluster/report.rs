@@ -3,7 +3,9 @@
 //! [`hilos_metrics`] primitives the single-deployment layer uses.
 
 use crate::serve::{class_breakdown_of, RequestOutcome, TraceReport};
-use hilos_metrics::{goodput, ClassReport, LatencyStats, PrefillBreakdown, PrefixCacheStats};
+use hilos_metrics::{
+    goodput, ClassReport, LatencyHistogram, LatencyStats, PrefillBreakdown, PrefixCacheStats,
+};
 
 /// Everything one cluster trace run reports.
 ///
@@ -158,7 +160,7 @@ impl ClusterReport {
     /// deployment's executed steps (see
     /// [`TraceReport::step_itl_stats`](crate::TraceReport::step_itl_stats)).
     pub fn step_itl_stats(&self) -> LatencyStats {
-        self.deployments.iter().flat_map(|d| d.step_latency_s.iter().copied()).collect()
+        LatencyHistogram::pooled(self.deployments.iter().map(|d| &d.step_latency_s)).stats()
     }
 
     /// Global end-to-end latency order statistics.
@@ -169,8 +171,7 @@ impl ClusterReport {
     /// Global per-class breakdown (SLO-based), via the same
     /// [`class_breakdown_of`] the single-deployment report uses.
     pub fn class_breakdown(&self) -> Vec<ClassReport> {
-        let all: Vec<RequestOutcome> = self.outcomes().copied().collect();
-        class_breakdown_of(&all)
+        class_breakdown_of(self.outcomes())
     }
 
     /// How unevenly fresh arrivals were spread: the largest deployment
@@ -239,7 +240,7 @@ mod tests {
                 chunks: 2,
                 chunk_tokens: 128,
             },
-            step_latency_s: vec![],
+            step_latency_s: LatencyHistogram::default(),
             wasted_prefill_tokens: 3,
             prefix: PrefixCacheStats {
                 lookups: 4,

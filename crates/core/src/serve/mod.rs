@@ -118,8 +118,8 @@ pub use snapshot::{InFlightView, QueuedView, SchedSnapshot};
 
 use hilos_llm::{DeploymentId, RequestClass};
 use hilos_metrics::{
-    class_breakdown, goodput, ClassReport, ClassSample, LatencyStats, PrefillBreakdown,
-    PrefixCacheStats,
+    class_breakdown, goodput, ClassReport, ClassSample, LatencyHistogram, LatencyStats,
+    PrefillBreakdown, PrefixCacheStats,
 };
 
 /// Lifecycle record of one completed request.
@@ -266,9 +266,11 @@ pub fn throughput_of(generated_tokens: u64, elapsed_s: f64) -> f64 {
 /// shared by [`TraceReport`] and the cluster-level
 /// [`ClusterReport`](crate::cluster::ClusterReport) so the class
 /// aggregation cannot drift between the two layers.
-pub fn class_breakdown_of(outcomes: &[RequestOutcome]) -> Vec<ClassReport> {
+pub fn class_breakdown_of<'a>(
+    outcomes: impl IntoIterator<Item = &'a RequestOutcome>,
+) -> Vec<ClassReport> {
     let mut samples: Vec<(RequestClass, ClassSample)> = outcomes
-        .iter()
+        .into_iter()
         .map(|o| {
             (
                 o.class,
@@ -349,12 +351,16 @@ pub struct TraceReport {
     /// or prefill stall (all-zero chunk fields under the legacy
     /// side-prefill [`ChunkMode::Off`]).
     pub prefill: PrefillBreakdown,
-    /// Per-decode-step emission gap, in execution order: the decode time
-    /// plus whatever prefill-chunk seconds the step absorbed — the
-    /// inter-token latency every running request felt at that step.
-    /// [`TraceReport::itl_stats`] averages within each request and hides
-    /// interference spikes; these samples expose them.
-    pub step_latency_s: Vec<f64>,
+    /// Per-decode-step emission gaps as an exact multiset (execution
+    /// order is not kept): the decode time plus whatever prefill-chunk
+    /// seconds the step absorbed — the inter-token latency every running
+    /// request felt at that step. Steps no chunk touched are counted by
+    /// value (a memoized step time, so at most `step_cache_entries`
+    /// distinct values); each step with chunk interference is one plain
+    /// sample. [`TraceReport::itl_stats`] averages within each request and
+    /// hides interference spikes; [`TraceReport::step_itl_stats`] exposes
+    /// them.
+    pub step_latency_s: LatencyHistogram,
     /// Prefill re-materialization debt left by preemptions: tokens whose
     /// ingested KV was discarded (a decode victim's whole context, a
     /// prefilling victim's executed chunks) — the groundwork for
@@ -394,7 +400,7 @@ impl TraceReport {
     /// per-step interference, which is exactly what this distribution's
     /// tail measures (the chunked-vs-lump CI gate).
     pub fn step_itl_stats(&self) -> LatencyStats {
-        self.step_latency_s.iter().copied().collect()
+        self.step_latency_s.stats()
     }
 
     /// End-to-end latency order statistics.
@@ -507,7 +513,7 @@ mod tests {
             kv_placed_bytes: vec![],
             deadline_s: 120.0,
             prefill: PrefillBreakdown::default(),
-            step_latency_s: vec![],
+            step_latency_s: LatencyHistogram::default(),
             wasted_prefill_tokens: 0,
             prefix: PrefixCacheStats::default(),
             events: vec![],
@@ -550,7 +556,7 @@ mod tests {
             kv_placed_bytes: vec![],
             deadline_s: 1000.0,
             prefill: PrefillBreakdown::default(),
-            step_latency_s: vec![],
+            step_latency_s: LatencyHistogram::default(),
             wasted_prefill_tokens: 0,
             prefix: PrefixCacheStats::default(),
             events: vec![],

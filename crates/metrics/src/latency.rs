@@ -30,24 +30,44 @@ impl LatencyStats {
     /// zeros. Percentiles use the nearest-rank method on a sorted copy,
     /// so the result is deterministic in the multiset of samples.
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
+        Self::from_vec(samples.to_vec())
+    }
+
+    /// [`LatencyStats::from_samples`] on an owned vector, sorted in place.
+    fn from_vec(mut samples: Vec<f64>) -> Self {
+        samples.sort_unstable_by(f64::total_cmp);
+        Self::from_sorted_runs(samples.iter().map(|&x| (x, 1)), samples.len() as u64)
+    }
+
+    /// The one statistics rule every constructor shares. `runs` yields
+    /// `(value, multiplicity)` pairs in ascending [`f64::total_cmp`]
+    /// order and `n` is the multiplicity total. The mean adds every
+    /// value `multiplicity` times in that order (`x * k` is not
+    /// bit-equal to `k` additions), so counted and flat inputs holding
+    /// the same multiset agree bit for bit.
+    fn from_sorted_runs<I>(runs: I, n: u64) -> Self
+    where
+        I: Iterator<Item = (f64, u64)> + Clone,
+    {
+        if n == 0 {
             return LatencyStats { count: 0, mean: 0.0, p50: 0.0, p95: 0.0, p99: 0.0, max: 0.0 };
         }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
-        let rank = |p: f64| -> f64 {
-            let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-            sorted[idx]
-        };
-        LatencyStats {
-            count: n,
-            mean: sorted.iter().sum::<f64>() / n as f64,
-            p50: rank(0.50),
-            p95: rank(0.95),
-            p99: rank(0.99),
-            max: sorted[n - 1],
+        let sum = runs.clone().flat_map(|(x, k)| std::iter::repeat_n(x, k as usize)).sum::<f64>();
+        let rank = |p: f64| ((p * n as f64).ceil() as u64).clamp(1, n) - 1;
+        let ranks = [rank(0.50), rank(0.95), rank(0.99)];
+        let mut at = [0.0; 3];
+        let (mut seen, mut max) = (0, 0.0);
+        for (x, k) in runs {
+            for (slot, r) in at.iter_mut().zip(ranks) {
+                if (seen..seen + k).contains(&r) {
+                    *slot = x;
+                }
+            }
+            seen += k;
+            max = x;
         }
+        let [p50, p95, p99] = at;
+        LatencyStats { count: n as usize, mean: sum / n as f64, p50, p95, p99, max }
     }
 }
 
@@ -57,7 +77,114 @@ impl LatencyStats {
 /// without materializing an intermediate slice at every call site.
 impl FromIterator<f64> for LatencyStats {
     fn from_iter<I: IntoIterator<Item = f64>>(samples: I) -> Self {
-        LatencyStats::from_samples(&samples.into_iter().collect::<Vec<_>>())
+        LatencyStats::from_vec(samples.into_iter().collect())
+    }
+}
+
+/// An exact multiset of latency samples stored in two parts: values that
+/// recur are kept once with their count, one-off values as plain samples.
+/// A serving run's step latencies are mostly memoized operating points
+/// (thousands of distinct values over millions of steps), so counting
+/// them keeps the run's memory flat in its step count. Nothing is
+/// binned: [`LatencyHistogram::stats`] equals
+/// [`LatencyStats::from_samples`] on the expanded multiset bit for bit.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LatencyHistogram {
+    /// Distinct values with their counts (each ≥ 1), ascending by
+    /// [`f64::total_cmp`].
+    counted: Vec<(f64, u64)>,
+    /// One entry per occurrence, in insertion order.
+    sampled: Vec<f64>,
+}
+
+impl LatencyHistogram {
+    /// Builds the multiset from `(value, count)` pairs and plain samples.
+    /// Pairs may repeat a value (their counts add up, keyed by bit
+    /// pattern); zero counts are dropped. Samples keep their order.
+    pub fn new(counted: impl IntoIterator<Item = (f64, u64)>, sampled: Vec<f64>) -> Self {
+        let mut counted: Vec<(f64, u64)> = counted.into_iter().filter(|&(_, k)| k > 0).collect();
+        counted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        counted.dedup_by(|next, kept| {
+            let same = next.0.to_bits() == kept.0.to_bits();
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        LatencyHistogram { counted, sampled }
+    }
+
+    /// The union of several multisets — how a cluster pools its
+    /// deployments' step latencies.
+    pub fn pooled<'a>(parts: impl IntoIterator<Item = &'a LatencyHistogram>) -> Self {
+        let (mut counted, mut sampled) = (Vec::new(), Vec::new());
+        for p in parts {
+            counted.extend_from_slice(&p.counted);
+            sampled.extend_from_slice(&p.sampled);
+        }
+        LatencyHistogram::new(counted, sampled)
+    }
+
+    /// The counted part: distinct values and their counts, ascending.
+    pub fn counted(&self) -> &[(f64, u64)] {
+        &self.counted
+    }
+
+    /// The plain samples, in insertion order.
+    pub fn sampled(&self) -> &[f64] {
+        &self.sampled
+    }
+
+    /// Number of samples in the multiset (counted plus plain).
+    pub fn len(&self) -> u64 {
+        self.counted.iter().map(|&(_, k)| k).sum::<u64>() + self.sampled.len() as u64
+    }
+
+    /// Whether the multiset holds no sample.
+    pub fn is_empty(&self) -> bool {
+        self.counted.is_empty() && self.sampled.is_empty()
+    }
+
+    /// Order statistics of the multiset. The counted part is read in
+    /// place and merged on the fly with a sorted copy of the plain
+    /// samples; counted values are never expanded.
+    pub fn stats(&self) -> LatencyStats {
+        let mut sampled = self.sampled.clone();
+        sampled.sort_unstable_by(f64::total_cmp);
+        LatencyStats::from_sorted_runs(
+            SortedRuns { counted: &self.counted, sampled: &sampled },
+            self.len(),
+        )
+    }
+}
+
+/// Ascending `(value, multiplicity)` merge of a histogram's two sorted
+/// parts; a plain sample has multiplicity 1.
+#[derive(Clone)]
+struct SortedRuns<'a> {
+    counted: &'a [(f64, u64)],
+    sampled: &'a [f64],
+}
+
+impl Iterator for SortedRuns<'_> {
+    type Item = (f64, u64);
+
+    fn next(&mut self) -> Option<(f64, u64)> {
+        match (self.counted.split_first(), self.sampled.split_first()) {
+            (Some((&run, rest)), Some((&x, _))) if run.0.total_cmp(&x).is_le() => {
+                self.counted = rest;
+                Some(run)
+            }
+            (_, Some((&x, rest))) => {
+                self.sampled = rest;
+                Some((x, 1))
+            }
+            (Some((&run, rest)), None) => {
+                self.counted = rest;
+                Some(run)
+            }
+            (None, None) => None,
+        }
     }
 }
 
@@ -164,8 +291,8 @@ pub fn class_breakdown(samples: impl IntoIterator<Item = ClassSample>) -> Vec<Cl
         .map(|(label, g)| ClassReport {
             label,
             count: g.len(),
-            ttft: LatencyStats::from_samples(&g.iter().map(|s| s.ttft_s).collect::<Vec<_>>()),
-            e2e: LatencyStats::from_samples(&g.iter().map(|s| s.e2e_s).collect::<Vec<_>>()),
+            ttft: g.iter().map(|s| s.ttft_s).collect(),
+            e2e: g.iter().map(|s| s.e2e_s).collect(),
             slo_met: g.iter().filter(|s| s.met_slo).count(),
             tokens: g.iter().map(|s| s.tokens).sum(),
             slo_met_tokens: g.iter().filter(|s| s.met_slo).map(|s| s.tokens).sum(),

@@ -12,7 +12,8 @@
 //!   (Fig. 16b),
 //! * [`LatencyStats`] / [`goodput`] — request-level latency order
 //!   statistics (TTFT, inter-token, end-to-end) and deadline goodput for
-//!   the serving layer,
+//!   the serving layer, and [`LatencyHistogram`], the exact counted
+//!   multiset a serving run keeps its per-step latencies in,
 //! * [`PrefillBreakdown`] — where the token-budgeted serving step's time
 //!   went: decode, prefill-chunk interference with the running batch, or
 //!   prefill stall with nothing decoding,
@@ -40,7 +41,9 @@ pub use fleet::{
     hourly_capex_usd, hourly_cost_usd, provisioned_power_w, FleetBill, SlotBill,
     AMORTIZATION_YEARS, ENERGY_USD_PER_KWH,
 };
-pub use latency::{class_breakdown, fmt_seconds, goodput, ClassReport, ClassSample, LatencyStats};
+pub use latency::{
+    class_breakdown, fmt_seconds, goodput, ClassReport, ClassSample, LatencyHistogram, LatencyStats,
+};
 pub use prefill::PrefillBreakdown;
 pub use prefix_cache::{PrefixCacheStats, TierTrafficStats};
 pub use report::{fmt_bytes, fmt_ratio, Table};

@@ -1,6 +1,6 @@
 //! The reproducibility guarantee: every experiment and every simulated
-//! run is bit-deterministic — the property that lets EXPERIMENTS.md quote
-//! exact numbers.
+//! run is bit-deterministic — the property that lets `tests/paper_claims.rs`
+//! and the `BENCH_*.json` records quote exact numbers.
 
 use hilos::core::{HilosConfig, HilosSystem};
 use hilos::llm::presets;

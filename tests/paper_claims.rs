@@ -1,6 +1,7 @@
 //! Cross-crate integration tests asserting the paper's headline claims
-//! hold in the reproduction (shape, not absolute numbers — see
-//! EXPERIMENTS.md for the paper-vs-measured table).
+//! hold in the reproduction (shape, not absolute numbers). Each test names
+//! the paper's figure or claim and the band it accepts; `repro <figure>`
+//! prints the modeled numbers.
 
 use hilos::baselines::{
     accuracy_comparison, FlexGenSystem, KvLocation, VllmMultiNode, DEFAULT_KEEP_FRACTION,

@@ -15,7 +15,7 @@ use hilos::metrics::LatencyStats;
 use hilos::platform::SystemSpec;
 use hilos::trace::{
     check_conservation, events_fnv, perfetto_json, prefill_chunk_totals, spans_nest, validate_json,
-    LatencyAttribution,
+    EventKind, LatencyAttribution,
 };
 
 fn hilos(n: usize, sim_layers: u32) -> HilosSystem {
@@ -299,6 +299,44 @@ fn step_itl_stats_are_pinned_bit_for_bit() {
     for (name, stats, bits) in pins {
         assert_eq!(stats_bits(&stats), bits, "{name}: decode-gap statistics drifted: {stats:?}");
     }
+}
+
+/// The step-latency multiset stays small: a run without prefill chunks
+/// holds no plain sample and at most one counted value per memoized
+/// operating point, and a chunked run holds exactly one plain sample per
+/// step a chunk interfered with.
+#[test]
+fn step_latency_storage_is_bounded_by_the_memo() {
+    let trace = TraceConfig::azure_mix(512, 42).generate().unwrap();
+    let off = ServeEngine::new(hilos(8, 1), ServeConfig::new(16).with_chunk_mode(ChunkMode::Off))
+        .unwrap()
+        .run_trace(&trace)
+        .unwrap();
+    let h = &off.step_latency_s;
+    assert!(h.sampled().is_empty(), "no chunk ran, so no step is a plain sample");
+    assert!(!h.counted().is_empty() && h.counted().len() <= off.step_cache_entries);
+    assert_eq!(h.len(), off.steps);
+
+    let config = ServeConfig::new(8).with_chunk_mode(ChunkMode::chunked()).with_tracing(1 << 20);
+    let chunked =
+        ServeEngine::new(hilos(8, 1), config).unwrap().run_trace(&long_prompt_trace()).unwrap();
+    assert_eq!(chunked.events_dropped, 0);
+    // Every running request's emission at a step carries the step's
+    // interference and the step's clock; steps advance the clock, so
+    // distinct clocks are distinct steps.
+    let interfered: std::collections::HashSet<u64> = chunked
+        .events
+        .iter()
+        .filter(
+            |e| matches!(e.kind, EventKind::Emit { interference_s, .. } if interference_s > 0.0),
+        )
+        .map(|e| e.t_s.to_bits())
+        .collect();
+    let h = &chunked.step_latency_s;
+    assert!(!interfered.is_empty());
+    assert_eq!(h.sampled().len(), interfered.len(), "one plain sample per interfered step");
+    assert!(h.counted().len() <= chunked.step_cache_entries);
+    assert_eq!(h.len(), chunked.steps);
 }
 
 /// Acceptance: EDF with overload shedding strictly lifts SLO goodput
