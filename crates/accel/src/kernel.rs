@@ -51,13 +51,6 @@
 //! accumulation — so results are **bit-identical** to the original
 //! kernel, which is retained as [`attention_kernel_baseline`] and pinned
 //! by the golden suite in `tests/bitexact.rs`.
-//!
-//! For contexts where even the flat `g × s` score arena is unwelcome,
-//! [`attention_kernel_fused`] folds the softmax statistics into the block
-//! stream (sweep 1) and then re-streams the blocks, recomputing each
-//! score tile instead of materializing `all_scores` (sweep 2): memory
-//! drops to `O(block)` while results stay bit-identical, at the price of
-//! computing the `QKᵀ` products twice.
 
 use crate::softmax::{SoftmaxStats, MASK_VALUE};
 use crate::tensor::{MatrixF16, MatrixF32};
@@ -211,9 +204,9 @@ fn validate(inputs: &AttentionInputs<'_>) -> Result<(usize, usize, usize, usize)
     Ok((g, d, s, tail))
 }
 
-/// Reusable flat scratch arena for the optimized kernels.
+/// Reusable flat scratch arena for the optimized kernel.
 ///
-/// Owns every intermediate buffer the attention compute path needs, as
+/// Owns every intermediate buffer [`attention_kernel_with_scratch`] needs, as
 /// flat `f32` vectors that grow to the high-water mark and are reused
 /// across calls. With a long-lived `KernelScratch` (or through the
 /// thread-local arena inside [`attention_kernel`]) the hot path performs
@@ -224,9 +217,8 @@ pub struct KernelScratch {
     q: Vec<f32>,
     /// Decoded K or V rows of the current 128-token block, `block × d`.
     block: Vec<f32>,
-    /// Score tile of the current block, `g × BLOCK_TOKENS` (fused path).
-    tile: Vec<f32>,
-    /// Flat score arena, `g × (s + tail)` (two-pass path).
+    /// Flat score arena, `g × (s + tail)` — the score tiles the hardware
+    /// spills to on-board DRAM between the two passes.
     scores: Vec<f32>,
     /// Softmax statistics, one per query.
     stats: Vec<SoftmaxStats>,
@@ -252,7 +244,7 @@ fn ensure(buf: &mut Vec<f32>, n: usize) {
 }
 
 /// Scores `g` decoded queries against one decoded K block, writing the
-/// masked/scaled tile to `out[qi * out_stride + out_offset + j]`.
+/// masked/scaled tile to `out[qi * out_stride + block_start + j]`.
 ///
 /// The `QKᵀ` partial sums are chunked [`TILE_DIM`]-wide along the head
 /// dimension — the same floating-point evaluation order as the baseline's
@@ -271,11 +263,10 @@ fn score_block(
     scale: f32,
     out: &mut [f32],
     out_stride: usize,
-    out_offset: usize,
 ) {
     for qi in 0..g {
         let qrow = &q[qi * d..(qi + 1) * d];
-        let orow = &mut out[qi * out_stride + out_offset..qi * out_stride + out_offset + block_len];
+        let orow = &mut out[qi * out_stride + block_start..][..block_len];
         for (j, sj) in orow.iter_mut().enumerate() {
             let krow = &k_block[j * d..(j + 1) * d];
             let mut score = 0.0f32;
@@ -289,59 +280,6 @@ fn score_block(
                 score += acc;
                 dt += tile_w;
             }
-            let masked = valid.map(|v| !v[block_start + j]).unwrap_or(false);
-            *sj = if masked { MASK_VALUE } else { score * scale };
-        }
-    }
-}
-
-/// The scoring routine a kernel driver runs per K block — same signature
-/// as [`score_block`], so SIMD variants slot into the identical two-pass
-/// driver without duplicating it.
-type ScoreBlockFn =
-    fn(&[f32], usize, usize, &[f32], usize, Option<&[bool]>, usize, f32, &mut [f32], usize, usize);
-
-/// Eight-lane `QKᵀ` scoring: each dot product runs on [`SIMD_LANES`]
-/// independent accumulators over exact chunks, a shape LLVM
-/// auto-vectorizes to packed FMA on any target with 256-bit vectors
-/// (`unsafe` intrinsics are forbidden in this crate). The summation
-/// *order* differs from [`score_block`]'s tile-serial order, so scores —
-/// and outputs — agree only to rounding; the `simd` tolerance test bounds
-/// the divergence.
-#[cfg(feature = "simd")]
-#[allow(clippy::too_many_arguments)]
-fn score_block_simd(
-    q: &[f32],
-    g: usize,
-    d: usize,
-    k_block: &[f32],
-    block_len: usize,
-    valid: Option<&[bool]>,
-    block_start: usize,
-    scale: f32,
-    out: &mut [f32],
-    out_stride: usize,
-    out_offset: usize,
-) {
-    const SIMD_LANES: usize = 8;
-    for qi in 0..g {
-        let qrow = &q[qi * d..(qi + 1) * d];
-        let orow = &mut out[qi * out_stride + out_offset..qi * out_stride + out_offset + block_len];
-        for (j, sj) in orow.iter_mut().enumerate() {
-            let krow = &k_block[j * d..(j + 1) * d];
-            let mut acc = [0.0f32; SIMD_LANES];
-            let mut qc = qrow.chunks_exact(SIMD_LANES);
-            let mut kc = krow.chunks_exact(SIMD_LANES);
-            for (qv, kv) in (&mut qc).zip(&mut kc) {
-                for i in 0..SIMD_LANES {
-                    acc[i] += qv[i] * kv[i];
-                }
-            }
-            let mut score: f32 =
-                qc.remainder().iter().zip(kc.remainder()).map(|(&a, &b)| a * b).sum();
-            // Pairwise lane reduction (keeps the dependency tree shallow).
-            score +=
-                ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
             let masked = valid.map(|v| !v[block_start + j]).unwrap_or(false);
             *sj = if masked { MASK_VALUE } else { score * scale };
         }
@@ -398,17 +336,6 @@ pub fn attention_kernel_with_scratch(
     inputs: &AttentionInputs<'_>,
     scratch: &mut KernelScratch,
 ) -> Result<MatrixF32, KernelError> {
-    attention_two_pass_scored(inputs, scratch, score_block)
-}
-
-/// The two-pass driver, generic over the scoring routine. Every caller
-/// shares this body, so the bit-exact path and the SIMD path differ in
-/// *nothing* but the `QKᵀ` inner loop.
-fn attention_two_pass_scored(
-    inputs: &AttentionInputs<'_>,
-    scratch: &mut KernelScratch,
-    score: ScoreBlockFn,
-) -> Result<MatrixF32, KernelError> {
     let (g, d, s, tail) = validate(inputs)?;
     let total = s + tail;
 
@@ -424,7 +351,7 @@ fn attention_two_pass_scored(
     while block_start < s {
         let block_len = BLOCK_TOKENS.min(s - block_start);
         inputs.keys.decode_rows_into(block_start, block_len, &mut scratch.block);
-        score(
+        score_block(
             &scratch.q,
             g,
             d,
@@ -435,7 +362,6 @@ fn attention_two_pass_scored(
             inputs.scale,
             &mut scratch.scores,
             total,
-            block_start,
         );
         for (qi, stat) in scratch.stats.iter_mut().enumerate() {
             stat.update_block(&scratch.scores[qi * total + block_start..][..block_len]);
@@ -512,156 +438,6 @@ pub fn attention_kernel(inputs: &AttentionInputs<'_>) -> Result<MatrixF32, Kerne
     })
 }
 
-/// [`attention_kernel`] with the eight-lane SIMD `QKᵀ` inner loop
-/// ([`score_block_simd`]). Same driver, same inputs, same shapes — only
-/// the dot-product summation order differs, so outputs agree with
-/// [`attention_kernel`] to rounding (bounded by the `simd` tolerance
-/// test) rather than bit-exactly.
-///
-/// # Errors
-///
-/// Returns [`KernelError`] on shape mismatches or an empty context.
-#[cfg(feature = "simd")]
-pub fn attention_kernel_simd(inputs: &AttentionInputs<'_>) -> Result<MatrixF32, KernelError> {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => attention_kernel_simd_with_scratch(inputs, &mut scratch),
-        Err(_) => attention_kernel_simd_with_scratch(inputs, &mut KernelScratch::new()),
-    })
-}
-
-/// [`attention_kernel_simd`] with an explicit scratch arena.
-///
-/// # Errors
-///
-/// Returns [`KernelError`] on shape mismatches or an empty context.
-#[cfg(feature = "simd")]
-pub fn attention_kernel_simd_with_scratch(
-    inputs: &AttentionInputs<'_>,
-    scratch: &mut KernelScratch,
-) -> Result<MatrixF32, KernelError> {
-    attention_two_pass_scored(inputs, scratch, score_block_simd)
-}
-
-/// Runs the fused streaming variant: softmax statistics are folded into
-/// the block stream, and the score-value pass re-streams the K blocks,
-/// recomputing each score tile instead of materializing `all_scores`.
-///
-/// Peak intermediate memory is `O(BLOCK_TOKENS · (g + d))` regardless of
-/// context length — the variant of choice for 100K-token-class sweeps —
-/// while results stay bit-identical to [`attention_kernel_baseline`]
-/// (score recomputation replays the exact same FP32 operations). The
-/// trade-off is computing the `QKᵀ` products twice.
-///
-/// # Errors
-///
-/// Returns [`KernelError`] on shape mismatches or an empty context.
-pub fn attention_kernel_fused(inputs: &AttentionInputs<'_>) -> Result<MatrixF32, KernelError> {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => attention_kernel_fused_with_scratch(inputs, &mut scratch),
-        Err(_) => attention_kernel_fused_with_scratch(inputs, &mut KernelScratch::new()),
-    })
-}
-
-/// [`attention_kernel_fused`] with an explicit scratch arena.
-///
-/// # Errors
-///
-/// Returns [`KernelError`] on shape mismatches or an empty context.
-pub fn attention_kernel_fused_with_scratch(
-    inputs: &AttentionInputs<'_>,
-    scratch: &mut KernelScratch,
-) -> Result<MatrixF32, KernelError> {
-    let (g, d, s, tail) = validate(inputs)?;
-
-    ensure(&mut scratch.q, g * d);
-    inputs.queries.decode_rows_into(0, g, &mut scratch.q);
-    ensure(&mut scratch.block, BLOCK_TOKENS * d);
-    ensure(&mut scratch.tile, g * BLOCK_TOKENS);
-    scratch.stats.clear();
-    scratch.stats.resize(g, SoftmaxStats::new());
-
-    // ---- Sweep 1: statistics only; score tiles are discarded.
-    let mut block_start = 0;
-    while block_start < s {
-        let block_len = BLOCK_TOKENS.min(s - block_start);
-        inputs.keys.decode_rows_into(block_start, block_len, &mut scratch.block);
-        score_block(
-            &scratch.q,
-            g,
-            d,
-            &scratch.block,
-            block_len,
-            inputs.valid,
-            block_start,
-            inputs.scale,
-            &mut scratch.tile,
-            block_len,
-            0,
-        );
-        for (qi, stat) in scratch.stats.iter_mut().enumerate() {
-            stat.update_block(&scratch.tile[qi * block_len..][..block_len]);
-        }
-        block_start += block_len;
-    }
-    if let Some(t) = &inputs.host_tail {
-        for (qi, stat) in scratch.stats.iter_mut().enumerate() {
-            for chunk in t.scores.row(qi).chunks(BLOCK_TOKENS) {
-                stat.update_block(chunk);
-            }
-        }
-    }
-
-    // ---- Sweep 2: recompute each score tile, normalize, accumulate.
-    ensure(&mut scratch.acc, g * d);
-    scratch.acc[..g * d].fill(0.0);
-    let mut block_start = 0;
-    while block_start < s {
-        let block_len = BLOCK_TOKENS.min(s - block_start);
-        inputs.keys.decode_rows_into(block_start, block_len, &mut scratch.block);
-        score_block(
-            &scratch.q,
-            g,
-            d,
-            &scratch.block,
-            block_len,
-            inputs.valid,
-            block_start,
-            inputs.scale,
-            &mut scratch.tile,
-            block_len,
-            0,
-        );
-        inputs.values.decode_rows_into(block_start, block_len, &mut scratch.block);
-        let tile = &scratch.tile;
-        accumulate_block(
-            &scratch.stats,
-            |qi| &tile[qi * block_len..][..block_len],
-            &scratch.block,
-            g,
-            d,
-            &mut scratch.acc,
-        );
-        block_start += block_len;
-    }
-    if let Some(t) = &inputs.host_tail {
-        let mut tail_start = 0;
-        while tail_start < tail {
-            let tail_len = BLOCK_TOKENS.min(tail - tail_start);
-            t.values.decode_rows_into(tail_start, tail_len, &mut scratch.block);
-            accumulate_block(
-                &scratch.stats,
-                |qi| &t.scores.row(qi)[tail_start..tail_start + tail_len],
-                &scratch.block,
-                g,
-                d,
-                &mut scratch.acc,
-            );
-            tail_start += tail_len;
-        }
-    }
-    Ok(emit_output(&scratch.acc, g, d))
-}
-
 /// Query-key product unit: scores of `g` queries against one K block,
 /// using the online tile transpose. Returns a `g × block_len` score tile
 /// (scaled, masked).
@@ -721,10 +497,9 @@ fn query_key_unit(
 /// baseline: per-element `F16::to_f32` bit-twiddling, per-block
 /// `Vec<Vec<f32>>` score tiles, and per-query V decode.
 ///
-/// [`attention_kernel`] / [`attention_kernel_fused`] are bit-identical to
-/// this function (asserted exhaustively by `tests/bitexact.rs`); the
-/// criterion benches and the `bench_kernels` smoke binary measure their
-/// speedup against it.
+/// [`attention_kernel`] is bit-identical to this function (asserted
+/// exhaustively by `tests/bitexact.rs`); the criterion benches and the
+/// `bench_kernels` smoke binary measure its speedup against it.
 ///
 /// # Errors
 ///
@@ -899,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_and_fused_match_baseline_bitwise() {
+    fn optimized_matches_baseline_bitwise() {
         let (q, k, v) = toy(3, 300, 48, 41);
         let (qh, kh, vh) = (q.to_f16(), k.to_f16(), v.to_f16());
         let inputs = AttentionInputs {
@@ -912,9 +687,7 @@ mod tests {
         };
         let base = attention_kernel_baseline(&inputs).unwrap();
         let fast = attention_kernel(&inputs).unwrap();
-        let fused = attention_kernel_fused(&inputs).unwrap();
         assert_eq!(bits(&base), bits(&fast), "optimized kernel diverged");
-        assert_eq!(bits(&base), bits(&fused), "fused kernel diverged");
     }
 
     #[test]
@@ -947,9 +720,6 @@ mod tests {
         let reused = attention_kernel_with_scratch(&small, &mut scratch).unwrap();
         let fresh = attention_kernel_baseline(&small).unwrap();
         assert_eq!(bits(&reused), bits(&fresh));
-
-        let reused_fused = attention_kernel_fused_with_scratch(&small, &mut scratch).unwrap();
-        assert_eq!(bits(&reused_fused), bits(&fresh));
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //!   native GQA broadcast, −10⁴ padding masks, FP32 accumulation, and the
 //!   delayed-writeback host-tail path. The compute path is
 //!   zero-allocation in steady state (reusable [`KernelScratch`] arena,
-//!   shared per-group block decode); [`attention_kernel_fused`] streams
-//!   softmax statistics through the blocks without materializing the
-//!   score vector, and [`attention_kernel_baseline`] preserves the
-//!   original implementation as the golden reference,
+//!   shared per-group block decode), and [`attention_kernel_baseline`]
+//!   preserves the original implementation as the golden reference,
 //! * [`attention_kernel_batch`] / [`parallel_map`] — deterministic
 //!   fan-out over query groups / KV shards,
 //! * [`attention_reference`] / [`attention_streaming`] — gold references
@@ -67,12 +65,10 @@ mod window;
 pub use estimator::{estimator_correlation, pearson, PerformanceEstimator};
 pub use f16::{f16_decode_lut, F16};
 pub use kernel::{
-    attention_kernel, attention_kernel_baseline, attention_kernel_fused,
-    attention_kernel_fused_with_scratch, attention_kernel_with_scratch, host_partial_scores,
-    transpose_tile, AttentionInputs, HostTail, KernelError, KernelScratch, BLOCK_TOKENS, TILE_DIM,
+    attention_kernel, attention_kernel_baseline, attention_kernel_with_scratch,
+    host_partial_scores, transpose_tile, AttentionInputs, HostTail, KernelError, KernelScratch,
+    BLOCK_TOKENS, TILE_DIM,
 };
-#[cfg(feature = "simd")]
-pub use kernel::{attention_kernel_simd, attention_kernel_simd_with_scratch};
 pub use parallel::{attention_kernel_batch, parallel_map};
 pub use reference::{attention_reference, attention_streaming, attention_streaming_f16};
 pub use resources::{FpgaPart, ResourceError, ResourceModel, ResourceReport};

@@ -211,7 +211,7 @@ impl FlexGenSystem {
         let s = context as f64;
         let kv_layer_bytes = bs * 2.0 * s * m.kv_dim() as f64 * 2.0;
         let page = self.spec.storage.ssd_spec().page_bytes() as f64;
-        let source = weight_source(sys, m, 32 << 30);
+        let source = weight_source(sys, m);
         let fabric = if self.is_chassis() { FABRIC_EFFICIENCY } else { 1.0 };
 
         let mut prev_w: Option<TaskId> = None;
@@ -391,7 +391,7 @@ impl FlexGenSystem {
         let mut sys = self.build_world()?;
         let m = &self.model;
         let layer_scale = m.layers() as f64 / self.sim_layers as f64;
-        let source = weight_source(&sys, m, 32 << 30);
+        let source = weight_source(&sys, m);
         let mut g = TaskGraph::new();
         let per_layer_flops = batch as f64 * m.prefill_flops(context) / m.layers() as f64;
         let kv_layer = batch as f64 * 2.0 * context as f64 * m.kv_dim() as f64 * 2.0;

@@ -2,15 +2,14 @@
 //! Fig. 12a counterparts at functional level).
 //!
 //! `attention_2k_d64` and `attention_32k_d64` compare the optimized
-//! kernel (`hilos_kernel`), the fused streaming variant, and the pre-PR
-//! baseline (`hilos_kernel_baseline`) — the speedup the `bench_kernels`
-//! smoke binary records in `BENCH_kernels.json`.
+//! kernel (`hilos_kernel`) with the golden baseline
+//! (`hilos_kernel_baseline`) — the speedup the `bench_kernels` smoke
+//! binary records in `BENCH_kernels.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hilos_accel::{
-    attention_kernel, attention_kernel_baseline, attention_kernel_fused, attention_reference,
-    attention_streaming, softmax_three_pass, softmax_two_pass, sparse_topk_attention,
-    AttentionInputs, MatrixF32, F16,
+    attention_kernel, attention_kernel_baseline, attention_reference, attention_streaming,
+    softmax_three_pass, softmax_two_pass, sparse_topk_attention, AttentionInputs, MatrixF32, F16,
 };
 use std::hint::black_box;
 
@@ -45,9 +44,6 @@ fn bench_attention(c: &mut Criterion) {
     group.bench_function("hilos_kernel", |b| {
         b.iter(|| attention_kernel(black_box(&inputs)).unwrap())
     });
-    group.bench_function("hilos_kernel_fused", |b| {
-        b.iter(|| attention_kernel_fused(black_box(&inputs)).unwrap())
-    });
     group.bench_function("hilos_kernel_baseline", |b| {
         b.iter(|| attention_kernel_baseline(black_box(&inputs)).unwrap())
     });
@@ -80,9 +76,6 @@ fn bench_attention_long_context(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("hilos_kernel", |b| {
         b.iter(|| attention_kernel(black_box(&inputs)).unwrap())
-    });
-    group.bench_function("hilos_kernel_fused", |b| {
-        b.iter(|| attention_kernel_fused(black_box(&inputs)).unwrap())
     });
     group.bench_function("hilos_kernel_baseline", |b| {
         b.iter(|| attention_kernel_baseline(black_box(&inputs)).unwrap())

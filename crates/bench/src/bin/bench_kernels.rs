@@ -1,20 +1,19 @@
 //! `bench_kernels` — the CI perf-trajectory smoke bench.
 //!
-//! Times the pre-PR baseline kernel against the optimized and fused
-//! kernels at context lengths 2K / 32K / 128K and writes
-//! `BENCH_kernels.json` (current directory, or the path given as the
-//! first argument) so successive PRs accumulate a comparable throughput
-//! record. Runs in seconds, not minutes: iteration counts shrink as the
-//! context grows. With `--features simd` the tolerance-validated
-//! eight-lane `QKᵀ` kernel is timed as a fourth row.
+//! Times the golden baseline kernel (`attention_kernel_baseline`) against
+//! the optimized kernel (`attention_kernel_with_scratch`, bit-identical to
+//! it) at context lengths 2K / 32K / 128K and writes `BENCH_kernels.json`
+//! (current directory, or the path given as the first argument) so
+//! successive changes accumulate a comparable throughput record. Runs in
+//! seconds, not minutes: iteration counts shrink as the context grows.
 //!
 //! ```text
 //! Usage: bench_kernels [output.json]
 //! ```
 
 use hilos_accel::{
-    attention_kernel_baseline, attention_kernel_fused_with_scratch, attention_kernel_with_scratch,
-    AttentionInputs, KernelScratch, MatrixF32,
+    attention_kernel_baseline, attention_kernel_with_scratch, AttentionInputs, KernelScratch,
+    MatrixF32,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -91,47 +90,13 @@ fn main() {
             reps,
             s,
         );
-        let (fused_s, fused_tps) = time_kernel(
-            || drop(attention_kernel_fused_with_scratch(&inputs, &mut scratch).unwrap()),
-            iters,
-            reps,
-            s,
-        );
 
         let speedup = base_s / opt_s;
-        let fused_speedup = base_s / fused_s;
         eprintln!(
-            "s={s:>6}: baseline {base_s:.6}s/call, optimized {opt_s:.6}s/call \
-             ({speedup:.2}x), fused {fused_s:.6}s/call ({fused_speedup:.2}x)"
+            "s={s:>6}: baseline {base_s:.6}s/call, optimized {opt_s:.6}s/call ({speedup:.2}x)"
         );
 
-        #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-        let mut kernels = vec![
-            ("baseline", base_s, base_tps),
-            ("optimized", opt_s, opt_tps),
-            ("fused", fused_s, fused_tps),
-        ];
-        #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-        let mut simd_speedup = String::new();
-        #[cfg(feature = "simd")]
-        {
-            let (simd_s, simd_tps) = time_kernel(
-                || {
-                    drop(
-                        hilos_accel::attention_kernel_simd_with_scratch(&inputs, &mut scratch)
-                            .unwrap(),
-                    )
-                },
-                iters,
-                reps,
-                s,
-            );
-            let x = base_s / simd_s;
-            eprintln!("s={s:>6}: simd {simd_s:.6}s/call ({x:.2}x)");
-            kernels.push(("simd", simd_s, simd_tps));
-            let _ = write!(simd_speedup, ", \"simd_vs_baseline\": {x:.3}");
-        }
-        for (kernel, secs, tps) in kernels {
+        for (kernel, secs, tps) in [("baseline", base_s, base_tps), ("optimized", opt_s, opt_tps)] {
             let _ = write!(
                 rows,
                 "\n    {{\"context\": {s}, \"head_dim\": {HEAD_DIM}, \"group\": {GROUP}, \
@@ -142,15 +107,14 @@ fn main() {
         let sep = if ci + 1 < CONTEXTS.len() { "," } else { "" };
         let _ = write!(
             speedups,
-            "\n    {{\"context\": {s}, \"optimized_vs_baseline\": {speedup:.3}, \
-             \"fused_vs_baseline\": {fused_speedup:.3}{simd_speedup}}}{sep}"
+            "\n    {{\"context\": {s}, \"optimized_vs_baseline\": {speedup:.3}}}{sep}"
         );
     }
     rows.pop(); // trailing comma
 
     let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"note\": \"throughput of the pre-PR baseline vs the \
-         optimized (LUT + arena + shared GQA decode) and fused streaming attention kernels; \
+        "{{\n  \"bench\": \"kernels\",\n  \"note\": \"throughput of the golden baseline vs the \
+         optimized (LUT + arena + shared GQA decode) attention kernel, bit-identical to it; \
          g={GROUP}, d={HEAD_DIM}\",\n  \"results\": [{rows}\n  ],\n  \"speedup\": [{speedups}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

@@ -19,8 +19,8 @@
 //! (§5.1's "C/C++ simulator" integrated with lm-evaluation-harness).
 
 use hilos_accel::{
-    attention_kernel, attention_kernel_fused, attention_reference, host_partial_scores,
-    AttentionInputs, HostTail, KernelError, MatrixF16, MatrixF32,
+    attention_kernel, attention_reference, host_partial_scores, AttentionInputs, HostTail,
+    KernelError, MatrixF16, MatrixF32,
 };
 
 /// A single-head attention block with concrete weights, decoded one query
@@ -113,27 +113,6 @@ impl FunctionalBlock {
         let (k, v) = self.project_kv(xs);
         let q = self.project_q(x_q);
         attention_kernel(&AttentionInputs {
-            queries: &q,
-            keys: &k,
-            values: &v,
-            valid: None,
-            scale: self.scale(),
-            host_tail: None,
-        })
-    }
-
-    /// Path 2, fused: the accelerator kernel's streaming variant (softmax
-    /// statistics folded into the block stream, no materialized score
-    /// vector) — bit-identical to [`FunctionalBlock::attend_ans`], which
-    /// the pipeline test asserts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors.
-    pub fn attend_ans_fused(&self, x_q: &[f32], xs: &MatrixF32) -> Result<MatrixF32, KernelError> {
-        let (k, v) = self.project_kv(xs);
-        let q = self.project_q(x_q);
-        attention_kernel_fused(&AttentionInputs {
             queries: &q,
             keys: &k,
             values: &v,
@@ -238,18 +217,6 @@ mod tests {
         let ans = block.attend_ans(&xq, &xs).unwrap();
         let diff = base.max_abs_diff(&ans);
         assert!(diff < TOL, "diff={diff}");
-    }
-
-    #[test]
-    fn fused_ans_path_is_bit_identical() {
-        let block = FunctionalBlock::new(32, 5);
-        let xs = context(200, 32, 7);
-        let xq: Vec<f32> = xs.row(100).to_vec();
-        let ans = block.attend_ans(&xq, &xs).unwrap();
-        let fused = block.attend_ans_fused(&xq, &xs).unwrap();
-        let a: Vec<u32> = ans.as_slice().iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = fused.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   KV-cache traffic to the devices' internal paths ([`build_hilos_decode_step`],
 //!   with the Eq. 3 traffic model in [`traffic`]),
 //! * **cooperative X-cache** (§4.2) — the analytic α model and candidate
-//!   selection ([`AlphaModel`]), exercised by the *Cache Scheduler*,
+//!   selection ([`AlphaModel`], chosen per job by [`AlphaSelector`]),
 //! * **delayed KV-cache writeback** (§4.3) — the host-side buffer and
 //!   spill policy ([`WritebackManager`]) plus the sub-page write-cost
 //!   model,
@@ -59,7 +59,6 @@ mod campaign;
 pub mod cluster;
 mod config;
 mod functional;
-mod middleware;
 mod runner;
 mod scheduler;
 pub mod serve;
@@ -79,7 +78,6 @@ pub use cluster::{
 pub use config::{AlphaPolicy, HilosConfig};
 pub use functional::FunctionalBlock;
 pub use hilos_trace as trace;
-pub use middleware::{CacheScheduler, WeightsPrefetcher};
 pub use runner::{CoreError, HilosSystem, JobReport, PrefillReport, RunReport};
 pub use scheduler::{
     build_hilos_decode_step, build_hilos_prefill, load_weights, weight_source, DecodeStepSpec,

@@ -314,7 +314,7 @@ impl HilosSystem {
             + alpha * m.x_bytes_per_token() as f64) as u64
             * max_ctx;
         let cache = per_seq * spec.batch as u64;
-        let weights_on_dev = match weight_source(sys, m, 32 << 30) {
+        let weights_on_dev = match weight_source(sys, m) {
             WeightSource::Storage => m.weight_bytes(),
             WeightSource::HostDram => 0,
         };
@@ -561,13 +561,15 @@ mod tests {
 
     #[test]
     fn gqa_model_disables_xcache() {
-        let sys = HilosSystem::new(
-            &SystemSpec::a100_smartssd(8),
-            &presets::qwen25_32b(),
-            &HilosConfig::new(8),
-        )
-        .unwrap();
-        assert_eq!(sys.select_alpha(16, 32 * 1024).unwrap(), 0.0);
+        for n in [8, 16] {
+            let sys = HilosSystem::new(
+                &SystemSpec::a100_smartssd(n),
+                &presets::qwen25_32b(),
+                &HilosConfig::new(n),
+            )
+            .unwrap();
+            assert_eq!(sys.select_alpha(16, 32 * 1024).unwrap(), 0.0, "{n} devices");
+        }
     }
 
     #[test]

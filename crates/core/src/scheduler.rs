@@ -47,14 +47,15 @@ pub enum WeightSource {
     Storage,
 }
 
-/// Decides where weights live: host DRAM if they fit beside a working-set
-/// reserve, otherwise storage. Following §6.1, models above 100 B
-/// parameters (200 GB at FP16) are always placed on storage — DRAM must
-/// keep room for the writeback buffers and pinned I/O staging.
-pub fn weight_source(sys: &BuiltSystem, model: &ModelConfig, reserve_bytes: u64) -> WeightSource {
+/// Decides where weights live: host DRAM if they fit beside a 32 GiB
+/// working-set reserve, otherwise storage. Following §6.1, models above
+/// 100 B parameters (200 GB at FP16) are always placed on storage — DRAM
+/// must keep room for the writeback buffers and pinned I/O staging.
+pub fn weight_source(sys: &BuiltSystem, model: &ModelConfig) -> WeightSource {
     const HUNDRED_B_PARAMS_BYTES: u64 = 200_000_000_000;
+    const WORKING_SET_RESERVE_BYTES: u64 = 32 << 30;
     if model.weight_bytes() > HUNDRED_B_PARAMS_BYTES
-        || model.weight_bytes() + reserve_bytes > sys.spec.host.dram_bytes
+        || model.weight_bytes() + WORKING_SET_RESERVE_BYTES > sys.spec.host.dram_bytes
     {
         WeightSource::Storage
     } else {
@@ -141,7 +142,7 @@ pub fn build_hilos_decode_step(
     let heads = model.heads() as f64;
     let alpha = step.alpha;
     let wb = config.delayed_writeback();
-    let source = weight_source(sys, model, 32 << 30);
+    let source = weight_source(sys, model);
 
     // Per-layer byte/FLOP quantities.
     let s_stored = (s - step.buffered_tokens as f64).max(0.0);
@@ -351,7 +352,7 @@ pub fn build_hilos_prefill(
     let n = sys.devices.len();
     let bs = batch as f64;
     let s = context as f64;
-    let source = weight_source(sys, model, 32 << 30);
+    let source = weight_source(sys, model);
     let per_layer_flops = bs * model.prefill_flops(context) / model.layers() as f64;
     let kv_layer_bytes = bs * 2.0 * s * model.kv_dim() as f64 * 2.0;
     let x_layer_bytes = bs * s * model.hidden() as f64 * 2.0;
@@ -499,8 +500,8 @@ mod tests {
     #[test]
     fn weight_source_selection() {
         let sys = built(8, 1);
-        assert_eq!(weight_source(&sys, &presets::opt_66b(), 32 << 30), WeightSource::HostDram);
-        assert_eq!(weight_source(&sys, &presets::opt_175b(), 32 << 30), WeightSource::Storage);
+        assert_eq!(weight_source(&sys, &presets::opt_66b()), WeightSource::HostDram);
+        assert_eq!(weight_source(&sys, &presets::opt_175b()), WeightSource::Storage);
     }
 
     #[test]

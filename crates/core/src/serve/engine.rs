@@ -659,7 +659,7 @@ impl ServeEngine {
         let alpha_sel = AlphaSelector::new(system.config(), exec.system());
         let mut ledger = exec.system().kv_ledger();
         let model = system.model().clone();
-        if weight_source(exec.system(), &model, 32 << 30) == WeightSource::Storage {
+        if weight_source(exec.system(), &model) == WeightSource::Storage {
             ledger.reserve_evenly(model.weight_bytes()).map_err(|_| {
                 CoreError::DeviceCapacityExceeded {
                     needed: model.weight_bytes(),
