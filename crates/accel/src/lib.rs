@@ -13,8 +13,6 @@
 //!   zero-allocation in steady state (reusable [`KernelScratch`] arena,
 //!   shared per-group block decode), and [`attention_kernel_baseline`]
 //!   preserves the original implementation as the golden reference,
-//! * [`attention_kernel_batch`] / [`parallel_map`] — deterministic
-//!   fan-out over query groups / KV shards,
 //! * [`attention_reference`] / [`attention_streaming`] — gold references
 //!   (three-pass softmax in `f64`; FlashAttention-style online softmax),
 //! * [`sparse_topk_attention`] — the lossy InstAttention-style retrieval
@@ -53,7 +51,6 @@
 mod estimator;
 mod f16;
 mod kernel;
-mod parallel;
 mod reference;
 mod resources;
 mod softmax;
@@ -69,7 +66,6 @@ pub use kernel::{
     host_partial_scores, transpose_tile, AttentionInputs, HostTail, KernelError, KernelScratch,
     BLOCK_TOKENS, TILE_DIM,
 };
-pub use parallel::{attention_kernel_batch, parallel_map};
 pub use reference::{attention_reference, attention_streaming, attention_streaming_f16};
 pub use resources::{FpgaPart, ResourceError, ResourceModel, ResourceReport};
 pub use softmax::{

@@ -7,9 +7,8 @@
 //! equal the computed `F16::to_f32` on every bit pattern.
 
 use hilos_accel::{
-    attention_kernel, attention_kernel_baseline, attention_kernel_batch,
-    attention_kernel_with_scratch, f16_decode_lut, host_partial_scores, AttentionInputs, HostTail,
-    KernelScratch, MatrixF32, F16,
+    attention_kernel, attention_kernel_baseline, attention_kernel_with_scratch, f16_decode_lut,
+    host_partial_scores, AttentionInputs, HostTail, KernelScratch, MatrixF32, F16,
 };
 
 #[test]
@@ -192,30 +191,21 @@ fn golden_extreme_values() {
 
 #[test]
 fn golden_parallel_batch() {
-    // The deterministic fan-out must return, per shard, exactly the
-    // baseline's bits regardless of thread count.
-    let shards: Vec<_> = (0..5)
-        .map(|i| {
-            let (q, k, v) = toy(2 + i % 3, 100 + 40 * i, 24, 500 + i as u64);
-            (q.to_f16(), k.to_f16(), v.to_f16())
-        })
-        .collect();
-    let batch: Vec<AttentionInputs<'_>> = shards
-        .iter()
-        .map(|(q, k, v)| AttentionInputs {
-            queries: q,
-            keys: k,
-            values: v,
+    // Five differently-shaped shards run one after another on the same
+    // thread: each must return exactly the baseline's bits, whatever the
+    // thread-local scratch arena held from the shard before it.
+    for i in 0..5 {
+        let (q, k, v) = toy(2 + i % 3, 100 + 40 * i, 24, 500 + i as u64);
+        let (q, k, v) = (q.to_f16(), k.to_f16(), v.to_f16());
+        let inputs = AttentionInputs {
+            queries: &q,
+            keys: &k,
+            values: &v,
             valid: None,
             scale: 0.2,
             host_tail: None,
-        })
-        .collect();
-    for threads in [1usize, 3, 8] {
-        let outs = attention_kernel_batch(&batch, threads);
-        for (inputs, out) in batch.iter().zip(&outs) {
-            let golden = bits(&attention_kernel_baseline(inputs).unwrap());
-            assert_eq!(golden, bits(out.as_ref().unwrap()), "threads={threads}");
-        }
+        };
+        let golden = bits(&attention_kernel_baseline(&inputs).unwrap());
+        assert_eq!(golden, bits(&attention_kernel(&inputs).unwrap()), "shard {i}");
     }
 }

@@ -9,8 +9,8 @@
 //! over synthetic long-context retrieval tasks.
 
 use hilos_accel::{
-    attention_kernel, attention_streaming_f16, parallel_map, sparse_topk_attention,
-    AttentionInputs, EstimationNoise, KernelError,
+    attention_kernel, attention_streaming_f16, sparse_topk_attention, AttentionInputs,
+    EstimationNoise, KernelError,
 };
 use hilos_llm::{RetrievalTask, RetrievalTaskConfig};
 
@@ -43,6 +43,9 @@ impl AccuracyComparison {
 /// Runs the Fig. 18c accuracy comparison over `n_tasks` synthetic
 /// retrieval tasks at the given context length.
 ///
+/// Per-task F1 triples are summed in task order. The kernel runs over the
+/// thread-local scratch arena, so the sweep does not allocate per block.
+///
 /// # Errors
 ///
 /// Propagates kernel errors (impossible for well-formed generated tasks).
@@ -51,28 +54,10 @@ pub fn accuracy_comparison(
     n_tasks: u64,
     keep_fraction: f64,
 ) -> Result<AccuracyComparison, KernelError> {
-    accuracy_comparison_with_threads(context_len, n_tasks, keep_fraction, 1)
-}
-
-/// [`accuracy_comparison`] fanned out over up to `threads` workers, one
-/// task per work item.
-///
-/// Per-task F1 triples are computed independently and reduced in task
-/// order, so the result is bit-identical to the serial run for any thread
-/// count. The kernel runs over each worker's thread-local scratch arena,
-/// so the sweep does not allocate per block.
-///
-/// # Errors
-///
-/// Propagates kernel errors (impossible for well-formed generated tasks).
-pub fn accuracy_comparison_with_threads(
-    context_len: usize,
-    n_tasks: u64,
-    keep_fraction: f64,
-    threads: usize,
-) -> Result<AccuracyComparison, KernelError> {
-    let seeds: Vec<u64> = (0..n_tasks).collect();
-    let per_task = parallel_map(&seeds, threads, |_, &seed| {
+    let mut flash = 0.0;
+    let mut hilos = 0.0;
+    let mut inst = 0.0;
+    for seed in 0..n_tasks {
         let task = RetrievalTask::generate(&RetrievalTaskConfig::longbench_like(context_len, seed));
         let inputs = AttentionInputs {
             queries: &task.queries,
@@ -90,20 +75,9 @@ pub fn accuracy_comparison_with_threads(
             keep_fraction,
             Some(EstimationNoise { amplitude: DEFAULT_ESTIMATION_NOISE, seed: seed * 7 + 1 }),
         )?;
-        Ok((
-            task.f1(&task.decode(&flash_out)),
-            task.f1(&task.decode(&hilos_out)),
-            task.f1(&task.decode(&inst_out)),
-        ))
-    });
-    let mut flash = 0.0;
-    let mut hilos = 0.0;
-    let mut inst = 0.0;
-    for triple in per_task {
-        let (f, h, i) = triple?;
-        flash += f;
-        hilos += h;
-        inst += i;
+        flash += task.f1(&task.decode(&flash_out));
+        hilos += task.f1(&task.decode(&hilos_out));
+        inst += task.f1(&task.decode(&inst_out));
     }
     let n = n_tasks as f64;
     Ok(AccuracyComparison { flash_f1: flash / n, hilos_f1: hilos / n, instattention_f1: inst / n })
@@ -136,15 +110,6 @@ mod tests {
         );
         let gap = cmp.lossy_gap_points();
         assert!(gap > 0.5, "gap {gap} pp too small");
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let serial = accuracy_comparison_with_threads(1024, 6, 0.125, 1).unwrap();
-        let parallel = accuracy_comparison_with_threads(1024, 6, 0.125, 4).unwrap();
-        assert_eq!(serial.flash_f1.to_bits(), parallel.flash_f1.to_bits());
-        assert_eq!(serial.hilos_f1.to_bits(), parallel.hilos_f1.to_bits());
-        assert_eq!(serial.instattention_f1.to_bits(), parallel.instattention_f1.to_bits());
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub use flexgen::{
     HOST_IO_EFFICIENCY,
 };
 pub use instattention::{
-    accuracy_comparison, accuracy_comparison_with_threads, AccuracyComparison,
-    DEFAULT_ESTIMATION_NOISE, DEFAULT_KEEP_FRACTION,
+    accuracy_comparison, AccuracyComparison, DEFAULT_ESTIMATION_NOISE, DEFAULT_KEEP_FRACTION,
 };
 pub use vllm::VllmMultiNode;

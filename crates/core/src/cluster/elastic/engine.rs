@@ -9,7 +9,8 @@ use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, Life
 use crate::cluster::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
 use crate::cluster::report::ClusterReport;
 use crate::runner::CoreError;
-use crate::serve::engine::{QueueEntry, RunState, SharedStepCache, StepProgress};
+use crate::serve::engine::{QueueEntry, RunState, StepProgress};
+use crate::serve::memo::SharedStepCache;
 use crate::serve::ServeEngine;
 use hilos_llm::{DeploymentId, Request};
 use hilos_metrics::{FleetBill, SlotBill};

@@ -51,6 +51,12 @@ pub enum CoreError {
         /// Requests stuck in the admission queue.
         queued: usize,
     },
+    /// A [`ServeConfig`](crate::ServeConfig) size or duration that must be
+    /// positive is not (see [`ServeConfig::validate`](crate::ServeConfig::validate)).
+    InvalidServeConfig {
+        /// The offending field.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -73,6 +79,9 @@ impl fmt::Display for CoreError {
             CoreError::Platform(e) => write!(f, "platform error: {e}"),
             CoreError::SchedulerStalled { queued } => {
                 write!(f, "scheduling policy stalled with {queued} queued requests")
+            }
+            CoreError::InvalidServeConfig { field } => {
+                write!(f, "serving configuration field `{field}` must be positive")
             }
         }
     }
@@ -471,26 +480,6 @@ impl HilosSystem {
         let decode = self.run_decode(spec.batch, spec.context_len, spec.output_len)?;
         Ok(JobReport { prefill, decode })
     }
-
-    /// Runs a sweep of independent decode jobs, fanned out over up to
-    /// `threads` workers.
-    ///
-    /// Every job builds its own simulation world (runs are already
-    /// independent and deterministic), and results are reduced in job
-    /// order — element `i` of the output is exactly what
-    /// `run_decode(jobs[i])` returns, bit for bit, for any thread count.
-    /// This is the campaign-sweep fast path: context/batch sensitivity
-    /// sweeps parallelize across host cores without giving up the
-    /// reproducibility guarantee.
-    pub fn run_decode_sweep(
-        &self,
-        jobs: &[BatchSpec],
-        threads: usize,
-    ) -> Vec<Result<RunReport, CoreError>> {
-        hilos_accel::parallel_map(jobs, threads, |_, spec| {
-            self.run_decode(spec.batch, spec.context_len, spec.output_len)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -578,24 +567,6 @@ mod tests {
         let short = sys.run_decode(16, 16 * 1024, 4).unwrap();
         let long = sys.run_decode(16, 64 * 1024, 4).unwrap();
         assert!(long.avg_step_seconds > 2.0 * short.avg_step_seconds);
-    }
-
-    #[test]
-    fn decode_sweep_parallel_matches_serial_bitwise() {
-        let sys = hilos(8).with_sim_layers(2);
-        let jobs: Vec<BatchSpec> = [8u32, 16, 32]
-            .iter()
-            .flat_map(|&b| [16u64, 32].map(|kc| BatchSpec::new(b, kc * 1024, 4)))
-            .collect();
-        let serial = sys.run_decode_sweep(&jobs, 1);
-        let parallel = sys.run_decode_sweep(&jobs, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.avg_step_seconds.to_bits(), b.avg_step_seconds.to_bits());
-            assert_eq!(a.gpu_utilization.to_bits(), b.gpu_utilization.to_bits());
-            assert_eq!(a.category_seconds, b.category_seconds);
-        }
     }
 
     #[test]

@@ -24,8 +24,16 @@
 //! see the [module docs](super#quiet-windows)): the single-deployment
 //! driver up to its next arrival, the cluster lazily, when something
 //! next touches the slot.
+//!
+//! This file holds the run state, the engine, its six stages, the quiet
+//! window and [`ServeEngine::finish`]. What the stages consult lives
+//! beside it: the step/prefill memo in `memo.rs`, the configuration in
+//! `config.rs` and the prefix KV cache in `prefix.rs`.
 
+use super::config::ServeConfig;
+use super::memo::{BitsHasher, CachedStep, SharedStepCache};
 use super::policy::{Fifo, SchedDecision, SchedulingPolicy};
+use super::prefix::{CacheBaseline, PrefixCacheState};
 use super::snapshot::{InFlightView, QueuedView, SchedSnapshot};
 use super::{RequestOutcome, ShedOutcome, TraceReport};
 use crate::runner::{CoreError, HilosSystem};
@@ -34,207 +42,12 @@ use crate::step::{AlphaSelector, DecodeStepExecutor};
 use crate::writeback::{SpillDecision, WritebackManager};
 use hilos_llm::{DeploymentId, ModelConfig, Request};
 use hilos_metrics::{LatencyHistogram, PrefillBreakdown, PrefixCacheStats};
-use hilos_storage::{KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, SsdSpec, TierTraffic};
+use hilos_storage::KvShardLedger;
 use hilos_trace::{Event, EventKind, EventRing, NullSink, TraceSink};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::ops::ControlFlow;
-use std::sync::{Arc, RwLock};
-
-/// Context quantum of the chunk-path prefill memoization. Chunk cursors
-/// are rounded to this *fixed* grid — unlike the adaptive
-/// [`ServeConfig::ctx_quantum`] rounding, a fixed grid keeps per-chunk
-/// times telescoping to the same whole-prompt total whatever the chunk
-/// size (the conservation property the proptests pin: chunked and lump
-/// ingestion of the same prompt cost the same total seconds).
-const PREFILL_CHUNK_QUANTUM: u64 = 64;
-
-/// How prompt ingestion shares the serving step with decoding.
-///
-/// The paper's pipeline runs prefill and decode as separate phases of
-/// one uniform job; under *serving*, prompt ingestion of newly admitted
-/// requests competes with the running batch's token generation for the
-/// same device bandwidth. `ChunkMode` selects how the engine models that
-/// contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkMode {
-    /// Legacy side-prefill: an admitted request's whole-prompt prefill
-    /// is simulated once and runs fully overlapped with decoding,
-    /// joining the batch when its completion time passes. Optimistic —
-    /// prompt ingestion is never charged to the step — and bit-identical
-    /// to the pre-chunking engine (golden-pinned). The default.
-    Off,
-    /// Inline whole-prompt prefill: an admitted prompt is ingested in
-    /// one piece *inside* the serving step, monopolizing the devices
-    /// until it completes (a vLLM-style prefill iteration). The
-    /// interference baseline chunked prefill is measured against: every
-    /// running decode's inter-token latency absorbs the full prompt.
-    Lump,
-    /// Token-budgeted chunked prefill: each step the running decode
-    /// batch reserves one budget token per sequence, and the remaining
-    /// budget ingests up to `chunk_tokens` of each pending prompt (in
-    /// admission order), so long prompts interleave with decoding
-    /// instead of stalling it — bounded inter-token inflation per step.
-    Chunked {
-        /// Most prompt tokens one request ingests per step.
-        chunk_tokens: u64,
-        /// Per-step token budget shared by decode and prefill chunks.
-        step_budget_tokens: u64,
-    },
-}
-
-impl ChunkMode {
-    /// The default chunked operating point: 256-token chunks under a
-    /// 2048-token step budget.
-    pub fn chunked() -> Self {
-        ChunkMode::Chunked { chunk_tokens: 256, step_budget_tokens: 2048 }
-    }
-
-    /// Whether prefill executes inside the serving step (any mode but
-    /// [`ChunkMode::Off`]).
-    pub fn is_inline(&self) -> bool {
-        !matches!(self, ChunkMode::Off)
-    }
-
-    /// The `(chunk, budget)` knobs of the inline modes ([`ChunkMode::Lump`]
-    /// is unbounded on both axes).
-    fn knobs(&self) -> (u64, u64) {
-        match *self {
-            ChunkMode::Off | ChunkMode::Lump => (u64::MAX, u64::MAX),
-            ChunkMode::Chunked { chunk_tokens, step_budget_tokens } => {
-                (chunk_tokens, step_budget_tokens)
-            }
-        }
-    }
-}
-
-/// Sizing of the prefix KV cache and its HBM→DRAM→SSD residency ladder.
-///
-/// The SSD rung's capacity comes from the deployment's own device array
-/// (one [`SsdSpec::smartssd_nvme`] per shard-ledger device); only the two
-/// hot rungs are sized here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixCacheConfig {
-    /// HBM rung capacity reserved for cached prefix KV, bytes.
-    pub hbm_bytes: u64,
-    /// Host-DRAM staging rung capacity, bytes.
-    pub dram_bytes: u64,
-    /// Prefix block granularity in tokens: probes hit whole blocks only,
-    /// and published prefixes round down to the block grid.
-    pub block_tokens: u64,
-}
-
-impl Default for PrefixCacheConfig {
-    /// 4 GiB of HBM and 32 GiB of DRAM over 64-token blocks.
-    fn default() -> Self {
-        PrefixCacheConfig { hbm_bytes: 4 << 30, dram_bytes: 32 << 30, block_tokens: 64 }
-    }
-}
-
-/// Configuration of the serving loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Maximum requests decoded together (admission cap).
-    pub max_batch: u32,
-    /// Per-request end-to-end deadline for goodput accounting, seconds.
-    pub deadline_s: f64,
-    /// Context quantum of the step-time cache: batches whose mean context
-    /// rounds to the same *nearest* multiple share one simulated step
-    /// (the quantum shrinks automatically for short contexts so relative
-    /// error stays bounded). Smaller is more faithful, larger is faster.
-    pub ctx_quantum: u64,
-    /// How prompt ingestion shares the step with decoding (defaults to
-    /// the legacy side-prefill [`ChunkMode::Off`]).
-    pub chunk_mode: ChunkMode,
-    /// Prefix KV-cache reuse over a tiered residency ladder: admissions
-    /// probe for cached shared prefixes and skip that much prefill, and
-    /// preemption victims demote their KV down the ladder instead of
-    /// discarding it. `None` (the default) disables the cache entirely —
-    /// the engine is then bit-identical to the pre-cache loop
-    /// (golden-pinned).
-    pub prefix_cache: Option<PrefixCacheConfig>,
-    /// Lifecycle-event tracing: `Some(capacity)` records every admission,
-    /// chunk, emission, preemption and completion into an
-    /// [`hilos_trace::EventRing`] of that capacity, surfaced on
-    /// [`TraceReport::events`]. `None` (the default) wires the
-    /// [`hilos_trace::NullSink`] — one dead branch per would-be event, so
-    /// every golden pin (and the 1M-request wall-clock budget) is
-    /// untouched. Emission is observational either way: tracing never
-    /// moves a clock or a counter.
-    pub trace_events: Option<usize>,
-}
-
-impl ServeConfig {
-    /// A serving configuration with the given admission cap, a 120 s
-    /// deadline and a 1024-token context quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn new(max_batch: u32) -> Self {
-        assert!(max_batch > 0, "need a positive batch cap");
-        ServeConfig {
-            max_batch,
-            deadline_s: 120.0,
-            ctx_quantum: 1024,
-            chunk_mode: ChunkMode::Off,
-            prefix_cache: None,
-            trace_events: None,
-        }
-    }
-
-    /// Sets the goodput deadline.
-    pub fn with_deadline(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "deadline must be positive");
-        self.deadline_s = seconds;
-        self
-    }
-
-    /// Sets the step-cache context quantum.
-    pub fn with_ctx_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum > 0, "quantum must be positive");
-        self.ctx_quantum = quantum;
-        self
-    }
-
-    /// Sets the prefill chunking mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`ChunkMode::Chunked`] knob is zero (a zero chunk or
-    /// budget could never make prefill progress).
-    pub fn with_chunk_mode(mut self, mode: ChunkMode) -> Self {
-        if let ChunkMode::Chunked { chunk_tokens, step_budget_tokens } = mode {
-            assert!(chunk_tokens > 0, "chunk size must be positive");
-            assert!(step_budget_tokens > 0, "step budget must be positive");
-        }
-        self.chunk_mode = mode;
-        self
-    }
-
-    /// Enables prefix KV-cache reuse with the given ladder sizing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block granularity is zero.
-    pub fn with_prefix_cache(mut self, cache: PrefixCacheConfig) -> Self {
-        assert!(cache.block_tokens > 0, "prefix blocks must be positive");
-        self.prefix_cache = Some(cache);
-        self
-    }
-
-    /// Enables lifecycle-event tracing into a ring retaining up to
-    /// `capacity` events (see [`ServeConfig::trace_events`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_tracing(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "the event ring needs a positive capacity");
-        self.trace_events = Some(capacity);
-        self
-    }
-}
+use std::sync::Arc;
 
 /// A queued request: never admitted, or preempted and awaiting
 /// re-admission with retained progress.
@@ -296,121 +109,6 @@ impl InFlight {
             first_admitted_s: Some(self.admitted_s),
             preemptions: self.preemptions + 1,
             prefill_tokens: self.prefill_charged,
-        }
-    }
-}
-
-/// A preemption victim's ingested KV parked in the residency ladder,
-/// awaiting recall on re-admission.
-#[derive(Debug, Clone, Copy)]
-struct DemotedKv {
-    /// Prefill tokens the parked KV re-materializes.
-    tokens: u64,
-    /// Ladder bytes the parked KV occupies.
-    bytes: u64,
-    /// Which rung holds it.
-    tier: KvTier,
-}
-
-/// Live prefix-cache state of one deployment, present only when
-/// [`ServeConfig::prefix_cache`] is set. Persists across runs (like the
-/// step memo); per-run reporting subtracts the [`CacheBaseline`]
-/// captured at run start.
-#[derive(Debug)]
-struct PrefixCacheState {
-    index: PrefixCacheIndex,
-    ladder: KvTierLadder,
-    /// Request id → the prefix key it acquired at admission; released on
-    /// eviction or preemption (exactly once, the index enforces it).
-    held: HashMap<u64, u64>,
-    /// Request id → preempted-victim KV parked in the ladder.
-    demoted: HashMap<u64, DemotedKv>,
-    /// KV footprint per cached token, from the model.
-    bytes_per_token: u64,
-}
-
-/// Index/ladder counter values at run start — the cache outlives a run,
-/// the [`TraceReport`] wants this run's deltas.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheBaseline {
-    lookups: u64,
-    hits: u64,
-    saved_tokens: u64,
-    traffic: [TierTraffic; 3],
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct StepKey {
-    batch: u32,
-    context: u64,
-    alpha_bits: u64,
-    buffered_tokens: u32,
-    spill_now: bool,
-    spill_tokens: u32,
-}
-
-/// Hashes an `f64` bit pattern with one multiply. The step-gap counter
-/// is updated every decode step over a few hundred keys whose mantissas
-/// are already well spread, so SipHash's flood resistance buys nothing:
-/// one multiply costs ~5 ms over fleet-elastic's 1.56M steps where
-/// SipHash costs 20–30 ms (x86-64, release build).
-#[derive(Default)]
-struct BitsHasher(u64);
-
-impl Hasher for BitsHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("BitsHasher only hashes u64 keys")
-    }
-
-    fn write_u64(&mut self, bits: u64) {
-        self.0 = bits.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The scalar slice of a [`StepOutcome`](crate::StepOutcome) the serving
-/// loop consumes every step — `Copy`, so cache hits stay allocation-free
-/// (the full outcome's per-category breakdown would clone a
-/// `Vec<String>` per step).
-#[derive(Debug, Clone, Copy)]
-struct CachedStep {
-    seconds: f64,
-    host_pcie_bytes: f64,
-    internal_read_bytes: f64,
-}
-
-/// Step/prefill memoization tables. Every engine owns one; a cluster
-/// hands every deployment of one system fingerprint the same table, so a
-/// freshly provisioned elastic slot (or the 31 siblings of a homogeneous
-/// fleet) warm-starts from what any twin already computed instead of
-/// re-paying the misses.
-///
-/// Read-mostly: lookups take the read lock, only misses take the write
-/// lock. A cached value is a *pure function* of its key given the shared
-/// fingerprint, so the simulation outcome is independent of which
-/// deployment filled an entry first — the cache changes wall-clock, never results.
-#[derive(Debug, Default)]
-pub(crate) struct SharedStepCache {
-    steps: RwLock<HashMap<StepKey, CachedStep>>,
-    prefills: RwLock<HashMap<(u64, u64), f64>>,
-}
-
-impl SharedStepCache {
-    /// Copies `other`'s entries in, keeping any this table already holds
-    /// (within one fingerprint group equal keys hold equal values).
-    fn absorb(&self, other: &SharedStepCache) {
-        let steps = other.steps.read().expect("step memo poisoned").clone();
-        let mut mine = self.steps.write().expect("step memo poisoned");
-        for (k, v) in steps {
-            mine.entry(k).or_insert(v);
-        }
-        let prefills = other.prefills.read().expect("prefill memo poisoned").clone();
-        let mut mine = self.prefills.write().expect("prefill memo poisoned");
-        for (k, v) in prefills {
-            mine.entry(k).or_insert(v);
         }
     }
 }
@@ -488,11 +186,11 @@ pub(crate) struct RunState {
     /// Prefill re-materialization debt left by preemptions: the victim's
     /// already-ingested tokens (context held by a decode victim, executed
     /// chunks of a prefilling victim).
-    wasted_prefill_tokens: u64,
+    pub(super) wasted_prefill_tokens: u64,
     /// Event-sourced prefix-cache accounting (victim demotions/recalls,
     /// recall seconds charged to the clock); the index/ladder deltas are
     /// folded in at [`ServeEngine::finish`]. All-zero with the cache off.
-    prefix: PrefixCacheStats,
+    pub(super) prefix: PrefixCacheStats,
     /// Cache counter values at run start (the cache outlives runs).
     cache_base: CacheBaseline,
     kv_placed: Vec<f64>,
@@ -610,8 +308,8 @@ impl RunState {
 #[derive(Debug)]
 pub struct ServeEngine {
     system: HilosSystem,
-    config: ServeConfig,
-    exec: DecodeStepExecutor,
+    pub(super) config: ServeConfig,
+    pub(super) exec: DecodeStepExecutor,
     alpha_sel: AlphaSelector,
     ledger: KvShardLedger,
     policy: Box<dyn SchedulingPolicy>,
@@ -619,15 +317,15 @@ pub struct ServeEngine {
     /// `&model` across `&mut self` memoization calls.
     model: ModelConfig,
     /// Which deployment this engine is, stamped onto every outcome.
-    deployment: DeploymentId,
+    pub(super) deployment: DeploymentId,
     /// Placeable bytes of the empty array (after weight reservations) —
     /// the bound beyond which a request can never be admitted.
     max_placeable: u64,
     /// The step/prefill memo: this engine's own until a cluster hands it
     /// its fingerprint group's shared table.
-    memo: Arc<SharedStepCache>,
+    pub(super) memo: Arc<SharedStepCache>,
     /// Prefix KV cache over the tiered residency ladder (`None` = off).
-    cache: Option<PrefixCacheState>,
+    pub(super) cache: Option<PrefixCacheState>,
 }
 
 impl ServeEngine {
@@ -648,13 +346,15 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Platform/capacity errors from building the world or fitting the
-    /// weights.
+    /// [`CoreError::InvalidServeConfig`] if `config` fails
+    /// [`ServeConfig::validate`]; platform/capacity errors from building
+    /// the world or fitting the weights.
     pub fn with_policy(
         system: HilosSystem,
         config: ServeConfig,
         policy: Box<dyn SchedulingPolicy>,
     ) -> Result<Self, CoreError> {
+        config.validate()?;
         let exec = DecodeStepExecutor::new(&system)?;
         let alpha_sel = AlphaSelector::new(system.config(), exec.system());
         let mut ledger = exec.system().kv_ledger();
@@ -668,21 +368,8 @@ impl ServeEngine {
             })?;
         }
         let max_placeable = ledger.placeable_free();
-        let cache = config.prefix_cache.map(|pc| {
-            let bytes_per_token = model.kv_bytes_per_token().max(1);
-            PrefixCacheState {
-                index: PrefixCacheIndex::new(pc.block_tokens, bytes_per_token),
-                ladder: KvTierLadder::new(
-                    pc.hbm_bytes,
-                    pc.dram_bytes,
-                    SsdSpec::smartssd_nvme(),
-                    ledger.device_count(),
-                ),
-                held: HashMap::new(),
-                demoted: HashMap::new(),
-                bytes_per_token,
-            }
-        });
+        let cache =
+            config.prefix_cache.map(|pc| PrefixCacheState::new(&pc, &model, ledger.device_count()));
         Ok(ServeEngine {
             system,
             config,
@@ -719,14 +406,6 @@ impl ServeEngine {
         &self.system
     }
 
-    /// Preemption victims whose ingested KV is currently parked in the
-    /// residency ladder awaiting recall (always 0 with the prefix cache
-    /// off). A drained deployment must report zero — parked KV cannot
-    /// follow a request to another deployment.
-    pub fn parked_victim_kv(&self) -> usize {
-        self.cache.as_ref().map_or(0, |cs| cs.demoted.len())
-    }
-
     /// Which deployment this engine is ([`DeploymentId`] `0` outside a
     /// cluster). Stamped onto every [`RequestOutcome`].
     pub fn deployment(&self) -> DeploymentId {
@@ -761,160 +440,6 @@ impl ServeEngine {
         self.memo = shared;
     }
 
-    /// The prefix cache's lifetime hit rate on this deployment (`0.0`
-    /// with the cache off or before any probe) — a routing signal: a
-    /// deployment that keeps hitting shares more prefixes with the
-    /// traffic already routed to it.
-    pub fn prefix_hit_rate(&self) -> f64 {
-        match &self.cache {
-            Some(cs) if cs.index.lookups() > 0 => {
-                cs.index.hits() as f64 / cs.index.lookups() as f64
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// Drops the ref the request's admission pinned on its prefix entry.
-    fn release_prefix_hold(&mut self, id: u64) {
-        if let Some(cs) = self.cache.as_mut() {
-            if let Some(key) = cs.held.remove(&id) {
-                let _ = cs.index.release(key);
-            }
-        }
-    }
-
-    /// Parks a preemption victim's ingested KV (`tokens` worth) in the
-    /// residency ladder — DRAM if it fits, else the SSD rung — instead of
-    /// discarding it, and drops the victim's prefix pin. Returns whether
-    /// the ladder took the bytes; `false` (always, with the cache off)
-    /// means the caller books the tokens as wasted re-materialization
-    /// debt exactly as the pre-cache engine did.
-    fn demote_victim(&mut self, st: &mut RunState, id: u64, tokens: u64) -> bool {
-        let dep = self.deployment;
-        let Some(cs) = self.cache.as_mut() else {
-            return false;
-        };
-        if let Some(key) = cs.held.remove(&id) {
-            let _ = cs.index.release(key);
-        }
-        if tokens == 0 {
-            return false;
-        }
-        let bytes = tokens * cs.bytes_per_token;
-        for tier in [KvTier::Dram, KvTier::Ssd] {
-            if cs.ladder.place(tier, bytes).is_ok() {
-                // The ladder's own traffic counters only track index
-                // moves; victim KV enters from the serving shards, so
-                // its demote I/O is booked here.
-                let seconds = cs.ladder.demote_seconds(tier, bytes);
-                let t = &mut st.prefix.tiers[tier.index()];
-                t.demoted_bytes += bytes;
-                t.demote_seconds += seconds;
-                st.prefix.victim_demotions += 1;
-                cs.demoted.insert(id, DemotedKv { tokens, bytes, tier });
-                st.emit(dep, id, EventKind::Demoted { tokens, bytes, tier: tier.index() as u8 });
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Drops the parked KV of a victim that will never be re-admitted on
-    /// this deployment (shed, unplaceable, or re-dispatched to another
-    /// deployment): the ladder bytes are freed and the tokens become the
-    /// wasted re-materialization debt they would have been without the
-    /// cache.
-    pub(crate) fn forget_demoted(&mut self, st: &mut RunState, id: u64) {
-        if let Some(cs) = self.cache.as_mut() {
-            if let Some(d) = cs.demoted.remove(&id) {
-                let _ = cs.ladder.evict(d.tier, d.bytes);
-                st.wasted_prefill_tokens += d.tokens;
-            }
-        }
-    }
-
-    /// Reuses cached KV for an admission: a preempted victim's demoted
-    /// ladder bytes recall in full, else a shared-prefix probe against
-    /// the index skips the cached blocks (pinning the entry for the
-    /// request's lifetime). Returns `(reused_tokens, recall_seconds)` —
-    /// `(0, 0.0)` with the cache off or on a miss.
-    fn reuse_cached_kv(
-        &mut self,
-        st: &mut RunState,
-        entry: &QueueEntry,
-        pf_ctx: u64,
-    ) -> (u64, f64) {
-        let dep = self.deployment;
-        let Some(cs) = self.cache.as_mut() else {
-            return (0, 0.0);
-        };
-        if let Some(d) = cs.demoted.remove(&entry.req.id) {
-            let seconds = cs.ladder.recall(d.tier, d.bytes).expect("demoted bytes are resident");
-            let tokens = d.tokens.min(pf_ctx);
-            st.prefix.victim_recalls += 1;
-            st.prefix.recalled_prefill_tokens += tokens;
-            st.emit(dep, entry.req.id, EventKind::Recall { bytes: d.bytes, seconds });
-            return (tokens, seconds);
-        }
-        if entry.req.prefix_key == 0 {
-            return (0, 0.0);
-        }
-        let Some((hit, _tier)) = cs.index.probe(entry.req.prefix_key, entry.req.prefix_tokens)
-        else {
-            return (0, 0.0);
-        };
-        let seconds = cs.index.recall(entry.req.prefix_key, hit, &mut cs.ladder);
-        cs.index.acquire(entry.req.prefix_key).expect("probe just hit this key");
-        cs.held.insert(entry.req.id, entry.req.prefix_key);
-        let reused = hit.min(pf_ctx);
-        st.emit(dep, entry.req.id, EventKind::PrefixHit { reused_tokens: reused });
-        if seconds > 0.0 {
-            st.emit(
-                dep,
-                entry.req.id,
-                EventKind::Recall { bytes: reused * cs.bytes_per_token, seconds },
-            );
-        }
-        (reused, seconds)
-    }
-
-    /// On eviction, drops the request's prefix pin and publishes its
-    /// context into the index: the class/system prefix under
-    /// `prefix_key`, and the whole finished conversation under
-    /// `publish_key` (the entry the session's next turn will hit). No-op
-    /// with the cache off.
-    fn publish_finished(&mut self, r: &InFlight) {
-        let Some(cs) = self.cache.as_mut() else {
-            return;
-        };
-        if let Some(key) = cs.held.remove(&r.req.id) {
-            let _ = cs.index.release(key);
-        }
-        if r.req.publish_key != 0 {
-            // The session's full served context — for a follow-up turn
-            // this *extends* the entry the next turn will probe.
-            cs.index.publish(r.req.publish_key, r.req.prompt_len + r.emitted, &mut cs.ladder);
-        }
-        if r.req.prefix_key != 0 && r.req.prefix_key != r.req.publish_key {
-            // The class/system prefix this request consumed (fresh
-            // conversations share it with every sibling session).
-            cs.index.publish(r.req.prefix_key, r.req.prefix_tokens, &mut cs.ladder);
-        }
-    }
-
-    /// Rounds a context to the nearest step-cache bucket. The quantum
-    /// halves (down to 16 tokens) until it is at most a quarter of the
-    /// context, so the rounding error is centered on zero and bounded at
-    /// ~12.5% even for prompts far shorter than `ctx_quantum`.
-    fn quantize(&self, ctx: u64) -> u64 {
-        let ctx = ctx.max(1);
-        let mut q = self.config.ctx_quantum;
-        while q > 16 && q * 4 > ctx {
-            q /= 2;
-        }
-        ((ctx + q / 2) / q).max(1) * q
-    }
-
     /// KV/X bytes a request owns at full generation length under `alpha`.
     fn request_footprint(&self, req: &Request, alpha: f64) -> u64 {
         let m = &self.model;
@@ -923,93 +448,8 @@ impl ServeEngine {
         (per_token * req.total_tokens() as f64) as u64
     }
 
-    /// Memoized `execute_prefill(1, ctx, α)` at an already-rounded
-    /// context — the single miss path behind both rounding grids, so the
-    /// cached value's meaning cannot drift between them.
-    fn prefill_seconds_rounded(&mut self, ctx: u64, alpha: f64) -> Result<f64, CoreError> {
-        let key = (ctx, alpha.to_bits());
-        if let Some(&s) = self.memo.prefills.read().expect("prefill memo poisoned").get(&key) {
-            return Ok(s);
-        }
-        let s = self.exec.execute_prefill(1, ctx, alpha)?;
-        self.memo.prefills.write().expect("prefill memo poisoned").insert(key, s);
-        Ok(s)
-    }
-
-    fn prefill_seconds(&mut self, prompt_len: u64, alpha: f64) -> Result<f64, CoreError> {
-        let ctx = self.quantize(prompt_len);
-        self.prefill_seconds_rounded(ctx, alpha)
-    }
-
-    /// Whole-prompt prefill seconds at a chunk-cursor context, memoized
-    /// on the fixed [`PREFILL_CHUNK_QUANTUM`] grid (shared cache with
-    /// [`ServeEngine::prefill_seconds`] — both store the same
-    /// `execute_prefill(1, ctx, α)` value, only the rounding differs).
-    fn prefill_seconds_at(&mut self, ctx: u64, alpha: f64) -> Result<f64, CoreError> {
-        let q = PREFILL_CHUNK_QUANTUM;
-        self.prefill_seconds_rounded(((ctx + q / 2) / q).max(1) * q, alpha)
-    }
-
-    /// Seconds to ingest prompt tokens `[start, start + len)` — the
-    /// difference of the whole-prompt prefill times at the chunk's two
-    /// cursors, so attention's growing cost lands on the later chunks
-    /// and a request's chunks telescope to exactly its lump prefill.
-    fn prefill_chunk_seconds(
-        &mut self,
-        start: u64,
-        len: u64,
-        alpha: f64,
-    ) -> Result<f64, CoreError> {
-        let end = self.prefill_seconds_at(start + len, alpha)?;
-        if start == 0 {
-            return Ok(end);
-        }
-        let begin = self.prefill_seconds_at(start, alpha)?;
-        // Rounding to the chunk grid can land both cursors in one
-        // bucket; clamp so a chunk is never negative time.
-        Ok((end - begin).max(0.0))
-    }
-
-    /// The memoized decode step at an already-quantized context.
-    fn decode_step(
-        &mut self,
-        batch: u32,
-        context: u64,
-        alpha: f64,
-        decision: &SpillDecision,
-    ) -> Result<CachedStep, CoreError> {
-        let key = StepKey {
-            batch,
-            context,
-            alpha_bits: alpha.to_bits(),
-            buffered_tokens: decision.buffered_tokens,
-            spill_now: decision.spill_now,
-            spill_tokens: decision.spill_tokens,
-        };
-        if let Some(&o) = self.memo.steps.read().expect("step memo poisoned").get(&key) {
-            return Ok(o);
-        }
-        let o = self.exec.execute_step(batch, key.context, alpha, decision)?;
-        let cached = CachedStep {
-            seconds: o.seconds,
-            host_pcie_bytes: o.host_pcie_bytes,
-            internal_read_bytes: o.internal_read_bytes,
-        };
-        self.memo.steps.write().expect("step memo poisoned").insert(key, cached);
-        Ok(cached)
-    }
-
     /// A fresh run state sized for this deployment.
     pub(crate) fn new_run_state(&self) -> RunState {
-        let cache_base = match &self.cache {
-            Some(cs) => CacheBaseline {
-                lookups: cs.index.lookups(),
-                hits: cs.index.hits(),
-                saved_tokens: cs.index.saved_tokens(),
-                traffic: KvTier::ALL.map(|t| cs.ladder.traffic(t)),
-            },
-            None => CacheBaseline::default(),
-        };
         RunState {
             queue: VecDeque::new(),
             prefilling: Vec::new(),
@@ -1043,7 +483,7 @@ impl ServeEngine {
             step_gap_samples: Vec::new(),
             wasted_prefill_tokens: 0,
             prefix: PrefixCacheStats::default(),
-            cache_base,
+            cache_base: self.cache_baseline(),
             kv_placed: vec![0.0; self.ledger.device_count()],
             footprint_estimates: HashMap::new(),
             wb: WritebackManager::new(self.system.config().spill_interval()),
@@ -1288,13 +728,7 @@ impl ServeEngine {
             };
             // Surface parked (demoted) KV so a policy can weigh
             // recall-vs-recompute when ordering re-admissions.
-            let (demoted_tokens, recall_cost_s) = match &self.cache {
-                Some(cs) => match cs.demoted.get(&q.req.id) {
-                    Some(d) => (d.tokens, cs.ladder.recall_seconds(d.tier, d.bytes)),
-                    None => (0, 0.0),
-                },
-                None => (0, 0.0),
-            };
+            let (demoted_tokens, recall_cost_s) = self.parked_kv(q.req.id);
             queue_views.push(QueuedView {
                 id: q.req.id,
                 class: q.req.class,
@@ -1666,7 +1100,7 @@ impl ServeEngine {
             // its read pin and publish the prefix (and the session's
             // full context, if keyed) into the ladder for later arrivals
             // to reuse.
-            self.publish_finished(&r);
+            self.publish_finished(&r.req, r.emitted);
             st.evictions += 1;
             st.outcomes.push(RequestOutcome {
                 id: r.req.id,
@@ -1775,25 +1209,10 @@ impl ServeEngine {
 
     /// Seals a finished run state into its [`TraceReport`].
     pub(crate) fn finish(&self, st: RunState) -> TraceReport {
-        // The index and ladder persist across runs (that is the point of
-        // a cache) — report this run's activity as the delta against the
-        // baseline captured when the run state was created. The victim
-        // demote/recall fields were event-sourced live into `st.prefix`.
+        // The victim demote/recall fields were event-sourced live into
+        // `st.prefix`; the index and ladder add this run's delta.
         let mut prefix = st.prefix;
-        if let Some(cs) = &self.cache {
-            let base = &st.cache_base;
-            prefix.lookups += cs.index.lookups() - base.lookups;
-            prefix.hits += cs.index.hits() - base.hits;
-            prefix.saved_prefill_tokens += cs.index.saved_tokens() - base.saved_tokens;
-            for (tier, slot) in KvTier::ALL.iter().zip(prefix.tiers.iter_mut()) {
-                let now = cs.ladder.traffic(*tier);
-                let was = &base.traffic[tier.index()];
-                slot.demoted_bytes += now.demoted_bytes - was.demoted_bytes;
-                slot.recalled_bytes += now.recalled_bytes - was.recalled_bytes;
-                slot.demote_seconds += now.demote_seconds - was.demote_seconds;
-                slot.recall_seconds += now.recall_seconds - was.recall_seconds;
-            }
-        }
+        self.add_cache_delta(&st.cache_base, &mut prefix);
         TraceReport {
             policy: self.policy.name().to_string(),
             outcomes: st.outcomes,
@@ -1816,7 +1235,7 @@ impl ServeEngine {
             // A shared table is the deterministic union of every group
             // member's (identical-per-deployment) key set — the same
             // number whichever member filled it.
-            step_cache_entries: self.memo.steps.read().expect("step memo poisoned").len(),
+            step_cache_entries: self.memo.step_entries(),
             host_pcie_bytes: st.host_bytes,
             internal_read_bytes: st.internal_bytes,
             prefill_payload_bytes: st.prefill_payload,
@@ -1905,6 +1324,7 @@ impl ServeEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::config::{ChunkMode, PrefixCacheConfig};
     use super::super::policy::{DeadlineEdf, PriorityPreempt};
     use super::*;
     use crate::config::HilosConfig;

@@ -107,12 +107,34 @@
 //! every shipped policy, chunk mode and tracing setting. Preempting
 //! policies (such as [`PriorityPreempt`]) are consulted every step, so
 //! they never open a window.
+//!
+//! # Files
+//!
+//! Each serving concern has one file:
+//!
+//! * `engine.rs` — the per-run state, [`ServeEngine`] with the six stages
+//!   of the step above, the quiet window, and sealing a run into its
+//!   [`TraceReport`].
+//! * `memo.rs` — the step and prefill memo: the operating-point key, the
+//!   context quantizer, the chunk-grid prefill times, and the table a
+//!   cluster shares within a system-fingerprint group.
+//! * `config.rs` — [`ServeConfig`], [`ChunkMode`] and
+//!   [`PrefixCacheConfig`], with [`ServeConfig::validate`], the one place
+//!   their invariants are checked.
+//! * `prefix.rs` — the prefix KV cache: its index and residency ladder,
+//!   preemption victims' parked KV, and the cache's per-run counters.
+//! * `policy.rs` and `snapshot.rs` — the [`SchedulingPolicy`] trait, the
+//!   shipped policies and the read-only [`SchedSnapshot`] they read.
 
+mod config;
 pub(crate) mod engine;
+pub(crate) mod memo;
 pub mod policy;
+mod prefix;
 mod snapshot;
 
-pub use engine::{ChunkMode, PrefixCacheConfig, ServeConfig, ServeEngine};
+pub use config::{ChunkMode, PrefixCacheConfig, ServeConfig};
+pub use engine::ServeEngine;
 pub use policy::{DeadlineEdf, Fifo, PriorityPreempt, SchedDecision, SchedulingPolicy};
 pub use snapshot::{InFlightView, QueuedView, SchedSnapshot};
 

@@ -11,9 +11,8 @@ use crate::event::{Event, FNV_OFFSET};
 /// the [`NullSink`] makes instrumented builds bit-identical (and
 /// wall-clock-identical, guarded in `bench_serving`) to uninstrumented
 /// ones.
-/// `Send` is a supertrait so a traced run state can cross into a cluster
-/// fan-out worker for its lockstep iteration; both shipped sinks are
-/// plain owned buffers.
+/// `Send` is a supertrait so a traced run state may move to another
+/// thread with its engine; both shipped sinks are plain owned buffers.
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Whether events should be constructed and recorded at all.
     fn enabled(&self) -> bool;

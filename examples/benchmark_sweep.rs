@@ -8,7 +8,7 @@
 
 use hilos::baselines::{FlexGenSystem, KvLocation};
 use hilos::core::{HilosConfig, HilosSystem};
-use hilos::llm::{presets, BatchSpec};
+use hilos::llm::presets;
 use hilos::metrics::Table;
 use hilos::platform::SystemSpec;
 
@@ -50,23 +50,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Note: GQA models (d_group > 1) disable the X-cache (alpha=0%) because");
     println!("their pre-projection activations exceed the grouped KV cache in size.");
 
-    // Context-sensitivity sweep, fanned out across host cores with a
-    // deterministic (job-ordered) reduction — results are identical to a
-    // serial sweep for any thread count.
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("\nHILOS(16) OPT-66B context sweep (bs={batch}, {threads} threads):\n");
+    // Context-sensitivity sweep.
+    println!("\nHILOS(16) OPT-66B context sweep (bs={batch}):\n");
     let sys = HilosSystem::new(
         &SystemSpec::a100_smartssd(16),
         &presets::opt_66b(),
         &HilosConfig::new(16),
     )?;
-    let jobs: Vec<BatchSpec> =
-        [16u64, 32, 64, 128].map(|kc| BatchSpec::new(batch, kc * 1024, 8)).into();
     let mut sweep = Table::new(vec!["context", "tok/s", "s/step", "alpha"]);
-    for (job, report) in jobs.iter().zip(sys.run_decode_sweep(&jobs, threads)) {
-        let report = report?;
+    for kc in [16u64, 32, 64, 128] {
+        let report = sys.run_decode(batch, kc * 1024, 8)?;
         sweep.row(vec![
-            format!("{}K", job.context_len / 1024),
+            format!("{kc}K"),
             format!("{:.4}", report.tokens_per_second()),
             format!("{:.3}", report.avg_step_seconds),
             format!("{:.0}%", report.alpha * 100.0),
