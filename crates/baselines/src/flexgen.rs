@@ -117,11 +117,6 @@ impl FlexGenSystem {
         self
     }
 
-    /// The KV location.
-    pub fn kv_location(&self) -> KvLocation {
-        self.kv
-    }
-
     /// The model.
     pub fn model(&self) -> &ModelConfig {
         &self.model

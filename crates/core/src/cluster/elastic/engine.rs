@@ -256,11 +256,6 @@ impl ElasticClusterEngine {
         self.routing.name()
     }
 
-    /// The active autoscale policy's name.
-    pub fn autoscale_name(&self) -> &'static str {
-        self.autoscale.name()
-    }
-
     /// Slot `d`'s current lifecycle state.
     pub fn lifecycle_state(&self, d: usize) -> LifecycleState {
         self.lifecycles[d].state()

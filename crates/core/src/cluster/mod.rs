@@ -73,7 +73,7 @@
 //! (advance)**: each deployment with work runs one serving iteration
 //! ([`ServeEngine::advance_once`](crate::ServeEngine)) in place, in
 //! deployment-index order, touching only its own state — queues,
-//! batch, ledgers and trace sink all live inside the slot; the one thing
+//! batch, ledgers and event ring all live inside the slot; the one thing
 //! slots share is their fingerprint group's memo table (see
 //! Determinism).
 //! **Phase B (merge)**: the per-slot results (each slot's step progress

@@ -256,7 +256,9 @@ impl HilosSystem {
     /// Injects a straggler: scales device `index`'s storage bandwidth by
     /// `factor` (e.g. 0.5 halves it). HILOS partitions the KV cache
     /// statically, so a slow device gates every step — an availability
-    /// sensitivity the `repro straggler` extension quantifies.
+    /// sensitivity the `repro straggler` extension quantifies. An `index`
+    /// at or beyond the configured device count makes every world build
+    /// fail with [`CoreError::Platform`].
     pub fn with_degraded_device(mut self, index: usize, factor: f64) -> Self {
         assert!(factor.is_finite() && factor > 0.0, "factor must be positive");
         self.degradations.push((index, factor));
@@ -530,6 +532,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::NotEnoughDevices { requested: 8, available: 4 }));
+    }
+
+    #[test]
+    fn out_of_range_degradation_is_an_error_not_a_healthy_array() {
+        // The chassis holds 8 devices but the system is trimmed to 4, so
+        // device 6 does not exist in the world that would be built.
+        let sys = HilosSystem::new(
+            &SystemSpec::a100_smartssd(8),
+            &presets::opt_30b(),
+            &HilosConfig::new(4),
+        )
+        .unwrap()
+        .with_degraded_device(6, 0.5);
+        let expect = CoreError::Platform("degraded device 6 is out of range for 4 devices".into());
+        assert_eq!(sys.run_decode(8, 4096, 4).unwrap_err(), expect);
+        let err = crate::ServeEngine::new(sys, crate::ServeConfig::new(8)).unwrap_err();
+        assert_eq!(err, expect);
     }
 
     #[test]

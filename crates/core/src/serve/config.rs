@@ -117,10 +117,10 @@ pub struct ServeConfig {
     /// chunk, emission, preemption and completion into an
     /// [`hilos_trace::EventRing`] of that capacity, surfaced on
     /// [`TraceReport::events`](super::TraceReport::events). `None` (the
-    /// default) wires the [`hilos_trace::NullSink`] — one dead branch per
-    /// would-be event, so every golden pin (and the 1M-request wall-clock
-    /// budget) is untouched. Emission is observational either way:
-    /// tracing never moves a clock or a counter.
+    /// default) keeps no ring — one dead branch per would-be event, so
+    /// every golden pin (and the 1M-request wall-clock budget) is
+    /// untouched. Emission is observational either way: tracing never
+    /// moves a clock or a counter.
     pub trace_events: Option<usize>,
 }
 

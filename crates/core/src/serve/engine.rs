@@ -43,7 +43,7 @@ use crate::writeback::{SpillDecision, WritebackManager};
 use hilos_llm::{DeploymentId, ModelConfig, Request};
 use hilos_metrics::{LatencyHistogram, PrefillBreakdown, PrefixCacheStats};
 use hilos_storage::KvShardLedger;
-use hilos_trace::{Event, EventKind, EventRing, NullSink, TraceSink};
+use hilos_trace::{Event, EventKind, EventRing};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::ops::ControlFlow;
@@ -203,12 +203,8 @@ pub(crate) struct RunState {
     /// driver *may* drain them by id and re-dispatch across deployments.
     pub(crate) just_preempted: Vec<u64>,
     /// Where lifecycle events go: an [`EventRing`] when the run was
-    /// configured with [`ServeConfig::with_tracing`], the [`NullSink`]
-    /// otherwise.
-    trace: Box<dyn TraceSink>,
-    /// `trace.enabled()`, cached so the off path is one branch with no
-    /// virtual call.
-    trace_on: bool,
+    /// configured with [`ServeConfig::with_tracing`], nowhere otherwise.
+    trace: Option<EventRing>,
 }
 
 impl RunState {
@@ -217,8 +213,8 @@ impl RunState {
     /// tracing-off run is bit-identical to the uninstrumented engine.
     #[inline]
     pub(crate) fn emit(&mut self, deployment: DeploymentId, request: u64, kind: EventKind) {
-        if self.trace_on {
-            self.trace.record(Event { t_s: self.clock, deployment: deployment.0, request, kind });
+        if let Some(ring) = &mut self.trace {
+            ring.record(Event { t_s: self.clock, deployment: deployment.0, request, kind });
         }
     }
 
@@ -488,11 +484,7 @@ impl ServeEngine {
             footprint_estimates: HashMap::new(),
             wb: WritebackManager::new(self.system.config().spill_interval()),
             just_preempted: Vec::new(),
-            trace: match self.config.trace_events {
-                Some(capacity) => Box::new(EventRing::new(capacity)),
-                None => Box::new(NullSink),
-            },
-            trace_on: self.config.trace_events.is_some(),
+            trace: self.config.trace_events.map(EventRing::new),
         }
     }
 
@@ -1189,9 +1181,9 @@ impl ServeEngine {
             };
             // No prefill chunk runs in a quiet step, so nothing interferes.
             st.book_step(outcome, 0.0);
-            if st.trace_on {
+            if let Some(ring) = &mut st.trace {
                 for r in &st.running {
-                    st.trace.record(Event {
+                    ring.record(Event {
                         t_s: st.clock,
                         deployment: self.deployment.0,
                         request: r.req.id,
@@ -1254,8 +1246,8 @@ impl ServeEngine {
             ),
             wasted_prefill_tokens: st.wasted_prefill_tokens,
             prefix,
-            events: st.trace.snapshot(),
-            events_dropped: st.trace.dropped(),
+            events: st.trace.as_ref().map_or_else(Vec::new, EventRing::snapshot),
+            events_dropped: st.trace.as_ref().map_or(0, EventRing::dropped),
         }
     }
 

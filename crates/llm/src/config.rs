@@ -133,11 +133,6 @@ impl ModelConfig {
         self.moe
     }
 
-    /// True if this model uses grouped-query attention.
-    pub fn is_gqa(&self) -> bool {
-        self.kv_heads < self.heads
-    }
-
     /// KV projection width: `kv_heads × head_dim`.
     pub fn kv_dim(&self) -> u32 {
         self.kv_heads * self.head_dim()
@@ -147,14 +142,6 @@ impl ModelConfig {
         match self.mlp_kind {
             MlpKind::TwoMatrix => 2,
             MlpKind::Gated => 3,
-        }
-    }
-
-    /// Number of layers carrying an MoE feed-forward block.
-    pub fn moe_layers(&self) -> u32 {
-        match self.moe {
-            Some(m) => self.layers / m.interval,
-            None => 0,
         }
     }
 

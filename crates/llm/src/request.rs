@@ -219,22 +219,6 @@ impl Request {
         })
     }
 
-    /// Stamps the shared-prefix identity: the first `tokens` prompt
-    /// tokens are the content keyed by `key`. The token count is clamped
-    /// to the prompt length.
-    pub fn with_prefix(mut self, key: u64, tokens: u64) -> Self {
-        self.prefix_key = key;
-        self.prefix_tokens = tokens.min(self.prompt_len);
-        self
-    }
-
-    /// Stamps the key under which the request's full served context
-    /// becomes reusable (its conversation's identity).
-    pub fn with_publish_key(mut self, key: u64) -> Self {
-        self.publish_key = key;
-        self
-    }
-
     /// Replaces the SLO.
     ///
     /// # Errors

@@ -120,19 +120,6 @@ impl HostSpec {
             dram_power: PowerSpec { idle_w: 25.0, active_w: 75.0 },
         }
     }
-
-    /// The vLLM baseline node host: AMD EPYC 7302, 512 GB.
-    pub fn epyc_512g() -> Self {
-        HostSpec {
-            name: "EPYC-7302-512G",
-            cpu_flops: 1.0e12,
-            dram_bytes: 512 << 30,
-            dram_bw: 170e9,
-            price_usd: 12_000.0,
-            cpu_power: PowerSpec { idle_w: 70.0, active_w: 155.0 },
-            dram_power: PowerSpec { idle_w: 25.0, active_w: 75.0 },
-        }
-    }
 }
 
 /// Per-SSD prices and power (Fig. 16a, §6.6).

@@ -179,12 +179,22 @@ impl SystemSpec {
 pub enum SystemError {
     /// The storage configuration has no devices.
     NoStorageDevices,
+    /// A degradation names a device the storage configuration lacks.
+    DegradedDeviceOutOfRange {
+        /// The device index the degradation names.
+        index: usize,
+        /// Devices in the storage configuration.
+        devices: usize,
+    },
 }
 
 impl fmt::Display for SystemError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SystemError::NoStorageDevices => write!(f, "system needs at least one storage device"),
+            SystemError::DegradedDeviceOutOfRange { index, devices } => {
+                write!(f, "degraded device {index} is out of range for {devices} devices")
+            }
         }
     }
 }
@@ -274,16 +284,25 @@ impl BuiltSystem {
 
     /// Like [`BuiltSystem::build`], but with straggler injection: each
     /// `(device_index, factor)` entry scales that device's read/write
-    /// bandwidth (e.g. `(3, 0.5)` halves device 3). Out-of-range indices
-    /// are ignored.
+    /// bandwidth (e.g. `(3, 0.5)` halves device 3).
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::NoStorageDevices`] as in [`BuiltSystem::build`];
+    /// [`SystemError::DegradedDeviceOutOfRange`] if an entry names a
+    /// device index the storage configuration does not have.
     pub fn build_with_degradations(
         spec: &SystemSpec,
         accel_model: Option<&AccelTimingModel>,
         head_dim: u32,
         degradations: &[(usize, f64)],
     ) -> Result<BuiltSystem, SystemError> {
-        if spec.storage.device_count() == 0 {
+        let devices = spec.storage.device_count();
+        if devices == 0 {
             return Err(SystemError::NoStorageDevices);
+        }
+        if let Some(&(index, _)) = degradations.iter().find(|&&(i, _)| i >= devices) {
+            return Err(SystemError::DegradedDeviceOutOfRange { index, devices });
         }
         let mut engine = FlowEngine::new();
 

@@ -16,16 +16,15 @@
 //! resources); idle resources are never scanned, and the working vectors
 //! are kept between calls, so neither a recompute nor an advance
 //! allocates once the engine has seen its peak job count. Pure time
-//! advances keep rates, so each job's absolute completion prediction is
-//! indexed once per rate change in a lazily-invalidated min-heap;
-//! `next_completion_time_scan` keeps the slow, obviously-correct linear
-//! scan as its reference.
+//! advances keep rates, so each job stores its absolute completion
+//! prediction, refreshed only when its rate changes, and the next
+//! completion is the minimum over the stored predictions;
+//! `next_completion_time_scan`, which re-predicts every job from its
+//! remaining demand, is the reference.
 
 use crate::error::SimError;
 use crate::resource::{ResourceId, ResourceSpec, ResourceStats};
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Identifier of an in-flight job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,12 +136,6 @@ pub struct FlowEngine {
     next_seq: u64,
     now: SimTime,
     rates_dirty: bool,
-    /// Min-heap of `(predicted completion, seq, slot)` — the completion
-    /// index behind `next_completion_time`. Entries are lazily
-    /// invalidated: a rate change re-pushes a fresh entry and the stale
-    /// one is discarded when it surfaces (its time no longer matches the
-    /// job's stored prediction, or the job is gone).
-    pred_heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     scratch: Scratch,
 }
 
@@ -170,11 +163,6 @@ impl FlowEngine {
         id
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.specs.len()
-    }
-
     /// The static description of a resource.
     ///
     /// # Panics
@@ -196,14 +184,6 @@ impl FlowEngine {
     /// Snapshot of all resource statistics, indexed by resource index.
     pub fn stats_snapshot(&self) -> Vec<ResourceStats> {
         self.stats.clone()
-    }
-
-    /// Total entries (live + stale) in the lazily-invalidated completion
-    /// index. Diagnostic: the engine compacts once stale entries outnumber
-    /// live jobs 2:1, so this stays within a small factor of
-    /// [`FlowEngine::active_jobs`] no matter how churn-heavy the workload.
-    pub fn completion_index_len(&self) -> usize {
-        self.pred_heap.len()
     }
 
     /// The live job in `id`'s slot, if `id` still names it.
@@ -302,7 +282,7 @@ impl FlowEngine {
     }
 
     /// Recomputes max-min fair rates (progressive filling with caps), then
-    /// refreshes the completion index for every job whose rate changed.
+    /// refreshes the completion prediction of every job whose rate changed.
     ///
     /// Only resources that carry a job are visited. The arithmetic is the
     /// textbook loop's, in its order: jobs freeze in slot order, each
@@ -449,65 +429,35 @@ impl FlowEngine {
             load[r as usize] = 0;
         }
 
-        // Re-index completions for jobs whose rate changed (or that never
-        // had a prediction). Unchanged-rate jobs progress linearly, so
-        // their absolute predictions stay exact across time advances.
+        // Re-predict completions for jobs whose rate changed (or that
+        // never had a prediction). Unchanged-rate jobs progress linearly,
+        // so their absolute predictions stay exact across time advances.
         let now = self.now;
         for &slot in &self.active {
             let j = &mut jobs[slot as usize];
             if j.rate.to_bits() == old_rates[slot as usize].to_bits() && j.pred.is_some() {
                 continue;
             }
-            let pred = if j.remaining <= j.eps {
+            j.pred = if j.remaining <= j.eps {
                 Some(now)
             } else if j.rate > 0.0 {
                 Some(now + SimTime::from_secs_f64_ceil(j.remaining / j.rate))
             } else {
                 None
             };
-            j.pred = pred;
-            if let Some(t) = pred {
-                self.pred_heap.push(Reverse((t, j.seq, slot)));
-            }
-        }
-        // Bound stale-entry accumulation: compact when the heap holds far
-        // more entries than live jobs.
-        if self.pred_heap.len() > 2 * self.active.len() + 64 {
-            self.pred_heap.clear();
-            for &slot in &self.active {
-                let j = &jobs[slot as usize];
-                if let Some(t) = j.pred {
-                    self.pred_heap.push(Reverse((t, j.seq, slot)));
-                }
-            }
         }
     }
 
-    /// The next instant at which some job completes, if any job is active.
-    ///
-    /// Answered from a lazily-invalidated completion index: amortized
-    /// `O(log n)` against the reference scan's `O(n)`, which is what keeps
-    /// request-level serving loops (hundreds of concurrent flows polled
-    /// every step) off the engine's critical path.
+    /// The next instant at which some job completes, if any job is active:
+    /// the earliest stored prediction.
     pub fn next_completion_time(&mut self) -> Option<SimTime> {
-        if self.active.is_empty() {
-            return None;
-        }
         self.recompute_rates();
-        while let Some(&Reverse((t, seq, slot))) = self.pred_heap.peek() {
-            match self.jobs.get(slot as usize) {
-                Some(j) if j.live && j.seq == seq && j.pred == Some(t) => return Some(t),
-                _ => {
-                    self.pred_heap.pop();
-                }
-            }
-        }
-        None
+        self.active.iter().filter_map(|&slot| self.jobs[slot as usize].pred).min()
     }
 
     /// Reference implementation of [`FlowEngine::next_completion_time`]:
-    /// a linear scan over every active job. Kept for equivalence tests and
-    /// the `bench_serving` heap-vs-scan comparison.
+    /// a linear scan that predicts every active job afresh from its
+    /// remaining demand. Kept for equivalence tests.
     pub fn next_completion_time_scan(&mut self) -> Option<SimTime> {
         if self.active.is_empty() {
             return None;
@@ -778,9 +728,8 @@ mod tests {
 
     #[test]
     fn simultaneous_completions_ordered_by_sequence() {
-        // Pin for the heap refactor: when several jobs finish at exactly
-        // the same SimTime, `advance_to` reports them in submission
-        // (sequence) order regardless of heap pop order.
+        // When several jobs finish at exactly the same SimTime,
+        // `advance_to` reports them in submission (sequence) order.
         let mut eng = FlowEngine::new();
         // Four equal jobs on four independent links: all complete at 1 s.
         let ids: Vec<JobId> = (0..4)
@@ -801,7 +750,7 @@ mod tests {
 
     #[test]
     fn heap_matches_reference_scan() {
-        // The heap-indexed next_completion_time must agree with the
+        // The stored-prediction next_completion_time must agree with the
         // retained linear scan through a full churn of submissions,
         // completions and rate redistributions.
         let mut eng = FlowEngine::new();
@@ -818,13 +767,13 @@ mod tests {
         let mut guard = 0;
         while eng.active_jobs() > 0 {
             let scan = eng.next_completion_time_scan();
-            let heap = eng.next_completion_time();
-            // The heap's absolute prediction rounds `remaining/rate` once;
+            let stored = eng.next_completion_time();
+            // A stored absolute prediction rounds `remaining/rate` once;
             // the scan re-divides a drifted `remaining` and can land one
             // picosecond away. Anything beyond that is a real divergence.
-            let (h, s) = (heap.unwrap().as_picos(), scan.unwrap().as_picos());
-            assert!(h.abs_diff(s) <= 1, "heap {h} ps diverged from reference scan {s} ps");
-            eng.advance_to(heap.unwrap()).unwrap();
+            let (h, s) = (stored.unwrap().as_picos(), scan.unwrap().as_picos());
+            assert!(h.abs_diff(s) <= 1, "stored {h} ps diverged from reference scan {s} ps");
+            eng.advance_to(stored.unwrap()).unwrap();
             guard += 1;
             assert!(guard < 1000, "engine failed to drain");
         }
@@ -904,32 +853,5 @@ mod tests {
         assert!((eng.job_rate(simple).unwrap() - 1e9).abs() < 1.0);
         eng.run_to_idle().unwrap();
         assert_eq!(eng.active_jobs(), 0);
-    }
-
-    // ---- completion-index compaction (stale-entry growth bound) ----
-
-    #[test]
-    fn churn_heavy_cancel_trace_keeps_completion_index_compact() {
-        // Regression pin: a submit/cancel churn loop must not grow the
-        // lazily-invalidated completion index without bound. With
-        // compaction at stale > 2x live + 64, peak length stays within
-        // 2*live + 64 entries (+1 for the probe ordering).
-        let mut eng = FlowEngine::new();
-        let l = link(&mut eng, 1e9);
-        let live = 8usize;
-        let mut ids: Vec<JobId> = (0..live).map(|_| eng.submit(&[l], 1e9, None).unwrap()).collect();
-        let mut peak = 0usize;
-        for round in 0..200 {
-            // Cancel the oldest job, replace it, poll the index (as the
-            // serving loop does every step).
-            let victim = ids.remove(0);
-            assert!(eng.cancel(victim).is_some());
-            ids.push(eng.submit(&[l], 1e9 + round as f64, None).unwrap());
-            let _ = eng.next_completion_time();
-            peak = peak.max(eng.completion_index_len());
-        }
-        let bound = 2 * live + 64 + 1;
-        assert!(peak <= bound, "completion index peaked at {peak} entries (bound {bound})");
-        assert_eq!(eng.active_jobs(), live);
     }
 }

@@ -17,9 +17,10 @@
 //! resources, but a decode step loads a few dozen at a time. Exact rates
 //! matter here: HILOS step transfers are multi-link PCIe routes, some of
 //! them rate-capped, contending for shared root ports. Pure time advances
-//! keep rates, so `next_completion_time` answers from a heap of absolute
-//! completion predictions. Every golden FNV pin in the serving and
-//! cluster layers is taken under this engine.
+//! keep rates, so each job stores its absolute completion prediction and
+//! `next_completion_time` is the minimum over the jobs in flight. Every
+//! golden FNV pin in the serving and cluster layers is taken under this
+//! engine.
 //!
 //! On top of the engine sits a [`TaskGraph`] layer: DAGs of transfers,
 //! computes, fixed delays and milestones, with *background* tasks that

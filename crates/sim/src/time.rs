@@ -112,11 +112,6 @@ impl SimTime {
         self.0 as f64 / PS_PER_SEC as f64
     }
 
-    /// Time in floating-point milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
     /// Saturating subtraction: `self - other`, clamped at zero.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))

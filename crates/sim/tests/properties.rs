@@ -22,8 +22,9 @@ fn engine_with_links(bws: &[f64]) -> (FlowEngine, Vec<ResourceId>) {
 
 /// Drives one random interleaving of submits, completion-boundary
 /// advances, partial advances and cancellations over multi-link routes,
-/// rate caps and zero-amount jobs. At every step the completion heap must
-/// agree with the reference scan; at the end the engine must drain.
+/// rate caps and zero-amount jobs. At every step the stored completion
+/// predictions must agree with the reference scan; at the end the engine
+/// must drain.
 fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_links = rng.random_range(1..5usize);
@@ -31,17 +32,17 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
     let (mut eng, links) = engine_with_links(&bws);
     let mut live = Vec::new();
 
-    // The heap's absolute prediction rounds `remaining/rate` once; the scan
+    // A stored absolute prediction rounds `remaining/rate` once; the scan
     // re-divides a drifted `remaining` and can land one picosecond away.
-    let heap_matches_scan = |eng: &mut FlowEngine| -> Result<Option<SimTime>, TestCaseError> {
+    let stored_matches_scan = |eng: &mut FlowEngine| -> Result<Option<SimTime>, TestCaseError> {
         let scan = eng.next_completion_time_scan();
-        let heap = eng.next_completion_time();
-        let agree = match (heap, scan) {
+        let stored = eng.next_completion_time();
+        let agree = match (stored, scan) {
             (Some(h), Some(s)) => h.as_picos().abs_diff(s.as_picos()) <= 1,
             (h, s) => h == s,
         };
-        prop_assert!(agree, "completion heap {heap:?} diverged from the reference scan {scan:?}");
-        Ok(heap)
+        prop_assert!(agree, "stored {stored:?} diverged from the reference scan {scan:?}");
+        Ok(stored)
     };
 
     for _ in 0..n_ops {
@@ -67,7 +68,7 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
                 live.push(eng.submit(&route, amount, cap).unwrap());
             }
             5..=6 => {
-                if let Some(t) = heap_matches_scan(&mut eng)? {
+                if let Some(t) = stored_matches_scan(&mut eng)? {
                     eng.advance_to(t).unwrap();
                 }
             }
@@ -84,11 +85,11 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
                 }
             }
         }
-        heap_matches_scan(&mut eng)?;
+        stored_matches_scan(&mut eng)?;
     }
     eng.run_to_idle().unwrap();
     prop_assert_eq!(eng.active_jobs(), 0, "run_to_idle left jobs behind");
-    prop_assert_eq!(heap_matches_scan(&mut eng)?, None);
+    prop_assert_eq!(stored_matches_scan(&mut eng)?, None);
     Ok(())
 }
 
@@ -476,8 +477,9 @@ proptest! {
     }
 
     /// Random submit / partial-advance / cancel interleavings with capped,
-    /// multi-link and zero-amount jobs keep the completion heap within a
-    /// picosecond of its reference scan and drain to idle.
+    /// multi-link and zero-amount jobs keep the stored completion
+    /// predictions within a picosecond of the reference scan and drain to
+    /// idle.
     #[test]
     fn mixed_churn_heap_matches_scan_and_drains(seed in any::<u64>(), n_ops in 10usize..60) {
         drive_mixed(seed, n_ops)?;

@@ -157,11 +157,6 @@ impl SsdInstance {
         self.read
     }
 
-    /// The write-channel resource.
-    pub fn write_resource(&self) -> ResourceId {
-        self.write
-    }
-
     /// Appends a read of `bytes` to `graph`: a command-latency delay
     /// followed by a transfer across the read channel and `route_tail`
     /// (e.g. PCIe links towards the consumer). Returns the transfer task.

@@ -84,12 +84,6 @@ pub struct KvShardLedger {
     // BTreeMap keeps iteration (and therefore any derived accounting)
     // deterministic across runs.
     allocations: BTreeMap<u64, Vec<u64>>,
-    // Cached aggregates so the admission fast path (`placeable_free` /
-    // `can_allocate`, probed on every scheduling decision) is O(1)
-    // instead of an O(devices) scan: the free bytes summed over
-    // weighted devices, and how many weighted devices are full.
-    placeable_free_cached: u64,
-    full_weighted: usize,
 }
 
 impl KvShardLedger {
@@ -103,44 +97,10 @@ impl KvShardLedger {
         for s in &shards {
             assert!(s.weight.is_finite() && s.weight >= 0.0, "weight must be finite and >= 0");
         }
-        let placeable_free_cached =
-            shards.iter().filter(|s| s.weight > 0.0).map(|s| s.capacity_bytes).sum();
-        let full_weighted =
-            shards.iter().filter(|s| s.weight > 0.0 && s.capacity_bytes == 0).count();
         KvShardLedger {
             shards: shards.into_iter().map(|spec| ShardState { spec, occupied: 0 }).collect(),
             allocations: BTreeMap::new(),
-            placeable_free_cached,
-            full_weighted,
         }
-    }
-
-    /// Applies an occupancy increase of `bytes` on device `i` to the
-    /// cached admission aggregates. The caller guarantees `bytes` fits the
-    /// device's slack.
-    fn charge_cached(&mut self, i: usize, bytes: u64) {
-        let s = &mut self.shards[i];
-        s.occupied += bytes;
-        if bytes > 0 && s.spec.weight > 0.0 {
-            self.placeable_free_cached -= bytes;
-            if s.occupied >= s.spec.capacity_bytes {
-                self.full_weighted += 1;
-            }
-        }
-    }
-
-    /// Applies an occupancy decrease of `bytes` on device `i` to the
-    /// cached admission aggregates.
-    fn credit_cached(&mut self, i: usize, bytes: u64) {
-        let s = &mut self.shards[i];
-        if bytes > 0 && s.spec.weight > 0.0 {
-            if s.occupied >= s.spec.capacity_bytes {
-                self.full_weighted -= 1;
-            }
-            self.placeable_free_cached += bytes;
-        }
-        debug_assert!(s.occupied >= bytes, "release exceeds occupancy");
-        s.occupied = s.occupied.saturating_sub(bytes);
     }
 
     /// Uniform ledger: `n` devices of `capacity_bytes` each, equal weight.
@@ -171,20 +131,7 @@ impl KvShardLedger {
     }
 
     /// Free bytes across devices that accept placement (non-zero weight).
-    ///
-    /// O(1): served from an aggregate maintained incrementally by
-    /// allocate/release/reserve, so the admission probe issued on every
-    /// scheduling decision does not rescan the device array
-    /// ([`KvShardLedger::placeable_free_scan`] is the reference scan).
     pub fn placeable_free(&self) -> u64 {
-        debug_assert_eq!(self.placeable_free_cached, self.placeable_free_scan());
-        self.placeable_free_cached
-    }
-
-    /// The O(devices) reference computation of
-    /// [`KvShardLedger::placeable_free`] — kept for the admission
-    /// micro-benchmark and the cached-aggregate consistency checks.
-    pub fn placeable_free_scan(&self) -> u64 {
         self.shards
             .iter()
             .filter(|s| s.spec.weight > 0.0)
@@ -255,23 +202,8 @@ impl KvShardLedger {
 
     /// Whether `bytes` could currently be placed (without placing them):
     /// enough placeable free space *and* no full stripe member.
-    ///
-    /// O(1): both conditions are served from the cached admission
-    /// aggregates ([`KvShardLedger::can_allocate_scan`] is the reference
-    /// scan).
     pub fn can_allocate(&self, bytes: u64) -> bool {
-        debug_assert_eq!(
-            self.placeable_free_cached >= bytes && (bytes == 0 || self.full_weighted == 0),
-            self.can_allocate_scan(bytes)
-        );
-        self.placeable_free_cached >= bytes && (bytes == 0 || self.full_weighted == 0)
-    }
-
-    /// The O(devices) reference computation of
-    /// [`KvShardLedger::can_allocate`] — kept for the admission
-    /// micro-benchmark and the cached-aggregate consistency checks.
-    pub fn can_allocate_scan(&self, bytes: u64) -> bool {
-        self.placeable_free_scan() >= bytes
+        self.placeable_free() >= bytes
             && (bytes == 0
                 || self
                     .shards
@@ -296,8 +228,8 @@ impl KvShardLedger {
                 free: s.spec.capacity_bytes.saturating_sub(s.occupied),
             });
         }
-        for i in 0..self.shards.len() {
-            self.charge_cached(i, per);
+        for s in &mut self.shards {
+            s.occupied += per;
         }
         Ok(())
     }
@@ -327,7 +259,7 @@ impl KvShardLedger {
         if !self.can_allocate(bytes) {
             return Err(LedgerError::InsufficientCapacity {
                 requested: bytes,
-                free: self.placeable_free_cached,
+                free: self.placeable_free(),
             });
         }
         let n = self.shards.len();
@@ -362,8 +294,8 @@ impl KvShardLedger {
                 remaining -= take;
             }
         }
-        for (i, &p) in placed.iter().enumerate() {
-            self.charge_cached(i, p);
+        for (s, &p) in self.shards.iter_mut().zip(&placed) {
+            s.occupied += p;
         }
         self.allocations.insert(request, placed.clone());
         Ok(placed)
@@ -377,8 +309,8 @@ impl KvShardLedger {
     pub fn release(&mut self, request: u64) -> Result<Vec<u64>, LedgerError> {
         let placed =
             self.allocations.remove(&request).ok_or(LedgerError::UnknownRequest(request))?;
-        for (i, &p) in placed.iter().enumerate() {
-            self.credit_cached(i, p);
+        for (s, &p) in self.shards.iter_mut().zip(&placed) {
+            s.occupied -= p;
         }
         Ok(placed)
     }
@@ -534,36 +466,6 @@ mod tests {
         let tiny = KvShardLedger::new(vec![ShardSpec { capacity_bytes: 0, weight: 1.0 }]);
         assert_eq!(tiny.device_pressure(0), 1.0);
         assert_eq!(tiny.pressure(), 1.0);
-    }
-
-    #[test]
-    fn cached_admission_aggregates_match_the_scan_under_churn() {
-        let mut l = KvShardLedger::new(vec![
-            ShardSpec { capacity_bytes: 10_000, weight: 1.0 },
-            ShardSpec { capacity_bytes: 100, weight: 1.0 },
-            ShardSpec { capacity_bytes: 5_000, weight: 0.0 },
-            ShardSpec { capacity_bytes: 3_000, weight: 0.25 },
-        ]);
-        l.reserve_evenly(200).unwrap();
-        // A deterministic mix of fills, rejections and releases; after
-        // every operation the O(1) answers must match the O(devices) scan
-        // for a sweep of probe sizes (including the full-member case).
-        let mut live = Vec::new();
-        for (i, bytes) in [600u64, 90, 4_000, 12_000, 1, 700].iter().enumerate() {
-            if l.allocate(i as u64, *bytes).is_ok() {
-                live.push(i as u64);
-            }
-            for probe in [0, 1, 50, 5_000, 50_000] {
-                assert_eq!(l.can_allocate(probe), l.can_allocate_scan(probe), "probe {probe}");
-            }
-            assert_eq!(l.placeable_free(), l.placeable_free_scan());
-        }
-        for id in live {
-            l.release(id).unwrap();
-            assert_eq!(l.placeable_free(), l.placeable_free_scan());
-            assert_eq!(l.can_allocate(1), l.can_allocate_scan(1));
-        }
-        assert_eq!(l.total_occupied(), 200, "only the reservation remains");
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //!   devices, with bandwidth-weighted placement that skews away from
 //!   degraded devices. The admission probes
 //!   ([`KvShardLedger::can_allocate`] /
-//!   [`KvShardLedger::placeable_free`]) are O(1), served from cached
-//!   aggregates so a scheduler interrogating the ledger on every decision
-//!   never rescans the device array.
+//!   [`KvShardLedger::placeable_free`]) scan the device array, which is
+//!   4–16 devices in the modeled systems.
 //! * [`KvTierLadder`] — the HBM → DRAM → near-storage SSD residency
 //!   ladder for *retained* KV. Every rung has explicit capacity, and
 //!   moving bytes between rungs is priced by the device models above:

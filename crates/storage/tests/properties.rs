@@ -102,7 +102,12 @@ proptest! {
         let mut live: HashMap<u64, Vec<u64>> = HashMap::new();
         for (admit, id, bytes) in ops {
             if admit {
-                match ledger.allocate(id, bytes) {
+                let admissible = ledger.can_allocate(bytes);
+                let result = ledger.allocate(id, bytes);
+                if !live.contains_key(&id) {
+                    prop_assert_eq!(admissible, result.is_ok(), "can_allocate({}) disagreed", bytes);
+                }
+                match result {
                     Ok(p) => {
                         prop_assert!(!live.contains_key(&id), "duplicate admitted");
                         prop_assert_eq!(p.iter().sum::<u64>(), bytes);

@@ -31,7 +31,7 @@
 //! ## Determinism contract
 //!
 //! Emission is **observational**: recording an event never mutates engine
-//! clocks or accounting, so with tracing off (the default [`NullSink`])
+//! clocks or accounting, so with tracing off (the default: no ring at all)
 //! every golden FNV pin of the serving stack is bit-identical, and with
 //! tracing on the event stream itself is deterministic — same seed, same
 //! stream — and pinned in CI via [`events_fnv`] (FNV-1a over each event's
@@ -85,4 +85,4 @@ pub use attribution::{
 pub use event::{events_fnv, Event, EventKind, NO_REQUEST};
 pub use export::perfetto_json;
 pub use json::{parse_json, spans_nest, validate_json, Json};
-pub use sink::{EventRing, NullSink, TraceSink};
+pub use sink::EventRing;

@@ -1,44 +1,8 @@
-//! The sink abstraction: where emitted events go.
+//! The event ring: where emitted events go when tracing is on.
 
 use std::collections::VecDeque;
 
 use crate::event::{Event, FNV_OFFSET};
-
-/// Destination for emitted lifecycle events.
-///
-/// Engines cache [`TraceSink::enabled`] and skip event construction
-/// entirely when it is `false`, so the disabled path costs one branch —
-/// the [`NullSink`] makes instrumented builds bit-identical (and
-/// wall-clock-identical, guarded in `bench_serving`) to uninstrumented
-/// ones.
-/// `Send` is a supertrait so a traced run state may move to another
-/// thread with its engine; both shipped sinks are plain owned buffers.
-pub trait TraceSink: std::fmt::Debug + Send {
-    /// Whether events should be constructed and recorded at all.
-    fn enabled(&self) -> bool;
-    /// Record one event. Must be observational: no engine state changes.
-    fn record(&mut self, ev: Event);
-    /// Copy out the retained events, oldest first.
-    fn snapshot(&self) -> Vec<Event>;
-    /// How many events were evicted beyond the sink's capacity.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// The tracing-off sink: reports disabled, retains nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record(&mut self, _ev: Event) {}
-    fn snapshot(&self) -> Vec<Event> {
-        Vec::new()
-    }
-}
 
 /// Bounded ring buffer of events with a streaming FNV-1a hash.
 ///
@@ -85,14 +49,10 @@ impl EventRing {
     pub fn stream_fnv(&self) -> u64 {
         self.fnv
     }
-}
 
-impl TraceSink for EventRing {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ev: Event) {
+    /// Records one event, evicting the oldest once the ring is full.
+    /// Observational: no engine state changes.
+    pub fn record(&mut self, ev: Event) {
         self.fnv = ev.fold_fnv(self.fnv);
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
@@ -101,11 +61,13 @@ impl TraceSink for EventRing {
         self.buf.push_back(ev);
     }
 
-    fn snapshot(&self) -> Vec<Event> {
+    /// Copies out the retained events, oldest first.
+    pub fn snapshot(&self) -> Vec<Event> {
         self.buf.iter().copied().collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// How many events were evicted beyond the ring's capacity.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -150,15 +112,6 @@ mod tests {
         }
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.stream_fnv(), events_fnv(&ring.snapshot()));
-    }
-
-    #[test]
-    fn null_sink_is_disabled_and_empty() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.record(ev(1));
-        assert!(sink.snapshot().is_empty());
-        assert_eq!(sink.dropped(), 0);
     }
 
     #[test]
