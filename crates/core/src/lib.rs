@@ -90,5 +90,7 @@ pub use serve::{
     ShedOutcome, TraceReport,
 };
 pub use step::{AlphaSelector, DecodeStepExecutor, StepOutcome};
-pub use writeback::{spill_nand_bytes_per_token, SpillDecision, WritebackManager};
+pub use writeback::{
+    simulated_decision, spill_nand_bytes_per_token, SpillDecision, WritebackManager,
+};
 pub use xcache::{paper_alpha_mha, AlphaModel, ALPHA_CANDIDATES};

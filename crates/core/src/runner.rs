@@ -4,7 +4,7 @@
 use crate::config::{AlphaPolicy, HilosConfig};
 use crate::scheduler::{weight_source, WeightSource};
 use crate::step::{AlphaSelector, DecodeStepExecutor};
-use crate::writeback::{spill_nand_bytes_per_token, WritebackManager};
+use crate::writeback::{spill_nand_bytes_per_token, SpillDecision, WritebackManager};
 use hilos_accel::{AccelTimingModel, ResourceModel};
 use hilos_llm::{BatchSpec, ModelConfig};
 use hilos_platform::{BuiltSystem, SystemSpec};
@@ -57,6 +57,12 @@ pub enum CoreError {
         /// The offending field.
         field: &'static str,
     },
+    /// A job size passed to [`HilosSystem::run_decode`],
+    /// [`HilosSystem::run_prefill`] or [`HilosSystem::run_job`] is zero.
+    InvalidJob {
+        /// The zero size: `batch`, `context` or `output_len`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -83,6 +89,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidServeConfig { field } => {
                 write!(f, "serving configuration field `{field}` must be positive")
             }
+            CoreError::InvalidJob { field } => write!(f, "job size `{field}` must be positive"),
         }
     }
 }
@@ -355,43 +362,39 @@ impl HilosSystem {
 
     /// Runs the decode phase of a job and reports aggregate throughput.
     ///
-    /// Simulates one full writeback cycle (`c` steps, capped at
-    /// `output_len`) at the *true* per-step contexts of a window centered
-    /// on mid-generation ([`BatchSpec::context_at_step`]), and scales to
-    /// the full output length. (Earlier revisions froze every simulated
-    /// step at the midpoint context `context + output_len/2`; the centered
-    /// window agrees with that approximation to within a fraction of a
-    /// percent for the paper's shapes — see the `serving.rs` regression
-    /// test — while letting the step executor see each step's real
-    /// context.)
+    /// Models one writeback cycle (`c` steps, capped at `output_len`) at
+    /// the *true* per-step contexts of a window centered on mid-generation
+    /// ([`BatchSpec::context_at_step`]), and scales to the full output
+    /// length. The window costs at most two step solves: its middle
+    /// non-spill step, weighted by the window's non-spill steps, and its
+    /// spill step. Seconds, utilizations and traffic are weighted means
+    /// over them, and the last solve gives the reported breakdown.
+    /// (Earlier revisions froze every simulated step at the midpoint
+    /// context `context + output_len/2`; the centered window agrees with
+    /// that approximation to within a fraction of a percent for the
+    /// paper's shapes — see the `serving.rs` regression test.)
     ///
     /// # Errors
     ///
-    /// Capacity/validation errors as in [`HilosSystem::check_capacity`],
-    /// or a wrapped simulation error.
+    /// [`CoreError::InvalidJob`] if a size is zero; capacity/validation
+    /// errors as in [`HilosSystem::check_capacity`], or a wrapped
+    /// simulation error.
     pub fn run_decode(
         &self,
         batch: u32,
         context: u64,
         output_len: u64,
     ) -> Result<RunReport, CoreError> {
+        check_job(&[("batch", batch as u64), ("context", context), ("output_len", output_len)])?;
         let spec = BatchSpec::new(batch, context, output_len);
         let mut exec = DecodeStepExecutor::new(self)?;
         let alpha =
             AlphaSelector::new(&self.config, exec.system()).select(&self.model, batch, context);
         self.check_capacity_in(exec.system(), &spec, alpha)?;
 
-        let steps = if self.config.delayed_writeback() {
-            (self.config.spill_interval() as u64).min(output_len).max(1)
-        } else {
-            1
-        };
-        // Center the simulated window on mid-generation so the sampled
-        // steps average to the same operating point the old midpoint
-        // approximation used. For output_len ≤ c the window is exact.
-        let window_start = (output_len - steps) / 2;
+        let solves = window_solves(&self.config, output_len);
+        let steps = solves.iter().map(|&(_, _, weight)| weight).sum::<u64>();
 
-        let mut wb = WritebackManager::new(self.config.spill_interval());
         let mut total = 0.0;
         let mut last_categories = Vec::new();
         let mut gpu_u = 0.0;
@@ -400,27 +403,19 @@ impl HilosSystem {
         let mut host_bytes = 0.0;
         let mut internal_bytes = 0.0;
 
-        for i in 0..steps {
-            let decision = if self.config.delayed_writeback() {
-                wb.on_step()
-            } else {
-                crate::writeback::SpillDecision {
-                    buffered_tokens: 0,
-                    spill_now: false,
-                    spill_tokens: 0,
-                }
-            };
-            let ctx = spec.context_at_step(window_start + i);
-            // Only the last step's breakdown is reported.
-            let last = i + 1 == steps;
+        for (k, &(step, decision, weight)) in solves.iter().enumerate() {
+            // Only the last solve's breakdown is reported.
+            let last = k + 1 == solves.len();
+            let ctx = spec.context_at_step(step);
             let (o, categories) =
                 exec.execute_step_breakdown(batch, ctx, alpha, &decision, last)?;
-            total += o.seconds;
-            gpu_u += o.gpu_utilization;
-            cpu_u += o.cpu_utilization;
-            dram_u += o.dram_utilization;
-            host_bytes += o.host_pcie_bytes;
-            internal_bytes += o.internal_read_bytes;
+            let w = weight as f64;
+            total += w * o.seconds;
+            gpu_u += w * o.gpu_utilization;
+            cpu_u += w * o.cpu_utilization;
+            dram_u += w * o.dram_utilization;
+            host_bytes += w * o.host_pcie_bytes;
+            internal_bytes += w * o.internal_read_bytes;
             last_categories = categories;
         }
 
@@ -459,8 +454,10 @@ impl HilosSystem {
     ///
     /// # Errors
     ///
-    /// Capacity/validation errors, or a wrapped simulation error.
+    /// [`CoreError::InvalidJob`] if a size is zero; capacity/validation
+    /// errors, or a wrapped simulation error.
     pub fn run_prefill(&self, batch: u32, context: u64) -> Result<PrefillReport, CoreError> {
+        check_job(&[("batch", batch as u64), ("context", context)])?;
         let mut exec = DecodeStepExecutor::new(self)?;
         let alpha =
             AlphaSelector::new(&self.config, exec.system()).select(&self.model, batch, context);
@@ -476,11 +473,58 @@ impl HilosSystem {
     ///
     /// # Errors
     ///
-    /// Capacity/validation errors, or a wrapped simulation error.
+    /// [`CoreError::InvalidJob`] if a size is zero; capacity/validation
+    /// errors, or a wrapped simulation error.
     pub fn run_job(&self, spec: &BatchSpec) -> Result<JobReport, CoreError> {
         let prefill = self.run_prefill(spec.batch, spec.context_len)?;
         let decode = self.run_decode(spec.batch, spec.context_len, spec.output_len)?;
         Ok(JobReport { prefill, decode })
+    }
+}
+
+/// The step solves that stand for `run_decode`'s simulated window, in
+/// window order: (step index, writeback decision, weight), the weights
+/// summing to the window's length.
+///
+/// The window is one writeback cycle (`c` steps, capped at `output_len`;
+/// one step with delayed writeback off) centered on mid-generation, so
+/// the sampled steps average to the same operating point the old
+/// midpoint approximation used. Its `n` non-spill steps are solved once,
+/// as the middle one (index `(n − 1)/2`) at its own writeback phase,
+/// with weight `n`. In a full cycle that phase is the one
+/// [`simulated_decision`](crate::simulated_decision) maps every
+/// non-spill phase to, so the offline runner and the serving memo solve
+/// the same step graphs. The spill step, last in a full cycle, is solved
+/// with weight 1.
+fn window_solves(config: &HilosConfig, output_len: u64) -> Vec<(u64, SpillDecision, u64)> {
+    let steps = if config.delayed_writeback() {
+        (config.spill_interval() as u64).min(output_len)
+    } else {
+        1
+    };
+    let window_start = (output_len - steps) / 2;
+    let mut wb = WritebackManager::new(config.spill_interval());
+    let decisions: Vec<SpillDecision> = (0..steps)
+        .map(|_| if config.delayed_writeback() { wb.on_step() } else { SpillDecision::NONE })
+        .collect();
+    let spill = decisions.last().filter(|d| d.spill_now).copied();
+    let quiet = steps - spill.is_some() as u64;
+    let mut solves = Vec::with_capacity(2);
+    if quiet > 0 {
+        let mid = (quiet - 1) / 2;
+        solves.push((window_start + mid, decisions[mid as usize], quiet));
+    }
+    if let Some(d) = spill {
+        solves.push((window_start + steps - 1, d, 1));
+    }
+    solves
+}
+
+/// [`CoreError::InvalidJob`] naming the first zero among a job's sizes.
+fn check_job(sizes: &[(&'static str, u64)]) -> Result<(), CoreError> {
+    match sizes.iter().find(|&&(_, v)| v == 0) {
+        Some(&(field, _)) => Err(CoreError::InvalidJob { field }),
+        None => Ok(()),
     }
 }
 
@@ -648,5 +692,128 @@ mod tests {
             r.internal_read_bytes_per_step,
             r.host_pcie_bytes_per_step
         );
+    }
+
+    #[test]
+    fn zero_sized_jobs_are_errors() {
+        let sys = hilos(8).with_sim_layers(1);
+        let err = |field| Err(CoreError::InvalidJob { field });
+        assert_eq!(sys.run_decode(0, 1024, 8).map(|_| ()), err("batch"));
+        assert_eq!(sys.run_decode(16, 0, 8).map(|_| ()), err("context"));
+        assert_eq!(sys.run_decode(16, 1024, 0).map(|_| ()), err("output_len"));
+        assert_eq!(sys.run_prefill(0, 1024).map(|_| ()), err("batch"));
+        assert_eq!(sys.run_prefill(4, 0).map(|_| ()), err("context"));
+        let job =
+            |batch, context, output_len| BatchSpec { batch, context_len: context, output_len };
+        assert_eq!(sys.run_job(&job(0, 1024, 8)).map(|_| ()), err("batch"));
+        assert_eq!(sys.run_job(&job(4, 0, 8)).map(|_| ()), err("context"));
+        assert_eq!(sys.run_job(&job(4, 1024, 0)).map(|_| ()), err("output_len"));
+    }
+
+    /// The full-cycle reference `run_decode`'s two weighted solves stand
+    /// in for: every step of the centered window solved at its own
+    /// writeback phase. Returns (avg step seconds, host PCIe bytes per
+    /// step, internal read bytes per step).
+    fn full_cycle(sys: &HilosSystem, batch: u32, context: u64, output_len: u64) -> [f64; 3] {
+        let mut exec = DecodeStepExecutor::new(sys).unwrap();
+        let alpha =
+            AlphaSelector::new(&sys.config, exec.system()).select(&sys.model, batch, context);
+        let delayed = sys.config.delayed_writeback();
+        let c = sys.config.spill_interval();
+        let steps = if delayed { (c as u64).min(output_len) } else { 1 };
+        let window_start = (output_len - steps) / 2;
+        let mut wb = WritebackManager::new(c);
+        let mut sums = [0.0; 3];
+        for i in 0..steps {
+            let decision = if delayed { wb.on_step() } else { SpillDecision::NONE };
+            let o = exec.execute_step(batch, context + window_start + i, alpha, &decision).unwrap();
+            sums[0] += o.seconds;
+            sums[1] += o.host_pcie_bytes;
+            sums[2] += o.internal_read_bytes;
+        }
+        sums.map(|x| x / steps as f64)
+    }
+
+    fn decode_triple(r: &RunReport) -> [f64; 3] {
+        [r.avg_step_seconds, r.host_pcie_bytes_per_step, r.internal_read_bytes_per_step]
+    }
+
+    #[test]
+    fn two_solves_track_the_full_writeback_cycle() {
+        // The offline workload's shapes: 5 models x 4/8/16 SmartSSDs,
+        // 16K-128K context, 64 output tokens.
+        for model in presets::all().into_iter().take(5) {
+            for (n, batch) in [(4, 8), (8, 32), (16, 64)] {
+                let sys =
+                    HilosSystem::new(&SystemSpec::a100_smartssd(n), &model, &HilosConfig::new(n))
+                        .unwrap()
+                        .with_sim_layers(4);
+                for context in [16 << 10, 64 << 10, 128 << 10] {
+                    let got = decode_triple(&sys.run_decode(batch, context, 64).unwrap());
+                    let want = full_cycle(&sys, batch, context, 64);
+                    let rel = |k: usize| (got[k] - want[k]).abs() / want[k];
+                    let at = format!("{} on {n} SSDs, bs={batch} ctx={context}", model.name());
+                    assert!(rel(0) <= 1e-4, "{at}: step seconds off by {:e}", rel(0));
+                    assert!(rel(1) <= 1e-12, "{at}: host bytes off by {:e}", rel(1));
+                    assert!(rel(2) <= 1e-12, "{at}: internal bytes off by {:e}", rel(2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_cycle_solves_are_the_simulated_decisions() {
+        for c in [2, 3, 16, 32] {
+            let config = HilosConfig::new(8).with_spill_interval(c);
+            let solves = window_solves(&config, 64);
+            assert_eq!(solves.len(), 2, "c={c}");
+            assert_eq!(solves.iter().map(|s| s.2).sum::<u64>(), c as u64);
+            for &(_, d, _) in &solves {
+                assert_eq!(d, crate::simulated_decision(&config, d), "c={c}: {d:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_step_windows_match_the_full_cycle_bit_for_bit() {
+        let configs = [
+            HilosConfig::new(8),
+            HilosConfig::new(8).with_spill_interval(1),
+            HilosConfig::ans_only(8),
+        ];
+        for config in configs {
+            let sys = HilosSystem::new(&SystemSpec::a100_smartssd(8), &presets::opt_66b(), &config)
+                .unwrap()
+                .with_sim_layers(4);
+            let lens: &[u64] = if config.spill_interval() == 16 && config.delayed_writeback() {
+                &[1]
+            } else {
+                &[1, 7, 64]
+            };
+            for &output_len in lens {
+                let got = decode_triple(&sys.run_decode(16, 32 << 10, output_len).unwrap());
+                assert_eq!(got, full_cycle(&sys, 16, 32 << 10, output_len), "{config}");
+            }
+        }
+    }
+
+    #[test]
+    fn windows_shorter_than_a_cycle_track_the_full_window() {
+        // No spill step: one solve at the middle step's own phase. The
+        // buffered tail and the context both grow one token a step, so
+        // internal reads are exact; host traffic is exact for odd windows.
+        let sys = hilos(8).with_sim_layers(4);
+        for context in [1 << 10, 16 << 10, 128 << 10] {
+            for output_len in [2, 4, 9, 15] {
+                let got = decode_triple(&sys.run_decode(16, context, output_len).unwrap());
+                let want = full_cycle(&sys, 16, context, output_len);
+                let rel = |k: usize| (got[k] - want[k]).abs() / want[k];
+                let at = format!("ctx={context} out={output_len}");
+                assert!(rel(0) <= 1e-4, "{at}: step seconds off by {:e}", rel(0));
+                let host = if output_len % 2 == 1 { 1e-12 } else { 1e-4 };
+                assert!(rel(1) <= host, "{at}: host bytes off by {:e}", rel(1));
+                assert!(rel(2) <= 1e-12, "{at}: internal bytes off by {:e}", rel(2));
+            }
+        }
     }
 }

@@ -1053,7 +1053,7 @@ impl ServeEngine {
             st.composition_changed = false;
         }
         let decision = self.spill_decision(st);
-        let outcome = self.decode_step(batch, self.quantize(mean_ctx), st.alpha, &decision)?;
+        let outcome = self.decode_step(batch, self.quantize(mean_ctx), st.alpha, decision)?;
         st.book_step(outcome, interference_s);
         Ok(())
     }
@@ -1064,7 +1064,7 @@ impl ServeEngine {
         if self.system.config().delayed_writeback() {
             st.wb.on_step()
         } else {
-            SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 }
+            SpillDecision::NONE
         }
     }
 
@@ -1152,16 +1152,14 @@ impl ServeEngine {
     /// `Emit` events in running order.
     ///
     /// Within a window the batch and α are fixed, so a step's memo key
-    /// moves only with the writeback phase and the context bucket. A
-    /// window-local row indexed by the phase serves repeat keys without
-    /// the shared memo's lock and hash; it resets when the bucket moves.
+    /// moves only with `spill_now` and the context bucket. A window-local
+    /// row indexed by `spill_now` serves repeat keys without the shared
+    /// memo's lock and hash; it resets when the bucket moves.
     pub(crate) fn advance_quiet(&mut self, st: &mut RunState, k: u64) -> Result<(), CoreError> {
         st.just_preempted.clear();
         let batch = st.running.len() as u64;
         let total_ctx: u64 = st.running.iter().map(|r| r.req.context_at(r.emitted)).sum();
-        // Indexed by the writeback phase, the buffered tokens before the
-        // step (always 0 with delayed writeback off).
-        let mut row = vec![None; st.wb.spill_interval() as usize];
+        let mut row = [None; 2];
         let mut bucket = 0;
         for i in 0..k {
             let context = self.quantize(((total_ctx + i * batch) / batch).max(1));
@@ -1170,12 +1168,12 @@ impl ServeEngine {
                 bucket = context;
             }
             let decision = self.spill_decision(st);
-            let phase = decision.buffered_tokens as usize;
-            let outcome = match row[phase] {
+            let spill = decision.spill_now as usize;
+            let outcome = match row[spill] {
                 Some(o) => o,
                 None => {
-                    let o = self.decode_step(batch as u32, context, st.alpha, &decision)?;
-                    row[phase] = Some(o);
+                    let o = self.decode_step(batch as u32, context, st.alpha, decision)?;
+                    row[spill] = Some(o);
                     o
                 }
             };

@@ -7,7 +7,7 @@
 
 use super::ServeEngine;
 use crate::runner::CoreError;
-use crate::writeback::SpillDecision;
+use crate::writeback::{simulated_decision, SpillDecision};
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::RwLock;
@@ -21,14 +21,16 @@ use std::sync::RwLock;
 /// the same total seconds).
 const PREFILL_CHUNK_QUANTUM: u64 = 64;
 
+/// A decode step's operating point. The writeback state enters only as
+/// `spill_now`: every non-spill phase is simulated at one buffer
+/// ([`simulated_decision`]), and the spill step's buffer and spill size
+/// are fixed by the shared configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct StepKey {
     batch: u32,
     context: u64,
     alpha_bits: u64,
-    buffered_tokens: u32,
     spill_now: bool,
-    spill_tokens: u32,
 }
 
 /// Hashes an `f64` bit pattern with one multiply. The step-gap counter
@@ -167,26 +169,23 @@ impl ServeEngine {
         Ok((end - begin).max(0.0))
     }
 
-    /// The memoized decode step at an already-quantized context.
+    /// The memoized decode step at an already-quantized context, for a
+    /// step that takes the writeback `decision`. The step is solved at
+    /// the decision [`simulated_decision`] maps it to.
     pub(super) fn decode_step(
         &mut self,
         batch: u32,
         context: u64,
         alpha: f64,
-        decision: &SpillDecision,
+        decision: SpillDecision,
     ) -> Result<CachedStep, CoreError> {
-        let key = StepKey {
-            batch,
-            context,
-            alpha_bits: alpha.to_bits(),
-            buffered_tokens: decision.buffered_tokens,
-            spill_now: decision.spill_now,
-            spill_tokens: decision.spill_tokens,
-        };
+        let key =
+            StepKey { batch, context, alpha_bits: alpha.to_bits(), spill_now: decision.spill_now };
         if let Some(&o) = self.memo.steps.read().expect("step memo poisoned").get(&key) {
             return Ok(o);
         }
-        let o = self.exec.execute_step(batch, key.context, alpha, decision)?;
+        let solved = simulated_decision(self.system().config(), decision);
+        let o = self.exec.execute_step(batch, context, alpha, &solved)?;
         let cached = CachedStep {
             seconds: o.seconds,
             host_pcie_bytes: o.host_pcie_bytes,

@@ -17,7 +17,7 @@
 //! the clock) to a [`SchedulingPolicy`], which answers with an ordered
 //! list of [`SchedDecision`]s — admit this request, preempt that victim.
 //! The engine *executes* the decisions: it owns the per-device
-//! [`hilos_storage::KvShardLedger`] gating, the α/spill re-selection on
+//! [`hilos_storage::KvShardLedger`] gating, the α re-selection on
 //! composition change, and the recompute-style preemption path (release
 //! the victim's shard allocation, re-queue it with its generated-token
 //! progress retained, re-materialize its KV via a prefill over
@@ -73,18 +73,22 @@
 //!    [`DecodeStepExecutor`](crate::DecodeStepExecutor) that powers
 //!    `run_decode`, at the batch's mean context (the step graph is linear
 //!    in `batch × context`, so the mean reproduces the heterogeneous
-//!    batch's total KV traffic). The α split and the writeback spill
-//!    schedule are recomputed whenever the batch composition changes.
+//!    batch's total KV traffic). The α split is re-selected whenever the
+//!    batch composition changes. The writeback manager is created once
+//!    per run and ticks once per decode step, whatever joins or leaves.
 //! 6. **Eviction** — requests that exhausted their output budget leave
 //!    the batch and release their shard allocations, unblocking
 //!    admission.
 //!
 //! Step times are memoized on the quantized operating point
-//! `(batch, context, α, writeback phase)` — and chunk times on a fixed
-//! fine context grid, so one request's chunks telescope to exactly its
-//! whole-prompt prefill (the conservation property the proptests pin) —
-//! so a 10k-request trace costs a few hundred graph simulations instead
-//! of tens of thousands while remaining bit-deterministic for a fixed
+//! `(batch, context, α, spill_now)`. Every non-spill writeback phase is
+//! solved at one middle buffer
+//! ([`simulated_decision`](crate::simulated_decision)), so a cycle of `c`
+//! phases costs two step solves. Chunk times are memoized on a fixed fine
+//! context grid, so one request's chunks telescope to exactly its
+//! whole-prompt prefill (the conservation property the proptests pin).
+//! A 10k-request trace therefore costs a few hundred graph simulations
+//! instead of tens of thousands, and stays bit-deterministic for a fixed
 //! trace and policy.
 //!
 //! # Quiet windows

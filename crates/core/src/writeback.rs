@@ -6,7 +6,13 @@
 //! buffers them in host memory, lets the CPU pre-compute the partial
 //! `QKᵀ` scores for the buffered tail, and spills page-sized chunks every
 //! `c` steps, off the critical path.
+//!
+//! A simulated decode step sees the buffer only through the few tail
+//! tokens the host scores instead of the SSD reading them, so the
+//! simulator solves two steps per operating point, not `c`: one for all
+//! the non-spill phases and one for the spill ([`simulated_decision`]).
 
+use crate::config::HilosConfig;
 use hilos_llm::ModelConfig;
 
 /// What the manager decides at each decoding step.
@@ -19,6 +25,47 @@ pub struct SpillDecision {
     pub spill_now: bool,
     /// Tokens per sequence spilled if `spill_now` (including this step's).
     pub spill_tokens: u32,
+}
+
+impl SpillDecision {
+    /// Every step's decision with delayed writeback off: nothing is
+    /// buffered and nothing spills.
+    pub const NONE: SpillDecision =
+        SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 };
+}
+
+/// The decision a decode step is simulated at, for a step that takes
+/// `decision` under `config`'s writeback settings.
+///
+/// The non-spill phases of a cycle differ only in how many buffered tail
+/// tokens (`0..=c − 2`) the host scores instead of the SSD reading them,
+/// which moves a step's seconds by a few parts in 10⁴ at long contexts.
+/// Each of them is simulated at the middle buffer `(c − 2)/2`: the
+/// phases' mean for an even `c`, half a token below it for an odd one.
+/// The spill step, and the constant [`SpillDecision::NONE`] with delayed
+/// writeback off, pass through unchanged.
+///
+/// # Examples
+///
+/// ```
+/// use hilos_core::{simulated_decision, HilosConfig, SpillDecision, WritebackManager};
+///
+/// let config = HilosConfig::new(8); // c = 16
+/// let mut wb = WritebackManager::new(config.spill_interval());
+/// let solved: Vec<SpillDecision> =
+///     (0..16).map(|_| simulated_decision(&config, wb.on_step())).collect();
+/// assert!(solved[..15].iter().all(|d| d.buffered_tokens == 7 && !d.spill_now));
+/// assert_eq!(solved[15], SpillDecision { buffered_tokens: 15, spill_now: true, spill_tokens: 16 });
+/// ```
+pub fn simulated_decision(config: &HilosConfig, decision: SpillDecision) -> SpillDecision {
+    if !config.delayed_writeback() || decision.spill_now {
+        return decision;
+    }
+    SpillDecision {
+        buffered_tokens: config.spill_interval().saturating_sub(2) / 2,
+        spill_now: false,
+        spill_tokens: 0,
+    }
 }
 
 /// Tracks the host-side KV buffer across decoding steps (the paper's
@@ -121,6 +168,25 @@ pub fn spill_nand_bytes_per_token(model: &ModelConfig, spill_interval: u32, page
 mod tests {
     use super::*;
     use hilos_llm::presets;
+
+    #[test]
+    fn simulated_decisions_take_two_values_per_cycle() {
+        for c in [1, 2, 3, 16, 32] {
+            let config = HilosConfig::new(8).with_spill_interval(c);
+            let mut wb = WritebackManager::new(c);
+            for _ in 0..2 * c {
+                let d = wb.on_step();
+                let s = simulated_decision(&config, d);
+                if d.spill_now {
+                    assert_eq!(s, d, "c={c}: the spill step is solved as is");
+                } else {
+                    assert_eq!(s, SpillDecision { buffered_tokens: (c - 2) / 2, ..d }, "c={c}");
+                }
+            }
+            let off = config.with_writeback(false);
+            assert_eq!(simulated_decision(&off, SpillDecision::NONE), SpillDecision::NONE);
+        }
+    }
 
     #[test]
     fn spills_every_c_steps() {

@@ -7,9 +7,10 @@ use hilos_core::cluster::{
 };
 use hilos_core::trace::{check_conservation, prefill_chunk_totals, Event, LatencyAttribution};
 use hilos_core::{
-    paper_alpha_mha, spill_nand_bytes_per_token, AlphaModel, AlphaPolicy, ChunkMode, DeadlineEdf,
-    Fifo, HilosConfig, HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedulingPolicy,
-    ServeConfig, ServeEngine, WritebackManager, ALPHA_CANDIDATES,
+    paper_alpha_mha, simulated_decision, spill_nand_bytes_per_token, AlphaModel, AlphaPolicy,
+    AlphaSelector, ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, HilosConfig, HilosSystem,
+    PrefixCacheConfig, PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine, SpillDecision,
+    WritebackManager, ALPHA_CANDIDATES,
 };
 use hilos_llm::{presets, SharedPrefixConfig, TraceConfig};
 use hilos_platform::SystemSpec;
@@ -121,6 +122,57 @@ proptest! {
         prop_assert!(waf >= 1.0 - 1e-9, "waf {waf} < 1");
         let waf2 = spill_nand_bytes_per_token(&m, c * 2, page) / payload;
         prop_assert!(waf2 <= waf * (1.0 + 1e-9), "waf not monotone: {waf} -> {waf2}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The error budget of solving a writeback cycle's `c − 1` non-spill
+    /// phases as one step: `c − 1` copies of the step at the buffer
+    /// `simulated_decision` gives, against the phases solved one by one
+    /// at one operating point. The budget is 1e-3 (relative) while the
+    /// buffered tail is at most 1% of the context, and an eighth of the
+    /// tail's share, `(c − 2)/(8·context)`, beyond that: with an odd `c`
+    /// the middle buffer sits half a token below the phases' mean, and
+    /// the step time has a kink in the buffer. A grid of 19,800 points
+    /// exceeded 1e-3 at 22, all at `c` = 11 and 256–600 tokens (worst
+    /// 2.1e-3). Contexts are drawn log-uniformly so short ones are hit.
+    #[test]
+    fn one_solve_for_the_non_spill_phases_stays_in_budget(
+        model in 0usize..5,
+        devices in 0usize..3,
+        sim_layers in 1u32..5,
+        batch in 1u32..65,
+        context_log2 in 6.0f64..17.0,
+        zero_alpha in any::<bool>(),
+        c in 2u32..33,
+    ) {
+        let n = [4, 8, 16][devices];
+        let context = context_log2.exp2().round() as u64;
+        let model = presets::all()[model].clone();
+        let config = HilosConfig::new(n).with_spill_interval(c);
+        let sys = HilosSystem::new(&SystemSpec::a100_smartssd(n), &model, &config)
+            .unwrap()
+            .with_sim_layers(sim_layers);
+        let mut exec = DecodeStepExecutor::new(&sys).unwrap();
+        let alpha = if zero_alpha {
+            0.0
+        } else {
+            AlphaSelector::new(&config, exec.system()).select(&model, batch, context)
+        };
+        let mut t = |d: SpillDecision| exec.execute_step(batch, context, alpha, &d).unwrap().seconds;
+        let phases: f64 =
+            (0..c - 1).map(|b| t(SpillDecision { buffered_tokens: b, ..SpillDecision::NONE })).sum();
+        let one = t(simulated_decision(&config, SpillDecision::NONE));
+        let err = ((c - 1) as f64 * one - phases).abs() / phases;
+        let share = (c - 2) as f64 / context as f64;
+        let budget = if share <= 0.01 { 1e-3 } else { share / 8.0 };
+        prop_assert!(
+            err <= budget,
+            "{} on {} SSDs, c={} bs={} ctx={} α={}: off by {:e}",
+            model.name(), n, c, batch, context, alpha, err
+        );
     }
 }
 

@@ -35,7 +35,7 @@ fn single_deployment_cluster_is_bit_identical_to_serve_engine() {
     let trace = TraceConfig::azure_mix(512, 42).generate().unwrap();
     let mut eng = ServeEngine::new(hilos(8), ServeConfig::new(16)).unwrap();
     let direct = eng.run_trace(&trace).unwrap();
-    assert_eq!(outcome_hash(&direct.outcomes), 0x988a698736a9c8fe, "pre-cluster pin drifted");
+    assert_eq!(outcome_hash(&direct.outcomes), 0x36871028425441ab, "pre-cluster pin drifted");
 
     for routing in [
         Box::new(RoundRobin::new()) as Box<dyn RoutingPolicy>,
@@ -52,7 +52,7 @@ fn single_deployment_cluster_is_bit_identical_to_serve_engine() {
         assert_eq!(report.routing, name);
         assert_eq!(report.deployments.len(), 1);
         assert_eq!(report.deployments[0], direct, "{name}: cluster layer drifted");
-        assert_eq!(outcome_hash(&report.deployments[0].outcomes), 0x988a698736a9c8fe, "{name}");
+        assert_eq!(outcome_hash(&report.deployments[0].outcomes), 0x36871028425441ab, "{name}");
         assert_eq!(report.dispatched, vec![512]);
         assert_eq!(report.redispatches, 0, "{name}: nowhere else to re-dispatch");
     }
