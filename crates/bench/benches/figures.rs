@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hilos_accel::{AccelTimingModel, PerformanceEstimator, ResourceModel};
 use hilos_baselines::{accuracy_comparison, FlexGenSystem, KvLocation, VllmMultiNode};
-use hilos_core::{HilosConfig, HilosSystem, WritebackManager};
+use hilos_core::{decision_at, HilosConfig, HilosSystem};
 use hilos_llm::{footprint, presets, BatchSpec, RequestClass};
 use hilos_metrics::EnduranceModel;
 use hilos_platform::SystemSpec;
@@ -82,14 +82,8 @@ fn bench_fig12(c: &mut Criterion) {
 fn bench_fig13(c: &mut Criterion) {
     c.bench_function("fig13_writeback_cycle", |b| {
         b.iter(|| {
-            let mut wb = WritebackManager::new(16);
-            let mut spills = 0u32;
-            for _ in 0..64 {
-                if wb.on_step().spill_now {
-                    spills += 1;
-                }
-            }
-            spills
+            let config = HilosConfig::new(8);
+            (0..64).filter(|&step| decision_at(&config, black_box(step)).spill_now).count()
         })
     });
 }

@@ -8,7 +8,6 @@
 //! how many jobs until the array hits its PBW budget, and how fast is it
 //! burning down.
 
-use crate::cluster::{ClusterEngine, ClusterReport, RoutingPolicy};
 use crate::runner::{CoreError, HilosSystem, JobReport};
 use crate::serve::{SchedulingPolicy, ServeConfig, ServeEngine, TraceReport};
 use crate::writeback::spill_nand_bytes_per_token;
@@ -167,34 +166,6 @@ impl ServingCampaign {
         self.run_trace_on(engine, trace)
     }
 
-    /// Serves a trace across a whole cluster — this campaign's system as
-    /// deployment 0 plus `peers` as deployments 1..N, each under the
-    /// default FIFO scheduling policy — dispatching every request through
-    /// `routing` (see [`crate::cluster`]). Only deployment 0's share of
-    /// the work wears *this* campaign's devices; peers are simulated but
-    /// not wear-tracked here (they are different physical arrays).
-    ///
-    /// # Errors
-    ///
-    /// Propagates build/simulation errors; a failed run records nothing.
-    pub fn run_cluster_trace(
-        &mut self,
-        peers: &[HilosSystem],
-        trace: &[Request],
-        config: &ServeConfig,
-        routing: Box<dyn RoutingPolicy>,
-    ) -> Result<ClusterReport, CoreError> {
-        let mut deployments = Vec::with_capacity(1 + peers.len());
-        deployments.push(ServeEngine::new(self.system.clone(), config.clone())?);
-        for peer in peers {
-            deployments.push(ServeEngine::new(peer.clone(), config.clone())?);
-        }
-        let mut cluster = ClusterEngine::new(deployments, routing);
-        let report = cluster.run_trace(trace)?;
-        self.record_trace(&report.deployments[0]);
-        Ok(report)
-    }
-
     fn run_trace_on(
         &mut self,
         mut engine: ServeEngine,
@@ -349,32 +320,6 @@ mod tests {
         assert!(s.seconds > 0.0);
         assert!(c.endurance_used() > 0.0, "trace must burn endurance");
         assert!(report.ttft_stats().p99 >= report.ttft_stats().p50);
-    }
-
-    #[test]
-    fn cluster_trace_wears_only_the_local_deployment_share() {
-        use crate::cluster::RoundRobin;
-        use hilos_llm::TraceConfig;
-        let mut c = campaign();
-        let peer = HilosSystem::new(
-            &SystemSpec::a100_smartssd(4),
-            &presets::opt_30b(),
-            &HilosConfig::new(4),
-        )
-        .unwrap()
-        .with_sim_layers(2);
-        let trace = TraceConfig::azure_mix(32, 17).generate().unwrap();
-        let report = c
-            .run_cluster_trace(&[peer], &trace, &ServeConfig::new(8), Box::new(RoundRobin::new()))
-            .unwrap();
-        assert_eq!(report.deployment_count(), 2);
-        assert_eq!(report.completed(), 32);
-        // Round-robin: both deployments served requests.
-        assert!(report.dispatched.iter().all(|&d| d > 0), "{:?}", report.dispatched);
-        // Only deployment 0's outcomes count as this campaign's jobs.
-        assert_eq!(c.summary().jobs, report.deployments[0].outcomes.len() as u64);
-        assert_eq!(c.summary().tokens, report.deployments[0].generated_tokens);
-        assert!(c.endurance_used() > 0.0, "the local share must burn endurance");
     }
 
     #[test]

@@ -33,64 +33,9 @@ fn catch_up(eng: &mut ServeEngine, st: &mut RunState, until: u64) -> Result<(), 
     Ok(())
 }
 
-/// Records a lifecycle transition: into the audit trail, and into the
-/// slot's event ring as the matching trace event (the ring carries the
-/// serving-interleaved view). The slot catches up first, so the event
-/// lands after every step before the transition's.
-fn log_transition(
-    engines: &mut [ServeEngine],
-    states: &mut [RunState],
-    events: &mut Vec<LifecycleEvent>,
-    ev: LifecycleEvent,
-) -> Result<(), CoreError> {
-    let d = ev.deployment as usize;
-    catch_up(&mut engines[d], &mut states[d], ev.step)?;
-    let kind = match ev.to {
-        LifecycleState::Provisioning => EventKind::ScaleUp,
-        LifecycleState::Warming => EventKind::Warming,
-        LifecycleState::Active => EventKind::Activated,
-        LifecycleState::Draining => EventKind::Drain,
-        LifecycleState::Retired => EventKind::Retired,
-    };
-    states[d].emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
-    events.push(ev);
-    Ok(())
-}
-
-/// Moves `entry` from slot `from` onto slot `to`, progress retained.
-///
-/// Demoted KV is parked in the *source* deployment's ladder; a migrated
-/// request cannot recall it from another deployment — drop it there and
-/// let the target recompute (booked as wasted prefill). Deployment
-/// clocks are independent busy-time axes (idle gaps are skipped, so they
-/// diverge freely), so the entry's timestamps are re-based by the clock
-/// delta: the *durations* accrued so far survive the move — TTFT/e2e
-/// then sum busy time spent on each deployment, stay non-negative, and
-/// keep `first_token_s <= finished_s`.
-fn migrate(
-    engines: &mut [ServeEngine],
-    states: &mut [RunState],
-    from: usize,
-    to: usize,
-    mut entry: QueueEntry,
-) {
-    engines[from].forget_demoted(&mut states[from], entry.req.id);
-    let shift = states[to].clock - states[from].clock;
-    let st = &mut states[to];
-    entry.arrival_s += shift;
-    entry.first_token_s = entry.first_token_s.map(|t| t + shift);
-    entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
-    st.emit(
-        DeploymentId(to as u32),
-        entry.req.id,
-        EventKind::Migrated {
-            from: from as u32,
-            arrival_s: entry.arrival_s,
-            first_token_s: entry.first_token_s.unwrap_or(0.0),
-            emitted: entry.emitted,
-        },
-    );
-    engines[to].requeue(st, entry);
+/// A slot's load: queued plus in-flight requests.
+fn load(st: &RunState) -> usize {
+    st.queued_len() + st.prefilling_len() + st.decoding_len()
 }
 
 /// Fleet-elasticity knobs.
@@ -99,15 +44,6 @@ pub struct ElasticConfig {
     /// Slots provisioned (Active) before the trace starts; the rest
     /// begin Retired and wait for a scale-up.
     pub initial_active: usize,
-    /// The engine never drains the fleet below this many Active slots
-    /// (at least 1 — a cluster must always be able to serve).
-    pub min_active: usize,
-    /// Container/VM provisioning seconds of a cold start (the part that
-    /// does not depend on model size or device bandwidth).
-    pub provision_s: f64,
-    /// Seconds one global serving step stands for when converting
-    /// cold-start seconds to step thresholds.
-    pub step_seconds_hint: f64,
     /// In-flight requests a draining slot evacuates per step — draining
     /// is *stepwise*: the slot keeps serving what it still holds while
     /// the cluster migrates this many requests per step.
@@ -115,6 +51,16 @@ pub struct ElasticConfig {
 }
 
 impl ElasticConfig {
+    /// The engine never drains the fleet below this many Active slots: a
+    /// cluster must always be able to serve.
+    pub const MIN_ACTIVE: usize = 1;
+    /// Container/VM provisioning seconds of a cold start (the part that
+    /// does not depend on model size or device bandwidth).
+    pub const PROVISION_S: f64 = 30.0;
+    /// Seconds one global serving step stands for when converting
+    /// cold-start seconds to step thresholds.
+    pub const STEP_SECONDS_HINT: f64 = 0.25;
+
     /// A config starting `initial_active` slots Active, with the
     /// defaults for everything else.
     pub fn new(initial_active: usize) -> Self {
@@ -123,16 +69,38 @@ impl ElasticConfig {
 }
 
 impl Default for ElasticConfig {
-    /// One initial slot, floor of one, a 30-second container provision,
-    /// quarter-second steps, four evacuations per drain step.
+    /// One initial slot and four evacuations per drain step.
     fn default() -> Self {
-        ElasticConfig {
-            initial_active: 1,
-            min_active: 1,
-            provision_s: 30.0,
-            step_seconds_hint: 0.25,
-            drain_batch: 4,
-        }
+        ElasticConfig { initial_active: 1, drain_batch: 4 }
+    }
+}
+
+/// One [`ElasticClusterEngine::run_trace`] call's state, beside the
+/// engine's slots — what [`RunState`] is to
+/// [`ServeEngine::advance_once`].
+struct FleetRun<'t> {
+    trace: &'t [Request],
+    /// The arrival cursor: `trace[next..]` is still to be dispatched.
+    next: usize,
+    /// The global serving step.
+    gstep: u64,
+    states: Vec<RunState>,
+    dispatched: Vec<u64>,
+    redispatches: u64,
+    misrouted: u64,
+    drained_requests: u64,
+    /// Every lifecycle transition so far, in step order — the source of
+    /// every fleet-sizing count the report carries.
+    events: Vec<LifecycleEvent>,
+    /// Phase A's output, one entry per slot that advanced: its progress
+    /// and the victims it just preempted. Scratch, reused every step.
+    advanced: Vec<(usize, StepProgress, Vec<QueueEntry>)>,
+}
+
+impl FleetRun<'_> {
+    /// Whether the trace still has arrivals to dispatch.
+    fn arrivals_left(&self) -> bool {
+        self.next < self.trace.len()
     }
 }
 
@@ -174,6 +142,8 @@ pub struct ElasticClusterEngine {
     costs: Vec<(f64, f64)>,
     /// Per-slot purchase price, for billing.
     prices: Vec<f64>,
+    /// The slowest slot's full cold start in steps, for the autoscaler.
+    cold_start_steps: u64,
 }
 
 impl ElasticClusterEngine {
@@ -183,9 +153,8 @@ impl ElasticClusterEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `deployments` is empty, `initial_active` is not in
-    /// `1..=deployments.len()`, or `min_active` is not in
-    /// `1..=initial_active`.
+    /// Panics if `deployments` is empty or `initial_active` is not in
+    /// `1..=deployments.len()`.
     pub fn new(
         mut deployments: Vec<ServeEngine>,
         routing: Box<dyn RoutingPolicy>,
@@ -196,10 +165,6 @@ impl ElasticClusterEngine {
         assert!(
             (1..=deployments.len()).contains(&config.initial_active),
             "initial_active must be in 1..=deployment count"
-        );
-        assert!(
-            (1..=config.initial_active).contains(&config.min_active),
-            "min_active must be in 1..=initial_active"
         );
         for (i, d) in deployments.iter_mut().enumerate() {
             d.set_deployment(DeploymentId(i as u32));
@@ -212,11 +177,11 @@ impl ElasticClusterEngine {
             let shared = groups.entry(eng.system_fingerprint()).or_default().clone();
             eng.set_shared_cache(shared);
         }
-        let lifecycles = deployments
+        let lifecycles: Vec<DeploymentLifecycle> = deployments
             .iter()
             .enumerate()
             .map(|(i, eng)| {
-                let model = ColdStartModel::for_deployment(eng, config.provision_s);
+                let model = ColdStartModel::for_deployment(eng);
                 if i < config.initial_active {
                     DeploymentLifecycle::active(model)
                 } else {
@@ -224,6 +189,11 @@ impl ElasticClusterEngine {
                 }
             })
             .collect();
+        let cold_start_steps = lifecycles
+            .iter()
+            .map(|lc| lc.cold_start().total_steps(ElasticConfig::STEP_SECONDS_HINT))
+            .max()
+            .unwrap_or(1);
         // The system spec never changes mid-run, so each slot's price is
         // computed once.
         let costs = deployments
@@ -243,6 +213,7 @@ impl ElasticClusterEngine {
             config,
             costs,
             prices,
+            cold_start_steps,
         }
     }
 
@@ -271,12 +242,17 @@ impl ElasticClusterEngine {
         &self.engines
     }
 
+    /// The slots currently in `state`, in index order.
+    fn slots_in(&self, state: LifecycleState) -> impl Iterator<Item = usize> + '_ {
+        (0..self.lifecycles.len()).filter(move |&d| self.lifecycles[d].state() == state)
+    }
+
     /// The read-only per-slot views routing and autoscaling decide on.
-    fn slot_views(&self, states: &[RunState], dispatched: &[u64]) -> Vec<DeploymentView> {
+    fn slot_views(&self, run: &FleetRun) -> Vec<DeploymentView> {
         self.engines
             .iter()
-            .zip(states)
-            .zip(dispatched.iter().zip(&self.costs))
+            .zip(&run.states)
+            .zip(run.dispatched.iter().zip(&self.costs))
             .zip(&self.lifecycles)
             .map(|(((eng, st), (&dispatched, &(hourly_cost_usd, _))), lc)| {
                 let ledger = eng.ledger();
@@ -298,17 +274,24 @@ impl ElasticClusterEngine {
             .collect()
     }
 
-    /// Least-loaded Active slot (ties to the lower index) — the fallback
-    /// target when a routing policy misbehaves. The engine never drains
-    /// below `min_active >= 1`, so an Active slot always exists.
-    fn least_loaded_active(&self, states: &[RunState]) -> usize {
-        (0..states.len())
-            .filter(|&d| self.lifecycles[d].state() == LifecycleState::Active)
-            .min_by_key(|&d| {
-                let st = &states[d];
-                (st.queued_len() + st.prefilling_len() + st.decoding_len(), d)
-            })
-            .expect("min_active >= 1 keeps at least one slot Active")
+    /// Asks the autoscale policy `ask` over the one [`FleetSnapshot`] of
+    /// the fleet at the current step — the `decide` and `prewarm_at`
+    /// calls see the same picture.
+    fn consult_autoscaler<R>(
+        &mut self,
+        run: &FleetRun,
+        arrivals_this_step: usize,
+        ask: impl FnOnce(&mut dyn AutoscalePolicy, &FleetSnapshot) -> R,
+    ) -> R {
+        let views = self.slot_views(run);
+        let snapshot = FleetSnapshot {
+            step: run.gstep,
+            arrivals_this_step,
+            cold_start_steps: self.cold_start_steps,
+            min_active: ElasticConfig::MIN_ACTIVE,
+            deployments: &views,
+        };
+        ask(self.autoscale.as_mut(), &snapshot)
     }
 
     /// Routes through the policy over lifecycle-aware views, then
@@ -318,65 +301,152 @@ impl ElasticClusterEngine {
     /// [`ClusterReport::misrouted`] and clamped to the last slot so the
     /// run can still complete. Last, the lifecycle is *enforced*: a pick
     /// that lands on a non-Active slot is overridden to the least-loaded
-    /// Active one.
-    fn route_slots(
-        &mut self,
-        states: &[RunState],
-        dispatched: &[u64],
-        step: u64,
-        request: RouteRequest,
-        misrouted: &mut u64,
-    ) -> usize {
-        let views = self.slot_views(states, dispatched);
-        let snapshot = ClusterSnapshot { step, deployments: &views };
-        let n = states.len();
+    /// Active one (ties to the lower index; the engine never drains below
+    /// [`ElasticConfig::MIN_ACTIVE`], so one exists).
+    fn route_slots(&mut self, run: &mut FleetRun, request: RouteRequest) -> usize {
+        let views = self.slot_views(run);
+        let snapshot = ClusterSnapshot { step: run.gstep, deployments: &views };
+        let n = run.states.len();
         let mut d = self.routing.route(&request, &snapshot);
         if d >= n {
             debug_assert!(
                 false,
                 "routing policy picked deployment {d} of a {n}-deployment cluster"
             );
-            *misrouted += 1;
+            run.misrouted += 1;
             d = n - 1;
         }
         if self.lifecycles[d].state() == LifecycleState::Active {
-            d
-        } else {
-            self.least_loaded_active(states)
+            return d;
         }
+        self.slots_in(LifecycleState::Active)
+            .min_by_key(|&d| (load(&run.states[d]), d))
+            .expect("MIN_ACTIVE >= 1 keeps at least one slot Active")
+    }
+
+    /// Records a lifecycle transition: into the run's log, and into the
+    /// slot's event ring as the matching trace event (the ring carries
+    /// the serving-interleaved view). The slot catches up first, so the
+    /// event lands after every step before the transition's.
+    fn log_transition(&mut self, run: &mut FleetRun, ev: LifecycleEvent) -> Result<(), CoreError> {
+        let d = ev.deployment as usize;
+        catch_up(&mut self.engines[d], &mut run.states[d], ev.step)?;
+        let kind = match ev.to {
+            LifecycleState::Provisioning => EventKind::ScaleUp,
+            LifecycleState::Warming => EventKind::Warming,
+            LifecycleState::Active => EventKind::Activated,
+            LifecycleState::Draining => EventKind::Drain,
+            LifecycleState::Retired => EventKind::Retired,
+        };
+        run.states[d].emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
+        run.events.push(ev);
+        Ok(())
+    }
+
+    /// Retires slot `d` at the current step — a drain completing, or a
+    /// cold start cancelled — and logs the transition.
+    fn retire(&mut self, run: &mut FleetRun, d: usize) -> Result<(), CoreError> {
+        match self.lifecycles[d].retire(run.gstep, d as u32) {
+            Some(ev) => self.log_transition(run, ev),
+            None => Ok(()),
+        }
+    }
+
+    /// Moves `entry` from slot `from` onto slot `to`, progress retained.
+    ///
+    /// Demoted KV is parked in the *source* deployment's ladder; a
+    /// migrated request cannot recall it from another deployment — drop
+    /// it there and let the target recompute (booked as wasted prefill).
+    /// Deployment clocks are independent busy-time axes (idle gaps are
+    /// skipped, so they diverge freely), so the entry's timestamps are
+    /// re-based by the clock delta: the *durations* accrued so far
+    /// survive the move — TTFT/e2e then sum busy time spent on each
+    /// deployment, stay non-negative, and keep `first_token_s <=
+    /// finished_s`.
+    fn migrate(&mut self, run: &mut FleetRun, from: usize, to: usize, mut entry: QueueEntry) {
+        self.engines[from].forget_demoted(&mut run.states[from], entry.req.id);
+        let shift = run.states[to].clock - run.states[from].clock;
+        let st = &mut run.states[to];
+        entry.arrival_s += shift;
+        entry.first_token_s = entry.first_token_s.map(|t| t + shift);
+        entry.first_admitted_s = entry.first_admitted_s.map(|t| t + shift);
+        st.emit(
+            DeploymentId(to as u32),
+            entry.req.id,
+            EventKind::Migrated {
+                from: from as u32,
+                arrival_s: entry.arrival_s,
+                first_token_s: entry.first_token_s.unwrap_or(0.0),
+                emitted: entry.emitted,
+            },
+        );
+        self.engines[to].requeue(st, entry);
+    }
+
+    /// The one re-dispatch path, for drained requests and preemption
+    /// victims alike: routes `entry`, off slot `from`, catches the target
+    /// up to global step `until`, then re-queues the entry locally when
+    /// the router keeps it on `from`, or migrates it and counts a
+    /// re-dispatch.
+    fn redispatch(
+        &mut self,
+        run: &mut FleetRun,
+        from: usize,
+        entry: QueueEntry,
+        until: u64,
+    ) -> Result<(), CoreError> {
+        let to = self.route_slots(run, RouteRequest::of(&entry.req, entry.emitted, true));
+        catch_up(&mut self.engines[to], &mut run.states[to], until)?;
+        if to == from {
+            self.engines[from].requeue(&mut run.states[from], entry);
+        } else {
+            run.redispatches += 1;
+            self.migrate(run, from, to, entry);
+        }
+        Ok(())
     }
 
     /// Serves a trace (sorted by `arrival_step`) across the elastic
     /// fleet to completion.
     ///
-    /// Each global step, in order: (1) lifecycle transits advance
-    /// (Provisioning→Warming→Active as cold-start thresholds pass);
-    /// (2) the autoscale policy sees a [`FleetSnapshot`] and may
-    /// provision Retired slots or begin draining Active ones; (3)
-    /// arrivals dispatch through the routing policy onto Active slots;
-    /// (4) Draining slots evacuate — queued requests wholesale,
-    /// in-flight ones `drain_batch` per step with progress retained and
-    /// timestamps re-based, demoted KV dropped at the source — and
-    /// retire once empty; (5) every slot with work runs one serving
-    /// iteration, and requests it preempted are offered back to the
-    /// router, which may re-dispatch them (progress retained) onto
-    /// another Active slot. An idle fleet jumps to the next arrival, lifecycle
-    /// transition, or the autoscaler's pre-warm point, whichever comes
-    /// first; once the trace is exhausted the autoscaler is retired and
-    /// still-provisioning slots cancel into Retired.
+    /// Each global step runs these stages, in order:
     ///
-    /// Step (5) is lazy. A slot whose iteration decoded may open a quiet
-    /// window, `(first owed step, last quiet step)`: steps that provably
-    /// only decode (see [`crate::serve#quiet-windows`]). Inside it the
-    /// slot is skipped and counts as progress. Its owed steps run in one
-    /// call once the window is over, or earlier when something touches the
-    /// slot: an arrival routed to it, its evacuation while Draining, a
-    /// drain migration onto it, or a lifecycle transition written into its
-    /// ring. Each catches the slot up to the previous step and closes the
-    /// window. A step (5) re-dispatch onto a slot catches it up through the
-    /// current step. Routing and autoscaling read only counts a window
-    /// cannot change, so the run is bit-identical to advancing every busy
-    /// slot on every step.
+    /// 1. `tick_lifecycles` — cold starts whose thresholds have passed
+    ///    turn Provisioning → Warming → Active.
+    /// 2. `autoscale` — while arrivals remain, the autoscale policy sees
+    ///    a [`FleetSnapshot`] and may provision Retired slots or begin
+    ///    draining Active ones.
+    /// 3. `dispatch_arrivals` — arrivals route through the routing
+    ///    policy onto Active slots.
+    /// 4. `drain` — Draining slots evacuate, queued requests wholesale
+    ///    and in-flight ones `drain_batch` per step, with progress
+    ///    retained, timestamps re-based and demoted KV dropped at the
+    ///    source; a slot retires once empty.
+    /// 5. `lockstep` — when any slot has work, every busy slot runs one
+    ///    serving iteration (phase A), and the requests each preempted
+    ///    are offered back to the router (phase B), which may
+    ///    re-dispatch them, progress retained, onto another Active slot.
+    /// 6. `idle_wake` — otherwise, a fully idle fleet jumps to the next
+    ///    arrival, lifecycle transition or the autoscaler's pre-warm
+    ///    point, whichever comes first.
+    ///
+    /// Once the trace is exhausted and the fleet idle, `finish` cancels
+    /// still-provisioning slots into Retired and seals the report,
+    /// counting scale-ups, drains, retires, the Active peak and the
+    /// cold-start bill off the lifecycle log.
+    ///
+    /// `lockstep` is lazy. A slot whose iteration decoded may open a
+    /// quiet window, `(first owed step, last quiet step)`: steps that
+    /// provably only decode (see [`crate::serve#quiet-windows`]). Inside
+    /// it the slot is skipped and counts as progress. Its owed steps run
+    /// in one call once the window is over, or earlier when something
+    /// touches the slot: an arrival routed to it, its evacuation while
+    /// Draining, a drain migration onto it, or a lifecycle transition
+    /// written into its ring. Each catches the slot up to the previous
+    /// step and closes the window. A phase-B re-dispatch onto a slot
+    /// catches it up through the current step. Routing and autoscaling
+    /// read only counts a window cannot change, so the run is
+    /// bit-identical to advancing every busy slot on every step.
     ///
     /// # Errors
     ///
@@ -392,259 +462,241 @@ impl ElasticClusterEngine {
             trace.windows(2).all(|w| w[0].arrival_step <= w[1].arrival_step),
             "trace must be sorted by arrival step"
         );
-        let n = self.engines.len();
-        let hint = self.config.step_seconds_hint;
-        let min_active = self.config.min_active;
-        let cold_start_steps =
-            self.lifecycles.iter().map(|lc| lc.cold_start().total_steps(hint)).max().unwrap_or(1);
-
-        let mut states: Vec<RunState> = self.engines.iter().map(|e| e.new_run_state()).collect();
-        let mut dispatched = vec![0u64; n];
-        let mut redispatches = 0u64;
-        let mut misrouted = 0u64;
-
-        let mut events: Vec<LifecycleEvent> = Vec::new();
-        let mut scale_ups = 0u64;
-        let mut drains = 0u64;
-        let mut retires = 0u64;
-        let mut drained_requests = 0u64;
-        let mut peak_active = self.config.initial_active;
-        let mut cold_start_s = vec![0.0f64; n];
-
-        let mut idx = 0usize;
-        let mut gstep = 0u64;
-        // Phase A's output, one entry per slot that advanced: its
-        // progress and the victims it just preempted.
-        let mut advanced: Vec<(usize, StepProgress, Vec<QueueEntry>)> = Vec::new();
+        let mut run = FleetRun {
+            trace,
+            next: 0,
+            gstep: 0,
+            states: self.engines.iter().map(ServeEngine::new_run_state).collect(),
+            dispatched: vec![0; self.engines.len()],
+            redispatches: 0,
+            misrouted: 0,
+            drained_requests: 0,
+            events: Vec::new(),
+            advanced: Vec::new(),
+        };
         loop {
-            // 1: lifecycle transits — cold starts whose thresholds have
-            // passed turn Warming/Active.
-            for (d, lifecycle) in self.lifecycles.iter_mut().enumerate() {
-                for ev in lifecycle.tick(gstep, d as u32) {
-                    log_transition(&mut self.engines, &mut states, &mut events, ev)?;
-                }
+            self.tick_lifecycles(&mut run)?;
+            self.autoscale(&mut run)?;
+            self.dispatch_arrivals(&mut run)?;
+            self.drain(&mut run)?;
+            if run.states.iter().any(RunState::has_work) {
+                self.lockstep(&mut run)?;
+            } else if run.arrivals_left() {
+                self.idle_wake(&mut run);
+            } else {
+                return self.finish(run);
             }
-            let active_now =
-                self.lifecycles.iter().filter(|l| l.state() == LifecycleState::Active).count();
-            peak_active = peak_active.max(active_now);
-
-            // 2: autoscale — skipped once the trace is exhausted (no
-            // arrival can ever justify new capacity, and a predictive
-            // policy must not re-provision what the tail is retiring).
-            if idx < trace.len() {
-                let arrivals_now =
-                    trace[idx..].iter().take_while(|r| r.arrival_step <= gstep).count();
-                let views = self.slot_views(&states, &dispatched);
-                let snap = FleetSnapshot {
-                    step: gstep,
-                    arrivals_this_step: arrivals_now,
-                    cold_start_steps,
-                    min_active,
-                    deployments: &views,
-                };
-                match self.autoscale.decide(&snap) {
-                    ScaleDecision::Hold => {}
-                    ScaleDecision::ScaleUp { count } => {
-                        for _ in 0..count {
-                            // Lowest-indexed Retired slot first.
-                            let Some(d) = (0..n)
-                                .find(|&d| self.lifecycles[d].state() == LifecycleState::Retired)
-                            else {
-                                break;
-                            };
-                            if let Some(ev) =
-                                self.lifecycles[d].begin_provision(gstep, hint, d as u32)
-                            {
-                                log_transition(&mut self.engines, &mut states, &mut events, ev)?;
-                                scale_ups += 1;
-                                cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
-                            }
-                        }
-                    }
-                    ScaleDecision::ScaleDown { count } => {
-                        for _ in 0..count {
-                            let active: Vec<usize> = (0..n)
-                                .filter(|&d| self.lifecycles[d].state() == LifecycleState::Active)
-                                .collect();
-                            if active.len() <= min_active {
-                                break;
-                            }
-                            // Least-loaded first; ties drain the highest
-                            // index (the most recently provisioned spare).
-                            let d = *active
-                                .iter()
-                                .min_by_key(|&&d| {
-                                    let st = &states[d];
-                                    let load =
-                                        st.queued_len() + st.prefilling_len() + st.decoding_len();
-                                    (load, usize::MAX - d)
-                                })
-                                .expect("non-empty active list");
-                            if let Some(ev) = self.lifecycles[d].begin_drain(gstep, d as u32) {
-                                log_transition(&mut self.engines, &mut states, &mut events, ev)?;
-                                drains += 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 3: dispatch arrivals up to the global serving step.
-            while idx < trace.len() && trace[idx].arrival_step <= gstep {
-                let req = trace[idx];
-                let view = RouteRequest::of(&req, 0, false);
-                let d = self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
-                dispatched[d] += 1;
-                catch_up(&mut self.engines[d], &mut states[d], gstep)?;
-                states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
-                self.engines[d].enqueue_arrival(&mut states[d], req);
-                idx += 1;
-            }
-
-            // 4: live drain — Draining slots evacuate queued work
-            // wholesale and in-flight work a batch per step, migrating
-            // each request (progress retained, timestamps re-based onto
-            // the target's clock, demoted KV dropped at the source), and
-            // retire once empty.
-            for d in 0..n {
-                if self.lifecycles[d].state() != LifecycleState::Draining {
-                    continue;
-                }
-                let (eng, st) = (&mut self.engines[d], &mut states[d]);
-                catch_up(eng, st, gstep)?;
-                let mut moved = eng.evacuate_queued(st);
-                moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
-                for entry in moved {
-                    let view = RouteRequest::of(&entry.req, entry.emitted, true);
-                    let target =
-                        self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
-                    redispatches += 1;
-                    drained_requests += 1;
-                    catch_up(&mut self.engines[target], &mut states[target], gstep)?;
-                    migrate(&mut self.engines, &mut states, d, target, entry);
-                }
-                if !states[d].has_work() {
-                    if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                        log_transition(&mut self.engines, &mut states, &mut events, ev)?;
-                        retires += 1;
-                    }
-                }
-            }
-
-            // 5: fully idle everywhere — jump time or finish.
-            if !states.iter().any(RunState::has_work) {
-                if idx >= trace.len() {
-                    let pending: Vec<usize> = (0..n)
-                        .filter(|&d| {
-                            matches!(
-                                self.lifecycles[d].state(),
-                                LifecycleState::Provisioning | LifecycleState::Warming
-                            )
-                        })
-                        .collect();
-                    // Trace exhausted with cold starts still in flight:
-                    // cancel them — there is nothing left to serve (the
-                    // wasted cold start stays billed; mispredictions
-                    // cost money).
-                    for d in pending {
-                        if let Some(ev) = self.lifecycles[d].retire(gstep, d as u32) {
-                            log_transition(&mut self.engines, &mut states, &mut events, ev)?;
-                            retires += 1;
-                        }
-                    }
-                    break;
-                }
-                // Wake at the next arrival, the next lifecycle
-                // transition, or the autoscaler's pre-warm point,
-                // whichever comes first.
-                let mut wake = trace[idx].arrival_step;
-                for lc in &self.lifecycles {
-                    if let Some(t) = lc.next_transition_step() {
-                        wake = wake.min(t);
-                    }
-                }
-                let views = self.slot_views(&states, &dispatched);
-                let snap = FleetSnapshot {
-                    step: gstep,
-                    arrivals_this_step: 0,
-                    cold_start_steps,
-                    min_active,
-                    deployments: &views,
-                };
-                if let Some(p) = self.autoscale.prewarm_at(&snap) {
-                    if p > gstep {
-                        wake = wake.min(p);
-                    }
-                }
-                gstep = wake.max(gstep + 1);
-                continue;
-            }
-
-            // 6: one lockstep iteration of every slot with work, in two
-            // phases. Phase A advances each busy slot in place, in
-            // deployment-index order; phase B then merges progress and
-            // offers fresh victims back to the router in the same order
-            // (a victim preempted on a Draining slot re-routes onto an
-            // Active one). Their engine re-queued them locally, and
-            // draining and re-queuing on the same slot is a no-op, so a
-            // router that keeps them local preserves single-engine
-            // behavior exactly. Routing waits for phase B so that no
-            // victim lands on a slot that has yet to run this step's
-            // iteration. A slot inside a quiet window is skipped; one
-            // whose window just ended runs its owed steps first, and a
-            // decoded iteration may open the next window.
-            let mut all_stalled = true;
-            for (d, (eng, st)) in self.engines.iter_mut().zip(&mut states).enumerate() {
-                if !st.has_work() {
-                    continue;
-                }
-                if st.window.is_some_and(|(_, last)| gstep <= last) {
-                    all_stalled = false;
-                    continue;
-                }
-                catch_up(eng, st, gstep)?;
-                st.step = gstep;
-                let progress = eng.advance_once(st)?;
-                if progress == StepProgress::Decoded {
-                    let k = eng.quiet_steps_ahead(st);
-                    if k > 0 {
-                        st.window = Some((gstep + 1, gstep + k));
-                    }
-                }
-                advanced.push((d, progress, st.drain_just_preempted()));
-            }
-
-            for (d, progress, moved) in advanced.drain(..) {
-                if progress != StepProgress::Stalled {
-                    all_stalled = false;
-                }
-                for entry in moved {
-                    let view = RouteRequest::of(&entry.req, entry.emitted, true);
-                    let target =
-                        self.route_slots(&states, &dispatched, gstep, view, &mut misrouted);
-                    catch_up(&mut self.engines[target], &mut states[target], gstep + 1)?;
-                    if target == d {
-                        self.engines[d].requeue(&mut states[d], entry);
-                    } else {
-                        redispatches += 1;
-                        migrate(&mut self.engines, &mut states, d, target, entry);
-                    }
-                }
-            }
-            if all_stalled {
-                if idx >= trace.len() {
-                    return Err(CoreError::SchedulerStalled {
-                        queued: states.iter().map(RunState::queued_len).sum(),
-                    });
-                }
-                gstep = trace[idx].arrival_step;
-                continue;
-            }
-            gstep += 1;
         }
+    }
 
+    /// Stage 1: cold starts whose thresholds have passed turn Warming,
+    /// then Active.
+    fn tick_lifecycles(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
+        for d in 0..self.lifecycles.len() {
+            for ev in self.lifecycles[d].tick(run.gstep, d as u32) {
+                self.log_transition(run, ev)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Stage 2: the autoscale decision, executed. Skipped once the trace
+    /// is exhausted: no arrival can ever justify new capacity, and a
+    /// predictive policy must not re-provision what the tail is retiring.
+    /// A scale-up provisions the lowest-indexed Retired slots; a
+    /// scale-down drains the least-loaded Active slots (ties drain the
+    /// highest index, the most recently provisioned spare), never below
+    /// [`ElasticConfig::MIN_ACTIVE`].
+    fn autoscale(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
+        if !run.arrivals_left() {
+            return Ok(());
+        }
+        let pending = &run.trace[run.next..];
+        let arrivals = pending.iter().take_while(|r| r.arrival_step <= run.gstep).count();
+        match self.consult_autoscaler(run, arrivals, |p, snap| p.decide(snap)) {
+            ScaleDecision::Hold => {}
+            ScaleDecision::ScaleUp { count } => {
+                for _ in 0..count {
+                    let Some(d) = self.slots_in(LifecycleState::Retired).next() else {
+                        break;
+                    };
+                    let hint = ElasticConfig::STEP_SECONDS_HINT;
+                    let ev = self.lifecycles[d].begin_provision(run.gstep, hint, d as u32);
+                    if let Some(ev) = ev {
+                        self.log_transition(run, ev)?;
+                    }
+                }
+            }
+            ScaleDecision::ScaleDown { count } => {
+                for _ in 0..count {
+                    if self.slots_in(LifecycleState::Active).count() <= ElasticConfig::MIN_ACTIVE {
+                        break;
+                    }
+                    let d = self
+                        .slots_in(LifecycleState::Active)
+                        .min_by_key(|&d| (load(&run.states[d]), usize::MAX - d))
+                        .expect("more than MIN_ACTIVE slots are Active");
+                    if let Some(ev) = self.lifecycles[d].begin_drain(run.gstep, d as u32) {
+                        self.log_transition(run, ev)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Stage 3: every arrival up to the global step routes onto an Active
+    /// slot, which catches up first.
+    fn dispatch_arrivals(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
+        while let Some(&req) = run.trace.get(run.next).filter(|r| r.arrival_step <= run.gstep) {
+            let d = self.route_slots(run, RouteRequest::of(&req, 0, false));
+            run.dispatched[d] += 1;
+            catch_up(&mut self.engines[d], &mut run.states[d], run.gstep)?;
+            run.states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
+            self.engines[d].enqueue_arrival(&mut run.states[d], req);
+            run.next += 1;
+        }
+        Ok(())
+    }
+
+    /// Stage 4, live drain: Draining slots evacuate queued work wholesale
+    /// and in-flight work `drain_batch` per step, re-dispatching each
+    /// request (a Draining slot is never a route target, so every one
+    /// migrates), and retire once empty.
+    fn drain(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
+        for d in 0..self.engines.len() {
+            if self.lifecycles[d].state() != LifecycleState::Draining {
+                continue;
+            }
+            let (eng, st) = (&mut self.engines[d], &mut run.states[d]);
+            catch_up(eng, st, run.gstep)?;
+            let mut moved = eng.evacuate_queued(st);
+            moved.extend(eng.evacuate_in_flight(st, self.config.drain_batch));
+            run.drained_requests += moved.len() as u64;
+            for entry in moved {
+                self.redispatch(run, d, entry, run.gstep)?;
+            }
+            if !run.states[d].has_work() {
+                self.retire(run, d)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Stage 5: one lockstep iteration of every slot with work, in two
+    /// phases. Phase A advances each busy slot in place, in
+    /// deployment-index order; phase B then merges progress and offers
+    /// fresh victims back to the router in the same order (a victim
+    /// preempted on a Draining slot re-routes onto an Active one). Their
+    /// engine re-queued them locally, and draining and re-queuing on the
+    /// same slot is a no-op, so a router that keeps them local preserves
+    /// single-engine behavior exactly. Routing waits for phase B so that
+    /// no victim lands on a slot that has yet to run this step's
+    /// iteration. A slot inside a quiet window is skipped; one whose
+    /// window just ended runs its owed steps first, and a decoded
+    /// iteration may open the next window.
+    ///
+    /// The run moves to the next step, or — when every busy slot
+    /// stalled — to the next arrival, and fails with
+    /// [`CoreError::SchedulerStalled`] if there is none.
+    fn lockstep(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
+        let gstep = run.gstep;
+        let mut all_stalled = true;
+        for (d, (eng, st)) in self.engines.iter_mut().zip(&mut run.states).enumerate() {
+            if !st.has_work() {
+                continue;
+            }
+            if st.window.is_some_and(|(_, last)| gstep <= last) {
+                all_stalled = false;
+                continue;
+            }
+            catch_up(eng, st, gstep)?;
+            st.step = gstep;
+            let progress = eng.advance_once(st)?;
+            if progress == StepProgress::Decoded {
+                let k = eng.quiet_steps_ahead(st);
+                if k > 0 {
+                    st.window = Some((gstep + 1, gstep + k));
+                }
+            }
+            run.advanced.push((d, progress, st.drain_just_preempted()));
+        }
+        let mut advanced = std::mem::take(&mut run.advanced);
+        for (d, progress, moved) in advanced.drain(..) {
+            all_stalled &= progress == StepProgress::Stalled;
+            for entry in moved {
+                self.redispatch(run, d, entry, gstep + 1)?;
+            }
+        }
+        run.advanced = advanced;
+        if !all_stalled {
+            run.gstep += 1;
+            return Ok(());
+        }
+        match run.trace.get(run.next) {
+            Some(r) => {
+                run.gstep = r.arrival_step;
+                Ok(())
+            }
+            None => Err(CoreError::SchedulerStalled {
+                queued: run.states.iter().map(RunState::queued_len).sum(),
+            }),
+        }
+    }
+
+    /// Stage 6: a fully idle fleet with arrivals left wakes at the next
+    /// arrival, the next lifecycle transition, or the autoscaler's
+    /// pre-warm point, whichever comes first — and at least one step on.
+    fn idle_wake(&mut self, run: &mut FleetRun) {
+        let prewarm = self.consult_autoscaler(run, 0, |p, snap| p.prewarm_at(snap));
+        let wake = self
+            .lifecycles
+            .iter()
+            .filter_map(DeploymentLifecycle::next_transition_step)
+            .chain(prewarm.filter(|&p| p > run.gstep))
+            .fold(run.trace[run.next].arrival_step, u64::min);
+        run.gstep = wake.max(run.gstep + 1);
+    }
+
+    /// Seals the run. Cold starts still in flight are cancelled — there
+    /// is nothing left to serve, and the wasted cold start stays billed
+    /// (mispredictions cost money). Then one fold over the lifecycle log
+    /// yields every fleet-sizing count: each Provisioning entry is a
+    /// scale-up and bills its slot's cold start, each Draining entry a
+    /// drain, each Retired entry a retire, and the Active count replayed
+    /// from `initial_active` (+1 on Active, −1 on Draining) peaks at
+    /// `peak_active`.
+    fn finish(&mut self, mut run: FleetRun) -> Result<ElasticReport, CoreError> {
+        let n = self.engines.len();
+        for d in 0..n {
+            if matches!(
+                self.lifecycles[d].state(),
+                LifecycleState::Provisioning | LifecycleState::Warming
+            ) {
+                self.retire(&mut run, d)?;
+            }
+        }
+        let mut entered = [0u64; 5];
+        let mut cold_start_s = vec![0.0f64; n];
+        let mut active = self.config.initial_active;
+        let mut peak_active = active;
+        for ev in &run.events {
+            let d = ev.deployment as usize;
+            entered[ev.to as usize] += 1;
+            match ev.to {
+                LifecycleState::Provisioning => {
+                    cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
+                }
+                LifecycleState::Active => {
+                    active += 1;
+                    peak_active = peak_active.max(active);
+                }
+                LifecycleState::Draining => active -= 1,
+                LifecycleState::Warming | LifecycleState::Retired => {}
+            }
+        }
         let deployments: Vec<_> =
-            self.engines.iter().zip(states).map(|(eng, st)| eng.finish(st)).collect();
+            self.engines.iter().zip(run.states).map(|(eng, st)| eng.finish(st)).collect();
         let bills: Vec<SlotBill> = (0..n)
             .map(|d| SlotBill {
                 deployment: d as u32,
@@ -653,24 +705,23 @@ impl ElasticClusterEngine {
                 billed_seconds: deployments[d].elapsed_s + cold_start_s[d],
             })
             .collect();
-        let cold_start_s_total = cold_start_s.iter().sum();
         Ok(ElasticReport {
             cluster: ClusterReport::new(
                 self.routing.name().to_string(),
                 deployments,
-                dispatched,
-                redispatches,
-                misrouted,
+                run.dispatched,
+                run.redispatches,
+                run.misrouted,
             ),
             autoscale: self.autoscale.name().to_string(),
-            events,
-            scale_ups,
-            drains,
-            retires,
-            drained_requests,
+            events: run.events,
+            scale_ups: entered[LifecycleState::Provisioning as usize],
+            drains: entered[LifecycleState::Draining as usize],
+            retires: entered[LifecycleState::Retired as usize],
+            drained_requests: run.drained_requests,
             peak_active,
             bills,
-            cold_start_s_total,
+            cold_start_s_total: cold_start_s.iter().sum(),
         })
     }
 }

@@ -1,6 +1,7 @@
 //! The deployment lifecycle state machine and the seeded cold-start
 //! model that prices its Provisioning → Warming transit.
 
+use super::ElasticConfig;
 use crate::serve::ServeEngine;
 use std::fmt;
 
@@ -60,16 +61,17 @@ pub struct ColdStartModel {
 }
 
 impl ColdStartModel {
-    /// Prices the cold start of `engine`'s deployment: `provision_s` of
-    /// container setup, then the model's full weight footprint pushed at
-    /// the array's aggregate sequential bandwidth.
-    pub fn for_deployment(engine: &ServeEngine, provision_s: f64) -> Self {
+    /// Prices the cold start of `engine`'s deployment:
+    /// [`ElasticConfig::PROVISION_S`] of container setup, then the model's
+    /// full weight footprint pushed at the array's aggregate sequential
+    /// bandwidth.
+    pub fn for_deployment(engine: &ServeEngine) -> Self {
         let sys = engine.system();
         let spec = sys.spec();
         let per_device_bw = spec.storage.ssd_spec().seq_read_bw();
         let devices = spec.storage.device_count().max(1) as f64;
         let weight_load_s = sys.model().weight_bytes() as f64 / (per_device_bw * devices);
-        ColdStartModel { provision_s, weight_load_s }
+        ColdStartModel { provision_s: ElasticConfig::PROVISION_S, weight_load_s }
     }
 
     /// Total cold-start seconds (provision + weight load).
@@ -123,34 +125,18 @@ pub struct DeploymentLifecycle {
     /// Step at which Warming flips to Active (while provisioning or
     /// warming).
     active_at: u64,
-    /// Whether this slot was ever cold-started *during* the run (initial
-    /// Active slots were provisioned before the trace began and bill no
-    /// cold start to it).
-    cold_started_in_run: bool,
 }
 
 impl DeploymentLifecycle {
     /// A slot that starts the run already Active (the initially
     /// provisioned fleet).
     pub fn active(cold_start: ColdStartModel) -> Self {
-        DeploymentLifecycle {
-            state: LifecycleState::Active,
-            cold_start,
-            warm_at: 0,
-            active_at: 0,
-            cold_started_in_run: false,
-        }
+        DeploymentLifecycle { state: LifecycleState::Active, cold_start, warm_at: 0, active_at: 0 }
     }
 
     /// A spare slot that starts the run unprovisioned.
     pub fn retired(cold_start: ColdStartModel) -> Self {
-        DeploymentLifecycle {
-            state: LifecycleState::Retired,
-            cold_start,
-            warm_at: 0,
-            active_at: 0,
-            cold_started_in_run: false,
-        }
+        DeploymentLifecycle { state: LifecycleState::Retired, cold_start, warm_at: 0, active_at: 0 }
     }
 
     /// Current state.
@@ -161,11 +147,6 @@ impl DeploymentLifecycle {
     /// The slot's cold-start price.
     pub fn cold_start(&self) -> &ColdStartModel {
         &self.cold_start
-    }
-
-    /// Whether a scale-up cold-started this slot during the run.
-    pub fn cold_started_in_run(&self) -> bool {
-        self.cold_started_in_run
     }
 
     /// Begins provisioning a Retired slot at `step`: it will reach
@@ -184,7 +165,6 @@ impl DeploymentLifecycle {
         self.state = LifecycleState::Provisioning;
         self.warm_at = step + self.cold_start.provision_steps(step_seconds_hint);
         self.active_at = self.warm_at + self.cold_start.warm_steps(step_seconds_hint);
-        self.cold_started_in_run = true;
         Some(LifecycleEvent { step, deployment, to: LifecycleState::Provisioning })
     }
 
@@ -275,7 +255,6 @@ mod tests {
         assert_eq!(lc.next_transition_step(), Some(140));
         let evs = lc.tick(140, 3);
         assert_eq!(evs[0].to, LifecycleState::Active);
-        assert!(lc.cold_started_in_run());
         assert_eq!(lc.next_transition_step(), None);
         let ev = lc.begin_drain(200, 3).expect("active slots drain");
         assert_eq!(ev.to, LifecycleState::Draining);
@@ -301,7 +280,6 @@ mod tests {
         let mut lc = DeploymentLifecycle::active(model());
         assert!(lc.begin_provision(0, 1.0, 0).is_none(), "active slots don't re-provision");
         assert!(lc.retire(0, 0).is_none(), "active slots retire through a drain");
-        assert!(!lc.cold_started_in_run(), "the initial fleet billed no in-run cold start");
         lc.begin_drain(5, 0).unwrap();
         assert!(lc.begin_drain(6, 0).is_none(), "draining is idempotent-refusing");
         lc.retire(7, 0).unwrap();

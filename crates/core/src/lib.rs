@@ -9,9 +9,9 @@
 //!   with the Eq. 3 traffic model in [`traffic`]),
 //! * **cooperative X-cache** (§4.2) — the analytic α model and candidate
 //!   selection ([`AlphaModel`], chosen per job by [`AlphaSelector`]),
-//! * **delayed KV-cache writeback** (§4.3) — the host-side buffer and
-//!   spill policy ([`WritebackManager`]) plus the sub-page write-cost
-//!   model,
+//! * **delayed KV-cache writeback** (§4.3) — the host-side buffer's
+//!   spill schedule, arithmetic on the decode step count
+//!   ([`decision_at`]), plus the sub-page write-cost model,
 //! * the **Inference Controller** ([`HilosSystem`]) that runs simulated
 //!   prefill/decode jobs and reports throughput, utilization and traffic,
 //!   with every decode step executed by the reusable
@@ -91,6 +91,7 @@ pub use serve::{
 };
 pub use step::{AlphaSelector, DecodeStepExecutor, StepOutcome};
 pub use writeback::{
-    simulated_decision, spill_nand_bytes_per_token, SpillDecision, WritebackManager,
+    decision_at, partial_score_flops, peak_buffer_bytes, simulated_decision,
+    spill_nand_bytes_per_token, SpillDecision,
 };
 pub use xcache::{paper_alpha_mha, AlphaModel, ALPHA_CANDIDATES};

@@ -4,7 +4,9 @@
 use crate::config::{AlphaPolicy, HilosConfig};
 use crate::scheduler::{weight_source, WeightSource};
 use crate::step::{AlphaSelector, DecodeStepExecutor};
-use crate::writeback::{spill_nand_bytes_per_token, SpillDecision, WritebackManager};
+use crate::writeback::{
+    decision_at, middle_of, peak_buffer_bytes, spill_nand_bytes_per_token, SpillDecision,
+};
 use hilos_accel::{AccelTimingModel, ResourceModel};
 use hilos_llm::{BatchSpec, ModelConfig};
 use hilos_platform::{BuiltSystem, SystemSpec};
@@ -349,8 +351,7 @@ impl HilosSystem {
                 available: ledger.placeable_free(),
             });
         }
-        let buffer =
-            WritebackManager::new(self.config.spill_interval()).peak_buffer_bytes(m, spec.batch);
+        let buffer = peak_buffer_bytes(self.config.spill_interval(), m, spec.batch);
         if buffer > self.spec.host.dram_bytes {
             return Err(CoreError::HostOom {
                 needed: buffer,
@@ -489,13 +490,15 @@ impl HilosSystem {
 /// The window is one writeback cycle (`c` steps, capped at `output_len`;
 /// one step with delayed writeback off) centered on mid-generation, so
 /// the sampled steps average to the same operating point the old
-/// midpoint approximation used. Its `n` non-spill steps are solved once,
-/// as the middle one (index `(n − 1)/2`) at its own writeback phase,
-/// with weight `n`. In a full cycle that phase is the one
-/// [`simulated_decision`](crate::simulated_decision) maps every
-/// non-spill phase to, so the offline runner and the serving memo solve
-/// the same step graphs. The spill step, last in a full cycle, is solved
-/// with weight 1.
+/// midpoint approximation used. Its `n` non-spill steps are solved at
+/// their middle step, at its own writeback phase and context, with
+/// weight `n`; an even `n` is solved at both middle steps instead, with
+/// weight `n/2` each ([`middle_of`]), so every quantity linear in context
+/// and buffer sums exactly. In a full cycle those phases are the ones
+/// [`simulated_decision`](crate::simulated_decision) maps every non-spill
+/// phase to, so the offline runner and the serving memo solve the same
+/// step graphs. The spill step, last in a full cycle, is solved with
+/// weight 1.
 fn window_solves(config: &HilosConfig, output_len: u64) -> Vec<(u64, SpillDecision, u64)> {
     let steps = if config.delayed_writeback() {
         (config.spill_interval() as u64).min(output_len)
@@ -503,19 +506,16 @@ fn window_solves(config: &HilosConfig, output_len: u64) -> Vec<(u64, SpillDecisi
         1
     };
     let window_start = (output_len - steps) / 2;
-    let mut wb = WritebackManager::new(config.spill_interval());
-    let decisions: Vec<SpillDecision> = (0..steps)
-        .map(|_| if config.delayed_writeback() { wb.on_step() } else { SpillDecision::NONE })
-        .collect();
-    let spill = decisions.last().filter(|d| d.spill_now).copied();
-    let quiet = steps - spill.is_some() as u64;
-    let mut solves = Vec::with_capacity(2);
+    let spill = decision_at(config, steps - 1).spill_now;
+    let quiet = steps - spill as u64;
+    let mut solves = Vec::with_capacity(3);
     if quiet > 0 {
-        let mid = (quiet - 1) / 2;
-        solves.push((window_start + mid, decisions[mid as usize], quiet));
+        let (lower, upper) = (middle_of(quiet, 0), middle_of(quiet, quiet - 1));
+        let weight = quiet / (1 + upper - lower);
+        solves.extend((lower..=upper).map(|i| (window_start + i, decision_at(config, i), weight)));
     }
-    if let Some(d) = spill {
-        solves.push((window_start + steps - 1, d, 1));
+    if spill {
+        solves.push((window_start + steps - 1, decision_at(config, steps - 1), 1));
     }
     solves
 }
@@ -718,14 +718,15 @@ mod tests {
         let mut exec = DecodeStepExecutor::new(sys).unwrap();
         let alpha =
             AlphaSelector::new(&sys.config, exec.system()).select(&sys.model, batch, context);
-        let delayed = sys.config.delayed_writeback();
-        let c = sys.config.spill_interval();
-        let steps = if delayed { (c as u64).min(output_len) } else { 1 };
+        let steps = if sys.config.delayed_writeback() {
+            (sys.config.spill_interval() as u64).min(output_len)
+        } else {
+            1
+        };
         let window_start = (output_len - steps) / 2;
-        let mut wb = WritebackManager::new(c);
         let mut sums = [0.0; 3];
         for i in 0..steps {
-            let decision = if delayed { wb.on_step() } else { SpillDecision::NONE };
+            let decision = decision_at(&sys.config, i);
             let o = exec.execute_step(batch, context + window_start + i, alpha, &decision).unwrap();
             sums[0] += o.seconds;
             sums[1] += o.host_pcie_bytes;
@@ -741,21 +742,26 @@ mod tests {
     #[test]
     fn two_solves_track_the_full_writeback_cycle() {
         // The offline workload's shapes: 5 models x 4/8/16 SmartSSDs,
-        // 16K-128K context, 64 output tokens.
+        // 16K-128K context, 64 output tokens, at the paper's c = 16 and
+        // at odd intervals, whose even count of non-spill phases is
+        // solved at its two middle phases.
         for model in presets::all().into_iter().take(5) {
             for (n, batch) in [(4, 8), (8, 32), (16, 64)] {
-                let sys =
-                    HilosSystem::new(&SystemSpec::a100_smartssd(n), &model, &HilosConfig::new(n))
+                for c in [16, 3, 11] {
+                    let config = HilosConfig::new(n).with_spill_interval(c);
+                    let sys = HilosSystem::new(&SystemSpec::a100_smartssd(n), &model, &config)
                         .unwrap()
                         .with_sim_layers(4);
-                for context in [16 << 10, 64 << 10, 128 << 10] {
-                    let got = decode_triple(&sys.run_decode(batch, context, 64).unwrap());
-                    let want = full_cycle(&sys, batch, context, 64);
-                    let rel = |k: usize| (got[k] - want[k]).abs() / want[k];
-                    let at = format!("{} on {n} SSDs, bs={batch} ctx={context}", model.name());
-                    assert!(rel(0) <= 1e-4, "{at}: step seconds off by {:e}", rel(0));
-                    assert!(rel(1) <= 1e-12, "{at}: host bytes off by {:e}", rel(1));
-                    assert!(rel(2) <= 1e-12, "{at}: internal bytes off by {:e}", rel(2));
+                    for context in [16 << 10, 64 << 10, 128 << 10] {
+                        let got = decode_triple(&sys.run_decode(batch, context, 64).unwrap());
+                        let want = full_cycle(&sys, batch, context, 64);
+                        let rel = |k: usize| (got[k] - want[k]).abs() / want[k];
+                        let at =
+                            format!("{} on {n} SSDs, c={c} bs={batch} ctx={context}", model.name());
+                        assert!(rel(0) <= 1e-4, "{at}: step seconds off by {:e}", rel(0));
+                        assert!(rel(1) <= 1e-12, "{at}: host bytes off by {:e}", rel(1));
+                        assert!(rel(2) <= 1e-12, "{at}: internal bytes off by {:e}", rel(2));
+                    }
                 }
             }
         }
@@ -763,10 +769,18 @@ mod tests {
 
     #[test]
     fn full_cycle_solves_are_the_simulated_decisions() {
-        for c in [2, 3, 16, 32] {
+        // An even c leaves an odd count of non-spill phases, solved at
+        // (c − 2)/2; an odd c leaves an even count, solved at (c − 3)/2
+        // and (c − 1)/2 with half the weight each.
+        for c in [2, 3, 11, 16, 32] {
             let config = HilosConfig::new(8).with_spill_interval(c);
             let solves = window_solves(&config, 64);
-            assert_eq!(solves.len(), 2, "c={c}");
+            let buffers: Vec<u32> = solves.iter().map(|s| s.1.buffered_tokens).collect();
+            if c % 2 == 0 {
+                assert_eq!(buffers, vec![(c - 2) / 2, c - 1], "c={c}");
+            } else {
+                assert_eq!(buffers, vec![(c - 3) / 2, (c - 1) / 2, c - 1], "c={c}");
+            }
             assert_eq!(solves.iter().map(|s| s.2).sum::<u64>(), c as u64);
             for &(_, d, _) in &solves {
                 assert_eq!(d, crate::simulated_decision(&config, d), "c={c}: {d:?}");
@@ -799,9 +813,9 @@ mod tests {
 
     #[test]
     fn windows_shorter_than_a_cycle_track_the_full_window() {
-        // No spill step: one solve at the middle step's own phase. The
-        // buffered tail and the context both grow one token a step, so
-        // internal reads are exact; host traffic is exact for odd windows.
+        // No spill step: one solve at the middle step's own phase, or two
+        // at the middle steps of an even window. The buffered tail and the
+        // context both grow one token a step, so traffic is exact.
         let sys = hilos(8).with_sim_layers(4);
         for context in [1 << 10, 16 << 10, 128 << 10] {
             for output_len in [2, 4, 9, 15] {
@@ -810,8 +824,7 @@ mod tests {
                 let rel = |k: usize| (got[k] - want[k]).abs() / want[k];
                 let at = format!("ctx={context} out={output_len}");
                 assert!(rel(0) <= 1e-4, "{at}: step seconds off by {:e}", rel(0));
-                let host = if output_len % 2 == 1 { 1e-12 } else { 1e-4 };
-                assert!(rel(1) <= host, "{at}: host bytes off by {:e}", rel(1));
+                assert!(rel(1) <= 1e-12, "{at}: host bytes off by {:e}", rel(1));
                 assert!(rel(2) <= 1e-12, "{at}: internal bytes off by {:e}", rel(2));
             }
         }

@@ -39,7 +39,7 @@ use super::{RequestOutcome, ShedOutcome, TraceReport};
 use crate::runner::{CoreError, HilosSystem};
 use crate::scheduler::{weight_source, WeightSource};
 use crate::step::{AlphaSelector, DecodeStepExecutor};
-use crate::writeback::{SpillDecision, WritebackManager};
+use crate::writeback::{decision_at, simulated_decision, SpillDecision};
 use hilos_llm::{DeploymentId, ModelConfig, Request};
 use hilos_metrics::{LatencyHistogram, PrefillBreakdown, PrefixCacheStats};
 use hilos_storage::KvShardLedger;
@@ -195,8 +195,10 @@ pub(crate) struct RunState {
     cache_base: CacheBaseline,
     kv_placed: Vec<f64>,
     /// Memoized snapshot footprint estimates (see the snapshot build).
+    /// A request's entry leaves when it completes, is rejected or is
+    /// shed here; it stays when the request migrates away, since the
+    /// request can come back.
     footprint_estimates: HashMap<u64, u64>,
-    wb: WritebackManager,
     /// Ids preempted by the most recent [`ServeEngine::advance_once`]
     /// call, in preemption order. Victims are re-queued locally (tail of
     /// `queue`) exactly as before the cluster layer existed; a cluster
@@ -482,7 +484,6 @@ impl ServeEngine {
             cache_base: self.cache_baseline(),
             kv_placed: vec![0.0; self.ledger.device_count()],
             footprint_estimates: HashMap::new(),
-            wb: WritebackManager::new(self.system.config().spill_interval()),
             just_preempted: Vec::new(),
             trace: self.config.trace_events.map(EventRing::new),
         }
@@ -593,6 +594,7 @@ impl ServeEngine {
     fn drop_unplaceable(&mut self, st: &mut RunState, pos: usize) {
         let entry = st.queue.remove(pos).expect("position came from a live scan");
         self.forget_demoted(st, entry.req.id);
+        st.footprint_estimates.remove(&entry.req.id);
         if entry.emitted == 0 {
             st.rejected.push(entry.req.id);
             st.emit(self.deployment, entry.req.id, EventKind::Rejected);
@@ -808,6 +810,7 @@ impl ServeEngine {
                     }
                     let entry = st.queue.remove(pos).expect("position came from a live scan");
                     self.forget_demoted(st, entry.req.id);
+                    st.footprint_estimates.remove(&entry.req.id);
                     st.shed.push(ShedOutcome {
                         id: entry.req.id,
                         class: entry.req.class,
@@ -1058,14 +1061,10 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// The next decode step's writeback decision: the manager's tick, or
-    /// a constant no-spill decision with delayed writeback off.
-    fn spill_decision(&self, st: &mut RunState) -> SpillDecision {
-        if self.system.config().delayed_writeback() {
-            st.wb.on_step()
-        } else {
-            SpillDecision::NONE
-        }
+    /// The next decode step's writeback decision, a function of the
+    /// decode steps the run has booked.
+    fn spill_decision(&self, st: &RunState) -> SpillDecision {
+        decision_at(self.system.config(), st.decode_steps)
     }
 
     /// Stage 6, emission and eviction: every running request emits the
@@ -1093,6 +1092,7 @@ impl ServeEngine {
             // full context, if keyed) into the ladder for later arrivals
             // to reuse.
             self.publish_finished(&r.req, r.emitted);
+            st.footprint_estimates.remove(&r.req.id);
             st.evictions += 1;
             st.outcomes.push(RequestOutcome {
                 id: r.req.id,
@@ -1152,14 +1152,16 @@ impl ServeEngine {
     /// `Emit` events in running order.
     ///
     /// Within a window the batch and α are fixed, so a step's memo key
-    /// moves only with `spill_now` and the context bucket. A window-local
-    /// row indexed by `spill_now` serves repeat keys without the shared
-    /// memo's lock and hash; it resets when the bucket moves.
+    /// moves only with the solved writeback decision
+    /// ([`simulated_decision`]) and the context bucket. A window-local
+    /// row with one entry per solved decision (at most three: two middle
+    /// phases and the spill) serves repeat keys without the shared memo's
+    /// lock and hash; it resets when the bucket moves.
     pub(crate) fn advance_quiet(&mut self, st: &mut RunState, k: u64) -> Result<(), CoreError> {
         st.just_preempted.clear();
         let batch = st.running.len() as u64;
         let total_ctx: u64 = st.running.iter().map(|r| r.req.context_at(r.emitted)).sum();
-        let mut row = [None; 2];
+        let mut row: [Option<(SpillDecision, CachedStep)>; 3] = [None; 3];
         let mut bucket = 0;
         for i in 0..k {
             let context = self.quantize(((total_ctx + i * batch) / batch).max(1));
@@ -1168,12 +1170,13 @@ impl ServeEngine {
                 bucket = context;
             }
             let decision = self.spill_decision(st);
-            let spill = decision.spill_now as usize;
-            let outcome = match row[spill] {
-                Some(o) => o,
+            let solved = simulated_decision(self.system.config(), decision);
+            let outcome = match row.iter().flatten().find(|(d, _)| *d == solved) {
+                Some(&(_, o)) => o,
                 None => {
                     let o = self.decode_step(batch as u32, context, st.alpha, decision)?;
-                    row[spill] = Some(o);
+                    let free = row.iter_mut().find(|e| e.is_none()).expect("at most 3 solves");
+                    *free = Some((solved, o));
                     o
                 }
             };

@@ -21,15 +21,16 @@ use std::sync::RwLock;
 /// the same total seconds).
 const PREFILL_CHUNK_QUANTUM: u64 = 64;
 
-/// A decode step's operating point. The writeback state enters only as
-/// `spill_now`: every non-spill phase is simulated at one buffer
-/// ([`simulated_decision`]), and the spill step's buffer and spill size
-/// are fixed by the shared configuration.
+/// A decode step's operating point. The writeback state enters as the
+/// solved decision ([`simulated_decision`]): its buffer, one or two
+/// middle phases per cycle, and `spill_now`. The spill size is fixed by
+/// the shared configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct StepKey {
     batch: u32,
     context: u64,
     alpha_bits: u64,
+    buffered: u32,
     spill_now: bool,
 }
 
@@ -179,12 +180,17 @@ impl ServeEngine {
         alpha: f64,
         decision: SpillDecision,
     ) -> Result<CachedStep, CoreError> {
-        let key =
-            StepKey { batch, context, alpha_bits: alpha.to_bits(), spill_now: decision.spill_now };
+        let solved = simulated_decision(self.system().config(), decision);
+        let key = StepKey {
+            batch,
+            context,
+            alpha_bits: alpha.to_bits(),
+            buffered: solved.buffered_tokens,
+            spill_now: solved.spill_now,
+        };
         if let Some(&o) = self.memo.steps.read().expect("step memo poisoned").get(&key) {
             return Ok(o);
         }
-        let solved = simulated_decision(self.system().config(), decision);
         let o = self.exec.execute_step(batch, context, alpha, &solved)?;
         let cached = CachedStep {
             seconds: o.seconds,

@@ -74,17 +74,19 @@
 //!    `run_decode`, at the batch's mean context (the step graph is linear
 //!    in `batch × context`, so the mean reproduces the heterogeneous
 //!    batch's total KV traffic). The α split is re-selected whenever the
-//!    batch composition changes. The writeback manager is created once
-//!    per run and ticks once per decode step, whatever joins or leaves.
+//!    batch composition changes. The writeback decision is a function
+//!    of the run's decode step count
+//!    ([`decision_at`](crate::decision_at)), whatever joins or leaves.
 //! 6. **Eviction** — requests that exhausted their output budget leave
 //!    the batch and release their shard allocations, unblocking
 //!    admission.
 //!
 //! Step times are memoized on the quantized operating point
-//! `(batch, context, α, spill_now)`. Every non-spill writeback phase is
-//! solved at one middle buffer
-//! ([`simulated_decision`](crate::simulated_decision)), so a cycle of `c`
-//! phases costs two step solves. Chunk times are memoized on a fixed fine
+//! `(batch, context, α, solved writeback decision)`. Every non-spill
+//! writeback phase is solved at a middle buffer
+//! ([`simulated_decision`](crate::simulated_decision)) — one for an even
+//! `c`, two for an odd one — so a cycle of `c` phases costs two or three
+//! step solves. Chunk times are memoized on a fixed fine
 //! context grid, so one request's chunks telescope to exactly its
 //! whole-prompt prefill (the conservation property the proptests pin).
 //! A 10k-request trace therefore costs a few hundred graph simulations

@@ -1,21 +1,23 @@
-//! The delayed KV-cache writeback manager (§4.3).
+//! Delayed KV-cache writeback (§4.3).
 //!
 //! New per-step KV vectors are tiny (256 B per head) against the 4 KiB
 //! flash page, so writing them through immediately amplifies writes by
-//! 16× *and* puts a flash program on the critical path. The manager
-//! buffers them in host memory, lets the CPU pre-compute the partial
-//! `QKᵀ` scores for the buffered tail, and spills page-sized chunks every
-//! `c` steps, off the critical path.
+//! 16× *and* puts a flash program on the critical path. The host buffers
+//! them, lets the CPU pre-compute the partial `QKᵀ` scores for the
+//! buffered tail, and spills page-sized chunks every `c` steps, off the
+//! critical path. The buffer is a pure function of the decode step count
+//! ([`decision_at`]).
 //!
 //! A simulated decode step sees the buffer only through the few tail
 //! tokens the host scores instead of the SSD reading them, so the
-//! simulator solves two steps per operating point, not `c`: one for all
-//! the non-spill phases and one for the spill ([`simulated_decision`]).
+//! simulator solves at most three steps per operating point, not `c`:
+//! the middle of the non-spill phases (two middles when there is an even
+//! number of them) and the spill ([`simulated_decision`]).
 
 use crate::config::HilosConfig;
 use hilos_llm::ModelConfig;
 
-/// What the manager decides at each decoding step.
+/// The writeback decision of one decoding step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillDecision {
     /// Tokens per sequence buffered in host memory *before* this step's
@@ -34,26 +36,66 @@ impl SpillDecision {
         SpillDecision { buffered_tokens: 0, spill_now: false, spill_tokens: 0 };
 }
 
-/// The decision a decode step is simulated at, for a step that takes
-/// `decision` under `config`'s writeback settings.
-///
-/// The non-spill phases of a cycle differ only in how many buffered tail
-/// tokens (`0..=c − 2`) the host scores instead of the SSD reading them,
-/// which moves a step's seconds by a few parts in 10⁴ at long contexts.
-/// Each of them is simulated at the middle buffer `(c − 2)/2`: the
-/// phases' mean for an even `c`, half a token below it for an odd one.
-/// The spill step, and the constant [`SpillDecision::NONE`] with delayed
-/// writeback off, pass through unchanged.
+/// The writeback decision of decode step `step` (0-based) of a run under
+/// `config`: `step % c` tokens are buffered before it, and the buffer
+/// spills all `c` tokens at the end of every step with
+/// `step % c == c − 1`. With delayed writeback off every step is
+/// [`SpillDecision::NONE`].
 ///
 /// # Examples
 ///
 /// ```
-/// use hilos_core::{simulated_decision, HilosConfig, SpillDecision, WritebackManager};
+/// use hilos_core::{decision_at, HilosConfig};
+///
+/// let config = HilosConfig::new(8).with_spill_interval(4);
+/// let spills = (0..8).filter(|&s| decision_at(&config, s).spill_now).count();
+/// assert_eq!(spills, 2);
+/// assert_eq!(decision_at(&config, 6).buffered_tokens, 2);
+/// ```
+pub fn decision_at(config: &HilosConfig, step: u64) -> SpillDecision {
+    if !config.delayed_writeback() {
+        return SpillDecision::NONE;
+    }
+    let c = config.spill_interval();
+    let buffered_tokens = (step % c as u64) as u32;
+    let spill_now = buffered_tokens == c - 1;
+    SpillDecision { buffered_tokens, spill_now, spill_tokens: if spill_now { c } else { 0 } }
+}
+
+/// The index that solves step `i` of `n` like steps: their middle one,
+/// `n/2`, when `n` is odd; when `n` is even, the lower middle
+/// `n/2 − 1` for the lower half and the upper middle `n/2` for the
+/// upper half. Either way the solved indices sum to the steps' own, so a
+/// quantity linear in the index sums exactly.
+pub(crate) fn middle_of(n: u64, i: u64) -> u64 {
+    if n.is_multiple_of(2) && i < n / 2 {
+        n / 2 - 1
+    } else {
+        n / 2
+    }
+}
+
+/// The decision a decode step is simulated at, for a step that takes
+/// `decision` under `config`'s writeback settings.
+///
+/// The `c − 1` non-spill phases of a cycle differ only in how many
+/// buffered tail tokens (`0..=c − 2`) the host scores instead of the SSD
+/// reading them, which moves a step's seconds by a few parts in 10⁴ at
+/// long contexts. Each is simulated at the middle phase's buffer:
+/// `(c − 2)/2` for an even `c`; for an odd `c`, whose phases have two
+/// middles, the lower half of the phases at `(c − 3)/2` and the upper
+/// half at `(c − 1)/2`, so the solved buffers sum to the phases' own. The spill
+/// step, and the constant [`SpillDecision::NONE`] with delayed writeback
+/// off, pass through unchanged.
+///
+/// # Examples
+///
+/// ```
+/// use hilos_core::{decision_at, simulated_decision, HilosConfig, SpillDecision};
 ///
 /// let config = HilosConfig::new(8); // c = 16
-/// let mut wb = WritebackManager::new(config.spill_interval());
 /// let solved: Vec<SpillDecision> =
-///     (0..16).map(|_| simulated_decision(&config, wb.on_step())).collect();
+///     (0..16).map(|s| simulated_decision(&config, decision_at(&config, s))).collect();
 /// assert!(solved[..15].iter().all(|d| d.buffered_tokens == 7 && !d.spill_now));
 /// assert_eq!(solved[15], SpillDecision { buffered_tokens: 15, spill_now: true, spill_tokens: 16 });
 /// ```
@@ -61,95 +103,29 @@ pub fn simulated_decision(config: &HilosConfig, decision: SpillDecision) -> Spil
     if !config.delayed_writeback() || decision.spill_now {
         return decision;
     }
+    let phases = config.spill_interval() as u64 - 1;
     SpillDecision {
-        buffered_tokens: config.spill_interval().saturating_sub(2) / 2,
+        buffered_tokens: middle_of(phases, decision.buffered_tokens as u64) as u32,
         spill_now: false,
         spill_tokens: 0,
     }
 }
 
-/// Tracks the host-side KV buffer across decoding steps (the paper's
-/// *Writeback Manager* middleware component).
-///
-/// # Examples
-///
-/// ```
-/// use hilos_core::WritebackManager;
-///
-/// let mut wb = WritebackManager::new(4);
-/// let mut spills = 0;
-/// for _ in 0..8 {
-///     if wb.on_step().spill_now {
-///         spills += 1;
-///     }
-/// }
-/// assert_eq!(spills, 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WritebackManager {
-    spill_interval: u32,
-    buffered: u32,
-    total_spills: u64,
+/// Host-memory bytes the writeback buffer occupies for a whole batch
+/// right before a spill (all layers): `c · batch · kv_bytes_per_token`.
+pub fn peak_buffer_bytes(spill_interval: u32, model: &ModelConfig, batch: u32) -> u64 {
+    spill_interval as u64 * batch as u64 * model.kv_bytes_per_token()
 }
 
-impl WritebackManager {
-    /// Creates a manager with spill interval `c` (the paper's default is
-    /// 16, aligning a 256 B/step/head stream with 4 KiB pages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is zero.
-    pub fn new(spill_interval: u32) -> Self {
-        assert!(spill_interval >= 1, "spill interval must be at least 1");
-        WritebackManager { spill_interval, buffered: 0, total_spills: 0 }
-    }
-
-    /// The configured spill interval.
-    pub fn spill_interval(&self) -> u32 {
-        self.spill_interval
-    }
-
-    /// Tokens per sequence currently buffered.
-    pub fn buffered_tokens(&self) -> u32 {
-        self.buffered
-    }
-
-    /// Number of spills so far.
-    pub fn total_spills(&self) -> u64 {
-        self.total_spills
-    }
-
-    /// Advances one decoding step: the new token's KV joins the buffer,
-    /// and the buffer spills when it reaches the interval.
-    pub fn on_step(&mut self) -> SpillDecision {
-        let before = self.buffered;
-        self.buffered += 1;
-        if self.buffered >= self.spill_interval {
-            let spilled = self.buffered;
-            self.buffered = 0;
-            self.total_spills += 1;
-            SpillDecision { buffered_tokens: before, spill_now: true, spill_tokens: spilled }
-        } else {
-            SpillDecision { buffered_tokens: before, spill_now: false, spill_tokens: 0 }
-        }
-    }
-
-    /// Host-memory bytes the buffer occupies for a whole batch right
-    /// before a spill (all layers): `c · batch · kv_bytes_per_token`.
-    pub fn peak_buffer_bytes(&self, model: &ModelConfig, batch: u32) -> u64 {
-        self.spill_interval as u64 * batch as u64 * model.kv_bytes_per_token()
-    }
-
-    /// CPU FLOPs to pre-compute the partial `QKᵀ` scores for `buffered`
-    /// tail tokens: every query head dots its query against each buffered
-    /// key (2 FLOPs/MAC), for the whole batch and all layers.
-    pub fn partial_score_flops(model: &ModelConfig, batch: u32, buffered: u32) -> f64 {
-        2.0 * model.layers() as f64
-            * batch as f64
-            * model.heads() as f64
-            * model.head_dim() as f64
-            * buffered as f64
-    }
+/// CPU FLOPs to pre-compute the partial `QKᵀ` scores for `buffered`
+/// tail tokens: every query head dots its query against each buffered
+/// key (2 FLOPs/MAC), for the whole batch and all layers.
+pub fn partial_score_flops(model: &ModelConfig, batch: u32, buffered: u32) -> f64 {
+    2.0 * model.layers() as f64
+        * batch as f64
+        * model.heads() as f64
+        * model.head_dim() as f64
+        * buffered as f64
 }
 
 /// NAND bytes programmed per spilled step-token for one sequence across
@@ -169,58 +145,67 @@ mod tests {
     use super::*;
     use hilos_llm::presets;
 
+    fn config(c: u32) -> HilosConfig {
+        HilosConfig::new(8).with_spill_interval(c)
+    }
+
     #[test]
     fn simulated_decisions_take_two_values_per_cycle() {
-        for c in [1, 2, 3, 16, 32] {
-            let config = HilosConfig::new(8).with_spill_interval(c);
-            let mut wb = WritebackManager::new(c);
-            for _ in 0..2 * c {
-                let d = wb.on_step();
+        // Two values for an even c (the middle phase and the spill),
+        // three for an odd one (the two middle phases and the spill).
+        for c in [1, 2, 3, 11, 16, 32] {
+            let config = config(c);
+            for step in 0..2 * c as u64 {
+                let d = decision_at(&config, step);
                 let s = simulated_decision(&config, d);
-                if d.spill_now {
-                    assert_eq!(s, d, "c={c}: the spill step is solved as is");
+                let want = if d.spill_now {
+                    d.buffered_tokens
+                } else if c % 2 == 0 {
+                    (c - 2) / 2
+                } else if d.buffered_tokens < (c - 1) / 2 {
+                    (c - 3) / 2
                 } else {
-                    assert_eq!(s, SpillDecision { buffered_tokens: (c - 2) / 2, ..d }, "c={c}");
-                }
+                    (c - 1) / 2
+                };
+                assert_eq!(s, SpillDecision { buffered_tokens: want, ..d }, "c={c} step={step}");
             }
+            let phases: Vec<u32> = (0..c as u64 - 1)
+                .map(|s| simulated_decision(&config, decision_at(&config, s)).buffered_tokens)
+                .collect();
+            assert_eq!(
+                phases.iter().sum::<u32>(),
+                (0..c.saturating_sub(1)).sum::<u32>(),
+                "c={c}: the solved buffers sum to the phases' own"
+            );
             let off = config.with_writeback(false);
+            assert_eq!(decision_at(&off, c as u64 - 1), SpillDecision::NONE);
             assert_eq!(simulated_decision(&off, SpillDecision::NONE), SpillDecision::NONE);
         }
     }
 
     #[test]
     fn spills_every_c_steps() {
-        let mut wb = WritebackManager::new(16);
-        let mut spill_steps = Vec::new();
-        for step in 0..64 {
-            let d = wb.on_step();
-            if d.spill_now {
-                spill_steps.push(step);
-                assert_eq!(d.spill_tokens, 16);
-            }
-        }
+        let config = config(16);
+        let spill_steps: Vec<u64> =
+            (0..64).filter(|&s| decision_at(&config, s).spill_now).collect();
         assert_eq!(spill_steps, vec![15, 31, 47, 63]);
-        assert_eq!(wb.total_spills(), 4);
-        assert_eq!(wb.buffered_tokens(), 0);
+        assert!(spill_steps.iter().all(|&s| decision_at(&config, s).spill_tokens == 16));
+        assert_eq!(decision_at(&config, 64).buffered_tokens, 0);
     }
 
     #[test]
     fn buffered_tail_grows_between_spills() {
-        let mut wb = WritebackManager::new(4);
-        assert_eq!(wb.on_step().buffered_tokens, 0);
-        assert_eq!(wb.on_step().buffered_tokens, 1);
-        assert_eq!(wb.on_step().buffered_tokens, 2);
-        let d = wb.on_step();
-        assert_eq!(d.buffered_tokens, 3);
-        assert!(d.spill_now);
-        assert_eq!(wb.on_step().buffered_tokens, 0);
+        let config = config(4);
+        let buffered: Vec<u32> = (0..5).map(|s| decision_at(&config, s).buffered_tokens).collect();
+        assert_eq!(buffered, vec![0, 1, 2, 3, 0]);
+        assert!(decision_at(&config, 3).spill_now);
     }
 
     #[test]
     fn interval_one_degenerates_to_write_through() {
-        let mut wb = WritebackManager::new(1);
-        for _ in 0..5 {
-            let d = wb.on_step();
+        let config = config(1);
+        for step in 0..5 {
+            let d = decision_at(&config, step);
             assert!(d.spill_now);
             assert_eq!(d.buffered_tokens, 0);
             assert_eq!(d.spill_tokens, 1);
@@ -258,15 +243,14 @@ mod tests {
     fn buffer_fits_host_memory() {
         // c=16, bs=16 on OPT-175B: buffer stays far below 512 GB.
         let m = presets::opt_175b();
-        let wb = WritebackManager::new(16);
-        let bytes = wb.peak_buffer_bytes(&m, 16);
+        let bytes = peak_buffer_bytes(16, &m, 16);
         assert!(bytes < (8u64 << 30), "buffer {bytes} too large");
     }
 
     #[test]
     fn partial_scores_are_cheap() {
         let m = presets::opt_66b();
-        let flops = WritebackManager::partial_score_flops(&m, 16, 15);
+        let flops = partial_score_flops(&m, 16, 15);
         // Far below one GPU-millisecond of work; the point of §4.3.
         assert!(flops < 1e10, "flops={flops}");
     }

@@ -7,10 +7,10 @@ use hilos_core::cluster::{
 };
 use hilos_core::trace::{check_conservation, prefill_chunk_totals, Event, LatencyAttribution};
 use hilos_core::{
-    paper_alpha_mha, simulated_decision, spill_nand_bytes_per_token, AlphaModel, AlphaPolicy,
-    AlphaSelector, ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, HilosConfig, HilosSystem,
-    PrefixCacheConfig, PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine, SpillDecision,
-    WritebackManager, ALPHA_CANDIDATES,
+    decision_at, paper_alpha_mha, simulated_decision, spill_nand_bytes_per_token, AlphaModel,
+    AlphaPolicy, AlphaSelector, ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, HilosConfig,
+    HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine,
+    SpillDecision, ALPHA_CANDIDATES,
 };
 use hilos_llm::{presets, SharedPrefixConfig, TraceConfig};
 use hilos_platform::SystemSpec;
@@ -92,14 +92,14 @@ proptest! {
         prop_assert!(faster_pci.effective_seconds(alpha) <= base.effective_seconds(alpha));
     }
 
-    /// The writeback manager spills exactly floor(steps/c) times over any
-    /// horizon and never buffers ≥ c tokens.
+    /// The writeback schedule spills exactly floor(steps/c) times over
+    /// any horizon and never buffers ≥ c tokens.
     #[test]
     fn writeback_spill_count_exact(c in 1u32..64, steps in 1u32..512) {
-        let mut wb = WritebackManager::new(c);
+        let config = HilosConfig::new(8).with_spill_interval(c);
         let mut spills = 0u32;
-        for _ in 0..steps {
-            let d = wb.on_step();
+        for step in 0..steps as u64 {
+            let d = decision_at(&config, step);
             prop_assert!(d.buffered_tokens < c);
             if d.spill_now {
                 prop_assert_eq!(d.spill_tokens, c);
@@ -107,8 +107,7 @@ proptest! {
             }
         }
         prop_assert_eq!(spills, steps / c);
-        prop_assert_eq!(wb.buffered_tokens(), steps % c);
-        prop_assert_eq!(wb.total_spills() as u32, spills);
+        prop_assert_eq!(decision_at(&config, steps as u64).buffered_tokens, steps % c);
     }
 
     /// Spill write amplification is ≥ 1 and non-increasing in the spill
@@ -129,15 +128,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The error budget of solving a writeback cycle's `c − 1` non-spill
-    /// phases as one step: `c − 1` copies of the step at the buffer
-    /// `simulated_decision` gives, against the phases solved one by one
-    /// at one operating point. The budget is 1e-3 (relative) while the
-    /// buffered tail is at most 1% of the context, and an eighth of the
-    /// tail's share, `(c − 2)/(8·context)`, beyond that: with an odd `c`
-    /// the middle buffer sits half a token below the phases' mean, and
-    /// the step time has a kink in the buffer. A grid of 19,800 points
-    /// exceeded 1e-3 at 22, all at `c` = 11 and 256–600 tokens (worst
-    /// 2.1e-3). Contexts are drawn log-uniformly so short ones are hit.
+    /// phases at their middle: Σ_b t(solved(b)), each phase `b` at the
+    /// buffer `simulated_decision` gives it, against Σ_b t(b), the phases
+    /// solved one by one at one operating point. The budget is 1e-3
+    /// (relative) while the buffered tail is at most 1% of the context,
+    /// and an eighth of the tail's share, `(c − 2)/(8·context)`, beyond
+    /// that: the step time has a kink in the buffer, so even solved
+    /// buffers that sum to the phases' own leave an error. Contexts are
+    /// drawn log-uniformly so short ones are hit.
     #[test]
     fn one_solve_for_the_non_spill_phases_stays_in_budget(
         model in 0usize..5,
@@ -162,10 +160,10 @@ proptest! {
             AlphaSelector::new(&config, exec.system()).select(&model, batch, context)
         };
         let mut t = |d: SpillDecision| exec.execute_step(batch, context, alpha, &d).unwrap().seconds;
-        let phases: f64 =
-            (0..c - 1).map(|b| t(SpillDecision { buffered_tokens: b, ..SpillDecision::NONE })).sum();
-        let one = t(simulated_decision(&config, SpillDecision::NONE));
-        let err = ((c - 1) as f64 * one - phases).abs() / phases;
+        let phase = |b: u32| SpillDecision { buffered_tokens: b, ..SpillDecision::NONE };
+        let phases: f64 = (0..c - 1).map(|b| t(phase(b))).sum();
+        let solved: f64 = (0..c - 1).map(|b| t(simulated_decision(&config, phase(b)))).sum();
+        let err = (solved - phases).abs() / phases;
         let share = (c - 2) as f64 / context as f64;
         let budget = if share <= 0.01 { 1e-3 } else { share / 8.0 };
         prop_assert!(

@@ -149,7 +149,6 @@ fn scaled_up_slot_cold_starts_on_schedule_and_serves() {
     let trace = TraceConfig { mean_interarrival_steps: 8, ..TraceConfig::azure_mix(256, 42) }
         .generate()
         .unwrap();
-    let config = ElasticConfig::new(1);
     let mut elastic = ElasticClusterEngine::new(
         vec![
             ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
@@ -157,14 +156,14 @@ fn scaled_up_slot_cold_starts_on_schedule_and_serves() {
         ],
         Box::new(LedgerPressure::new()),
         Box::new(ScriptedScaler { up_at: Some(40), down_at: None }),
-        config,
+        ElasticConfig::new(1),
     );
     // The cold-start model prices slot 1 off its own system: container
     // provision plus weights over aggregate device bandwidth.
     let cold = *elastic.cold_start(1);
-    assert!(cold.provision_s == config.provision_s && cold.weight_load_s > 0.0);
-    let provision_steps = cold.provision_steps(config.step_seconds_hint);
-    let warm_steps = cold.warm_steps(config.step_seconds_hint);
+    assert!(cold.provision_s == ElasticConfig::PROVISION_S && cold.weight_load_s > 0.0);
+    let provision_steps = cold.provision_steps(ElasticConfig::STEP_SECONDS_HINT);
+    let warm_steps = cold.warm_steps(ElasticConfig::STEP_SECONDS_HINT);
     assert_eq!(elastic.lifecycle_state(1), LifecycleState::Retired);
 
     let report = elastic.run_trace(&trace).unwrap();
@@ -403,7 +402,7 @@ fn every_cluster_interaction_point_stays_on_its_golden_pin() {
         slots,
         Box::new(VictimsToFifo),
         Box::new(TargetPressureScaler::new(2.0, 1.5, 32)),
-        ElasticConfig { min_active: 1, drain_batch: 1, ..ElasticConfig::new(2) },
+        ElasticConfig { drain_batch: 1, ..ElasticConfig::new(2) },
     );
     let report = elastic.run_trace(&trace).unwrap();
 
