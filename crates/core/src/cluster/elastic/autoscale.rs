@@ -133,14 +133,23 @@ pub trait AutoscalePolicy: fmt::Debug {
     fn prewarm_at(&self, _snapshot: &FleetSnapshot<'_>) -> Option<u64> {
         None
     }
+
+    /// Whether the policy ever answers anything but
+    /// [`ScaleDecision::Hold`] or names a pre-warm point. Defaults to
+    /// `true`; a policy that returns `false` is never consulted, and the
+    /// engine skips the lifecycle, drain and pre-warm work it could not
+    /// need.
+    fn may_scale(&self) -> bool {
+        true
+    }
 }
 
-/// The elasticity-off control: never scales. The fixed
-/// [`ClusterEngine`](crate::cluster::ClusterEngine) is the elastic
-/// engine under this policy with every slot Active, and a 1-slot pinned
-/// fleet runs bit-identically to
-/// [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) — the
-/// elastic golden-pin test routes through this policy.
+/// The elasticity-off control: never scales
+/// ([`AutoscalePolicy::may_scale`] is false, so it is never consulted).
+/// The fixed [`ClusterEngine`](crate::cluster::ClusterEngine) is the
+/// elastic engine under this policy with every slot Active, and
+/// [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) is a 1-slot
+/// fleet under it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PinnedFleet;
 
@@ -151,6 +160,10 @@ impl AutoscalePolicy for PinnedFleet {
 
     fn decide(&mut self, _snapshot: &FleetSnapshot<'_>) -> ScaleDecision {
         ScaleDecision::Hold
+    }
+
+    fn may_scale(&self) -> bool {
+        false
     }
 }
 

@@ -1,8 +1,9 @@
-//! The elastic cluster engine: the crate's one lockstep serving loop —
-//! routing, cross-deployment migration and stall detection — with a
-//! deployment lifecycle, an autoscaler and utilization billing around it.
-//! The fixed [`ClusterEngine`](crate::cluster::ClusterEngine) runs this
-//! loop under [`PinnedFleet`](super::PinnedFleet).
+//! The elastic cluster engine: the crate's one serving loop — lockstep
+//! stepping, routing, cross-deployment migration and stall detection —
+//! with a deployment lifecycle, an autoscaler and utilization billing
+//! around it. The fixed [`ClusterEngine`](crate::cluster::ClusterEngine)
+//! runs this loop under [`PinnedFleet`](super::PinnedFleet), and
+//! [`ServeEngine::run_trace`] runs it over a one-slot pinned fleet.
 
 use super::autoscale::{AutoscalePolicy, FleetSnapshot, ScaleDecision};
 use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};
@@ -75,16 +76,15 @@ impl Default for ElasticConfig {
     }
 }
 
-/// One [`ElasticClusterEngine::run_trace`] call's state, beside the
-/// engine's slots — what [`RunState`] is to
-/// [`ServeEngine::advance_once`].
-struct FleetRun<'t> {
+/// One [`Fleet::run`] call's state, beside the fleet's slots — what
+/// [`RunState`] is to [`ServeEngine::advance_once`].
+pub(crate) struct FleetRun<'t> {
     trace: &'t [Request],
     /// The arrival cursor: `trace[next..]` is still to be dispatched.
     next: usize,
     /// The global serving step.
     gstep: u64,
-    states: Vec<RunState>,
+    pub(crate) states: Vec<RunState>,
     dispatched: Vec<u64>,
     redispatches: u64,
     misrouted: u64,
@@ -92,9 +92,9 @@ struct FleetRun<'t> {
     /// Every lifecycle transition so far, in step order — the source of
     /// every fleet-sizing count the report carries.
     events: Vec<LifecycleEvent>,
-    /// Phase A's output, one entry per slot that advanced: its progress
-    /// and the victims it just preempted. Scratch, reused every step.
-    advanced: Vec<(usize, StepProgress, Vec<QueueEntry>)>,
+    /// Phase A's output, one entry per slot that just preempted: the
+    /// victims it hands phase B. Scratch, reused every step.
+    victims: Vec<(usize, Vec<QueueEntry>)>,
 }
 
 impl FleetRun<'_> {
@@ -102,6 +102,30 @@ impl FleetRun<'_> {
     fn arrivals_left(&self) -> bool {
         self.next < self.trace.len()
     }
+
+    /// The next arrival's step, `u64::MAX` once the trace is exhausted.
+    fn next_arrival(&self) -> u64 {
+        self.trace.get(self.next).map_or(u64::MAX, |r| r.arrival_step)
+    }
+}
+
+/// The fleet one lockstep run drives: slots, lifecycles and the two fleet
+/// policies, borrowed from an [`ElasticClusterEngine`] — or from one
+/// [`ServeEngine`] serving alone, as a one-slot [`PinnedFleet`].
+///
+/// [`PinnedFleet`]: super::PinnedFleet
+pub(crate) struct Fleet<'a> {
+    engines: &'a mut [ServeEngine],
+    lifecycles: &'a mut [DeploymentLifecycle],
+    routing: &'a mut dyn RoutingPolicy,
+    autoscale: &'a mut dyn AutoscalePolicy,
+    config: ElasticConfig,
+    /// [`AutoscalePolicy::may_scale`], read once.
+    scales: bool,
+    /// Per-slot hourly cost in USD, for routing views.
+    hourly_costs: Vec<f64>,
+    /// The slowest slot's full cold start in steps, for the autoscaler.
+    cold_start_steps: u64,
 }
 
 /// A cluster whose fleet size is a runtime variable.
@@ -118,11 +142,10 @@ impl FleetRun<'_> {
 ///
 /// Routing sees lifecycle state: every shipped [`RoutingPolicy`] places
 /// only on Active slots, and the engine enforces it even against a
-/// misbehaving policy. This is the crate's one lockstep cluster loop:
-/// the fixed [`ClusterEngine`](crate::cluster::ClusterEngine) is this
-/// engine with every slot Active and the never-scaling [`PinnedFleet`]
-/// policy, and a 1-slot pinned run is bit-identical to
-/// [`ServeEngine::run_trace`] — pinned by a golden test.
+/// misbehaving policy. This is the crate's one serving loop: the fixed
+/// [`ClusterEngine`](crate::cluster::ClusterEngine) is this engine with
+/// every slot Active and the never-scaling [`PinnedFleet`] policy, and
+/// [`ServeEngine::run_trace`] runs it over a 1-slot pinned fleet.
 ///
 /// Billing is by utilization: a slot bills its busy seconds plus any
 /// cold starts it paid, not the run's wall clock — the
@@ -137,13 +160,6 @@ pub struct ElasticClusterEngine {
     routing: Box<dyn RoutingPolicy>,
     autoscale: Box<dyn AutoscalePolicy>,
     config: ElasticConfig,
-    /// Per-slot `(hourly cost USD, full-utilization watts)`: the first
-    /// for routing views, the second for billing.
-    costs: Vec<(f64, f64)>,
-    /// Per-slot purchase price, for billing.
-    prices: Vec<f64>,
-    /// The slowest slot's full cold start in steps, for the autoscaler.
-    cold_start_steps: u64,
 }
 
 impl ElasticClusterEngine {
@@ -189,32 +205,7 @@ impl ElasticClusterEngine {
                 }
             })
             .collect();
-        let cold_start_steps = lifecycles
-            .iter()
-            .map(|lc| lc.cold_start().total_steps(ElasticConfig::STEP_SECONDS_HINT))
-            .max()
-            .unwrap_or(1);
-        // The system spec never changes mid-run, so each slot's price is
-        // computed once.
-        let costs = deployments
-            .iter()
-            .map(|eng| {
-                let spec = eng.system().spec();
-                let power_w = hilos_metrics::provisioned_power_w(spec);
-                (hilos_metrics::hourly_cost_usd(spec.total_price_usd(), power_w), power_w)
-            })
-            .collect();
-        let prices = deployments.iter().map(|e| e.system().spec().total_price_usd()).collect();
-        ElasticClusterEngine {
-            engines: deployments,
-            lifecycles,
-            routing,
-            autoscale,
-            config,
-            costs,
-            prices,
-            cold_start_steps,
-        }
+        ElasticClusterEngine { engines: deployments, lifecycles, routing, autoscale, config }
     }
 
     /// Number of deployment slots (provisioned or not).
@@ -242,8 +233,174 @@ impl ElasticClusterEngine {
         &self.engines
     }
 
+    /// Serves a trace (sorted by `arrival_step`) across the elastic
+    /// fleet to completion.
+    ///
+    /// Each global step runs these stages, in order:
+    ///
+    /// 1. `tick_lifecycles` — cold starts whose thresholds have passed
+    ///    turn Provisioning → Warming → Active.
+    /// 2. `autoscale` — while arrivals remain, the autoscale policy sees
+    ///    a [`FleetSnapshot`] and may provision Retired slots or begin
+    ///    draining Active ones.
+    /// 3. `dispatch_arrivals` — arrivals route through the routing
+    ///    policy onto Active slots.
+    /// 4. `drain` — Draining slots evacuate, queued requests wholesale
+    ///    and in-flight ones `drain_batch` per step, with progress
+    ///    retained, timestamps re-based and demoted KV dropped at the
+    ///    source; a slot retires once empty.
+    /// 5. `lockstep` — when any slot has work, every busy slot runs one
+    ///    serving iteration (phase A), and the requests each preempted
+    ///    are offered back to the router (phase B), which may
+    ///    re-dispatch them, progress retained, onto another Active slot.
+    /// 6. `idle_wake` — otherwise, a fully idle fleet jumps to the next
+    ///    arrival, lifecycle transition or the autoscaler's pre-warm
+    ///    point, whichever comes first.
+    ///
+    /// Once the trace is exhausted and the fleet idle, still-provisioning
+    /// slots are cancelled into Retired, and `finish` seals the report,
+    /// counting scale-ups, drains, retires, the Active peak and the
+    /// cold-start bill off the lifecycle log.
+    ///
+    /// A fleet whose autoscaler never scales
+    /// ([`AutoscalePolicy::may_scale`] is false) skips stages 1, 2 and 4
+    /// and the pre-warm consult, which could only hold. A fleet of one
+    /// slot has one route target: it consults no routing policy, writes
+    /// no `Routed` event, and its preemption victims stay in the queue
+    /// its engine re-queued them to. A one-slot pinned fleet is how
+    /// [`ServeEngine::run_trace`] serves.
+    ///
+    /// `lockstep` is lazy. A slot whose iteration decoded may open a
+    /// quiet window, `(first owed step, last quiet step)`: steps that
+    /// provably only decode (see [`crate::serve#quiet-windows`]). Inside
+    /// it the slot is skipped and counts as progress. Its owed steps run
+    /// in one call once the window is over, or earlier when something
+    /// touches the slot: an arrival routed to it, its evacuation while
+    /// Draining, a drain migration onto it, or a lifecycle transition
+    /// written into its ring. Each catches the slot up to the previous
+    /// step and closes the window. A phase-B re-dispatch onto a slot
+    /// catches it up through the current step. Routing and autoscaling
+    /// read only counts a window cannot change, so the run is
+    /// bit-identical to advancing every busy slot on every step. On a
+    /// never-scaling fleet whose every busy slot sits inside a window,
+    /// nothing can happen before the first window ends or the next
+    /// arrival, so the global step jumps to the earlier of the two.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnsortedTrace`] if the trace is not sorted by
+    /// arrival step; simulation errors; or
+    /// [`CoreError::SchedulerStalled`] if every slot with queued work
+    /// holds it forever with nothing in flight.
+    pub fn run_trace(&mut self, trace: &[Request]) -> Result<ElasticReport, CoreError> {
+        let run = Fleet::new(
+            &mut self.engines,
+            &mut self.lifecycles,
+            self.routing.as_mut(),
+            self.autoscale.as_mut(),
+            self.config,
+        )
+        .run(trace)?;
+        Ok(self.finish(run))
+    }
+
+    /// Seals the run into its report. One fold over the lifecycle log
+    /// yields every fleet-sizing count: each Provisioning entry is a
+    /// scale-up and bills its slot's cold start, each Draining entry a
+    /// drain, each Retired entry a retire, and the Active count replayed
+    /// from `initial_active` (+1 on Active, −1 on Draining) peaks at
+    /// `peak_active`.
+    fn finish(&self, run: FleetRun) -> ElasticReport {
+        let n = self.engines.len();
+        let mut entered = [0u64; 5];
+        let mut cold_start_s = vec![0.0f64; n];
+        let mut active = self.config.initial_active;
+        let mut peak_active = active;
+        for ev in &run.events {
+            let d = ev.deployment as usize;
+            entered[ev.to as usize] += 1;
+            match ev.to {
+                LifecycleState::Provisioning => {
+                    cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
+                }
+                LifecycleState::Active => {
+                    active += 1;
+                    peak_active = peak_active.max(active);
+                }
+                LifecycleState::Draining => active -= 1,
+                LifecycleState::Warming | LifecycleState::Retired => {}
+            }
+        }
+        let deployments: Vec<_> =
+            self.engines.iter().zip(run.states).map(|(eng, st)| eng.finish(st)).collect();
+        let bills: Vec<SlotBill> = (0..n)
+            .map(|d| {
+                let spec = self.engines[d].system().spec();
+                SlotBill {
+                    deployment: d as u32,
+                    price_usd: spec.total_price_usd(),
+                    power_w: hilos_metrics::provisioned_power_w(spec),
+                    billed_seconds: deployments[d].elapsed_s + cold_start_s[d],
+                }
+            })
+            .collect();
+        ElasticReport {
+            cluster: ClusterReport::new(
+                self.routing.name().to_string(),
+                deployments,
+                run.dispatched,
+                run.redispatches,
+                run.misrouted,
+            ),
+            autoscale: self.autoscale.name().to_string(),
+            events: run.events,
+            scale_ups: entered[LifecycleState::Provisioning as usize],
+            drains: entered[LifecycleState::Draining as usize],
+            retires: entered[LifecycleState::Retired as usize],
+            drained_requests: run.drained_requests,
+            peak_active,
+            bills,
+            cold_start_s_total: cold_start_s.iter().sum(),
+        }
+    }
+}
+
+impl<'a> Fleet<'a> {
+    /// Borrows a fleet for one run.
+    pub(crate) fn new(
+        engines: &'a mut [ServeEngine],
+        lifecycles: &'a mut [DeploymentLifecycle],
+        routing: &'a mut dyn RoutingPolicy,
+        autoscale: &'a mut dyn AutoscalePolicy,
+        config: ElasticConfig,
+    ) -> Self {
+        let hourly_costs = engines
+            .iter()
+            .map(|eng| {
+                let spec = eng.system().spec();
+                let power_w = hilos_metrics::provisioned_power_w(spec);
+                hilos_metrics::hourly_cost_usd(spec.total_price_usd(), power_w)
+            })
+            .collect();
+        let cold_start_steps = lifecycles
+            .iter()
+            .map(|lc| lc.cold_start().total_steps(ElasticConfig::STEP_SECONDS_HINT))
+            .max()
+            .unwrap_or(1);
+        Fleet {
+            scales: autoscale.may_scale(),
+            engines,
+            lifecycles,
+            routing,
+            autoscale,
+            config,
+            hourly_costs,
+            cold_start_steps,
+        }
+    }
+
     /// The slots currently in `state`, in index order.
-    fn slots_in(&self, state: LifecycleState) -> impl Iterator<Item = usize> + '_ {
+    fn slots_in(&self, state: LifecycleState) -> impl Iterator<Item = usize> + use<'_, 'a> {
         (0..self.lifecycles.len()).filter(move |&d| self.lifecycles[d].state() == state)
     }
 
@@ -252,9 +409,9 @@ impl ElasticClusterEngine {
         self.engines
             .iter()
             .zip(&run.states)
-            .zip(run.dispatched.iter().zip(&self.costs))
-            .zip(&self.lifecycles)
-            .map(|(((eng, st), (&dispatched, &(hourly_cost_usd, _))), lc)| {
+            .zip(run.dispatched.iter().zip(&self.hourly_costs))
+            .zip(self.lifecycles.iter())
+            .map(|(((eng, st), (&dispatched, &hourly_cost_usd)), lc)| {
                 let ledger = eng.ledger();
                 DeploymentView {
                     id: eng.deployment().0,
@@ -291,7 +448,7 @@ impl ElasticClusterEngine {
             min_active: ElasticConfig::MIN_ACTIVE,
             deployments: &views,
         };
-        ask(self.autoscale.as_mut(), &snapshot)
+        ask(&mut *self.autoscale, &snapshot)
     }
 
     /// Routes through the policy over lifecycle-aware views, then
@@ -302,11 +459,15 @@ impl ElasticClusterEngine {
     /// run can still complete. Last, the lifecycle is *enforced*: a pick
     /// that lands on a non-Active slot is overridden to the least-loaded
     /// Active one (ties to the lower index; the engine never drains below
-    /// [`ElasticConfig::MIN_ACTIVE`], so one exists).
+    /// [`ElasticConfig::MIN_ACTIVE`], so one exists). A one-slot fleet
+    /// has one target, always Active, and consults nothing.
     fn route_slots(&mut self, run: &mut FleetRun, request: RouteRequest) -> usize {
+        let n = run.states.len();
+        if n == 1 {
+            return 0;
+        }
         let views = self.slot_views(run);
         let snapshot = ClusterSnapshot { step: run.gstep, deployments: &views };
-        let n = run.states.len();
         let mut d = self.routing.route(&request, &snapshot);
         if d >= n {
             debug_assert!(
@@ -406,62 +567,13 @@ impl ElasticClusterEngine {
         Ok(())
     }
 
-    /// Serves a trace (sorted by `arrival_step`) across the elastic
-    /// fleet to completion.
-    ///
-    /// Each global step runs these stages, in order:
-    ///
-    /// 1. `tick_lifecycles` — cold starts whose thresholds have passed
-    ///    turn Provisioning → Warming → Active.
-    /// 2. `autoscale` — while arrivals remain, the autoscale policy sees
-    ///    a [`FleetSnapshot`] and may provision Retired slots or begin
-    ///    draining Active ones.
-    /// 3. `dispatch_arrivals` — arrivals route through the routing
-    ///    policy onto Active slots.
-    /// 4. `drain` — Draining slots evacuate, queued requests wholesale
-    ///    and in-flight ones `drain_batch` per step, with progress
-    ///    retained, timestamps re-based and demoted KV dropped at the
-    ///    source; a slot retires once empty.
-    /// 5. `lockstep` — when any slot has work, every busy slot runs one
-    ///    serving iteration (phase A), and the requests each preempted
-    ///    are offered back to the router (phase B), which may
-    ///    re-dispatch them, progress retained, onto another Active slot.
-    /// 6. `idle_wake` — otherwise, a fully idle fleet jumps to the next
-    ///    arrival, lifecycle transition or the autoscaler's pre-warm
-    ///    point, whichever comes first.
-    ///
-    /// Once the trace is exhausted and the fleet idle, `finish` cancels
-    /// still-provisioning slots into Retired and seals the report,
-    /// counting scale-ups, drains, retires, the Active peak and the
-    /// cold-start bill off the lifecycle log.
-    ///
-    /// `lockstep` is lazy. A slot whose iteration decoded may open a
-    /// quiet window, `(first owed step, last quiet step)`: steps that
-    /// provably only decode (see [`crate::serve#quiet-windows`]). Inside
-    /// it the slot is skipped and counts as progress. Its owed steps run
-    /// in one call once the window is over, or earlier when something
-    /// touches the slot: an arrival routed to it, its evacuation while
-    /// Draining, a drain migration onto it, or a lifecycle transition
-    /// written into its ring. Each catches the slot up to the previous
-    /// step and closes the window. A phase-B re-dispatch onto a slot
-    /// catches it up through the current step. Routing and autoscaling
-    /// read only counts a window cannot change, so the run is
-    /// bit-identical to advancing every busy slot on every step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
-    /// if every slot with queued work holds it forever with nothing in
-    /// flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival step.
-    pub fn run_trace(&mut self, trace: &[Request]) -> Result<ElasticReport, CoreError> {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_step <= w[1].arrival_step),
-            "trace must be sorted by arrival step"
-        );
+    /// Runs the trace to completion over the fleet — the stages
+    /// [`ElasticClusterEngine::run_trace`] documents — and returns the
+    /// run, every slot idle and every cold start settled.
+    pub(crate) fn run<'t>(&mut self, trace: &'t [Request]) -> Result<FleetRun<'t>, CoreError> {
+        if let Some(i) = trace.windows(2).position(|w| w[0].arrival_step > w[1].arrival_step) {
+            return Err(CoreError::UnsortedTrace { index: i + 1 });
+        }
         let mut run = FleetRun {
             trace,
             next: 0,
@@ -472,19 +584,34 @@ impl ElasticClusterEngine {
             misrouted: 0,
             drained_requests: 0,
             events: Vec::new(),
-            advanced: Vec::new(),
+            victims: Vec::new(),
         };
         loop {
-            self.tick_lifecycles(&mut run)?;
-            self.autoscale(&mut run)?;
+            if self.scales {
+                self.tick_lifecycles(&mut run)?;
+                self.autoscale(&mut run)?;
+            }
             self.dispatch_arrivals(&mut run)?;
-            self.drain(&mut run)?;
+            if self.scales {
+                self.drain(&mut run)?;
+            }
             if run.states.iter().any(RunState::has_work) {
                 self.lockstep(&mut run)?;
             } else if run.arrivals_left() {
                 self.idle_wake(&mut run);
             } else {
-                return self.finish(run);
+                // Cold starts still in flight are cancelled: there is
+                // nothing left to serve, and the wasted cold start stays
+                // billed (mispredictions cost money).
+                for d in 0..self.lifecycles.len() {
+                    if matches!(
+                        self.lifecycles[d].state(),
+                        LifecycleState::Provisioning | LifecycleState::Warming
+                    ) {
+                        self.retire(&mut run, d)?;
+                    }
+                }
+                return Ok(run);
             }
         }
     }
@@ -552,7 +679,9 @@ impl ElasticClusterEngine {
             let d = self.route_slots(run, RouteRequest::of(&req, 0, false));
             run.dispatched[d] += 1;
             catch_up(&mut self.engines[d], &mut run.states[d], run.gstep)?;
-            run.states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
+            if run.states.len() > 1 {
+                run.states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
+            }
             self.engines[d].enqueue_arrival(&mut run.states[d], req);
             run.next += 1;
         }
@@ -594,135 +723,79 @@ impl ElasticClusterEngine {
     /// no victim lands on a slot that has yet to run this step's
     /// iteration. A slot inside a quiet window is skipped; one whose
     /// window just ended runs its owed steps first, and a decoded
-    /// iteration may open the next window.
+    /// iteration may open the next window. A one-slot fleet has no
+    /// phase B: its victims could only be routed back where they are.
     ///
     /// The run moves to the next step, or — when every busy slot
     /// stalled — to the next arrival, and fails with
-    /// [`CoreError::SchedulerStalled`] if there is none.
+    /// [`CoreError::SchedulerStalled`] if there is none. On a
+    /// never-scaling fleet whose every busy slot was skipped, it jumps
+    /// to the first step past the earliest window end, or to the next
+    /// arrival if that comes first: no step between can touch a slot.
     fn lockstep(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
         let gstep = run.gstep;
+        let lone = self.engines.len() == 1;
         let mut all_stalled = true;
+        // The next step anything can happen on: the next one, unless a
+        // fleet that never scales has every busy slot inside a window.
+        let mut wake = if self.scales { gstep + 1 } else { run.next_arrival() };
         for (d, (eng, st)) in self.engines.iter_mut().zip(&mut run.states).enumerate() {
             if !st.has_work() {
                 continue;
             }
-            if st.window.is_some_and(|(_, last)| gstep <= last) {
+            if let Some((_, last)) = st.window.filter(|&(_, last)| gstep <= last) {
                 all_stalled = false;
+                wake = wake.min(last + 1);
                 continue;
             }
             catch_up(eng, st, gstep)?;
             st.step = gstep;
             let progress = eng.advance_once(st)?;
+            wake = gstep + 1;
+            all_stalled &= progress == StepProgress::Stalled;
             if progress == StepProgress::Decoded {
                 let k = eng.quiet_steps_ahead(st);
                 if k > 0 {
                     st.window = Some((gstep + 1, gstep + k));
                 }
             }
-            run.advanced.push((d, progress, st.drain_just_preempted()));
+            if !lone && !st.just_preempted.is_empty() {
+                run.victims.push((d, st.drain_just_preempted()));
+            }
         }
-        let mut advanced = std::mem::take(&mut run.advanced);
-        for (d, progress, moved) in advanced.drain(..) {
-            all_stalled &= progress == StepProgress::Stalled;
+        let mut victims = std::mem::take(&mut run.victims);
+        for (d, moved) in victims.drain(..) {
             for entry in moved {
                 self.redispatch(run, d, entry, gstep + 1)?;
             }
         }
-        run.advanced = advanced;
+        run.victims = victims;
         if !all_stalled {
-            run.gstep += 1;
+            run.gstep = wake;
             return Ok(());
         }
-        match run.trace.get(run.next) {
-            Some(r) => {
-                run.gstep = r.arrival_step;
-                Ok(())
-            }
-            None => Err(CoreError::SchedulerStalled {
+        if !run.arrivals_left() {
+            return Err(CoreError::SchedulerStalled {
                 queued: run.states.iter().map(RunState::queued_len).sum(),
-            }),
+            });
         }
+        run.gstep = run.next_arrival();
+        Ok(())
     }
 
     /// Stage 6: a fully idle fleet with arrivals left wakes at the next
     /// arrival, the next lifecycle transition, or the autoscaler's
     /// pre-warm point, whichever comes first — and at least one step on.
     fn idle_wake(&mut self, run: &mut FleetRun) {
-        let prewarm = self.consult_autoscaler(run, 0, |p, snap| p.prewarm_at(snap));
+        let prewarm =
+            self.scales.then(|| self.consult_autoscaler(run, 0, |p, snap| p.prewarm_at(snap)));
         let wake = self
             .lifecycles
             .iter()
             .filter_map(DeploymentLifecycle::next_transition_step)
-            .chain(prewarm.filter(|&p| p > run.gstep))
-            .fold(run.trace[run.next].arrival_step, u64::min);
+            .chain(prewarm.flatten().filter(|&p| p > run.gstep))
+            .fold(run.next_arrival(), u64::min);
         run.gstep = wake.max(run.gstep + 1);
-    }
-
-    /// Seals the run. Cold starts still in flight are cancelled — there
-    /// is nothing left to serve, and the wasted cold start stays billed
-    /// (mispredictions cost money). Then one fold over the lifecycle log
-    /// yields every fleet-sizing count: each Provisioning entry is a
-    /// scale-up and bills its slot's cold start, each Draining entry a
-    /// drain, each Retired entry a retire, and the Active count replayed
-    /// from `initial_active` (+1 on Active, −1 on Draining) peaks at
-    /// `peak_active`.
-    fn finish(&mut self, mut run: FleetRun) -> Result<ElasticReport, CoreError> {
-        let n = self.engines.len();
-        for d in 0..n {
-            if matches!(
-                self.lifecycles[d].state(),
-                LifecycleState::Provisioning | LifecycleState::Warming
-            ) {
-                self.retire(&mut run, d)?;
-            }
-        }
-        let mut entered = [0u64; 5];
-        let mut cold_start_s = vec![0.0f64; n];
-        let mut active = self.config.initial_active;
-        let mut peak_active = active;
-        for ev in &run.events {
-            let d = ev.deployment as usize;
-            entered[ev.to as usize] += 1;
-            match ev.to {
-                LifecycleState::Provisioning => {
-                    cold_start_s[d] += self.lifecycles[d].cold_start().total_s();
-                }
-                LifecycleState::Active => {
-                    active += 1;
-                    peak_active = peak_active.max(active);
-                }
-                LifecycleState::Draining => active -= 1,
-                LifecycleState::Warming | LifecycleState::Retired => {}
-            }
-        }
-        let deployments: Vec<_> =
-            self.engines.iter().zip(run.states).map(|(eng, st)| eng.finish(st)).collect();
-        let bills: Vec<SlotBill> = (0..n)
-            .map(|d| SlotBill {
-                deployment: d as u32,
-                price_usd: self.prices[d],
-                power_w: self.costs[d].1,
-                billed_seconds: deployments[d].elapsed_s + cold_start_s[d],
-            })
-            .collect();
-        Ok(ElasticReport {
-            cluster: ClusterReport::new(
-                self.routing.name().to_string(),
-                deployments,
-                run.dispatched,
-                run.redispatches,
-                run.misrouted,
-            ),
-            autoscale: self.autoscale.name().to_string(),
-            events: run.events,
-            scale_ups: entered[LifecycleState::Provisioning as usize],
-            drains: entered[LifecycleState::Draining as usize],
-            retires: entered[LifecycleState::Retired as usize],
-            drained_requests: run.drained_requests,
-            peak_active,
-            bills,
-            cold_start_s_total: cold_start_s.iter().sum(),
-        })
     }
 }
 

@@ -3,9 +3,11 @@
 //!
 //! Routing answers "how should N deployments share a trace"; this module
 //! answers "how many deployments should exist at each moment of it", and
-//! holds the cluster's one lockstep loop. The fixed
+//! holds the crate's one serving loop. The fixed
 //! [`ClusterEngine`](crate::cluster::ClusterEngine) is that loop with
-//! every slot Active under [`PinnedFleet`]. Three pieces:
+//! every slot Active under [`PinnedFleet`], and
+//! [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) is it over
+//! one slot. Three pieces:
 //!
 //! * [`lifecycle`](self) — [`DeploymentLifecycle`], the per-slot state
 //!   machine (`Provisioning → Warming → Active → Draining → Retired`,
@@ -30,5 +32,6 @@ pub use autoscale::{
     AutoscalePolicy, FleetSnapshot, HybridHistogramKeepAlive, PinnedFleet, ScaleDecision,
     TargetPressureScaler,
 };
+pub(crate) use engine::Fleet;
 pub use engine::{ElasticClusterEngine, ElasticConfig, ElasticReport};
 pub use lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};

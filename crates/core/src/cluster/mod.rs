@@ -17,7 +17,8 @@
 //! [`SchedulingPolicy`](crate::SchedulingPolicy), its own per-device
 //! [`KvShardLedger`](hilos_storage::KvShardLedger)) and advances them in
 //! lockstep under one global arrival cursor. It is the crate's only
-//! cluster loop.
+//! serving loop: clusters run it, and so does a lone
+//! [`ServeEngine::run_trace`](crate::ServeEngine::run_trace).
 //!
 //! * Each arriving [`Request`](hilos_llm::Request) is dispatched through
 //!   a pluggable [`RoutingPolicy`] fed a read-only [`ClusterSnapshot`] —
@@ -120,13 +121,18 @@
 //! match a loop that advances every busy slot on every step (a golden
 //! pin in `tests/elastic.rs` covers each catch-up point).
 //!
-//! A pinned fleet of **one** deployment — a one-deployment
-//! [`ClusterEngine`], or a one-slot [`ElasticClusterEngine`] under
-//! [`PinnedFleet`] — is bit-identical to
-//! [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) on the same
-//! system under any routing policy (golden-pinned down to the FNV hash
-//! of every outcome's lifecycle timestamps): the cluster loop adds no
-//! simulation drift, only dispatch and fleet sizing.
+//! [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) *is* a
+//! pinned fleet of **one** deployment: the loop over that engine alone.
+//! A fleet of one slot has one route target, so it consults no routing
+//! policy, writes no `Routed` event and keeps preemption victims where
+//! its engine re-queued them; a fleet that never scales
+//! ([`AutoscalePolicy::may_scale`]) skips the lifecycle, autoscale and
+//! drain stages and jumps its global step over windows every busy slot
+//! sits in. So a one-deployment [`ClusterEngine`], or a one-slot
+//! [`ElasticClusterEngine`] under [`PinnedFleet`], reports exactly what
+//! `ServeEngine::run_trace` does on the same system under any routing
+//! policy (golden-pinned down to the FNV hash of every outcome's
+//! lifecycle timestamps).
 
 pub mod elastic;
 pub mod policy;

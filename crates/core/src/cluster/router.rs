@@ -31,10 +31,10 @@ use hilos_llm::Request;
 ///
 /// Deployments advance in lockstep — one serving iteration each per
 /// global step — but keep their own simulated clocks, which only move
-/// under work (the single-deployment engine's semantics: idle time is
-/// skipped, not simulated). A cluster of one deployment is therefore
-/// *bit-identical* to [`ServeEngine::run_trace`] on the same system,
-/// whatever the routing policy — pinned by a golden test. A request
+/// under work (idle time is skipped, not simulated).
+/// [`ServeEngine::run_trace`] runs the same loop over one engine, so a
+/// cluster of one deployment is *bit-identical* to it on the same
+/// system, whatever the routing policy — pinned by a golden test. A request
 /// migrated between deployments has its timestamps re-based by the clock
 /// delta, so its latencies sum the busy time it spent on each deployment.
 ///
@@ -125,13 +125,10 @@ impl ClusterEngine {
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors, or [`CoreError::SchedulerStalled`]
-    /// if every deployment with queued work holds it forever with nothing
-    /// in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is not sorted by arrival step.
+    /// [`CoreError::UnsortedTrace`] if the trace is not sorted by
+    /// arrival step; simulation errors; or
+    /// [`CoreError::SchedulerStalled`] if every deployment with queued
+    /// work holds it forever with nothing in flight.
     pub fn run_trace(&mut self, trace: &[Request]) -> Result<ClusterReport, CoreError> {
         self.fleet.run_trace(trace).map(|report| report.cluster)
     }

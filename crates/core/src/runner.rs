@@ -65,6 +65,11 @@ pub enum CoreError {
         /// The zero size: `batch`, `context` or `output_len`.
         field: &'static str,
     },
+    /// A trace handed to a serving run is not sorted by arrival step.
+    UnsortedTrace {
+        /// The first request that arrives before its predecessor.
+        index: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -92,6 +97,9 @@ impl fmt::Display for CoreError {
                 write!(f, "serving configuration field `{field}` must be positive")
             }
             CoreError::InvalidJob { field } => write!(f, "job size `{field}` must be positive"),
+            CoreError::UnsortedTrace { index } => {
+                write!(f, "trace request {index} arrives before its predecessor")
+            }
         }
     }
 }

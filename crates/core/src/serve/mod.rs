@@ -103,7 +103,12 @@
 //! empty or the batch is full and it never sheds). Then nothing can
 //! admit, chunk, join, re-select α or complete until the next arrival or
 //! the first completion, which comes after the smallest remaining output
-//! budget. Such a stretch runs in one call: each step still takes the
+//! budget. Such a stretch runs in one call. The serving loop — the
+//! lockstep fleet loop, which [`ServeEngine::run_trace`] runs over a
+//! one-slot fleet — skips the engine while its window lasts, and runs
+//! the owed steps once the window ends or something touches the engine
+//! (an arrival, at the latest); with nothing else to step, it jumps its
+//! global step straight to that point. Each owed step still takes the
 //! writeback tick, looks up the same memoized operating point at the
 //! batch's growing mean context, and adds the same values to the clock
 //! and counters in the same order, and with tracing on it records the

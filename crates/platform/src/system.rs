@@ -9,7 +9,7 @@ use crate::catalog::{GpuSpec, HostSpec, StoragePricePower};
 use hilos_accel::AccelTimingModel;
 use hilos_interconnect::{LinkSpec, NodeId, PcieGen, Topology, TopologyInstance};
 use hilos_sim::{FlowEngine, ResourceId, ResourceKind, ResourceSpec};
-use hilos_storage::{KvShardLedger, ShardSpec, SsdDevice, SsdInstance, SsdSpec};
+use hilos_storage::{KvShardLedger, NandGeometry, ShardSpec, SsdDevice, SsdInstance, SsdSpec};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
@@ -408,7 +408,9 @@ impl BuiltSystem {
                     ResourceKind::Link,
                     match spec.storage {
                         // §7.1: eight 2,000 MT/s flash channels, 16 GB/s.
-                        StorageConfig::IspCsd { .. } => 16e9,
+                        StorageConfig::IspCsd { .. } => {
+                            NandGeometry::isp_csd().aggregate_channel_bw()
+                        }
                         // SmartSSD internal PCIe 3.0 x4.
                         _ => LinkSpec::new(PcieGen::Gen3, 4).bandwidth(),
                     },

@@ -1,5 +1,6 @@
 //! Datasheet-level SSD descriptions.
 
+use crate::nand::NandGeometry;
 use hilos_sim::SimTime;
 
 /// Static description of an NVMe SSD.
@@ -91,12 +92,13 @@ impl SsdSpec {
     }
 
     /// The envisioned ISP-CSD of §7.1: 16 TB NAND behind eight 2,000 MT/s
-    /// channels (16 GB/s internal read), write ≈ 8 GB/s.
+    /// channels (read at their aggregate, [`NandGeometry::isp_csd`]'s
+    /// 16 GB/s), write ≈ 8 GB/s.
     pub fn isp_csd() -> Self {
         SsdSpec::new(
             "ISP-CSD-16T",
             16_000_000_000_000,
-            16.0e9,
+            NandGeometry::isp_csd().aggregate_channel_bw(),
             8.0e9,
             4096,
             SimTime::from_micros(20),

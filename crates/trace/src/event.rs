@@ -34,7 +34,8 @@ pub enum EventKind {
         /// Prompt length of the arriving request.
         prompt_tokens: u64,
     },
-    /// The cluster router dispatched the request to this deployment.
+    /// The cluster router dispatched the request to this deployment (a
+    /// fleet of one deployment routes nothing and records none).
     Routed,
     /// Admission: the request left the queue and claimed KV shards.
     Admitted {

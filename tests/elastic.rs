@@ -11,8 +11,8 @@ use hilos::core::cluster::{
     RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision, TargetPressureScaler,
 };
 use hilos::core::{
-    Fifo, HilosConfig, HilosSystem, PrefixCacheConfig, PriorityPreempt, SchedulingPolicy,
-    ServeConfig, ServeEngine,
+    CoreError, Fifo, HilosConfig, HilosSystem, PrefixCacheConfig, PriorityPreempt,
+    SchedulingPolicy, ServeConfig, ServeEngine,
 };
 use hilos::llm::{presets, TraceConfig};
 use hilos::platform::SystemSpec;
@@ -348,6 +348,25 @@ fn bursty_keep_alive_run_scales_both_ways_with_zero_lost_requests() {
     // Deterministic end to end: lifecycle events, bills and outcomes.
     let mut again = build();
     assert_eq!(report, again.run_trace(&trace).unwrap());
+}
+
+/// An unsorted trace is a typed error, not a panic, through either entry
+/// into the one serving loop: a lone engine and an elastic fleet.
+#[test]
+fn unsorted_trace_is_a_typed_error() {
+    let mut trace = TraceConfig::azure_mix(16, 42).generate().unwrap();
+    let i = 1 + trace.windows(2).position(|w| w[0].arrival_step < w[1].arrival_step).unwrap();
+    trace.swap(i - 1, i);
+    let want = Err(CoreError::UnsortedTrace { index: i });
+    let serve = || ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap();
+    assert_eq!(serve().run_trace(&trace).map(|_| ()), want);
+    let mut elastic = ElasticClusterEngine::new(
+        vec![serve(), serve()],
+        Box::new(RoundRobin::new()),
+        Box::new(PinnedFleet),
+        ElasticConfig::new(2),
+    );
+    assert_eq!(elastic.run_trace(&trace).map(|_| ()), want);
 }
 
 /// A router for the interaction-point pin: fresh arrivals join the
