@@ -105,23 +105,27 @@ fn main() {
         let short = r.class_report(RequestClass::Short).expect("Short class completed");
         eprintln!(
             "policy {name}: slo_goodput {:.2} tok/s, hit {:.1}%, Short TTFT p95 {:.1}s, \
-             {} preemptions",
+             {} preemptions, {} of {} steps windowed",
             r.slo_token_goodput(),
             r.slo_hit_rate() * 100.0,
             short.ttft.p95,
             r.preemptions,
+            r.windowed_steps,
+            r.steps,
         );
         format!(
             "{{\"policy\": \"{name}\", \"slo_goodput_tokens_per_second\": {:.4}, \
              \"slo_hit_rate\": {:.4}, \"short_ttft_p95_seconds\": {:.4}, \
              \"short_e2e_p95_seconds\": {:.4}, \"preemptions\": {}, \
-             \"tokens_per_second\": {:.4}}}",
+             \"tokens_per_second\": {:.4}, \"steps\": {}, \"windowed_steps\": {}}}",
             r.slo_token_goodput(),
             r.slo_hit_rate(),
             short.ttft.p95,
             short.e2e.p95,
             r.preemptions,
             r.tokens_per_second(),
+            r.steps,
+            r.windowed_steps,
         )
     })
     .collect();

@@ -586,6 +586,11 @@ impl<'a> Fleet<'a> {
             events: Vec::new(),
             victims: Vec::new(),
         };
+        if let [st] = run.states.as_mut_slice() {
+            // A lone slot ends every request, so the trace bounds its
+            // outcomes; a fleet slot's share is unknown in advance.
+            st.reserve_outcomes(trace.len());
+        }
         loop {
             if self.scales {
                 self.tick_lifecycles(&mut run)?;

@@ -220,6 +220,12 @@ impl RunState {
         }
     }
 
+    /// Sizes the outcome list for `n` completions up front, so a run
+    /// that knows its bound does not grow (and strand) it by doubling.
+    pub(crate) fn reserve_outcomes(&mut self, n: usize) {
+        self.outcomes.reserve_exact(n);
+    }
+
     /// Whether the run still has anything to serve.
     pub(crate) fn has_work(&self) -> bool {
         !self.queue.is_empty() || !self.prefilling.is_empty() || !self.running.is_empty()
@@ -627,22 +633,29 @@ impl ServeEngine {
         Ok(StepProgress::Decoded)
     }
 
+    /// Whether the policy provably returns no decision this step, so
+    /// [`ServeEngine::schedule`] skips it: the queue is empty (no policy
+    /// is consulted on one — see [`SchedulingPolicy::schedule`]), or the
+    /// batch is full and the policy can neither preempt nor shed.
+    fn policy_idle(&self, queue_empty: bool, batch_full: bool) -> bool {
+        queue_empty || (batch_full && !self.policy.may_preempt() && !self.policy.may_shed())
+    }
+
     /// Stage 2a, scheduling: builds the [`SchedSnapshot`] and asks the
     /// policy for this step's decisions.
     ///
-    /// An admission-only policy ([`SchedulingPolicy::may_preempt`] ==
-    /// false) provably has nothing to say when there is nothing to admit
-    /// (empty queue) or no room (full batch), so those steps skip the
+    /// A step on which the policy provably has nothing to say skips the
     /// snapshot build entirely — it is O(queue), the dominant cost on a
-    /// backlogged trace. Policies that may preempt are consulted every
-    /// step, and shedding policies ([`SchedulingPolicy::may_shed`])
-    /// whenever the queue is non-empty — a full batch is exactly when
-    /// shedding matters.
+    /// backlogged trace. That is an empty queue (nothing to admit or
+    /// shed, and no queued head to preempt for), or a full batch under a
+    /// policy that can neither preempt nor shed. A preempting policy
+    /// ([`SchedulingPolicy::may_preempt`]) sees every step with a queued
+    /// request, and so does a shedding one
+    /// ([`SchedulingPolicy::may_shed`]) — a full batch is exactly when
+    /// preemption and shedding matter.
     fn schedule(&mut self, st: &mut RunState) -> Vec<SchedDecision> {
         let batch_full = st.running.len() + st.prefilling.len() >= self.config.max_batch as usize;
-        if !self.policy.may_preempt()
-            && (st.queue.is_empty() || (batch_full && !self.policy.may_shed()))
-        {
+        if self.policy_idle(st.queue.is_empty(), batch_full) {
             return Vec::new();
         }
         let in_flight_len = (st.running.len() + st.prefilling.len()) as u32;
@@ -1079,21 +1092,20 @@ impl ServeEngine {
     ///
     /// The batch must be decoding with nothing prefilling, its
     /// composition unchanged since α was selected, nothing preempted this
-    /// step, and [`ServeEngine::schedule`] must skip the policy: an
-    /// admission-only policy with an empty queue, or a full batch and no
-    /// shedding. All of that holds until the next arrival or the first
-    /// completion, so the window is the smallest remaining output budget
-    /// minus one (the completing step runs in full). The serving loop
-    /// cuts it short at the next arrival or anything else that touches
-    /// the slot.
+    /// step, and [`ServeEngine::schedule`] must skip the policy: an empty
+    /// queue under any policy, or a full batch under a policy that can
+    /// neither preempt nor shed. All of that holds until the next arrival
+    /// or the first completion, so the window is the smallest remaining
+    /// output budget minus one (the completing step runs in full). The
+    /// serving loop cuts it short at the next arrival or anything else
+    /// that touches the slot.
     pub(crate) fn quiet_steps_ahead(&self, st: &RunState) -> u64 {
         let batch_full = st.running.len() >= self.config.max_batch as usize;
         let quiet = !st.running.is_empty()
             && st.prefilling.is_empty()
             && !st.composition_changed
             && st.just_preempted.is_empty()
-            && !self.policy.may_preempt()
-            && (st.queue.is_empty() || (batch_full && !self.policy.may_shed()));
+            && self.policy_idle(st.queue.is_empty(), batch_full);
         if !quiet {
             return 0;
         }
@@ -1406,7 +1418,15 @@ mod tests {
         .unwrap();
         let report = eng.run_trace(&trace).unwrap();
         assert!(report.preemptions > 0, "contended trace should preempt");
-        assert_eq!(report.windowed_steps, 0, "a preempting policy is consulted every step");
+        // PriorityPreempt has nothing to say on an empty queue, so it
+        // opens windows, and they must reproduce single steps exactly.
+        let (windowed, reference, opened) = windowed_and_stepwise(
+            &trace,
+            &ServeConfig::new(4),
+            || Box::new(PriorityPreempt::new()),
+        );
+        assert!(opened > 0, "PriorityPreempt opened no window on an empty queue");
+        assert!(windowed == reference, "windowed PriorityPreempt run diverged from single steps");
         assert_eq!(report.outcomes.len(), 96, "preempted requests must still complete");
         assert_eq!(eng.ledger().live_requests(), 0);
         let preempted: Vec<_> = report.outcomes.iter().filter(|o| o.preemptions > 0).collect();

@@ -99,25 +99,25 @@
 //! decoded, the engine checks whether the next steps are *quiet*: the
 //! batch is decoding with nothing prefilling, its composition has not
 //! changed since α was selected, the step preempted nothing, and the
-//! policy would not be consulted (it never preempts, and the queue is
-//! empty or the batch is full and it never sheds). Then nothing can
-//! admit, chunk, join, re-select α or complete until the next arrival or
-//! the first completion, which comes after the smallest remaining output
-//! budget. Such a stretch runs in one call. The serving loop — the
-//! lockstep fleet loop, which [`ServeEngine::run_trace`] runs over a
-//! one-slot fleet — skips the engine while its window lasts, and runs
-//! the owed steps once the window ends or something touches the engine
-//! (an arrival, at the latest); with nothing else to step, it jumps its
+//! policy would not be consulted: the queue is empty (no policy is
+//! consulted on one, preempting or not — there is no queued head to make
+//! room for), or the batch is full and the policy neither preempts nor
+//! sheds. Then nothing can admit, chunk, join, re-select α or complete
+//! until the next arrival or the first completion, which comes after the
+//! smallest remaining output budget. Such a stretch runs in one call, so
+//! [`PriorityPreempt`] opens windows as [`Fifo`] does. The serving loop —
+//! the lockstep fleet loop, which [`ServeEngine::run_trace`] runs over a
+//! one-slot fleet — skips the engine while its window lasts, and runs the
+//! owed steps once the window ends or something touches the engine (an
+//! arrival, at the latest); with nothing else to step, it jumps its
 //! global step straight to that point. Each owed step still takes the
 //! writeback tick, looks up the same memoized operating point at the
 //! batch's growing mean context, and adds the same values to the clock
 //! and counters in the same order, and with tracing on it records the
-//! same `Emit` events. A window is therefore bit-identical to stepping
-//! by construction. Only [`TraceReport::windowed_steps`] shows it, and a
+//! same `Emit` events. A window is therefore bit-identical to stepping by
+//! construction. Only [`TraceReport::windowed_steps`] shows it, and a
 //! property test holds it equal to a one-step-at-a-time reference over
-//! every shipped policy, chunk mode and tracing setting. Preempting
-//! policies (such as [`PriorityPreempt`]) are consulted every step, so
-//! they never open a window.
+//! every shipped policy, chunk mode and tracing setting.
 //!
 //! # Files
 //!

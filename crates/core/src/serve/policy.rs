@@ -3,12 +3,12 @@
 //! Related near-storage and KV-offloading systems show that *which*
 //! request holds KV capacity — not just how fast kernels run — dominates
 //! end-to-end cost, so scheduling is a first-class, swappable API here.
-//! A [`SchedulingPolicy`] is consulted once per serving step with a
-//! read-only [`SchedSnapshot`] and answers with an ordered list of
-//! [`SchedDecision`]s. The engine executes them under its own invariants
-//! (batch cap, per-device shard-ledger gating, head-of-line wait), so a
-//! policy cannot corrupt serving state — at worst its decisions are
-//! ignored.
+//! A [`SchedulingPolicy`] is consulted once per serving step that has a
+//! queued request, with a read-only [`SchedSnapshot`], and answers with
+//! an ordered list of [`SchedDecision`]s. The engine executes them under
+//! its own invariants (batch cap, per-device shard-ledger gating,
+//! head-of-line wait), so a policy cannot corrupt serving state — at
+//! worst its decisions are ignored.
 //!
 //! # Decision semantics
 //!
@@ -100,7 +100,8 @@ pub enum SchedDecision {
     },
 }
 
-/// An admission/preemption policy consulted once per serving step.
+/// An admission/preemption policy consulted once per serving step with a
+/// queued request.
 ///
 /// `Send` is a supertrait so a deployment (engine + policy) can move to
 /// another thread, for instance to run independent engines side by
@@ -112,15 +113,16 @@ pub trait SchedulingPolicy: fmt::Debug + Send {
 
     /// Whether the policy ever emits [`SchedDecision::Preempt`].
     ///
-    /// Policies that may preempt are consulted on *every* serving step
-    /// (even with an empty queue — e.g. to shed a deadline-hopeless
-    /// decoding request). An admission-only policy has nothing useful to
-    /// say when the queue is empty or the batch is at `max_batch`, so on
-    /// those steps the engine skips building the snapshot and consulting
-    /// it entirely — on a backlogged trace that is most steps, and the
+    /// A policy that may preempt is consulted on every serving step with
+    /// a queued request, full batch or not — a full batch is exactly when
+    /// a queued head needs a victim. An admission-only policy has nothing
+    /// useful to say when the batch is at `max_batch`, so on those steps
+    /// the engine skips building the snapshot and consulting it
+    /// entirely — on a backlogged trace that is most steps, and the
     /// O(queue) view construction is the serving loop's dominant cost.
-    /// Defaults to `true` (always consulted); override to `false` for
-    /// admission-only policies.
+    /// No policy is consulted on an empty queue (see
+    /// [`SchedulingPolicy::schedule`]). Defaults to `true`; override to
+    /// `false` for admission-only policies.
     fn may_preempt(&self) -> bool {
         true
     }
@@ -154,6 +156,11 @@ pub trait SchedulingPolicy: fmt::Debug + Send {
     /// Reads the snapshot and returns the step's decisions, in execution
     /// order (preemptions intended to make room must precede the
     /// admission that needs it).
+    ///
+    /// The engine calls it only when a request is queued: with nothing to
+    /// admit or shed, a preemption would make room for no one, so an
+    /// empty-queue step decides nothing and runs without a snapshot —
+    /// stretches of them as quiet windows.
     fn schedule(&mut self, snapshot: &SchedSnapshot<'_>) -> Vec<SchedDecision>;
 }
 
@@ -533,6 +540,47 @@ mod tests {
         let fly = [flying(1, Priority::Normal, 300, true), flying(2, Priority::High, 300, true)];
         let d = PriorityPreempt::new().schedule(&snap(&q, &fly, 2, 0));
         assert!(d.iter().all(|d| !matches!(d, SchedDecision::Preempt { .. })), "{d:?}");
+    }
+
+    proptest::proptest! {
+        /// The contract a quiet window relies on: the engine skips the
+        /// policy on an empty queue, so every shipped policy must decide
+        /// nothing on one, whatever is in flight (decoding or prefilling,
+        /// any class, any held bytes) and however much room is left.
+        #[test]
+        fn idle_on_empty_queue_means_no_decision(
+            flights in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0usize..3, 0u64..1 << 32, 1u64..4096),
+                0..12,
+            ),
+            placeable_free in 0u64..1 << 34,
+            max_batch in 1u32..16,
+        ) {
+            let classes = [Priority::Low, Priority::Normal, Priority::High];
+            let in_flight: Vec<InFlightView> = flights
+                .iter()
+                .enumerate()
+                .map(|(i, &(decoding, class, held_bytes, remaining))| InFlightView {
+                    held_bytes,
+                    ..flying(i as u64, classes[class], remaining, decoding)
+                })
+                .collect();
+            let snapshot = snap(&[], &in_flight, max_batch, placeable_free);
+            let shipped: [Box<dyn SchedulingPolicy>; 4] = [
+                Box::new(Fifo),
+                Box::new(DeadlineEdf::new()),
+                Box::new(DeadlineEdf::with_shedding()),
+                Box::new(PriorityPreempt::new()),
+            ];
+            for mut policy in shipped {
+                let d = policy.schedule(&snapshot);
+                proptest::prop_assert!(
+                    d.is_empty(),
+                    "{} decided {d:?} on an empty queue",
+                    policy.name()
+                );
+            }
+        }
     }
 
     #[test]
