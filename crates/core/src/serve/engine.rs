@@ -1055,8 +1055,10 @@ impl ServeEngine {
     /// step's token; those that exhausted their output budget leave the
     /// batch, release their shard allocations and publish their prefix.
     fn emit_and_evict(&mut self, st: &mut RunState, interference_s: f64) {
-        let mut still_running = Vec::with_capacity(st.running.len());
-        for mut r in std::mem::take(&mut st.running) {
+        // The batch leaves the state while it is filtered in place, so
+        // the per-request hooks below can borrow the rest of it.
+        let mut running = std::mem::take(&mut st.running);
+        running.retain_mut(|r| {
             r.emitted += 1;
             if r.first_token_s.is_none() {
                 r.first_token_s = Some(st.clock);
@@ -1067,8 +1069,7 @@ impl ServeEngine {
                 EventKind::Emit { index: r.emitted - 1, interference_s },
             );
             if r.emitted < r.req.output_budget {
-                still_running.push(r);
-                continue;
+                return true;
             }
             self.ledger.release(r.req.id).expect("running request holds allocation");
             // A finished request's prefix KV is worth keeping: release
@@ -1080,8 +1081,9 @@ impl ServeEngine {
             st.evictions += 1;
             st.complete(self.deployment, r.entry());
             st.composition_changed = true;
-        }
-        st.running = still_running;
+            false
+        });
+        st.running = running;
     }
 
     /// How many of the next serving iterations are provably *quiet*:

@@ -8,11 +8,13 @@
 //! request skip, and from which tier must the KV be recalled"; publishing
 //! a finished request's context extends the entry for its key, demoting
 //! least-recently-used *unreferenced* entries down the ladder (and off
-//! its bottom rung) to make room. All structures iterate in key order, so
-//! every decision is deterministic.
+//! its bottom rung) to make room. Victims come from a per-tier recency
+//! order of `(last_touch, key)` pairs kept in step with every touch and
+//! tier move, so a pick costs O(log n) plus the pinned entries it skips,
+//! and every decision is deterministic.
 
 use crate::tier::{KvTier, KvTierLadder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -66,9 +68,16 @@ struct PrefixEntry {
 pub struct PrefixCacheIndex {
     block_tokens: u64,
     bytes_per_token: u64,
-    // BTreeMap keeps victim selection and any derived accounting
-    // deterministic across runs.
+    // Entries by prefix key. Victims come from `lru`, never from a scan
+    // of this map.
     entries: BTreeMap<u64, PrefixEntry>,
+    // Per-tier recency order (indexed by `KvTier::index`): one
+    // `(last_touch, key)` pair per entry on that tier, oldest first.
+    // The first unpinned pair is the tier's LRU victim: the same
+    // `(last_touch, key)` minimum a scan of the tier's unpinned entries
+    // finds. The clock ticks before every touch, so `last_touch` values
+    // are unique and the key tie-break never has to decide.
+    lru: [BTreeSet<(u64, u64)>; 3],
     clock: u64,
     lookups: u64,
     hits: u64,
@@ -89,6 +98,7 @@ impl PrefixCacheIndex {
             block_tokens,
             bytes_per_token,
             entries: BTreeMap::new(),
+            lru: Default::default(),
             clock: 0,
             lookups: 0,
             hits: 0,
@@ -158,6 +168,7 @@ impl PrefixCacheIndex {
             return None;
         }
         self.clock += 1;
+        relink(&mut self.lru, key, (e.tier, e.last_touch), (e.tier, self.clock));
         e.last_touch = self.clock;
         self.hits += 1;
         self.saved_tokens += hit;
@@ -192,13 +203,12 @@ impl PrefixCacheIndex {
     }
 
     /// The least-recently-used unreferenced entry resident on `tier`
-    /// (ties broken by key), if any.
+    /// (ties broken by key), if any: the first unpinned pair in the
+    /// tier's recency order. A pick costs O(log n) plus one lookup per
+    /// pinned entry skipped: at most one per live request, plus the
+    /// entry being extended or recalled.
     fn lru_unreferenced(&self, tier: KvTier) -> Option<u64> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.tier == tier && e.refs == 0)
-            .min_by_key(|(k, e)| (e.last_touch, **k))
-            .map(|(k, _)| *k)
+        self.lru[tier.index()].iter().map(|&(_, k)| k).find(|k| self.entries[k].refs == 0)
     }
 
     /// Frees at least `need` bytes on `tier` by demoting LRU unreferenced
@@ -221,11 +231,14 @@ impl PrefixCacheIndex {
                         return false;
                     }
                     ladder.demote(tier, vbytes).expect("room below was just made");
-                    self.entries.get_mut(&victim).expect("victim is cached").tier = below;
+                    let e = self.entries.get_mut(&victim).expect("victim is cached");
+                    relink(&mut self.lru, victim, (tier, e.last_touch), (below, e.last_touch));
+                    e.tier = below;
                 }
                 None => {
                     ladder.evict(tier, vbytes).expect("entry bytes are resident");
-                    self.entries.remove(&victim);
+                    let e = self.entries.remove(&victim).expect("victim is cached");
+                    self.lru[tier.index()].remove(&(e.last_touch, victim));
                 }
             }
         }
@@ -246,6 +259,7 @@ impl PrefixCacheIndex {
         if self.entries.contains_key(&key) {
             let (held, tier) = {
                 let e = self.entries.get_mut(&key).expect("entry is cached");
+                relink(&mut self.lru, key, (e.tier, e.last_touch), (e.tier, self.clock));
                 e.last_touch = self.clock;
                 (e.tokens, e.tier)
             };
@@ -270,6 +284,7 @@ impl PrefixCacheIndex {
                     ladder.place(tier, bytes).expect("room was just made");
                     self.entries
                         .insert(key, PrefixEntry { tokens, tier, refs: 0, last_touch: self.clock });
+                    self.lru[tier.index()].insert((self.clock, key));
                     return true;
                 }
             }
@@ -299,12 +314,22 @@ impl PrefixCacheIndex {
         self.entries.get_mut(&key).expect("entry is cached").refs -= 1;
         if ok {
             let seconds = ladder.promote_to_hbm(tier, entry_bytes).expect("room was just made");
-            self.entries.get_mut(&key).expect("entry is cached").tier = KvTier::Hbm;
+            let e = self.entries.get_mut(&key).expect("entry is cached");
+            relink(&mut self.lru, key, (tier, e.last_touch), (KvTier::Hbm, e.last_touch));
+            e.tier = KvTier::Hbm;
             seconds
         } else {
             ladder.read_out(tier, hit_bytes)
         }
     }
+}
+
+/// Moves `key`'s pair in the per-tier recency order when its tier or
+/// `last_touch` changes from `from` to `to`.
+fn relink(lru: &mut [BTreeSet<(u64, u64)>; 3], key: u64, from: (KvTier, u64), to: (KvTier, u64)) {
+    let linked = lru[from.0.index()].remove(&(from.1, key));
+    debug_assert!(linked, "prefix {key:#x} missing from the {} recency order", from.0);
+    lru[to.0.index()].insert((to.1, key));
 }
 
 #[cfg(test)]

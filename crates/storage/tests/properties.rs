@@ -1,12 +1,177 @@
 //! Property tests for the FTL, RAID, KV shard ledger, and prefix-cache
-//! residency-ladder invariants.
+//! residency-ladder invariants, plus a differential check of the prefix
+//! index's victim order against a full-scan reference.
 
+use hilos_sim::SimTime;
 use hilos_storage::{
-    Ftl, FtlConfig, KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, Raid0, ShardSpec,
-    SsdSpec,
+    Ftl, FtlConfig, KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, PrefixError, Raid0,
+    ShardSpec, SsdSpec,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+#[derive(Debug, Clone, Copy)]
+struct ScanEntry {
+    tokens: u64,
+    tier: KvTier,
+    refs: u32,
+    last_touch: u64,
+}
+
+/// Reference prefix index for the differential test: the same publish,
+/// probe, pin and recall semantics as [`PrefixCacheIndex`], but each
+/// victim is found by scanning every entry for the minimum
+/// `(last_touch, key)` among the tier's unpinned ones.
+struct ScanIndex {
+    block_tokens: u64,
+    bytes_per_token: u64,
+    entries: BTreeMap<u64, ScanEntry>,
+    clock: u64,
+    lookups: u64,
+    hits: u64,
+    saved_tokens: u64,
+}
+
+impl ScanIndex {
+    fn new(block_tokens: u64, bytes_per_token: u64) -> Self {
+        ScanIndex {
+            block_tokens,
+            bytes_per_token,
+            entries: BTreeMap::new(),
+            clock: 0,
+            lookups: 0,
+            hits: 0,
+            saved_tokens: 0,
+        }
+    }
+
+    fn entry(&self, key: u64) -> Option<(u64, KvTier, u32)> {
+        self.entries.get(&key).map(|e| (e.tokens, e.tier, e.refs))
+    }
+
+    fn block_round(&self, tokens: u64) -> u64 {
+        tokens / self.block_tokens * self.block_tokens
+    }
+
+    fn probe(&mut self, key: u64, limit_tokens: u64) -> Option<(u64, KvTier)> {
+        self.lookups += 1;
+        let limit = self.block_round(limit_tokens);
+        let e = self.entries.get_mut(&key)?;
+        let hit = e.tokens.min(limit);
+        if hit == 0 {
+            return None;
+        }
+        self.clock += 1;
+        e.last_touch = self.clock;
+        self.hits += 1;
+        self.saved_tokens += hit;
+        Some((hit, e.tier))
+    }
+
+    fn acquire(&mut self, key: u64) -> Result<(), PrefixError> {
+        self.entries.get_mut(&key).ok_or(PrefixError::UnknownPrefix(key))?.refs += 1;
+        Ok(())
+    }
+
+    fn release(&mut self, key: u64) -> Result<(), PrefixError> {
+        let e = self.entries.get_mut(&key).ok_or(PrefixError::UnknownPrefix(key))?;
+        if e.refs == 0 {
+            return Err(PrefixError::NotAcquired(key));
+        }
+        e.refs -= 1;
+        Ok(())
+    }
+
+    fn victim(&self, tier: KvTier) -> Option<u64> {
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.tier == tier && e.refs == 0)
+            .min_by_key(|(k, e)| (e.last_touch, **k))
+            .map(|(k, _)| *k)
+    }
+
+    fn make_room(&mut self, tier: KvTier, need: u64, ladder: &mut KvTierLadder) -> bool {
+        if need > ladder.capacity(tier) {
+            return false;
+        }
+        while ladder.free(tier) < need {
+            let Some(victim) = self.victim(tier) else {
+                return false;
+            };
+            let vbytes = self.entries[&victim].tokens * self.bytes_per_token;
+            match tier.below() {
+                Some(below) => {
+                    if !self.make_room(below, vbytes, ladder) {
+                        return false;
+                    }
+                    ladder.demote(tier, vbytes).unwrap();
+                    self.entries.get_mut(&victim).unwrap().tier = below;
+                }
+                None => {
+                    ladder.evict(tier, vbytes).unwrap();
+                    self.entries.remove(&victim);
+                }
+            }
+        }
+        true
+    }
+
+    fn publish(&mut self, key: u64, tokens: u64, ladder: &mut KvTierLadder) -> bool {
+        let tokens = self.block_round(tokens);
+        if tokens == 0 {
+            return false;
+        }
+        self.clock += 1;
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.last_touch = self.clock;
+            let (held, tier) = (e.tokens, e.tier);
+            if held >= tokens {
+                return true;
+            }
+            let delta = (tokens - held) * self.bytes_per_token;
+            e.refs += 1;
+            let ok = self.make_room(tier, delta, ladder);
+            let e = self.entries.get_mut(&key).unwrap();
+            e.refs -= 1;
+            if ok {
+                ladder.place(tier, delta).unwrap();
+                e.tokens = tokens;
+            }
+            return ok;
+        }
+        let bytes = tokens * self.bytes_per_token;
+        for tier in KvTier::ALL {
+            if self.make_room(tier, bytes, ladder) {
+                ladder.place(tier, bytes).unwrap();
+                let e = ScanEntry { tokens, tier, refs: 0, last_touch: self.clock };
+                self.entries.insert(key, e);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn recall(&mut self, key: u64, hit_tokens: u64, ladder: &mut KvTierLadder) -> f64 {
+        let Some(&ScanEntry { tokens, tier, .. }) = self.entries.get(&key) else {
+            return 0.0;
+        };
+        let hit_bytes = hit_tokens.min(tokens) * self.bytes_per_token;
+        if tier == KvTier::Hbm {
+            return ladder.read_out(KvTier::Hbm, hit_bytes);
+        }
+        let entry_bytes = tokens * self.bytes_per_token;
+        self.entries.get_mut(&key).unwrap().refs += 1;
+        let ok = self.make_room(KvTier::Hbm, entry_bytes, ladder);
+        self.entries.get_mut(&key).unwrap().refs -= 1;
+        if ok {
+            let seconds = ladder.promote_to_hbm(tier, entry_bytes).unwrap();
+            self.entries.get_mut(&key).unwrap().tier = KvTier::Hbm;
+            seconds
+        } else {
+            ladder.read_out(tier, hit_bytes)
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -221,6 +386,56 @@ proptest! {
                 }
             }
             prop_assert!(index.hits() <= index.lookups());
+        }
+    }
+
+    /// The index's per-tier recency order picks the same victims as a
+    /// full scan for the minimum `(last_touch, key)` over the tier's
+    /// unpinned entries. Both run the same random publishes, probes,
+    /// pins, releases and recalls over ladders of their own; after every
+    /// op they must agree on the op's result, every key's entry, and each
+    /// rung's occupancy and traffic. Sixty-four keys over small rungs (a
+    /// 192 KiB SSD rung included, so entries fall off the bottom) keep
+    /// many entries per tier, and long-lived pins sit at the head of the
+    /// recency order while the cascade works around them.
+    #[test]
+    fn prefix_victims_match_a_full_scan(
+        ops in prop::collection::vec((0u8..6, 0u64..64, 1u64..1200), 1..400),
+    ) {
+        const BPT: u64 = 16; // bytes per token -> 1 KiB blocks of 64 tokens
+        let ssd = SsdSpec::new(
+            "tiny", 96 << 10, 3.2e9, 2.0e9, 4096, SimTime::from_micros(25), 7.008e15,
+        );
+        let new_ladder = || KvTierLadder::new(32 << 10, 64 << 10, ssd.clone(), 2);
+        let (mut ladder, mut scan_ladder) = (new_ladder(), new_ladder());
+        let mut index = PrefixCacheIndex::new(64, BPT);
+        let mut scan = ScanIndex::new(64, BPT);
+        for (op, key, tokens) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(
+                    index.publish(key, tokens, &mut ladder),
+                    scan.publish(key, tokens, &mut scan_ladder)
+                ),
+                2 => prop_assert_eq!(index.probe(key, tokens), scan.probe(key, tokens)),
+                3 => prop_assert_eq!(index.acquire(key), scan.acquire(key)),
+                4 => prop_assert_eq!(index.release(key), scan.release(key)),
+                _ => {
+                    let s = index.recall(key, tokens, &mut ladder);
+                    let r = scan.recall(key, tokens, &mut scan_ladder);
+                    prop_assert_eq!(s.to_bits(), r.to_bits(), "recall of {} priced apart", key);
+                }
+            }
+            for k in 0..64 {
+                prop_assert_eq!(index.entry(k), scan.entry(k), "entry {} diverged", k);
+            }
+            for t in KvTier::ALL {
+                prop_assert_eq!(ladder.occupied(t), scan_ladder.occupied(t), "{} occupancy", t);
+                prop_assert_eq!(ladder.traffic(t), scan_ladder.traffic(t), "{} traffic", t);
+            }
+            prop_assert_eq!(
+                (index.len(), index.lookups(), index.hits(), index.saved_tokens()),
+                (scan.entries.len(), scan.lookups, scan.hits, scan.saved_tokens)
+            );
         }
     }
 }
