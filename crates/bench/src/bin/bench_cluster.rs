@@ -22,7 +22,11 @@
 //!    keep-alive predictor, against the same fleet statically reserved
 //!    at peak for the whole run. CI gates: the keep-alive fleet beats
 //!    the reserved one on $/1k-goodput-tokens by ≥1.3×, with zero lost
-//!    requests across every scale-up, drain and retire.
+//!    requests across every scale-up, drain and retire. Each policy also
+//!    runs with its `next_wake` hidden, so the fleet consults it on
+//!    every busy step; the two reports must be equal, and each row
+//!    records both `decide` call counts (CI requires fewer with the wake
+//!    forwarded).
 //! 4. **Fleet-scale stepping** — a 32-deployment fleet on a
 //!    100k-request seeded trace, one lockstep run over the fleet's one
 //!    shared memo table; the `fleet-smoke` CI job gates the fleet shape,
@@ -34,13 +38,15 @@
 
 use hilos_core::cluster::{
     AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
-    HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin, RoutingPolicy,
-    TargetPressureScaler,
+    FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin,
+    RoutingPolicy, ScaleDecision, TargetPressureScaler,
 };
 use hilos_core::{HilosConfig, HilosSystem, PriorityPreempt, ServeConfig, ServeEngine};
 use hilos_llm::{presets, TraceConfig};
 use hilos_metrics::FleetBill;
 use hilos_platform::SystemSpec;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Requests in the routing-comparison trace.
@@ -49,6 +55,43 @@ const REQUESTS: usize = 384;
 const ARRIVAL_GAP: u64 = 10;
 /// Trace seed (shared with `tests/cluster.rs`).
 const SEED: u64 = 42;
+
+/// Forwards an autoscale policy and counts its `decide` calls. With
+/// `forward_wake` off it keeps the default `next_wake`, so the fleet
+/// consults it on every step it could otherwise skip.
+#[derive(Debug)]
+struct CountedAutoscale {
+    inner: Box<dyn AutoscalePolicy>,
+    forward_wake: bool,
+    calls: Rc<Cell<u64>>,
+}
+
+impl AutoscalePolicy for CountedAutoscale {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, snapshot: &FleetSnapshot<'_>) -> ScaleDecision {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.decide(snapshot)
+    }
+
+    fn next_wake(&self, snapshot: &FleetSnapshot<'_>) -> u64 {
+        if self.forward_wake {
+            self.inner.next_wake(snapshot)
+        } else {
+            snapshot.step + 1
+        }
+    }
+
+    fn prewarm_at(&self, snapshot: &FleetSnapshot<'_>) -> Option<u64> {
+        self.inner.prewarm_at(snapshot)
+    }
+
+    fn may_scale(&self) -> bool {
+        self.inner.may_scale()
+    }
+}
 
 fn hilos(n: usize) -> HilosSystem {
     HilosSystem::new(&SystemSpec::a100_smartssd(n), &presets::opt_30b(), &HilosConfig::new(n))
@@ -182,61 +225,74 @@ fn main() {
     );
 
     let mut hybrid_cost_per_1k = f64::INFINITY;
-    let elastic_rows: Vec<String> = [
-        Box::new(TargetPressureScaler::default()) as Box<dyn AutoscalePolicy>,
-        Box::new(HybridHistogramKeepAlive::new(64)),
-    ]
-    .into_iter()
-    .map(|autoscale| {
-        let name = autoscale.name();
-        let mut elastic = ElasticClusterEngine::new(
-            elastic_slots(),
-            Box::new(CostNormalizedPressure),
-            autoscale,
-            ElasticConfig::new(1),
-        );
-        let start = Instant::now();
-        let r = elastic.run_trace(&bursty).unwrap();
-        let wall = start.elapsed().as_secs_f64();
-        assert_eq!(r.cluster.completed(), bursty.len(), "{name}: elasticity must lose nothing");
-        assert_eq!(r.lost(), 0, "{name}: zero dropped requests");
-        let cost_per_1k = r.cost_per_1k_goodput_tokens();
-        if name == "hybrid-histogram-keep-alive" {
-            hybrid_cost_per_1k = cost_per_1k;
-        }
-        eprintln!(
-            "elastic {name}: ${:.4}/1k goodput tokens, {} scale-ups, {} drains, {} retires, \
-             {} migrated, peak {} active, {:.0}s billed (+{:.0}s cold start) ({wall:.3}s wall)",
-            cost_per_1k,
-            r.scale_ups,
-            r.drains,
-            r.retires,
-            r.drained_requests,
-            r.peak_active,
-            r.fleet_bill().billed_seconds(),
-            r.cold_start_s_total,
-        );
-        format!(
-            "{{\"autoscale\": \"{name}\", \"cost_per_1k_goodput_usd\": {:.6}, \
-             \"fleet_cost_usd\": {:.6}, \"billed_seconds\": {:.2}, \
-             \"cold_start_seconds\": {:.2}, \"scale_ups\": {}, \"drains\": {}, \
-             \"retires\": {}, \"migrated_requests\": {}, \"peak_active\": {}, \
-             \"completed\": {}, \"lost\": {}, \"slo_hit_rate\": {:.4}}}",
-            cost_per_1k,
-            r.fleet_bill().cost_usd(),
-            r.fleet_bill().billed_seconds(),
-            r.cold_start_s_total,
-            r.scale_ups,
-            r.drains,
-            r.retires,
-            r.drained_requests,
-            r.peak_active,
-            r.cluster.completed(),
-            r.lost(),
-            r.cluster.slo_hit_rate(),
-        )
-    })
-    .collect();
+    let policies: [fn() -> Box<dyn AutoscalePolicy>; 2] = [
+        || Box::new(TargetPressureScaler::default()),
+        || Box::new(HybridHistogramKeepAlive::new(64)),
+    ];
+    let elastic_rows: Vec<String> = policies
+        .into_iter()
+        .map(|autoscale| {
+            // One run skips to each `next_wake`, one consults on every busy
+            // step: the reports must be equal, only the `decide` calls differ.
+            let [(r, decide_calls, wall), (every_step, decide_calls_every_step, _)] = [true, false]
+                .map(|forward_wake| {
+                    let calls = Rc::new(Cell::new(0));
+                    let policy =
+                        CountedAutoscale { inner: autoscale(), forward_wake, calls: calls.clone() };
+                    let mut elastic = ElasticClusterEngine::new(
+                        elastic_slots(),
+                        Box::new(CostNormalizedPressure),
+                        Box::new(policy),
+                        ElasticConfig::new(1),
+                    );
+                    let start = Instant::now();
+                    let r = elastic.run_trace(&bursty).unwrap();
+                    (r, calls.get(), start.elapsed().as_secs_f64())
+                });
+            let name = r.autoscale.as_str();
+            assert_eq!(r, every_step, "{name}: skipping to next_wake changed the run");
+            assert_eq!(r.cluster.completed(), bursty.len(), "{name}: elasticity must lose nothing");
+            assert_eq!(r.lost(), 0, "{name}: zero dropped requests");
+            let cost_per_1k = r.cost_per_1k_goodput_tokens();
+            if name == "hybrid-histogram-keep-alive" {
+                hybrid_cost_per_1k = cost_per_1k;
+            }
+            eprintln!(
+                "elastic {name}: ${:.4}/1k goodput tokens, {} scale-ups, {} drains, {} retires, \
+                 {} migrated, peak {} active, {:.0}s billed (+{:.0}s cold start), \
+                 {decide_calls} of {decide_calls_every_step} decide calls ({wall:.3}s wall)",
+                cost_per_1k,
+                r.scale_ups,
+                r.drains,
+                r.retires,
+                r.drained_requests,
+                r.peak_active,
+                r.fleet_bill().billed_seconds(),
+                r.cold_start_s_total,
+            );
+            format!(
+                "{{\"autoscale\": \"{name}\", \"cost_per_1k_goodput_usd\": {:.6}, \
+                 \"fleet_cost_usd\": {:.6}, \"billed_seconds\": {:.2}, \
+                 \"cold_start_seconds\": {:.2}, \"scale_ups\": {}, \"drains\": {}, \
+                 \"retires\": {}, \"migrated_requests\": {}, \"peak_active\": {}, \
+                 \"completed\": {}, \"lost\": {}, \"slo_hit_rate\": {:.4}, \
+                 \"decide_calls\": {decide_calls}, \
+                 \"decide_calls_every_step\": {decide_calls_every_step}}}",
+                cost_per_1k,
+                r.fleet_bill().cost_usd(),
+                r.fleet_bill().billed_seconds(),
+                r.cold_start_s_total,
+                r.scale_ups,
+                r.drains,
+                r.retires,
+                r.drained_requests,
+                r.peak_active,
+                r.cluster.completed(),
+                r.lost(),
+                r.cluster.slo_hit_rate(),
+            )
+        })
+        .collect();
     let fixed_vs_elastic = fixed_cost_per_1k / hybrid_cost_per_1k;
     eprintln!("reserved vs keep-alive elastic $/1k-goodput: {fixed_vs_elastic:.3}x");
 

@@ -1,14 +1,23 @@
 //! Autoscaling policies: when to cold-start a spare slot and when to
 //! drain one.
 //!
-//! An [`AutoscalePolicy`] is consulted once per global serving step with
-//! a read-only [`FleetSnapshot`] and answers with a [`ScaleDecision`].
-//! The [`ElasticClusterEngine`](super::ElasticClusterEngine) executes
-//! the decision: a scale-up re-provisions the lowest-indexed Retired
-//! slot (paying its cold start), a scale-down begins draining the
-//! least-loaded Active slot. Policies may also name a future *pre-warm
-//! step* ([`AutoscalePolicy::prewarm_at`]) so an idle-jumping cluster
-//! wakes early enough to hide a cold start behind a predicted burst.
+//! An [`AutoscalePolicy`] is consulted with a read-only
+//! [`FleetSnapshot`] on every global serving step the engine visits
+//! while arrivals remain, and answers with a [`ScaleDecision`]. The
+//! [`ElasticClusterEngine`](super::ElasticClusterEngine) executes the
+//! decision: a scale-up re-provisions the lowest-indexed Retired slot
+//! (paying its cold start), a scale-down begins draining the
+//! least-loaded Active slot. Two methods tell the engine which steps it
+//! may leave out:
+//!
+//! * [`AutoscalePolicy::next_wake`] bounds a busy fleet's skips. After a
+//!   [`ScaleDecision::Hold`], it names the first later step at which
+//!   `decide` could act or change the policy's state if the fleet stays
+//!   as it is; the engine never jumps past it, so skipping is exact.
+//! * [`AutoscalePolicy::prewarm_at`] is an idle fleet's alarm. A fleet
+//!   with no work anywhere jumps to the next arrival without consulting
+//!   the policy at all; a policy names a *pre-warm step* so the jump
+//!   stops early enough to hide a cold start behind a predicted burst.
 //!
 //! Three policies ship:
 //!
@@ -30,8 +39,8 @@ use super::lifecycle::LifecycleState;
 use crate::cluster::policy::DeploymentView;
 use std::fmt;
 
-/// Read-only fleet state handed to [`AutoscalePolicy::decide`] once per
-/// global serving step.
+/// Read-only fleet state handed to [`AutoscalePolicy::decide`] on every
+/// global serving step the engine visits.
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot<'a> {
     /// The global serving step (the arrival cursor).
@@ -117,7 +126,9 @@ pub enum ScaleDecision {
     },
 }
 
-/// A fleet-sizing policy consulted once per global serving step.
+/// A fleet-sizing policy, consulted on every global serving step the
+/// engine visits; [`next_wake`](AutoscalePolicy::next_wake) bounds how
+/// far the engine may skip between visits.
 pub trait AutoscalePolicy: fmt::Debug {
     /// Stable policy name, recorded in
     /// [`ElasticReport::autoscale`](super::ElasticReport::autoscale).
@@ -127,18 +138,41 @@ pub trait AutoscalePolicy: fmt::Debug {
     /// are limited by Retired availability, scale-downs by `min_active`.
     fn decide(&mut self, snapshot: &FleetSnapshot<'_>) -> ScaleDecision;
 
+    /// The first step after `snapshot.step` at which [`decide`] could
+    /// answer anything but [`ScaleDecision::Hold`], or change the
+    /// policy's own state, if the fleet stays as `snapshot` shows it and
+    /// nothing arrives. The engine asks on the snapshot `decide` just
+    /// answered `Hold` to, and skips no consult before the answer, so
+    /// a skip is exact: every step left out would have held. The
+    /// default, `snapshot.step + 1`, is exact for any policy; a later
+    /// answer lets a busy fleet jump over stretches where every slot
+    /// sits in a quiet window.
+    ///
+    /// Unlike [`prewarm_at`](AutoscalePolicy::prewarm_at), this is a
+    /// bound, not a request: it never makes the engine visit a step it
+    /// would otherwise have jumped over.
+    ///
+    /// [`decide`]: AutoscalePolicy::decide
+    fn next_wake(&self, snapshot: &FleetSnapshot<'_>) -> u64 {
+        snapshot.step + 1
+    }
+
     /// A future step the engine should wake at even if no work is
-    /// pending — a predictive policy's pre-warm point. `None` (the
-    /// default) schedules no wake-up.
+    /// pending — a predictive policy's pre-warm point. A fleet with no
+    /// work anywhere jumps to its next arrival or lifecycle transition
+    /// without consulting [`decide`](AutoscalePolicy::decide) (the jump
+    /// is not bounded by [`next_wake`](AutoscalePolicy::next_wake)), so
+    /// this is how a policy asks to be woken inside the jump. `None`
+    /// (the default) schedules no wake-up.
     fn prewarm_at(&self, _snapshot: &FleetSnapshot<'_>) -> Option<u64> {
         None
     }
 
     /// Whether the policy ever answers anything but
     /// [`ScaleDecision::Hold`] or names a pre-warm point. Defaults to
-    /// `true`; a policy that returns `false` is never consulted, and the
-    /// engine skips the lifecycle, drain and pre-warm work it could not
-    /// need.
+    /// `true`; a policy that returns `false` is never consulted, for a
+    /// decision or a pre-warm point, so the engine wakes for it on no
+    /// step at all.
     fn may_scale(&self) -> bool {
         true
     }
@@ -160,6 +194,11 @@ impl AutoscalePolicy for PinnedFleet {
 
     fn decide(&mut self, _snapshot: &FleetSnapshot<'_>) -> ScaleDecision {
         ScaleDecision::Hold
+    }
+
+    /// Never: the policy holds on every step.
+    fn next_wake(&self, _snapshot: &FleetSnapshot<'_>) -> u64 {
+        u64::MAX
     }
 
     fn may_scale(&self) -> bool {
@@ -190,6 +229,26 @@ impl TargetPressureScaler {
     pub fn new(high: f64, low: f64, cooldown_steps: u64) -> Self {
         TargetPressureScaler { high, low, cooldown_steps, last_action: None }
     }
+
+    /// The action `snap` calls for once the cooldown is over.
+    fn wanted(&self, snap: &FleetSnapshot<'_>) -> ScaleDecision {
+        let pressure = snap.pressure();
+        if pressure > self.high
+            && snap.retired_available() > 0
+            && snap.provisioning_or_warming() == 0
+        {
+            return ScaleDecision::ScaleUp { count: 1 };
+        }
+        if pressure < self.low && snap.active_count() > snap.min_active {
+            return ScaleDecision::ScaleDown { count: 1 };
+        }
+        ScaleDecision::Hold
+    }
+
+    /// The first step no cooldown holds (`0` before any action).
+    fn cooled_at(&self) -> u64 {
+        self.last_action.map_or(0, |last| last.saturating_add(self.cooldown_steps))
+    }
 }
 
 impl Default for TargetPressureScaler {
@@ -207,24 +266,24 @@ impl AutoscalePolicy for TargetPressureScaler {
     }
 
     fn decide(&mut self, snap: &FleetSnapshot<'_>) -> ScaleDecision {
-        if let Some(last) = self.last_action {
-            if snap.step.saturating_sub(last) < self.cooldown_steps {
-                return ScaleDecision::Hold;
-            }
+        if snap.step < self.cooled_at() {
+            return ScaleDecision::Hold;
         }
-        let pressure = snap.pressure();
-        if pressure > self.high
-            && snap.retired_available() > 0
-            && snap.provisioning_or_warming() == 0
-        {
+        let decision = self.wanted(snap);
+        if decision != ScaleDecision::Hold {
             self.last_action = Some(snap.step);
-            return ScaleDecision::ScaleUp { count: 1 };
         }
-        if pressure < self.low && snap.active_count() > snap.min_active {
-            self.last_action = Some(snap.step);
-            return ScaleDecision::ScaleDown { count: 1 };
+        decision
+    }
+
+    /// The step the cooldown ends if a water mark calls for an action,
+    /// and never otherwise: the marks read only the fleet, which stays
+    /// put.
+    fn next_wake(&self, snap: &FleetSnapshot<'_>) -> u64 {
+        match self.wanted(snap) {
+            ScaleDecision::Hold => u64::MAX,
+            _ => self.cooled_at().max(snap.step + 1),
         }
-        ScaleDecision::Hold
     }
 }
 
@@ -254,7 +313,7 @@ const HIST_BUCKETS: usize = 64;
 /// keep-alive work, transplanted from function keep-alive to deployment
 /// keep-alive: the cold start being hidden is a model-weight load priced
 /// by [`ColdStartModel`](super::ColdStartModel), not a container fork.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridHistogramKeepAlive {
     /// An idle gap longer than this marks a burst boundary.
     pub burst_threshold_steps: u64,
@@ -320,6 +379,13 @@ impl HybridHistogramKeepAlive {
         let gap = self.predicted_gap()?;
         Some(last + (gap as f64 * self.margin).max(1.0) as u64)
     }
+
+    /// The pre-warm window, `[predicted burst − cold start, predicted
+    /// burst]` (`None` without history).
+    fn prewarm_window(&self, cold_start_steps: u64) -> Option<(u64, u64)> {
+        self.predicted_next_burst()
+            .map(|predicted| (predicted.saturating_sub(cold_start_steps), predicted))
+    }
 }
 
 impl AutoscalePolicy for HybridHistogramKeepAlive {
@@ -353,8 +419,7 @@ impl AutoscalePolicy for HybridHistogramKeepAlive {
         // Pre-warm: inside the predicted window, bring the fleet back to
         // its burst-time size a cold start ahead of the predicted burst.
         let mut in_window = false;
-        if let Some(predicted) = self.predicted_next_burst() {
-            let warm_by = predicted.saturating_sub(snap.cold_start_steps);
+        if let Some((warm_by, predicted)) = self.prewarm_window(snap.cold_start_steps) {
             in_window = snap.step >= warm_by && snap.step <= predicted;
             let below_target =
                 snap.active_count() + snap.provisioning_or_warming() < self.burst_target;
@@ -390,6 +455,42 @@ impl AutoscalePolicy for HybridHistogramKeepAlive {
             up @ ScaleDecision::ScaleUp { .. } => up,
             _ => ScaleDecision::Hold,
         }
+    }
+
+    /// The earliest of three steps, with the fleet held as `snap` shows
+    /// it: the start of the pre-warm window while the fleet is below its
+    /// burst-time size, the first release step outside that window, and
+    /// the reactive scaler's own wake — a reactive scale-down this policy
+    /// squashes still restarts the reactive cooldown, a state change.
+    fn next_wake(&self, snap: &FleetSnapshot<'_>) -> u64 {
+        let next = snap.step + 1;
+        let load = snap.queued() + snap.in_flight();
+        let sized = snap.active_count() + snap.provisioning_or_warming();
+        if load > 0 && sized > self.burst_target {
+            // The burst-time target would grow on the very next look.
+            return next;
+        }
+        let window = self.prewarm_window(snap.cold_start_steps);
+        let mut wake = self.reactive.next_wake(snap);
+        if let Some((warm_by, predicted)) = window {
+            let at = warm_by.max(next);
+            if at <= predicted && sized < self.burst_target && snap.retired_available() > 0 {
+                wake = wake.min(at);
+            }
+        }
+        if let Some(last) = self.last_arrival {
+            if load == 0 && snap.active_count() > snap.min_active {
+                let mut at = last.saturating_add(self.burst_threshold_steps).saturating_add(1);
+                at = at.max(next);
+                if let Some((warm_by, predicted)) = window {
+                    if (warm_by..=predicted).contains(&at) {
+                        at = predicted.saturating_add(1);
+                    }
+                }
+                wake = wake.min(at);
+            }
+        }
+        wake
     }
 
     /// Two wake points, whichever comes first. The *release* point
@@ -564,6 +665,114 @@ mod tests {
         assert_eq!(p.decide(&snap(0, 5, &hot)), ScaleDecision::ScaleUp { count: 1 });
         let idle = [slot(0, 0, 0, LifecycleState::Active), slot(1, 0, 0, LifecycleState::Retired)];
         assert_eq!(p.prewarm_at(&snap(10, 0, &idle)), None, "no history, no prediction");
+    }
+
+    /// Assorted fleets: hot with a spare, hot with a slot warming, idle
+    /// at two slots and at the floor, lightly loaded and busy.
+    fn assorted_fleets() -> Vec<Vec<DeploymentView>> {
+        use LifecycleState::{Active, Retired, Warming};
+        vec![
+            vec![slot(0, 20, 8, Active), slot(1, 0, 0, Retired)],
+            vec![slot(0, 20, 8, Active), slot(1, 0, 0, Warming)],
+            vec![slot(0, 0, 0, Active), slot(1, 0, 0, Active)],
+            vec![slot(0, 0, 0, Active), slot(1, 0, 0, Retired)],
+            vec![slot(0, 0, 1, Active), slot(1, 0, 0, Active), slot(2, 0, 0, Retired)],
+            vec![slot(0, 0, 2, Active), slot(1, 0, 1, Active)],
+            vec![slot(0, 0, 0, Retired), slot(1, 0, 0, Retired)],
+        ]
+    }
+
+    /// The [`AutoscalePolicy::next_wake`] contract, from `policy` at step
+    /// `t` over `views` with nothing arriving: every step before the wake
+    /// holds with the state unchanged, and at a finite wake the policy
+    /// acts or its state changes. Returns the wake.
+    fn check_next_wake<P>(policy: &P, views: &[DeploymentView], t: u64) -> u64
+    where
+        P: AutoscalePolicy + Clone + PartialEq,
+    {
+        let wake = policy.next_wake(&snap(t, 0, views));
+        assert!(wake > t, "{policy:?}: wake {wake} not after step {t}");
+        let mut p = policy.clone();
+        for s in t + 1..wake.min(t + 4000) {
+            assert_eq!(p.decide(&snap(s, 0, views)), ScaleDecision::Hold, "{policy:?} at {s}");
+            assert!(p == *policy, "{policy:?}: state changed at {s}, before wake {wake}");
+        }
+        if wake < t + 4000 {
+            let acted = p.decide(&snap(wake, 0, views)) != ScaleDecision::Hold;
+            assert!(acted || p != *policy, "{policy:?}: nothing happens at wake {wake}");
+        }
+        wake
+    }
+
+    /// Checks the contract from every policy state and fleet at several
+    /// steps after `now`, and counts the wakes that skip a step.
+    fn check_states<P>(states: &[(P, u64)]) -> usize
+    where
+        P: AutoscalePolicy + Clone + PartialEq,
+    {
+        let mut skips = 0;
+        for (policy, now) in states {
+            for views in assorted_fleets() {
+                for dt in [0, 1, 9, 33, 500, 880] {
+                    let t = now + dt;
+                    skips += usize::from(check_next_wake(policy, &views, t) > t + 1);
+                }
+            }
+        }
+        skips
+    }
+
+    #[test]
+    fn pinned_fleet_never_wakes() {
+        for views in assorted_fleets() {
+            assert_eq!(check_next_wake(&PinnedFleet, &views, 7), u64::MAX);
+        }
+    }
+
+    #[test]
+    fn target_pressure_next_wake_is_exact() {
+        let hot = [slot(0, 20, 8, LifecycleState::Active), slot(1, 0, 0, LifecycleState::Retired)];
+        let idle = [slot(0, 0, 0, LifecycleState::Active), slot(1, 0, 0, LifecycleState::Active)];
+        let mut states = Vec::new();
+        for cooldown in [0, 10, 64] {
+            let fresh = TargetPressureScaler::new(1.0, 0.1, cooldown);
+            let (mut up, mut down) = (fresh, fresh);
+            assert_eq!(up.decide(&snap(3, 4, &hot)), ScaleDecision::ScaleUp { count: 1 });
+            assert_eq!(down.decide(&snap(3, 0, &idle)), ScaleDecision::ScaleDown { count: 1 });
+            states.extend([(fresh, 0), (up, 3), (down, 3)]);
+        }
+        assert!(check_states(&states) > 0, "no wake ever skipped a step");
+    }
+
+    #[test]
+    fn keep_alive_next_wake_is_exact() {
+        let two = [slot(0, 0, 2, LifecycleState::Active), slot(1, 0, 1, LifecycleState::Active)];
+        let fresh = HybridHistogramKeepAlive::new(32);
+        // One arrival at step 100 into a busy two-slot fleet.
+        let mut seen = fresh.clone();
+        seen.decide(&snap(100, 3, &two));
+        // Bursts at steps 0, 1000 and 2000: a learned gap of 998, so a
+        // pre-warm window opens near step 2850.
+        let mut learned = fresh.clone();
+        for burst_start in [0u64, 1000, 2000] {
+            for s in burst_start..burst_start + 3 {
+                learned.decide(&snap(s, 4, &two));
+            }
+        }
+        // The same history, then a reactive scale-down squashed at 2100,
+        // which leaves the reactive cooldown running.
+        let mut squashed = learned.clone();
+        squashed.reactive.cooldown_steps = 640;
+        let light = [slot(0, 0, 1, LifecycleState::Active), slot(1, 0, 0, LifecycleState::Active)];
+        assert_eq!(squashed.decide(&snap(2100, 0, &light)), ScaleDecision::Hold);
+        assert_ne!(squashed, learned, "the squashed scale-down restarts the cooldown");
+        let states = [(fresh, 0), (seen, 100), (learned.clone(), 2002), (squashed, 2100)];
+        assert!(check_states(&states) > 0, "no wake ever skipped a step");
+        // The pre-warm window bounds a quiet fleet's wake from below the
+        // burst-time size.
+        let spare = [slot(0, 0, 0, LifecycleState::Active), slot(1, 0, 0, LifecycleState::Retired)];
+        let predicted = 2002 + (998.0f64 * 0.9) as u64;
+        assert_eq!(learned.next_wake(&snap(2100, 0, &spare)), predicted - 50);
     }
 
     #[test]

@@ -92,12 +92,35 @@ pub(crate) struct FleetRun<'t> {
     /// Every lifecycle transition so far, in step order — the source of
     /// every fleet-sizing count the report carries.
     events: Vec<LifecycleEvent>,
+    /// The earliest step a cold start in progress changes state,
+    /// `u64::MAX` with none in progress. Every transition passes through
+    /// [`Fleet::log_transition`], which recomputes it.
+    next_transition: u64,
+    /// The first step after the current one that the autoscaler must
+    /// see: its [`AutoscalePolicy::next_wake`] after a `Hold`, the next
+    /// step after it acted or a slot drained, `u64::MAX` once it is no
+    /// longer consulted.
+    autoscale_wake: u64,
+    /// The routing and autoscaling views, one per slot, built on first
+    /// use and then kept: a slot's entry is rebuilt only when `stale`
+    /// marks it. Both stay empty on a fleet that never reads them.
+    views: Vec<DeploymentView>,
+    /// Slots whose view changed since `views` was last refreshed.
+    stale: Vec<bool>,
     /// Phase A's output, one entry per slot that just preempted: the
     /// victims it hands phase B. Scratch, reused every step.
     victims: Vec<(usize, Vec<QueueEntry>)>,
 }
 
 impl FleetRun<'_> {
+    /// Marks slot `d`'s view stale: the loop just changed its queue,
+    /// batch, ledger, dispatch count or lifecycle state.
+    fn touch(&mut self, d: usize) {
+        if let Some(stale) = self.stale.get_mut(d) {
+            *stale = true;
+        }
+    }
+
     /// Whether the trace still has arrivals to dispatch.
     fn arrivals_left(&self) -> bool {
         self.next < self.trace.len()
@@ -263,12 +286,12 @@ impl ElasticClusterEngine {
     /// cold-start bill off the lifecycle log.
     ///
     /// A fleet whose autoscaler never scales
-    /// ([`AutoscalePolicy::may_scale`] is false) skips stages 1, 2 and 4
-    /// and the pre-warm consult, which could only hold. A fleet of one
-    /// slot has one route target: it consults no routing policy, writes
-    /// no `Routed` event, and its preemption victims stay in the queue
-    /// its engine re-queued them to. A one-slot pinned fleet is how
-    /// [`ServeEngine::run_trace`] serves.
+    /// ([`AutoscalePolicy::may_scale`] is false) never consults it, for a
+    /// decision or a pre-warm point. A fleet of one slot has one route
+    /// target: it consults no routing policy, writes no `Routed` event,
+    /// and its preemption victims stay in the queue its engine re-queued
+    /// them to. A one-slot pinned fleet is how [`ServeEngine::run_trace`]
+    /// serves.
     ///
     /// `lockstep` is lazy. A slot whose iteration decoded may open a
     /// quiet window, `(first owed step, last quiet step)`: steps that
@@ -281,10 +304,21 @@ impl ElasticClusterEngine {
     /// step and closes the window. A phase-B re-dispatch onto a slot
     /// catches it up through the current step. Routing and autoscaling
     /// read only counts a window cannot change, so the run is
-    /// bit-identical to advancing every busy slot on every step. On a
-    /// never-scaling fleet whose every busy slot sits inside a window,
-    /// nothing can happen before the first window ends or the next
-    /// arrival, so the global step jumps to the earlier of the two.
+    /// bit-identical to advancing every busy slot on every step.
+    ///
+    /// One wake rule then picks the next step for every fleet, pinned or
+    /// scaling: the next one if any slot ran, else the earliest of the
+    /// next arrival, the autoscaler's wake, the next lifecycle
+    /// transition and the first step past the earliest window end. The
+    /// autoscaler's wake is its [`AutoscalePolicy::next_wake`] after a
+    /// `Hold`, the next step after it acted or a slot drained, and never
+    /// for a policy that is not consulted. Every step skipped would have
+    /// changed nothing: no slot runs, nothing arrives or transitions, and
+    /// the policy would have held with its state unchanged. The stages
+    /// left to run on a visited step do only what is due: lifecycles
+    /// tick from the run's next transition step on, and the routing and
+    /// autoscaling views are kept across steps, each slot's rebuilt only
+    /// after the loop changed it.
     ///
     /// # Errors
     ///
@@ -404,49 +438,75 @@ impl<'a> Fleet<'a> {
         (0..self.lifecycles.len()).filter(move |&d| self.lifecycles[d].state() == state)
     }
 
-    /// The read-only per-slot views routing and autoscaling decide on.
-    fn slot_views(&self, run: &FleetRun) -> Vec<DeploymentView> {
-        self.engines
+    /// The earliest step any slot's cold start changes state.
+    fn next_transition(&self) -> u64 {
+        self.lifecycles
             .iter()
-            .zip(&run.states)
-            .zip(run.dispatched.iter().zip(&self.hourly_costs))
-            .zip(self.lifecycles.iter())
-            .map(|(((eng, st), (&dispatched, &hourly_cost_usd)), lc)| {
-                let ledger = eng.ledger();
-                DeploymentView {
-                    id: eng.deployment().0,
-                    queued: st.queued_len(),
-                    prefilling: st.prefilling_len(),
-                    decoding: st.decoding_len(),
-                    max_batch: eng.config().max_batch,
-                    pressure: ledger.pressure(),
-                    placeable_free_bytes: ledger.placeable_free(),
-                    bandwidth_weight: ledger.total_weight(),
-                    dispatched,
-                    prefix_hit_rate: eng.prefix_hit_rate(),
-                    lifecycle: lc.state(),
-                    hourly_cost_usd,
+            .filter_map(DeploymentLifecycle::next_transition_step)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Slot `d`'s read-only view, as routing and autoscaling see it.
+    fn slot_view(&self, run: &FleetRun, d: usize) -> DeploymentView {
+        let (eng, st) = (&self.engines[d], &run.states[d]);
+        let ledger = eng.ledger();
+        DeploymentView {
+            id: eng.deployment().0,
+            queued: st.queued_len(),
+            prefilling: st.prefilling_len(),
+            decoding: st.decoding_len(),
+            max_batch: eng.config().max_batch,
+            pressure: ledger.pressure(),
+            placeable_free_bytes: ledger.placeable_free(),
+            bandwidth_weight: ledger.total_weight(),
+            dispatched: run.dispatched[d],
+            prefix_hit_rate: eng.prefix_hit_rate(),
+            lifecycle: self.lifecycles[d].state(),
+            hourly_cost_usd: self.hourly_costs[d],
+        }
+    }
+
+    /// Every slot's view, built afresh: the kept views' first fill and
+    /// their reference.
+    fn slot_views(&self, run: &FleetRun) -> Vec<DeploymentView> {
+        (0..self.engines.len()).map(|d| self.slot_view(run, d)).collect()
+    }
+
+    /// Brings the kept views up to date: the first call builds them all,
+    /// later calls rebuild only the stale slots. A quiet window's
+    /// catch-up changes no view field, so a slot left unmarked still
+    /// reads what a fresh build would.
+    fn refresh_views(&self, run: &mut FleetRun) {
+        if run.views.is_empty() {
+            run.views = self.slot_views(run);
+            run.stale = vec![false; run.views.len()];
+        } else {
+            for d in 0..run.views.len() {
+                if std::mem::take(&mut run.stale[d]) {
+                    run.views[d] = self.slot_view(run, d);
                 }
-            })
-            .collect()
+            }
+        }
+        debug_assert!(run.views == self.slot_views(run), "a kept slot view went stale unmarked");
     }
 
     /// Asks the autoscale policy `ask` over the one [`FleetSnapshot`] of
-    /// the fleet at the current step — the `decide` and `prewarm_at`
-    /// calls see the same picture.
+    /// the fleet at the current step — `decide` and the `next_wake` or
+    /// `prewarm_at` call after it see the same picture.
     fn consult_autoscaler<R>(
         &mut self,
-        run: &FleetRun,
+        run: &mut FleetRun,
         arrivals_this_step: usize,
         ask: impl FnOnce(&mut dyn AutoscalePolicy, &FleetSnapshot) -> R,
     ) -> R {
-        let views = self.slot_views(run);
+        self.refresh_views(run);
         let snapshot = FleetSnapshot {
             step: run.gstep,
             arrivals_this_step,
             cold_start_steps: self.cold_start_steps,
             min_active: ElasticConfig::MIN_ACTIVE,
-            deployments: &views,
+            deployments: &run.views,
         };
         ask(&mut *self.autoscale, &snapshot)
     }
@@ -466,8 +526,8 @@ impl<'a> Fleet<'a> {
         if n == 1 {
             return 0;
         }
-        let views = self.slot_views(run);
-        let snapshot = ClusterSnapshot { step: run.gstep, deployments: &views };
+        self.refresh_views(run);
+        let snapshot = ClusterSnapshot { step: run.gstep, deployments: &run.views };
         let mut d = self.routing.route(&request, &snapshot);
         if d >= n {
             debug_assert!(
@@ -488,7 +548,9 @@ impl<'a> Fleet<'a> {
     /// Records a lifecycle transition: into the run's log, and into the
     /// slot's event ring as the matching trace event (the ring carries
     /// the serving-interleaved view). The slot catches up first, so the
-    /// event lands after every step before the transition's.
+    /// event lands after every step before the transition's. Every
+    /// transition passes through here, so this is where the run's next
+    /// transition step is recomputed and the slot's view marked stale.
     fn log_transition(&mut self, run: &mut FleetRun, ev: LifecycleEvent) -> Result<(), CoreError> {
         let d = ev.deployment as usize;
         catch_up(&mut self.engines[d], &mut run.states[d], ev.step)?;
@@ -501,6 +563,8 @@ impl<'a> Fleet<'a> {
         };
         run.states[d].emit(DeploymentId(ev.deployment), NO_REQUEST, kind);
         run.events.push(ev);
+        run.next_transition = self.next_transition();
+        run.touch(d);
         Ok(())
     }
 
@@ -525,6 +589,8 @@ impl<'a> Fleet<'a> {
     /// deployment, stay non-negative, and keep `first_token_s <=
     /// finished_s`.
     fn migrate(&mut self, run: &mut FleetRun, from: usize, to: usize, mut entry: QueueEntry) {
+        run.touch(from);
+        run.touch(to);
         self.engines[from].forget_demoted(&mut run.states[from], entry.req.id);
         let shift = run.states[to].clock - run.states[from].clock;
         let st = &mut run.states[to];
@@ -559,6 +625,7 @@ impl<'a> Fleet<'a> {
         let to = self.route_slots(run, RouteRequest::of(&entry.req, entry.emitted, true));
         catch_up(&mut self.engines[to], &mut run.states[to], until)?;
         if to == from {
+            run.touch(from);
             self.engines[from].requeue(&mut run.states[from], entry);
         } else {
             run.redispatches += 1;
@@ -584,6 +651,10 @@ impl<'a> Fleet<'a> {
             misrouted: 0,
             drained_requests: 0,
             events: Vec::new(),
+            next_transition: self.next_transition(),
+            autoscale_wake: u64::MAX,
+            views: Vec::new(),
+            stale: Vec::new(),
             victims: Vec::new(),
         };
         if let [st] = run.states.as_mut_slice() {
@@ -592,14 +663,10 @@ impl<'a> Fleet<'a> {
             st.reserve_outcomes(trace.len());
         }
         loop {
-            if self.scales {
-                self.tick_lifecycles(&mut run)?;
-                self.autoscale(&mut run)?;
-            }
+            self.tick_lifecycles(&mut run)?;
+            self.autoscale(&mut run)?;
             self.dispatch_arrivals(&mut run)?;
-            if self.scales {
-                self.drain(&mut run)?;
-            }
+            self.drain(&mut run)?;
             if run.states.iter().any(RunState::has_work) {
                 self.lockstep(&mut run)?;
             } else if run.arrivals_left() {
@@ -622,8 +689,11 @@ impl<'a> Fleet<'a> {
     }
 
     /// Stage 1: cold starts whose thresholds have passed turn Warming,
-    /// then Active.
+    /// then Active. Nothing to do before the run's next transition step.
     fn tick_lifecycles(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
+        if run.gstep < run.next_transition {
+            return Ok(());
+        }
         for d in 0..self.lifecycles.len() {
             for ev in self.lifecycles[d].tick(run.gstep, d as u32) {
                 self.log_transition(run, ev)?;
@@ -635,17 +705,28 @@ impl<'a> Fleet<'a> {
     /// Stage 2: the autoscale decision, executed. Skipped once the trace
     /// is exhausted: no arrival can ever justify new capacity, and a
     /// predictive policy must not re-provision what the tail is retiring.
-    /// A scale-up provisions the lowest-indexed Retired slots; a
-    /// scale-down drains the least-loaded Active slots (ties drain the
-    /// highest index, the most recently provisioned spare), never below
-    /// [`ElasticConfig::MIN_ACTIVE`].
+    /// A policy that never scales is never consulted. A scale-up
+    /// provisions the lowest-indexed Retired slots; a scale-down drains
+    /// the least-loaded Active slots (ties drain the highest index, the
+    /// most recently provisioned spare), never below
+    /// [`ElasticConfig::MIN_ACTIVE`]. After a `Hold` the policy names its
+    /// next wake on the same snapshot; after an action the autoscaler
+    /// must see the next step.
     fn autoscale(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
-        if !run.arrivals_left() {
+        run.autoscale_wake = u64::MAX;
+        if !self.scales || !run.arrivals_left() {
             return Ok(());
         }
         let pending = &run.trace[run.next..];
         let arrivals = pending.iter().take_while(|r| r.arrival_step <= run.gstep).count();
-        match self.consult_autoscaler(run, arrivals, |p, snap| p.decide(snap)) {
+        let (decision, wake) = self.consult_autoscaler(run, arrivals, |p, snap| {
+            let decision = p.decide(snap);
+            let wake =
+                if decision == ScaleDecision::Hold { p.next_wake(snap) } else { snap.step + 1 };
+            (decision, wake)
+        });
+        run.autoscale_wake = wake;
+        match decision {
             ScaleDecision::Hold => {}
             ScaleDecision::ScaleUp { count } => {
                 for _ in 0..count {
@@ -683,6 +764,7 @@ impl<'a> Fleet<'a> {
         while let Some(&req) = run.trace.get(run.next).filter(|r| r.arrival_step <= run.gstep) {
             let d = self.route_slots(run, RouteRequest::of(&req, 0, false));
             run.dispatched[d] += 1;
+            run.touch(d);
             catch_up(&mut self.engines[d], &mut run.states[d], run.gstep)?;
             if run.states.len() > 1 {
                 run.states[d].emit(DeploymentId(d as u32), req.id, EventKind::Routed);
@@ -696,12 +778,15 @@ impl<'a> Fleet<'a> {
     /// Stage 4, live drain: Draining slots evacuate queued work wholesale
     /// and in-flight work `drain_batch` per step, re-dispatching each
     /// request (a Draining slot is never a route target, so every one
-    /// migrates), and retire once empty.
+    /// migrates), and retire once empty. A drain changes what the
+    /// autoscaler sees, so it must see the next step.
     fn drain(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
         for d in 0..self.engines.len() {
             if self.lifecycles[d].state() != LifecycleState::Draining {
                 continue;
             }
+            run.autoscale_wake = run.gstep + 1;
+            run.touch(d);
             let (eng, st) = (&mut self.engines[d], &mut run.states[d]);
             catch_up(eng, st, run.gstep)?;
             let mut moved = eng.evacuate_queued(st);
@@ -731,19 +816,17 @@ impl<'a> Fleet<'a> {
     /// iteration may open the next window. A one-slot fleet has no
     /// phase B: its victims could only be routed back where they are.
     ///
-    /// The run moves to the next step, or — when every busy slot
-    /// stalled — to the next arrival, and fails with
-    /// [`CoreError::SchedulerStalled`] if there is none. On a
-    /// never-scaling fleet whose every busy slot was skipped, it jumps
-    /// to the first step past the earliest window end, or to the next
-    /// arrival if that comes first: no step between can touch a slot.
+    /// The run moves to the first step anything can happen on: the
+    /// next one when a slot ran, else the earliest of the next arrival,
+    /// the autoscaler's wake, the next lifecycle transition and the
+    /// first step past the earliest window end. When every busy slot
+    /// stalled it moves to the next arrival instead, and fails with
+    /// [`CoreError::SchedulerStalled`] if there is none.
     fn lockstep(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
         let gstep = run.gstep;
         let lone = self.engines.len() == 1;
         let mut all_stalled = true;
-        // The next step anything can happen on: the next one, unless a
-        // fleet that never scales has every busy slot inside a window.
-        let mut wake = if self.scales { gstep + 1 } else { run.next_arrival() };
+        let mut wake = run.next_arrival().min(run.autoscale_wake).min(run.next_transition);
         for (d, (eng, st)) in self.engines.iter_mut().zip(&mut run.states).enumerate() {
             if !st.has_work() {
                 continue;
@@ -756,6 +839,9 @@ impl<'a> Fleet<'a> {
             catch_up(eng, st, gstep)?;
             st.step = gstep;
             let progress = eng.advance_once(st)?;
+            if let Some(stale) = run.stale.get_mut(d) {
+                *stale = true;
+            }
             wake = gstep + 1;
             all_stalled &= progress == StepProgress::Stalled;
             if progress == StepProgress::Decoded {
@@ -794,12 +880,8 @@ impl<'a> Fleet<'a> {
     fn idle_wake(&mut self, run: &mut FleetRun) {
         let prewarm =
             self.scales.then(|| self.consult_autoscaler(run, 0, |p, snap| p.prewarm_at(snap)));
-        let wake = self
-            .lifecycles
-            .iter()
-            .filter_map(DeploymentLifecycle::next_transition_step)
-            .chain(prewarm.flatten().filter(|&p| p > run.gstep))
-            .fold(run.next_arrival(), u64::min);
+        let prewarm = prewarm.flatten().filter(|&p| p > run.gstep).unwrap_or(u64::MAX);
+        let wake = run.next_arrival().min(run.next_transition).min(prewarm);
         run.gstep = wake.max(run.gstep + 1);
     }
 }

@@ -210,8 +210,9 @@ impl DeploymentLifecycle {
     }
 
     /// The next step at which a transit in progress changes state
-    /// (`None` when no transit is pending) — the idle-jump wake-up so a
-    /// sleeping cluster still finishes its cold starts.
+    /// (`None` when no transit is pending) — a wake-up no jump of the
+    /// global step may pass, so a sleeping cluster still finishes its
+    /// cold starts on time.
     pub fn next_transition_step(&self) -> Option<u64> {
         match self.state {
             LifecycleState::Provisioning => Some(self.warm_at),

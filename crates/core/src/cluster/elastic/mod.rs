@@ -14,8 +14,9 @@
 //!   with `Retired → Provisioning` closing the keep-alive loop), and
 //!   [`ColdStartModel`], which prices the Provisioning→Active transit
 //!   from the slot's own model size and device bandwidth.
-//! * [`AutoscalePolicy`] — fleet sizing, consulted once per global step
-//!   with a read-only [`FleetSnapshot`]. Ships [`PinnedFleet`] (never
+//! * [`AutoscalePolicy`] — fleet sizing, consulted with a read-only
+//!   [`FleetSnapshot`] on every global step the loop visits;
+//!   [`AutoscalePolicy::next_wake`] bounds how far it may skip. Ships [`PinnedFleet`] (never
 //!   scales — the elasticity-off control), [`TargetPressureScaler`]
 //!   (reactive water marks) and [`HybridHistogramKeepAlive`]
 //!   (inter-burst gap histogram → early release + predictive pre-warm).

@@ -126,9 +126,10 @@
 //! A fleet of one slot has one route target, so it consults no routing
 //! policy, writes no `Routed` event and keeps preemption victims where
 //! its engine re-queued them; a fleet that never scales
-//! ([`AutoscalePolicy::may_scale`]) skips the lifecycle, autoscale and
-//! drain stages and jumps its global step over windows every busy slot
-//! sits in. So a one-deployment [`ClusterEngine`], or a one-slot
+//! ([`AutoscalePolicy::may_scale`]) never consults its autoscaler. Any
+//! fleet jumps its global step over windows every busy slot sits in, up
+//! to the next arrival, lifecycle transition or
+//! [`AutoscalePolicy::next_wake`]. So a one-deployment [`ClusterEngine`], or a one-slot
 //! [`ElasticClusterEngine`] under [`PinnedFleet`], reports exactly what
 //! `ServeEngine::run_trace` does on the same system under any routing
 //! policy (golden-pinned down to the FNV hash of every outcome's

@@ -2,8 +2,9 @@
 //! layer's shard-ledger conservation.
 
 use hilos_core::cluster::{
-    ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig, JoinShortestQueue,
-    LedgerPressure, RoundRobin, RoutingPolicy, TargetPressureScaler,
+    AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
+    ElasticReport, FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure,
+    RoundRobin, RoutingPolicy, ScaleDecision, TargetPressureScaler,
 };
 use hilos_core::trace::{check_conservation, prefill_chunk_totals, Event, LatencyAttribution};
 use hilos_core::{
@@ -15,6 +16,8 @@ use hilos_core::{
 use hilos_llm::{presets, SharedPrefixConfig, TraceConfig};
 use hilos_platform::SystemSpec;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -507,6 +510,165 @@ proptest! {
         let before = seen.len();
         seen.dedup();
         prop_assert_eq!(seen.len(), before, "a request id ended more than once");
+    }
+}
+
+/// What a [`LoggedAutoscale`] saw: its `decide` calls, and each step
+/// the policy's state (its `Debug` form) changed on, with the new state.
+#[derive(Debug, Default, PartialEq)]
+struct ConsultLog {
+    calls: u64,
+    states: Vec<(u64, String)>,
+}
+
+/// Forwards an autoscale policy and logs its consults. With
+/// `forward_wake` off it keeps the default `next_wake`, so the engine
+/// consults it on every step a busy fleet could otherwise skip.
+#[derive(Debug)]
+struct LoggedAutoscale {
+    inner: Box<dyn AutoscalePolicy>,
+    forward_wake: bool,
+    log: Rc<RefCell<ConsultLog>>,
+}
+
+impl AutoscalePolicy for LoggedAutoscale {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, snapshot: &FleetSnapshot<'_>) -> ScaleDecision {
+        let decision = self.inner.decide(snapshot);
+        let state = format!("{:?}", self.inner);
+        let mut log = self.log.borrow_mut();
+        log.calls += 1;
+        if log.states.last().is_none_or(|(_, last)| *last != state) {
+            log.states.push((snapshot.step, state));
+        }
+        decision
+    }
+
+    fn next_wake(&self, snapshot: &FleetSnapshot<'_>) -> u64 {
+        if self.forward_wake {
+            self.inner.next_wake(snapshot)
+        } else {
+            snapshot.step + 1
+        }
+    }
+
+    fn prewarm_at(&self, snapshot: &FleetSnapshot<'_>) -> Option<u64> {
+        self.inner.prewarm_at(snapshot)
+    }
+
+    fn may_scale(&self) -> bool {
+        self.inner.may_scale()
+    }
+}
+
+/// Serves `trace` on a traced 3-slot elastic fleet (8/6/4 devices, one
+/// slot Active) under routing policy `routing_idx` and the autoscaler
+/// `autoscale` builds, once with its `next_wake` forwarded and once with
+/// the default; returns each report with its consult log.
+fn run_with_and_without_next_wake(
+    trace: &[hilos_llm::Request],
+    routing_idx: usize,
+    autoscale: impl Fn() -> Box<dyn AutoscalePolicy>,
+) -> [(ElasticReport, ConsultLog); 2] {
+    [true, false].map(|forward_wake| {
+        let routing: Box<dyn RoutingPolicy> = match routing_idx {
+            0 => Box::new(RoundRobin::new()),
+            1 => Box::new(JoinShortestQueue),
+            2 => Box::new(LedgerPressure::new()),
+            _ => Box::new(CostNormalizedPressure),
+        };
+        let deployments: Vec<ServeEngine> = [8usize, 6, 4]
+            .iter()
+            .map(|&devices| {
+                let sys = HilosSystem::new(
+                    &SystemSpec::a100_smartssd(devices),
+                    &presets::opt_30b(),
+                    &HilosConfig::new(devices),
+                )
+                .unwrap()
+                .with_sim_layers(1);
+                ServeEngine::new(sys, ServeConfig::new(4).with_tracing(1 << 16)).unwrap()
+            })
+            .collect();
+        let log = Rc::new(RefCell::new(ConsultLog::default()));
+        let policy = LoggedAutoscale { inner: autoscale(), forward_wake, log: log.clone() };
+        let mut elastic = ElasticClusterEngine::new(
+            deployments,
+            routing,
+            Box::new(policy),
+            ElasticConfig::new(1),
+        );
+        let report = elastic.run_trace(trace).unwrap();
+        drop(elastic);
+        (report, Rc::into_inner(log).expect("the engine is gone").into_inner())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `AutoscalePolicy::next_wake` skips only steps that change nothing:
+    /// for random flash crowds, water marks, cooldowns, keep-alive
+    /// thresholds and every router, a fleet that skips to each wake
+    /// reports exactly what one consulting its autoscaler on every busy
+    /// step reports — the whole elastic report and every deployment's
+    /// event stream — and its policy changes state on the same steps to
+    /// the same states, with no more `decide` calls.
+    #[test]
+    fn next_wake_skips_change_nothing(
+        n in 24usize..64,
+        seed in 0u64..1_000_000,
+        bursts in 2u32..5,
+        calm_gap in 200u64..1500,
+        routing_idx in 0usize..4,
+        keep_alive in any::<bool>(),
+        high in 0.5f64..1.5,
+        low in 0.0f64..0.3,
+        cooldown in 0u64..80,
+        burst_threshold in 8u64..160,
+    ) {
+        let trace = TraceConfig::flash_crowd_mix(n, seed, bursts, calm_gap).generate().unwrap();
+        let autoscale = || -> Box<dyn AutoscalePolicy> {
+            if keep_alive {
+                Box::new(HybridHistogramKeepAlive::new(burst_threshold))
+            } else {
+                Box::new(TargetPressureScaler::new(high, low, cooldown))
+            }
+        };
+        let [(direct, direct_log), (every, every_log)] =
+            run_with_and_without_next_wake(&trace, routing_idx, autoscale);
+        let pairs = direct.cluster.deployments.iter().zip(&every.cluster.deployments);
+        for (i, (d, e)) in pairs.enumerate() {
+            prop_assert_eq!(d.events_dropped, 0, "ring too small for the run");
+            prop_assert!(d.events == e.events, "deployment {} event streams differ", i);
+        }
+        prop_assert!(direct == every, "the elastic reports differ");
+        let states = (&direct_log.states, &every_log.states);
+        let first = states.0.iter().zip(states.1).position(|(a, b)| a != b);
+        prop_assert!(states.0 == states.1, "policy state trajectories differ from entry {:?}", first);
+        prop_assert!(direct_log.calls <= every_log.calls, "{:?} vs {:?}", direct_log, every_log);
+    }
+}
+
+/// Both shipped scaling policies skip `decide` calls on a flash crowd:
+/// the skips the property above holds exact do happen.
+#[test]
+fn next_wake_saves_decide_calls_on_a_flash_crowd() {
+    let trace = TraceConfig::flash_crowd_mix(48, 42, 3, 800).generate().unwrap();
+    let policies: [fn() -> Box<dyn AutoscalePolicy>; 2] = [
+        || Box::new(TargetPressureScaler::new(0.75, 0.1, 24)),
+        || Box::new(HybridHistogramKeepAlive::new(64)),
+    ];
+    for autoscale in policies {
+        let [(direct, direct_log), (every, every_log)] =
+            run_with_and_without_next_wake(&trace, 3, autoscale);
+        assert_eq!(direct, every);
+        assert_eq!(direct_log.states, every_log.states);
+        let calls = (direct_log.calls, every_log.calls);
+        assert!(calls.0 < calls.1, "{} vs {} decide calls", calls.0, calls.1);
     }
 }
 
