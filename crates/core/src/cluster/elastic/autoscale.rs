@@ -41,7 +41,7 @@ use std::fmt;
 
 /// Read-only fleet state handed to [`AutoscalePolicy::decide`] on every
 /// global serving step the engine visits.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FleetSnapshot<'a> {
     /// The global serving step (the arrival cursor).
     pub step: u64,
@@ -55,48 +55,88 @@ pub struct FleetSnapshot<'a> {
     /// Every deployment slot, in cluster index order, lifecycle state
     /// included.
     pub deployments: &'a [DeploymentView],
+    /// The fleet-wide counts, summed over `deployments` once when the
+    /// snapshot is built.
+    totals: FleetTotals,
 }
 
-impl FleetSnapshot<'_> {
+/// [`FleetSnapshot`]'s aggregates over its views.
+#[derive(Debug, Default)]
+struct FleetTotals {
+    active: usize,
+    provisioning_or_warming: usize,
+    retired: usize,
+    queued: usize,
+    in_flight: usize,
+    active_batch_capacity: usize,
+}
+
+impl<'a> FleetSnapshot<'a> {
+    /// The snapshot of `deployments` at `step`, its aggregates summed in
+    /// one pass.
+    pub(crate) fn new(
+        step: u64,
+        arrivals_this_step: usize,
+        cold_start_steps: u64,
+        min_active: usize,
+        deployments: &'a [DeploymentView],
+    ) -> Self {
+        let mut totals = FleetTotals::default();
+        for d in deployments {
+            totals.queued += d.queued;
+            totals.in_flight += d.in_flight();
+            match d.lifecycle {
+                LifecycleState::Active => {
+                    totals.active += 1;
+                    totals.active_batch_capacity += d.max_batch as usize;
+                }
+                LifecycleState::Provisioning | LifecycleState::Warming => {
+                    totals.provisioning_or_warming += 1;
+                }
+                LifecycleState::Retired => totals.retired += 1,
+                LifecycleState::Draining => {}
+            }
+        }
+        FleetSnapshot {
+            step,
+            arrivals_this_step,
+            cold_start_steps,
+            min_active,
+            deployments,
+            totals,
+        }
+    }
+
     /// Slots currently Active.
     pub fn active_count(&self) -> usize {
-        self.deployments.iter().filter(|d| d.lifecycle == LifecycleState::Active).count()
+        self.totals.active
     }
 
     /// Slots mid cold start (Provisioning or Warming) — capacity already
     /// paid for but not yet serving.
     pub fn provisioning_or_warming(&self) -> usize {
-        self.deployments
-            .iter()
-            .filter(|d| {
-                matches!(d.lifecycle, LifecycleState::Provisioning | LifecycleState::Warming)
-            })
-            .count()
+        self.totals.provisioning_or_warming
     }
 
     /// Retired slots available for a scale-up.
     pub fn retired_available(&self) -> usize {
-        self.deployments.iter().filter(|d| d.lifecycle == LifecycleState::Retired).count()
+        self.totals.retired
     }
 
     /// Requests queued across the fleet.
     pub fn queued(&self) -> usize {
-        self.deployments.iter().map(|d| d.queued).sum()
+        self.totals.queued
     }
 
     /// Requests in flight (prefilling + decoding) across the fleet.
     pub fn in_flight(&self) -> usize {
-        self.deployments.iter().map(|d| d.in_flight()).sum()
+        self.totals.in_flight
     }
 
     /// Aggregate admission capacity of the Active slots (sum of their
     /// batch caps).
     pub fn active_batch_capacity(&self) -> usize {
-        self.deployments
-            .iter()
-            .filter(|d| d.lifecycle == LifecycleState::Active)
-            .map(|d| d.max_batch as usize)
-            .sum()
+        self.totals.active_batch_capacity
     }
 
     /// Fleet pressure: total load per unit of Active admission capacity.
@@ -546,13 +586,7 @@ mod tests {
     }
 
     fn snap<'a>(step: u64, arrivals: usize, views: &'a [DeploymentView]) -> FleetSnapshot<'a> {
-        FleetSnapshot {
-            step,
-            arrivals_this_step: arrivals,
-            cold_start_steps: 50,
-            min_active: 1,
-            deployments: views,
-        }
+        FleetSnapshot::new(step, arrivals, 50, 1, views)
     }
 
     #[test]

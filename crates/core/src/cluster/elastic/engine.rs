@@ -16,8 +16,9 @@ use crate::serve::ServeEngine;
 use hilos_llm::{DeploymentId, Request};
 use hilos_metrics::{FleetBill, SlotBill};
 use hilos_trace::{EventKind, NO_REQUEST};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Runs a slot's owed quiet steps — those of its open window before
 /// global step `until` — and closes the window. Every interaction point
@@ -211,7 +212,7 @@ impl ElasticClusterEngine {
         // Identical-fingerprint slots share one memo table, so a
         // scale-up warm-starts from what its Active twins already
         // computed instead of re-paying every memoization miss.
-        let mut groups: HashMap<u64, Arc<SharedStepCache>> = HashMap::new();
+        let mut groups: HashMap<u64, Rc<RefCell<SharedStepCache>>> = HashMap::new();
         for eng in deployments.iter_mut() {
             let shared = groups.entry(eng.system_fingerprint()).or_default().clone();
             eng.set_shared_cache(shared);
@@ -501,13 +502,13 @@ impl<'a> Fleet<'a> {
         ask: impl FnOnce(&mut dyn AutoscalePolicy, &FleetSnapshot) -> R,
     ) -> R {
         self.refresh_views(run);
-        let snapshot = FleetSnapshot {
-            step: run.gstep,
+        let snapshot = FleetSnapshot::new(
+            run.gstep,
             arrivals_this_step,
-            cold_start_steps: self.cold_start_steps,
-            min_active: ElasticConfig::MIN_ACTIVE,
-            deployments: &run.views,
-        };
+            self.cold_start_steps,
+            ElasticConfig::MIN_ACTIVE,
+            &run.views,
+        );
         ask(&mut *self.autoscale, &snapshot)
     }
 
@@ -933,5 +934,42 @@ impl ElasticReport {
     /// draining must never cost a request.
     pub fn lost(&self) -> usize {
         self.cluster.rejected_len() + self.cluster.shed_len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::cluster::{ClusterEngine, RoundRobin};
+    use crate::serve::engine::tests::{run_stepwise, system};
+    use crate::serve::{ServeConfig, ServeEngine};
+    use hilos_llm::{DeploymentId, Request, TraceConfig};
+    use hilos_trace::EventKind;
+
+    /// The pinned fleet's global jump is exact: a two-slot fleet of
+    /// `Fifo` engines under `RoundRobin`, both slots opening windows,
+    /// serves each slot's share of the trace exactly as the stepwise
+    /// reference serves that share alone (the fleet adds `Routed`
+    /// events, windows split differently, and twin slots share a memo).
+    #[test]
+    fn pinned_fleet_jumps_match_each_slot_run_alone() {
+        let trace = TraceConfig::azure_mix(64, 5).with_mean_interarrival(12).generate().unwrap();
+        let config = ServeConfig::new(8).with_tracing(1 << 16);
+        let build = || ServeEngine::new(system(8), config.clone()).unwrap();
+        let mut cluster = ClusterEngine::new(vec![build(), build()], Box::new(RoundRobin::new()));
+        let report = cluster.run_trace(&trace).unwrap();
+        for (d, mut slot) in report.deployments.into_iter().enumerate() {
+            let ids: Vec<u64> = slot.outcomes.iter().map(|o| o.id).collect();
+            let share: Vec<Request> =
+                trace.iter().filter(|r| ids.contains(&r.id)).copied().collect();
+            let mut alone = build();
+            alone.set_deployment(DeploymentId(d as u32));
+            let reference = run_stepwise(&mut alone, &share);
+            assert!(slot.windowed_steps > reference.steps / 2, "slot {d} opened few windows");
+            slot.windowed_steps = 0;
+            slot.step_cache_entries = reference.step_cache_entries;
+            slot.events.retain(|e| e.kind != EventKind::Routed);
+            assert_eq!(slot.events_dropped, 0);
+            assert!(slot == reference, "slot {d} diverged from its share run alone");
+        }
     }
 }

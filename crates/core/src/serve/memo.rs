@@ -10,7 +10,6 @@ use crate::runner::CoreError;
 use crate::writeback::{simulated_decision, SpillDecision};
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::sync::RwLock;
 
 /// Context quantum of the chunk-path prefill memoization. Chunk cursors
 /// are rounded to this *fixed* grid — unlike the adaptive
@@ -73,35 +72,32 @@ pub(super) struct CachedStep {
 /// fleet) warm-starts from what any twin already computed instead of
 /// re-paying the misses.
 ///
-/// Read-mostly: lookups take the read lock, only misses take the write
-/// lock. A cached value is a *pure function* of its key given the shared
-/// fingerprint, so the simulation outcome is independent of which
+/// Plain single-threaded maps, shared within a fingerprint group through
+/// `Rc<RefCell<_>>`; a borrow lasts one lookup or one insert, never a
+/// step solve. A cached value is a *pure function* of its key given the
+/// shared fingerprint, so the simulation outcome is independent of which
 /// deployment filled an entry first — the cache changes wall-clock, never results.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStepCache {
-    steps: RwLock<HashMap<StepKey, CachedStep>>,
-    prefills: RwLock<HashMap<(u64, u64), f64>>,
+    steps: HashMap<StepKey, CachedStep>,
+    prefills: HashMap<(u64, u64), f64>,
 }
 
 impl SharedStepCache {
     /// Copies `other`'s entries in, keeping any this table already holds
     /// (within one fingerprint group equal keys hold equal values).
-    pub(super) fn absorb(&self, other: &SharedStepCache) {
-        let steps = other.steps.read().expect("step memo poisoned").clone();
-        let mut mine = self.steps.write().expect("step memo poisoned");
-        for (k, v) in steps {
-            mine.entry(k).or_insert(v);
+    pub(super) fn absorb(&mut self, other: &SharedStepCache) {
+        for (&k, &v) in &other.steps {
+            self.steps.entry(k).or_insert(v);
         }
-        let prefills = other.prefills.read().expect("prefill memo poisoned").clone();
-        let mut mine = self.prefills.write().expect("prefill memo poisoned");
-        for (k, v) in prefills {
-            mine.entry(k).or_insert(v);
+        for (&k, &v) in &other.prefills {
+            self.prefills.entry(k).or_insert(v);
         }
     }
 
     /// Distinct decode-step operating points held.
     pub(super) fn step_entries(&self) -> usize {
-        self.steps.read().expect("step memo poisoned").len()
+        self.steps.len()
     }
 }
 
@@ -124,11 +120,11 @@ impl ServeEngine {
     /// cached value's meaning cannot drift between them.
     fn prefill_seconds_rounded(&mut self, ctx: u64, alpha: f64) -> Result<f64, CoreError> {
         let key = (ctx, alpha.to_bits());
-        if let Some(&s) = self.memo.prefills.read().expect("prefill memo poisoned").get(&key) {
+        if let Some(&s) = self.memo.borrow().prefills.get(&key) {
             return Ok(s);
         }
         let s = self.exec.execute_prefill(1, ctx, alpha)?;
-        self.memo.prefills.write().expect("prefill memo poisoned").insert(key, s);
+        self.memo.borrow_mut().prefills.insert(key, s);
         Ok(s)
     }
 
@@ -188,7 +184,7 @@ impl ServeEngine {
             buffered: solved.buffered_tokens,
             spill_now: solved.spill_now,
         };
-        if let Some(&o) = self.memo.steps.read().expect("step memo poisoned").get(&key) {
+        if let Some(&o) = self.memo.borrow().steps.get(&key) {
             return Ok(o);
         }
         let o = self.exec.execute_step(batch, context, alpha, &solved)?;
@@ -197,7 +193,7 @@ impl ServeEngine {
             host_pcie_bytes: o.host_pcie_bytes,
             internal_read_bytes: o.internal_read_bytes,
         };
-        self.memo.steps.write().expect("step memo poisoned").insert(key, cached);
+        self.memo.borrow_mut().steps.insert(key, cached);
         Ok(cached)
     }
 }

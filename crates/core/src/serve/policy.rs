@@ -102,11 +102,7 @@ pub enum SchedDecision {
 
 /// An admission/preemption policy consulted once per serving step with a
 /// queued request.
-///
-/// `Send` is a supertrait so a deployment (engine + policy) can move to
-/// another thread, for instance to run independent engines side by
-/// side; every shipped policy is plain owned data.
-pub trait SchedulingPolicy: fmt::Debug + Send {
+pub trait SchedulingPolicy: fmt::Debug {
     /// Stable policy name, recorded in
     /// [`TraceReport::policy`](super::TraceReport::policy).
     fn name(&self) -> &'static str;

@@ -10,9 +10,9 @@ use hilos_accel::AccelTimingModel;
 use hilos_interconnect::{LinkSpec, NodeId, PcieGen, Topology, TopologyInstance};
 use hilos_sim::{FlowEngine, ResourceId, ResourceKind, ResourceSpec};
 use hilos_storage::{KvShardLedger, NandGeometry, ShardSpec, SsdDevice, SsdInstance, SsdSpec};
+use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// The storage complex of a system.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,7 +260,7 @@ pub struct BuiltSystem {
     pub ssd_states: Vec<SsdDevice>,
     /// Routes, resolved on first use: a world that only answers capacity
     /// questions never walks the topology.
-    routes: OnceLock<Routes>,
+    routes: OnceCell<Routes>,
 }
 
 impl BuiltSystem {
@@ -435,7 +435,7 @@ impl BuiltSystem {
             gpu_node,
             devices,
             ssd_states,
-            routes: OnceLock::new(),
+            routes: OnceCell::new(),
         })
     }
 

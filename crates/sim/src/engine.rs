@@ -749,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_matches_reference_scan() {
+    fn stored_predictions_match_reference_scan() {
         // The stored-prediction next_completion_time must agree with the
         // retained linear scan through a full churn of submissions,
         // completions and rate redistributions.
@@ -782,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_survives_partial_advances() {
+    fn stored_predictions_survive_partial_advances() {
         // Advance to instants strictly before any completion (as the task
         // executor does when a delay wakeup fires first): predictions must
         // remain valid without a rate recompute.
@@ -821,7 +821,7 @@ mod tests {
     // ---- cancellation ----
 
     #[test]
-    fn cancel_frees_capacity_for_both_impls() {
+    fn cancel_frees_capacity_for_the_survivor() {
         let mut eng = FlowEngine::new();
         let l = link(&mut eng, 1e9);
         let a = eng.submit(&[l], 1e9, None).unwrap();

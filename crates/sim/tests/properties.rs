@@ -481,7 +481,7 @@ proptest! {
     /// predictions within a picosecond of the reference scan and drain to
     /// idle.
     #[test]
-    fn mixed_churn_heap_matches_scan_and_drains(seed in any::<u64>(), n_ops in 10usize..60) {
+    fn mixed_churn_predictions_match_scan_and_drain(seed in any::<u64>(), n_ops in 10usize..60) {
         drive_mixed(seed, n_ops)?;
     }
 

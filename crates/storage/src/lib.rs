@@ -13,8 +13,6 @@
 //! * [`SsdDevice`] / [`IoCounters`] — per-device accounting of host I/O and
 //!   NAND programs, including the **write amplification** of sub-page
 //!   writes that motivates the paper's delayed KV-cache writeback (§4.3),
-//! * [`Ftl`] — a small functional log-structured flash translation layer
-//!   used to validate the analytic write-amplification model,
 //! * [`Raid0`] — mdadm-style striping across devices (the baselines'
 //!   4-SSD array),
 //! * [`SsdInstance`] — the adapter that materializes a device's read/write
@@ -48,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod device;
-mod ftl;
 mod ledger;
 mod nand;
 mod prefix;
@@ -57,7 +54,6 @@ mod spec;
 mod tier;
 
 pub use device::{IoCounters, SsdDevice, SsdInstance, WritePattern};
-pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats};
 pub use ledger::{KvShardLedger, LedgerError, ShardSpec};
 pub use nand::NandGeometry;
 pub use prefix::{PrefixCacheIndex, PrefixError};

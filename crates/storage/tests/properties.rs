@@ -1,11 +1,10 @@
-//! Property tests for the FTL, RAID, KV shard ledger, and prefix-cache
+//! Property tests for the RAID, KV shard ledger, and prefix-cache
 //! residency-ladder invariants, plus a differential check of the prefix
 //! index's victim order against a full-scan reference.
 
 use hilos_sim::SimTime;
 use hilos_storage::{
-    Ftl, FtlConfig, KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, PrefixError, Raid0,
-    ShardSpec, SsdSpec,
+    KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, PrefixError, Raid0, ShardSpec, SsdSpec,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -175,53 +174,6 @@ impl ScanIndex {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any mix of writes and trims keeps the mapping tables consistent
-    /// and the write amplification ≥ 1.
-    #[test]
-    fn ftl_invariants_under_arbitrary_ops(
-        ops in prop::collection::vec((any::<bool>(), 0u32..3584), 1..4000),
-    ) {
-        let cfg = FtlConfig::small();
-        let mut ftl = Ftl::new(cfg);
-        for (is_write, lpn) in ops {
-            let lpn = lpn % cfg.logical_pages();
-            if is_write {
-                ftl.write(lpn).unwrap();
-            } else {
-                ftl.trim(lpn).unwrap();
-            }
-        }
-        prop_assert!(ftl.check_invariants());
-        prop_assert!(ftl.stats().write_amplification() >= 1.0 - 1e-12);
-        // The free pool never collapses below the GC watermark minus the
-        // block being filled.
-        prop_assert!(ftl.free_block_count() + 2 >= cfg.gc_watermark as usize);
-    }
-
-    /// Written pages read back as mapped; trimmed pages as unmapped.
-    #[test]
-    fn ftl_mapping_reflects_last_op(
-        writes in prop::collection::vec(0u32..3584, 1..200),
-        trims in prop::collection::vec(0u32..3584, 0..100),
-    ) {
-        let cfg = FtlConfig::small();
-        let mut ftl = Ftl::new(cfg);
-        let mut state = std::collections::HashMap::new();
-        for lpn in writes {
-            let lpn = lpn % cfg.logical_pages();
-            ftl.write(lpn).unwrap();
-            state.insert(lpn, true);
-        }
-        for lpn in trims {
-            let lpn = lpn % cfg.logical_pages();
-            ftl.trim(lpn).unwrap();
-            state.insert(lpn, false);
-        }
-        for (lpn, mapped) in state {
-            prop_assert_eq!(ftl.is_mapped(lpn), mapped, "lpn {}", lpn);
-        }
-    }
 
     /// RAID-0 planning conserves bytes and touches only valid devices for
     /// any request geometry.

@@ -13,8 +13,8 @@ use hilos::core::{
 };
 use hilos::llm::{presets, DeploymentId, Request, TraceConfig};
 use hilos::platform::SystemSpec;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn hilos(n: usize) -> HilosSystem {
     HilosSystem::new(&SystemSpec::a100_smartssd(n), &presets::opt_30b(), &HilosConfig::new(n))
@@ -84,6 +84,39 @@ fn warm_shared_memo_leaves_the_cluster_report_unchanged() {
     let entries: Vec<usize> = cold.deployments.iter().map(|d| d.step_cache_entries).collect();
     assert!(entries[0] > 0);
     assert!(entries[..3].iter().all(|&e| e == entries[0]), "twins share one table: {entries:?}");
+}
+
+/// An engine that already ran brings its memo into its fingerprint
+/// group's table when it joins a cluster: right after the join, the
+/// veteran and its cold twin both report the veteran's entries, and the
+/// warm cluster serves a trace exactly as a cluster of cold engines
+/// does (only the memo size differs, by what the solo run computed).
+#[test]
+fn a_joining_engine_brings_its_memo_into_the_group_table() {
+    let build = || ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap();
+    let mut veteran = build();
+    let solo = veteran.run_trace(&TraceConfig::azure_mix(48, 7).generate().unwrap()).unwrap();
+    assert!(solo.step_cache_entries > 0);
+
+    let mut joined = ClusterEngine::new(vec![veteran, build()], Box::new(JoinShortestQueue));
+    // An empty trace steps nothing: it reports the table the join left.
+    let empty = joined.run_trace(&[]).unwrap();
+    let entries: Vec<usize> = empty.deployments.iter().map(|d| d.step_cache_entries).collect();
+    assert_eq!(entries, [solo.step_cache_entries; 2], "the join dropped the veteran's memo");
+
+    let trace = TraceConfig { mean_interarrival_steps: 10, ..TraceConfig::azure_mix(96, 42) }
+        .generate()
+        .unwrap();
+    let cold = ClusterEngine::new(vec![build(), build()], Box::new(JoinShortestQueue))
+        .run_trace(&trace)
+        .unwrap();
+    let mut warm = joined.run_trace(&trace).unwrap();
+    assert_eq!(warm.completed(), trace.len());
+    for (w, c) in warm.deployments.iter_mut().zip(&cold.deployments) {
+        assert!(w.step_cache_entries >= c.step_cache_entries.max(solo.step_cache_entries));
+        w.step_cache_entries = c.step_cache_entries;
+    }
+    assert_eq!(warm, cold, "the absorbed memo changed the cluster report");
 }
 
 /// The seeded contended heterogeneous cluster of the acceptance
@@ -369,7 +402,7 @@ fn migrated_victims_finish_on_the_spare_deployment_with_sane_latencies() {
 /// closed, and schedules first-in-first-out once it opens.
 #[derive(Debug)]
 struct Gated {
-    open: Arc<AtomicBool>,
+    open: Rc<Cell<bool>>,
     fifo: Fifo,
 }
 
@@ -378,7 +411,7 @@ impl SchedulingPolicy for Gated {
         "gated"
     }
     fn schedule(&mut self, snapshot: &SchedSnapshot<'_>) -> Vec<SchedDecision> {
-        if self.open.load(Ordering::Relaxed) {
+        if self.open.get() {
             self.fifo.schedule(snapshot)
         } else {
             Vec::new()
@@ -392,9 +425,9 @@ impl SchedulingPolicy for Gated {
 /// still there, and the next run serves a trace to completion.
 #[test]
 fn stalled_cluster_reports_every_queued_request_and_stays_usable() {
-    let open = Arc::new(AtomicBool::new(false));
+    let open = Rc::new(Cell::new(false));
     let deployment = || {
-        let policy = Gated { open: Arc::clone(&open), fifo: Fifo };
+        let policy = Gated { open: Rc::clone(&open), fifo: Fifo };
         ServeEngine::with_policy(hilos(8), ServeConfig::new(4), Box::new(policy)).unwrap()
     };
     let mut cluster =
@@ -408,7 +441,7 @@ fn stalled_cluster_reports_every_queued_request_and_stays_usable() {
     }
     assert_eq!(cluster.deployments().len(), 2);
 
-    open.store(true, Ordering::Relaxed);
+    open.set(true);
     let trace = TraceConfig::azure_mix(24, 7).generate().unwrap();
     let report = cluster.run_trace(&trace).unwrap();
     assert_eq!(report.completed(), trace.len());
