@@ -153,7 +153,8 @@ fn main() {
                 let ttft = r.ttft_stats();
                 eprintln!(
             "chunk mode {name}: decode-gap p95 {:.2}s p99 {:.2}s max {:.2}s, TTFT p95 {:.0}s, \
-             {} chunks ({} tokens), interference {:.0}s, stall {:.0}s",
+             {} chunks ({} tokens), interference {:.0}s, stall {:.0}s, \
+             {} of {} steps windowed",
             s.p95,
             s.p99,
             s.max,
@@ -162,6 +163,8 @@ fn main() {
             r.prefill.chunk_tokens,
             r.prefill.interference_seconds,
             r.prefill.stall_seconds,
+            r.windowed_steps,
+            r.steps,
         );
                 format!(
                     "{{\"mode\": \"{name}\", \"step_itl_p50_seconds\": {:.4}, \
@@ -169,7 +172,7 @@ fn main() {
              \"step_itl_max_seconds\": {:.4}, \"ttft_p95_seconds\": {:.4}, \
              \"prefill_chunks\": {}, \"prefill_chunk_tokens\": {}, \
              \"interference_seconds\": {:.4}, \"stall_seconds\": {:.4}, \
-             \"elapsed_seconds\": {:.4}}}",
+             \"elapsed_seconds\": {:.4}, \"steps\": {}, \"windowed_steps\": {}}}",
                     s.p50,
                     s.p95,
                     s.p99,
@@ -180,6 +183,8 @@ fn main() {
                     r.prefill.interference_seconds,
                     r.prefill.stall_seconds,
                     r.elapsed_s,
+                    r.steps,
+                    r.windowed_steps,
                 )
             })
             .collect();

@@ -476,8 +476,10 @@ impl<'a> Fleet<'a> {
 
     /// Brings the kept views up to date: the first call builds them all,
     /// later calls rebuild only the stale slots. A quiet window's
-    /// catch-up changes no view field, so a slot left unmarked still
-    /// reads what a fresh build would.
+    /// catch-up changes no view field — a window through chunked prefill
+    /// moves only chunk cursors, while the prefilling and decoding
+    /// counts, the ledger and the queue stay put — so a slot left
+    /// unmarked still reads what a fresh build would.
     fn refresh_views(&self, run: &mut FleetRun) {
         if run.views.is_empty() {
             run.views = self.slot_views(run);

@@ -23,8 +23,8 @@
 //! beside it: the step/prefill memo in `memo.rs`, the configuration in
 //! `config.rs` and the prefix KV cache in `prefix.rs`.
 
-use super::config::ServeConfig;
-use super::memo::{BitsHasher, CachedStep, SharedStepCache};
+use super::config::{ChunkMode, ServeConfig};
+use super::memo::{BitsMap, CachedStep, SharedStepCache};
 use super::policy::{Fifo, SchedDecision, SchedulingPolicy};
 use super::prefix::{CacheBaseline, PrefixCacheState};
 use super::snapshot::{InFlightView, QueuedView, SchedSnapshot};
@@ -40,8 +40,7 @@ use hilos_metrics::{LatencyHistogram, PrefillBreakdown, PrefixCacheStats};
 use hilos_storage::KvShardLedger;
 use hilos_trace::{Event, EventKind, EventRing};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
@@ -79,6 +78,10 @@ struct InFlight {
     /// stays zero in [`ChunkMode::Off`], where the prefill is simulated
     /// as one lump on the side).
     prefill_done: u64,
+    /// The memoized whole-prompt prefill seconds at the chunk cursor, once
+    /// a chunk has ended there: the next chunk's start value, carried so
+    /// it is not looked up twice.
+    cursor_prefill_s: Option<f64>,
     /// Tokens this admission must ingest before joining: the prompt plus
     /// any generated progress retained across a preemption.
     prefill_total: u64,
@@ -182,7 +185,7 @@ pub(crate) struct RunState {
     /// request experienced that step. A step no chunk touched took a
     /// memoized step time, one of few distinct values, so it is counted
     /// by bit pattern; a step with interference is kept as a sample.
-    step_gap_counts: HashMap<u64, u64, BuildHasherDefault<BitsHasher>>,
+    step_gap_counts: BitsMap<u64, u64>,
     step_gap_samples: Vec<f64>,
     /// Prefill re-materialization debt left by preemptions: the victim's
     /// already-ingested tokens (context held by a decode victim, executed
@@ -199,7 +202,7 @@ pub(crate) struct RunState {
     /// A request's entry leaves when it completes, is rejected or is
     /// shed here; it stays when the request migrates away, since the
     /// request can come back.
-    footprint_estimates: HashMap<u64, u64>,
+    footprint_estimates: BitsMap<u64, u64>,
     /// Ids preempted by the most recent [`ServeEngine::advance_once`]
     /// call, in preemption order. Victims are re-queued locally (tail of
     /// `queue`) exactly as before the cluster layer existed; a fleet of
@@ -635,6 +638,12 @@ impl ServeEngine {
         Ok(StepProgress::Decoded)
     }
 
+    /// Whether the in-flight requests, decoding and prefilling, fill the
+    /// admission cap.
+    fn batch_full(&self, st: &RunState) -> bool {
+        st.running.len() + st.prefilling.len() >= self.config.max_batch as usize
+    }
+
     /// Whether the policy provably returns no decision this step, so
     /// [`ServeEngine::schedule`] skips it: the queue is empty (no policy
     /// is consulted on one — see [`SchedulingPolicy::schedule`]), or the
@@ -656,8 +665,7 @@ impl ServeEngine {
     /// ([`SchedulingPolicy::may_shed`]) — a full batch is exactly when
     /// preemption and shedding matter.
     fn schedule(&mut self, st: &mut RunState) -> Vec<SchedDecision> {
-        let batch_full = st.running.len() + st.prefilling.len() >= self.config.max_batch as usize;
-        if self.policy_idle(st.queue.is_empty(), batch_full) {
+        if self.policy_idle(st.queue.is_empty(), self.batch_full(st)) {
             return Vec::new();
         }
         let in_flight_len = (st.running.len() + st.prefilling.len()) as u32;
@@ -827,7 +835,7 @@ impl ServeEngine {
         st: &mut RunState,
         request: u64,
     ) -> Result<ControlFlow<(), bool>, CoreError> {
-        if st.running.len() + st.prefilling.len() >= self.config.max_batch as usize {
+        if self.batch_full(st) {
             return Ok(ControlFlow::Break(()));
         }
         let Some(pos) = st.queue.iter().position(|q| q.req.id == request) else {
@@ -895,7 +903,8 @@ impl ServeEngine {
             let pf = if reused == 0 {
                 self.prefill_seconds(pf_ctx, admit_alpha)
             } else {
-                self.prefill_chunk_seconds(reused, pf_ctx - reused, admit_alpha)
+                self.prefill_chunk_seconds(reused, pf_ctx - reused, admit_alpha, None)
+                    .map(|(chunk, _)| chunk)
             };
             match pf {
                 Ok(pf) => st.clock + pf,
@@ -920,6 +929,7 @@ impl ServeEngine {
             emitted: entry.emitted,
             preemptions: entry.preemptions,
             prefill_done: reused,
+            cursor_prefill_s: None,
             prefill_total: pf_ctx,
             admit_alpha,
             // The lump side-prefill executes in full right here; chunks
@@ -954,16 +964,15 @@ impl ServeEngine {
             if budget == 0 {
                 break;
             }
-            let (id, done, total, alpha) = {
-                let p = &st.prefilling[i];
-                (p.req.id, p.prefill_done, p.prefill_total, p.admit_alpha)
-            };
-            let remaining = total - done;
+            let p = st.prefilling[i];
+            let (id, done) = (p.req.id, p.prefill_done);
+            let remaining = p.prefill_total - done;
             if remaining == 0 {
                 continue;
             }
             let take = chunk_len.min(remaining).min(budget);
-            let seconds = self.prefill_chunk_seconds(done, take, alpha)?;
+            let (seconds, end_s) =
+                self.prefill_chunk_seconds(done, take, p.admit_alpha, p.cursor_prefill_s)?;
             chunk_seconds += seconds;
             st.emit(
                 self.deployment,
@@ -978,6 +987,7 @@ impl ServeEngine {
             let p = &mut st.prefilling[i];
             p.prefill_done += take;
             p.prefill_charged += take;
+            p.cursor_prefill_s = Some(end_s);
             budget -= take;
             st.prefill_chunks += 1;
             st.prefill_chunk_tokens += take;
@@ -1090,40 +1100,77 @@ impl ServeEngine {
 
     /// How many of the next serving iterations are provably *quiet*:
     /// iterations in which [`ServeEngine::advance_once`] would only
-    /// decode and emit — no policy call, admission, chunk, join, α
-    /// recompute or completion. Read it after a step that decoded; 0
-    /// means the next iteration must run in full.
+    /// ingest the same prefill chunks, decode and emit — no policy call,
+    /// admission, join, α recompute or completion. Read it after a step
+    /// that decoded; 0 means the next iteration must run in full.
     ///
-    /// The batch must be decoding with nothing prefilling, its
-    /// composition unchanged since α was selected, nothing preempted this
-    /// step, and [`ServeEngine::schedule`] must skip the policy: an empty
-    /// queue under any policy, or a full batch under a policy that can
-    /// neither preempt nor shed. All of that holds until the next arrival
-    /// or the first completion, so the window is the smallest remaining
-    /// output budget minus one (the completing step runs in full). The
-    /// serving loop cuts it short at the next arrival or anything else
-    /// that touches the slot.
+    /// The batch must be decoding, its composition unchanged since α was
+    /// selected, nothing preempted this step, and
+    /// [`ServeEngine::schedule`] must skip the policy: an empty queue
+    /// under any policy, or a full batch (decoding plus prefilling) under
+    /// a policy that can neither preempt nor shed. All of that holds until
+    /// the next arrival, the first join or the first completion. The
+    /// window is the smallest remaining output budget minus one (the
+    /// completing step runs in full), bounded by
+    /// [`ServeEngine::steps_before_join`] while a prefill is in flight.
+    /// The serving loop cuts it short at the next arrival or anything
+    /// else that touches the slot.
     pub(crate) fn quiet_steps_ahead(&self, st: &RunState) -> u64 {
-        let batch_full = st.running.len() >= self.config.max_batch as usize;
         let quiet = !st.running.is_empty()
-            && st.prefilling.is_empty()
             && !st.composition_changed
             && st.just_preempted.is_empty()
-            && self.policy_idle(st.queue.is_empty(), batch_full);
+            && self.policy_idle(st.queue.is_empty(), self.batch_full(st));
         if !quiet {
             return 0;
         }
-        st.running.iter().map(|r| r.req.output_budget - r.emitted).min().map_or(0, |m| m - 1)
+        let decode_bound =
+            st.running.iter().map(|r| r.req.output_budget - r.emitted).min().map_or(0, |m| m - 1);
+        decode_bound.min(self.steps_before_join(st))
+    }
+
+    /// How many of the next iterations [`ServeEngine::ingest_chunks`]
+    /// runs with no prefill completing, so none joins: unbounded with
+    /// nothing prefilling, and 0 under [`ChunkMode::Off`] (its prefills
+    /// join on the clock) or [`ChunkMode::Lump`] (every prompt completes
+    /// in its next step). Under [`ChunkMode::Chunked`] each prefiller in
+    /// admission order takes `min(chunk, budget left)` tokens per step, the
+    /// same takes every step until one completes; one whose `remaining`
+    /// fits in its take joins next step, and otherwise it ingests for
+    /// `(remaining − 1) / take` more steps without completing.
+    fn steps_before_join(&self, st: &RunState) -> u64 {
+        if st.prefilling.is_empty() {
+            return u64::MAX;
+        }
+        if !matches!(self.config.chunk_mode, ChunkMode::Chunked { .. }) {
+            return 0;
+        }
+        let (chunk_len, step_budget) = self.config.chunk_mode.knobs();
+        let mut budget = step_budget.saturating_sub(st.running.len() as u64);
+        let mut steps = u64::MAX;
+        for p in &st.prefilling {
+            let take = chunk_len.min(budget);
+            if take == 0 {
+                break;
+            }
+            let remaining = p.prefill_total - p.prefill_done;
+            if remaining <= take {
+                return 0;
+            }
+            steps = steps.min((remaining - 1) / take);
+            budget -= take;
+        }
+        steps
     }
 
     /// Runs `k` quiet iterations (see [`ServeEngine::quiet_steps_ahead`])
-    /// in one call. Each step repeats [`ServeEngine::decode`]'s work in
-    /// the same order — writeback tick, the memoized step at the batch's
-    /// mean context, then the clock and accumulators — so the state
-    /// after the window is bit-identical to `k` calls of
+    /// in one call. Each step runs [`ServeEngine::ingest_chunks`] itself,
+    /// then repeats [`ServeEngine::decode`]'s work in the same order —
+    /// writeback tick, the memoized step at the batch's mean context,
+    /// then the clock and accumulators with the chunks' interference — so
+    /// the state after the window is bit-identical to `k` calls of
     /// [`ServeEngine::advance_once`]. Emission is batched
     /// (`emitted += k`); with tracing on, every step still records its
-    /// `Emit` events in running order.
+    /// `PrefillChunk` events, then its `Emit` events in running order.
     ///
     /// Within a window the batch and α are fixed, so a step's memo key
     /// moves only with the solved writeback decision
@@ -1138,6 +1185,7 @@ impl ServeEngine {
         let mut row: [Option<(SpillDecision, CachedStep)>; 3] = [None; 3];
         let mut bucket = 0;
         for i in 0..k {
+            let interference_s = self.ingest_chunks(st)?;
             let context = self.quantize(((total_ctx + i * batch) / batch).max(1));
             if context != bucket {
                 row.fill(None);
@@ -1154,15 +1202,14 @@ impl ServeEngine {
                     o
                 }
             };
-            // No prefill chunk runs in a quiet step, so nothing interferes.
-            st.book_step(outcome, 0.0);
+            st.book_step(outcome, interference_s);
             if let Some(ring) = &mut st.trace {
                 for r in &st.running {
                     ring.record(Event {
                         t_s: st.clock,
                         deployment: self.deployment.0,
                         request: r.req.id,
-                        kind: EventKind::Emit { index: r.emitted + i, interference_s: 0.0 },
+                        kind: EventKind::Emit { index: r.emitted + i, interference_s },
                     });
                 }
             }
@@ -1424,7 +1471,7 @@ pub(crate) mod tests {
         assert!(report.preemptions > 0, "contended trace should preempt");
         // PriorityPreempt has nothing to say on an empty queue, so it
         // opens windows, and they must reproduce single steps exactly.
-        let (windowed, reference, opened) = windowed_and_stepwise(
+        let (windowed, reference, opened, _) = windowed_and_stepwise(
             &trace,
             &ServeConfig::new(4),
             || Box::new(PriorityPreempt::new()),
@@ -1808,7 +1855,23 @@ pub(crate) mod tests {
     /// The stepwise reference: the single-deployment loop as it ran
     /// before quiet windows, one [`ServeEngine::advance_once`] per step.
     pub(crate) fn run_stepwise(eng: &mut ServeEngine, trace: &[Request]) -> TraceReport {
+        stepwise_counting_windows(eng, trace).0
+    }
+
+    /// [`run_stepwise`], also counting the steps a one-slot windowed run
+    /// would run inside quiet windows: after a decoding step outside any
+    /// window, [`ServeEngine::quiet_steps_ahead`] cut at the next
+    /// arrival. The counts are `(all windowed steps, those in windows
+    /// opened with a prefill in flight)`; reading them changes nothing in
+    /// the run.
+    fn stepwise_counting_windows(
+        eng: &mut ServeEngine,
+        trace: &[Request],
+    ) -> (TraceReport, u64, u64) {
         let mut st = eng.new_run_state();
+        let (mut quiet, mut quiet_prefilling) = (0, 0);
+        // The first step past the last counted window.
+        let mut window_end = 0;
         let mut idx = 0usize;
         while idx < trace.len() || st.has_work() {
             while idx < trace.len() && trace[idx].arrival_step <= st.step {
@@ -1827,35 +1890,63 @@ pub(crate) mod tests {
                     assert!(idx < trace.len(), "the reference run stalled");
                     st.step = trace[idx].arrival_step;
                 }
-                StepProgress::Decoded | StepProgress::NoDecode => st.step += 1,
+                StepProgress::Decoded => {
+                    if st.step >= window_end {
+                        let until_arrival =
+                            trace.get(idx).map_or(u64::MAX, |r| r.arrival_step - st.step - 1);
+                        let k = eng.quiet_steps_ahead(&st).min(until_arrival);
+                        quiet += k;
+                        if st.prefilling_len() > 0 {
+                            quiet_prefilling += k;
+                        }
+                        window_end = st.step + k + 1;
+                    }
+                    st.step += 1;
+                }
+                StepProgress::NoDecode => st.step += 1,
             }
         }
-        eng.finish(st)
+        (eng.finish(st), quiet, quiet_prefilling)
     }
 
     /// Runs `trace` through the windowed `run_trace` and the stepwise
-    /// reference on fresh engines. Returns both reports and the windowed
+    /// reference on fresh engines. Returns both reports, the windowed
     /// step count, which is taken off the windowed report (zeroed) so the
-    /// two compare whole.
+    /// two compare whole, and how many of those steps ran in windows
+    /// opened with a prefill in flight. The windowed count must be the
+    /// one the reference predicts.
     fn windowed_and_stepwise(
         trace: &[Request],
         config: &ServeConfig,
         policy: impl Fn() -> Box<dyn SchedulingPolicy>,
-    ) -> (TraceReport, TraceReport, u64) {
+    ) -> (TraceReport, TraceReport, u64, u64) {
         let build = || ServeEngine::with_policy(system(8), config.clone(), policy()).unwrap();
         let mut windowed = build().run_trace(trace).unwrap();
-        let reference = run_stepwise(&mut build(), trace);
+        let (reference, quiet, quiet_prefilling) = stepwise_counting_windows(&mut build(), trace);
         let opened = std::mem::take(&mut windowed.windowed_steps);
-        (windowed, reference, opened)
+        assert_eq!(opened, quiet, "windowed steps differ from the quiet steps the reference saw");
+        (windowed, reference, opened, quiet_prefilling)
+    }
+
+    /// Cases of [`windows_equal_single_steps`].
+    const WINDOW_CASES: u32 = 48;
+
+    thread_local! {
+        /// `(cases run, steps windowed with a prefill in flight)` so far
+        /// in [`windows_equal_single_steps`], so its last case can check
+        /// that chunk windows were reached at all.
+        static PREFILL_WINDOWS: std::cell::Cell<(u32, u64)> = const { std::cell::Cell::new((0, 0)) };
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(WINDOW_CASES))]
 
         /// Quiet windows are exact: on random traces under every shipped
         /// policy, chunk mode and tracing setting (a small ring, so
         /// events drop), `run_trace` reproduces the stepwise reference's
-        /// whole report, events and memo size included.
+        /// whole report, events and memo size included. The last chunk
+        /// mode binds the step budget: with three prefills in flight the
+        /// third's take is cut by it, and a fourth takes nothing.
         #[test]
         fn windows_equal_single_steps(
             seed in 0u64..1_000_000,
@@ -1863,7 +1954,7 @@ pub(crate) mod tests {
             gap in 0u64..48,
             max_batch in 2u32..9,
             policy_i in 0usize..4,
-            chunk_i in 0usize..3,
+            chunk_i in 0usize..4,
             traced in 0u8..2,
             deadline_s in 0.5f64..60.0,
         ) {
@@ -1883,16 +1974,31 @@ pub(crate) mod tests {
                     _ => Box::new(PriorityPreempt::new()),
                 }
             };
-            let mode = [ChunkMode::Off, ChunkMode::Lump, ChunkMode::chunked()][chunk_i];
+            let mode = [
+                ChunkMode::Off,
+                ChunkMode::Lump,
+                ChunkMode::chunked(),
+                ChunkMode::Chunked { chunk_tokens: 96, step_budget_tokens: 200 },
+            ][chunk_i];
             let mut config = ServeConfig::new(max_batch).with_chunk_mode(mode);
             if traced == 1 {
                 config = config.with_tracing(64);
             }
-            let (windowed, reference, _) = windowed_and_stepwise(&trace, &config, policy);
+            proptest::prop_assert!(config.validate().is_ok());
+            let (windowed, reference, _, prefilling) =
+                windowed_and_stepwise(&trace, &config, policy);
             proptest::prop_assert!(
                 windowed == reference,
                 "policy {policy_i}, chunk mode {chunk_i}, traced {traced}: windows diverged"
             );
+            let (cases, reached) = PREFILL_WINDOWS.get();
+            PREFILL_WINDOWS.set((cases + 1, reached + prefilling));
+            if cases + 1 == WINDOW_CASES {
+                proptest::prop_assert!(
+                    reached + prefilling > 0,
+                    "no case windowed a step with a prefill in flight"
+                );
+            }
         }
     }
 
@@ -1900,7 +2006,7 @@ pub(crate) mod tests {
     fn fifo_runs_open_windows_that_match_single_steps() {
         let trace = TraceConfig::azure_mix(32, 5).with_mean_interarrival(24).generate().unwrap();
         let config = ServeConfig::new(8).with_tracing(1 << 16);
-        let (windowed, reference, opened) =
+        let (windowed, reference, opened, _) =
             windowed_and_stepwise(&trace, &config, || Box::new(Fifo));
         assert!(
             opened > reference.steps / 2,
@@ -1909,5 +2015,33 @@ pub(crate) mod tests {
         );
         assert_eq!(windowed.events_dropped, 0);
         assert!(windowed == reference, "windowed Fifo run diverged from the stepwise reference");
+    }
+
+    #[test]
+    fn windows_run_through_an_inflight_chunked_prefill() {
+        // A short request decodes while a 4K-token prompt arrives on the
+        // next step. The prompt's first chunk runs with its admission and
+        // its last with its join; every step between only ingests the
+        // next chunk and decodes, so it runs windowed. The prompt's one
+        // output token completes it on the join step, and the short
+        // request completes on the step after, so nothing else is quiet.
+        let trace = [
+            Request::new(0, 0, 64, 18, RequestClass::Short).unwrap(),
+            Request::new(1, 1, 4096, 1, RequestClass::Long).unwrap(),
+        ];
+        let config =
+            ServeConfig::new(8).with_chunk_mode(ChunkMode::chunked()).with_tracing(1 << 12);
+        let (windowed, reference, opened, prefilling) =
+            windowed_and_stepwise(&trace, &config, || Box::new(Fifo));
+        let chunks = reference
+            .events
+            .iter()
+            .filter(|e| e.request == 1 && matches!(e.kind, EventKind::PrefillChunk { .. }))
+            .count() as u64;
+        assert_eq!(chunks, 16);
+        assert!(opened >= chunks - 2, "only {opened} of the prefill's {chunks} steps windowed");
+        assert_eq!(prefilling, opened, "a window opened with no prefill in flight");
+        assert_eq!(windowed.events_dropped, 0);
+        assert!(windowed == reference, "a chunk window diverged from the stepwise reference");
     }
 }

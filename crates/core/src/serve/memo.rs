@@ -2,14 +2,15 @@
 //! quantized operating point, and whole-prompt prefill times keyed by
 //! context. A [`SharedStepCache`] is owned by one engine or shared by a
 //! cluster's system-fingerprint group; every lookup and miss goes through
-//! the `ServeEngine` methods here. The bit-pattern hasher of the run's
-//! step-gap counter lives here too, since it counts memoized step times.
+//! the `ServeEngine` methods here. The integer hasher that keys both
+//! tables lives here too; the run's step-gap counter and the other
+//! integer-keyed maps of the serving loop share it.
 
 use super::ServeEngine;
 use crate::runner::CoreError;
 use crate::writeback::{simulated_decision, SpillDecision};
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Context quantum of the chunk-path prefill memoization. Chunk cursors
 /// are rounded to this *fixed* grid — unlike the adaptive
@@ -33,21 +34,38 @@ struct StepKey {
     spill_now: bool,
 }
 
-/// Hashes an `f64` bit pattern with one multiply. The step-gap counter
-/// is updated every decode step over a few hundred keys whose mantissas
-/// are already well spread, so SipHash's flood resistance buys nothing:
-/// one multiply costs ~5 ms over fleet-elastic's 1.56M steps where
-/// SipHash costs 20–30 ms (x86-64, release build).
+/// A multiply-rotate hasher for the serving loop's integer-keyed maps:
+/// the two [`SharedStepCache`] tables, the step-gap counter, the
+/// snapshot footprint estimates and the prefix cache's per-request maps.
+/// Each `u64` word folds in as `(h.rotate_left(26) ^ word) · K`;
+/// narrower integers widen to one word. A single `u64` key therefore
+/// hashes to `bits · K`, one multiply. Every key is a request id, a
+/// quantized operating point or an `f64` bit pattern the simulator made
+/// itself, so SipHash's flood resistance buys nothing: on fleet-elastic's
+/// 1.56M steps the step-gap counter costs ~5 ms with one multiply against
+/// 20–30 ms with SipHash, and every memo hit pays one such hash instead
+/// of a SipHash (x86-64, release build).
 #[derive(Default)]
 pub(super) struct BitsHasher(u64);
 
+/// A `HashMap` keyed through [`BitsHasher`].
+pub(super) type BitsMap<K, V> = HashMap<K, V, BuildHasherDefault<BitsHasher>>;
+
 impl Hasher for BitsHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("BitsHasher only hashes u64 keys")
+        unreachable!("BitsHasher only hashes integer keys")
     }
 
-    fn write_u64(&mut self, bits: u64) {
-        self.0 = bits.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u8(&mut self, word: u8) {
+        self.write_u64(u64::from(word));
     }
 
     fn finish(&self) -> u64 {
@@ -79,8 +97,8 @@ pub(super) struct CachedStep {
 /// deployment filled an entry first — the cache changes wall-clock, never results.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStepCache {
-    steps: HashMap<StepKey, CachedStep>,
-    prefills: HashMap<(u64, u64), f64>,
+    steps: BitsMap<StepKey, CachedStep>,
+    prefills: BitsMap<(u64, u64), f64>,
 }
 
 impl SharedStepCache {
@@ -150,20 +168,29 @@ impl ServeEngine {
     /// difference of the whole-prompt prefill times at the chunk's two
     /// cursors, so attention's growing cost lands on the later chunks
     /// and a request's chunks telescope to exactly its lump prefill.
+    ///
+    /// Returns the chunk's seconds and the whole-prompt seconds at its
+    /// end cursor. The next chunk of the same request passes that value
+    /// back as `begin`: it is the memo value a lookup at its `start`
+    /// would read, so a chunk costs one lookup, not two.
     pub(super) fn prefill_chunk_seconds(
         &mut self,
         start: u64,
         len: u64,
         alpha: f64,
-    ) -> Result<f64, CoreError> {
+        begin: Option<f64>,
+    ) -> Result<(f64, f64), CoreError> {
         let end = self.prefill_seconds_at(start + len, alpha)?;
         if start == 0 {
-            return Ok(end);
+            return Ok((end, end));
         }
-        let begin = self.prefill_seconds_at(start, alpha)?;
+        let begin = match begin {
+            Some(b) => b,
+            None => self.prefill_seconds_at(start, alpha)?,
+        };
         // Rounding to the chunk grid can land both cursors in one
         // bucket; clamp so a chunk is never negative time.
-        Ok((end - begin).max(0.0))
+        Ok(((end - begin).max(0.0), end))
     }
 
     /// The memoized decode step at an already-quantized context, for a
@@ -195,5 +222,47 @@ impl ServeEngine {
         };
         self.memo.borrow_mut().steps.insert(key, cached);
         Ok(cached)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::hash::{BuildHasher, Hash};
+
+    fn hash_of(key: &impl Hash) -> u64 {
+        BuildHasherDefault::<BitsHasher>::default().hash_one(key)
+    }
+
+    #[test]
+    fn a_single_word_hashes_with_one_multiply() {
+        for bits in [0, 1, 42, 1 << 63, u64::MAX, 0.25f64.to_bits(), 1.5e-3f64.to_bits()] {
+            assert_eq!(hash_of(&bits), bits.wrapping_mul(0x9e37_79b9_7f4a_7c15), "{bits:#x}");
+        }
+    }
+
+    #[test]
+    fn step_keys_differing_in_one_field_hash_apart() {
+        let mut keys = Vec::new();
+        for batch in [1, 2, 16] {
+            for context in [64, 128, 8192] {
+                for alpha in [0.25f64, 0.5, 1.0] {
+                    for buffered in [0, 1, 64] {
+                        for spill_now in [false, true] {
+                            let alpha_bits = alpha.to_bits();
+                            keys.push(StepKey { batch, context, alpha_bits, buffered, spill_now });
+                        }
+                    }
+                }
+            }
+        }
+        // Every key of the grid hashes apart from every other, so in
+        // particular from each neighbour that differs in one field.
+        let hashes: HashSet<u64> = keys.iter().map(hash_of).collect();
+        assert_eq!(hashes.len(), keys.len());
+        let prefills: HashSet<u64> =
+            keys.iter().map(|k| hash_of(&(k.context, k.alpha_bits))).collect();
+        assert_eq!(prefills.len(), 9, "prefill keys (context, α) must hash apart too");
     }
 }

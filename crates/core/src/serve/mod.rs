@@ -97,27 +97,40 @@
 //!
 //! Most steps of a long decode only move the clock. After a step that
 //! decoded, the engine checks whether the next steps are *quiet*: the
-//! batch is decoding with nothing prefilling, its composition has not
-//! changed since α was selected, the step preempted nothing, and the
-//! policy would not be consulted: the queue is empty (no policy is
-//! consulted on one, preempting or not — there is no queued head to make
-//! room for), or the batch is full and the policy neither preempts nor
-//! sheds. Then nothing can admit, chunk, join, re-select α or complete
-//! until the next arrival or the first completion, which comes after the
-//! smallest remaining output budget. Such a stretch runs in one call, so
-//! [`PriorityPreempt`] opens windows as [`Fifo`] does. The serving loop —
-//! the lockstep fleet loop, which [`ServeEngine::run_trace`] runs over a
-//! one-slot fleet — skips the engine while its window lasts, and runs the
-//! owed steps once the window ends or something touches the engine (an
-//! arrival, at the latest); with nothing else to step, it jumps its
-//! global step straight to that point. Each owed step still takes the
-//! writeback tick, looks up the same memoized operating point at the
-//! batch's growing mean context, and adds the same values to the clock
-//! and counters in the same order, and with tracing on it records the
-//! same `Emit` events. A window is therefore bit-identical to stepping by
-//! construction. Only [`TraceReport::windowed_steps`] shows it, and a
-//! property test holds it equal to a one-step-at-a-time reference over
-//! every shipped policy, chunk mode and tracing setting.
+//! batch is decoding, its composition has not changed since α was
+//! selected, the step preempted nothing, and the policy would not be
+//! consulted: the queue is empty (no policy is consulted on one,
+//! preempting or not — there is no queued head to make room for), or the
+//! batch (decoding plus prefilling) is full and the policy neither
+//! preempts nor sheds. Then nothing can admit, join, re-select α or
+//! complete until the next arrival, the first join or the first
+//! completion, which comes after the smallest remaining output budget.
+//! Under [`ChunkMode::Chunked`] a prefill may be in flight: each step
+//! every prefilling request ingests the same `min(chunk, budget left)`
+//! tokens until one of them is about to complete, so the window also
+//! ends before the first join. (Under [`ChunkMode::Lump`] every prompt
+//! completes in its next step, and under [`ChunkMode::Off`] prefills join
+//! on the clock, so neither windows with a prefill in flight.) Such a
+//! stretch runs in one call, so [`PriorityPreempt`] opens windows as
+//! [`Fifo`] does. The serving loop — the lockstep fleet loop, which
+//! [`ServeEngine::run_trace`] runs over a one-slot fleet — skips the
+//! engine while its window lasts, and runs the owed steps once the
+//! window ends or something touches the engine (an arrival, at the
+//! latest); with nothing else to step, it jumps its global step straight
+//! to that point. Each owed step runs the same chunk-ingestion stage a
+//! full step runs, takes the writeback tick, looks up the same memoized
+//! operating point at the batch's growing mean context, and adds the
+//! same values to the clock and counters in the same order, and with
+//! tracing on it records the same `PrefillChunk` and `Emit` events. A
+//! window is therefore bit-identical to stepping by construction. Only
+//! [`TraceReport::windowed_steps`] shows it, and a property test holds it
+//! equal to a one-step-at-a-time reference over every shipped policy,
+//! chunk mode (one of them binding the step budget) and tracing setting.
+//!
+//! A memo hit costs one cheap hash: the step and prefill tables are keyed
+//! through a multiply-rotate integer hasher, and a chunk reuses the
+//! whole-prompt prefill time its predecessor ended on, so it looks up only
+//! its own end cursor.
 //!
 //! # Files
 //!

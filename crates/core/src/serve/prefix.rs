@@ -8,12 +8,12 @@
 
 use super::config::PrefixCacheConfig;
 use super::engine::{QueueEntry, RunState};
+use super::memo::BitsMap;
 use super::ServeEngine;
 use hilos_llm::{ModelConfig, Request};
 use hilos_metrics::PrefixCacheStats;
 use hilos_storage::{KvTier, KvTierLadder, PrefixCacheIndex, SsdSpec, TierTraffic};
 use hilos_trace::EventKind;
-use std::collections::HashMap;
 
 /// A preemption victim's ingested KV parked in the residency ladder,
 /// awaiting recall on re-admission.
@@ -37,9 +37,9 @@ pub(super) struct PrefixCacheState {
     ladder: KvTierLadder,
     /// Request id → the prefix key it acquired at admission; released on
     /// eviction or preemption (exactly once, the index enforces it).
-    held: HashMap<u64, u64>,
+    held: BitsMap<u64, u64>,
     /// Request id → preempted-victim KV parked in the ladder.
-    demoted: HashMap<u64, DemotedKv>,
+    demoted: BitsMap<u64, DemotedKv>,
     /// KV footprint per cached token, from the model.
     bytes_per_token: u64,
 }
@@ -67,8 +67,8 @@ impl PrefixCacheState {
                 SsdSpec::smartssd_nvme(),
                 devices,
             ),
-            held: HashMap::new(),
-            demoted: HashMap::new(),
+            held: BitsMap::default(),
+            demoted: BitsMap::default(),
             bytes_per_token,
         }
     }
