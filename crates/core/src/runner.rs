@@ -1,7 +1,7 @@
 //! The inference controller: runs prefill + decode jobs on a built system
 //! and aggregates reports.
 
-use crate::config::{AlphaPolicy, HilosConfig};
+use crate::config::HilosConfig;
 use crate::scheduler::{weight_source, WeightSource};
 use crate::step::{AlphaSelector, DecodeStepExecutor};
 use crate::writeback::{
@@ -9,8 +9,9 @@ use crate::writeback::{
 };
 use hilos_accel::{AccelTimingModel, ResourceModel};
 use hilos_llm::{BatchSpec, ModelConfig};
-use hilos_platform::{BuiltSystem, SystemSpec};
+use hilos_platform::{BuiltSystem, SystemError, SystemSpec};
 use hilos_sim::SimError;
+use hilos_storage::KvShardLedger;
 use std::error::Error;
 use std::fmt;
 
@@ -112,6 +113,12 @@ impl From<SimError> for CoreError {
     }
 }
 
+impl From<SystemError> for CoreError {
+    fn from(e: SystemError) -> Self {
+        CoreError::Platform(e.to_string())
+    }
+}
+
 /// Result of a decode run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -184,9 +191,11 @@ impl JobReport {
 /// A configured HILOS deployment — the paper's *Inference Controller*.
 ///
 /// Owns the system spec, model and configuration, and runs simulated
-/// prefill/decode jobs. Each call builds one fresh simulation world — the
-/// α selection, the capacity check and the simulated steps all read that
-/// world — so runs are independent and deterministic.
+/// prefill/decode jobs. The α selection and the capacity check are
+/// closed-form answers from the spec and the straggler list, and build
+/// nothing; each `run_prefill`/`run_decode` call builds one fresh
+/// simulation world to execute its step graphs on, so runs are
+/// independent and deterministic.
 #[derive(Debug, Clone)]
 pub struct HilosSystem {
     spec: SystemSpec,
@@ -274,8 +283,9 @@ impl HilosSystem {
     /// `factor` (e.g. 0.5 halves it). HILOS partitions the KV cache
     /// statically, so a slow device gates every step — an availability
     /// sensitivity the `repro straggler` extension quantifies. An `index`
-    /// at or beyond the configured device count makes every world build
-    /// fail with [`CoreError::Platform`].
+    /// at or beyond the configured device count makes every capacity
+    /// check, α selection, run and serving engine fail with the same
+    /// [`CoreError::Platform`].
     pub fn with_degraded_device(mut self, index: usize, factor: f64) -> Self {
         assert!(factor.is_finite() && factor > 0.0, "factor must be positive");
         self.degradations.push((index, factor));
@@ -286,67 +296,61 @@ impl HilosSystem {
         self.sim_layers
     }
 
+    /// The simulation world the step graphs execute on — built only by
+    /// [`DecodeStepExecutor`], never to answer a static question.
     pub(crate) fn build_world(&self) -> Result<BuiltSystem, CoreError> {
         let accel = AccelTimingModel::smartssd(self.model.d_group());
-        BuiltSystem::build_with_degradations(
+        Ok(BuiltSystem::build_with_degradations(
             &self.spec,
             Some(&accel),
             self.model.head_dim(),
             &self.degradations,
-        )
-        .map_err(|e| CoreError::Platform(e.to_string()))
+        )?)
+    }
+
+    /// [`SystemSpec::kv_ledger`] over this deployment's stragglers.
+    pub(crate) fn kv_ledger(&self) -> Result<KvShardLedger, CoreError> {
+        Ok(self.spec.kv_ledger(&self.degradations)?)
+    }
+
+    /// The §4.2 α selector at this deployment's bandwidth operating point.
+    pub(crate) fn alpha_selector(&self) -> AlphaSelector {
+        AlphaSelector::new(&self.config, &self.spec)
     }
 
     /// The α the cache scheduler (§4.2) selects for a given job shape.
     ///
     /// Delegates to [`crate::AlphaSelector`] — the single home of the
     /// §4.2 formula, shared with the serving layer — at this system's
-    /// bandwidth operating point.
+    /// bandwidth operating point, read from the spec.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Platform`] if a degraded device is out of range.
     pub fn select_alpha(&self, batch: u32, context: u64) -> Result<f64, CoreError> {
-        if !self.config.cooperative_xcache() {
-            return Ok(0.0);
-        }
-        if let AlphaPolicy::Fixed(a) = self.config.alpha_policy() {
-            return Ok(a);
-        }
-        let sys = self.build_world()?;
-        Ok(AlphaSelector::new(&self.config, &sys).select(&self.model, batch, context))
+        self.spec.device_specs(&self.degradations)?;
+        Ok(self.alpha_selector().select(&self.model, batch, context))
     }
 
     /// Validates capacity for a job through the per-device KV shard
     /// ledger: every sequence's cache stripe plus (storage-resident)
     /// weights must place onto the actual devices — a full or degraded
     /// device rejects placement even when the aggregate has room — and
-    /// the writeback buffer must fit host DRAM.
+    /// the writeback buffer must fit host DRAM. Reads only the spec and
+    /// the straggler list.
     pub fn check_capacity(&self, spec: &BatchSpec) -> Result<(), CoreError> {
-        let sys = self.build_world()?;
-        let alpha = AlphaSelector::new(&self.config, &sys).select(
-            &self.model,
-            spec.batch,
-            spec.context_len,
-        );
-        self.check_capacity_in(&sys, spec, alpha)
-    }
-
-    /// [`HilosSystem::check_capacity`] on an already-built world, at the
-    /// α selected for the job.
-    fn check_capacity_in(
-        &self,
-        sys: &BuiltSystem,
-        spec: &BatchSpec,
-        alpha: f64,
-    ) -> Result<(), CoreError> {
+        let mut ledger = self.kv_ledger()?;
+        let alpha = self.alpha_selector().select(&self.model, spec.batch, spec.context_len);
         let max_ctx = spec.context_len + spec.output_len;
         let m = &self.model;
         let per_seq = ((1.0 - alpha) * m.kv_bytes_per_token() as f64
             + alpha * m.x_bytes_per_token() as f64) as u64
             * max_ctx;
         let cache = per_seq * spec.batch as u64;
-        let weights_on_dev = match weight_source(sys, m) {
+        let weights_on_dev = match weight_source(&self.spec, m) {
             WeightSource::Storage => m.weight_bytes(),
             WeightSource::HostDram => 0,
         };
-        let mut ledger = sys.kv_ledger();
         let placed = ledger.reserve_evenly(weights_on_dev).is_ok()
             && (0..spec.batch as u64).all(|seq| ledger.allocate(seq, per_seq).is_ok());
         if !placed {
@@ -396,10 +400,9 @@ impl HilosSystem {
     ) -> Result<RunReport, CoreError> {
         check_job(&[("batch", batch as u64), ("context", context), ("output_len", output_len)])?;
         let spec = BatchSpec::new(batch, context, output_len);
+        self.check_capacity(&spec)?;
+        let alpha = self.alpha_selector().select(&self.model, batch, context);
         let mut exec = DecodeStepExecutor::new(self)?;
-        let alpha =
-            AlphaSelector::new(&self.config, exec.system()).select(&self.model, batch, context);
-        self.check_capacity_in(exec.system(), &spec, alpha)?;
 
         let solves = window_solves(&self.config, output_len);
         let steps = solves.iter().map(|&(_, _, weight)| weight).sum::<u64>();
@@ -467,10 +470,8 @@ impl HilosSystem {
     /// errors, or a wrapped simulation error.
     pub fn run_prefill(&self, batch: u32, context: u64) -> Result<PrefillReport, CoreError> {
         check_job(&[("batch", batch as u64), ("context", context)])?;
-        let mut exec = DecodeStepExecutor::new(self)?;
-        let alpha =
-            AlphaSelector::new(&self.config, exec.system()).select(&self.model, batch, context);
-        let seconds = exec.execute_prefill(batch, context, alpha)?;
+        let alpha = self.alpha_selector().select(&self.model, batch, context);
+        let seconds = DecodeStepExecutor::new(self)?.execute_prefill(batch, context, alpha)?;
         let cache_bytes = ((1.0 - alpha) * self.model.kv_bytes_per_token() as f64
             + alpha * self.model.x_bytes_per_token() as f64)
             * batch as f64
@@ -588,19 +589,31 @@ mod tests {
 
     #[test]
     fn out_of_range_degradation_is_an_error_not_a_healthy_array() {
-        // The chassis holds 8 devices but the system is trimmed to 4, so
-        // device 6 does not exist in the world that would be built.
-        let sys = HilosSystem::new(
-            &SystemSpec::a100_smartssd(8),
-            &presets::opt_30b(),
-            &HilosConfig::new(4),
-        )
-        .unwrap()
-        .with_degraded_device(6, 0.5);
-        let expect = CoreError::Platform("degraded device 6 is out of range for 4 devices".into());
-        assert_eq!(sys.run_decode(8, 4096, 4).unwrap_err(), expect);
-        let err = crate::ServeEngine::new(sys, crate::ServeConfig::new(8)).unwrap_err();
-        assert_eq!(err, expect);
+        // Every entry point reports the same error, whatever the α policy.
+        // The last chassis holds 8 devices but its system is trimmed to 4,
+        // so device 6 does not exist.
+        let cases = [
+            (4, HilosConfig::new(4), 4),
+            (8, HilosConfig::ans_only(8), 8),
+            (8, HilosConfig::new(4), 6),
+        ];
+        for (chassis, config, index) in cases {
+            let sys =
+                HilosSystem::new(&SystemSpec::a100_smartssd(chassis), &presets::opt_30b(), &config)
+                    .unwrap()
+                    .with_sim_layers(1)
+                    .with_degraded_device(index, 0.5);
+            let n = config.n_devices();
+            let expect = CoreError::Platform(format!(
+                "degraded device {index} is out of range for {n} devices"
+            ));
+            assert_eq!(sys.check_capacity(&BatchSpec::new(8, 4096, 4)).unwrap_err(), expect);
+            assert_eq!(sys.select_alpha(8, 4096).unwrap_err(), expect);
+            assert_eq!(sys.run_prefill(8, 4096).unwrap_err(), expect);
+            assert_eq!(sys.run_decode(8, 4096, 4).unwrap_err(), expect);
+            let err = crate::ServeEngine::new(sys, crate::ServeConfig::new(8)).unwrap_err();
+            assert_eq!(err, expect);
+        }
     }
 
     #[test]
@@ -724,8 +737,7 @@ mod tests {
     /// step, internal read bytes per step).
     fn full_cycle(sys: &HilosSystem, batch: u32, context: u64, output_len: u64) -> [f64; 3] {
         let mut exec = DecodeStepExecutor::new(sys).unwrap();
-        let alpha =
-            AlphaSelector::new(&sys.config, exec.system()).select(&sys.model, batch, context);
+        let alpha = sys.alpha_selector().select(&sys.model, batch, context);
         let steps = if sys.config.delayed_writeback() {
             (sys.config.spill_interval() as u64).min(output_len)
         } else {

@@ -21,7 +21,7 @@
 
 use crate::config::HilosConfig;
 use hilos_llm::ModelConfig;
-use hilos_platform::BuiltSystem;
+use hilos_platform::{BuiltSystem, SystemSpec};
 use hilos_sim::{TaskGraph, TaskId};
 use std::fmt;
 use std::iter::once;
@@ -51,11 +51,11 @@ pub enum WeightSource {
 /// working-set reserve, otherwise storage. Following §6.1, models above
 /// 100 B parameters (200 GB at FP16) are always placed on storage — DRAM
 /// must keep room for the writeback buffers and pinned I/O staging.
-pub fn weight_source(sys: &BuiltSystem, model: &ModelConfig) -> WeightSource {
+pub fn weight_source(spec: &SystemSpec, model: &ModelConfig) -> WeightSource {
     const HUNDRED_B_PARAMS_BYTES: u64 = 200_000_000_000;
     const WORKING_SET_RESERVE_BYTES: u64 = 32 << 30;
     if model.weight_bytes() > HUNDRED_B_PARAMS_BYTES
-        || model.weight_bytes() + WORKING_SET_RESERVE_BYTES > sys.spec.host.dram_bytes
+        || model.weight_bytes() + WORKING_SET_RESERVE_BYTES > spec.host.dram_bytes
     {
         WeightSource::Storage
     } else {
@@ -142,7 +142,7 @@ pub fn build_hilos_decode_step(
     let heads = model.heads() as f64;
     let alpha = step.alpha;
     let wb = config.delayed_writeback();
-    let source = weight_source(sys, model);
+    let source = weight_source(&sys.spec, model);
 
     // Per-layer byte/FLOP quantities.
     let s_stored = (s - step.buffered_tokens as f64).max(0.0);
@@ -262,7 +262,7 @@ pub fn build_hilos_decode_step(
 
         // -- 4: cooperative X-cache portion on the GPU --
         if alpha > 0.0 {
-            let dev_link_bw = sys.effective_pci_bw() / n as f64;
+            let dev_link_bw = sys.spec.effective_pci_bw() / n as f64;
             for (d, dev) in sys.devices.iter().enumerate() {
                 let read = dev.ssd.read_resource();
                 let route = once(&read).chain(sys.device_to_gpu_route(d));
@@ -352,7 +352,7 @@ pub fn build_hilos_prefill(
     let n = sys.devices.len();
     let bs = batch as f64;
     let s = context as f64;
-    let source = weight_source(sys, model);
+    let source = weight_source(&sys.spec, model);
     let per_layer_flops = bs * model.prefill_flops(context) / model.layers() as f64;
     let kv_layer_bytes = bs * 2.0 * s * model.kv_dim() as f64 * 2.0;
     let x_layer_bytes = bs * s * model.hidden() as f64 * 2.0;
@@ -400,6 +400,7 @@ mod tests {
     use hilos_llm::presets;
     use hilos_platform::SystemSpec;
     use hilos_sim::execute;
+    use hilos_storage::{KvShardLedger, ShardSpec};
 
     fn built(n: usize, d_group: u32) -> BuiltSystem {
         BuiltSystem::build(
@@ -499,9 +500,87 @@ mod tests {
 
     #[test]
     fn weight_source_selection() {
-        let sys = built(8, 1);
-        assert_eq!(weight_source(&sys, &presets::opt_66b()), WeightSource::HostDram);
-        assert_eq!(weight_source(&sys, &presets::opt_175b()), WeightSource::Storage);
+        let spec = SystemSpec::a100_smartssd(8);
+        assert_eq!(weight_source(&spec, &presets::opt_66b()), WeightSource::HostDram);
+        assert_eq!(weight_source(&spec, &presets::opt_175b()), WeightSource::Storage);
+    }
+
+    #[test]
+    fn spec_answers_match_the_built_world() {
+        // The static questions are answered from the spec; a built world
+        // must agree with each answer bit for bit. The world-side values
+        // are read from its device list and link resources.
+        let models = [presets::opt_66b(), presets::opt_175b()];
+        let kinds: [fn(usize) -> SystemSpec; 4] = [
+            SystemSpec::a100_pm9a3,
+            SystemSpec::a100_smartssd,
+            SystemSpec::a100_chassis_no_fpga,
+            SystemSpec::a100_isp,
+        ];
+        for kind in kinds {
+            for n in [1, 4, 8, 16] {
+                let spec = kind(n);
+                let last = n - 1;
+                for degradations in [vec![], vec![(last, 0.25)], vec![(last, 0.5), (last, 0.5)]] {
+                    let at = format!("{} {degradations:?}", spec.name);
+                    let accel = AccelTimingModel::smartssd(1);
+                    let sys = BuiltSystem::build_with_degradations(
+                        &spec,
+                        Some(&accel),
+                        128,
+                        &degradations,
+                    )
+                    .unwrap();
+                    let cap = |r| sys.engine.resource(r).capacity();
+                    let healthy = sys.spec.storage.ssd_spec();
+
+                    let world_b_ssd = healthy.seq_read_bw() * sys.devices.len() as f64;
+                    assert_eq!(spec.aggregate_internal_read_bw().to_bits(), world_b_ssd.to_bits());
+                    let to_host = sys.device_to_host_route(0);
+                    let mut world_b_pci = cap(to_host[0]) * sys.devices.len() as f64;
+                    if to_host.len() > 1 {
+                        world_b_pci = world_b_pci.min(cap(to_host[to_host.len() - 1]));
+                    }
+                    world_b_pci = world_b_pci.min(cap(sys.host_to_gpu_route()[0]));
+                    assert_eq!(spec.effective_pci_bw().to_bits(), world_b_pci.to_bits(), "{at}");
+                    for model in &models {
+                        assert_eq!(weight_source(&spec, model), weight_source(&sys.spec, model));
+                    }
+
+                    let world_shards: Vec<ShardSpec> = sys
+                        .devices
+                        .iter()
+                        .map(|d| ShardSpec {
+                            capacity_bytes: healthy.capacity_bytes(),
+                            weight: cap(d.ssd.read_resource()),
+                        })
+                        .collect();
+                    let specs = spec.device_specs(&degradations).unwrap();
+                    assert_eq!(specs.len(), world_shards.len(), "{at}");
+                    for (d, w) in specs.iter().zip(&world_shards) {
+                        assert_eq!(d.capacity_bytes(), w.capacity_bytes, "{at}");
+                        assert_eq!(d.seq_read_bw().to_bits(), w.weight.to_bits(), "{at}");
+                    }
+                    let mut ledger = spec.kv_ledger(&degradations).unwrap();
+                    let mut world_ledger = KvShardLedger::new(world_shards);
+                    assert_eq!(
+                        ledger.total_weight().to_bits(),
+                        world_ledger.total_weight().to_bits()
+                    );
+                    assert_eq!(
+                        ledger.allocate(0, 3 << 30).unwrap(),
+                        world_ledger.allocate(0, 3 << 30).unwrap(),
+                        "{at}"
+                    );
+                }
+                let out_of_range = [(n, 0.5)];
+                assert_eq!(
+                    spec.device_specs(&out_of_range).unwrap_err(),
+                    BuiltSystem::build_with_degradations(&spec, None, 128, &out_of_range)
+                        .unwrap_err()
+                );
+            }
+        }
     }
 
     #[test]

@@ -184,7 +184,9 @@ pub(crate) struct RunState {
     /// plus the decode time): the inter-token latency every running
     /// request experienced that step. A step no chunk touched took a
     /// memoized step time, one of few distinct values, so it is counted
-    /// by bit pattern; a step with interference is kept as a sample.
+    /// by bit pattern; a step with interference is kept as a sample, as
+    /// interfered gaps rarely repeat (161,156 distinct gaps in e2ebench
+    /// serve-prefix's 415,151 steps), so a map of them costs more memory.
     step_gap_counts: BitsMap<u64, u64>,
     step_gap_samples: Vec<f64>,
     /// Prefill re-materialization debt left by preemptions: the victim's
@@ -362,22 +364,25 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Platform/capacity errors from building the world or fitting the
-    /// weights.
+    /// [`CoreError::Platform`] for an out-of-range degraded device;
+    /// capacity errors from fitting the weights.
     pub fn new(system: HilosSystem, config: ServeConfig) -> Result<Self, CoreError> {
         ServeEngine::with_policy(system, config, Box::new(Fifo))
     }
 
     /// Builds the serving engine around the given scheduling policy: one
-    /// simulation world, the α selector at its bandwidth operating point,
-    /// and the shard ledger (with storage-resident weights reserved
-    /// evenly, as `weight_source` dictates for >100B models).
+    /// simulation world for its step graphs, and — read from the system
+    /// spec and its straggler list, not from that world — the α selector
+    /// at the spec's bandwidth operating point and the shard ledger (with
+    /// storage-resident weights reserved evenly, as `weight_source`
+    /// dictates for >100B models).
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidServeConfig`] if `config` fails
-    /// [`ServeConfig::validate`]; platform/capacity errors from building
-    /// the world or fitting the weights.
+    /// [`ServeConfig::validate`]; [`CoreError::Platform`] for an
+    /// out-of-range degraded device; capacity errors from fitting the
+    /// weights.
     pub fn with_policy(
         system: HilosSystem,
         config: ServeConfig,
@@ -385,10 +390,10 @@ impl ServeEngine {
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let exec = DecodeStepExecutor::new(&system)?;
-        let alpha_sel = AlphaSelector::new(system.config(), exec.system());
-        let mut ledger = exec.system().kv_ledger();
+        let alpha_sel = system.alpha_selector();
+        let mut ledger = system.kv_ledger()?;
         let model = system.model().clone();
-        if weight_source(exec.system(), &model) == WeightSource::Storage {
+        if weight_source(system.spec(), &model) == WeightSource::Storage {
             ledger.reserve_evenly(model.weight_bytes()).map_err(|_| {
                 CoreError::DeviceCapacityExceeded {
                     needed: model.weight_bytes(),

@@ -17,7 +17,7 @@ use crate::scheduler::{build_hilos_decode_step, build_hilos_prefill, DecodeStepS
 use crate::writeback::SpillDecision;
 use crate::xcache::AlphaModel;
 use hilos_llm::ModelConfig;
-use hilos_platform::BuiltSystem;
+use hilos_platform::{BuiltSystem, SystemSpec};
 use hilos_sim::execute;
 
 /// Everything one executed decode step reports.
@@ -41,6 +41,8 @@ pub struct StepOutcome {
 ///
 /// The world is built once and reused: runs stay deterministic because the
 /// engine is advanced only by the graphs executed on it, in call order.
+/// This is the one place hilos-core builds a world; the α selection, the
+/// capacity check and the shard ledger read the spec instead.
 #[derive(Debug)]
 pub struct DecodeStepExecutor {
     sys: BuiltSystem,
@@ -66,11 +68,6 @@ impl DecodeStepExecutor {
             sim_layers,
             layer_scale: system.model().layers() as f64 / sim_layers as f64,
         })
-    }
-
-    /// The built world (resources, devices, engine).
-    pub fn system(&self) -> &BuiltSystem {
-        &self.sys
     }
 
     /// Executes one decoding step at the given operating point.
@@ -181,9 +178,10 @@ impl DecodeStepExecutor {
     }
 }
 
-/// The §4.2 α selection, precomputed from one built world so the serving
-/// layer can re-select α every time the batch composition changes without
-/// rebuilding the system.
+/// The §4.2 α selection, precomputed from a system spec's static
+/// bandwidths (B_SSD, B_PCI, C_GPU) so the serving layer can re-select α
+/// every time the batch composition changes at the cost of one closed
+/// form.
 #[derive(Debug, Clone, Copy)]
 pub struct AlphaSelector {
     enabled: bool,
@@ -194,8 +192,8 @@ pub struct AlphaSelector {
 }
 
 impl AlphaSelector {
-    /// Captures the bandwidth operating point of `sys` under `config`.
-    pub fn new(config: &HilosConfig, sys: &BuiltSystem) -> Self {
+    /// Captures the bandwidth operating point of `spec` under `config`.
+    pub fn new(config: &HilosConfig, spec: &SystemSpec) -> Self {
         let fixed = match config.alpha_policy() {
             crate::config::AlphaPolicy::Fixed(a) => Some(a),
             crate::config::AlphaPolicy::Auto => None,
@@ -203,9 +201,9 @@ impl AlphaSelector {
         AlphaSelector {
             enabled: config.cooperative_xcache(),
             fixed,
-            b_ssd: sys.aggregate_internal_read_bw(),
-            b_pci: sys.effective_pci_bw() * GDS_EFFICIENCY,
-            c_gpu: sys.spec.gpu.fp16_flops,
+            b_ssd: spec.aggregate_internal_read_bw(),
+            b_pci: spec.effective_pci_bw() * GDS_EFFICIENCY,
+            c_gpu: spec.gpu.fp16_flops,
         }
     }
 
@@ -263,8 +261,7 @@ mod tests {
     #[test]
     fn alpha_selector_matches_system_selection() {
         let system = hilos(16);
-        let exec = DecodeStepExecutor::new(&system).unwrap();
-        let sel = AlphaSelector::new(system.config(), exec.system());
+        let sel = AlphaSelector::new(system.config(), system.spec());
         for (b, s) in [(16u32, 32 * 1024u64), (8, 64 * 1024), (64, 8 * 1024)] {
             assert_eq!(
                 sel.select(system.model(), b, s),

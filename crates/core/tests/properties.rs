@@ -160,7 +160,7 @@ proptest! {
         let alpha = if zero_alpha {
             0.0
         } else {
-            AlphaSelector::new(&config, exec.system()).select(&model, batch, context)
+            AlphaSelector::new(&config, sys.spec()).select(&model, batch, context)
         };
         let mut t = |d: SpillDecision| exec.execute_step(batch, context, alpha, &d).unwrap().seconds;
         let phase = |b: u32| SpillDecision { buffered_tokens: b, ..SpillDecision::NONE };

@@ -5,7 +5,9 @@
 //! envisioned ISP-CSDs of §7.1, with the prices and power draws used by
 //! the cost (Fig. 16a) and energy (Fig. 17a) analyses.
 //!
-//! [`BuiltSystem::build`] turns a [`SystemSpec`] into a single
+//! A [`SystemSpec`] answers the static questions (B_SSD, B_PCI, the
+//! per-device SSD specs under straggler injection, the KV shard ledger)
+//! by itself; [`BuiltSystem::build`] turns it into a single
 //! [`hilos_sim::FlowEngine`] world: PCIe links from the Fig. 3 topologies,
 //! DRAM/HBM ports, SSD channels and (optionally) near-storage accelerator
 //! engines, plus the route helpers the HILOS and baseline schedulers use.

@@ -1,9 +1,12 @@
 //! System specifications and their materialization as simulation worlds.
 //!
 //! A [`SystemSpec`] describes a whole machine (host + GPU + storage
-//! complex); [`BuiltSystem::build`] instantiates it: every link, memory
-//! port, storage channel and compute engine becomes a resource in one
-//! [`FlowEngine`], wired by the PCIe topology of Fig. 3.
+//! complex) and answers its static questions — the §4.2 bandwidths, the
+//! per-device (possibly degraded) SSD specs and the KV shard ledger over
+//! them — without building anything. [`BuiltSystem::build`] instantiates
+//! it for graph execution: every link, memory port, storage channel and
+//! compute engine becomes a resource in one [`FlowEngine`], wired by the
+//! PCIe topology of Fig. 3.
 
 use crate::catalog::{GpuSpec, HostSpec, StoragePricePower};
 use hilos_accel::AccelTimingModel;
@@ -171,9 +174,83 @@ impl SystemSpec {
             + self.storage.device_count() as f64 * self.storage_price_power.price_usd
             + self.extra_price_usd
     }
+
+    /// Aggregate *internal* storage read bandwidth available to the
+    /// accelerators (B_SSD of the §4.2 α model). It is the healthy
+    /// devices' rate: a straggler does not lower it.
+    pub fn aggregate_internal_read_bw(&self) -> f64 {
+        self.storage.ssd_spec().seq_read_bw() * self.storage.device_count() as f64
+    }
+
+    /// Effective host-interconnect bandwidth for device→GPU X-cache reads
+    /// (B_PCI of the §4.2 α model): bounded by the devices' host links and
+    /// any shared uplink.
+    pub fn effective_pci_bw(&self) -> f64 {
+        let n = self.storage.device_count() as f64;
+        let gpu_link = self.gpu.link.bandwidth();
+        match &self.storage {
+            StorageConfig::ConventionalSsds { link, .. } => (link.bandwidth() * n).min(gpu_link),
+            StorageConfig::SmartSsdChassis { .. } => {
+                let per_dev = LinkSpec::new(PcieGen::Gen3, 4).bandwidth() * n;
+                let uplink = LinkSpec::new(PcieGen::Gen4, 16).bandwidth();
+                per_dev.min(uplink).min(gpu_link)
+            }
+            StorageConfig::IspCsd { .. } => {
+                (LinkSpec::new(PcieGen::Gen4, 4).bandwidth() * n).min(gpu_link)
+            }
+        }
+    }
+
+    /// Every storage device's spec in index order, with straggler
+    /// injection: each `(device_index, factor)` entry scales that device's
+    /// read/write bandwidth (e.g. `(3, 0.5)` halves device 3; a repeated
+    /// index scales again). A simulation world instantiates exactly these
+    /// devices.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::NoStorageDevices`] for an empty storage config;
+    /// [`SystemError::DegradedDeviceOutOfRange`] if an entry names a
+    /// device index the storage configuration does not have.
+    pub fn device_specs(&self, degradations: &[(usize, f64)]) -> Result<Vec<SsdSpec>, SystemError> {
+        let devices = self.storage.device_count();
+        if devices == 0 {
+            return Err(SystemError::NoStorageDevices);
+        }
+        if let Some(&(index, _)) = degradations.iter().find(|&&(i, _)| i >= devices) {
+            return Err(SystemError::DegradedDeviceOutOfRange { index, devices });
+        }
+        let healthy = self.storage.ssd_spec();
+        Ok((0..devices)
+            .map(|i| {
+                degradations
+                    .iter()
+                    .filter(|&&(d, _)| d == i)
+                    .fold(healthy.clone(), |spec, &(_, factor)| spec.scaled(factor))
+            })
+            .collect())
+    }
+
+    /// A per-device KV shard ledger over [`SystemSpec::device_specs`]:
+    /// capacity from each device's spec, placement weight from its
+    /// sustained read bandwidth. A degraded (straggler) device has
+    /// scaled-down bandwidth, so the ledger skews placement away from it —
+    /// the stripe stays balanced in *time* rather than in bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`SystemSpec::device_specs`].
+    pub fn kv_ledger(&self, degradations: &[(usize, f64)]) -> Result<KvShardLedger, SystemError> {
+        let shards = self
+            .device_specs(degradations)?
+            .iter()
+            .map(|d| ShardSpec { capacity_bytes: d.capacity_bytes(), weight: d.seq_read_bw() })
+            .collect();
+        Ok(KvShardLedger::new(shards))
+    }
 }
 
-/// Errors from system building.
+/// Errors from resolving a spec's storage devices (and so from building it).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SystemError {
@@ -256,10 +333,7 @@ pub struct BuiltSystem {
     pub gpu_node: NodeId,
     /// Storage devices in index order.
     pub devices: Vec<DeviceResources>,
-    /// Mutable SSD device states (counters), index-aligned with `devices`.
-    pub ssd_states: Vec<SsdDevice>,
-    /// Routes, resolved on first use: a world that only answers capacity
-    /// questions never walks the topology.
+    /// Routes, resolved on the first route query.
     routes: OnceCell<Routes>,
 }
 
@@ -282,28 +356,19 @@ impl BuiltSystem {
         BuiltSystem::build_with_degradations(spec, accel_model, head_dim, &[])
     }
 
-    /// Like [`BuiltSystem::build`], but with straggler injection: each
-    /// `(device_index, factor)` entry scales that device's read/write
-    /// bandwidth (e.g. `(3, 0.5)` halves device 3).
+    /// Like [`BuiltSystem::build`], but with straggler injection: the
+    /// storage devices are [`SystemSpec::device_specs`]`(degradations)`.
     ///
     /// # Errors
     ///
-    /// [`SystemError::NoStorageDevices`] as in [`BuiltSystem::build`];
-    /// [`SystemError::DegradedDeviceOutOfRange`] if an entry names a
-    /// device index the storage configuration does not have.
+    /// As [`SystemSpec::device_specs`].
     pub fn build_with_degradations(
         spec: &SystemSpec,
         accel_model: Option<&AccelTimingModel>,
         head_dim: u32,
         degradations: &[(usize, f64)],
     ) -> Result<BuiltSystem, SystemError> {
-        let devices = spec.storage.device_count();
-        if devices == 0 {
-            return Err(SystemError::NoStorageDevices);
-        }
-        if let Some(&(index, _)) = degradations.iter().find(|&&(i, _)| i >= devices) {
-            return Err(SystemError::DegradedDeviceOutOfRange { index, devices });
-        }
+        let device_specs = spec.device_specs(degradations)?;
         let mut engine = FlowEngine::new();
 
         let host_dram = engine.add_resource(ResourceSpec::new(
@@ -374,19 +439,10 @@ impl BuiltSystem {
         let host_node = topo.root();
 
         // Storage devices and their internals.
-        let ssd_spec = spec.storage.ssd_spec();
         let with_accel = spec.storage.has_accelerators();
         let mut devices = Vec::new();
-        let mut ssd_states = Vec::new();
-        for (i, node) in device_nodes.iter().enumerate() {
-            let mut dev_spec = ssd_spec.clone();
-            for (idx, factor) in degradations {
-                if *idx == i {
-                    dev_spec = dev_spec.scaled(*factor);
-                }
-            }
-            let ssd_dev = SsdDevice::new(dev_spec);
-            let ssd = ssd_dev.instantiate(&mut engine);
+        for (i, (node, dev_spec)) in device_nodes.iter().zip(device_specs).enumerate() {
+            let ssd = SsdDevice::new(dev_spec).instantiate(&mut engine);
             let (fpga_dram, accel, internal_path) = if with_accel {
                 let dram = engine.add_resource(ResourceSpec::new(
                     format!("accel{i}:dram"),
@@ -420,7 +476,6 @@ impl BuiltSystem {
                 (None, None, None)
             };
             devices.push(DeviceResources { node: *node, ssd, fpga_dram, accel, internal_path });
-            ssd_states.push(ssd_dev);
         }
 
         Ok(BuiltSystem {
@@ -434,7 +489,6 @@ impl BuiltSystem {
             host_node,
             gpu_node,
             devices,
-            ssd_states,
             routes: OnceCell::new(),
         })
     }
@@ -484,50 +538,6 @@ impl BuiltSystem {
     /// Route from the GPU to a device (e.g. scattering fresh Q/K/V).
     pub fn gpu_to_device_route(&self, device: usize) -> &[ResourceId] {
         &self.routes().devices[device].from_gpu
-    }
-
-    /// A per-device KV shard ledger over this system's devices: capacity
-    /// from each device's spec, placement weight from its sustained
-    /// internal read bandwidth. Degraded (straggler) devices were built
-    /// with scaled-down bandwidth, so the ledger automatically skews
-    /// placement away from them — the stripe stays balanced in *time*
-    /// rather than in bytes.
-    pub fn kv_ledger(&self) -> KvShardLedger {
-        KvShardLedger::new(
-            self.ssd_states
-                .iter()
-                .map(|d| ShardSpec {
-                    capacity_bytes: d.spec().capacity_bytes(),
-                    weight: d.spec().seq_read_bw(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Aggregate *internal* storage read bandwidth available to the
-    /// accelerators (B_SSD of the §4.2 α model).
-    pub fn aggregate_internal_read_bw(&self) -> f64 {
-        let per = self.spec.storage.ssd_spec().seq_read_bw();
-        per * self.devices.len() as f64
-    }
-
-    /// Effective host-interconnect bandwidth for device→GPU X-cache reads
-    /// (B_PCI of the §4.2 α model): bounded by the devices' host links and
-    /// any shared uplink.
-    pub fn effective_pci_bw(&self) -> f64 {
-        let n = self.devices.len() as f64;
-        match &self.spec.storage {
-            StorageConfig::ConventionalSsds { link, .. } => {
-                (link.bandwidth() * n).min(self.spec.gpu.link.bandwidth())
-            }
-            StorageConfig::SmartSsdChassis { .. } => {
-                let per_dev = LinkSpec::new(PcieGen::Gen3, 4).bandwidth() * n;
-                let uplink = LinkSpec::new(PcieGen::Gen4, 16).bandwidth();
-                per_dev.min(uplink).min(self.spec.gpu.link.bandwidth())
-            }
-            StorageConfig::IspCsd { .. } => (LinkSpec::new(PcieGen::Gen4, 4).bandwidth() * n)
-                .min(self.spec.gpu.link.bandwidth()),
-        }
     }
 }
 
@@ -581,14 +591,7 @@ mod tests {
     #[test]
     fn kv_ledger_skews_away_from_degraded_devices() {
         let spec = SystemSpec::a100_smartssd(4);
-        let sys = BuiltSystem::build_with_degradations(
-            &spec,
-            Some(&AccelTimingModel::smartssd(1)),
-            128,
-            &[(1, 0.25)],
-        )
-        .unwrap();
-        let mut ledger = sys.kv_ledger();
+        let mut ledger = spec.kv_ledger(&[(1, 0.25)]).unwrap();
         assert_eq!(ledger.device_count(), 4);
         let placed = ledger.allocate(0, 1 << 30).unwrap();
         assert!(
@@ -613,12 +616,7 @@ mod tests {
         // §6.4: B_SSD / B_PCI ≈ 3 on the paper's 16-device testbed
         // (51.2 GB/s internal vs ~15.8 GB/s of Gen3 host links... bounded
         // by the uplink). Our model should land in the same regime.
-        let sys = BuiltSystem::build(
-            &SystemSpec::a100_smartssd(16),
-            Some(&AccelTimingModel::smartssd(1)),
-            128,
-        )
-        .unwrap();
+        let sys = SystemSpec::a100_smartssd(16);
         let ratio = sys.aggregate_internal_read_bw() / sys.effective_pci_bw();
         assert!((1.0..4.0).contains(&ratio), "ratio={ratio}");
     }
@@ -640,15 +638,8 @@ mod tests {
     #[test]
     fn isp_matches_four_smartssds_in_bandwidth() {
         // §7.1: one ISP-CSD ≈ four SmartSSDs in internal bandwidth.
-        let isp =
-            BuiltSystem::build(&SystemSpec::a100_isp(1), Some(&AccelTimingModel::smartssd(1)), 128)
-                .unwrap();
-        let four = BuiltSystem::build(
-            &SystemSpec::a100_smartssd(4),
-            Some(&AccelTimingModel::smartssd(1)),
-            128,
-        )
-        .unwrap();
+        let isp = SystemSpec::a100_isp(1);
+        let four = SystemSpec::a100_smartssd(4);
         let r_isp = isp.aggregate_internal_read_bw();
         let r_four = four.aggregate_internal_read_bw();
         assert!((r_isp / r_four - 1.25).abs() < 0.3, "isp={r_isp} four={r_four}");
