@@ -140,7 +140,7 @@ fn main() {
         cfg.generate().expect("valid trace config")
     };
     let chunk_rows: Vec<String> =
-        [("off", ChunkMode::Off), ("lump", ChunkMode::Lump), ("chunked", ChunkMode::chunked())]
+        [("off", ChunkMode::Off), ("lump", ChunkMode::lump()), ("chunked", ChunkMode::chunked())]
             .into_iter()
             .map(|(name, mode)| {
                 let r =

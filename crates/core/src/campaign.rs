@@ -10,9 +10,9 @@
 
 use crate::runner::{CoreError, HilosSystem, JobReport};
 use crate::serve::{SchedulingPolicy, ServeConfig, ServeEngine, TraceReport};
-use crate::writeback::spill_nand_bytes_per_token;
+use crate::writeback::decode_nand_write_bytes;
 use hilos_llm::{BatchSpec, Request};
-use hilos_storage::{SsdDevice, WritePattern};
+use hilos_storage::SsdDevice;
 
 /// Aggregate statistics of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +91,7 @@ impl ServingCampaign {
         &self.system
     }
 
-    /// Per-device states (counters, occupancy).
+    /// Per-device states (I/O counters).
     pub fn devices(&self) -> &[SsdDevice] {
         &self.devices
     }
@@ -116,8 +116,8 @@ impl ServingCampaign {
             * spec.output_len as f64
             / n) as u64;
         for dev in &mut self.devices {
-            dev.record_write(prefill_per_dev, WritePattern::PageAligned);
-            dev.record_write(decode_per_dev, WritePattern::PageAligned);
+            dev.record_write(prefill_per_dev);
+            dev.record_write(decode_per_dev);
             dev.record_read(reads_per_dev);
         }
 
@@ -190,22 +190,13 @@ impl ServingCampaign {
                 1.0 / n
             }
         };
-        let nand_per_token = spill_nand_bytes_per_token(
-            self.system.model(),
-            if self.system.config().delayed_writeback() {
-                self.system.config().spill_interval()
-            } else {
-                1
-            },
-            self.system.spec().storage.ssd_spec().page_bytes(),
-        );
-        let x_discount = 1.0 - report.mean_alpha * (1.0 - self.system.model().x_to_kv_ratio());
-        let decode_writes = nand_per_token * report.generated_tokens as f64 * x_discount;
+        let decode_writes =
+            decode_nand_write_bytes(&self.system, report.mean_alpha, report.generated_tokens);
         let reads = report.internal_read_bytes + report.host_pcie_bytes;
         for (d, dev) in self.devices.iter_mut().enumerate() {
             let s = share(d);
-            dev.record_write((report.prefill_payload_bytes * s) as u64, WritePattern::PageAligned);
-            dev.record_write((decode_writes * s) as u64, WritePattern::PageAligned);
+            dev.record_write((report.prefill_payload_bytes * s) as u64);
+            dev.record_write((decode_writes * s) as u64);
             dev.record_read((reads * s) as u64);
         }
 

@@ -5,7 +5,7 @@ use crate::config::HilosConfig;
 use crate::scheduler::{weight_source, WeightSource};
 use crate::step::{AlphaSelector, DecodeStepExecutor};
 use crate::writeback::{
-    decision_at, middle_of, peak_buffer_bytes, spill_nand_bytes_per_token, SpillDecision,
+    decision_at, decode_nand_write_bytes, middle_of, peak_buffer_bytes, SpillDecision,
 };
 use hilos_accel::{AccelTimingModel, ResourceModel};
 use hilos_llm::{BatchSpec, ModelConfig};
@@ -434,17 +434,7 @@ impl HilosSystem {
         let avg = total / steps as f64;
         let n_steps = steps as f64;
         // Physical NAND writes per step, from the §4.3 spill model.
-        let nand_per_token = if self.config.delayed_writeback() {
-            spill_nand_bytes_per_token(
-                &self.model,
-                self.config.spill_interval(),
-                self.spec.storage.ssd_spec().page_bytes(),
-            )
-        } else {
-            spill_nand_bytes_per_token(&self.model, 1, self.spec.storage.ssd_spec().page_bytes())
-        };
-        let x_discount = 1.0 - alpha * (1.0 - self.model.x_to_kv_ratio());
-        let nand_write_bytes_per_step = nand_per_token * batch as f64 * x_discount;
+        let nand_write_bytes_per_step = decode_nand_write_bytes(self, alpha, batch as u64);
 
         Ok(RunReport {
             batch,

@@ -24,17 +24,13 @@ pub enum ChunkMode {
     /// prompt ingestion is never charged to the step — and bit-identical
     /// to the pre-chunking engine (golden-pinned). The default.
     Off,
-    /// Inline whole-prompt prefill: an admitted prompt is ingested in
-    /// one piece *inside* the serving step, monopolizing the devices
-    /// until it completes (a vLLM-style prefill iteration). The
-    /// interference baseline chunked prefill is measured against: every
-    /// running decode's inter-token latency absorbs the full prompt.
-    Lump,
     /// Token-budgeted chunked prefill: each step the running decode
     /// batch reserves one budget token per sequence, and the remaining
     /// budget ingests up to `chunk_tokens` of each pending prompt (in
     /// admission order), so long prompts interleave with decoding
     /// instead of stalling it — bounded inter-token inflation per step.
+    /// Unbounded knobs give inline whole-prompt prefill
+    /// ([`ChunkMode::lump`]).
     Chunked {
         /// Most prompt tokens one request ingests per step.
         chunk_tokens: u64,
@@ -50,17 +46,27 @@ impl ChunkMode {
         ChunkMode::Chunked { chunk_tokens: 256, step_budget_tokens: 2048 }
     }
 
+    /// Inline whole-prompt prefill: chunking unbounded on both axes, so
+    /// an admitted prompt is ingested in one piece *inside* the serving
+    /// step, monopolizing the devices until it completes (a vLLM-style
+    /// prefill iteration). The interference baseline chunked prefill is
+    /// measured against: every running decode's inter-token latency
+    /// absorbs the full prompt.
+    pub fn lump() -> Self {
+        ChunkMode::Chunked { chunk_tokens: u64::MAX, step_budget_tokens: u64::MAX }
+    }
+
     /// Whether prefill executes inside the serving step (any mode but
     /// [`ChunkMode::Off`]).
     pub fn is_inline(&self) -> bool {
         !matches!(self, ChunkMode::Off)
     }
 
-    /// The `(chunk, budget)` knobs of the inline modes ([`ChunkMode::Lump`]
-    /// is unbounded on both axes).
+    /// The `(chunk, budget)` knobs of the inline mode ([`ChunkMode::Off`]
+    /// reads as unbounded).
     pub(super) fn knobs(&self) -> (u64, u64) {
         match *self {
-            ChunkMode::Off | ChunkMode::Lump => (u64::MAX, u64::MAX),
+            ChunkMode::Off => (u64::MAX, u64::MAX),
             ChunkMode::Chunked { chunk_tokens, step_budget_tokens } => {
                 (chunk_tokens, step_budget_tokens)
             }

@@ -424,11 +424,6 @@ impl ServeEngine {
         &self.ledger
     }
 
-    /// The active scheduling policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -1136,8 +1131,7 @@ impl ServeEngine {
     /// How many of the next iterations [`ServeEngine::ingest_chunks`]
     /// runs with no prefill completing, so none joins: unbounded with
     /// nothing prefilling, and 0 under [`ChunkMode::Off`] (its prefills
-    /// join on the clock) or [`ChunkMode::Lump`] (every prompt completes
-    /// in its next step). Under [`ChunkMode::Chunked`] each prefiller in
+    /// join on the clock). Under [`ChunkMode::Chunked`] each prefiller in
     /// admission order takes `min(chunk, budget left)` tokens per step, the
     /// same takes every step until one completes; one whose `remaining`
     /// fits in its take joins next step, and otherwise it ingests for
@@ -1146,7 +1140,7 @@ impl ServeEngine {
         if st.prefilling.is_empty() {
             return u64::MAX;
         }
-        if !matches!(self.config.chunk_mode, ChunkMode::Chunked { .. }) {
+        if self.config.chunk_mode == ChunkMode::Off {
             return 0;
         }
         let (chunk_len, step_budget) = self.config.chunk_mode.knobs();
@@ -1441,7 +1435,6 @@ pub(crate) mod tests {
         ] {
             let name = policy.name();
             let mut eng = ServeEngine::with_policy(system(8), ServeConfig::new(4), policy).unwrap();
-            assert_eq!(eng.policy_name(), name);
             let report = eng.run_trace(&trace).unwrap();
             assert_eq!(report.policy, name);
             assert_eq!(report.outcomes.len() + report.rejected.len(), 48, "{name}");
@@ -1514,7 +1507,7 @@ pub(crate) mod tests {
     #[test]
     fn chunked_prefill_conserves_tokens_and_ledger() {
         let trace = long_heavy_trace();
-        for mode in [ChunkMode::Lump, ChunkMode::chunked()] {
+        for mode in [ChunkMode::lump(), ChunkMode::chunked()] {
             let mut eng =
                 ServeEngine::new(system(8), ServeConfig::new(8).with_chunk_mode(mode)).unwrap();
             let free_before = eng.ledger().free_by_device();
@@ -1553,7 +1546,7 @@ pub(crate) mod tests {
                 .run_trace(&trace)
                 .unwrap()
         };
-        let lump = run(ChunkMode::Lump);
+        let lump = run(ChunkMode::lump());
         let chunked = run(ChunkMode::chunked());
         let (a, b) = (lump.prefill.prefill_seconds(), chunked.prefill.prefill_seconds());
         assert!((a - b).abs() / a < 1e-9, "prefill totals diverged: {a} vs {b}");
@@ -1570,7 +1563,7 @@ pub(crate) mod tests {
                 .run_trace(&trace)
                 .unwrap()
         };
-        let lump = run(ChunkMode::Lump);
+        let lump = run(ChunkMode::lump());
         let chunked = run(ChunkMode::chunked());
         // A lump prefill lands whole inside one step; chunking bounds the
         // per-step interference, so the worst emission gap collapses.
@@ -1981,7 +1974,7 @@ pub(crate) mod tests {
             };
             let mode = [
                 ChunkMode::Off,
-                ChunkMode::Lump,
+                ChunkMode::lump(),
                 ChunkMode::chunked(),
                 ChunkMode::Chunked { chunk_tokens: 96, step_budget_tokens: 200 },
             ][chunk_i];

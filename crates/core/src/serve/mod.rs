@@ -55,11 +55,11 @@
 //!    (only its executed chunks are discarded, no decode progress is
 //!    lost). A shedding policy ([`SchedulingPolicy::may_shed`]) may drop
 //!    provably-hopeless queued requests as typed [`ShedOutcome`]s.
-//! 3. **Chunked prefill** — under [`ChunkMode::Lump`] /
-//!    [`ChunkMode::Chunked`], pending prompts are ingested *inside* the
-//!    step under a shared token budget: the running batch reserves one
-//!    budget token per sequence, and the remainder ingests up to one
-//!    chunk of each pending prefill (admission order). The chunk time is
+//! 3. **Chunked prefill** — under [`ChunkMode::Chunked`], pending
+//!    prompts are ingested *inside* the step under a shared token
+//!    budget: the running batch reserves one budget token per sequence,
+//!    and the remainder ingests up to one chunk of each pending prefill
+//!    (admission order). The chunk time is
 //!    charged to the step's clock, so prompt ingestion visibly inflates
 //!    decode inter-token latency (interference) or runs with the pipeline
 //!    empty (stall) — split out in [`hilos_metrics::PrefillBreakdown`].
@@ -108,9 +108,8 @@
 //! Under [`ChunkMode::Chunked`] a prefill may be in flight: each step
 //! every prefilling request ingests the same `min(chunk, budget left)`
 //! tokens until one of them is about to complete, so the window also
-//! ends before the first join. (Under [`ChunkMode::Lump`] every prompt
-//! completes in its next step, and under [`ChunkMode::Off`] prefills join
-//! on the clock, so neither windows with a prefill in flight.) Such a
+//! ends before the first join. (Under [`ChunkMode::Off`] prefills join
+//! on the clock, so it never windows with a prefill in flight.) Such a
 //! stretch runs in one call, so [`PriorityPreempt`] opens windows as
 //! [`Fifo`] does. The serving loop — the lockstep fleet loop, which
 //! [`ServeEngine::run_trace`] runs over a one-slot fleet — skips the
@@ -440,9 +439,9 @@ impl TraceReport {
     }
 
     /// Per-emission decode-gap order statistics over every executed step
-    /// — the tail a live token stream actually feels. Under
-    /// [`ChunkMode::Lump`] a whole-prompt prefill lands in one step and
-    /// shows up here as a spike; [`ChunkMode::Chunked`] bounds the
+    /// — the tail a live token stream actually feels. A whole-prompt
+    /// prefill ([`ChunkMode::lump`]) lands in one step and shows up here
+    /// as a spike; bounded [`ChunkMode::Chunked`] knobs bound the
     /// per-step interference, which is exactly what this distribution's
     /// tail measures (the chunked-vs-lump CI gate).
     pub fn step_itl_stats(&self) -> LatencyStats {
@@ -478,14 +477,6 @@ impl TraceReport {
             return 0.0;
         }
         self.outcomes.iter().filter(|o| o.met_slo()).count() as f64 / self.outcomes.len() as f64
-    }
-
-    /// Request goodput: deadline-meeting completions per second.
-    pub fn request_goodput(&self) -> f64 {
-        goodput(
-            self.outcomes.iter().map(|o| (o.met_deadline(self.deadline_s), 1.0)),
-            self.elapsed_s,
-        )
     }
 
     /// Fraction of completed requests that met the deadline.
@@ -568,7 +559,6 @@ mod tests {
         assert_eq!(empty.token_goodput(), 0.0);
         assert!(!empty.token_goodput().is_nan());
         assert_eq!(empty.slo_token_goodput(), 0.0);
-        assert_eq!(empty.request_goodput(), 0.0);
         assert_eq!(empty.tokens_per_second(), 0.0);
         assert_eq!(empty.slo_hit_rate(), 0.0);
         assert!(empty.class_breakdown().is_empty());

@@ -15,6 +15,7 @@
 //! number of them) and the spill ([`simulated_decision`]).
 
 use crate::config::HilosConfig;
+use crate::runner::HilosSystem;
 use hilos_llm::ModelConfig;
 
 /// The writeback decision of one decoding step.
@@ -138,6 +139,17 @@ pub fn spill_nand_bytes_per_token(model: &ModelConfig, spill_interval: u32, page
     let chunk = per_head_entry * spill_interval as u64;
     let pages_per_chunk = chunk.div_ceil(page);
     heads as f64 * pages_per_chunk as f64 * page as f64 / spill_interval as f64
+}
+
+/// NAND bytes `system` programs for `tokens` decoded step-tokens: the
+/// spill rate at interval `c` (1 without delayed writeback), discounted
+/// by the X-cache share `1 − α(1 − x_to_kv_ratio)`, whose tokens write X.
+pub(crate) fn decode_nand_write_bytes(system: &HilosSystem, alpha: f64, tokens: u64) -> f64 {
+    let (config, model) = (system.config(), system.model());
+    let interval = if config.delayed_writeback() { config.spill_interval() } else { 1 };
+    let page = system.spec().storage.ssd_spec().page_bytes();
+    let x_discount = 1.0 - alpha * (1.0 - model.x_to_kv_ratio());
+    spill_nand_bytes_per_token(model, interval, page) * tokens as f64 * x_discount
 }
 
 #[cfg(test)]

@@ -210,7 +210,7 @@ proptest! {
         };
         let chunk_mode = match chunk_idx {
             0 => ChunkMode::Off,
-            1 => ChunkMode::Lump,
+            1 => ChunkMode::lump(),
             2 => ChunkMode::chunked(),
             _ => ChunkMode::Chunked { chunk_tokens: 64, step_budget_tokens: 512 },
         };
@@ -272,7 +272,7 @@ proptest! {
                 .run_trace(&trace)
                 .unwrap()
         };
-        let lump = run(ChunkMode::Lump);
+        let lump = run(ChunkMode::lump());
         let fine = run(chunked);
         prop_assert_eq!(lump.outcomes.len(), n);
         prop_assert_eq!(fine.outcomes.len(), n);
@@ -318,7 +318,7 @@ proptest! {
             .unwrap();
         let chunk_mode = match chunk_idx {
             0 => ChunkMode::Off,
-            1 => ChunkMode::Lump,
+            1 => ChunkMode::lump(),
             _ => ChunkMode::chunked(),
         };
         let policy: Box<dyn SchedulingPolicy> = if policy_idx == 0 {
@@ -696,7 +696,7 @@ proptest! {
             .unwrap();
         let chunk_mode = match chunk_idx {
             0 => ChunkMode::Off,
-            1 => ChunkMode::Lump,
+            1 => ChunkMode::lump(),
             _ => ChunkMode::chunked(),
         };
         let policy: Box<dyn SchedulingPolicy> = match policy_idx {

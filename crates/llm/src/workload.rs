@@ -28,12 +28,6 @@ impl BatchSpec {
         BatchSpec { batch, context_len, output_len }
     }
 
-    /// The paper's default evaluation point: batch 16, 64 output tokens
-    /// (§6.1).
-    pub fn paper_default(context_len: u64) -> Self {
-        BatchSpec::new(16, context_len, 64)
-    }
-
     /// Context length at decoding step `step` (0-based): prompt plus the
     /// tokens generated so far.
     pub fn context_at_step(&self, step: u64) -> u64 {
@@ -119,7 +113,7 @@ mod tests {
 
     #[test]
     fn batch_spec_accessors() {
-        let b = BatchSpec::paper_default(32 * 1024);
+        let b = BatchSpec::new(16, 32 * 1024, 64);
         assert_eq!(b.batch, 16);
         assert_eq!(b.output_len, 64);
         assert_eq!(b.context_at_step(0), 32 * 1024);

@@ -51,26 +51,6 @@ impl PrefillBreakdown {
         }
     }
 
-    /// Fraction of the step-charged busy time that was prefill (zero for
-    /// an idle run).
-    pub fn prefill_share(&self) -> f64 {
-        let busy = self.decode_seconds + self.prefill_seconds();
-        if busy > 0.0 {
-            self.prefill_seconds() / busy
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean tokens per executed chunk (zero when nothing was chunked).
-    pub fn mean_chunk_tokens(&self) -> f64 {
-        if self.chunks > 0 {
-            self.chunk_tokens as f64 / self.chunks as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Element-wise sum — cluster reports merge per-deployment
     /// breakdowns with this.
     pub fn merged(&self, other: &PrefillBreakdown) -> PrefillBreakdown {
@@ -93,8 +73,6 @@ mod tests {
         let empty = PrefillBreakdown::default();
         assert_eq!(empty.prefill_seconds(), 0.0);
         assert_eq!(empty.interference_ratio(), 0.0);
-        assert_eq!(empty.prefill_share(), 0.0);
-        assert_eq!(empty.mean_chunk_tokens(), 0.0);
         assert!(!empty.interference_ratio().is_nan());
     }
 
@@ -109,8 +87,6 @@ mod tests {
         };
         assert_eq!(b.prefill_seconds(), 5.0);
         assert!((b.interference_ratio() - 0.2).abs() < 1e-12);
-        assert!((b.prefill_share() - 5.0 / 15.0).abs() < 1e-12);
-        assert_eq!(b.mean_chunk_tokens(), 256.0);
         let m = b.merged(&b);
         assert_eq!(m.chunks, 8);
         assert_eq!(m.chunk_tokens, 2048);

@@ -61,11 +61,6 @@ impl Timeline {
         self.foreground_end - self.started_at
     }
 
-    /// Makespan including background tasks.
-    pub fn total_duration(&self) -> SimTime {
-        self.finished_at - self.started_at
-    }
-
     /// The span of a task, if it executed.
     pub fn span(&self, id: TaskId) -> Option<TaskSpan> {
         self.spans.get(id.index()).copied().flatten()
@@ -345,7 +340,7 @@ mod tests {
         let tl = execute(&mut eng, &g).unwrap();
         // Foreground shares the link while the spill runs: fg finishes at 2s.
         assert_eq!(tl.makespan(), SimTime::from_secs(2));
-        assert_eq!(tl.total_duration(), SimTime::from_secs(4));
+        assert_eq!(tl.finished_at(), SimTime::from_secs(4));
     }
 
     #[test]

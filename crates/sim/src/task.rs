@@ -313,32 +313,6 @@ impl TaskGraph {
         self.deps.extend_from_slice(deps);
         self.nodes[id.index()].deps = Span(start, self.deps.len() as u32);
     }
-
-    /// Total bytes across all transfer tasks (useful for traffic analyses).
-    pub fn total_transfer_bytes(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| match n.work {
-                Work::Transfer { bytes, .. } => bytes,
-                _ => 0.0,
-            })
-            .sum()
-    }
-
-    /// Bytes transferred across tasks whose route includes `resource`.
-    pub fn transfer_bytes_through(&self, resource: ResourceId) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| match n.work {
-                Work::Transfer { bytes, route, .. }
-                    if route.of(&self.routes).contains(&resource) =>
-                {
-                    bytes
-                }
-                _ => 0.0,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -372,19 +346,6 @@ mod tests {
         assert!(!g.task(a).is_background());
         g.set_background(a);
         assert!(g.task(a).is_background());
-    }
-
-    #[test]
-    fn traffic_accounting() {
-        let mut g = TaskGraph::new();
-        let r0 = ResourceId(0);
-        let r1 = ResourceId(1);
-        g.transfer("x", 100.0, vec![r0], &[]);
-        g.transfer("y", 50.0, vec![r0, r1], &[]);
-        g.compute("z", 1e9, r1, &[]);
-        assert_eq!(g.total_transfer_bytes(), 150.0);
-        assert_eq!(g.transfer_bytes_through(r0), 150.0);
-        assert_eq!(g.transfer_bytes_through(r1), 50.0);
     }
 
     #[test]

@@ -4,19 +4,6 @@ use crate::spec::SsdSpec;
 use hilos_sim::{ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
 use std::fmt;
 
-/// How a write stream hits the flash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WritePattern {
-    /// Buffered into page-aligned chunks before programming (WAF ≈ 1).
-    PageAligned,
-    /// Issued in fixed `chunk`-byte units; sub-page chunks each program a
-    /// whole page (read-modify-write) — the §4.3 pathology.
-    Chunked {
-        /// Write unit in bytes.
-        chunk: u64,
-    },
-}
-
 /// Cumulative I/O counters for one device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IoCounters {
@@ -26,47 +13,31 @@ pub struct IoCounters {
     pub bytes_written: u64,
     /// Bytes actually programmed into NAND (≥ `bytes_written`).
     pub nand_bytes_programmed: u64,
-    /// Number of read commands issued.
-    pub read_ops: u64,
-    /// Number of write commands issued.
-    pub write_ops: u64,
 }
 
-impl IoCounters {
-    /// Observed write amplification factor (NAND bytes / host bytes), or
-    /// 1.0 if nothing was written yet.
-    pub fn write_amplification(&self) -> f64 {
-        if self.bytes_written == 0 {
-            1.0
-        } else {
-            self.nand_bytes_programmed as f64 / self.bytes_written as f64
-        }
-    }
-}
-
-/// A stateful SSD: a spec plus I/O counters and an occupancy figure.
+/// A stateful SSD: a spec plus cumulative I/O counters, which the
+/// endurance figure reads. KV placement lives in
+/// [`KvShardLedger`](crate::KvShardLedger), not here.
 ///
 /// # Examples
 ///
 /// ```
-/// use hilos_storage::{SsdDevice, SsdSpec, WritePattern};
+/// use hilos_storage::{SsdDevice, SsdSpec};
 ///
 /// let mut ssd = SsdDevice::new(SsdSpec::smartssd_nvme());
-/// ssd.record_write(256, WritePattern::Chunked { chunk: 256 });
+/// ssd.record_write(256);
 /// assert_eq!(ssd.counters().nand_bytes_programmed, 4096);
-/// assert_eq!(ssd.counters().write_amplification(), 16.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SsdDevice {
     spec: SsdSpec,
     counters: IoCounters,
-    occupied_bytes: u64,
 }
 
 impl SsdDevice {
-    /// Creates an empty device from a spec.
+    /// Creates a device with zeroed counters from a spec.
     pub fn new(spec: SsdSpec) -> Self {
-        SsdDevice { spec, counters: IoCounters::default(), occupied_bytes: 0 }
+        SsdDevice { spec, counters: IoCounters::default() }
     }
 
     /// The device's static description.
@@ -79,47 +50,16 @@ impl SsdDevice {
         self.counters
     }
 
-    /// Bytes currently allocated on the device.
-    pub fn occupied_bytes(&self) -> u64 {
-        self.occupied_bytes
-    }
-
-    /// Free capacity in bytes.
-    pub fn free_bytes(&self) -> u64 {
-        self.spec.capacity_bytes().saturating_sub(self.occupied_bytes)
-    }
-
-    /// Marks `bytes` as allocated (KV-cache placement). Saturates at
-    /// capacity; callers should check [`SsdDevice::free_bytes`] first.
-    pub fn allocate(&mut self, bytes: u64) {
-        self.occupied_bytes = (self.occupied_bytes + bytes).min(self.spec.capacity_bytes());
-    }
-
-    /// Releases `bytes` of allocation.
-    pub fn release(&mut self, bytes: u64) {
-        self.occupied_bytes = self.occupied_bytes.saturating_sub(bytes);
-    }
-
     /// Records a read of `bytes`.
     pub fn record_read(&mut self, bytes: u64) {
         self.counters.bytes_read += bytes;
-        self.counters.read_ops += 1;
     }
 
-    /// Records a write of `bytes` under the given pattern, accounting NAND
-    /// programs with the appropriate amplification.
-    pub fn record_write(&mut self, bytes: u64, pattern: WritePattern) {
+    /// Records a buffered write of `bytes`, which programs whole NAND
+    /// pages: a partial last page costs a full one.
+    pub fn record_write(&mut self, bytes: u64) {
         self.counters.bytes_written += bytes;
-        self.counters.write_ops += 1;
-        let programmed = match pattern {
-            WritePattern::PageAligned => self.spec.pages_for(bytes) * self.spec.page_bytes(),
-            WritePattern::Chunked { chunk } => {
-                assert!(chunk > 0, "chunk must be positive");
-                let chunks = bytes.div_ceil(chunk);
-                chunks * self.spec.pages_for(chunk) * self.spec.page_bytes()
-            }
-        };
-        self.counters.nand_bytes_programmed += programmed;
+        self.counters.nand_bytes_programmed += self.spec.pages_for(bytes) * self.spec.page_bytes();
     }
 
     /// Fraction of the endurance budget consumed, in `[0, 1]`.
@@ -199,47 +139,23 @@ mod tests {
         let mut d = SsdDevice::new(SsdSpec::pm9a3());
         d.record_read(1000);
         d.record_read(500);
-        d.record_write(4096, WritePattern::PageAligned);
+        d.record_write(4096);
         let c = d.counters();
         assert_eq!(c.bytes_read, 1500);
-        assert_eq!(c.read_ops, 2);
         assert_eq!(c.bytes_written, 4096);
         assert_eq!(c.nand_bytes_programmed, 4096);
-        assert_eq!(c.write_amplification(), 1.0);
-    }
-
-    #[test]
-    fn chunked_writes_amplify() {
-        let mut d = SsdDevice::new(SsdSpec::smartssd_nvme());
-        // 16 KV entries of 256 B written one by one: 16 pages programmed.
-        d.record_write(16 * 256, WritePattern::Chunked { chunk: 256 });
-        assert_eq!(d.counters().nand_bytes_programmed, 16 * 4096);
-        assert_eq!(d.counters().write_amplification(), 16.0);
-
-        // The same payload buffered page-aligned: one page.
-        let mut d2 = SsdDevice::new(SsdSpec::smartssd_nvme());
-        d2.record_write(16 * 256, WritePattern::PageAligned);
-        assert_eq!(d2.counters().nand_bytes_programmed, 4096);
-    }
-
-    #[test]
-    fn capacity_tracking() {
-        let mut d = SsdDevice::new(SsdSpec::pm9a3());
-        let cap = d.spec().capacity_bytes();
-        d.allocate(1_000_000);
-        assert_eq!(d.occupied_bytes(), 1_000_000);
-        assert_eq!(d.free_bytes(), cap - 1_000_000);
-        d.release(400_000);
-        assert_eq!(d.occupied_bytes(), 600_000);
-        d.allocate(u64::MAX / 2);
-        assert_eq!(d.occupied_bytes(), cap);
+        // A sub-page write programs one whole page.
+        d.record_write(256);
+        let c = d.counters();
+        assert_eq!(c.bytes_written, 4096 + 256);
+        assert_eq!(c.nand_bytes_programmed, 2 * 4096);
     }
 
     #[test]
     fn endurance_fraction() {
         let mut d = SsdDevice::new(SsdSpec::smartssd_nvme());
         // Program 7.008e15 / 2 bytes -> 50% used.
-        d.record_write(3_504_000_000_000_000, WritePattern::PageAligned);
+        d.record_write(3_504_000_000_000_000);
         assert!((d.endurance_used() - 0.5).abs() < 1e-6);
     }
 

@@ -144,20 +144,6 @@ impl KvShardLedger {
         self.allocations.len()
     }
 
-    /// Occupancy pressure of device `i`: held bytes over capacity, in
-    /// `[0, 1]`. A zero-capacity device reports `1.0` (it can never accept
-    /// another byte). Reservations ([`KvShardLedger::reserve_evenly`])
-    /// count as held — pressure measures how close the device is to
-    /// rejecting placement, whatever is squeezing it.
-    pub fn device_pressure(&self, i: usize) -> f64 {
-        let s = &self.shards[i];
-        if s.spec.capacity_bytes == 0 {
-            1.0
-        } else {
-            s.occupied as f64 / s.spec.capacity_bytes as f64
-        }
-    }
-
     /// Aggregate occupancy pressure over placement-eligible (non-zero
     /// weight) devices: total held bytes over total capacity, in `[0, 1]`.
     /// `1.0` when no device accepts placement at all — a fully degraded
@@ -431,19 +417,15 @@ mod tests {
             ShardSpec { capacity_bytes: 3000, weight: 1.0 },
         ]);
         assert_eq!(l.pressure(), 0.0);
-        assert_eq!([l.device_pressure(0), l.device_pressure(1)], [0.0, 0.0]);
         assert_eq!(l.total_weight(), 3.0);
         let placed = l.allocate(1, 2000).unwrap();
         // Aggregate: 2000 held of 4000 capacity.
         assert!((l.pressure() - 0.5).abs() < 1e-12);
-        for (i, &p) in placed.iter().enumerate() {
-            let expect = p as f64 / [1000.0, 3000.0][i];
-            assert!((l.device_pressure(i) - expect).abs() < 1e-12, "device {i}");
-        }
+        assert_eq!(placed, [l.occupied_bytes(0), l.occupied_bytes(1)]);
         // Release restores zero pressure exactly.
         l.release(1).unwrap();
         assert_eq!(l.pressure(), 0.0);
-        assert_eq!([l.device_pressure(0), l.device_pressure(1)], [0.0, 0.0]);
+        assert_eq!(l.total_occupied(), 0);
     }
 
     #[test]
@@ -456,15 +438,14 @@ mod tests {
         l.reserve_evenly(1000).unwrap();
         // Aggregate pressure is over placeable capacity only: 500/1000.
         assert!((l.pressure() - 0.5).abs() < 1e-12);
-        // Per-device pressure reports every device, weightless included.
-        assert_eq!([l.device_pressure(0), l.device_pressure(1)], [0.5, 0.5]);
+        // Reservations hold bytes on every device, weightless included.
+        assert_eq!([l.occupied_bytes(0), l.occupied_bytes(1)], [500, 500]);
         // A fully weightless ledger is saturated by definition.
         let dead = KvShardLedger::new(vec![ShardSpec { capacity_bytes: 1000, weight: 0.0 }]);
         assert_eq!(dead.pressure(), 1.0);
         assert_eq!(dead.total_weight(), 0.0);
         // ...as is a zero-capacity device.
         let tiny = KvShardLedger::new(vec![ShardSpec { capacity_bytes: 0, weight: 1.0 }]);
-        assert_eq!(tiny.device_pressure(0), 1.0);
         assert_eq!(tiny.pressure(), 1.0);
     }
 

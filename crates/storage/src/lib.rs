@@ -9,12 +9,10 @@
 //! * [`SsdSpec`] — datasheet-level device descriptions (bandwidths, page
 //!   size, command latency, endurance budget) with presets for the paper's
 //!   devices: the Samsung PM9A3 baseline SSD and the NVMe SSD inside a
-//!   SmartSSD,
-//! * [`SsdDevice`] / [`IoCounters`] — per-device accounting of host I/O and
-//!   NAND programs, including the **write amplification** of sub-page
-//!   writes that motivates the paper's delayed KV-cache writeback (§4.3),
-//! * [`Raid0`] — mdadm-style striping across devices (the baselines'
-//!   4-SSD array),
+//!   SmartSSD, and the **write amplification** of sub-page writes that
+//!   motivates the paper's delayed KV-cache writeback (§4.3),
+//! * [`SsdDevice`] / [`IoCounters`] — per-device byte counters of host
+//!   I/O and whole-page NAND programs, read for endurance wear,
 //! * [`SsdInstance`] — the adapter that materializes a device's read/write
 //!   channels as [`hilos_sim`] resources and emits transfer tasks.
 //!
@@ -31,8 +29,8 @@
 //!   ladder for *retained* KV. Every rung has explicit capacity, and
 //!   moving bytes between rungs is priced by the device models above:
 //!   DRAM staging at the host-interconnect bandwidth, the SSD rung as a
-//!   [`Raid0`]-striped transfer paying command latency and the NAND
-//!   write amplification of its spill granularity. Demotions are
+//!   transfer split evenly across the array, paying command latency and
+//!   the NAND write amplification of its spill granularity. Demotions are
 //!   side-channel I/O; recalls are critical-path seconds the serving
 //!   layer charges straight into TTFT.
 //! * [`PrefixCacheIndex`] — content-keyed, block-granular prefix KV
@@ -49,14 +47,12 @@ mod device;
 mod ledger;
 mod nand;
 mod prefix;
-mod raid;
 mod spec;
 mod tier;
 
-pub use device::{IoCounters, SsdDevice, SsdInstance, WritePattern};
+pub use device::{IoCounters, SsdDevice, SsdInstance};
 pub use ledger::{KvShardLedger, LedgerError, ShardSpec};
 pub use nand::NandGeometry;
 pub use prefix::{PrefixCacheIndex, PrefixError};
-pub use raid::{Raid0, RaidError, StripeExtent};
 pub use spec::SsdSpec;
 pub use tier::{KvTier, KvTierLadder, TierError, TierTraffic};

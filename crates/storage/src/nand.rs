@@ -22,8 +22,6 @@ pub struct NandGeometry {
     pub t_read: SimTime,
     /// Page program latency.
     pub t_program: SimTime,
-    /// Block erase latency.
-    pub t_erase: SimTime,
     /// Channel transfer rate in bytes/s (MT/s × bus width).
     pub channel_bytes_per_sec: f64,
 }
@@ -39,7 +37,6 @@ impl NandGeometry {
             page_bytes: 16 * 1024,
             t_read: SimTime::from_micros(60),
             t_program: SimTime::from_micros(660),
-            t_erase: SimTime::from_millis(4),
             channel_bytes_per_sec: 533e6,
         }
     }
@@ -52,7 +49,6 @@ impl NandGeometry {
             page_bytes: 16 * 1024,
             t_read: SimTime::from_micros(50),
             t_program: SimTime::from_micros(600),
-            t_erase: SimTime::from_millis(3),
             channel_bytes_per_sec: 2000e6,
         }
     }
@@ -89,28 +85,6 @@ impl NandGeometry {
             self.dies_per_channel as f64 * self.page_bytes as f64 / prog_s
         };
         per_channel * self.channels as f64
-    }
-
-    /// Latency of one random page read: sense + one bus transfer.
-    pub fn single_read_latency(&self) -> SimTime {
-        self.t_read + SimTime::from_secs_f64(self.page_bytes as f64 / self.channel_bytes_per_sec)
-    }
-
-    /// Time to read `bytes` sequentially (steady-state bandwidth plus one
-    /// pipeline fill).
-    pub fn sequential_read_time(&self, bytes: u64) -> SimTime {
-        if bytes == 0 {
-            return SimTime::ZERO;
-        }
-        self.t_read + SimTime::from_secs_f64(bytes as f64 / self.sustained_read_bw())
-    }
-
-    /// Time to program `bytes` sequentially.
-    pub fn sequential_program_time(&self, bytes: u64) -> SimTime {
-        if bytes == 0 {
-            return SimTime::ZERO;
-        }
-        self.t_program + SimTime::from_secs_f64(bytes as f64 / self.sustained_program_bw())
     }
 }
 
@@ -149,7 +123,6 @@ mod tests {
     fn programs_are_slower_than_reads() {
         let nand = NandGeometry::smartssd();
         assert!(nand.sustained_program_bw() < nand.sustained_read_bw());
-        assert!(nand.sequential_program_time(1 << 20) > nand.sequential_read_time(1 << 20));
     }
 
     #[test]
@@ -160,21 +133,6 @@ mod tests {
             / nand.t_program.as_secs_f64()
             * nand.channels as f64;
         assert!((nand.sustained_program_bw() - expect).abs() < 1.0);
-    }
-
-    #[test]
-    fn single_page_latency() {
-        let nand = NandGeometry::smartssd();
-        let lat = nand.single_read_latency();
-        // 60us sense + ~30us transfer.
-        assert!(lat > SimTime::from_micros(80) && lat < SimTime::from_micros(100), "{lat}");
-    }
-
-    #[test]
-    fn zero_bytes_cost_nothing() {
-        let nand = NandGeometry::smartssd();
-        assert_eq!(nand.sequential_read_time(0), SimTime::ZERO);
-        assert_eq!(nand.sequential_program_time(0), SimTime::ZERO);
     }
 
     #[test]

@@ -170,14 +170,6 @@ impl SsdSpec {
         self.name = format!("{}@{:.0}%", self.name, factor * 100.0);
         self
     }
-
-    /// Returns a copy with a different page size (for the §7.3 16 KiB-page
-    /// sensitivity analysis).
-    pub fn with_page_bytes(mut self, page_bytes: u64) -> Self {
-        assert!(page_bytes.is_power_of_two(), "page size must be a power of two");
-        self.page_bytes = page_bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -218,13 +210,13 @@ mod tests {
         // Page-aligned multi-page writes are also WAF 1.
         assert_eq!(s.write_amplification(8192), 1.0);
         // 16 KiB pages (§7.3) quadruple sub-page amplification.
-        let big = s.with_page_bytes(16384);
+        let big = SsdSpec::new("16K", 1 << 40, 1e9, 1e9, 16384, SimTime::ZERO, 1e15);
         assert_eq!(big.write_amplification(256), 64.0);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_page_size_rejected() {
-        let _ = SsdSpec::pm9a3().with_page_bytes(5000);
+        let _ = SsdSpec::new("odd", 1 << 40, 1e9, 1e9, 5000, SimTime::ZERO, 1e15);
     }
 }

@@ -3,18 +3,28 @@
 //! Retained KV (cached prefixes, preempted-victim state) does not have to
 //! be discarded when the hot tier fills — it can be *demoted* one rung
 //! down the ladder and *recalled* later. The ladder prices both moves
-//! with the storage crate's existing device models: DRAM staging moves at
-//! the host-interconnect bandwidth, and the SSD rung stripes bytes across
-//! the array exactly as [`Raid0::split_even`] would, pays the device's
-//! fixed command latency, and charges NAND write amplification for the
-//! configured spill granularity ([`SsdSpec::write_amplification`], the
-//! §4.3 sub-page pathology). Demotions run on the side channel (they are
-//! not on any request's critical path); recalls are — the serving layer
-//! charges recall seconds straight into TTFT.
+//! with the storage crate's device model: DRAM staging moves at the
+//! host-interconnect bandwidth, and the SSD rung splits bytes evenly
+//! across the array (the busiest device serves `ceil(bytes / devices)`),
+//! pays the device's fixed command latency, and charges the NAND write
+//! amplification of its 256 KiB spill writes
+//! ([`SsdSpec::write_amplification`], the §4.3 sub-page pathology).
+//! Demotions run on the side channel (they are not on any request's
+//! critical path); recalls are — the serving layer charges recall seconds
+//! straight into TTFT.
 
-use crate::{Raid0, SsdSpec};
+use crate::SsdSpec;
 use std::error::Error;
 use std::fmt;
+
+/// Host-interconnect bandwidth of the DRAM rung, bytes/s (PCIe class).
+const DRAM_BW: f64 = 25.0e9;
+/// HBM read-out bandwidth for hot-tier recalls, bytes/s.
+const HBM_BW: f64 = 1.5e12;
+/// Granularity of SSD-rung spill writes, bytes. It is page-aligned, so
+/// only a demote smaller than one chunk, written whole, can pay sub-page
+/// write amplification.
+const SPILL_CHUNK: u64 = 256 * 1024;
 
 /// One rung of the KV residency ladder, hottest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -142,68 +152,32 @@ pub struct TierTraffic {
 pub struct KvTierLadder {
     capacity: [u64; 3],
     occupied: [u64; 3],
-    /// Host-interconnect bandwidth for the DRAM rung, bytes/s.
-    dram_bw: f64,
-    /// HBM read-out bandwidth for hot-tier recalls, bytes/s.
-    hbm_bw: f64,
     ssd: SsdSpec,
-    raid: Raid0,
-    /// Write granularity for NAND write-amplification pricing.
-    spill_chunk: u64,
+    /// Drives in the SSD rung's array.
+    devices: u64,
     traffic: [TierTraffic; 3],
 }
 
 impl KvTierLadder {
     /// Builds a ladder with the given HBM/DRAM rung capacities over an SSD
-    /// rung of `devices` striped drives of `ssd`'s description. The SSD
-    /// rung's capacity is the array's aggregate; the DRAM rung moves at a
-    /// PCIe-class 25 GB/s and HBM reads out at 1.5 TB/s (both adjustable
-    /// via [`KvTierLadder::with_bandwidths`]). Demoted bytes are written in
-    /// 256 KiB spill chunks by default — page-aligned, so NAND write
-    /// amplification is 1 unless [`KvTierLadder::with_spill_chunk`] selects
-    /// a sub-page granularity.
+    /// rung of `devices` drives of `ssd`'s description. The SSD rung's
+    /// capacity is the array's aggregate. The DRAM rung moves at a
+    /// PCIe-class 25 GB/s, HBM reads out at 1.5 TB/s, and demoted bytes are
+    /// written in page-aligned 256 KiB spill chunks; all three are fixed.
     ///
     /// # Panics
     ///
     /// Panics if `devices` is zero.
     pub fn new(hbm_bytes: u64, dram_bytes: u64, ssd: SsdSpec, devices: usize) -> Self {
-        let raid = Raid0::new(devices, 512 * 1024).expect("ladder needs at least one SSD");
+        assert!(devices > 0, "ladder needs at least one SSD");
         let ssd_capacity = ssd.capacity_bytes().saturating_mul(devices as u64);
         KvTierLadder {
             capacity: [hbm_bytes, dram_bytes, ssd_capacity],
             occupied: [0; 3],
-            dram_bw: 25.0e9,
-            hbm_bw: 1.5e12,
             ssd,
-            raid,
-            spill_chunk: 256 * 1024,
+            devices: devices as u64,
             traffic: [TierTraffic::default(); 3],
         }
-    }
-
-    /// Overrides the DRAM-rung and HBM read-out bandwidths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either bandwidth is not finite and positive.
-    pub fn with_bandwidths(mut self, dram_bw: f64, hbm_bw: f64) -> Self {
-        assert!(dram_bw.is_finite() && dram_bw > 0.0, "DRAM bandwidth must be positive");
-        assert!(hbm_bw.is_finite() && hbm_bw > 0.0, "HBM bandwidth must be positive");
-        self.dram_bw = dram_bw;
-        self.hbm_bw = hbm_bw;
-        self
-    }
-
-    /// Overrides the spill-write granularity used for NAND
-    /// write-amplification pricing on the SSD rung.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn with_spill_chunk(mut self, chunk: u64) -> Self {
-        assert!(chunk > 0, "spill chunk must be positive");
-        self.spill_chunk = chunk;
-        self
     }
 
     /// Capacity of a tier in bytes.
@@ -232,23 +206,22 @@ impl KvTierLadder {
     }
 
     /// Seconds to demote `bytes` one rung down *into* `to`. DRAM staging
-    /// moves at the host-interconnect bandwidth; the SSD rung stripes the
-    /// bytes across the array ([`Raid0::split_even`]), pays the device
-    /// command latency once, and programs NAND at the write bandwidth with
-    /// the spill-granularity write amplification applied.
+    /// moves at the host-interconnect bandwidth; the SSD rung splits the
+    /// bytes evenly across the array, pays the device command latency
+    /// once, and programs the busiest device's `ceil(bytes / devices)` at
+    /// the write bandwidth with the spill-granularity write amplification
+    /// applied.
     pub fn demote_seconds(&self, to: KvTier, bytes: u64) -> f64 {
         if bytes == 0 {
             return 0.0;
         }
         match to {
             KvTier::Hbm => 0.0,
-            KvTier::Dram => bytes as f64 / self.dram_bw,
+            KvTier::Dram => bytes as f64 / DRAM_BW,
             KvTier::Ssd => {
-                let max_extent =
-                    self.raid.split_even(bytes).iter().map(|e| e.bytes).max().unwrap_or(0);
-                let waf = self.ssd.write_amplification(self.spill_chunk.min(bytes));
+                let waf = self.ssd.write_amplification(SPILL_CHUNK.min(bytes));
                 self.ssd.cmd_latency().as_secs_f64()
-                    + max_extent as f64 * waf / self.ssd.seq_write_bw()
+                    + bytes.div_ceil(self.devices) as f64 * waf / self.ssd.seq_write_bw()
             }
         }
     }
@@ -261,14 +234,12 @@ impl KvTierLadder {
             return 0.0;
         }
         match from {
-            KvTier::Hbm => bytes as f64 / self.hbm_bw,
-            KvTier::Dram => bytes as f64 / self.dram_bw,
+            KvTier::Hbm => bytes as f64 / HBM_BW,
+            KvTier::Dram => bytes as f64 / DRAM_BW,
             KvTier::Ssd => {
-                let max_extent =
-                    self.raid.split_even(bytes).iter().map(|e| e.bytes).max().unwrap_or(0);
                 self.ssd.cmd_latency().as_secs_f64()
-                    + max_extent as f64 / self.ssd.seq_read_bw()
-                    + bytes as f64 / self.dram_bw
+                    + bytes.div_ceil(self.devices) as f64 / self.ssd.seq_read_bw()
+                    + bytes as f64 / DRAM_BW
             }
         }
     }
@@ -454,21 +425,22 @@ mod tests {
     fn ssd_demote_prices_stripe_latency_and_waf() {
         let spec = SsdSpec::smartssd_nvme();
         let l = KvTierLadder::new(1 << 30, 1 << 30, spec.clone(), 4);
+        let cmd = spec.cmd_latency().as_secs_f64();
         let bytes = 64 * 1024 * 1024u64;
         // Page-aligned 256 KiB spill chunks: WAF 1, so the demote is the
         // command latency plus the per-device stripe share at write bw.
-        let expect = spec.cmd_latency().as_secs_f64() + (bytes as f64 / 4.0) / spec.seq_write_bw();
+        let expect = cmd + (bytes as f64 / 4.0) / spec.seq_write_bw();
         assert!((l.demote_seconds(KvTier::Ssd, bytes) - expect).abs() < 1e-12);
-        // Sub-page spill granularity inflates the NAND program cost 16x —
-        // the §4.3 pathology carried straight into the ladder.
-        let sub = l.clone().with_spill_chunk(256);
-        assert!(
-            sub.demote_seconds(KvTier::Ssd, bytes) > 15.0 * l.demote_seconds(KvTier::Ssd, bytes)
-        );
+        // An uneven stripe: the busiest device serves the rounded-up share.
+        let uneven = bytes + 3;
+        let expect = cmd + uneven.div_ceil(4) as f64 / spec.seq_write_bw();
+        assert_eq!(l.demote_seconds(KvTier::Ssd, uneven), expect);
+        // A 256-byte demote is a sub-page write with WAF 16 (§4.3): the
+        // busiest device's 64 bytes cost 16 x 64 at the write bandwidth.
+        let expect = cmd + (16 * 64) as f64 / spec.seq_write_bw();
+        assert_eq!(l.demote_seconds(KvTier::Ssd, 256), expect);
         // Recall reads the stripe and pays the DRAM hop on top.
-        let read = spec.cmd_latency().as_secs_f64()
-            + (bytes as f64 / 4.0) / spec.seq_read_bw()
-            + bytes as f64 / 25.0e9;
+        let read = cmd + (bytes as f64 / 4.0) / spec.seq_read_bw() + bytes as f64 / 25.0e9;
         assert!((l.recall_seconds(KvTier::Ssd, bytes) - read).abs() < 1e-12);
         // The ladder is ordered: recalls get cheaper toward the hot end.
         assert!(l.recall_seconds(KvTier::Dram, bytes) < l.recall_seconds(KvTier::Ssd, bytes));

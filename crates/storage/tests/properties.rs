@@ -1,10 +1,10 @@
-//! Property tests for the RAID, KV shard ledger, and prefix-cache
+//! Property tests for the KV shard ledger and prefix-cache
 //! residency-ladder invariants, plus a differential check of the prefix
 //! index's victim order against a full-scan reference.
 
 use hilos_sim::SimTime;
 use hilos_storage::{
-    KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, PrefixError, Raid0, ShardSpec, SsdSpec,
+    KvShardLedger, KvTier, KvTierLadder, PrefixCacheIndex, PrefixError, ShardSpec, SsdSpec,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -174,30 +174,6 @@ impl ScanIndex {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// RAID-0 planning conserves bytes and touches only valid devices for
-    /// any request geometry.
-    #[test]
-    fn raid_plan_conserves_bytes(
-        devices in 1usize..16,
-        chunk_pow in 9u32..21,
-        offset in 0u64..1_000_000_000,
-        len in 1u64..1_000_000_000,
-    ) {
-        let raid = Raid0::new(devices, 1 << chunk_pow).unwrap();
-        let plan = raid.plan(offset, len);
-        let total: u64 = plan.iter().map(|e| e.bytes).sum();
-        prop_assert_eq!(total, len);
-        for e in &plan {
-            prop_assert!(e.device < devices);
-        }
-        // Large requests spread nearly evenly.
-        if len > 64 * (1 << chunk_pow) * devices as u64 {
-            let max = plan.iter().map(|e| e.bytes).max().unwrap();
-            let min = plan.iter().map(|e| e.bytes).min().unwrap();
-            prop_assert!(max - min <= 2 * (1 << chunk_pow));
-        }
-    }
 
     /// Any interleaving of request admissions and completions leaves every
     /// device's `occupied_bytes` equal to the sum of the live requests'

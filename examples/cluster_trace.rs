@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "chunks",
     ]);
     for (name, mode) in
-        [("lump (inline)", ChunkMode::Lump), ("chunked (256 @ 2048)", ChunkMode::chunked())]
+        [("lump (inline)", ChunkMode::lump()), ("chunked (256 @ 2048)", ChunkMode::chunked())]
     {
         let mut cluster = ClusterEngine::new(
             vec![

@@ -209,7 +209,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for (name, mode) in [
         ("off (free, on the side)", ChunkMode::Off),
-        ("lump (inline, whole prompt)", ChunkMode::Lump),
+        ("lump (inline, whole prompt)", ChunkMode::lump()),
         ("chunked (256 @ 2048 budget)", ChunkMode::chunked()),
     ] {
         let sys = HilosSystem::new(

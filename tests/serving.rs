@@ -169,7 +169,7 @@ fn chunked_prefill_tames_the_decode_gap_tail_vs_lump() {
         eng.run_trace(&trace).unwrap()
     };
     let off = run(ChunkMode::Off);
-    let lump = run(ChunkMode::Lump);
+    let lump = run(ChunkMode::lump());
     let chunked = run(ChunkMode::chunked());
 
     for r in [&off, &lump, &chunked] {
@@ -233,7 +233,7 @@ fn step_itl_stats_are_pinned_bit_for_bit() {
             ServeEngine::new(hilos(8, 1), ServeConfig::new(8).with_chunk_mode(mode)).unwrap();
         eng.run_trace(&trace).unwrap()
     };
-    let lump = run(ChunkMode::Lump).step_itl_stats();
+    let lump = run(ChunkMode::lump()).step_itl_stats();
     let chunked = run(ChunkMode::chunked()).step_itl_stats();
     let preempt = run_policy(Box::new(PriorityPreempt::new())).step_itl_stats();
     let chunked_config = || ServeConfig::new(16).with_chunk_mode(ChunkMode::chunked());
