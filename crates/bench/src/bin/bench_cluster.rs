@@ -37,9 +37,9 @@
 //! ```
 
 use hilos_core::cluster::{
-    AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
-    FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin,
-    RoutingPolicy, ScaleDecision, TargetPressureScaler,
+    AutoscalePolicy, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig, FleetSnapshot,
+    HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin, RoutingPolicy,
+    ScaleDecision, TargetPressureScaler,
 };
 use hilos_core::{HilosConfig, HilosSystem, PriorityPreempt, ServeConfig, ServeEngine};
 use hilos_llm::{presets, TraceConfig};
@@ -129,9 +129,9 @@ fn main() {
     .into_iter()
     .map(|routing| {
         let name = routing.name();
-        let mut cluster = ClusterEngine::new(heterogeneous_deployments(), routing);
+        let mut cluster = ElasticClusterEngine::pinned(heterogeneous_deployments(), routing);
         let start = Instant::now();
-        let r = cluster.run_trace(&trace).unwrap();
+        let r = cluster.run_trace(&trace).unwrap().cluster;
         let wall = start.elapsed().as_secs_f64();
         assert_eq!(r.completed(), trace.len(), "{name}: trace must complete");
         goodputs.push(r.slo_token_goodput());
@@ -172,11 +172,11 @@ fn main() {
         ServeEngine::with_policy(sys, ServeConfig::new(3), Box::new(PriorityPreempt::new()))
             .unwrap()
     };
-    let mut cluster = ClusterEngine::new(
+    let mut cluster = ElasticClusterEngine::pinned(
         vec![preempting(hilos(4)), preempting(hilos(4).with_degraded_device(0, 0.5))],
         Box::new(RoundRobin::new()),
     );
-    let rd = cluster.run_trace(&balanced).unwrap();
+    let rd = cluster.run_trace(&balanced).unwrap().cluster;
     assert_eq!(rd.completed(), balanced.len(), "re-dispatch must lose nothing");
     eprintln!(
         "re-dispatch: {} preemptions, {} crossed deployments, {} completed",
@@ -202,8 +202,8 @@ fn main() {
 
     // The reserved baseline: the same fleet, every slot provisioned for
     // the whole run, same cost-normalized router.
-    let mut fixed = ClusterEngine::new(elastic_slots(), Box::new(CostNormalizedPressure));
-    let fixed_report = fixed.run_trace(&bursty).unwrap();
+    let mut fixed = ElasticClusterEngine::pinned(elastic_slots(), Box::new(CostNormalizedPressure));
+    let fixed_report = fixed.run_trace(&bursty).unwrap().cluster;
     assert_eq!(fixed_report.completed(), bursty.len(), "fixed fleet must complete the trace");
     let slot_costs: Vec<(f64, f64)> = fixed
         .deployments()
@@ -310,9 +310,9 @@ fn main() {
     let slots: Vec<ServeEngine> = (0..FLEET_DEPLOYMENTS)
         .map(|_| ServeEngine::new(hilos(4), ServeConfig::new(32)).unwrap())
         .collect();
-    let mut fleet_cluster = ClusterEngine::new(slots, Box::new(RoundRobin::new()));
+    let mut fleet_cluster = ElasticClusterEngine::pinned(slots, Box::new(RoundRobin::new()));
     let start = Instant::now();
-    let fleet = fleet_cluster.run_trace(&fleet_trace).unwrap();
+    let fleet = fleet_cluster.run_trace(&fleet_trace).unwrap().cluster;
     let fleet_s = start.elapsed().as_secs_f64();
     assert_eq!(fleet.completed(), FLEET_REQUESTS, "fleet trace must complete");
     let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

@@ -2,17 +2,17 @@
 //! accumulating per-device NAND wear — the operational view behind the
 //! §6.6 endurance analysis.
 //!
-//! Each job's reads and (amplification-inclusive) NAND writes are recorded
-//! into stateful [`SsdDevice`] counters, so a campaign answers the
-//! operator questions the paper's Fig. 16b compresses into one number:
-//! how many jobs until the array hits its PBW budget, and how fast is it
-//! burning down.
+//! Each job's NAND writes (amplification included) are booked per device
+//! and its reads across the array, so a campaign answers the operator
+//! questions the paper's Fig. 16b compresses into one number: how many
+//! jobs until the array hits its PBW budget, and how fast is it burning
+//! down.
 
 use crate::runner::{CoreError, HilosSystem, JobReport};
 use crate::serve::{SchedulingPolicy, ServeConfig, ServeEngine, TraceReport};
 use crate::writeback::decode_nand_write_bytes;
 use hilos_llm::{BatchSpec, Request};
-use hilos_storage::SsdDevice;
+use hilos_storage::SsdSpec;
 
 /// Aggregate statistics of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,6 +25,9 @@ pub struct CampaignSummary {
     pub seconds: f64,
     /// NAND bytes programmed across the array (amplification included).
     pub nand_bytes_written: f64,
+    /// Bytes read across the array: decode-step internal plus host
+    /// traffic.
+    pub bytes_read: u64,
     /// Fraction of the array's endurance budget consumed, `[0, 1]`.
     pub endurance_used: f64,
 }
@@ -66,7 +69,11 @@ impl CampaignSummary {
 #[derive(Debug, Clone)]
 pub struct ServingCampaign {
     system: HilosSystem,
-    devices: Vec<SsdDevice>,
+    /// The array's device model: page size and endurance budget.
+    ssd: SsdSpec,
+    /// NAND bytes programmed into each device, in device order.
+    nand_programmed: Vec<u64>,
+    bytes_read: u64,
     jobs: u64,
     tokens: u64,
     seconds: f64,
@@ -76,10 +83,12 @@ impl ServingCampaign {
     /// Starts a campaign on a deployment with fresh devices.
     pub fn new(system: HilosSystem) -> Self {
         let n = system.config().n_devices();
-        let spec = system.spec().storage.ssd_spec();
+        let ssd = system.spec().storage.ssd_spec();
         ServingCampaign {
             system,
-            devices: (0..n).map(|_| SsdDevice::new(spec.clone())).collect(),
+            ssd,
+            nand_programmed: vec![0; n],
+            bytes_read: 0,
             jobs: 0,
             tokens: 0,
             seconds: 0.0,
@@ -91,9 +100,14 @@ impl ServingCampaign {
         &self.system
     }
 
-    /// Per-device states (I/O counters).
-    pub fn devices(&self) -> &[SsdDevice] {
-        &self.devices
+    /// Books device `d`'s share of one run: `prefill` payload bytes,
+    /// which program whole NAND pages (a partial last page costs a full
+    /// one), `decode` NAND bytes and `reads` bytes read.
+    fn book(&mut self, d: usize, prefill: u64, decode: u64, reads: u64) {
+        let page = self.ssd.page_bytes();
+        self.nand_programmed[d] +=
+            self.ssd.pages_for(prefill) * page + self.ssd.pages_for(decode) * page;
+        self.bytes_read += reads;
     }
 
     /// Runs one job, accumulating wear and throughput statistics.
@@ -104,7 +118,7 @@ impl ServingCampaign {
     /// nothing.
     pub fn run_job(&mut self, spec: &BatchSpec) -> Result<JobReport, CoreError> {
         let report = self.system.run_job(spec)?;
-        let n = self.devices.len() as f64;
+        let n = self.nand_programmed.len() as f64;
 
         // Prefill writes the whole cache once, page-aligned and striped.
         let prefill_per_dev = (report.prefill.cache_bytes_written / n) as u64;
@@ -115,10 +129,8 @@ impl ServingCampaign {
             + report.decode.host_pcie_bytes_per_step)
             * spec.output_len as f64
             / n) as u64;
-        for dev in &mut self.devices {
-            dev.record_write(prefill_per_dev);
-            dev.record_write(decode_per_dev);
-            dev.record_read(reads_per_dev);
+        for d in 0..self.nand_programmed.len() {
+            self.book(d, prefill_per_dev, decode_per_dev, reads_per_dev);
         }
 
         self.jobs += 1;
@@ -128,8 +140,8 @@ impl ServingCampaign {
     }
 
     /// Serves a heterogeneous request trace with continuous batching
-    /// (see [`crate::serve`]) and folds its device wear and throughput
-    /// into the campaign counters.
+    /// (see [`crate::serve`]) under the given scheduling policy, and
+    /// folds its device wear and throughput into the campaign counters.
     ///
     /// Prefill payloads and spill-model decode writes are page-aligned,
     /// apportioned by the shard ledger's actual per-device placement
@@ -144,33 +156,9 @@ impl ServingCampaign {
         &mut self,
         trace: &[Request],
         config: &ServeConfig,
-    ) -> Result<TraceReport, CoreError> {
-        let engine = ServeEngine::new(self.system.clone(), config.clone())?;
-        self.run_trace_on(engine, trace)
-    }
-
-    /// Like [`ServingCampaign::run_trace`] but scheduled by the given
-    /// policy instead of FIFO — the three-way policy comparisons run
-    /// through here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build/simulation errors; a failed run records nothing.
-    pub fn run_trace_with_policy(
-        &mut self,
-        trace: &[Request],
-        config: &ServeConfig,
         policy: Box<dyn SchedulingPolicy>,
     ) -> Result<TraceReport, CoreError> {
-        let engine = ServeEngine::with_policy(self.system.clone(), config.clone(), policy)?;
-        self.run_trace_on(engine, trace)
-    }
-
-    fn run_trace_on(
-        &mut self,
-        mut engine: ServeEngine,
-        trace: &[Request],
-    ) -> Result<TraceReport, CoreError> {
+        let mut engine = ServeEngine::with_policy(self.system.clone(), config.clone(), policy)?;
         let report = engine.run_trace(trace)?;
         self.record_trace(&report);
         Ok(report)
@@ -180,7 +168,7 @@ impl ServingCampaign {
     /// and throughput counters (see [`ServingCampaign::run_trace`] for
     /// the apportioning rules).
     fn record_trace(&mut self, report: &TraceReport) {
-        let n = self.devices.len() as f64;
+        let n = self.nand_programmed.len() as f64;
 
         let placed_total: f64 = report.kv_placed_bytes.iter().sum();
         let share = |d: usize| {
@@ -193,11 +181,10 @@ impl ServingCampaign {
         let decode_writes =
             decode_nand_write_bytes(&self.system, report.mean_alpha, report.generated_tokens);
         let reads = report.internal_read_bytes + report.host_pcie_bytes;
-        for (d, dev) in self.devices.iter_mut().enumerate() {
+        for d in 0..self.nand_programmed.len() {
             let s = share(d);
-            dev.record_write((report.prefill_payload_bytes * s) as u64);
-            dev.record_write((decode_writes * s) as u64);
-            dev.record_read((reads * s) as u64);
+            let (prefill, decode) = (report.prefill_payload_bytes * s, decode_writes * s);
+            self.book(d, prefill as u64, decode as u64, (reads * s) as u64);
         }
 
         self.jobs += report.outcomes.len() as u64;
@@ -207,7 +194,8 @@ impl ServingCampaign {
 
     /// Fraction of the endurance budget consumed (worst device).
     pub fn endurance_used(&self) -> f64 {
-        self.devices.iter().map(|d| d.endurance_used()).fold(0.0, f64::max)
+        let budget = self.ssd.endurance_bytes();
+        self.nand_programmed.iter().map(|&b| (b as f64 / budget).min(1.0)).fold(0.0, f64::max)
     }
 
     /// Projected total jobs of this shape until the budget is exhausted.
@@ -226,11 +214,8 @@ impl ServingCampaign {
             jobs: self.jobs,
             tokens: self.tokens,
             seconds: self.seconds,
-            nand_bytes_written: self
-                .devices
-                .iter()
-                .map(|d| d.counters().nand_bytes_programmed as f64)
-                .sum(),
+            nand_bytes_written: self.nand_programmed.iter().map(|&b| b as f64).sum(),
+            bytes_read: self.bytes_read,
             endurance_used: self.endurance_used(),
         }
     }
@@ -240,6 +225,7 @@ impl ServingCampaign {
 mod tests {
     use super::*;
     use crate::config::HilosConfig;
+    use crate::serve::Fifo;
     use hilos_llm::presets;
     use hilos_platform::SystemSpec;
 
@@ -303,7 +289,7 @@ mod tests {
         use hilos_llm::TraceConfig;
         let mut c = campaign();
         let trace = TraceConfig::azure_mix(32, 17).generate().unwrap();
-        let report = c.run_trace(&trace, &ServeConfig::new(8)).unwrap();
+        let report = c.run_trace(&trace, &ServeConfig::new(8), Box::new(Fifo)).unwrap();
         assert_eq!(report.outcomes.len(), 32);
         let s = c.summary();
         assert_eq!(s.jobs, 32);
@@ -318,6 +304,29 @@ mod tests {
         let c = campaign();
         assert_eq!(c.endurance_used(), 0.0);
         assert_eq!(c.projected_lifetime_jobs(), f64::INFINITY);
-        assert_eq!(c.devices().len(), 8);
+        assert_eq!(c.nand_programmed, vec![0; 8]);
+        assert_eq!(c.summary().bytes_read, 0);
+    }
+
+    #[test]
+    fn counters_accumulate() {
+        let mut c = campaign();
+        c.book(0, 0, 0, 1000);
+        c.book(0, 0, 0, 500);
+        assert_eq!(c.summary().bytes_read, 1500);
+        c.book(0, 4096, 0, 0);
+        assert_eq!(c.nand_programmed[0], 4096);
+        // A sub-page prefill write programs one whole page.
+        c.book(0, 256, 0, 0);
+        assert_eq!(c.nand_programmed[0], 2 * 4096);
+        assert_eq!(c.summary().nand_bytes_written, (2 * 4096) as f64);
+    }
+
+    #[test]
+    fn endurance_fraction() {
+        let mut c = campaign();
+        // Program 7.008e15 / 2 bytes into one device -> 50% used.
+        c.book(3, 3_504_000_000_000_000, 0, 0);
+        assert!((c.endurance_used() - 0.5).abs() < 1e-6);
     }
 }

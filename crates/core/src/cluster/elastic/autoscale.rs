@@ -22,8 +22,9 @@
 //! Three policies ship:
 //!
 //! * [`PinnedFleet`] — never scales: the elasticity-off control, and
-//!   what a fixed [`ClusterEngine`](crate::cluster::ClusterEngine) runs
-//!   under.
+//!   what a fixed cluster
+//!   ([`ElasticClusterEngine::pinned`](super::ElasticClusterEngine::pinned))
+//!   runs under.
 //! * [`TargetPressureScaler`] — reactive: scale up when fleet pressure
 //!   (load per unit of admission capacity) crosses a high-water mark,
 //!   down when it falls below a low-water mark. Pays full cold-start
@@ -220,8 +221,8 @@ pub trait AutoscalePolicy: fmt::Debug {
 
 /// The elasticity-off control: never scales
 /// ([`AutoscalePolicy::may_scale`] is false, so it is never consulted).
-/// The fixed [`ClusterEngine`](crate::cluster::ClusterEngine) is the
-/// elastic engine under this policy with every slot Active, and
+/// [`ElasticClusterEngine::pinned`](super::ElasticClusterEngine::pinned)
+/// builds the elastic engine under this policy with every slot Active, and
 /// [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) is a 1-slot
 /// fleet under it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,11 +1,12 @@
 //! The elastic cluster engine: the crate's one serving loop — lockstep
 //! stepping, routing, cross-deployment migration and stall detection —
 //! with a deployment lifecycle, an autoscaler and utilization billing
-//! around it. The fixed [`ClusterEngine`](crate::cluster::ClusterEngine)
-//! runs this loop under [`PinnedFleet`](super::PinnedFleet), and
-//! [`ServeEngine::run_trace`] runs it over a one-slot pinned fleet.
+//! around it. A fixed cluster is this engine built by
+//! [`ElasticClusterEngine::pinned`], under
+//! [`PinnedFleet`](super::PinnedFleet), and [`ServeEngine::run_trace`]
+//! runs it over a one-slot pinned fleet.
 
-use super::autoscale::{AutoscalePolicy, FleetSnapshot, ScaleDecision};
+use super::autoscale::{AutoscalePolicy, FleetSnapshot, PinnedFleet, ScaleDecision};
 use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};
 use crate::cluster::policy::{ClusterSnapshot, DeploymentView, RouteRequest, RoutingPolicy};
 use crate::cluster::report::ClusterReport;
@@ -137,7 +138,6 @@ impl FleetRun<'_> {
 /// policies, borrowed from an [`ElasticClusterEngine`] — or from one
 /// [`ServeEngine`] serving alone, as a one-slot [`PinnedFleet`].
 ///
-/// [`PinnedFleet`]: super::PinnedFleet
 pub(crate) struct Fleet<'a> {
     engines: &'a mut [ServeEngine],
     lifecycles: &'a mut [DeploymentLifecycle],
@@ -166,17 +166,15 @@ pub(crate) struct Fleet<'a> {
 ///
 /// Routing sees lifecycle state: every shipped [`RoutingPolicy`] places
 /// only on Active slots, and the engine enforces it even against a
-/// misbehaving policy. This is the crate's one serving loop: the fixed
-/// [`ClusterEngine`](crate::cluster::ClusterEngine) is this engine with
-/// every slot Active and the never-scaling [`PinnedFleet`] policy, and
-/// [`ServeEngine::run_trace`] runs it over a 1-slot pinned fleet.
+/// misbehaving policy. This is the crate's one serving loop: a fixed
+/// cluster is this engine built by [`ElasticClusterEngine::pinned`],
+/// with every slot Active and the never-scaling [`PinnedFleet`] policy,
+/// and [`ServeEngine::run_trace`] runs it over a 1-slot pinned fleet.
 ///
 /// Billing is by utilization: a slot bills its busy seconds plus any
 /// cold starts it paid, not the run's wall clock — the
 /// [`ElasticReport`] compares that against what a statically-provisioned
 /// fleet would have billed.
-///
-/// [`PinnedFleet`]: super::PinnedFleet
 #[derive(Debug)]
 pub struct ElasticClusterEngine {
     engines: Vec<ServeEngine>,
@@ -190,22 +188,16 @@ impl ElasticClusterEngine {
     /// Assembles an elastic cluster. Slots `0..initial_active` start
     /// Active, the rest Retired; each slot's cold start is priced from
     /// its own system (weight bytes over aggregate device bandwidth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deployments` is empty or `initial_active` is not in
-    /// `1..=deployments.len()`.
+    /// An empty fleet, or an `initial_active` outside
+    /// `1..=deployments.len()`, is reported by
+    /// [`run_trace`](ElasticClusterEngine::run_trace) as
+    /// [`CoreError::InvalidFleet`].
     pub fn new(
         mut deployments: Vec<ServeEngine>,
         routing: Box<dyn RoutingPolicy>,
         autoscale: Box<dyn AutoscalePolicy>,
         config: ElasticConfig,
     ) -> Self {
-        assert!(!deployments.is_empty(), "a cluster needs at least one deployment");
-        assert!(
-            (1..=deployments.len()).contains(&config.initial_active),
-            "initial_active must be in 1..=deployment count"
-        );
         for (i, d) in deployments.iter_mut().enumerate() {
             d.set_deployment(DeploymentId(i as u32));
         }
@@ -230,6 +222,46 @@ impl ElasticClusterEngine {
             })
             .collect();
         ElasticClusterEngine { engines: deployments, lifecycles, routing, autoscale, config }
+    }
+
+    /// A fixed cluster: every deployment Active from the start under the
+    /// never-scaling [`PinnedFleet`], so no lifecycle transition, drain
+    /// or cold start ever happens and a run's
+    /// [`ElasticReport::cluster`] is all it reports. Deployments keep the
+    /// scheduling policy they were built with and are assigned
+    /// [`DeploymentId`]s in vector order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hilos_core::cluster::{ElasticClusterEngine, LedgerPressure};
+    /// use hilos_core::{HilosConfig, HilosSystem, ServeConfig, ServeEngine};
+    /// use hilos_llm::{presets, TraceConfig};
+    /// use hilos_platform::SystemSpec;
+    ///
+    /// # fn main() -> Result<(), hilos_core::CoreError> {
+    /// let deployment = |n: usize| -> Result<ServeEngine, hilos_core::CoreError> {
+    ///     let sys = HilosSystem::new(
+    ///         &SystemSpec::a100_smartssd(n),
+    ///         &presets::opt_30b(),
+    ///         &HilosConfig::new(n),
+    ///     )?
+    ///     .with_sim_layers(1);
+    ///     ServeEngine::new(sys, ServeConfig::new(8))
+    /// };
+    /// let mut cluster = ElasticClusterEngine::pinned(
+    ///     vec![deployment(8)?, deployment(4)?],
+    ///     Box::new(LedgerPressure::new()),
+    /// );
+    /// let trace = TraceConfig::azure_mix(32, 7).generate().unwrap();
+    /// let report = cluster.run_trace(&trace)?.cluster;
+    /// assert_eq!(report.completed() + report.rejected_len(), 32);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn pinned(deployments: Vec<ServeEngine>, routing: Box<dyn RoutingPolicy>) -> Self {
+        let config = ElasticConfig::new(deployments.len());
+        ElasticClusterEngine::new(deployments, routing, Box::new(PinnedFleet), config)
     }
 
     /// Number of deployment slots (provisioned or not).
@@ -323,6 +355,8 @@ impl ElasticClusterEngine {
     ///
     /// # Errors
     ///
+    /// [`CoreError::InvalidFleet`] if the fleet is empty or its
+    /// `initial_active` is not in `1..=deployment_count()`;
     /// [`CoreError::UnsortedTrace`] if the trace is not sorted by
     /// arrival step; simulation errors; or
     /// [`CoreError::SchedulerStalled`] if every slot with queued work
@@ -641,6 +675,11 @@ impl<'a> Fleet<'a> {
     /// [`ElasticClusterEngine::run_trace`] documents — and returns the
     /// run, every slot idle and every cold start settled.
     pub(crate) fn run<'t>(&mut self, trace: &'t [Request]) -> Result<FleetRun<'t>, CoreError> {
+        let deployments = self.engines.len();
+        let initial_active = self.config.initial_active;
+        if !(1..=deployments).contains(&initial_active) {
+            return Err(CoreError::InvalidFleet { deployments, initial_active });
+        }
         if let Some(i) = trace.windows(2).position(|w| w[0].arrival_step > w[1].arrival_step) {
             return Err(CoreError::UnsortedTrace { index: i + 1 });
         }
@@ -941,7 +980,9 @@ impl ElasticReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::cluster::{ClusterEngine, RoundRobin};
+    use super::{ElasticClusterEngine, ElasticConfig};
+    use crate::cluster::{PinnedFleet, RoundRobin};
+    use crate::runner::CoreError;
     use crate::serve::engine::tests::{run_stepwise, system};
     use crate::serve::{ServeConfig, ServeEngine};
     use hilos_llm::{DeploymentId, Request, TraceConfig};
@@ -957,8 +998,9 @@ mod tests {
         let trace = TraceConfig::azure_mix(64, 5).with_mean_interarrival(12).generate().unwrap();
         let config = ServeConfig::new(8).with_tracing(1 << 16);
         let build = || ServeEngine::new(system(8), config.clone()).unwrap();
-        let mut cluster = ClusterEngine::new(vec![build(), build()], Box::new(RoundRobin::new()));
-        let report = cluster.run_trace(&trace).unwrap();
+        let mut cluster =
+            ElasticClusterEngine::pinned(vec![build(), build()], Box::new(RoundRobin::new()));
+        let report = cluster.run_trace(&trace).unwrap().cluster;
         for (d, mut slot) in report.deployments.into_iter().enumerate() {
             let ids: Vec<u64> = slot.outcomes.iter().map(|o| o.id).collect();
             let share: Vec<Request> =
@@ -972,6 +1014,32 @@ mod tests {
             slot.events.retain(|e| e.kind != EventKind::Routed);
             assert_eq!(slot.events_dropped, 0);
             assert!(slot == reference, "slot {d} diverged from its share run alone");
+        }
+    }
+
+    /// A fleet with no slot, or one that starts no slot Active or more
+    /// slots Active than it has, fails its run with a typed error before
+    /// the first step, and the engine stays usable for the same answer.
+    #[test]
+    fn invalid_fleets_fail_their_run_without_panicking() {
+        let trace = TraceConfig::azure_mix(4, 5).generate().unwrap();
+        let build = || ServeEngine::new(system(4), ServeConfig::new(4)).unwrap();
+        let invalid = |deployments, initial_active| {
+            Err(CoreError::InvalidFleet { deployments, initial_active })
+        };
+
+        let mut empty = ElasticClusterEngine::pinned(vec![], Box::new(RoundRobin::new()));
+        assert_eq!(empty.run_trace(&trace), invalid(0, 0));
+        assert_eq!(empty.run_trace(&[]), invalid(0, 0));
+
+        for initial_active in [0, 3] {
+            let mut fleet = ElasticClusterEngine::new(
+                vec![build(), build()],
+                Box::new(RoundRobin::new()),
+                Box::new(PinnedFleet),
+                ElasticConfig::new(initial_active),
+            );
+            assert_eq!(fleet.run_trace(&trace), invalid(2, initial_active));
         }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Routing answers "how should N deployments share a trace"; this module
 //! answers "how many deployments should exist at each moment of it", and
-//! holds the crate's one serving loop. The fixed
-//! [`ClusterEngine`](crate::cluster::ClusterEngine) is that loop with
-//! every slot Active under [`PinnedFleet`], and
+//! holds the crate's one serving loop. A fixed cluster is that loop
+//! built by [`ElasticClusterEngine::pinned`], every slot Active under
+//! [`PinnedFleet`], and
 //! [`ServeEngine::run_trace`](crate::ServeEngine::run_trace) is it over
 //! one slot. Three pieces:
 //!

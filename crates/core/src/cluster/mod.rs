@@ -52,12 +52,11 @@
 //!
 //! # The fixed cluster
 //!
-//! [`ClusterEngine`] is that loop with every slot Active from the start
-//! and the never-scaling [`PinnedFleet`] autoscaler: no lifecycle
-//! transition, drain or cold start ever happens, and its
-//! [`run_trace`](ClusterEngine::run_trace) returns the
-//! [`ClusterReport`] alone. It exists for callers that size the fleet
-//! themselves and never need to see autoscalers, lifecycles or bills.
+//! [`ElasticClusterEngine::pinned`] builds that loop with every slot
+//! Active from the start and the never-scaling [`PinnedFleet`]
+//! autoscaler: no lifecycle transition, drain or cold start ever
+//! happens, and a run's [`ElasticReport::cluster`] is all it reports.
+//! Callers that size the fleet themselves build their cluster this way.
 //!
 //! Four routing policies ship in [`policy`]: [`RoundRobin`],
 //! [`JoinShortestQueue`], [`LedgerPressure`] (power-of-two-choices on
@@ -129,8 +128,8 @@
 //! ([`AutoscalePolicy::may_scale`]) never consults its autoscaler. Any
 //! fleet jumps its global step over windows every busy slot sits in, up
 //! to the next arrival, lifecycle transition or
-//! [`AutoscalePolicy::next_wake`]. So a one-deployment [`ClusterEngine`], or a one-slot
-//! [`ElasticClusterEngine`] under [`PinnedFleet`], reports exactly what
+//! [`AutoscalePolicy::next_wake`]. So a one-slot
+//! [`ElasticClusterEngine::pinned`] fleet reports exactly what
 //! `ServeEngine::run_trace` does on the same system under any routing
 //! policy (golden-pinned down to the FNV hash of every outcome's
 //! lifecycle timestamps).
@@ -138,7 +137,6 @@
 pub mod elastic;
 pub mod policy;
 mod report;
-mod router;
 
 pub use elastic::{
     AutoscalePolicy, ColdStartModel, DeploymentLifecycle, ElasticClusterEngine, ElasticConfig,
@@ -150,4 +148,3 @@ pub use policy::{
     RoundRobin, RouteRequest, RoutingPolicy,
 };
 pub use report::ClusterReport;
-pub use router::ClusterEngine;

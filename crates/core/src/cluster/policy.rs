@@ -5,8 +5,8 @@
 //! [`ClusterSnapshot`] (per-deployment queue depth, in-flight batch
 //! composition, KV shard-ledger pressure, degradation-discounted
 //! bandwidth) and answers with a deployment index. The cluster loop
-//! ([`ElasticClusterEngine`](super::ElasticClusterEngine), which the
-//! fixed [`ClusterEngine`](super::ClusterEngine) wraps) executes the
+//! ([`ElasticClusterEngine`](super::ElasticClusterEngine), fixed or
+//! elastic) executes the
 //! choice — an out-of-range index is a policy bug, `debug_assert!`ed in
 //! debug builds and counted in
 //! [`ClusterReport::misrouted`](super::ClusterReport::misrouted) (then
@@ -145,9 +145,9 @@ pub struct DeploymentView {
     /// deployment *more* attractive for prefix-sharing traffic: hits
     /// skip prefill work entirely.
     pub prefix_hit_rate: f64,
-    /// Where the deployment is in its lifecycle. A fixed
-    /// [`ClusterEngine`](super::ClusterEngine) fleet is always
-    /// [`Active`](LifecycleState::Active); under the elastic engine only
+    /// Where the deployment is in its lifecycle. A fixed fleet
+    /// ([`ElasticClusterEngine::pinned`](super::ElasticClusterEngine::pinned))
+    /// is always [`Active`](LifecycleState::Active); under the elastic engine only
     /// Active deployments may take traffic — the shipped policies skip
     /// everything else (see [`DeploymentView::routable`]).
     pub lifecycle: LifecycleState,
@@ -283,15 +283,9 @@ pub struct LedgerPressure {
 }
 
 impl LedgerPressure {
-    /// The default deterministic probe sequence.
+    /// The one deterministic probe sequence.
     pub fn new() -> Self {
-        LedgerPressure::seeded(0x9e3779b97f4a7c15)
-    }
-
-    /// A probe sequence from an explicit seed (runs are deterministic in
-    /// the seed).
-    pub fn seeded(seed: u64) -> Self {
-        LedgerPressure { lcg: seed }
+        LedgerPressure { lcg: 0x9e3779b97f4a7c15 }
     }
 
     fn probe(&mut self, n: usize) -> usize {
@@ -525,11 +519,11 @@ mod tests {
     fn ledger_pressure_is_deterministic_in_its_seed() {
         let views = [view(0, 1, 0, 1 << 30, 1.0), view(1, 0, 1, 1 << 29, 2.0)];
         let snap = ClusterSnapshot { step: 0, deployments: &views };
-        let run = |seed| {
-            let mut lp = LedgerPressure::seeded(seed);
+        let run = || {
+            let mut lp = LedgerPressure::new();
             (0..64).map(|i| lp.route(&req(i), &snap)).collect::<Vec<_>>()
         };
-        assert_eq!(run(7), run(7), "same seed, same probe sequence");
+        assert_eq!(run(), run(), "same seed, same probe sequence");
     }
 
     #[test]

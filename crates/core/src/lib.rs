@@ -69,11 +69,10 @@ mod xcache;
 
 pub use campaign::{CampaignSummary, ServingCampaign};
 pub use cluster::{
-    AutoscalePolicy, ClusterEngine, ClusterReport, ClusterSnapshot, ColdStartModel,
-    CostNormalizedPressure, DeploymentView, ElasticClusterEngine, ElasticConfig, ElasticReport,
-    FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, LifecycleEvent,
-    LifecycleState, PinnedFleet, RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision,
-    TargetPressureScaler,
+    AutoscalePolicy, ClusterReport, ClusterSnapshot, ColdStartModel, CostNormalizedPressure,
+    DeploymentView, ElasticClusterEngine, ElasticConfig, ElasticReport, FleetSnapshot,
+    HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, LifecycleEvent, LifecycleState,
+    PinnedFleet, RoundRobin, RouteRequest, RoutingPolicy, ScaleDecision, TargetPressureScaler,
 };
 pub use config::{AlphaPolicy, HilosConfig};
 pub use functional::FunctionalBlock;

@@ -71,6 +71,14 @@ pub enum CoreError {
         /// The first request that arrives before its predecessor.
         index: usize,
     },
+    /// A fleet handed to a serving run has no deployment, or starts a
+    /// number of Active slots outside `1..=deployments`.
+    InvalidFleet {
+        /// Deployment slots in the fleet.
+        deployments: usize,
+        /// Slots the fleet starts Active.
+        initial_active: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -101,6 +109,11 @@ impl fmt::Display for CoreError {
             CoreError::UnsortedTrace { index } => {
                 write!(f, "trace request {index} arrives before its predecessor")
             }
+            CoreError::InvalidFleet { deployments, initial_active } => write!(
+                f,
+                "a fleet of {deployments} deployments cannot start {initial_active} Active \
+                 (it needs 1..={deployments})"
+            ),
         }
     }
 }

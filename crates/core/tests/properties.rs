@@ -2,9 +2,9 @@
 //! layer's shard-ledger conservation.
 
 use hilos_core::cluster::{
-    AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
-    ElasticReport, FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure,
-    RoundRobin, RoutingPolicy, ScaleDecision, TargetPressureScaler,
+    AutoscalePolicy, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig, ElasticReport,
+    FleetSnapshot, HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin,
+    RoutingPolicy, ScaleDecision, TargetPressureScaler,
 };
 use hilos_core::trace::{check_conservation, prefill_chunk_totals, Event, LatencyAttribution};
 use hilos_core::{
@@ -420,8 +420,8 @@ proptest! {
             .collect();
         let frees_before: Vec<Vec<u64>> =
             deployments.iter().map(|e| e.ledger().free_by_device()).collect();
-        let mut cluster = ClusterEngine::new(deployments, routing);
-        let report = cluster.run_trace(&trace).unwrap();
+        let mut cluster = ElasticClusterEngine::pinned(deployments, routing);
+        let report = cluster.run_trace(&trace).unwrap().cluster;
 
         // Exactly-once across the cluster: outcomes + rejections
         // partition the trace ids.

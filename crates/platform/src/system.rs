@@ -12,7 +12,7 @@ use crate::catalog::{GpuSpec, HostSpec, StoragePricePower};
 use hilos_accel::AccelTimingModel;
 use hilos_interconnect::{LinkSpec, NodeId, PcieGen, Topology, TopologyInstance};
 use hilos_sim::{FlowEngine, ResourceId, ResourceKind, ResourceSpec};
-use hilos_storage::{KvShardLedger, NandGeometry, ShardSpec, SsdDevice, SsdInstance, SsdSpec};
+use hilos_storage::{KvShardLedger, NandGeometry, ShardSpec, SsdInstance, SsdSpec};
 use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
@@ -442,7 +442,7 @@ impl BuiltSystem {
         let with_accel = spec.storage.has_accelerators();
         let mut devices = Vec::new();
         for (i, (node, dev_spec)) in device_nodes.iter().zip(device_specs).enumerate() {
-            let ssd = SsdDevice::new(dev_spec).instantiate(&mut engine);
+            let ssd = SsdInstance::new(&dev_spec, &mut engine);
             let (fpga_dram, accel, internal_path) = if with_accel {
                 let dram = engine.add_resource(ResourceSpec::new(
                     format!("accel{i}:dram"),

@@ -1,87 +1,8 @@
-//! Runtime SSD devices: I/O accounting and simulation adapters.
+//! Runtime SSD devices: a spec's channels as simulation resources.
 
 use crate::spec::SsdSpec;
 use hilos_sim::{ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
 use std::fmt;
-
-/// Cumulative I/O counters for one device.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct IoCounters {
-    /// Bytes the host (or the NSP accelerator) read from the device.
-    pub bytes_read: u64,
-    /// Bytes of payload written to the device.
-    pub bytes_written: u64,
-    /// Bytes actually programmed into NAND (≥ `bytes_written`).
-    pub nand_bytes_programmed: u64,
-}
-
-/// A stateful SSD: a spec plus cumulative I/O counters, which the
-/// endurance figure reads. KV placement lives in
-/// [`KvShardLedger`](crate::KvShardLedger), not here.
-///
-/// # Examples
-///
-/// ```
-/// use hilos_storage::{SsdDevice, SsdSpec};
-///
-/// let mut ssd = SsdDevice::new(SsdSpec::smartssd_nvme());
-/// ssd.record_write(256);
-/// assert_eq!(ssd.counters().nand_bytes_programmed, 4096);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SsdDevice {
-    spec: SsdSpec,
-    counters: IoCounters,
-}
-
-impl SsdDevice {
-    /// Creates a device with zeroed counters from a spec.
-    pub fn new(spec: SsdSpec) -> Self {
-        SsdDevice { spec, counters: IoCounters::default() }
-    }
-
-    /// The device's static description.
-    pub fn spec(&self) -> &SsdSpec {
-        &self.spec
-    }
-
-    /// Cumulative I/O counters.
-    pub fn counters(&self) -> IoCounters {
-        self.counters
-    }
-
-    /// Records a read of `bytes`.
-    pub fn record_read(&mut self, bytes: u64) {
-        self.counters.bytes_read += bytes;
-    }
-
-    /// Records a buffered write of `bytes`, which programs whole NAND
-    /// pages: a partial last page costs a full one.
-    pub fn record_write(&mut self, bytes: u64) {
-        self.counters.bytes_written += bytes;
-        self.counters.nand_bytes_programmed += self.spec.pages_for(bytes) * self.spec.page_bytes();
-    }
-
-    /// Fraction of the endurance budget consumed, in `[0, 1]`.
-    pub fn endurance_used(&self) -> f64 {
-        (self.counters.nand_bytes_programmed as f64 / self.spec.endurance_bytes()).min(1.0)
-    }
-
-    /// Registers the device's read and write channels as engine resources.
-    pub fn instantiate(&self, engine: &mut hilos_sim::FlowEngine) -> SsdInstance {
-        let read = engine.add_resource(ResourceSpec::new(
-            format!("{}:read", self.spec.name()),
-            ResourceKind::StorageRead,
-            self.spec.seq_read_bw(),
-        ));
-        let write = engine.add_resource(ResourceSpec::new(
-            format!("{}:write", self.spec.name()),
-            ResourceKind::StorageWrite,
-            self.spec.seq_write_bw(),
-        ));
-        SsdInstance { read, write, cmd_latency: self.spec.cmd_latency() }
-    }
-}
 
 /// A device materialized inside a [`hilos_sim::FlowEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,6 +13,21 @@ pub struct SsdInstance {
 }
 
 impl SsdInstance {
+    /// Registers `spec`'s read and write channels as `engine` resources.
+    pub fn new(spec: &SsdSpec, engine: &mut hilos_sim::FlowEngine) -> Self {
+        let read = engine.add_resource(ResourceSpec::new(
+            format!("{}:read", spec.name()),
+            ResourceKind::StorageRead,
+            spec.seq_read_bw(),
+        ));
+        let write = engine.add_resource(ResourceSpec::new(
+            format!("{}:write", spec.name()),
+            ResourceKind::StorageWrite,
+            spec.seq_write_bw(),
+        ));
+        SsdInstance { read, write, cmd_latency: spec.cmd_latency() }
+    }
+
     /// The read-channel resource.
     pub fn read_resource(&self) -> ResourceId {
         self.read
@@ -135,35 +71,9 @@ mod tests {
     use hilos_sim::{execute, FlowEngine, SimTime};
 
     #[test]
-    fn counters_accumulate() {
-        let mut d = SsdDevice::new(SsdSpec::pm9a3());
-        d.record_read(1000);
-        d.record_read(500);
-        d.record_write(4096);
-        let c = d.counters();
-        assert_eq!(c.bytes_read, 1500);
-        assert_eq!(c.bytes_written, 4096);
-        assert_eq!(c.nand_bytes_programmed, 4096);
-        // A sub-page write programs one whole page.
-        d.record_write(256);
-        let c = d.counters();
-        assert_eq!(c.bytes_written, 4096 + 256);
-        assert_eq!(c.nand_bytes_programmed, 2 * 4096);
-    }
-
-    #[test]
-    fn endurance_fraction() {
-        let mut d = SsdDevice::new(SsdSpec::smartssd_nvme());
-        // Program 7.008e15 / 2 bytes -> 50% used.
-        d.record_write(3_504_000_000_000_000);
-        assert!((d.endurance_used() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn read_task_includes_cmd_latency_and_bandwidth() {
-        let dev = SsdDevice::new(SsdSpec::smartssd_nvme());
         let mut eng = FlowEngine::new();
-        let inst = dev.instantiate(&mut eng);
+        let inst = SsdInstance::new(&SsdSpec::smartssd_nvme(), &mut eng);
         let mut g = TaskGraph::new();
         inst.read_task(&mut g, "loadkv:test", 3.2e9, &[], &[]);
         let tl = execute(&mut eng, &g).unwrap();
@@ -174,9 +84,8 @@ mod tests {
 
     #[test]
     fn write_task_uses_write_channel() {
-        let dev = SsdDevice::new(SsdSpec::smartssd_nvme());
         let mut eng = FlowEngine::new();
-        let inst = dev.instantiate(&mut eng);
+        let inst = SsdInstance::new(&SsdSpec::smartssd_nvme(), &mut eng);
         let mut g = TaskGraph::new();
         inst.write_task(&mut g, "spill:test", 2.0e9, &[], &[]);
         let tl = execute(&mut eng, &g).unwrap();
@@ -188,9 +97,8 @@ mod tests {
 
     #[test]
     fn reads_and_writes_do_not_contend() {
-        let dev = SsdDevice::new(SsdSpec::pm9a3());
         let mut eng = FlowEngine::new();
-        let inst = dev.instantiate(&mut eng);
+        let inst = SsdInstance::new(&SsdSpec::pm9a3(), &mut eng);
         let mut g = TaskGraph::new();
         inst.read_task(&mut g, "r", 6.9e9, &[], &[]);
         inst.write_task(&mut g, "w", 4.1e9, &[], &[]);

@@ -11,10 +11,12 @@
 //!   devices: the Samsung PM9A3 baseline SSD and the NVMe SSD inside a
 //!   SmartSSD, and the **write amplification** of sub-page writes that
 //!   motivates the paper's delayed KV-cache writeback (§4.3),
-//! * [`SsdDevice`] / [`IoCounters`] — per-device byte counters of host
-//!   I/O and whole-page NAND programs, read for endurance wear,
 //! * [`SsdInstance`] — the adapter that materializes a device's read/write
 //!   channels as [`hilos_sim`] resources and emits transfer tasks.
+//!
+//! Endurance wear is not a device model here: a serving campaign in
+//! `hilos-core` keeps the NAND bytes each device programmed and divides
+//! by [`SsdSpec::endurance_bytes`].
 //!
 //! ## KV accounting and the residency ladder
 //!
@@ -50,7 +52,7 @@ mod prefix;
 mod spec;
 mod tier;
 
-pub use device::{IoCounters, SsdDevice, SsdInstance};
+pub use device::SsdInstance;
 pub use ledger::{KvShardLedger, LedgerError, ShardSpec};
 pub use nand::NandGeometry;
 pub use prefix::{PrefixCacheIndex, PrefixError};

@@ -16,7 +16,7 @@
 //! ```
 
 use hilos::core::cluster::{
-    AutoscalePolicy, ClusterEngine, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
+    AutoscalePolicy, CostNormalizedPressure, ElasticClusterEngine, ElasticConfig,
     HybridHistogramKeepAlive, JoinShortestQueue, LedgerPressure, RoundRobin, RoutingPolicy,
     TargetPressureScaler,
 };
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(JoinShortestQueue),
         Box::new(LedgerPressure::new()),
     ] {
-        let mut cluster = ClusterEngine::new(
+        let mut cluster = ElasticClusterEngine::pinned(
             vec![
                 deployment(8, None),
                 deployment(6, Some((1, 0.5))),
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ],
             routing,
         );
-        let r = cluster.run_trace(&trace)?;
+        let r = cluster.run_trace(&trace)?.cluster;
         assert_eq!(r.completed(), trace.len(), "every request completes");
         let dispatched: Vec<String> = r.dispatched.iter().map(u64::to_string).collect();
         t.row(vec![
@@ -137,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, mode) in
         [("lump (inline)", ChunkMode::lump()), ("chunked (256 @ 2048)", ChunkMode::chunked())]
     {
-        let mut cluster = ClusterEngine::new(
+        let mut cluster = ElasticClusterEngine::pinned(
             vec![
                 deployment_with(8, None, mode),
                 deployment_with(6, Some((1, 0.5)), mode),
@@ -145,7 +145,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ],
             Box::new(LedgerPressure::new()),
         );
-        let r = cluster.run_trace(&long_trace)?;
+        let r = cluster.run_trace(&long_trace)?.cluster;
         assert_eq!(r.completed(), long_trace.len(), "every request completes");
         let s = r.step_itl_stats();
         let pf = r.prefill_breakdown();
@@ -211,11 +211,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             ServeEngine::new(sys, cfg).expect("deployment builds")
         };
-        let mut cluster = ClusterEngine::new(
+        let mut cluster = ElasticClusterEngine::pinned(
             vec![build(8, None), build(6, Some((1, 0.5))), build(4, Some((0, 0.25)))],
             Box::new(LedgerPressure::new()),
         );
-        let r = cluster.run_trace(&prefix_trace)?;
+        let r = cluster.run_trace(&prefix_trace)?.cluster;
         assert_eq!(r.completed(), prefix_trace.len(), "every request completes");
         let pc = r.prefix_cache();
         t.row(vec![
@@ -260,8 +260,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "peak active",
         "steps (windowed)",
     ]);
-    let mut fixed = ClusterEngine::new(fleet(), Box::new(CostNormalizedPressure));
-    let fr = fixed.run_trace(&bursty)?;
+    let mut fixed = ElasticClusterEngine::pinned(fleet(), Box::new(CostNormalizedPressure));
+    let fr = fixed.run_trace(&bursty)?.cluster;
     assert_eq!(fr.completed(), bursty.len(), "every request completes");
     let slot_costs: Vec<(f64, f64)> = fixed
         .deployments()

@@ -55,10 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         campaign.projected_lifetime_jobs() * (s.seconds / s.jobs as f64) / (365.0 * 24.0 * 3600.0)
     );
     println!("(write-once-read-many: reads dwarf writes, as §6.6 argues)");
-    let reads: u64 = campaign.devices().iter().map(|d| d.counters().bytes_read).sum();
     println!(
         "Array reads {} vs NAND writes {}",
-        fmt_bytes(reads as f64),
+        fmt_bytes(s.bytes_read as f64),
         fmt_bytes(s.nand_bytes_written)
     );
     Ok(())

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fmt_seconds(config.deadline_s),
     );
     let wall = std::time::Instant::now();
-    let report = campaign.run_trace(&trace, &config)?;
+    let report = campaign.run_trace(&trace, &config, Box::new(Fifo))?;
     let wall = wall.elapsed();
 
     let mut t = Table::new(vec!["metric", "p50", "p95", "p99", "mean", "max"]);
@@ -167,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?
         .with_sim_layers(1);
         let mut campaign = ServingCampaign::new(sys);
-        let r = campaign.run_trace_with_policy(&contended, &ServeConfig::new(8), policy)?;
+        let r = campaign.run_trace(&contended, &ServeConfig::new(8), policy)?;
         let short = r.class_report(RequestClass::Short).expect("Short class completed");
         t.row(vec![
             r.policy.clone(),

@@ -4,8 +4,8 @@
 //! cross-deployment re-dispatch of preempted requests.
 
 use hilos::core::cluster::{
-    ClusterEngine, ClusterSnapshot, JoinShortestQueue, LedgerPressure, RoundRobin, RouteRequest,
-    RoutingPolicy,
+    ClusterSnapshot, ElasticClusterEngine, JoinShortestQueue, LedgerPressure, RoundRobin,
+    RouteRequest, RoutingPolicy,
 };
 use hilos::core::{
     ChunkMode, ClusterReport, CoreError, Fifo, HilosConfig, HilosSystem, PriorityPreempt,
@@ -43,12 +43,12 @@ fn single_deployment_cluster_is_bit_identical_to_serve_engine() {
         Box::new(LedgerPressure::new()),
     ] {
         let name = routing.name();
-        let mut cluster = ClusterEngine::new(
+        let mut cluster = ElasticClusterEngine::pinned(
             vec![ServeEngine::new(hilos(8), ServeConfig::new(16)).unwrap()],
             routing,
         );
         assert_eq!(cluster.deployment_count(), 1);
-        let report = cluster.run_trace(&trace).unwrap();
+        let report = cluster.run_trace(&trace).unwrap().cluster;
         assert_eq!(report.routing, name);
         assert_eq!(report.deployments.len(), 1);
         assert_eq!(report.deployments[0], direct, "{name}: cluster layer drifted");
@@ -72,14 +72,14 @@ fn warm_shared_memo_leaves_the_cluster_report_unchanged() {
         ServeEngine::new(hilos(8), ServeConfig::new(8)).unwrap(),
         ServeEngine::new(hilos(8).with_degraded_device(0, 0.5), ServeConfig::new(8)).unwrap(),
     ];
-    let mut cluster = ClusterEngine::new(deployments, Box::new(JoinShortestQueue));
+    let mut cluster = ElasticClusterEngine::pinned(deployments, Box::new(JoinShortestQueue));
     let trace = TraceConfig { mean_interarrival_steps: 10, ..TraceConfig::azure_mix(192, 42) }
         .generate()
         .unwrap();
-    let cold = cluster.run_trace(&trace).unwrap();
+    let cold = cluster.run_trace(&trace).unwrap().cluster;
     assert_eq!(cold.completed(), trace.len());
     assert!(cold.dispatched.iter().all(|&d| d > 0), "every deployment must serve");
-    let warm = cluster.run_trace(&trace).unwrap();
+    let warm = cluster.run_trace(&trace).unwrap().cluster;
     assert_eq!(warm, cold, "a warm memo changed the cluster report");
     let entries: Vec<usize> = cold.deployments.iter().map(|d| d.step_cache_entries).collect();
     assert!(entries[0] > 0);
@@ -98,19 +98,21 @@ fn a_joining_engine_brings_its_memo_into_the_group_table() {
     let solo = veteran.run_trace(&TraceConfig::azure_mix(48, 7).generate().unwrap()).unwrap();
     assert!(solo.step_cache_entries > 0);
 
-    let mut joined = ClusterEngine::new(vec![veteran, build()], Box::new(JoinShortestQueue));
+    let mut joined =
+        ElasticClusterEngine::pinned(vec![veteran, build()], Box::new(JoinShortestQueue));
     // An empty trace steps nothing: it reports the table the join left.
-    let empty = joined.run_trace(&[]).unwrap();
+    let empty = joined.run_trace(&[]).unwrap().cluster;
     let entries: Vec<usize> = empty.deployments.iter().map(|d| d.step_cache_entries).collect();
     assert_eq!(entries, [solo.step_cache_entries; 2], "the join dropped the veteran's memo");
 
     let trace = TraceConfig { mean_interarrival_steps: 10, ..TraceConfig::azure_mix(96, 42) }
         .generate()
         .unwrap();
-    let cold = ClusterEngine::new(vec![build(), build()], Box::new(JoinShortestQueue))
+    let cold = ElasticClusterEngine::pinned(vec![build(), build()], Box::new(JoinShortestQueue))
         .run_trace(&trace)
-        .unwrap();
-    let mut warm = joined.run_trace(&trace).unwrap();
+        .unwrap()
+        .cluster;
+    let mut warm = joined.run_trace(&trace).unwrap().cluster;
     assert_eq!(warm.completed(), trace.len());
     for (w, c) in warm.deployments.iter_mut().zip(&cold.deployments) {
         assert!(w.step_cache_entries >= c.step_cache_entries.max(solo.step_cache_entries));
@@ -141,8 +143,8 @@ fn contended_trace() -> Vec<Request> {
 }
 
 fn run_routing(routing: Box<dyn RoutingPolicy>) -> ClusterReport {
-    let mut cluster = ClusterEngine::new(heterogeneous_deployments(), routing);
-    cluster.run_trace(&contended_trace()).unwrap()
+    let mut cluster = ElasticClusterEngine::pinned(heterogeneous_deployments(), routing);
+    cluster.run_trace(&contended_trace()).unwrap().cluster
 }
 
 /// Acceptance: on the seeded contended trace over 3 heterogeneous
@@ -228,8 +230,8 @@ fn preempted_requests_redispatch_across_deployments_and_complete() {
             .unwrap(),
         ]
     };
-    let mut cluster = ClusterEngine::new(build(), Box::new(RoundRobin::new()));
-    let report = cluster.run_trace(&trace).unwrap();
+    let mut cluster = ElasticClusterEngine::pinned(build(), Box::new(RoundRobin::new()));
+    let report = cluster.run_trace(&trace).unwrap().cluster;
     assert!(report.preemptions() > 0, "the contended cluster must preempt");
     assert!(report.redispatches > 0, "preempted victims must cross deployments");
     assert_eq!(report.completed(), 128, "every preempted request still completes");
@@ -246,8 +248,8 @@ fn preempted_requests_redispatch_across_deployments_and_complete() {
         assert!(o.output_len > 0, "retained progress must survive the move: {o:?}");
     }
     // Deterministic under preemption + re-dispatch too.
-    let mut cluster2 = ClusterEngine::new(build(), Box::new(RoundRobin::new()));
-    assert_eq!(report, cluster2.run_trace(&trace).unwrap());
+    let mut cluster2 = ElasticClusterEngine::pinned(build(), Box::new(RoundRobin::new()));
+    assert_eq!(report, cluster2.run_trace(&trace).unwrap().cluster);
 }
 
 /// Chunked prefill through the cluster layer: a 1-deployment chunked
@@ -266,24 +268,24 @@ fn chunked_cluster_is_drift_free_and_aggregates_breakdowns() {
     let mut eng = ServeEngine::new(hilos(8), chunked_config()).unwrap();
     let direct = eng.run_trace(&trace).unwrap();
     assert!(direct.prefill.chunks > 0, "the trace must actually chunk");
-    let mut one = ClusterEngine::new(
+    let mut one = ElasticClusterEngine::pinned(
         vec![ServeEngine::new(hilos(8), chunked_config()).unwrap()],
         Box::new(LedgerPressure::new()),
     );
-    let one_report = one.run_trace(&trace).unwrap();
+    let one_report = one.run_trace(&trace).unwrap().cluster;
     assert_eq!(one_report.deployments[0], direct, "cluster layer drifted under chunking");
 
     // Heterogeneous chunked cluster: everything completes, the global
     // breakdown merges per-deployment chunk work, and the router saw the
     // prefill backlog while dispatching.
-    let mut cluster = ClusterEngine::new(
+    let mut cluster = ElasticClusterEngine::pinned(
         vec![
             ServeEngine::new(hilos(8), chunked_config()).unwrap(),
             ServeEngine::new(hilos(4).with_degraded_device(0, 0.5), chunked_config()).unwrap(),
         ],
         Box::new(LedgerPressure::new()),
     );
-    let report = cluster.run_trace(&trace).unwrap();
+    let report = cluster.run_trace(&trace).unwrap().cluster;
     assert_eq!(report.completed(), 96);
     let merged = report.prefill_breakdown();
     assert_eq!(merged.chunks, report.deployments.iter().map(|d| d.prefill.chunks).sum::<u64>());
@@ -338,7 +340,8 @@ impl RoutingPolicy for OutOfRangeRouting {
 #[should_panic(expected = "routing policy picked deployment")]
 fn out_of_range_routing_panics_in_debug_builds() {
     let trace = TraceConfig::azure_mix(16, 7).generate().unwrap();
-    let mut cluster = ClusterEngine::new(heterogeneous_deployments(), Box::new(OutOfRangeRouting));
+    let mut cluster =
+        ElasticClusterEngine::pinned(heterogeneous_deployments(), Box::new(OutOfRangeRouting));
     let _ = cluster.run_trace(&trace);
 }
 
@@ -349,8 +352,9 @@ fn out_of_range_routing_panics_in_debug_builds() {
 #[test]
 fn out_of_range_routing_is_counted_and_clamped_in_release_builds() {
     let trace = TraceConfig::azure_mix(16, 7).generate().unwrap();
-    let mut cluster = ClusterEngine::new(heterogeneous_deployments(), Box::new(OutOfRangeRouting));
-    let report = cluster.run_trace(&trace).unwrap();
+    let mut cluster =
+        ElasticClusterEngine::pinned(heterogeneous_deployments(), Box::new(OutOfRangeRouting));
+    let report = cluster.run_trace(&trace).unwrap().cluster;
     assert_eq!(report.misrouted as usize, 16, "every dispatch was out of range");
     assert_eq!(report.dispatched, vec![0, 0, 16], "clamped to the last deployment");
 }
@@ -365,8 +369,8 @@ fn migrated_victims_finish_on_the_spare_deployment_with_sane_latencies() {
             .unwrap()
     };
     let mut cluster =
-        ClusterEngine::new(vec![preempting(), preempting()], Box::new(MigrateToSpare));
-    let report = cluster.run_trace(&trace).unwrap();
+        ElasticClusterEngine::pinned(vec![preempting(), preempting()], Box::new(MigrateToSpare));
+    let report = cluster.run_trace(&trace).unwrap().cluster;
     assert_eq!(report.completed(), 128);
     assert_eq!(report.dispatched, vec![128, 0], "fresh arrivals all pinned to deployment 0");
     assert!(report.deployments[0].preemptions > 0, "deployment 0 must preempt under the load");
@@ -431,7 +435,7 @@ fn stalled_cluster_reports_every_queued_request_and_stays_usable() {
         ServeEngine::with_policy(hilos(8), ServeConfig::new(4), Box::new(policy)).unwrap()
     };
     let mut cluster =
-        ClusterEngine::new(vec![deployment(), deployment()], Box::new(RoundRobin::new()));
+        ElasticClusterEngine::pinned(vec![deployment(), deployment()], Box::new(RoundRobin::new()));
 
     // Round-robin splits the six requests three and three.
     let stuck = TraceConfig::azure_mix(6, 1).generate().unwrap();
@@ -443,7 +447,7 @@ fn stalled_cluster_reports_every_queued_request_and_stays_usable() {
 
     open.set(true);
     let trace = TraceConfig::azure_mix(24, 7).generate().unwrap();
-    let report = cluster.run_trace(&trace).unwrap();
+    let report = cluster.run_trace(&trace).unwrap().cluster;
     assert_eq!(report.completed(), trace.len());
     assert!(report.dispatched.iter().all(|&d| d > 0), "both deployments must serve");
 }

@@ -4,7 +4,7 @@
 //! parity.
 
 use hilos::baselines::VllmMultiNode;
-use hilos::core::cluster::{ClusterEngine, RoundRobin};
+use hilos::core::cluster::{ElasticClusterEngine, RoundRobin};
 use hilos::core::{
     ChunkMode, DeadlineEdf, DecodeStepExecutor, Fifo, HilosConfig, HilosSystem, PrefixCacheConfig,
     PriorityPreempt, SchedulingPolicy, ServeConfig, ServeEngine, ServingCampaign, SpillDecision,
@@ -85,7 +85,7 @@ fn ten_thousand_request_trace_is_deterministic() {
     let trace = TraceConfig::azure_mix(10_000, 42).generate().unwrap();
     let run = || {
         let mut campaign = ServingCampaign::new(hilos(8, 1));
-        campaign.run_trace(&trace, &ServeConfig::new(32)).unwrap()
+        campaign.run_trace(&trace, &ServeConfig::new(32), Box::new(Fifo)).unwrap()
     };
     let report = run();
     assert_eq!(report.outcomes.len() + report.rejected.len(), 10_000);
@@ -237,14 +237,14 @@ fn step_itl_stats_are_pinned_bit_for_bit() {
     let chunked = run(ChunkMode::chunked()).step_itl_stats();
     let preempt = run_policy(Box::new(PriorityPreempt::new())).step_itl_stats();
     let chunked_config = || ServeConfig::new(16).with_chunk_mode(ChunkMode::chunked());
-    let mut cluster = ClusterEngine::new(
+    let mut cluster = ElasticClusterEngine::pinned(
         vec![
             ServeEngine::new(hilos(8, 1), chunked_config()).unwrap(),
             ServeEngine::new(hilos(4, 1), chunked_config()).unwrap(),
         ],
         Box::new(RoundRobin::new()),
     );
-    let pooled = cluster.run_trace(&contended_trace()).unwrap().step_itl_stats();
+    let pooled = cluster.run_trace(&contended_trace()).unwrap().cluster.step_itl_stats();
 
     let pins: [(&str, LatencyStats, [u64; 6]); 4] = [
         (
@@ -608,7 +608,8 @@ fn continuous_batching_beats_serial_vllm_on_goodput() {
         .unwrap()
         .with_sim_layers(1);
     let mut campaign = ServingCampaign::new(system);
-    let h = campaign.run_trace(&trace, &ServeConfig::new(32).with_deadline(deadline)).unwrap();
+    let config = ServeConfig::new(32).with_deadline(deadline);
+    let h = campaign.run_trace(&trace, &config, Box::new(Fifo)).unwrap();
     assert!(h.rejected.is_empty(), "all long-context requests should place");
 
     let v = VllmMultiNode::paper_testbed().run_trace(&model, &trace, deadline).unwrap();
