@@ -102,11 +102,10 @@ impl ServingCampaign {
 
     /// Books device `d`'s share of one run: `prefill` payload bytes,
     /// which program whole NAND pages (a partial last page costs a full
-    /// one), `decode` NAND bytes and `reads` bytes read.
+    /// one), `decode` NAND bytes, already page-amplified by the spill
+    /// model and added as they are, and `reads` bytes read.
     fn book(&mut self, d: usize, prefill: u64, decode: u64, reads: u64) {
-        let page = self.ssd.page_bytes();
-        self.nand_programmed[d] +=
-            self.ssd.pages_for(prefill) * page + self.ssd.pages_for(decode) * page;
+        self.nand_programmed[d] += self.ssd.pages_for(prefill) * self.ssd.page_bytes() + decode;
         self.bytes_read += reads;
     }
 
@@ -143,11 +142,12 @@ impl ServingCampaign {
     /// (see [`crate::serve`]) under the given scheduling policy, and
     /// folds its device wear and throughput into the campaign counters.
     ///
-    /// Prefill payloads and spill-model decode writes are page-aligned,
-    /// apportioned by the shard ledger's actual per-device placement
-    /// (`TraceReport::kv_placed_bytes`) so degraded devices that held
-    /// less of every stripe also wear less; reads are the decode steps'
-    /// internal plus host traffic, swept in the same proportion.
+    /// Prefill payloads (page-aligned) and spill-model decode writes
+    /// (page-amplified already) are apportioned by the shard ledger's
+    /// actual per-device placement (`TraceReport::kv_placed_bytes`) so
+    /// degraded devices that held less of every stripe also wear less;
+    /// reads are the decode steps' internal plus host traffic, swept in
+    /// the same proportion.
     ///
     /// # Errors
     ///
@@ -320,6 +320,9 @@ mod tests {
         c.book(0, 256, 0, 0);
         assert_eq!(c.nand_programmed[0], 2 * 4096);
         assert_eq!(c.summary().nand_bytes_written, (2 * 4096) as f64);
+        // Decode bytes arrive page-amplified and are not rounded again.
+        c.book(1, 0, 100, 0);
+        assert_eq!(c.nand_programmed[1], 100);
     }
 
     #[test]
