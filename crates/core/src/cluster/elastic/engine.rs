@@ -2,9 +2,8 @@
 //! stepping, routing, cross-deployment migration and stall detection —
 //! with a deployment lifecycle, an autoscaler and utilization billing
 //! around it. A fixed cluster is this engine built by
-//! [`ElasticClusterEngine::pinned`], under
-//! [`PinnedFleet`](super::PinnedFleet), and [`ServeEngine::run_trace`]
-//! runs it over a one-slot pinned fleet.
+//! [`ElasticClusterEngine::pinned`], under [`PinnedFleet`], and
+//! [`ServeEngine::run_trace`] runs it over a one-slot pinned fleet.
 
 use super::autoscale::{AutoscalePolicy, FleetSnapshot, PinnedFleet, ScaleDecision};
 use super::lifecycle::{ColdStartModel, DeploymentLifecycle, LifecycleEvent, LifecycleState};
@@ -137,7 +136,6 @@ impl FleetRun<'_> {
 /// The fleet one lockstep run drives: slots, lifecycles and the two fleet
 /// policies, borrowed from an [`ElasticClusterEngine`] — or from one
 /// [`ServeEngine`] serving alone, as a one-slot [`PinnedFleet`].
-///
 pub(crate) struct Fleet<'a> {
     engines: &'a mut [ServeEngine],
     lifecycles: &'a mut [DeploymentLifecycle],

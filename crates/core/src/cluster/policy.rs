@@ -6,9 +6,8 @@
 //! composition, KV shard-ledger pressure, degradation-discounted
 //! bandwidth) and answers with a deployment index. The cluster loop
 //! ([`ElasticClusterEngine`](super::ElasticClusterEngine), fixed or
-//! elastic) executes the
-//! choice — an out-of-range index is a policy bug, `debug_assert!`ed in
-//! debug builds and counted in
+//! elastic) executes the choice — an out-of-range index is a policy
+//! bug, `debug_assert!`ed in debug builds and counted in
 //! [`ClusterReport::misrouted`](super::ClusterReport::misrouted) (then
 //! clamped to the last deployment) in release builds.
 //!
@@ -147,9 +146,9 @@ pub struct DeploymentView {
     pub prefix_hit_rate: f64,
     /// Where the deployment is in its lifecycle. A fixed fleet
     /// ([`ElasticClusterEngine::pinned`](super::ElasticClusterEngine::pinned))
-    /// is always [`Active`](LifecycleState::Active); under the elastic engine only
-    /// Active deployments may take traffic — the shipped policies skip
-    /// everything else (see [`DeploymentView::routable`]).
+    /// is always [`Active`](LifecycleState::Active); under an elastic
+    /// one only Active deployments may take traffic — the shipped
+    /// policies skip everything else (see [`DeploymentView::routable`]).
     pub lifecycle: LifecycleState,
     /// What keeping this deployment provisioned costs per hour: 3-year
     /// amortized capex plus full-utilization energy

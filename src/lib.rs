@@ -9,7 +9,7 @@
 //! * [`sim`] — deterministic flow-level discrete-event simulator (the
 //!   hardware substrate every experiment runs on),
 //! * [`interconnect`] — PCIe topology model (Fig. 3 of the paper),
-//! * [`storage`] — SSD/NAND flash model with endurance accounting,
+//! * [`storage`] — SSD/NAND flash model with endurance budgets,
 //! * [`accel`] — the attention accelerator: bit-faithful functional kernel
 //!   (two-pass softmax, online transpose, GQA) plus cycle/resource models,
 //! * [`llm`] — model configurations (Table 2) and workloads,
