@@ -326,6 +326,14 @@ mod tests {
     }
 
     #[test]
+    fn sub_page_prefill_write_programs_one_page() {
+        let mut c = campaign();
+        c.book(0, 256, 0, 0);
+        assert_eq!(c.nand_programmed[0], 4096);
+        assert_eq!(c.summary().nand_bytes_written, 4096.0);
+    }
+
+    #[test]
     fn endurance_fraction() {
         let mut c = campaign();
         // Program 7.008e15 / 2 bytes into one device -> 50% used.
