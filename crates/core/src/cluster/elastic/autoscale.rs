@@ -576,10 +576,8 @@ mod tests {
             prefilling: 0,
             decoding,
             max_batch: 8,
-            pressure: 0.0,
             placeable_free_bytes: 1 << 30,
             bandwidth_weight: 1.0,
-            dispatched: 0,
             prefix_hit_rate: 0.0,
             lifecycle,
             hourly_cost_usd: 1.0,

@@ -267,11 +267,6 @@ impl ElasticClusterEngine {
         self.engines.len()
     }
 
-    /// The active routing policy's name.
-    pub fn routing_name(&self) -> &'static str {
-        self.routing.name()
-    }
-
     /// Slot `d`'s current lifecycle state.
     pub fn lifecycle_state(&self, d: usize) -> LifecycleState {
         self.lifecycles[d].state()
@@ -490,10 +485,8 @@ impl<'a> Fleet<'a> {
             prefilling: st.prefilling_len(),
             decoding: st.decoding_len(),
             max_batch: eng.config().max_batch,
-            pressure: ledger.pressure(),
             placeable_free_bytes: ledger.placeable_free(),
             bandwidth_weight: ledger.total_weight(),
-            dispatched: run.dispatched[d],
             prefix_hit_rate: eng.prefix_hit_rate(),
             lifecycle: self.lifecycles[d].state(),
             hourly_cost_usd: self.hourly_costs[d],
@@ -562,7 +555,7 @@ impl<'a> Fleet<'a> {
             return 0;
         }
         self.refresh_views(run);
-        let snapshot = ClusterSnapshot { step: run.gstep, deployments: &run.views };
+        let snapshot = ClusterSnapshot { deployments: &run.views };
         let mut d = self.routing.route(&request, &snapshot);
         if d >= n {
             debug_assert!(
@@ -657,7 +650,7 @@ impl<'a> Fleet<'a> {
         entry: QueueEntry,
         until: u64,
     ) -> Result<(), CoreError> {
-        let to = self.route_slots(run, RouteRequest::of(&entry.req, entry.emitted, true));
+        let to = self.route_slots(run, RouteRequest::of(&entry.req, true));
         catch_up(&mut self.engines[to], &mut run.states[to], until)?;
         if to == from {
             run.touch(from);
@@ -802,7 +795,7 @@ impl<'a> Fleet<'a> {
     /// slot, which catches up first.
     fn dispatch_arrivals(&mut self, run: &mut FleetRun) -> Result<(), CoreError> {
         while let Some(&req) = run.trace.get(run.next).filter(|r| r.arrival_step <= run.gstep) {
-            let d = self.route_slots(run, RouteRequest::of(&req, 0, false));
+            let d = self.route_slots(run, RouteRequest::of(&req, false));
             run.dispatched[d] += 1;
             run.touch(d);
             catch_up(&mut self.engines[d], &mut run.states[d], run.gstep)?;
@@ -877,7 +870,6 @@ impl<'a> Fleet<'a> {
                 continue;
             }
             catch_up(eng, st, gstep)?;
-            st.step = gstep;
             let progress = eng.advance_once(st)?;
             if let Some(stale) = run.stale.get_mut(d) {
                 *stale = true;

@@ -3,8 +3,8 @@
 //! Routing mirrors the scheduling-policy API one layer up: a
 //! [`RoutingPolicy`] is consulted once per dispatch with a read-only
 //! [`ClusterSnapshot`] (per-deployment queue depth, in-flight batch
-//! composition, KV shard-ledger pressure, degradation-discounted
-//! bandwidth) and answers with a deployment index. The cluster loop
+//! composition, placeable KV headroom, degradation-discounted bandwidth)
+//! and answers with a deployment index. The cluster loop
 //! ([`ElasticClusterEngine`](super::ElasticClusterEngine), fixed or
 //! elastic) executes the choice — an out-of-range index is a policy
 //! bug, `debug_assert!`ed in debug builds and counted in
@@ -74,7 +74,7 @@
 //! seeded LCG for exactly this reason.
 
 use super::elastic::LifecycleState;
-use hilos_llm::{Priority, Request, RequestClass};
+use hilos_llm::Request;
 use std::fmt;
 
 /// The request being dispatched, as the routing policy sees it.
@@ -82,17 +82,8 @@ use std::fmt;
 pub struct RouteRequest {
     /// Request id.
     pub id: u64,
-    /// Workload class.
-    pub class: RequestClass,
-    /// Scheduling priority from the request's SLO.
-    pub priority: Priority,
     /// Prompt length in tokens.
     pub prompt_len: u64,
-    /// Output budget in tokens.
-    pub output_budget: u64,
-    /// Tokens already generated (non-zero only when a preempted request
-    /// is re-dispatched with retained progress).
-    pub emitted: u64,
     /// `true` when this is a cross-deployment re-dispatch of a preempted
     /// request rather than a fresh arrival.
     pub redispatch: bool,
@@ -100,18 +91,10 @@ pub struct RouteRequest {
 
 impl RouteRequest {
     /// The routing view of `req` — the single construction point for the
-    /// fresh-arrival (`emitted == 0`, `redispatch == false`) and
-    /// preemption re-dispatch paths, so a field added here reaches both.
-    pub fn of(req: &Request, emitted: u64, redispatch: bool) -> Self {
-        RouteRequest {
-            id: req.id,
-            class: req.class,
-            priority: req.slo.priority,
-            prompt_len: req.prompt_len,
-            output_budget: req.output_budget,
-            emitted,
-            redispatch,
-        }
+    /// fresh-arrival (`redispatch == false`) and preemption re-dispatch
+    /// paths, so a field added here reaches both.
+    pub fn of(req: &Request, redispatch: bool) -> Self {
+        RouteRequest { id: req.id, prompt_len: req.prompt_len, redispatch }
     }
 }
 
@@ -128,16 +111,11 @@ pub struct DeploymentView {
     pub decoding: usize,
     /// The deployment's admission cap.
     pub max_batch: u32,
-    /// Aggregate KV shard-ledger pressure, `[0, 1]`
-    /// ([`KvShardLedger::pressure`](hilos_storage::KvShardLedger::pressure)).
-    pub pressure: f64,
     /// Free bytes across placement-eligible devices.
     pub placeable_free_bytes: u64,
     /// Sum of the ledger's placement weights: aggregate storage bandwidth
     /// with degraded/offline devices discounted.
     pub bandwidth_weight: f64,
-    /// Requests dispatched to this deployment so far.
-    pub dispatched: u64,
     /// Lifetime prefix KV-cache hit rate of the deployment's engine,
     /// `[0, 1]` — `0.0` with the cache off (or before any probe), so
     /// cache-off routing scores are untouched. A warm cache makes a
@@ -181,8 +159,6 @@ impl DeploymentView {
 /// [`RoutingPolicy::route`] once per dispatch.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot<'a> {
-    /// The global arrival cursor (serving step).
-    pub step: u64,
     /// Every deployment, in cluster index order (never empty).
     pub deployments: &'a [DeploymentView],
 }
@@ -413,10 +389,8 @@ mod tests {
             prefilling: 0,
             decoding,
             max_batch: 8,
-            pressure: 0.0,
             placeable_free_bytes: free,
             bandwidth_weight: bw,
-            dispatched: 0,
             prefix_hit_rate: 0.0,
             lifecycle: LifecycleState::Active,
             hourly_cost_usd: 0.0,
@@ -424,21 +398,13 @@ mod tests {
     }
 
     fn req(id: u64) -> RouteRequest {
-        RouteRequest {
-            id,
-            class: RequestClass::Medium,
-            priority: Priority::Normal,
-            prompt_len: 1024,
-            output_budget: 350,
-            emitted: 0,
-            redispatch: false,
-        }
+        RouteRequest { id, prompt_len: 1024, redispatch: false }
     }
 
     #[test]
     fn round_robin_cycles() {
         let views = [view(0, 0, 0, 1, 1.0), view(1, 0, 0, 1, 1.0), view(2, 0, 0, 1, 1.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         let mut rr = RoundRobin::new();
         let picks: Vec<usize> = (0..7).map(|i| rr.route(&req(i), &snap)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
@@ -448,7 +414,7 @@ mod tests {
     #[test]
     fn jsq_picks_least_loaded_with_index_ties() {
         let views = [view(0, 3, 2, 1, 1.0), view(1, 1, 1, 1, 1.0), view(2, 0, 2, 1, 1.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         let mut jsq = JoinShortestQueue;
         // Deployments 1 and 2 both have load 2 (vs 5): the lower index
         // wins the tie.
@@ -464,7 +430,7 @@ mod tests {
         // whatever pair the probes draw, 1 must win every dispatch in a
         // 2-deployment cluster (every pair contains it or is {0,0}).
         let views = [view(0, 0, 0, 1 << 30, 10.0), view(1, 0, 0, 2 << 30, 20.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         let mut lp = LedgerPressure::new();
         let picks: Vec<usize> = (0..32).map(|i| lp.route(&req(i), &snap)).collect();
         assert!(picks.contains(&1), "the better deployment is never probed?");
@@ -489,7 +455,7 @@ mod tests {
         // Same capacity, but deployment 0 is buried in queued work: the
         // score divisor must route to 1 whenever both are probed.
         let views = [view(0, 50, 8, 1 << 30, 10.0), view(1, 0, 0, 1 << 30, 10.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         assert!(LedgerPressure::score(&views[1]) > LedgerPressure::score(&views[0]));
         let mut lp = LedgerPressure::new();
         let picks: Vec<usize> = (0..32).map(|i| lp.route(&req(i), &snap)).collect();
@@ -517,7 +483,7 @@ mod tests {
     #[test]
     fn ledger_pressure_is_deterministic_in_its_seed() {
         let views = [view(0, 1, 0, 1 << 30, 1.0), view(1, 0, 1, 1 << 29, 2.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         let run = || {
             let mut lp = LedgerPressure::new();
             (0..64).map(|i| lp.route(&req(i), &snap)).collect::<Vec<_>>()
@@ -545,7 +511,7 @@ mod tests {
             },
         ];
         assert!(!views[0].routable() && views[1].routable() && !views[2].routable());
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         let mut policies: Vec<Box<dyn RoutingPolicy>> = vec![
             Box::new(RoundRobin::new()),
             Box::new(JoinShortestQueue),
@@ -564,7 +530,7 @@ mod tests {
         // With the whole fleet Active the routable filter must not
         // perturb round-robin order or the seeded probe sequence.
         let views = [view(0, 0, 0, 1, 1.0), view(1, 0, 0, 1, 1.0), view(2, 0, 0, 1, 1.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         let mut rr = RoundRobin::new();
         let picks: Vec<usize> = (0..6).map(|i| rr.route(&req(i), &snap)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
@@ -591,12 +557,12 @@ mod tests {
             "2x capacity at 4x cost must lose"
         );
         let views = [cheap.clone(), pricey.clone()];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         assert_eq!(CostNormalizedPressure.route(&req(0), &snap), 0);
         // Load the cheap one up and the expensive capacity earns its
         // keep: 9 queued requests divide its score by 10.
         let views = [DeploymentView { queued: 9, ..cheap }, pricey];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         assert_eq!(CostNormalizedPressure.route(&req(1), &snap), 1);
         assert_eq!(CostNormalizedPressure.name(), "cost-normalized-pressure");
     }
@@ -610,14 +576,14 @@ mod tests {
         let warm = DeploymentView { prefix_hit_rate: 0.25, ..view(1, 0, 0, 0, 10.0) };
         assert_eq!(CostNormalizedPressure::score(&cold), CostNormalizedPressure::score(&warm));
         let views = [cold.clone(), warm.clone()];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         assert_eq!(CostNormalizedPressure.route(&req(0), &snap), 1);
         // Both cold (or both warm): the tie still goes to the lower index.
         let views = [cold.clone(), view(1, 0, 0, 0, 10.0)];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         assert_eq!(CostNormalizedPressure.route(&req(1), &snap), 0);
         let views = [DeploymentView { prefix_hit_rate: 0.5, ..cold }, warm];
-        let snap = ClusterSnapshot { step: 0, deployments: &views };
+        let snap = ClusterSnapshot { deployments: &views };
         assert_eq!(CostNormalizedPressure.route(&req(2), &snap), 0);
     }
 

@@ -61,9 +61,11 @@ pub enum CoreError {
         field: &'static str,
     },
     /// A job size passed to [`HilosSystem::run_decode`],
-    /// [`HilosSystem::run_prefill`] or [`HilosSystem::run_job`] is zero.
+    /// [`HilosSystem::run_prefill`] or [`HilosSystem::run_job`] is zero,
+    /// or the system simulates zero layers per step.
     InvalidJob {
-        /// The zero size: `batch`, `context` or `output_len`.
+        /// The zero size: `batch`, `context`, `output_len` or
+        /// `sim_layers`.
         field: &'static str,
     },
     /// A trace handed to a serving run is not sorted by arrival step.
@@ -285,9 +287,10 @@ impl HilosSystem {
 
     /// Overrides how many layers each simulated step materializes
     /// (the makespan is scaled to the model's true depth). Higher is more
-    /// faithful, lower is faster. Default 8.
+    /// faithful, lower is faster. Default 8. Zero layers makes every
+    /// run and serving engine fail with [`CoreError::InvalidJob`]
+    /// (`sim_layers`).
     pub fn with_sim_layers(mut self, layers: u32) -> Self {
-        assert!(layers >= 1, "must simulate at least one layer");
         self.sim_layers = layers;
         self
     }
@@ -732,6 +735,19 @@ mod tests {
         assert_eq!(sys.run_job(&job(0, 1024, 8)).map(|_| ()), err("batch"));
         assert_eq!(sys.run_job(&job(4, 0, 8)).map(|_| ()), err("context"));
         assert_eq!(sys.run_job(&job(4, 1024, 0)).map(|_| ()), err("output_len"));
+    }
+
+    #[test]
+    fn zero_sim_layers_is_an_error_not_a_panic() {
+        let sys = hilos(8).with_sim_layers(0);
+        let err = Err(CoreError::InvalidJob { field: "sim_layers" });
+        assert_eq!(sys.run_prefill(4, 1024).map(|_| ()), err);
+        assert_eq!(sys.run_decode(16, 1024, 8).map(|_| ()), err);
+        let serve = crate::ServeEngine::new(sys.clone(), crate::ServeConfig::new(8));
+        assert_eq!(serve.map(|_| ()), err);
+        // The static questions build no world and never read the layer
+        // count, so they still answer.
+        assert_eq!(sys.check_capacity(&BatchSpec::new(16, 1024, 8)), Ok(()));
     }
 
     /// The full-cycle reference `run_decode`'s two weighted solves stand

@@ -145,10 +145,6 @@ pub(crate) struct RunState {
     rejected: Vec<u64>,
     shed: Vec<ShedOutcome>,
     pub(crate) clock: f64,
-    /// The global step of this iteration (jumps over idle gaps). Owned
-    /// by the serving loop; the body only reads it into the scheduling
-    /// snapshot.
-    pub(crate) step: u64,
     /// A lazily-run quiet window, `(first owed step, last quiet step)`
     /// on the global step axis: steps [`ServeEngine::quiet_steps_ahead`]
     /// proved quiet that the serving loop defers until the window ends
@@ -250,15 +246,6 @@ impl RunState {
     /// In-flight requests currently decoding.
     pub(crate) fn decoding_len(&self) -> usize {
         self.running.len()
-    }
-
-    /// Prompt tokens the in-flight prefills still have to ingest — the
-    /// deployment's prefill backlog, a routing signal for size-aware
-    /// placement. Zero under [`ChunkMode::Off`]'s lump side-prefill once
-    /// nothing is pending (legacy prefills report their whole context as
-    /// debt until they join).
-    pub(crate) fn prefill_backlog_tokens(&self) -> u64 {
-        self.prefilling.iter().map(|p| p.prefill_total - p.prefill_done).sum()
     }
 
     /// Re-queues a preemption victim with its retained progress and
@@ -380,9 +367,10 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`CoreError::InvalidServeConfig`] if `config` fails
-    /// [`ServeConfig::validate`]; [`CoreError::Platform`] for an
-    /// out-of-range degraded device; capacity errors from fitting the
-    /// weights.
+    /// [`ServeConfig::validate`]; [`CoreError::InvalidJob`]
+    /// (`sim_layers`) if the system simulates zero layers per step;
+    /// [`CoreError::Platform`] for an out-of-range degraded device;
+    /// capacity errors from fitting the weights.
     pub fn with_policy(
         system: HilosSystem,
         config: ServeConfig,
@@ -678,10 +666,7 @@ impl ServeEngine {
         let held = |id: u64| self.ledger.held_bytes(id).unwrap_or(0);
         let view_of = |r: &InFlight, decoding: bool| InFlightView {
             id: r.req.id,
-            class: r.req.class,
             priority: r.req.slo.priority,
-            arrival_s: r.arrival_s,
-            deadline_s: r.arrival_s + r.req.slo.deadline_s(),
             emitted: r.emitted,
             output_budget: r.req.output_budget,
             decoding,
@@ -714,22 +699,15 @@ impl ServeEngine {
                     f
                 }
             };
-            // Surface parked (demoted) KV so a policy can weigh
-            // recall-vs-recompute when ordering re-admissions.
-            let (demoted_tokens, recall_cost_s) = self.parked_kv(q.req.id);
             queue_views.push(QueuedView {
                 id: q.req.id,
-                class: q.req.class,
                 priority: q.req.slo.priority,
                 arrival_s: q.arrival_s,
                 deadline_s: q.arrival_s + q.req.slo.deadline_s(),
                 prompt_len: q.req.prompt_len,
                 output_budget: q.req.output_budget,
                 emitted: q.emitted,
-                preemptions: q.preemptions,
                 footprint_bytes,
-                demoted_tokens,
-                recall_cost_s,
             });
         }
         let flight_views: Vec<InFlightView> = st
@@ -738,16 +716,12 @@ impl ServeEngine {
             .map(|r| view_of(r, true))
             .chain(st.prefilling.iter().map(|p| view_of(p, false)))
             .collect();
-        let device_free = self.ledger.free_by_device();
         let snapshot = SchedSnapshot {
             clock_s: st.clock,
-            step: st.step,
             max_batch: self.config.max_batch,
             queue: &queue_views,
             in_flight: &flight_views,
-            device_free_bytes: &device_free,
             placeable_free: self.ledger.placeable_free(),
-            prefill_backlog_tokens: st.prefill_backlog_tokens(),
         };
         self.policy.schedule(&snapshot)
     }
@@ -1870,9 +1844,9 @@ pub(crate) mod tests {
         let (mut quiet, mut quiet_prefilling) = (0, 0);
         // The first step past the last counted window.
         let mut window_end = 0;
-        let mut idx = 0usize;
+        let (mut idx, mut step) = (0usize, 0u64);
         while idx < trace.len() || st.has_work() {
-            while idx < trace.len() && trace[idx].arrival_step <= st.step {
+            while idx < trace.len() && trace[idx].arrival_step <= step {
                 eng.enqueue_arrival(&mut st, trace[idx]);
                 idx += 1;
             }
@@ -1880,28 +1854,28 @@ pub(crate) mod tests {
                 if idx >= trace.len() {
                     break;
                 }
-                st.step = trace[idx].arrival_step;
+                step = trace[idx].arrival_step;
                 continue;
             }
             match eng.advance_once(&mut st).unwrap() {
                 StepProgress::Stalled => {
                     assert!(idx < trace.len(), "the reference run stalled");
-                    st.step = trace[idx].arrival_step;
+                    step = trace[idx].arrival_step;
                 }
                 StepProgress::Decoded => {
-                    if st.step >= window_end {
+                    if step >= window_end {
                         let until_arrival =
-                            trace.get(idx).map_or(u64::MAX, |r| r.arrival_step - st.step - 1);
+                            trace.get(idx).map_or(u64::MAX, |r| r.arrival_step - step - 1);
                         let k = eng.quiet_steps_ahead(&st).min(until_arrival);
                         quiet += k;
                         if st.prefilling_len() > 0 {
                             quiet_prefilling += k;
                         }
-                        window_end = st.step + k + 1;
+                        window_end = step + k + 1;
                     }
-                    st.step += 1;
+                    step += 1;
                 }
-                StepProgress::NoDecode => st.step += 1,
+                StepProgress::NoDecode => step += 1,
             }
         }
         (eng.finish(st), quiet, quiet_prefilling)

@@ -357,32 +357,25 @@ impl SchedulingPolicy for PriorityPreempt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilos_llm::{Priority, RequestClass};
+    use hilos_llm::Priority;
 
     fn queued(id: u64, arrival_s: f64, deadline_s: f64, priority: Priority) -> QueuedView {
         QueuedView {
             id,
-            class: RequestClass::Medium,
             priority,
             arrival_s,
             deadline_s,
             prompt_len: 1024,
             output_budget: 350,
             emitted: 0,
-            preemptions: 0,
             footprint_bytes: 1000,
-            demoted_tokens: 0,
-            recall_cost_s: 0.0,
         }
     }
 
     fn flying(id: u64, priority: Priority, remaining: u64, decoding: bool) -> InFlightView {
         InFlightView {
             id,
-            class: RequestClass::Long,
             priority,
-            arrival_s: 0.0,
-            deadline_s: 1e9,
             emitted: 0,
             output_budget: remaining,
             decoding,
@@ -399,16 +392,7 @@ mod tests {
         max_batch: u32,
         placeable_free: u64,
     ) -> SchedSnapshot<'a> {
-        SchedSnapshot {
-            clock_s: 0.0,
-            step: 0,
-            max_batch,
-            queue,
-            in_flight,
-            device_free_bytes: &[],
-            placeable_free,
-            prefill_backlog_tokens: 0,
-        }
+        SchedSnapshot { clock_s: 0.0, max_batch, queue, in_flight, placeable_free }
     }
 
     #[test]

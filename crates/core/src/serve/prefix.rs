@@ -130,18 +130,6 @@ impl ServeEngine {
         }
     }
 
-    /// A queued request's parked KV as the scheduling snapshot shows it:
-    /// `(tokens, recall_seconds)`, `(0, 0.0)` when nothing is parked.
-    pub(super) fn parked_kv(&self, id: u64) -> (u64, f64) {
-        match &self.cache {
-            Some(cs) => match cs.demoted.get(&id) {
-                Some(d) => (d.tokens, cs.ladder.recall_seconds(d.tier, d.bytes)),
-                None => (0, 0.0),
-            },
-            None => (0, 0.0),
-        }
-    }
-
     /// Drops the ref the request's admission pinned on its prefix entry.
     pub(super) fn release_prefix_hold(&mut self, id: u64) {
         if let Some(cs) = self.cache.as_mut() {

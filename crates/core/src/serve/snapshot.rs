@@ -3,12 +3,12 @@
 //! A [`SchedSnapshot`] is built by [`ServeEngine`](super::ServeEngine)
 //! once per step, after arrivals and before the decode. It is the *whole*
 //! interface a [`SchedulingPolicy`](super::SchedulingPolicy) sees: plain
-//! `Copy` views of the queue and the in-flight batch plus the shard
-//! ledger's headroom — no handle back into the engine, so a policy cannot
+//! `Copy` views of the queue and the in-flight batch plus the placeable
+//! free bytes — no handle back into the engine, so a policy cannot
 //! bypass the ledger gating or mutate serving state behind the engine's
 //! back.
 
-use hilos_llm::{Priority, RequestClass};
+use hilos_llm::Priority;
 
 /// A queued request (never admitted, or preempted and re-queued) as the
 /// policy sees it.
@@ -16,8 +16,6 @@ use hilos_llm::{Priority, RequestClass};
 pub struct QueuedView {
     /// Request id (the handle decisions refer to).
     pub id: u64,
-    /// Workload class.
-    pub class: RequestClass,
     /// Scheduling priority from the request's SLO.
     pub priority: Priority,
     /// When the request became visible to admission (seconds).
@@ -32,20 +30,10 @@ pub struct QueuedView {
     /// admission). Admission re-materializes their KV via a prefill over
     /// `prompt_len + emitted`.
     pub emitted: u64,
-    /// How many times the request has been preempted.
-    pub preemptions: u32,
     /// Estimated KV/X footprint bytes if admitted now (at the α the
     /// admission would select). The engine re-derives the exact value at
     /// execution time; policies use this to judge headroom.
     pub footprint_bytes: u64,
-    /// Tokens of this request's preempted KV parked in the residency
-    /// ladder (zero with the prefix cache off, or for requests that were
-    /// never preempted-and-demoted) — admission recalls them instead of
-    /// recomputing.
-    pub demoted_tokens: u64,
-    /// Priced critical-path seconds of recalling that parked KV — the
-    /// recall-vs-recompute signal for re-admission ordering.
-    pub recall_cost_s: f64,
 }
 
 /// An in-flight (prefilling or decoding) request as the policy sees it.
@@ -53,14 +41,8 @@ pub struct QueuedView {
 pub struct InFlightView {
     /// Request id (the handle decisions refer to).
     pub id: u64,
-    /// Workload class.
-    pub class: RequestClass,
     /// Scheduling priority from the request's SLO.
     pub priority: Priority,
-    /// When the request became visible to admission (seconds).
-    pub arrival_s: f64,
-    /// Absolute SLO deadline: arrival plus the per-request allowance.
-    pub deadline_s: f64,
     /// Tokens generated so far.
     pub emitted: u64,
     /// Output budget in tokens.
@@ -107,22 +89,14 @@ impl InFlightView {
 pub struct SchedSnapshot<'a> {
     /// Simulated wall-clock seconds.
     pub clock_s: f64,
-    /// The serving-step arrival cursor.
-    pub step: u64,
     /// The admission cap (prefilling + decoding requests).
     pub max_batch: u32,
     /// The admission queue in FIFO order.
     pub queue: &'a [QueuedView],
     /// In-flight requests: decoding first, then prefilling.
     pub in_flight: &'a [InFlightView],
-    /// Free bytes per shard-ledger device, in device index order.
-    pub device_free_bytes: &'a [u64],
     /// Free bytes across placement-eligible devices.
     pub placeable_free: u64,
-    /// Prompt tokens the in-flight prefills still have to ingest — the
-    /// deployment's remaining chunk debt, which every new admission adds
-    /// to and every executed chunk drains.
-    pub prefill_backlog_tokens: u64,
 }
 
 impl SchedSnapshot<'_> {
@@ -141,10 +115,7 @@ mod tests {
     fn views_expose_derived_quantities() {
         let v = InFlightView {
             id: 1,
-            class: RequestClass::Long,
             priority: Priority::Low,
-            arrival_s: 0.0,
-            deadline_s: 600.0,
             emitted: 40,
             output_budget: 350,
             decoding: true,
@@ -159,13 +130,10 @@ mod tests {
         assert_eq!(mid.prefill_remaining(), 3072);
         let snap = SchedSnapshot {
             clock_s: 1.0,
-            step: 3,
             max_batch: 4,
             queue: &[],
             in_flight: &[v, v, v],
-            device_free_bytes: &[10, 20],
             placeable_free: 30,
-            prefill_backlog_tokens: 0,
         };
         assert_eq!(snap.free_slots(), 1);
         let full = SchedSnapshot { in_flight: &[v, v, v, v, v], ..snap };

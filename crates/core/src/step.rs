@@ -57,10 +57,14 @@ impl DecodeStepExecutor {
     ///
     /// # Errors
     ///
-    /// Propagates platform build errors.
+    /// [`CoreError::InvalidJob`] (`sim_layers`) if the system simulates
+    /// zero layers per step; propagates platform build errors.
     pub fn new(system: &HilosSystem) -> Result<Self, CoreError> {
-        let sys = system.build_world()?;
         let sim_layers = system.sim_layers();
+        if sim_layers == 0 {
+            return Err(CoreError::InvalidJob { field: "sim_layers" });
+        }
+        let sys = system.build_world()?;
         Ok(DecodeStepExecutor {
             sys,
             model: system.model().clone(),

@@ -144,23 +144,6 @@ impl KvShardLedger {
         self.allocations.len()
     }
 
-    /// Aggregate occupancy pressure over placement-eligible (non-zero
-    /// weight) devices: total held bytes over total capacity, in `[0, 1]`.
-    /// `1.0` when no device accepts placement at all — a fully degraded
-    /// deployment looks saturated to a router, which is exactly right.
-    pub fn pressure(&self) -> f64 {
-        let (mut occ, mut cap) = (0u64, 0u64);
-        for s in self.shards.iter().filter(|s| s.spec.weight > 0.0) {
-            occ += s.occupied;
-            cap += s.spec.capacity_bytes;
-        }
-        if cap == 0 {
-            1.0
-        } else {
-            occ as f64 / cap as f64
-        }
-    }
-
     /// Sum of the devices' placement weights. Weights are proportional to
     /// sustained read bandwidth, so this is the deployment's aggregate
     /// storage bandwidth with degraded/offline devices discounted — the
@@ -411,42 +394,31 @@ mod tests {
     }
 
     #[test]
-    fn pressure_tracks_occupancy_per_device_and_aggregate() {
+    fn occupancy_tracks_allocations_per_device_and_aggregate() {
         let mut l = KvShardLedger::new(vec![
             ShardSpec { capacity_bytes: 1000, weight: 2.0 },
             ShardSpec { capacity_bytes: 3000, weight: 1.0 },
         ]);
-        assert_eq!(l.pressure(), 0.0);
         assert_eq!(l.total_weight(), 3.0);
         let placed = l.allocate(1, 2000).unwrap();
-        // Aggregate: 2000 held of 4000 capacity.
-        assert!((l.pressure() - 0.5).abs() < 1e-12);
         assert_eq!(placed, [l.occupied_bytes(0), l.occupied_bytes(1)]);
-        // Release restores zero pressure exactly.
+        // Release restores zero occupancy exactly.
         l.release(1).unwrap();
-        assert_eq!(l.pressure(), 0.0);
         assert_eq!(l.total_occupied(), 0);
     }
 
     #[test]
-    fn pressure_counts_reservations_and_skips_weightless_capacity() {
+    fn reservations_hold_bytes_on_every_device_weightless_included() {
         let mut l = KvShardLedger::new(vec![
             ShardSpec { capacity_bytes: 1000, weight: 1.0 },
             ShardSpec { capacity_bytes: 1000, weight: 0.0 },
         ]);
         // Static weight reservations squeeze the placeable devices too.
         l.reserve_evenly(1000).unwrap();
-        // Aggregate pressure is over placeable capacity only: 500/1000.
-        assert!((l.pressure() - 0.5).abs() < 1e-12);
         // Reservations hold bytes on every device, weightless included.
         assert_eq!([l.occupied_bytes(0), l.occupied_bytes(1)], [500, 500]);
-        // A fully weightless ledger is saturated by definition.
         let dead = KvShardLedger::new(vec![ShardSpec { capacity_bytes: 1000, weight: 0.0 }]);
-        assert_eq!(dead.pressure(), 1.0);
         assert_eq!(dead.total_weight(), 0.0);
-        // ...as is a zero-capacity device.
-        let tiny = KvShardLedger::new(vec![ShardSpec { capacity_bytes: 0, weight: 1.0 }]);
-        assert_eq!(tiny.pressure(), 1.0);
     }
 
     #[test]
