@@ -37,7 +37,8 @@ impl DeepSpeedUvm {
         })
     }
 
-    /// Overrides the number of simulated layers.
+    /// Overrides the number of simulated layers. Zero layers makes every
+    /// run fail with [`BaselineError::InvalidJob`] (`sim_layers`).
     pub fn with_sim_layers(mut self, layers: u32) -> Self {
         self.inner = self.inner.with_sim_layers(layers);
         self
@@ -90,6 +91,17 @@ mod tests {
         // Fig 10: "a slowdown of over 4x relative to FLEX(DRAM)".
         assert!(slowdown > 3.0, "slowdown {slowdown}");
         assert!(slowdown < 12.0, "slowdown {slowdown} implausibly large");
+    }
+
+    #[test]
+    fn zero_sim_layers_is_an_error_not_a_panic() {
+        let ds = DeepSpeedUvm::new(&SystemSpec::a100_pm9a3(4), &presets::opt_30b())
+            .unwrap()
+            .with_sim_layers(0);
+        assert_eq!(
+            ds.run_decode(4, 16 * 1024, 4).unwrap_err(),
+            BaselineError::InvalidJob { field: "sim_layers" }
+        );
     }
 
     #[test]

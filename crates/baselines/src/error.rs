@@ -31,6 +31,11 @@ pub enum BaselineError {
         /// Bytes available per GPU.
         available: u64,
     },
+    /// A job parameter is out of range (e.g. zero simulated layers).
+    InvalidJob {
+        /// The offending parameter.
+        field: &'static str,
+    },
     /// A platform build failure.
     Platform(String),
     /// A wrapped simulation error.
@@ -50,6 +55,7 @@ impl fmt::Display for BaselineError {
             BaselineError::GpuOom { needed, available } => {
                 write!(f, "GPU OOM: need {needed} bytes per GPU, have {available}")
             }
+            BaselineError::InvalidJob { field } => write!(f, "job size `{field}` must be positive"),
             BaselineError::Platform(e) => write!(f, "platform error: {e}"),
             BaselineError::Sim(e) => write!(f, "simulation error: {e}"),
         }

@@ -14,7 +14,8 @@ use hilos_accel::{attention_streaming_f16, MatrixF16, MatrixF32};
 use hilos_core::{load_weights, weight_source, RunReport};
 use hilos_llm::ModelConfig;
 use hilos_platform::{BuiltSystem, StorageConfig, SystemSpec};
-use hilos_sim::{execute, TaskGraph, TaskId};
+use hilos_sim::{execute, Label, TaskGraph, TaskId};
+use std::iter::once;
 
 /// Where the baseline keeps the KV cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,11 +106,20 @@ impl FlexGenSystem {
         })
     }
 
-    /// Overrides the number of simulated layers (default 8).
+    /// Overrides the number of simulated layers (default 8). Zero layers
+    /// makes every run fail with [`BaselineError::InvalidJob`]
+    /// (`sim_layers`).
     pub fn with_sim_layers(mut self, layers: u32) -> Self {
-        assert!(layers >= 1, "must simulate at least one layer");
         self.sim_layers = layers;
         self
+    }
+
+    /// The factor from the simulated layers to the model's full depth.
+    fn layer_scale(&self) -> Result<f64, BaselineError> {
+        if self.sim_layers == 0 {
+            return Err(BaselineError::InvalidJob { field: "sim_layers" });
+        }
+        Ok(self.model.layers() as f64 / self.sim_layers as f64)
     }
 
     pub(crate) fn with_uvm_kv_bw(mut self, bw: f64) -> Self {
@@ -199,7 +209,6 @@ impl FlexGenSystem {
     }
 
     fn build_decode_step(&self, sys: &BuiltSystem, batch: u32, context: u64) -> TaskGraph {
-        let mut g = TaskGraph::new();
         let m = &self.model;
         let n = sys.devices.len();
         let bs = batch as f64;
@@ -208,60 +217,75 @@ impl FlexGenSystem {
         let page = self.spec.storage.ssd_spec().page_bytes() as f64;
         let source = weight_source(&self.spec, m);
         let fabric = if self.is_chassis() { FABRIC_EFFICIENCY } else { 1.0 };
+        // Per layer: two weight loads, seven GPU/CPU tasks and, with the
+        // KV on the array, a read and a write (two tasks each) per device
+        // plus the read's join.
+        let kv_tasks = if self.kv == KvLocation::SsdArray { 4 * n + 1 } else { 0 };
+        let tasks = self.sim_layers as usize * (2 * source.load_tasks(n) + 7 + kv_tasks);
+        let mut g = TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks);
 
+        let gpu_to_host = sys.topo.route(sys.gpu_node, sys.host_node).expect("route exists");
         let mut prev_w: Option<TaskId> = None;
         let mut prev_layer: Option<TaskId> = None;
+        let mut deps: Vec<TaskId> = Vec::with_capacity(2);
+        let mut parts: Vec<TaskId> = Vec::with_capacity(n);
         for l in 0..self.sim_layers {
             // 1-2: attention weights + QKV projection on the GPU.
             let w_attn = load_weights(
                 &mut g,
                 sys,
                 source,
-                &format!("loadw:attn{l}"),
+                Label::new("loadw:attn").layer(l),
                 m.attn_weight_bytes_per_layer() as f64,
                 prev_w,
             );
-            let mut deps = vec![w_attn];
+            deps.clear();
+            deps.push(w_attn);
             deps.extend(prev_layer);
-            let qkv =
-                g.compute(format!("qkv:l{l}"), bs * m.qkv_flops_per_token_layer(), sys.gpu, &deps);
+            let qkv = g.compute(
+                Label::new("qkv:l").layer(l),
+                bs * m.qkv_flops_per_token_layer(),
+                sys.gpu,
+                &deps,
+            );
             // Fresh activations hop to the host for the CPU attention.
             g.transfer(
-                format!("act:down{l}"),
+                Label::new("act:down").layer(l),
                 bs * m.hidden() as f64 * 2.0,
-                sys.topo.route(sys.gpu_node, sys.host_node).expect("route exists"),
+                &gpu_to_host,
                 &[qkv],
             );
 
             // 3: the KV cache reaches the CPU.
-            let mut atn_deps = vec![qkv];
+            deps.clear();
+            deps.push(qkv);
             match self.kv {
                 KvLocation::HostDram => {}
                 KvLocation::SsdArray => {
-                    let mut parts = Vec::with_capacity(n);
+                    parts.clear();
                     for (d, dev) in sys.devices.iter().enumerate() {
-                        let mut tail = sys.device_to_host_route(d).to_vec();
-                        tail.push(sys.host_dram);
+                        let tail = sys.device_to_host_route(d).iter().chain(once(&sys.host_dram));
                         let bytes = kv_layer_bytes / n as f64 / (HOST_IO_EFFICIENCY * fabric);
                         parts.push(dev.ssd.read_task(
                             &mut g,
-                            &format!("loadkv:l{l}.d{d}"),
+                            Label::new("loadkv:l").layer(l).device(d),
                             bytes,
-                            &tail,
+                            tail,
                             &[],
                         ));
                     }
-                    atn_deps.push(g.milestone(format!("sync:kv{l}"), &parts));
+                    deps.push(g.milestone(Label::new("sync:kv").layer(l), &parts));
                 }
             }
+            let atn_deps = &deps;
 
             // 4: CPU attention — compute in parallel with the DRAM sweep
             // over the KV bytes (memory-bound GEMV).
             let atn_c = g.compute(
-                format!("atn:cpu{l}"),
+                Label::new("atn:cpu").layer(l),
                 bs * m.heads() as f64 * 4.0 * s * m.head_dim() as f64,
                 sys.cpu,
-                &atn_deps,
+                atn_deps,
             );
             // The KV sweep runs at the CPU attention's effective
             // bandwidth (or the UVM fault path's, for DS+UVM), modeled by
@@ -269,12 +293,12 @@ impl FlexGenSystem {
             let sweep_bw = self.uvm_kv_bw.unwrap_or(CPU_ATTENTION_BW).min(CPU_ATTENTION_BW);
             let sweep_bytes = kv_layer_bytes * (self.spec.host.dram_bw / sweep_bw);
             let atn_m =
-                g.transfer(format!("atnmem:l{l}"), sweep_bytes, vec![sys.host_dram], &atn_deps);
-            let atn_done = g.milestone(format!("sync:atn{l}"), &[atn_c, atn_m]);
+                g.transfer(Label::new("atnmem:l").layer(l), sweep_bytes, [sys.host_dram], atn_deps);
+            let atn_done = g.milestone(Label::new("sync:atn").layer(l), &[atn_c, atn_m]);
 
             // Result hops back to the GPU.
             let act_up = g.transfer(
-                format!("act:up{l}"),
+                Label::new("act:up").layer(l),
                 bs * m.hidden() as f64 * 2.0,
                 sys.host_to_gpu_route(),
                 &[atn_done],
@@ -288,7 +312,7 @@ impl FlexGenSystem {
                     let bytes = (payload / page).ceil() * page;
                     let store = dev.ssd.write_task(
                         &mut g,
-                        &format!("storekv:l{l}.d{d}"),
+                        Label::new("storekv:l").layer(l).device(d),
                         bytes,
                         sys.host_to_device_route(d),
                         &[qkv],
@@ -302,13 +326,13 @@ impl FlexGenSystem {
                 &mut g,
                 sys,
                 source,
-                &format!("loadw:mlp{l}"),
+                Label::new("loadw:mlp").layer(l),
                 (m.decode_weight_traffic_bytes(batch) / m.layers() as u64
                     - m.attn_weight_bytes_per_layer()) as f64,
                 Some(w_attn),
             );
             let mlp = g.compute(
-                format!("mlp:l{l}"),
+                Label::new("mlp:l").layer(l),
                 bs * m.mlp_flops_per_token_layer(l),
                 sys.gpu,
                 &[w_mlp, act_up],
@@ -330,10 +354,10 @@ impl FlexGenSystem {
         context: u64,
         output_len: u64,
     ) -> Result<RunReport, BaselineError> {
+        let layer_scale = self.layer_scale()?;
         self.check_capacity(batch, context, output_len)?;
         let mut sys = self.build_world()?;
         let mid_ctx = context + output_len / 2;
-        let layer_scale = self.model.layers() as f64 / self.sim_layers as f64;
         let graph = self.build_decode_step(&sys, batch, mid_ctx);
         let timeline = execute(&mut sys.engine, &graph).map_err(BaselineError::Sim)?;
         let avg = timeline.makespan().as_secs_f64() * layer_scale;
@@ -382,12 +406,15 @@ impl FlexGenSystem {
     ///
     /// Capacity errors or wrapped simulation errors.
     pub fn run_prefill(&self, batch: u32, context: u64) -> Result<f64, BaselineError> {
+        let layer_scale = self.layer_scale()?;
         self.check_capacity(batch, context, 1)?;
         let mut sys = self.build_world()?;
         let m = &self.model;
-        let layer_scale = m.layers() as f64 / self.sim_layers as f64;
         let source = weight_source(&self.spec, m);
-        let mut g = TaskGraph::new();
+        let n = sys.devices.len();
+        let kv_tasks = if self.kv == KvLocation::SsdArray { 2 * n + 1 } else { 1 };
+        let tasks = self.sim_layers as usize * (source.load_tasks(n) + 1 + kv_tasks);
+        let mut g = TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks);
         let per_layer_flops = batch as f64 * m.prefill_flops(context) / m.layers() as f64;
         let kv_layer = batch as f64 * 2.0 * context as f64 * m.kv_dim() as f64 * 2.0;
         let mut prev_w: Option<TaskId> = None;
@@ -397,7 +424,7 @@ impl FlexGenSystem {
                 &mut g,
                 &sys,
                 source,
-                &format!("loadw:pf{l}"),
+                Label::new("loadw:pf").layer(l),
                 (m.attn_weight_bytes_per_layer()
                     + m.decode_weight_traffic_bytes(batch) / m.layers() as u64)
                     as f64,
@@ -405,26 +432,25 @@ impl FlexGenSystem {
             );
             let mut deps = vec![w];
             deps.extend(prev_layer);
-            let c = g.compute(format!("prefill:l{l}"), per_layer_flops, sys.gpu, &deps);
+            let c = g.compute(Label::new("prefill:l").layer(l), per_layer_flops, sys.gpu, &deps);
             let done = match self.kv {
                 KvLocation::HostDram => {
                     let mut route = sys.topo.route(sys.gpu_node, sys.host_node).unwrap();
                     route.push(sys.host_dram);
-                    g.transfer(format!("writekv:pf{l}"), kv_layer, route, &[c])
+                    g.transfer(Label::new("writekv:pf").layer(l), kv_layer, route, &[c])
                 }
                 KvLocation::SsdArray => {
-                    let n = sys.devices.len();
-                    let mut parts = Vec::new();
+                    let mut parts = Vec::with_capacity(n);
                     for (d, dev) in sys.devices.iter().enumerate() {
                         parts.push(dev.ssd.write_task(
                             &mut g,
-                            &format!("writekv:pf{l}.d{d}"),
+                            Label::new("writekv:pf").layer(l).device(d),
                             kv_layer / n as f64,
                             sys.gpu_to_device_route(d),
                             &[c],
                         ));
                     }
-                    g.milestone(format!("sync:pf{l}"), &parts)
+                    g.milestone(Label::new("sync:pf").layer(l), &parts)
                 }
             };
             prev_layer = Some(done);
@@ -528,6 +554,39 @@ mod tests {
         .unwrap();
         let ratio = jbof.tokens_per_second() / four.tokens_per_second();
         assert!((0.55..1.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn decode_graph_labels_render_the_pinned_text() {
+        use std::fmt::Write as _;
+        // KV on the array and in DRAM, weights from DRAM (66B) and from
+        // storage (175B), on four PM9A3 and on the FPGA-less chassis.
+        let mut text = String::new();
+        for spec in [SystemSpec::a100_pm9a3(4), SystemSpec::a100_chassis_no_fpga(16)] {
+            for model in [presets::opt_66b(), presets::opt_175b()] {
+                for kv in [KvLocation::SsdArray, KvLocation::HostDram] {
+                    let f = FlexGenSystem::new(&spec, &model, kv).unwrap().with_sim_layers(2);
+                    let sys = f.build_world().unwrap();
+                    for (_, task) in f.build_decode_step(&sys, 4, 8 * 1024).iter() {
+                        writeln!(text, "{}", task.label()).unwrap();
+                    }
+                }
+            }
+        }
+        let fnv = text
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(fnv, 0x00e4_72e8_d19f_efb1, "label text moved:\n{text}");
+    }
+
+    #[test]
+    fn zero_sim_layers_is_an_error_not_a_panic() {
+        let expect = BaselineError::InvalidJob { field: "sim_layers" };
+        for f in [flex_ssd(), flex_dram()] {
+            let f = f.with_sim_layers(0);
+            assert_eq!(f.run_prefill(2, 16 * 1024).unwrap_err(), expect);
+            assert_eq!(f.run_decode(2, 16 * 1024, 4).unwrap_err(), expect);
+        }
     }
 
     #[test]

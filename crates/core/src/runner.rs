@@ -299,11 +299,10 @@ impl HilosSystem {
     /// `factor` (e.g. 0.5 halves it). HILOS partitions the KV cache
     /// statically, so a slow device gates every step — an availability
     /// sensitivity the `repro straggler` extension quantifies. An `index`
-    /// at or beyond the configured device count makes every capacity
-    /// check, α selection, run and serving engine fail with the same
-    /// [`CoreError::Platform`].
+    /// at or beyond the configured device count, or a `factor` that is not
+    /// finite and positive, makes every capacity check, α selection, run
+    /// and serving engine fail with the same [`CoreError::Platform`].
     pub fn with_degraded_device(mut self, index: usize, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "factor must be positive");
         self.degradations.push((index, factor));
         self
     }
@@ -612,6 +611,22 @@ mod tests {
             let n = config.n_devices();
             let expect = CoreError::Platform(format!(
                 "degraded device {index} is out of range for {n} devices"
+            ));
+            assert_eq!(sys.check_capacity(&BatchSpec::new(8, 4096, 4)).unwrap_err(), expect);
+            assert_eq!(sys.select_alpha(8, 4096).unwrap_err(), expect);
+            assert_eq!(sys.run_prefill(8, 4096).unwrap_err(), expect);
+            assert_eq!(sys.run_decode(8, 4096, 4).unwrap_err(), expect);
+            let err = crate::ServeEngine::new(sys, crate::ServeConfig::new(8)).unwrap_err();
+            assert_eq!(err, expect);
+        }
+    }
+
+    #[test]
+    fn invalid_degradation_factor_is_an_error_not_a_panic() {
+        for factor in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let sys = hilos(4).with_sim_layers(1).with_degraded_device(2, factor);
+            let expect = CoreError::Platform(format!(
+                "degraded device 2 has bandwidth factor {factor}, not finite and positive"
             ));
             assert_eq!(sys.check_capacity(&BatchSpec::new(8, 4096, 4)).unwrap_err(), expect);
             assert_eq!(sys.select_alpha(8, 4096).unwrap_err(), expect);

@@ -22,8 +22,7 @@
 use crate::config::HilosConfig;
 use hilos_llm::ModelConfig;
 use hilos_platform::{BuiltSystem, SystemSpec};
-use hilos_sim::{TaskGraph, TaskId};
-use std::fmt;
+use hilos_sim::{Label, TaskGraph, TaskId};
 use std::iter::once;
 
 /// Calibrated efficiency of GPUDirect Storage reads relative to raw link
@@ -47,6 +46,17 @@ pub enum WeightSource {
     Storage,
 }
 
+impl WeightSource {
+    /// Tasks one [`load_weights`] call from this source appends on a
+    /// system with `devices` storage devices.
+    pub fn load_tasks(self, devices: usize) -> usize {
+        match self {
+            WeightSource::HostDram => 1,
+            WeightSource::Storage => devices + 1,
+        }
+    }
+}
+
 /// Decides where weights live: host DRAM if they fit beside a 32 GiB
 /// working-set reserve, otherwise storage. Following §6.1, models above
 /// 100 B parameters (200 GB at FP16) are always placed on storage — DRAM
@@ -65,12 +75,14 @@ pub fn weight_source(spec: &SystemSpec, model: &ModelConfig) -> WeightSource {
 
 /// Appends a weight transfer of `bytes` to the GPU and returns the task
 /// that gates dependent compute. Chained on `prev` to model a depth-1
-/// prefetch stream.
+/// prefetch stream. Weights on storage load as one transfer per device,
+/// labelled `label` on that device, joined by a milestone labelled `label`
+/// with the tail `".done"`.
 pub fn load_weights(
     graph: &mut TaskGraph,
     sys: &BuiltSystem,
     source: WeightSource,
-    label: impl fmt::Display + Copy,
+    label: Label,
     bytes: f64,
     prev: Option<TaskId>,
 ) -> TaskId {
@@ -87,12 +99,20 @@ pub fn load_weights(
                 .map(|d| {
                     let read = sys.devices[d].ssd.read_resource();
                     let route = once(&read).chain(sys.device_to_gpu_route(d));
-                    graph.transfer(format_args!("{label}.d{d}"), per, route, deps)
+                    graph.transfer(label.device(d), per, route, deps)
                 })
                 .collect();
-            graph.milestone(format_args!("{label}.done"), &parts)
+            graph.milestone(label.tail(".done"), &parts)
         }
     }
+}
+
+/// An empty graph sized for `tasks` tasks. A task here has at most two
+/// dependencies but for the few milestones that join a layer's devices,
+/// and crosses at most four links on average, so the dependency and route
+/// arenas get room for two and four per task.
+fn graph_for(tasks: usize) -> TaskGraph {
+    TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks)
 }
 
 /// Parameters of one simulated decoding step.
@@ -132,7 +152,6 @@ pub fn build_hilos_decode_step(
     config: &HilosConfig,
     step: &DecodeStepSpec,
 ) -> TaskGraph {
-    let mut g = TaskGraph::new();
     let n = sys.devices.len();
     let bs = step.batch as f64;
     let s = step.context as f64;
@@ -143,6 +162,15 @@ pub fn build_hilos_decode_step(
     let alpha = step.alpha;
     let wb = config.delayed_writeback();
     let source = weight_source(&sys.spec, model);
+
+    // Tasks per layer, branch by branch as built below.
+    let gathers = if alpha < 1.0 { n } else { 0 };
+    let ans = gathers * if wb { 5 } else { 8 };
+    let tail = if wb && step.buffered_tokens > 0 { n + 1 } else { 0 };
+    let xcache = if alpha > 0.0 { n + 3 } else { 0 };
+    let spills = if wb && step.spill_now { 2 * n } else { 0 };
+    let layer_tasks = 2 * source.load_tasks(n) + 3 + ans + tail + xcache + spills;
+    let mut g = graph_for(step.sim_layers as usize * layer_tasks);
 
     // Per-layer byte/FLOP quantities.
     let s_stored = (s - step.buffered_tokens as f64).max(0.0);
@@ -155,18 +183,10 @@ pub fn build_hilos_decode_step(
     let gather_bytes = (1.0 - alpha) * bs * h * 2.0;
     let page = sys.spec.storage.ssd_spec().page_bytes() as f64;
 
-    // Each device reads its KV shard over its internal P2P path into the
-    // accelerator's DRAM.
-    let internal_routes: Vec<Vec<_>> = sys
-        .devices
-        .iter()
-        .map(|dev| dev.internal_path.into_iter().chain(dev.fpga_dram).collect())
-        .collect();
-
     let mut prev_w: Option<TaskId> = None;
     let mut prev_layer: Option<TaskId> = None;
-    let mut deps: Vec<TaskId> = Vec::new();
-    let mut atn_parts: Vec<TaskId> = Vec::new();
+    let mut deps: Vec<TaskId> = Vec::with_capacity(2);
+    let mut atn_parts: Vec<TaskId> = Vec::with_capacity(gathers + tail + xcache);
 
     for l in 0..step.sim_layers {
         // -- 1: attention weights --
@@ -174,7 +194,7 @@ pub fn build_hilos_decode_step(
             &mut g,
             sys,
             source,
-            format_args!("loadw:attn{l}"),
+            Label::new("loadw:attn").layer(l),
             model.attn_weight_bytes_per_layer() as f64,
             prev_w,
         );
@@ -182,7 +202,7 @@ pub fn build_hilos_decode_step(
         deps.clear();
         deps.push(w_attn);
         deps.extend(prev_layer);
-        let qkv = g.compute(format_args!("qkv:l{l}"), qkv_flops, sys.gpu, &deps);
+        let qkv = g.compute(Label::new("qkv:l").layer(l), qkv_flops, sys.gpu, &deps);
 
         atn_parts.clear();
 
@@ -190,7 +210,7 @@ pub fn build_hilos_decode_step(
         if alpha < 1.0 {
             for (d, dev) in sys.devices.iter().enumerate() {
                 let scatter = g.transfer(
-                    format_args!("scatter:qkv{l}.d{d}"),
+                    Label::new("scatter:qkv").layer(l).device(d),
                     scatter_bytes / n as f64,
                     sys.gpu_to_device_route(d),
                     &[qkv],
@@ -203,34 +223,36 @@ pub fn build_hilos_decode_step(
                     let entries = ((1.0 - alpha) * bs * model.kv_heads() as f64 / n as f64).ceil();
                     let write = dev.ssd.write_task(
                         &mut g,
-                        format_args!("storekv:l{l}.d{d}"),
+                        Label::new("storekv:l").layer(l).device(d),
                         entries * page, // each 256 B entry programs a page
                         sys.gpu_to_device_route(d),
                         &[qkv],
                     );
                     let rmw = g.delay(
-                        format_args!("storekv:rmw{l}.d{d}"),
+                        Label::new("storekv:rmw").layer(l).device(d),
                         hilos_sim::SimTime::from_secs_f64(entries * SUB_PAGE_WRITE_PENALTY_S),
                         &[write],
                     );
                     deps.push(rmw);
                 }
+                // The device reads its KV shard over its internal P2P path
+                // into the accelerator's DRAM.
                 let read = dev.ssd.read_task(
                     &mut g,
-                    format_args!("loadkv:l{l}.d{d}"),
+                    Label::new("loadkv:l").layer(l).device(d),
                     (1.0 - alpha) * kv_layer_bytes / n as f64,
-                    &internal_routes[d],
+                    dev.internal_path.into_iter().chain(dev.fpga_dram),
                     &deps,
                 );
                 let accel = dev.accel.expect("HILOS requires accelerator-equipped devices");
                 let atn = g.compute(
-                    format_args!("atn:l{l}.d{d}"),
+                    Label::new("atn:l").layer(l).device(d),
                     (1.0 - alpha) * atn_flops_layer / n as f64,
                     accel,
                     &[scatter],
                 );
                 atn_parts.push(g.transfer(
-                    format_args!("gather:out{l}.d{d}"),
+                    Label::new("gather:out").layer(l).device(d),
                     gather_bytes / n as f64,
                     sys.device_to_host_route(d),
                     &[read, atn],
@@ -242,7 +264,7 @@ pub fn build_hilos_decode_step(
         // V rows and score scalars shipped to the devices --
         if wb && step.buffered_tokens > 0 {
             let flops = 2.0 * bs * heads * d_head * step.buffered_tokens as f64 * (1.0 - alpha);
-            let partial = g.compute(format_args!("partial:l{l}"), flops, sys.cpu, &[qkv]);
+            let partial = g.compute(Label::new("partial:l").layer(l), flops, sys.cpu, &[qkv]);
             let tail_bytes = step.buffered_tokens as f64
                 * bs
                 * (1.0 - alpha)
@@ -251,7 +273,7 @@ pub fn build_hilos_decode_step(
             for d in 0..n {
                 let route = once(&sys.host_dram).chain(sys.host_to_device_route(d));
                 atn_parts.push(g.transfer(
-                    format_args!("tailv:l{l}.d{d}"),
+                    Label::new("tailv:l").layer(l).device(d),
                     tail_bytes,
                     route,
                     &[partial],
@@ -267,7 +289,7 @@ pub fn build_hilos_decode_step(
                 let read = dev.ssd.read_resource();
                 let route = once(&read).chain(sys.device_to_gpu_route(d));
                 let lx = g.transfer_capped(
-                    format_args!("loadx:l{l}.d{d}"),
+                    Label::new("loadx:l").layer(l).device(d),
                     alpha * x_layer_bytes / n as f64,
                     route,
                     GDS_EFFICIENCY * dev_link_bw,
@@ -275,11 +297,12 @@ pub fn build_hilos_decode_step(
                 );
                 atn_parts.push(lx);
             }
-            let regen = g.compute(format_args!("regen:l{l}"), regen_flops_layer, sys.gpu, &[qkv]);
+            let regen =
+                g.compute(Label::new("regen:l").layer(l), regen_flops_layer, sys.gpu, &[qkv]);
             let atnx =
-                g.compute(format_args!("atnx:l{l}"), alpha * atn_flops_layer, sys.gpu, &[qkv]);
+                g.compute(Label::new("atnx:l").layer(l), alpha * atn_flops_layer, sys.gpu, &[qkv]);
             let atnx_mem = g.transfer(
-                format_args!("atnxmem:l{l}"),
+                Label::new("atnxmem:l").layer(l),
                 alpha * bs * 3.0 * s * h * 2.0,
                 [sys.gpu_hbm],
                 &[qkv],
@@ -289,20 +312,20 @@ pub fn build_hilos_decode_step(
             atn_parts.push(atnx_mem);
         }
 
-        let atn_done = g.milestone(format_args!("sync:atn{l}"), &atn_parts);
+        let atn_done = g.milestone(Label::new("sync:atn").layer(l), &atn_parts);
 
         // -- 6: MLP --
         let w_mlp = load_weights(
             &mut g,
             sys,
             source,
-            format_args!("loadw:mlp{l}"),
+            Label::new("loadw:mlp").layer(l),
             (model.decode_weight_traffic_bytes(step.batch) / model.layers() as u64
                 - model.attn_weight_bytes_per_layer()) as f64,
             Some(w_attn),
         );
         let mlp = g.compute(
-            format_args!("mlp:l{l}"),
+            Label::new("mlp:l").layer(l),
             bs * model.mlp_flops_per_token_layer(l),
             sys.gpu,
             &[w_mlp, atn_done],
@@ -322,7 +345,7 @@ pub fn build_hilos_decode_step(
             for (d, dev) in sys.devices.iter().enumerate() {
                 let spill = dev.ssd.write_task(
                     &mut g,
-                    format_args!("spill:l{l}.d{d}"),
+                    Label::new("spill:l").layer(l).device(d),
                     pages * page,
                     sys.host_to_device_route(d),
                     &[qkv],
@@ -348,11 +371,11 @@ pub fn build_hilos_prefill(
     alpha: f64,
     sim_layers: u32,
 ) -> TaskGraph {
-    let mut g = TaskGraph::new();
     let n = sys.devices.len();
     let bs = batch as f64;
     let s = context as f64;
     let source = weight_source(&sys.spec, model);
+    let mut g = graph_for(sim_layers as usize * (source.load_tasks(n) + 2 + 2 * n));
     let per_layer_flops = bs * model.prefill_flops(context) / model.layers() as f64;
     let kv_layer_bytes = bs * 2.0 * s * model.kv_dim() as f64 * 2.0;
     let x_layer_bytes = bs * s * model.hidden() as f64 * 2.0;
@@ -360,33 +383,36 @@ pub fn build_hilos_prefill(
 
     let mut prev_w: Option<TaskId> = None;
     let mut prev_layer: Option<TaskId> = None;
+    let mut deps: Vec<TaskId> = Vec::with_capacity(2);
+    let mut writes: Vec<TaskId> = Vec::with_capacity(n);
     for l in 0..sim_layers {
         let w = load_weights(
             &mut g,
             sys,
             source,
-            format_args!("loadw:pf{l}"),
+            Label::new("loadw:pf").layer(l),
             (model.attn_weight_bytes_per_layer()
                 + model.decode_weight_traffic_bytes(batch) / model.layers() as u64)
                 as f64,
             prev_w,
         );
-        let mut deps = vec![w];
+        deps.clear();
+        deps.push(w);
         deps.extend(prev_layer);
-        let compute = g.compute(format_args!("prefill:l{l}"), per_layer_flops, sys.gpu, &deps);
+        let compute = g.compute(Label::new("prefill:l").layer(l), per_layer_flops, sys.gpu, &deps);
         // Row-wise KV/X writes: large and page-aligned, so they run at
         // full sequential bandwidth.
-        let mut writes = Vec::with_capacity(n);
+        writes.clear();
         for (d, dev) in sys.devices.iter().enumerate() {
             writes.push(dev.ssd.write_task(
                 &mut g,
-                format_args!("writekv:pf{l}.d{d}"),
+                Label::new("writekv:pf").layer(l).device(d),
                 write_bytes,
                 sys.gpu_to_device_route(d),
                 &[compute],
             ));
         }
-        let done = g.milestone(format_args!("sync:pf{l}"), &writes);
+        let done = g.milestone(Label::new("sync:pf").layer(l), &writes);
         prev_layer = Some(done);
         prev_w = Some(w);
     }
@@ -522,7 +548,7 @@ mod tests {
                 let spec = kind(n);
                 let last = n - 1;
                 for degradations in [vec![], vec![(last, 0.25)], vec![(last, 0.5), (last, 0.5)]] {
-                    let at = format!("{} {degradations:?}", spec.name);
+                    let at = format!("{} ({n}) {degradations:?}", spec.name);
                     let accel = AccelTimingModel::smartssd(1);
                     let sys = BuiltSystem::build_with_degradations(
                         &spec,
@@ -581,6 +607,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every task label of `graph`, one a line.
+    fn label_text(graph: &TaskGraph) -> String {
+        use std::fmt::Write as _;
+        let mut text = String::new();
+        for (_, task) in graph.iter() {
+            writeln!(text, "{}", task.label()).unwrap();
+        }
+        text
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn step_graph_labels_render_the_pinned_text() {
+        // Quiet, buffered and spill steps with delayed writeback, a step
+        // with it off, weights from DRAM (66B) and from storage (175B),
+        // at 4 and 16 devices, and a prefill graph: every label shape the
+        // builders make.
+        let mut text = String::new();
+        for n in [4, 16] {
+            let sys = built(n, 1);
+            for model in [presets::opt_66b(), presets::opt_175b()] {
+                let steps =
+                    [(0, false, true), (7, false, true), (15, true, true), (0, false, false)];
+                for (buffered_tokens, spill_now, wb) in steps {
+                    let cfg = HilosConfig::new(n).with_writeback(wb);
+                    let step = DecodeStepSpec {
+                        batch: 16,
+                        context: 32 * 1024,
+                        alpha: 0.5,
+                        buffered_tokens,
+                        spill_now,
+                        spill_tokens: 16,
+                        sim_layers: 2,
+                    };
+                    text += &label_text(&build_hilos_decode_step(&sys, &model, &cfg, &step));
+                }
+                text += &label_text(&build_hilos_prefill(&sys, &model, 4, 16 * 1024, 0.5, 2));
+            }
+        }
+        assert_eq!(fnv1a(&text), 0x464f_97b3_50f6_ecbf, "label text moved:\n{text}");
     }
 
     #[test]

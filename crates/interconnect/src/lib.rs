@@ -21,7 +21,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut topo = Topology::new("host");
 //! let sw = topo.add_switch("chassis", topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
-//! let ssd = topo.add_device("smartssd0", sw, LinkSpec::new(PcieGen::Gen3, 4));
+//! let ssd = topo.add_device("smartssd", sw, LinkSpec::new(PcieGen::Gen3, 4));
 //!
 //! let mut eng = FlowEngine::new();
 //! let inst = topo.instantiate(&mut eng);

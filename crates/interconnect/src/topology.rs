@@ -59,7 +59,7 @@ impl Error for TopologyError {}
 
 #[derive(Debug, Clone)]
 struct Node {
-    name: String,
+    name: &'static str,
     kind: NodeKind,
     /// Parent node and the link connecting to it (None for the root).
     parent: Option<(NodeId, LinkSpec)>,
@@ -70,7 +70,8 @@ struct Node {
 ///
 /// Construction is purely structural; call [`Topology::instantiate`] to
 /// materialize each link direction as a bandwidth resource inside a
-/// [`FlowEngine`].
+/// [`FlowEngine`]. Node names are static strings saying what a node is
+/// (`"smartssd"`, `"port"`); which one it is, is its [`NodeId`].
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
@@ -78,14 +79,9 @@ pub struct Topology {
 
 impl Topology {
     /// Creates a topology containing only the host root complex.
-    pub fn new(host_name: impl Into<String>) -> Self {
+    pub fn new(host_name: &'static str) -> Self {
         Topology {
-            nodes: vec![Node {
-                name: host_name.into(),
-                kind: NodeKind::Host,
-                parent: None,
-                depth: 0,
-            }],
+            nodes: vec![Node { name: host_name, kind: NodeKind::Host, parent: None, depth: 0 }],
         }
     }
 
@@ -104,7 +100,13 @@ impl Topology {
         self.nodes.len() <= 1
     }
 
-    fn add_node(&mut self, name: String, kind: NodeKind, parent: NodeId, link: LinkSpec) -> NodeId {
+    fn add_node(
+        &mut self,
+        name: &'static str,
+        kind: NodeKind,
+        parent: NodeId,
+        link: LinkSpec,
+    ) -> NodeId {
         assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
         let depth = self.nodes[parent.index()].depth + 1;
         let id = NodeId(self.nodes.len() as u32);
@@ -117,13 +119,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `parent` does not belong to this topology.
-    pub fn add_switch(
-        &mut self,
-        name: impl Into<String>,
-        parent: NodeId,
-        link: LinkSpec,
-    ) -> NodeId {
-        self.add_node(name.into(), NodeKind::Switch, parent, link)
+    pub fn add_switch(&mut self, name: &'static str, parent: NodeId, link: LinkSpec) -> NodeId {
+        self.add_node(name, NodeKind::Switch, parent, link)
     }
 
     /// Adds an endpoint device under `parent`, connected with `link`.
@@ -131,13 +128,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `parent` does not belong to this topology.
-    pub fn add_device(
-        &mut self,
-        name: impl Into<String>,
-        parent: NodeId,
-        link: LinkSpec,
-    ) -> NodeId {
-        self.add_node(name.into(), NodeKind::Device, parent, link)
+    pub fn add_device(&mut self, name: &'static str, parent: NodeId, link: LinkSpec) -> NodeId {
+        self.add_node(name, NodeKind::Device, parent, link)
     }
 
     /// Name of a node.
@@ -145,8 +137,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this topology.
-    pub fn name(&self, id: NodeId) -> &str {
-        &self.nodes[id.index()].name
+    pub fn name(&self, id: NodeId) -> &'static str {
+        self.nodes[id.index()].name
     }
 
     /// Kind of a node.
@@ -163,65 +155,65 @@ impl Topology {
         self.nodes[id.index()].parent.map(|(_, l)| l)
     }
 
-    /// Registers every link direction as a resource in `engine` and
+    /// Registers every link direction as a resource in `engine` (named
+    /// `"pcie:up"` towards the root and `"pcie:down"` away from it) and
     /// returns the instance used to compute routes.
     pub fn instantiate(&self, engine: &mut FlowEngine) -> TopologyInstance {
-        let mut links = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            match &node.parent {
-                None => links.push(None),
-                Some((parent, link)) => {
-                    let pname = &self.nodes[parent.index()].name;
-                    let up = engine.add_resource(ResourceSpec::new(
-                        format!("pcie:{}->{}:{}", node.name, pname, link),
-                        ResourceKind::Link,
-                        link.bandwidth(),
-                    ));
-                    let down = engine.add_resource(ResourceSpec::new(
-                        format!("pcie:{}->{}:{}", pname, node.name, link),
-                        ResourceKind::Link,
-                        link.bandwidth(),
-                    ));
-                    let _ = i;
-                    links.push(Some(DirectedLinks { up, down }));
-                }
-            }
-        }
-        TopologyInstance { topo: self.clone(), links }
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| RoutedNode {
+                depth: node.depth,
+                uplink: node.parent.map(|(parent, link)| {
+                    let bw = link.bandwidth();
+                    let up =
+                        engine.add_resource(ResourceSpec::new("pcie:up", ResourceKind::Link, bw));
+                    let down =
+                        engine.add_resource(ResourceSpec::new("pcie:down", ResourceKind::Link, bw));
+                    DirectedLinks { parent, up, down }
+                }),
+            })
+            .collect();
+        TopologyInstance { nodes }
     }
 }
 
+/// A non-root node's link to its parent, one resource per direction.
 #[derive(Debug, Clone, Copy)]
 struct DirectedLinks {
+    parent: NodeId,
     /// Towards the root.
     up: ResourceId,
     /// Away from the root.
     down: ResourceId,
 }
 
-/// A [`Topology`] whose links are materialized as engine resources.
+/// What routing needs of one node: its depth and its link to its parent
+/// (`None` for the root).
+#[derive(Debug, Clone, Copy)]
+struct RoutedNode {
+    depth: u32,
+    uplink: Option<DirectedLinks>,
+}
+
+/// A [`Topology`]'s tree, with its links materialized as engine resources:
+/// all that routing reads, so instantiating copies no name.
 #[derive(Debug, Clone)]
 pub struct TopologyInstance {
-    topo: Topology,
-    links: Vec<Option<DirectedLinks>>,
+    nodes: Vec<RoutedNode>,
 }
 
 impl TopologyInstance {
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Resource carrying traffic from `id` towards its parent, or `None`
     /// for the root.
     pub fn uplink_resource(&self, id: NodeId) -> Option<ResourceId> {
-        self.links.get(id.index())?.map(|l| l.up)
+        self.nodes.get(id.index())?.uplink.map(|l| l.up)
     }
 
     /// Resource carrying traffic from the parent towards `id`, or `None`
     /// for the root.
     pub fn downlink_resource(&self, id: NodeId) -> Option<ResourceId> {
-        self.links.get(id.index())?.map(|l| l.down)
+        self.nodes.get(id.index())?.uplink.map(|l| l.down)
     }
 
     /// Computes the ordered list of directed link resources a transfer from
@@ -236,7 +228,24 @@ impl TopologyInstance {
     ///   would model an on-chip copy, which the caller should express as a
     ///   memory-port resource instead).
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<Vec<ResourceId>, TopologyError> {
-        let n = self.topo.nodes.len();
+        let mut route = Vec::new();
+        self.route_into(from, to, &mut route)?;
+        Ok(route)
+    }
+
+    /// [`TopologyInstance::route`], appended to `out` instead of returned
+    /// in a vector of its own (so many routes can share one buffer).
+    ///
+    /// # Errors
+    ///
+    /// As [`TopologyInstance::route`]; `out` is left unchanged.
+    pub fn route_into(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        out: &mut Vec<ResourceId>,
+    ) -> Result<(), TopologyError> {
+        let n = self.nodes.len();
         if from.index() >= n {
             return Err(TopologyError::UnknownNode(from.index()));
         }
@@ -247,30 +256,41 @@ impl TopologyInstance {
             return Err(TopologyError::SameEndpoint(from.index()));
         }
 
-        // Walk both endpoints to the same depth, then in lockstep to the LCA.
-        let mut a = from;
-        let mut b = to;
-        let mut up_path: Vec<ResourceId> = Vec::new();
-        let mut down_path: Vec<ResourceId> = Vec::new();
-
-        let depth = |id: NodeId| self.topo.nodes[id.index()].depth;
+        // Count the hops up from `from` and down to `to` by walking both
+        // endpoints to the same depth, then in lockstep to the LCA; then
+        // append the route (the down hops are met in reverse).
+        let depth = |id: NodeId| self.nodes[id.index()].depth;
+        let link = |id: NodeId| self.nodes[id.index()].uplink.expect("a non-root node has a link");
+        let (mut a, mut b) = (from, to);
+        let (mut up, mut down) = (0, 0);
         while depth(a) > depth(b) {
-            up_path.push(self.links[a.index()].unwrap().up);
-            a = self.topo.nodes[a.index()].parent.unwrap().0;
+            a = link(a).parent;
+            up += 1;
         }
         while depth(b) > depth(a) {
-            down_path.push(self.links[b.index()].unwrap().down);
-            b = self.topo.nodes[b.index()].parent.unwrap().0;
+            b = link(b).parent;
+            down += 1;
         }
         while a != b {
-            up_path.push(self.links[a.index()].unwrap().up);
-            a = self.topo.nodes[a.index()].parent.unwrap().0;
-            down_path.push(self.links[b.index()].unwrap().down);
-            b = self.topo.nodes[b.index()].parent.unwrap().0;
+            a = link(a).parent;
+            b = link(b).parent;
+            up += 1;
+            down += 1;
         }
-        down_path.reverse();
-        up_path.extend(down_path);
-        Ok(up_path)
+        out.reserve(up + down);
+        let mut a = from;
+        for _ in 0..up {
+            out.push(link(a).up);
+            a = link(a).parent;
+        }
+        let start = out.len();
+        let mut b = to;
+        for _ in 0..down {
+            out.push(link(b).down);
+            b = link(b).parent;
+        }
+        out[start..].reverse();
+        Ok(())
     }
 }
 
@@ -364,7 +384,7 @@ mod tests {
         let build = |n: usize| {
             let mut t = Topology::new("host");
             let sw = t.add_switch("sw", t.root(), x16g4());
-            let devs: Vec<_> = (0..n).map(|i| t.add_device(format!("d{i}"), sw, x4g3())).collect();
+            let devs: Vec<_> = (0..n).map(|_| t.add_device("d", sw, x4g3())).collect();
             let mut eng = FlowEngine::new();
             let inst = t.instantiate(&mut eng);
             for d in &devs {

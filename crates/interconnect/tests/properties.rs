@@ -12,9 +12,9 @@ fn random_tree(parents: &[usize]) -> (Topology, Vec<NodeId>) {
     for (i, &p) in parents.iter().enumerate() {
         let parent = nodes[p % nodes.len()];
         let node = if i % 2 == 0 {
-            topo.add_switch(format!("s{i}"), parent, LinkSpec::new(PcieGen::Gen4, 8))
+            topo.add_switch("s", parent, LinkSpec::new(PcieGen::Gen4, 8))
         } else {
-            topo.add_device(format!("d{i}"), parent, LinkSpec::new(PcieGen::Gen3, 4))
+            topo.add_device("d", parent, LinkSpec::new(PcieGen::Gen3, 4))
         };
         nodes.push(node);
     }

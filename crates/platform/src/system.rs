@@ -16,6 +16,7 @@ use hilos_storage::{KvShardLedger, NandGeometry, ShardSpec, SsdInstance, SsdSpec
 use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
+use std::iter::once;
 
 /// The storage complex of a system.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,8 +80,9 @@ impl StorageConfig {
 /// A complete machine description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
-    /// Description, used in reports.
-    pub name: String,
+    /// Description of the machine family (GPU and storage kind), used in
+    /// reports; the device count is `storage.device_count()`.
+    pub name: &'static str,
     /// Host platform.
     pub host: HostSpec,
     /// The GPU.
@@ -97,7 +99,7 @@ impl SystemSpec {
     /// The paper's HILOS testbed: A100 + 16-slot SmartSSD chassis.
     pub fn a100_server() -> Self {
         SystemSpec {
-            name: "A100 + SmartSSD chassis".to_string(),
+            name: "A100 + SmartSSD chassis",
             host: HostSpec::xeon_512g(),
             gpu: GpuSpec::a100_40g(),
             storage: StorageConfig::SmartSsdChassis { count: 16, fpga_enabled: true },
@@ -109,7 +111,7 @@ impl SystemSpec {
     /// Same chassis with `count` SmartSSDs.
     pub fn a100_smartssd(count: usize) -> Self {
         let mut s = SystemSpec::a100_server();
-        s.name = format!("A100 + {count} SmartSSDs");
+        s.name = "A100 + SmartSSDs";
         s.storage = StorageConfig::SmartSsdChassis { count, fpga_enabled: true };
         s
     }
@@ -117,7 +119,7 @@ impl SystemSpec {
     /// H100 variant of the HILOS testbed (Fig. 16a).
     pub fn h100_smartssd(count: usize) -> Self {
         let mut s = SystemSpec::a100_smartssd(count);
-        s.name = format!("H100 + {count} SmartSSDs");
+        s.name = "H100 + SmartSSDs";
         s.gpu = GpuSpec::h100_80g();
         s
     }
@@ -125,7 +127,7 @@ impl SystemSpec {
     /// The FLEX(SSD) baseline: A100 + four PM9A3 on dedicated root ports.
     pub fn a100_pm9a3(count: usize) -> Self {
         SystemSpec {
-            name: format!("A100 + {count} PM9A3"),
+            name: "A100 + PM9A3",
             host: HostSpec::xeon_512g(),
             gpu: GpuSpec::a100_40g(),
             storage: StorageConfig::ConventionalSsds {
@@ -141,7 +143,7 @@ impl SystemSpec {
     /// H100 variant of the conventional-SSD baseline.
     pub fn h100_pm9a3(count: usize) -> Self {
         let mut s = SystemSpec::a100_pm9a3(count);
-        s.name = format!("H100 + {count} PM9A3");
+        s.name = "H100 + PM9A3";
         s.gpu = GpuSpec::h100_80g();
         s
     }
@@ -150,7 +152,7 @@ impl SystemSpec {
     /// FPGAs disabled.
     pub fn a100_chassis_no_fpga(count: usize) -> Self {
         let mut s = SystemSpec::a100_smartssd(count);
-        s.name = format!("A100 + {count} SmartSSDs (FPGA off)");
+        s.name = "A100 + SmartSSDs (FPGA off)";
         s.storage = StorageConfig::SmartSsdChassis { count, fpga_enabled: false };
         s
     }
@@ -158,7 +160,7 @@ impl SystemSpec {
     /// The envisioned ISP-CSD system of §7.1.
     pub fn a100_isp(count: usize) -> Self {
         SystemSpec {
-            name: format!("A100 + {count} ISP-CSD"),
+            name: "A100 + ISP-CSD",
             host: HostSpec::xeon_512g(),
             gpu: GpuSpec::a100_40g(),
             storage: StorageConfig::IspCsd { count },
@@ -210,15 +212,23 @@ impl SystemSpec {
     /// # Errors
     ///
     /// [`SystemError::NoStorageDevices`] for an empty storage config;
-    /// [`SystemError::DegradedDeviceOutOfRange`] if an entry names a
-    /// device index the storage configuration does not have.
+    /// for the first entry that names a device index the storage
+    /// configuration does not have,
+    /// [`SystemError::DegradedDeviceOutOfRange`], or that scales by a
+    /// factor that is not finite and positive,
+    /// [`SystemError::InvalidDegradation`].
     pub fn device_specs(&self, degradations: &[(usize, f64)]) -> Result<Vec<SsdSpec>, SystemError> {
         let devices = self.storage.device_count();
         if devices == 0 {
             return Err(SystemError::NoStorageDevices);
         }
-        if let Some(&(index, _)) = degradations.iter().find(|&&(i, _)| i >= devices) {
-            return Err(SystemError::DegradedDeviceOutOfRange { index, devices });
+        for &(index, factor) in degradations {
+            if index >= devices {
+                return Err(SystemError::DegradedDeviceOutOfRange { index, devices });
+            }
+            if !(factor.is_finite() && factor > 0.0) {
+                return Err(SystemError::InvalidDegradation { index, factor });
+            }
         }
         let healthy = self.storage.ssd_spec();
         Ok((0..devices)
@@ -263,6 +273,14 @@ pub enum SystemError {
         /// Devices in the storage configuration.
         devices: usize,
     },
+    /// A degradation scales a device's bandwidth by a factor that is not
+    /// finite and positive.
+    InvalidDegradation {
+        /// The device index the degradation names.
+        index: usize,
+        /// The rejected factor.
+        factor: f64,
+    },
 }
 
 impl fmt::Display for SystemError {
@@ -271,6 +289,9 @@ impl fmt::Display for SystemError {
             SystemError::NoStorageDevices => write!(f, "system needs at least one storage device"),
             SystemError::DegradedDeviceOutOfRange { index, devices } => {
                 write!(f, "degraded device {index} is out of range for {devices} devices")
+            }
+            SystemError::InvalidDegradation { index, factor } => {
+                write!(f, "degraded device {index} has bandwidth factor {factor}, not finite and positive")
             }
         }
     }
@@ -294,20 +315,28 @@ pub struct DeviceResources {
     pub internal_path: Option<ResourceId>,
 }
 
-/// The routes between the host, the GPU and one storage device.
-#[derive(Debug)]
-struct DeviceRoutes {
-    to_host: Vec<ResourceId>,
-    from_host: Vec<ResourceId>,
-    to_gpu: Vec<ResourceId>,
-    from_gpu: Vec<ResourceId>,
-}
-
-/// Every route the step builders ask for, walked once from the topology.
+/// Every route the step builders ask for, walked once from the topology
+/// into one buffer: host → GPU first, then for each device its routes to
+/// the host, from the host, to the GPU and from the GPU. Route `i` is
+/// `hops[ends[i - 1]..ends[i]]` (the first starts at 0).
 #[derive(Debug)]
 struct Routes {
-    host_to_gpu: Vec<ResourceId>,
-    devices: Vec<DeviceRoutes>,
+    hops: Vec<ResourceId>,
+    ends: Vec<u32>,
+}
+
+impl Routes {
+    /// Route `i` in the order above.
+    fn get(&self, i: usize) -> &[ResourceId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.hops[start..self.ends[i] as usize]
+    }
+
+    /// A device's route of the given kind: 0 to the host, 1 from the
+    /// host, 2 to the GPU, 3 from the GPU.
+    fn device(&self, device: usize, kind: usize) -> &[ResourceId] {
+        self.get(1 + 4 * device + kind)
+    }
 }
 
 /// A [`SystemSpec`] materialized into a [`FlowEngine`].
@@ -382,7 +411,7 @@ impl BuiltSystem {
             spec.host.cpu_flops,
         ));
         let gpu = engine.add_resource(ResourceSpec::new(
-            format!("gpu:{}", spec.gpu.name),
+            "gpu:compute",
             ResourceKind::Compute,
             spec.gpu.fp16_flops,
         ));
@@ -395,11 +424,11 @@ impl BuiltSystem {
         // PCIe topology.
         let mut topo = Topology::new("host");
         let gpu_node = topo.add_device("gpu", topo.root(), spec.gpu.link);
-        let mut device_nodes = Vec::new();
+        let mut device_nodes = Vec::with_capacity(device_specs.len());
         match &spec.storage {
             StorageConfig::ConventionalSsds { count, link, .. } => {
-                for i in 0..*count {
-                    device_nodes.push(topo.add_device(format!("ssd{i}"), topo.root(), *link));
+                for _ in 0..*count {
+                    device_nodes.push(topo.add_device("ssd", topo.root(), *link));
                 }
             }
             StorageConfig::SmartSsdChassis { count, .. } => {
@@ -408,16 +437,12 @@ impl BuiltSystem {
                     topo.add_switch("chassis", topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
                 let ports = count.div_ceil(2);
                 for p in 0..ports {
-                    let port = topo.add_switch(
-                        format!("port{p}"),
-                        chassis,
-                        LinkSpec::new(PcieGen::Gen4, 8),
-                    );
+                    let port = topo.add_switch("port", chassis, LinkSpec::new(PcieGen::Gen4, 8));
                     for d in 0..2 {
                         let idx = p * 2 + d;
                         if idx < *count {
                             device_nodes.push(topo.add_device(
-                                format!("smartssd{idx}"),
+                                "smartssd",
                                 port,
                                 LinkSpec::new(PcieGen::Gen3, 4),
                             ));
@@ -426,9 +451,9 @@ impl BuiltSystem {
                 }
             }
             StorageConfig::IspCsd { count } => {
-                for i in 0..*count {
+                for _ in 0..*count {
                     device_nodes.push(topo.add_device(
-                        format!("isp{i}"),
+                        "isp",
                         topo.root(),
                         LinkSpec::new(PcieGen::Gen4, 4),
                     ));
@@ -440,12 +465,12 @@ impl BuiltSystem {
 
         // Storage devices and their internals.
         let with_accel = spec.storage.has_accelerators();
-        let mut devices = Vec::new();
-        for (i, (node, dev_spec)) in device_nodes.iter().zip(device_specs).enumerate() {
+        let mut devices = Vec::with_capacity(device_nodes.len());
+        for (node, dev_spec) in device_nodes.iter().zip(device_specs) {
             let ssd = SsdInstance::new(&dev_spec, &mut engine);
             let (fpga_dram, accel, internal_path) = if with_accel {
                 let dram = engine.add_resource(ResourceSpec::new(
-                    format!("accel{i}:dram"),
+                    "accel:dram",
                     ResourceKind::Memory,
                     match spec.storage {
                         StorageConfig::IspCsd { .. } => 68e9, // LPDDR5X (§7.1)
@@ -455,12 +480,12 @@ impl BuiltSystem {
                 let model = accel_model.copied().unwrap_or_else(|| AccelTimingModel::smartssd(1));
                 let flops = model.sustained_gflops(head_dim) * 1e9;
                 let comp = engine.add_resource(ResourceSpec::new(
-                    format!("accel{i}:compute"),
+                    "accel:compute",
                     ResourceKind::Compute,
                     flops,
                 ));
                 let internal = engine.add_resource(ResourceSpec::new(
-                    format!("accel{i}:p2p"),
+                    "accel:p2p",
                     ResourceKind::Link,
                     match spec.storage {
                         // §7.1: eight 2,000 MT/s flash channels, 16 GB/s.
@@ -495,20 +520,20 @@ impl BuiltSystem {
 
     fn routes(&self) -> &Routes {
         self.routes.get_or_init(|| {
-            let route = |from, to| self.topo.route(from, to).expect("route exists");
-            Routes {
-                host_to_gpu: route(self.host_node, self.gpu_node),
-                devices: self
-                    .devices
+            let (host, gpu) = (self.host_node, self.gpu_node);
+            let pairs = once((host, gpu)).chain(
+                self.devices
                     .iter()
-                    .map(|d| DeviceRoutes {
-                        to_host: route(d.node, self.host_node),
-                        from_host: route(self.host_node, d.node),
-                        to_gpu: route(d.node, self.gpu_node),
-                        from_gpu: route(self.gpu_node, d.node),
-                    })
-                    .collect(),
+                    .flat_map(|d| [(d.node, host), (host, d.node), (d.node, gpu), (gpu, d.node)]),
+            );
+            let count = 1 + 4 * self.devices.len();
+            let mut routes =
+                Routes { hops: Vec::with_capacity(4 * count), ends: Vec::with_capacity(count) };
+            for (from, to) in pairs {
+                self.topo.route_into(from, to, &mut routes.hops).expect("route exists");
+                routes.ends.push(routes.hops.len() as u32);
             }
+            routes
         })
     }
 
@@ -517,27 +542,27 @@ impl BuiltSystem {
     /// All routes are walked from the topology once, on the first route
     /// query, and served from that table afterwards.
     pub fn device_to_host_route(&self, device: usize) -> &[ResourceId] {
-        &self.routes().devices[device].to_host
+        self.routes().device(device, 0)
     }
 
     /// Route from the host to a storage device.
     pub fn host_to_device_route(&self, device: usize) -> &[ResourceId] {
-        &self.routes().devices[device].from_host
+        self.routes().device(device, 1)
     }
 
     /// Route from a device directly to the GPU (GPUDirect Storage / P2P).
     pub fn device_to_gpu_route(&self, device: usize) -> &[ResourceId] {
-        &self.routes().devices[device].to_gpu
+        self.routes().device(device, 2)
     }
 
     /// Route from the host to the GPU.
     pub fn host_to_gpu_route(&self) -> &[ResourceId] {
-        &self.routes().host_to_gpu
+        self.routes().get(0)
     }
 
     /// Route from the GPU to a device (e.g. scattering fresh Q/K/V).
     pub fn gpu_to_device_route(&self, device: usize) -> &[ResourceId] {
-        &self.routes().devices[device].from_gpu
+        self.routes().device(device, 3)
     }
 }
 
@@ -585,6 +610,23 @@ mod tests {
         assert_eq!(
             BuiltSystem::build(&spec, None, 128).unwrap_err(),
             SystemError::NoStorageDevices
+        );
+    }
+
+    #[test]
+    fn degradation_factors_must_be_finite_and_positive() {
+        let spec = SystemSpec::a100_smartssd(4);
+        for factor in [0.0, -1.0, f64::INFINITY] {
+            let expect = SystemError::InvalidDegradation { index: 3, factor };
+            assert_eq!(spec.device_specs(&[(1, 0.5), (3, factor)]).unwrap_err(), expect);
+            assert_eq!(
+                BuiltSystem::build_with_degradations(&spec, None, 128, &[(3, factor)]).unwrap_err(),
+                expect
+            );
+        }
+        let nan = spec.kv_ledger(&[(0, f64::NAN)]).unwrap_err();
+        assert!(
+            matches!(nan, SystemError::InvalidDegradation { index: 0, factor } if factor.is_nan())
         );
     }
 

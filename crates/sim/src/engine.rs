@@ -15,7 +15,9 @@
 //! each filling round costing O(unfrozen jobs × route length + loaded
 //! resources); idle resources are never scanned, and the working vectors
 //! are kept between calls, so neither a recompute nor an advance
-//! allocates once the engine has seen its peak job count. Pure time
+//! allocates once the engine has seen its peak job count. Routes live in
+//! one engine-owned buffer, so a submit allocates only at a new peak too.
+//! Observed time is one engine-wide sum, not a per-resource one. Pure time
 //! advances keep rates, so each job stores its absolute completion
 //! prediction, refreshed only when its rate changes, and the next
 //! completion is the minimum over the stored predictions;
@@ -56,10 +58,11 @@ fn completion_eps(demand: f64) -> f64 {
 }
 
 /// One job slot. Slots are recycled (LIFO) once their job completes or is
-/// cancelled. A retired job's route is freed at once: route buffers kept
-/// for the next occupant are small long-lived blocks amid each step's
-/// short-lived allocations, and they fragmented the heap enough to raise
-/// a 32-engine fleet's peak RSS by ~2%.
+/// cancelled. The job's route is not stored here but in the engine's
+/// [`Routes`] buffer, at the slot's row, so neither a submit nor a retire
+/// allocates or frees a block of its own (route blocks kept per slot for
+/// the next occupant fragmented the heap amid each step's short-lived
+/// allocations, raising a 32-engine fleet's peak RSS by ~2%).
 #[derive(Debug, Clone)]
 struct JobState {
     live: bool,
@@ -67,7 +70,8 @@ struct JobState {
     /// [`completion_eps`] of the job's demand, fixed at submission.
     eps: f64,
     remaining: f64,
-    route: Vec<ResourceId>,
+    /// Length of the job's route in [`Routes`].
+    hops: u32,
     rate_cap: Option<f64>,
     rate: f64,
     /// Predicted absolute completion instant under the current rate, or
@@ -75,6 +79,51 @@ struct JobState {
     /// rate is unchanged: progress is linear, so an absolute prediction
     /// survives pure time advances without recomputation.
     pred: Option<SimTime>,
+}
+
+/// Every job's route, in one buffer: slot `s` owns the row
+/// `hops[s * stride..(s + 1) * stride]` and its job's route is the row's
+/// first [`JobState::hops`] entries. A route longer than any before widens
+/// every row once; otherwise the buffer grows only with the slot count.
+#[derive(Debug, Default)]
+struct Routes {
+    hops: Vec<ResourceId>,
+    stride: usize,
+}
+
+impl Routes {
+    /// The route of the job in `slot`, `len` hops long.
+    fn of(&self, slot: u32, len: u32) -> &[ResourceId] {
+        let start = slot as usize * self.stride;
+        &self.hops[start..start + len as usize]
+    }
+
+    /// Stores `route` in `slot`'s row, first giving every row room for it
+    /// (keeping the live jobs' routes) and the buffer a row per slot.
+    fn store(&mut self, jobs: &[JobState], slot: u32, route: &[ResourceId]) {
+        if route.len() > self.stride {
+            let stride = route.len();
+            let mut hops = vec![ResourceId(0); jobs.len() * stride];
+            for (s, job) in jobs.iter().enumerate().filter(|(_, j)| j.live) {
+                let len = job.hops as usize;
+                hops[s * stride..s * stride + len].copy_from_slice(self.of(s as u32, job.hops));
+            }
+            self.hops = hops;
+            self.stride = stride;
+        }
+        self.hops.resize(jobs.len() * self.stride, ResourceId(0));
+        let start = slot as usize * self.stride;
+        self.hops[start..start + route.len()].copy_from_slice(route);
+    }
+}
+
+/// What the engine accumulates for one resource. Its observed time is the
+/// engine-wide sum minus the sum when the resource was registered.
+#[derive(Debug, Clone, Copy)]
+struct Served {
+    units: f64,
+    busy_seconds: f64,
+    observed_at_registration: f64,
 }
 
 /// Working memory of the rate computation, sized on first use and kept
@@ -127,8 +176,11 @@ struct Scratch {
 #[derive(Debug, Default)]
 pub struct FlowEngine {
     specs: Vec<ResourceSpec>,
-    stats: Vec<ResourceStats>,
+    served: Vec<Served>,
+    /// Simulated seconds advanced through since the engine was created.
+    observed: f64,
     jobs: Vec<JobState>,
+    routes: Routes,
     free_slots: Vec<u32>,
     /// Slots of the jobs in flight, ascending: the slot order every
     /// per-job pass follows.
@@ -159,7 +211,11 @@ impl FlowEngine {
     pub fn add_resource(&mut self, spec: ResourceSpec) -> ResourceId {
         let id = ResourceId(self.specs.len() as u32);
         self.specs.push(spec);
-        self.stats.push(ResourceStats::default());
+        self.served.push(Served {
+            units: 0.0,
+            busy_seconds: 0.0,
+            observed_at_registration: self.observed,
+        });
         id
     }
 
@@ -172,18 +228,23 @@ impl FlowEngine {
         &self.specs[id.index()]
     }
 
-    /// Cumulative statistics of a resource since engine creation.
+    /// Cumulative statistics of a resource since its registration.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this engine.
     pub fn stats(&self, id: ResourceId) -> ResourceStats {
-        self.stats[id.index()]
+        let served = &self.served[id.index()];
+        ResourceStats {
+            units_served: served.units,
+            busy_seconds: served.busy_seconds,
+            observed_seconds: self.observed - served.observed_at_registration,
+        }
     }
 
     /// Snapshot of all resource statistics, indexed by resource index.
     pub fn stats_snapshot(&self) -> Vec<ResourceStats> {
-        self.stats.clone()
+        (0..self.specs.len() as u32).map(|r| self.stats(ResourceId(r))).collect()
     }
 
     /// The live job in `id`'s slot, if `id` still names it.
@@ -236,7 +297,7 @@ impl FlowEngine {
                     seq,
                     eps: 0.0,
                     remaining: 0.0,
-                    route: Vec::new(),
+                    hops: 0,
                     rate_cap: None,
                     rate: 0.0,
                     pred: None,
@@ -244,12 +305,13 @@ impl FlowEngine {
                 (self.jobs.len() - 1) as u32
             }
         };
+        self.routes.store(&self.jobs, slot, route);
         let job = &mut self.jobs[slot as usize];
         job.live = true;
         job.seq = seq;
         job.eps = completion_eps(amount);
         job.remaining = amount;
-        job.route = route.to_vec();
+        job.hops = route.len() as u32;
         job.rate_cap = rate_cap;
         job.rate = 0.0;
         job.pred = None;
@@ -261,9 +323,7 @@ impl FlowEngine {
 
     /// Takes a completed or cancelled job out of flight.
     fn retire(&mut self, slot: u32) {
-        let job = &mut self.jobs[slot as usize];
-        job.live = false;
-        job.route = Vec::new();
+        self.jobs[slot as usize].live = false;
         self.free_slots.push(slot);
         let at = self.active.partition_point(|&s| s < slot);
         self.active.remove(at);
@@ -296,11 +356,15 @@ impl FlowEngine {
         self.rates_dirty = false;
         let n_res = self.specs.len();
         if self.scratch.load.len() < n_res {
+            // Every per-resource vector and list at its full size at once.
             let s = &mut self.scratch;
             s.residual.resize(n_res, 0.0);
             s.load.resize(n_res, 0);
             s.bottleneck.resize(n_res, false);
             s.allocated.resize(n_res, 0.0);
+            s.in_use.reserve(n_res);
+            s.filling.reserve(n_res);
+            s.fill_share.reserve(n_res);
         }
         self.scratch.old_rates.resize(self.jobs.len(), 0.0);
         let Scratch {
@@ -316,6 +380,7 @@ impl FlowEngine {
             ..
         } = &mut self.scratch;
         let jobs = &mut self.jobs;
+        let routes = &self.routes;
 
         // Load every resource an active job crosses; note each job's old
         // rate (to detect which predictions survive) and the lowest cap.
@@ -328,7 +393,7 @@ impl FlowEngine {
             if let Some(c) = job.rate_cap {
                 min_cap = min_cap.min(c);
             }
-            for r in &job.route {
+            for r in routes.of(i, job.hops) {
                 let r = r.index();
                 if load[r] == 0 {
                     in_use.push(r as u32);
@@ -364,7 +429,7 @@ impl FlowEngine {
                     match job.rate_cap {
                         Some(c) if c <= min_cap + eps => {
                             job.rate = c;
-                            for r in &job.route {
+                            for r in routes.of(i, job.hops) {
                                 let r = r.index();
                                 residual[r] = (residual[r] - c).max(0.0);
                                 load[r] -= 1;
@@ -388,14 +453,15 @@ impl FlowEngine {
                 let mut froze_any = false;
                 for &i in unfrozen.iter() {
                     let job = &mut jobs[i as usize];
-                    if job.route.iter().any(|r| bottleneck[r.index()]) {
+                    let route = routes.of(i, job.hops);
+                    if route.iter().any(|r| bottleneck[r.index()]) {
                         froze_any = true;
                         let rate = match job.rate_cap {
                             Some(c) => c.min(share),
                             None => share,
                         };
                         job.rate = rate;
-                        for r in &job.route {
+                        for r in route {
                             let r = r.index();
                             residual[r] = (residual[r] - rate).max(0.0);
                             load[r] -= 1;
@@ -514,8 +580,9 @@ impl FlowEngine {
             for &r in in_use.iter() {
                 allocated[r as usize] = 0.0;
             }
-            for j in self.active.iter().map(|&slot| &self.jobs[slot as usize]) {
-                for r in &j.route {
+            for &slot in &self.active {
+                let j = &self.jobs[slot as usize];
+                for r in self.routes.of(slot, j.hops) {
                     allocated[r.index()] += j.rate;
                 }
             }
@@ -523,13 +590,11 @@ impl FlowEngine {
                 let r = r as usize;
                 let cap = self.specs[r].capacity();
                 let rate = allocated[r].min(cap);
-                let stats = &mut self.stats[r];
-                stats.units_served += rate * dt;
-                stats.busy_seconds += (rate / cap) * dt;
+                let served = &mut self.served[r];
+                served.units += rate * dt;
+                served.busy_seconds += (rate / cap) * dt;
             }
-            for stats in &mut self.stats {
-                stats.observed_seconds += dt;
-            }
+            self.observed += dt;
         }
 
         // Progress jobs and collect completions.
@@ -712,6 +777,41 @@ mod tests {
         assert!((s.busy_seconds - 0.5).abs() < 1e-9);
         assert!((s.observed_seconds - 1.0).abs() < 1e-9);
         assert!((s.utilization() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_resource_registered_late_observes_time_since_registration() {
+        let mut eng = FlowEngine::new();
+        let early = link(&mut eng, 1e9);
+        eng.submit(&[early], 1e9, None).unwrap();
+        eng.run_to_idle().unwrap();
+        let late = link(&mut eng, 1e9);
+        assert_eq!(eng.stats(late).observed_seconds, 0.0);
+        eng.submit(&[late], 0.5e9, None).unwrap();
+        eng.run_to_idle().unwrap();
+        let (e, l) = (eng.stats(early), eng.stats(late));
+        assert!((e.observed_seconds - 1.5).abs() < 1e-12, "{e:?}");
+        assert!((l.observed_seconds - 0.5).abs() < 1e-12, "{l:?}");
+        assert!((l.utilization() - 1.0).abs() < 1e-9);
+        let snapshot = eng.stats_snapshot();
+        assert_eq!(snapshot, vec![e, l]);
+    }
+
+    #[test]
+    fn a_longer_route_keeps_the_routes_in_flight() {
+        // The second job's route is longer than any before, so every
+        // slot's room widens while the first job is in flight.
+        let mut eng = FlowEngine::new();
+        let links: Vec<ResourceId> = (0..4).map(|_| link(&mut eng, 1e9)).collect();
+        let short = eng.submit(&links[..1], 1e9, None).unwrap();
+        let long = eng.submit(&links, 1e9, None).unwrap();
+        assert!((eng.job_rate(short).unwrap() - 0.5e9).abs() < 1.0);
+        assert!((eng.job_rate(long).unwrap() - 0.5e9).abs() < 1.0);
+        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_secs(2));
+        assert!((eng.stats(links[0]).units_served - 2e9).abs() < 1e3);
+        for &l in &links[1..] {
+            assert!((eng.stats(l).units_served - 1e9).abs() < 1e3);
+        }
     }
 
     #[test]

@@ -260,10 +260,11 @@ pub fn execute(engine: &mut FlowEngine, graph: &TaskGraph) -> Result<Timeline, S
         }
     }
 
-    // Resource deltas over the window.
-    let stats_after = engine.stats_snapshot();
-    let resource_delta =
-        stats_after.iter().zip(stats_before.iter()).map(|(a, b)| a.since(b)).collect();
+    // Resource deltas over the window, written over the opening snapshot.
+    let mut resource_delta = stats_before;
+    for (r, delta) in resource_delta.iter_mut().enumerate() {
+        *delta = engine.stats(ResourceId(r as u32)).since(delta);
+    }
 
     Ok(Timeline { spans, started_at, foreground_end, finished_at, resource_delta })
 }
@@ -277,10 +278,7 @@ mod tests {
         let mut eng = FlowEngine::new();
         let ids = bw
             .iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                eng.add_resource(ResourceSpec::new(format!("r{i}"), ResourceKind::Link, b))
-            })
+            .map(|&b| eng.add_resource(ResourceSpec::new("r", ResourceKind::Link, b)))
             .collect();
         (eng, ids)
     }

@@ -26,8 +26,9 @@
 //! computes, fixed delays and milestones, with *background* tasks that
 //! contend for bandwidth without extending the foreground makespan (used
 //! for the paper's delayed KV-cache writeback). A graph keeps every
-//! task's label, dependencies and route in shared arenas, so building one
-//! allocates per graph, not per task. [`execute`] runs a graph and
+//! task's dependencies and route in shared arenas and its [`Label`]
+//! unformatted in the node, so building one allocates per graph, not per
+//! task, and formats nothing. [`execute`] runs a graph and
 //! returns a [`Timeline`] with per-task spans and per-resource
 //! utilization — the raw material of the paper's breakdown and energy
 //! figures.
@@ -75,6 +76,6 @@ pub use engine::{Completion, FlowEngine, JobId};
 pub use error::SimError;
 pub use executor::{execute, TaskSpan, Timeline};
 pub use resource::{ResourceId, ResourceKind, ResourceSpec, ResourceStats};
-pub use task::{Task, TaskGraph, TaskId, TaskKind};
+pub use task::{Label, Task, TaskGraph, TaskId, TaskKind};
 pub use time::{SimTime, PS_PER_SEC};
 pub use trace::{critical_path, gantt, GanttLane};

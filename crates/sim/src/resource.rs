@@ -57,7 +57,10 @@ impl fmt::Display for ResourceKind {
     }
 }
 
-/// Static description of a resource.
+/// Static description of a resource. The name is a static string saying
+/// what the resource is (`"ssd:read"`, `"pcie:up"`); which device or link
+/// it belongs to is its [`ResourceId`], so registering one formats
+/// nothing.
 ///
 /// # Examples
 ///
@@ -69,7 +72,7 @@ impl fmt::Display for ResourceKind {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceSpec {
-    name: String,
+    name: &'static str,
     kind: ResourceKind,
     capacity: f64,
 }
@@ -84,17 +87,17 @@ impl ResourceSpec {
     ///
     /// Panics if `capacity` is not finite and strictly positive — a
     /// zero-capacity resource would stall every job routed through it.
-    pub fn new(name: impl Into<String>, kind: ResourceKind, capacity: f64) -> Self {
+    pub fn new(name: &'static str, kind: ResourceKind, capacity: f64) -> Self {
         assert!(
             capacity.is_finite() && capacity > 0.0,
             "resource capacity must be finite and positive, got {capacity}"
         );
-        ResourceSpec { name: name.into(), kind, capacity }
+        ResourceSpec { name, kind, capacity }
     }
 
     /// Human-readable name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Classification of this resource.

@@ -3,8 +3,8 @@
 //! A [`TaskGraph`] is a DAG of [`Task`]s. Each task is a transfer (bytes
 //! over a route of links), a compute (FLOPs on one engine), a fixed delay
 //! (command latency, kernel launch) or a zero-cost milestone used as a
-//! synchronization point. Tasks carry a free-form label whose *prefix up to
-//! the first `':'`* is treated as a category for breakdown reporting
+//! synchronization point. Tasks carry a [`Label`] whose head *up to the
+//! first `':'`* is treated as a category for breakdown reporting
 //! (e.g. `"loadw:layer3"` → category `loadw`).
 //!
 //! Tasks marked **background** (e.g. the delayed KV-cache spills of §4.3 of
@@ -14,7 +14,86 @@
 use crate::resource::ResourceId;
 use crate::time::SimTime;
 use std::borrow::Borrow;
-use std::fmt::{self, Write as _};
+use std::fmt;
+
+/// A task's label, kept unformatted: a static head, an optional layer
+/// index, an optional device index and a static tail, rendered as
+/// `{head}{layer}.d{device}{tail}` only when it is read.
+///
+/// # Examples
+///
+/// ```
+/// use hilos_sim::Label;
+///
+/// let read = Label::new("loadkv:l").layer(3).device(7);
+/// assert_eq!(read.to_string(), "loadkv:l3.d7");
+/// assert_eq!(read.tail(".cmd").to_string(), "loadkv:l3.d7.cmd");
+/// assert_eq!(read.category(), "loadkv");
+/// assert_eq!(Label::from("plain").to_string(), "plain");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Label {
+    head: &'static str,
+    layer: Option<u32>,
+    device: Option<u32>,
+    tail: &'static str,
+}
+
+impl Label {
+    /// A label that is just `head`.
+    pub const fn new(head: &'static str) -> Self {
+        Label { head, layer: None, device: None, tail: "" }
+    }
+
+    /// The label with its layer index set (rendered right after the head).
+    pub const fn layer(self, layer: u32) -> Self {
+        Label { layer: Some(layer), ..self }
+    }
+
+    /// The label with its device index set (rendered as `.d{device}`).
+    pub const fn device(self, device: usize) -> Self {
+        Label { device: Some(device as u32), ..self }
+    }
+
+    /// The label with its tail set (rendered last, e.g. `".cmd"`).
+    pub const fn tail(self, tail: &'static str) -> Self {
+        Label { tail, ..self }
+    }
+
+    /// The category: the head up to its first `':'`, or the whole head if
+    /// it contains none.
+    pub fn category(&self) -> &'static str {
+        match self.head.split_once(':') {
+            Some((category, _)) => category,
+            None => self.head,
+        }
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(head: &'static str) -> Self {
+        Label::new(head)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.head)?;
+        if let Some(layer) = self.layer {
+            write!(f, "{layer}")?;
+        }
+        if let Some(device) = self.device {
+            write!(f, ".d{device}")?;
+        }
+        f.write_str(self.tail)
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self}\"")
+    }
+}
 
 /// Identifier of a task inside one [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,7 +161,7 @@ impl Span {
 
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
-    label: Span,
+    label: Label,
     work: Work,
     deps: Span,
     background: bool,
@@ -97,19 +176,13 @@ pub struct Task<'g> {
 
 impl<'g> Task<'g> {
     /// The task's label.
-    pub fn label(&self) -> &'g str {
-        let Span(start, end) = self.node.label;
-        &self.graph.labels[start as usize..end as usize]
+    pub fn label(&self) -> Label {
+        self.node.label
     }
 
-    /// The label's category: the prefix up to the first `':'`, or the whole
-    /// label if it contains none.
-    pub fn category(&self) -> &'g str {
-        let label = self.label();
-        match label.split_once(':') {
-            Some((head, _)) => head,
-            None => label,
-        }
+    /// The label's category (see [`Label::category`]).
+    pub fn category(&self) -> &'static str {
+        self.node.label.category()
     }
 
     /// The work this task performs.
@@ -148,14 +221,16 @@ impl fmt::Debug for Task<'_> {
 
 /// A DAG of tasks to execute on a [`crate::FlowEngine`].
 ///
-/// Labels, dependency lists and routes of all tasks live in three shared
-/// arenas that grow with the graph, so adding a task allocates nothing of
-/// its own, and a label is formatted straight into place.
+/// Dependency lists and routes of all tasks live in two shared arenas
+/// beside the node list, and each label is a [`Label`] stored in its node,
+/// so adding a task allocates nothing of its own and formats nothing. A
+/// builder that knows its graph's shape sizes all three up front with
+/// [`TaskGraph::with_capacity`].
 ///
 /// # Examples
 ///
 /// ```
-/// use hilos_sim::{FlowEngine, ResourceKind, ResourceSpec, TaskGraph};
+/// use hilos_sim::{FlowEngine, Label, ResourceKind, ResourceSpec, TaskGraph};
 ///
 /// let mut eng = FlowEngine::new();
 /// let link = eng.add_resource(ResourceSpec::new("link", ResourceKind::Link, 1e9));
@@ -163,15 +238,14 @@ impl fmt::Debug for Task<'_> {
 ///
 /// let mut g = TaskGraph::new();
 /// let load = g.transfer("loadw:l0", 1e9, [link], &[]);
-/// let mm = g.compute(format_args!("gemm:l{}", 0), 2e12, gpu, &[load]);
+/// let mm = g.compute(Label::new("gemm:l").layer(0), 2e12, gpu, &[load]);
 /// assert_eq!(g.len(), 2);
 /// assert_eq!(g.task(mm).deps(), &[load]);
-/// assert_eq!(g.task(mm).label(), "gemm:l0");
+/// assert_eq!(g.task(mm).label().to_string(), "gemm:l0");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     nodes: Vec<Node>,
-    labels: String,
     deps: Vec<TaskId>,
     routes: Vec<ResourceId>,
 }
@@ -180,6 +254,17 @@ impl TaskGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         TaskGraph::default()
+    }
+
+    /// Creates an empty graph with room for `tasks` tasks, `deps`
+    /// dependency entries and `hops` route hops in total, so a graph that
+    /// stays within them is built without regrowing a buffer.
+    pub fn with_capacity(tasks: usize, deps: usize, hops: usize) -> Self {
+        TaskGraph {
+            nodes: Vec::with_capacity(tasks),
+            deps: Vec::with_capacity(deps),
+            routes: Vec::with_capacity(hops),
+        }
     }
 
     /// Number of tasks in the graph.
@@ -209,14 +294,12 @@ impl TaskGraph {
             .map(|(i, node)| (TaskId(i as u32), Task { graph: self, node }))
     }
 
-    fn push(&mut self, label: impl fmt::Display, work: Work, deps: &[TaskId]) -> TaskId {
+    fn push(&mut self, label: impl Into<Label>, work: Work, deps: &[TaskId]) -> TaskId {
         let id = TaskId(self.nodes.len() as u32);
-        let label_start = self.labels.len() as u32;
-        write!(self.labels, "{label}").expect("formatting into a String cannot fail");
         let deps_start = self.deps.len() as u32;
         self.deps.extend_from_slice(deps);
         self.nodes.push(Node {
-            label: Span(label_start, self.labels.len() as u32),
+            label: label.into(),
             work,
             deps: Span(deps_start, self.deps.len() as u32),
             background: false,
@@ -233,7 +316,7 @@ impl TaskGraph {
     /// Adds a transfer task.
     pub fn transfer(
         &mut self,
-        label: impl fmt::Display,
+        label: impl Into<Label>,
         bytes: f64,
         route: impl IntoIterator<Item = impl Borrow<ResourceId>>,
         deps: &[TaskId],
@@ -245,7 +328,7 @@ impl TaskGraph {
     /// Adds a transfer task with a per-task rate cap in bytes/s.
     pub fn transfer_capped(
         &mut self,
-        label: impl fmt::Display,
+        label: impl Into<Label>,
         bytes: f64,
         route: impl IntoIterator<Item = impl Borrow<ResourceId>>,
         rate_cap: f64,
@@ -258,7 +341,7 @@ impl TaskGraph {
     /// Adds a compute task.
     pub fn compute(
         &mut self,
-        label: impl fmt::Display,
+        label: impl Into<Label>,
         ops: f64,
         resource: ResourceId,
         deps: &[TaskId],
@@ -267,17 +350,12 @@ impl TaskGraph {
     }
 
     /// Adds a fixed-latency task.
-    pub fn delay(
-        &mut self,
-        label: impl fmt::Display,
-        duration: SimTime,
-        deps: &[TaskId],
-    ) -> TaskId {
+    pub fn delay(&mut self, label: impl Into<Label>, duration: SimTime, deps: &[TaskId]) -> TaskId {
         self.push(label, Work::Delay { duration }, deps)
     }
 
     /// Adds a zero-cost synchronization milestone.
-    pub fn milestone(&mut self, label: impl fmt::Display, deps: &[TaskId]) -> TaskId {
+    pub fn milestone(&mut self, label: impl Into<Label>, deps: &[TaskId]) -> TaskId {
         self.push(label, Work::Milestone, deps)
     }
 
@@ -326,6 +404,20 @@ mod tests {
         let b = g.milestone("plain", &[]);
         assert_eq!(g.task(a).category(), "loadkv");
         assert_eq!(g.task(b).category(), "plain");
+    }
+
+    #[test]
+    fn labels_render_on_demand() {
+        let mut g = TaskGraph::with_capacity(3, 0, 0);
+        let head = Label::new("loadw:attn").layer(2);
+        let a = g.milestone(head.device(15), &[]);
+        let b = g.milestone(head.tail(".done"), &[]);
+        let c = g.milestone(Label::new("storekv:l").layer(0).device(3).tail(".cmd"), &[]);
+        assert_eq!(g.task(a).label().to_string(), "loadw:attn2.d15");
+        assert_eq!(g.task(b).label().to_string(), "loadw:attn2.done");
+        assert_eq!(g.task(c).label().to_string(), "storekv:l0.d3.cmd");
+        assert_eq!(g.task(c).category(), "storekv");
+        assert_eq!(format!("{:?}", g.task(a).label()), "\"loadw:attn2.d15\"");
     }
 
     #[test]

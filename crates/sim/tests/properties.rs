@@ -2,7 +2,7 @@
 //! invariants.
 
 use hilos_sim::{
-    execute, FlowEngine, JobId, ResourceId, ResourceKind, ResourceSpec, SimTime, TaskGraph,
+    execute, FlowEngine, JobId, Label, ResourceId, ResourceKind, ResourceSpec, SimTime, TaskGraph,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,8 +14,7 @@ fn engine_with_links(bws: &[f64]) -> (FlowEngine, Vec<ResourceId>) {
     let mut eng = FlowEngine::new();
     let ids = bws
         .iter()
-        .enumerate()
-        .map(|(i, &b)| eng.add_resource(ResourceSpec::new(format!("l{i}"), ResourceKind::Link, b)))
+        .map(|&b| eng.add_resource(ResourceSpec::new("l", ResourceKind::Link, b)))
         .collect();
     (eng, ids)
 }
@@ -553,7 +552,7 @@ proptest! {
             let mut prev = None;
             for (i, s) in sizes.iter().enumerate() {
                 let deps: Vec<_> = prev.into_iter().collect();
-                prev = Some(g.transfer(format!("t{i}"), *s, vec![r[0]], &deps));
+                prev = Some(g.transfer(Label::new("t").layer(i as u32), *s, vec![r[0]], &deps));
             }
             execute(&mut eng, &g).unwrap().makespan()
         };
@@ -575,7 +574,7 @@ proptest! {
             let mut g = TaskGraph::new();
             for (i, s) in sizes.iter().enumerate() {
                 let route = vec![r[i % r.len()]];
-                g.transfer(format!("t{i}"), *s, route, &[]);
+                g.transfer(Label::new("t").layer(i as u32), *s, route, &[]);
             }
             let tl = execute(&mut eng, &g).unwrap();
             (tl.makespan(), tl.finished_at())

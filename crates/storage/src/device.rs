@@ -1,8 +1,9 @@
 //! Runtime SSD devices: a spec's channels as simulation resources.
 
 use crate::spec::SsdSpec;
-use hilos_sim::{ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
-use std::fmt;
+use hilos_sim::{Label, ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
+use std::borrow::Borrow;
+use std::iter::once;
 
 /// A device materialized inside a [`hilos_sim::FlowEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,15 +14,16 @@ pub struct SsdInstance {
 }
 
 impl SsdInstance {
-    /// Registers `spec`'s read and write channels as `engine` resources.
+    /// Registers `spec`'s read and write channels as `engine` resources
+    /// (`"ssd:read"` and `"ssd:write"`).
     pub fn new(spec: &SsdSpec, engine: &mut hilos_sim::FlowEngine) -> Self {
         let read = engine.add_resource(ResourceSpec::new(
-            format!("{}:read", spec.name()),
+            "ssd:read",
             ResourceKind::StorageRead,
             spec.seq_read_bw(),
         ));
         let write = engine.add_resource(ResourceSpec::new(
-            format!("{}:write", spec.name()),
+            "ssd:write",
             ResourceKind::StorageWrite,
             spec.seq_write_bw(),
         ));
@@ -34,33 +36,37 @@ impl SsdInstance {
     }
 
     /// Appends a read of `bytes` to `graph`: a command-latency delay
-    /// followed by a transfer across the read channel and `route_tail`
-    /// (e.g. PCIe links towards the consumer). Returns the transfer task.
+    /// (labelled `label` with the tail `".cmd"`) followed by a transfer
+    /// across the read channel and `route_tail` (e.g. PCIe links towards
+    /// the consumer). Returns the transfer task.
     pub fn read_task(
         &self,
         graph: &mut TaskGraph,
-        label: impl fmt::Display + Copy,
+        label: impl Into<Label>,
         bytes: f64,
-        route_tail: &[ResourceId],
+        route_tail: impl IntoIterator<Item = impl Borrow<ResourceId>>,
         deps: &[TaskId],
     ) -> TaskId {
-        let cmd = graph.delay(format_args!("{label}.cmd"), self.cmd_latency, deps);
-        let route = std::iter::once(self.read).chain(route_tail.iter().copied());
+        let label = label.into();
+        let cmd = graph.delay(label.tail(".cmd"), self.cmd_latency, deps);
+        let route = once(self.read).chain(route_tail.into_iter().map(|r| *r.borrow()));
         graph.transfer(label, bytes, route, &[cmd])
     }
 
-    /// Appends a write of `bytes`: command latency, then a transfer across
-    /// `route_head` (links from the producer) and the write channel.
+    /// Appends a write of `bytes`: command latency (labelled as in
+    /// [`SsdInstance::read_task`]), then a transfer across `route_head`
+    /// (links from the producer) and the write channel.
     pub fn write_task(
         &self,
         graph: &mut TaskGraph,
-        label: impl fmt::Display + Copy,
+        label: impl Into<Label>,
         bytes: f64,
-        route_head: &[ResourceId],
+        route_head: impl IntoIterator<Item = impl Borrow<ResourceId>>,
         deps: &[TaskId],
     ) -> TaskId {
-        let cmd = graph.delay(format_args!("{label}.cmd"), self.cmd_latency, deps);
-        let route = route_head.iter().copied().chain(std::iter::once(self.write));
+        let label = label.into();
+        let cmd = graph.delay(label.tail(".cmd"), self.cmd_latency, deps);
+        let route = route_head.into_iter().map(|r| *r.borrow()).chain(once(self.write));
         graph.transfer(label, bytes, route, &[cmd])
     }
 }
@@ -70,12 +76,17 @@ mod tests {
     use super::*;
     use hilos_sim::{execute, FlowEngine, SimTime};
 
+    /// An empty route head or tail: the transfer crosses only the channel.
+    const NO_HOPS: [ResourceId; 0] = [];
+
     #[test]
     fn read_task_includes_cmd_latency_and_bandwidth() {
         let mut eng = FlowEngine::new();
         let inst = SsdInstance::new(&SsdSpec::smartssd_nvme(), &mut eng);
         let mut g = TaskGraph::new();
-        inst.read_task(&mut g, "loadkv:test", 3.2e9, &[], &[]);
+        let read = inst.read_task(&mut g, "loadkv:test", 3.2e9, NO_HOPS, &[]);
+        let cmd = g.task(read).deps()[0];
+        assert_eq!(g.task(cmd).label().to_string(), "loadkv:test.cmd");
         let tl = execute(&mut eng, &g).unwrap();
         // 25 us command latency + 1 s transfer at 3.2 GB/s.
         let expect = SimTime::from_micros(25) + SimTime::from_secs(1);
@@ -87,7 +98,7 @@ mod tests {
         let mut eng = FlowEngine::new();
         let inst = SsdInstance::new(&SsdSpec::smartssd_nvme(), &mut eng);
         let mut g = TaskGraph::new();
-        inst.write_task(&mut g, "spill:test", 2.0e9, &[], &[]);
+        inst.write_task(&mut g, "spill:test", 2.0e9, NO_HOPS, &[]);
         let tl = execute(&mut eng, &g).unwrap();
         let expect = SimTime::from_micros(25) + SimTime::from_secs(1);
         assert_eq!(tl.makespan(), expect);
@@ -100,8 +111,8 @@ mod tests {
         let mut eng = FlowEngine::new();
         let inst = SsdInstance::new(&SsdSpec::pm9a3(), &mut eng);
         let mut g = TaskGraph::new();
-        inst.read_task(&mut g, "r", 6.9e9, &[], &[]);
-        inst.write_task(&mut g, "w", 4.1e9, &[], &[]);
+        inst.read_task(&mut g, "r", 6.9e9, NO_HOPS, &[]);
+        inst.write_task(&mut g, "w", 4.1e9, NO_HOPS, &[]);
         let tl = execute(&mut eng, &g).unwrap();
         // Both take 1 s + 20 us, in parallel.
         assert_eq!(tl.makespan(), SimTime::from_micros(20) + SimTime::from_secs(1));

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let alpha = system.select_alpha(job.batch, job.context_len)?;
     println!("model:          {model}");
-    println!("system:         {}", spec.name);
+    println!("system:         {} ({} devices)", spec.name, spec.storage.device_count());
     println!("X-cache ratio:  {:.0}% (selected by the Section 4.2 model)", alpha * 100.0);
 
     let report = system.run_job(&job)?;
