@@ -57,7 +57,6 @@ mod softmax;
 mod sparse;
 mod tensor;
 mod timing;
-mod window;
 
 pub use estimator::{estimator_correlation, pearson, PerformanceEstimator};
 pub use f16::{f16_decode_lut, F16};
@@ -71,7 +70,6 @@ pub use resources::{FpgaPart, ResourceError, ResourceModel, ResourceReport};
 pub use softmax::{
     softmax_three_pass, softmax_two_pass, softmax_two_pass_into, SoftmaxStats, MASK_VALUE,
 };
-pub use sparse::{sparse_read_fraction, sparse_topk_attention, EstimationNoise};
+pub use sparse::{sparse_topk_attention, EstimationNoise};
 pub use tensor::{MatrixF16, MatrixF32};
 pub use timing::AccelTimingModel;
-pub use window::{sliding_window_attention, sliding_window_mask, window_read_fraction};

@@ -106,13 +106,6 @@ pub fn sparse_topk_attention(
     })
 }
 
-/// Traffic ratio of sparse retrieval: fraction of the stored KV bytes read
-/// per decode step (the compression knob InstAttention trades accuracy
-/// for).
-pub fn sparse_read_fraction(keep_fraction: f64) -> f64 {
-    keep_fraction.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,12 +225,5 @@ mod tests {
         })
         .unwrap();
         assert!(sparse.max_abs_diff(&exact_valid) < 1e-4);
-    }
-
-    #[test]
-    fn read_fraction_clamped() {
-        assert_eq!(sparse_read_fraction(0.125), 0.125);
-        assert_eq!(sparse_read_fraction(2.0), 1.0);
-        assert_eq!(sparse_read_fraction(-1.0), 0.0);
     }
 }

@@ -116,7 +116,8 @@ pub fn fig15() -> String {
                     continue;
                 };
                 let variant = |wb: bool, x: bool| -> String {
-                    let cfg = HilosConfig::ans_only(16).with_writeback(wb).with_xcache(x);
+                    let alpha = if x { AlphaPolicy::Auto } else { AlphaPolicy::Fixed(0.0) };
+                    let cfg = HilosConfig::ans_only(16).with_writeback(wb).with_alpha(alpha);
                     match hilos_with(16, &model, cfg).run_decode(bs, s, 8) {
                         Ok(r) => format!("{:.2}x", r.tokens_per_second() / base),
                         Err(_) => "OOM".into(),
@@ -187,7 +188,8 @@ mod tests {
         let model = presets::opt_66b();
         let base = run_flex_ssd(&model, 16, 32 * 1024).unwrap().tokens_per_second();
         let run = |wb: bool, x: bool| {
-            let cfg = HilosConfig::ans_only(16).with_writeback(wb).with_xcache(x);
+            let alpha = if x { AlphaPolicy::Auto } else { AlphaPolicy::Fixed(0.0) };
+            let cfg = HilosConfig::ans_only(16).with_writeback(wb).with_alpha(alpha);
             hilos_with(16, &model, cfg).run_decode(16, 32 * 1024, 8).unwrap().tokens_per_second()
         };
         let ans = run(false, false);

@@ -1,5 +1,5 @@
-//! HILOS configuration: device count, optimization toggles and tuning
-//! knobs.
+//! HILOS configuration: device count, the two optimization settings and
+//! tuning knobs.
 
 use std::fmt;
 
@@ -14,19 +14,22 @@ pub enum AlphaPolicy {
 
 /// Configuration of a HILOS deployment.
 ///
-/// The three optimization toggles map onto the paper's ablation (Fig. 15):
-/// `ANS` alone, `ANS+WB`, `ANS+X` and `ANS+WB+X`.
+/// Attention near storage is always on; two settings map onto the rest
+/// of the paper's ablation (Fig. 15): delayed writeback, and the α policy
+/// of the cooperative X-cache, which is off at `AlphaPolicy::Fixed(0.0)`
+/// (§4.2: α = 0 keeps no X-cache). The four points are `ANS` alone,
+/// `ANS+WB`, `ANS+X` and `ANS+WB+X`.
 ///
 /// # Examples
 ///
 /// ```
-/// use hilos_core::HilosConfig;
+/// use hilos_core::{AlphaPolicy, HilosConfig};
 ///
 /// let full = HilosConfig::new(8);
-/// assert!(full.delayed_writeback() && full.cooperative_xcache());
+/// assert!(full.delayed_writeback() && full.alpha_policy() == AlphaPolicy::Auto);
 ///
 /// let ans = HilosConfig::ans_only(8);
-/// assert!(!ans.delayed_writeback() && !ans.cooperative_xcache());
+/// assert!(!ans.delayed_writeback() && ans.alpha_policy() == AlphaPolicy::Fixed(0.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HilosConfig {
@@ -34,7 +37,6 @@ pub struct HilosConfig {
     alpha: AlphaPolicy,
     spill_interval: u32,
     delayed_writeback: bool,
-    cooperative_xcache: bool,
 }
 
 impl HilosConfig {
@@ -51,13 +53,13 @@ impl HilosConfig {
             alpha: AlphaPolicy::Auto,
             spill_interval: 16,
             delayed_writeback: true,
-            cooperative_xcache: true,
         }
     }
 
-    /// Bare attention-near-storage (the `ANS` ablation point).
+    /// Bare attention-near-storage (the `ANS` ablation point): no
+    /// writeback and no X-cache (α fixed at 0).
     pub fn ans_only(n_devices: usize) -> Self {
-        HilosConfig::new(n_devices).with_writeback(false).with_xcache(false)
+        HilosConfig::new(n_devices).with_writeback(false).with_alpha(AlphaPolicy::Fixed(0.0))
     }
 
     /// Sets the spill interval `c` (§4.3). Must be ≥ 1.
@@ -90,12 +92,6 @@ impl HilosConfig {
         self
     }
 
-    /// Enables or disables the cooperative X-cache.
-    pub fn with_xcache(mut self, on: bool) -> Self {
-        self.cooperative_xcache = on;
-        self
-    }
-
     /// Number of NSP devices used.
     pub fn n_devices(&self) -> usize {
         self.n_devices
@@ -115,11 +111,6 @@ impl HilosConfig {
     pub fn delayed_writeback(&self) -> bool {
         self.delayed_writeback
     }
-
-    /// Whether the cooperative X-cache is enabled.
-    pub fn cooperative_xcache(&self) -> bool {
-        self.cooperative_xcache
-    }
 }
 
 impl fmt::Display for HilosConfig {
@@ -128,7 +119,7 @@ impl fmt::Display for HilosConfig {
             f,
             "HILOS({} dev, {}{}, c={})",
             self.n_devices,
-            if self.cooperative_xcache { "+X" } else { "" },
+            if self.alpha == AlphaPolicy::Fixed(0.0) { "" } else { "+X" },
             if self.delayed_writeback { "+WB" } else { "" },
             self.spill_interval
         )
@@ -149,13 +140,16 @@ mod tests {
 
     #[test]
     fn ablation_points() {
+        let off = AlphaPolicy::Fixed(0.0);
         let ans = HilosConfig::ans_only(4);
         assert!(!ans.delayed_writeback());
-        assert!(!ans.cooperative_xcache());
+        assert_eq!(ans.alpha_policy(), off);
         let ans_wb = HilosConfig::ans_only(4).with_writeback(true);
-        assert!(ans_wb.delayed_writeback() && !ans_wb.cooperative_xcache());
-        let ans_x = HilosConfig::ans_only(4).with_xcache(true);
-        assert!(!ans_x.delayed_writeback() && ans_x.cooperative_xcache());
+        assert!(ans_wb.delayed_writeback() && ans_wb.alpha_policy() == off);
+        let ans_x = HilosConfig::ans_only(4).with_alpha(AlphaPolicy::Auto);
+        assert!(!ans_x.delayed_writeback() && ans_x.alpha_policy() == AlphaPolicy::Auto);
+        assert_eq!(ans.to_string(), "HILOS(4 dev, , c=16)");
+        assert_eq!(ans_x.with_writeback(true).to_string(), "HILOS(4 dev, +X+WB, c=16)");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   KV-cache traffic to the devices' internal paths ([`build_hilos_decode_step`],
 //!   with the Eq. 3 traffic model in [`traffic`]),
 //! * **cooperative X-cache** (§4.2) — the analytic α model and candidate
-//!   selection ([`AlphaModel`], chosen per job by [`AlphaSelector`]),
+//!   selection ([`AlphaModel`], chosen per job by [`AlphaSelector`]);
+//!   `AlphaPolicy::Fixed(0.0)` is X-cache off,
 //! * **delayed KV-cache writeback** (§4.3) — the host-side buffer's
 //!   spill schedule, arithmetic on the decode step count
 //!   ([`decision_at`]), plus the sub-page write-cost model,

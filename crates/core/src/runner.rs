@@ -358,9 +358,7 @@ impl HilosSystem {
         let alpha = self.alpha_selector().select(&self.model, spec.batch, spec.context_len);
         let max_ctx = spec.context_len + spec.output_len;
         let m = &self.model;
-        let per_seq = ((1.0 - alpha) * m.kv_bytes_per_token() as f64
-            + alpha * m.x_bytes_per_token() as f64) as u64
-            * max_ctx;
+        let per_seq = m.cache_bytes_per_token(alpha) as u64 * max_ctx;
         let cache = per_seq * spec.batch as u64;
         let weights_on_dev = match weight_source(&self.spec, m) {
             WeightSource::Storage => m.weight_bytes(),
@@ -477,10 +475,7 @@ impl HilosSystem {
         check_job(&[("batch", batch as u64), ("context", context)])?;
         let alpha = self.alpha_selector().select(&self.model, batch, context);
         let seconds = DecodeStepExecutor::new(self)?.execute_prefill(batch, context, alpha)?;
-        let cache_bytes = ((1.0 - alpha) * self.model.kv_bytes_per_token() as f64
-            + alpha * self.model.x_bytes_per_token() as f64)
-            * batch as f64
-            * context as f64;
+        let cache_bytes = self.model.cache_bytes_per_token(alpha) * batch as f64 * context as f64;
         Ok(PrefillReport { seconds, cache_bytes_written: cache_bytes })
     }
 
@@ -545,6 +540,7 @@ fn check_job(sizes: &[(&'static str, u64)]) -> Result<(), CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AlphaPolicy;
     use hilos_llm::presets;
 
     fn hilos(n: usize) -> HilosSystem {
@@ -881,6 +877,44 @@ mod tests {
                 assert!(rel(1) <= 1e-12, "{at}: host bytes off by {:e}", rel(1));
                 assert!(rel(2) <= 1e-12, "{at}: internal bytes off by {:e}", rel(2));
             }
+        }
+    }
+
+    /// Fig. 15's four ablation points on OPT-66B over 16 SmartSSDs
+    /// (batch 16, 32K context, 64 output tokens): prefill seconds, mean
+    /// decode step seconds and α, pinned bit for bit.
+    #[test]
+    fn fig15_ablation_points_are_pinned_bit_for_bit() {
+        let points = [
+            ("ANS", HilosConfig::ans_only(16), [0x4075a62a2da4f0f1, 0x4039b32d935464c0, 0]),
+            (
+                "ANS+WB",
+                HilosConfig::ans_only(16).with_writeback(true),
+                [0x4075a62a2da4f0f1, 0x403888f0f7436bd9, 0],
+            ),
+            (
+                "ANS+X",
+                HilosConfig::ans_only(16).with_alpha(AlphaPolicy::Auto),
+                [0x4075091c92a3e230, 0x4034071978528caf, 0x3fe0000000000000],
+            ),
+            (
+                "ANS+WB+X",
+                HilosConfig::ans_only(16).with_writeback(true).with_alpha(AlphaPolicy::Auto),
+                [0x4075091c92a3e230, 0x4034072d2079ec72, 0x3fe0000000000000],
+            ),
+        ];
+        for (name, cfg, want) in points {
+            let sys = HilosSystem::new(&SystemSpec::a100_smartssd(16), &presets::opt_66b(), &cfg)
+                .unwrap()
+                .with_sim_layers(4);
+            let prefill = sys.run_prefill(16, 32 * 1024).unwrap();
+            let decode = sys.run_decode(16, 32 * 1024, 64).unwrap();
+            let got = [
+                prefill.seconds.to_bits(),
+                decode.avg_step_seconds.to_bits(),
+                decode.alpha.to_bits(),
+            ];
+            assert_eq!(got, want, "{name}: [prefill s, step s, alpha] bits moved");
         }
     }
 }

@@ -422,6 +422,7 @@ pub fn build_hilos_prefill(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AlphaPolicy;
     use hilos_accel::AccelTimingModel;
     use hilos_llm::presets;
     use hilos_platform::SystemSpec;
@@ -479,7 +480,7 @@ mod tests {
         let model = presets::opt_66b();
         let run = |wb: bool| {
             let mut sys = built(8, 1);
-            let cfg = HilosConfig::new(8).with_writeback(wb).with_xcache(false);
+            let cfg = HilosConfig::new(8).with_writeback(wb).with_alpha(AlphaPolicy::Fixed(0.0));
             let mut step = default_step(16, 16 * 1024, 0.0);
             if !wb {
                 step.buffered_tokens = 0;

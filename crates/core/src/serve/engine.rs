@@ -24,7 +24,7 @@
 //! `config.rs` and the prefix KV cache in `prefix.rs`.
 
 use super::config::{ChunkMode, ServeConfig};
-use super::memo::{BitsMap, CachedStep, SharedStepCache};
+use super::memo::{BitsMap, SharedStepCache};
 use super::policy::{Fifo, SchedDecision, SchedulingPolicy};
 use super::prefix::{CacheBaseline, PrefixCacheState};
 use super::snapshot::{InFlightView, QueuedView, SchedSnapshot};
@@ -33,7 +33,7 @@ use crate::cluster::elastic::Fleet;
 use crate::cluster::{ColdStartModel, DeploymentLifecycle, ElasticConfig, PinnedFleet, RoundRobin};
 use crate::runner::{CoreError, HilosSystem};
 use crate::scheduler::{weight_source, WeightSource};
-use crate::step::{AlphaSelector, DecodeStepExecutor};
+use crate::step::{AlphaSelector, DecodeStepExecutor, StepOutcome};
 use crate::writeback::{decision_at, simulated_decision, SpillDecision};
 use hilos_llm::{DeploymentId, ModelConfig, Request};
 use hilos_metrics::{LatencyHistogram, PrefillBreakdown, PrefixCacheStats};
@@ -260,7 +260,7 @@ impl RunState {
     /// Books one executed decode step of the running batch: the clock,
     /// the step's emission gap (its decode time plus the prefill-chunk
     /// seconds that interfered with it) and the step accumulators.
-    fn book_step(&mut self, step: CachedStep, interference_s: f64) {
+    fn book_step(&mut self, step: StepOutcome, interference_s: f64) {
         self.clock += step.seconds;
         self.decode_seconds += step.seconds;
         let gap = interference_s + step.seconds;
@@ -460,10 +460,7 @@ impl ServeEngine {
 
     /// KV/X bytes a request owns at full generation length under `alpha`.
     fn request_footprint(&self, req: &Request, alpha: f64) -> u64 {
-        let m = &self.model;
-        let per_token =
-            (1.0 - alpha) * m.kv_bytes_per_token() as f64 + alpha * m.x_bytes_per_token() as f64;
-        (per_token * req.total_tokens() as f64) as u64
+        (self.model.cache_bytes_per_token(alpha) * req.total_tokens() as f64) as u64
     }
 
     /// A fresh run state sized for this deployment.
@@ -671,12 +668,6 @@ impl ServeEngine {
             output_budget: r.req.output_budget,
             decoding,
             held_bytes: held(r.req.id),
-            preemptions: r.preemptions,
-            // A decoding request's prefill is complete whatever the
-            // chunk mode; a side-prefill (ChunkMode::Off) in flight
-            // reports its whole context as pending.
-            prefill_done: if decoding { r.prefill_total } else { r.prefill_done },
-            prefill_total: r.prefill_total,
         };
         let mut queue_views: Vec<QueuedView> = Vec::with_capacity(horizon);
         let footprint_estimates = &mut st.footprint_estimates;
@@ -828,16 +819,19 @@ impl ServeEngine {
             self.drop_unplaceable(st, pos);
             return Ok(ControlFlow::Continue(false));
         }
+        // A failed allocation changes nothing, so the live count read
+        // before it decides the failure.
+        let live = self.ledger.live_requests();
         match self.ledger.allocate(entry.req.id, footprint) {
             Ok(placed) => {
-                for (acc, &b) in st.kv_placed.iter_mut().zip(&placed) {
+                for (acc, &b) in st.kv_placed.iter_mut().zip(placed) {
                     *acc += b as f64;
                 }
             }
             // Nothing live and still unplaceable (e.g. a stripe member
             // filled by static reservations): the request can never be
             // admitted.
-            Err(_) if self.ledger.live_requests() == 0 => {
+            Err(_) if live == 0 => {
                 self.drop_unplaceable(st, pos);
                 return Ok(ControlFlow::Continue(false));
             }
@@ -1155,7 +1149,7 @@ impl ServeEngine {
         st.just_preempted.clear();
         let batch = st.running.len() as u64;
         let total_ctx: u64 = st.running.iter().map(|r| r.req.context_at(r.emitted)).sum();
-        let mut row: [Option<(SpillDecision, CachedStep)>; 3] = [None; 3];
+        let mut row: [Option<(SpillDecision, StepOutcome)>; 3] = [None; 3];
         let mut bucket = 0;
         for i in 0..k {
             let interference_s = self.ingest_chunks(st)?;
@@ -1572,8 +1566,11 @@ pub(crate) mod tests {
     fn prefilling_victims_are_cheap_to_preempt_under_chunking() {
         // A policy that preempts whatever is prefilling the moment
         // anything queues: exercises the mid-prefill preemption path.
-        #[derive(Debug)]
-        struct EvictPrefills;
+        #[derive(Debug, Default)]
+        struct EvictPrefills {
+            /// Requests already named as victims.
+            preempted: Vec<u64>,
+        }
         impl SchedulingPolicy for EvictPrefills {
             fn name(&self) -> &'static str {
                 "evict-prefills"
@@ -1583,15 +1580,14 @@ pub(crate) mod tests {
                 if !snap.queue.is_empty() {
                     // At most one preemption per victim, or the loop
                     // would thrash forever re-ingesting the same prompt.
-                    d.extend(
-                        snap.in_flight
-                            .iter()
-                            .filter(|v| {
-                                !v.decoding && v.prefill_remaining() > 0 && v.preemptions == 0
-                            })
-                            .take(1)
-                            .map(|v| SchedDecision::Preempt { victim: v.id }),
-                    );
+                    let victim = snap
+                        .in_flight
+                        .iter()
+                        .find(|v| !v.decoding && !self.preempted.contains(&v.id));
+                    if let Some(v) = victim {
+                        self.preempted.push(v.id);
+                        d.push(SchedDecision::Preempt { victim: v.id });
+                    }
                 }
                 d.extend(snap.queue.iter().map(|q| SchedDecision::Admit { request: q.id }));
                 d
@@ -1601,7 +1597,7 @@ pub(crate) mod tests {
         let mut eng = ServeEngine::with_policy(
             system(8),
             ServeConfig::new(4).with_chunk_mode(ChunkMode::chunked()),
-            Box::new(EvictPrefills),
+            Box::new(EvictPrefills::default()),
         )
         .unwrap();
         let free_before = eng.ledger().free_by_device();
@@ -1615,9 +1611,12 @@ pub(crate) mod tests {
         assert_eq!(eng.ledger().free_by_device(), free_before);
         // Under the legacy side-prefill mode the same policy's preempt
         // decisions are ignored (prefilling is untouchable there).
-        let mut off =
-            ServeEngine::with_policy(system(8), ServeConfig::new(4), Box::new(EvictPrefills))
-                .unwrap();
+        let mut off = ServeEngine::with_policy(
+            system(8),
+            ServeConfig::new(4),
+            Box::new(EvictPrefills::default()),
+        )
+        .unwrap();
         let off_report = off.run_trace(&trace).unwrap();
         assert_eq!(off_report.preemptions, 0);
         assert_eq!(off_report.outcomes.len(), 32);

@@ -8,6 +8,7 @@
 
 use super::ServeEngine;
 use crate::runner::CoreError;
+use crate::step::StepOutcome;
 use crate::writeback::{simulated_decision, SpillDecision};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -73,17 +74,6 @@ impl Hasher for BitsHasher {
     }
 }
 
-/// The scalar slice of a [`StepOutcome`](crate::StepOutcome) the serving
-/// loop consumes every step — `Copy`, so cache hits stay allocation-free
-/// (the full outcome's per-category breakdown would clone a
-/// `Vec<String>` per step).
-#[derive(Debug, Clone, Copy)]
-pub(super) struct CachedStep {
-    pub(super) seconds: f64,
-    pub(super) host_pcie_bytes: f64,
-    pub(super) internal_read_bytes: f64,
-}
-
 /// Step/prefill memoization tables. Every engine owns one; a cluster
 /// hands every deployment of one system fingerprint the same table, so a
 /// freshly provisioned elastic slot (or the 31 siblings of a homogeneous
@@ -97,7 +87,7 @@ pub(super) struct CachedStep {
 /// deployment filled an entry first — the cache changes wall-clock, never results.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStepCache {
-    steps: BitsMap<StepKey, CachedStep>,
+    steps: BitsMap<StepKey, StepOutcome>,
     prefills: BitsMap<(u64, u64), f64>,
 }
 
@@ -202,7 +192,7 @@ impl ServeEngine {
         context: u64,
         alpha: f64,
         decision: SpillDecision,
-    ) -> Result<CachedStep, CoreError> {
+    ) -> Result<StepOutcome, CoreError> {
         let solved = simulated_decision(self.system().config(), decision);
         let key = StepKey {
             batch,
@@ -215,13 +205,8 @@ impl ServeEngine {
             return Ok(o);
         }
         let o = self.exec.execute_step(batch, context, alpha, &solved)?;
-        let cached = CachedStep {
-            seconds: o.seconds,
-            host_pcie_bytes: o.host_pcie_bytes,
-            internal_read_bytes: o.internal_read_bytes,
-        };
-        self.memo.borrow_mut().steps.insert(key, cached);
-        Ok(cached)
+        self.memo.borrow_mut().steps.insert(key, o);
+        Ok(o)
     }
 }
 

@@ -380,9 +380,6 @@ mod tests {
             output_budget: remaining,
             decoding,
             held_bytes: 600,
-            preemptions: 0,
-            prefill_done: if decoding { 1024 } else { 0 },
-            prefill_total: 1024,
         }
     }
 

@@ -57,28 +57,12 @@ pub struct InFlightView {
     /// Bytes of KV/X the request holds across the shard ledger — what a
     /// preemption would free.
     pub held_bytes: u64,
-    /// How many times the request has been preempted.
-    pub preemptions: u32,
-    /// Prompt tokens ingested so far (the chunk cursor; equals
-    /// `prefill_total` once decoding, stays zero for an in-flight legacy
-    /// side-prefill).
-    pub prefill_done: u64,
-    /// Tokens this admission must ingest before joining: the prompt plus
-    /// any progress retained across a preemption.
-    pub prefill_total: u64,
 }
 
 impl InFlightView {
     /// Tokens still to generate.
     pub fn remaining_output(&self) -> u64 {
         self.output_budget.saturating_sub(self.emitted)
-    }
-
-    /// Prompt tokens still to ingest before this request can decode —
-    /// the per-request chunk debt a policy can shape the prefill/decode
-    /// split with (zero once decoding).
-    pub fn prefill_remaining(&self) -> u64 {
-        self.prefill_total.saturating_sub(self.prefill_done)
     }
 }
 
@@ -120,14 +104,8 @@ mod tests {
             output_budget: 350,
             decoding: true,
             held_bytes: 1 << 20,
-            preemptions: 0,
-            prefill_done: 4096,
-            prefill_total: 4096,
         };
         assert_eq!(v.remaining_output(), 310);
-        assert_eq!(v.prefill_remaining(), 0, "decoding requests carry no chunk debt");
-        let mid = InFlightView { decoding: false, prefill_done: 1024, ..v };
-        assert_eq!(mid.prefill_remaining(), 3072);
         let snap = SchedSnapshot {
             clock_s: 1.0,
             max_batch: 4,

@@ -20,8 +20,9 @@ use hilos_llm::ModelConfig;
 use hilos_platform::{BuiltSystem, SystemSpec};
 use hilos_sim::execute;
 
-/// Everything one executed decode step reports.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything one executed decode step reports. `Copy`, so the step
+/// memo stores it whole and a hit allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOutcome {
     /// Step wall-clock seconds, scaled to the model's full layer depth.
     pub seconds: f64,
@@ -188,7 +189,6 @@ impl DecodeStepExecutor {
 /// form.
 #[derive(Debug, Clone, Copy)]
 pub struct AlphaSelector {
-    enabled: bool,
     fixed: Option<f64>,
     b_ssd: f64,
     b_pci: f64,
@@ -203,7 +203,6 @@ impl AlphaSelector {
             crate::config::AlphaPolicy::Auto => None,
         };
         AlphaSelector {
-            enabled: config.cooperative_xcache(),
             fixed,
             b_ssd: spec.aggregate_internal_read_bw(),
             b_pci: spec.effective_pci_bw() * GDS_EFFICIENCY,
@@ -214,9 +213,6 @@ impl AlphaSelector {
     /// The α for a `batch × context` job shape (mirrors
     /// [`HilosSystem::select_alpha`] exactly).
     pub fn select(&self, model: &ModelConfig, batch: u32, context: u64) -> f64 {
-        if !self.enabled {
-            return 0.0;
-        }
         if let Some(a) = self.fixed {
             return a;
         }

@@ -6,7 +6,8 @@
 //! uplink through a PCIe switch — the topology that makes host-side KV
 //! traffic saturate while NSP-internal paths stay private.
 //!
-//! The model is a **tree of nodes connected by full-duplex links**. Each
+//! The model is a **tree of nodes connected by full-duplex links**: a
+//! node (host, switch or endpoint) is only its link to its parent. Each
 //! link direction (towards the root / away from it) becomes one bandwidth
 //! resource in the [`hilos_sim::FlowEngine`], so simultaneous reads and
 //! writes do not contend with each other but flows in the same direction
@@ -19,9 +20,9 @@
 //! use hilos_sim::FlowEngine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut topo = Topology::new("host");
-//! let sw = topo.add_switch("chassis", topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
-//! let ssd = topo.add_device("smartssd", sw, LinkSpec::new(PcieGen::Gen3, 4));
+//! let mut topo = Topology::new();
+//! let switch = topo.add_node(topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
+//! let ssd = topo.add_node(switch, LinkSpec::new(PcieGen::Gen3, 4));
 //!
 //! let mut eng = FlowEngine::new();
 //! let inst = topo.instantiate(&mut eng);
@@ -38,4 +39,4 @@ mod pcie;
 mod topology;
 
 pub use pcie::{LinkSpec, PcieGen};
-pub use topology::{NodeId, NodeKind, Topology, TopologyError, TopologyInstance};
+pub use topology::{NodeId, Topology, TopologyError, TopologyInstance};

@@ -23,17 +23,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// What a node represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeKind {
-    /// The root complex (host CPU + DRAM side).
-    Host,
-    /// A PCIe switch.
-    Switch,
-    /// An endpoint device (GPU, SSD, NSP device, NIC...).
-    Device,
-}
-
 /// Errors from topology operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -59,8 +48,6 @@ impl Error for TopologyError {}
 
 #[derive(Debug, Clone)]
 struct Node {
-    name: &'static str,
-    kind: NodeKind,
     /// Parent node and the link connecting to it (None for the root).
     parent: Option<(NodeId, LinkSpec)>,
     depth: u32,
@@ -70,8 +57,8 @@ struct Node {
 ///
 /// Construction is purely structural; call [`Topology::instantiate`] to
 /// materialize each link direction as a bandwidth resource inside a
-/// [`FlowEngine`]. Node names are static strings saying what a node is
-/// (`"smartssd"`, `"port"`); which one it is, is its [`NodeId`].
+/// [`FlowEngine`]. A node is its [`NodeId`] and its link to its parent:
+/// routing reads nothing else, so switches and endpoints are added alike.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
@@ -79,10 +66,8 @@ pub struct Topology {
 
 impl Topology {
     /// Creates a topology containing only the host root complex.
-    pub fn new(host_name: &'static str) -> Self {
-        Topology {
-            nodes: vec![Node { name: host_name, kind: NodeKind::Host, parent: None, depth: 0 }],
-        }
+    pub fn new() -> Self {
+        Topology { nodes: vec![Node { parent: None, depth: 0 }] }
     }
 
     /// The root (host) node.
@@ -100,59 +85,18 @@ impl Topology {
         self.nodes.len() <= 1
     }
 
-    fn add_node(
-        &mut self,
-        name: &'static str,
-        kind: NodeKind,
-        parent: NodeId,
-        link: LinkSpec,
-    ) -> NodeId {
+    /// Adds a node (a PCIe switch or an endpoint device) under `parent`,
+    /// connected with `link`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parent` does not belong to this topology.
+    pub fn add_node(&mut self, parent: NodeId, link: LinkSpec) -> NodeId {
         assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
         let depth = self.nodes[parent.index()].depth + 1;
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { name, kind, parent: Some((parent, link)), depth });
+        self.nodes.push(Node { parent: Some((parent, link)), depth });
         id
-    }
-
-    /// Adds a PCIe switch under `parent`, connected with `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` does not belong to this topology.
-    pub fn add_switch(&mut self, name: &'static str, parent: NodeId, link: LinkSpec) -> NodeId {
-        self.add_node(name, NodeKind::Switch, parent, link)
-    }
-
-    /// Adds an endpoint device under `parent`, connected with `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` does not belong to this topology.
-    pub fn add_device(&mut self, name: &'static str, parent: NodeId, link: LinkSpec) -> NodeId {
-        self.add_node(name, NodeKind::Device, parent, link)
-    }
-
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this topology.
-    pub fn name(&self, id: NodeId) -> &'static str {
-        self.nodes[id.index()].name
-    }
-
-    /// Kind of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this topology.
-    pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.nodes[id.index()].kind
-    }
-
-    /// The link connecting `id` to its parent, or `None` for the root.
-    pub fn uplink(&self, id: NodeId) -> Option<LinkSpec> {
-        self.nodes[id.index()].parent.map(|(_, l)| l)
     }
 
     /// Registers every link direction as a resource in `engine` (named
@@ -197,7 +141,7 @@ struct RoutedNode {
 }
 
 /// A [`Topology`]'s tree, with its links materialized as engine resources:
-/// all that routing reads, so instantiating copies no name.
+/// all that routing reads.
 #[derive(Debug, Clone)]
 pub struct TopologyInstance {
     nodes: Vec<RoutedNode>,
@@ -309,9 +253,9 @@ mod tests {
 
     #[test]
     fn route_device_to_host_is_uplinks() {
-        let mut t = Topology::new("host");
-        let sw = t.add_switch("sw", t.root(), x16g4());
-        let dev = t.add_device("ssd", sw, x4g3());
+        let mut t = Topology::new();
+        let sw = t.add_node(t.root(), x16g4());
+        let dev = t.add_node(sw, x4g3());
         let mut eng = FlowEngine::new();
         let inst = t.instantiate(&mut eng);
         let r = inst.route(dev, t.root()).unwrap();
@@ -322,10 +266,10 @@ mod tests {
 
     #[test]
     fn route_between_siblings_goes_through_parent() {
-        let mut t = Topology::new("host");
-        let sw = t.add_switch("sw", t.root(), x16g4());
-        let a = t.add_device("a", sw, x4g3());
-        let b = t.add_device("b", sw, x4g3());
+        let mut t = Topology::new();
+        let sw = t.add_node(t.root(), x16g4());
+        let a = t.add_node(sw, x4g3());
+        let b = t.add_node(sw, x4g3());
         let mut eng = FlowEngine::new();
         let inst = t.instantiate(&mut eng);
         let r = inst.route(a, b).unwrap();
@@ -336,11 +280,11 @@ mod tests {
 
     #[test]
     fn route_across_switches() {
-        let mut t = Topology::new("host");
-        let s1 = t.add_switch("s1", t.root(), x16g4());
-        let s2 = t.add_switch("s2", t.root(), x16g4());
-        let a = t.add_device("a", s1, x4g3());
-        let b = t.add_device("b", s2, x4g3());
+        let mut t = Topology::new();
+        let s1 = t.add_node(t.root(), x16g4());
+        let s2 = t.add_node(t.root(), x16g4());
+        let a = t.add_node(s1, x4g3());
+        let b = t.add_node(s2, x4g3());
         let mut eng = FlowEngine::new();
         let inst = t.instantiate(&mut eng);
         let r = inst.route(a, b).unwrap();
@@ -353,7 +297,7 @@ mod tests {
 
     #[test]
     fn errors_on_bad_endpoints() {
-        let t = Topology::new("host");
+        let t = Topology::new();
         let mut eng = FlowEngine::new();
         let inst = t.instantiate(&mut eng);
         assert_eq!(inst.route(t.root(), t.root()), Err(TopologyError::SameEndpoint(0)));
@@ -362,8 +306,8 @@ mod tests {
 
     #[test]
     fn full_duplex_links_do_not_contend() {
-        let mut t = Topology::new("host");
-        let dev = t.add_device("gpu", t.root(), x16g4());
+        let mut t = Topology::new();
+        let dev = t.add_node(t.root(), x16g4());
         let mut eng = FlowEngine::new();
         let inst = t.instantiate(&mut eng);
         let up = inst.route(dev, t.root()).unwrap();
@@ -382,9 +326,9 @@ mod tests {
         // Aggregate device bandwidth (4 x 3.94 = 15.8 GB/s) fits the uplink,
         // but 16 devices (63 GB/s) saturate it.
         let build = |n: usize| {
-            let mut t = Topology::new("host");
-            let sw = t.add_switch("sw", t.root(), x16g4());
-            let devs: Vec<_> = (0..n).map(|_| t.add_device("d", sw, x4g3())).collect();
+            let mut t = Topology::new();
+            let sw = t.add_node(t.root(), x16g4());
+            let devs: Vec<_> = (0..n).map(|_| t.add_node(sw, x4g3())).collect();
             let mut eng = FlowEngine::new();
             let inst = t.instantiate(&mut eng);
             for d in &devs {
@@ -404,14 +348,10 @@ mod tests {
 
     #[test]
     fn node_metadata_accessors() {
-        let mut t = Topology::new("host");
-        let sw = t.add_switch("sw", t.root(), x16g4());
-        let d = t.add_device("nvme", sw, x4g3());
-        assert_eq!(t.name(d), "nvme");
-        assert_eq!(t.kind(sw), NodeKind::Switch);
-        assert_eq!(t.kind(t.root()), NodeKind::Host);
-        assert_eq!(t.uplink(d), Some(x4g3()));
-        assert_eq!(t.uplink(t.root()), None);
+        let mut t = Topology::new();
+        assert!(t.is_empty());
+        let sw = t.add_node(t.root(), x16g4());
+        t.add_node(sw, x4g3());
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
     }

@@ -7,16 +7,16 @@ use proptest::prelude::*;
 /// Builds a random tree of `n` nodes under the root, parents chosen among
 /// earlier nodes.
 fn random_tree(parents: &[usize]) -> (Topology, Vec<NodeId>) {
-    let mut topo = Topology::new("host");
+    let mut topo = Topology::new();
     let mut nodes = vec![topo.root()];
     for (i, &p) in parents.iter().enumerate() {
         let parent = nodes[p % nodes.len()];
-        let node = if i % 2 == 0 {
-            topo.add_switch("s", parent, LinkSpec::new(PcieGen::Gen4, 8))
+        let link = if i % 2 == 0 {
+            LinkSpec::new(PcieGen::Gen4, 8)
         } else {
-            topo.add_device("d", parent, LinkSpec::new(PcieGen::Gen3, 4))
+            LinkSpec::new(PcieGen::Gen3, 4)
         };
-        nodes.push(node);
+        nodes.push(topo.add_node(parent, link));
     }
     (topo, nodes)
 }

@@ -187,6 +187,14 @@ impl ModelConfig {
         self.layers as u64 * self.hidden as u64 * FP16_BYTES
     }
 
+    /// Cache bytes per token across all layers when a fraction `alpha` of
+    /// the context keeps X-cache and the rest KV-cache (§4.2):
+    /// `(1 − α)·kv_bytes_per_token + α·x_bytes_per_token`. Unrounded;
+    /// each caller rounds as its own accounting needs.
+    pub fn cache_bytes_per_token(&self, alpha: f64) -> f64 {
+        (1.0 - alpha) * self.kv_bytes_per_token() as f64 + alpha * self.x_bytes_per_token() as f64
+    }
+
     /// Size ratio X-cache / KV-cache: 0.5 for MHA (the paper's "half the
     /// storage"), but above 1 for aggressive GQA, where X-cache stops
     /// paying off.
@@ -422,6 +430,16 @@ mod tests {
         // For strong GQA the X-cache is larger than KV.
         assert!(qwen25_32b().x_to_kv_ratio() > 1.0);
         assert!(mixtral_8x7b().x_to_kv_ratio() > 1.0);
+    }
+
+    #[test]
+    fn cache_bytes_per_token_blends_kv_and_x_by_alpha() {
+        let m = opt_66b();
+        let (kv, x) = (m.kv_bytes_per_token() as f64, m.x_bytes_per_token() as f64);
+        assert_eq!(m.cache_bytes_per_token(0.0), kv);
+        assert_eq!(m.cache_bytes_per_token(1.0), x);
+        // MHA: X is half of KV, so α = 0.5 stores three quarters of KV.
+        assert_eq!(m.cache_bytes_per_token(0.5), 0.75 * kv);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::fmt;
 use std::iter::once;
 
 /// The storage complex of a system.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StorageConfig {
     /// Conventional SSDs, each on a dedicated ×4 root port (Fig. 3a) and
     /// RAID-0'd together by software (mdadm, §6.1).
@@ -61,7 +61,7 @@ impl StorageConfig {
     /// The per-device SSD spec.
     pub fn ssd_spec(&self) -> SsdSpec {
         match self {
-            StorageConfig::ConventionalSsds { spec, .. } => spec.clone(),
+            StorageConfig::ConventionalSsds { spec, .. } => *spec,
             StorageConfig::SmartSsdChassis { .. } => SsdSpec::smartssd_nvme(),
             StorageConfig::IspCsd { .. } => SsdSpec::isp_csd(),
         }
@@ -236,7 +236,7 @@ impl SystemSpec {
                 degradations
                     .iter()
                     .filter(|&&(d, _)| d == i)
-                    .fold(healthy.clone(), |spec, &(_, factor)| spec.scaled(factor))
+                    .fold(healthy, |spec, &(_, factor)| spec.scaled(factor))
             })
             .collect())
     }
@@ -422,41 +422,32 @@ impl BuiltSystem {
         ));
 
         // PCIe topology.
-        let mut topo = Topology::new("host");
-        let gpu_node = topo.add_device("gpu", topo.root(), spec.gpu.link);
+        let mut topo = Topology::new();
+        let gpu_node = topo.add_node(topo.root(), spec.gpu.link);
         let mut device_nodes = Vec::with_capacity(device_specs.len());
         match &spec.storage {
             StorageConfig::ConventionalSsds { count, link, .. } => {
                 for _ in 0..*count {
-                    device_nodes.push(topo.add_device("ssd", topo.root(), *link));
+                    device_nodes.push(topo.add_node(topo.root(), *link));
                 }
             }
             StorageConfig::SmartSsdChassis { count, .. } => {
                 // One x16 uplink -> switch; x8 ports carry two devices each.
-                let chassis =
-                    topo.add_switch("chassis", topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
+                let chassis = topo.add_node(topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
                 let ports = count.div_ceil(2);
                 for p in 0..ports {
-                    let port = topo.add_switch("port", chassis, LinkSpec::new(PcieGen::Gen4, 8));
+                    let port = topo.add_node(chassis, LinkSpec::new(PcieGen::Gen4, 8));
                     for d in 0..2 {
                         let idx = p * 2 + d;
                         if idx < *count {
-                            device_nodes.push(topo.add_device(
-                                "smartssd",
-                                port,
-                                LinkSpec::new(PcieGen::Gen3, 4),
-                            ));
+                            device_nodes.push(topo.add_node(port, LinkSpec::new(PcieGen::Gen3, 4)));
                         }
                     }
                 }
             }
             StorageConfig::IspCsd { count } => {
                 for _ in 0..*count {
-                    device_nodes.push(topo.add_device(
-                        "isp",
-                        topo.root(),
-                        LinkSpec::new(PcieGen::Gen4, 4),
-                    ));
+                    device_nodes.push(topo.add_node(topo.root(), LinkSpec::new(PcieGen::Gen4, 4)));
                 }
             }
         }

@@ -10,7 +10,7 @@
 //! storage channels and compute engines.
 //!
 //! Rates are recomputed from scratch after every composition change
-//! (submit, completion or cancel), exact and bit-reproducible. A
+//! (submit or completion), exact and bit-reproducible. A
 //! recompute visits only the jobs in flight and the resources they cross,
 //! each filling round costing O(unfrozen jobs × route length + loaded
 //! resources); idle resources are never scanned, and the working vectors
@@ -57,12 +57,12 @@ fn completion_eps(demand: f64) -> f64 {
     1e-9 + 1e-12 * demand.abs()
 }
 
-/// One job slot. Slots are recycled (LIFO) once their job completes or is
-/// cancelled. The job's route is not stored here but in the engine's
-/// [`Routes`] buffer, at the slot's row, so neither a submit nor a retire
-/// allocates or frees a block of its own (route blocks kept per slot for
-/// the next occupant fragmented the heap amid each step's short-lived
-/// allocations, raising a 32-engine fleet's peak RSS by ~2%).
+/// One job slot. Slots are recycled (LIFO) once their job completes. The
+/// job's route is not stored here but in the engine's [`Routes`] buffer,
+/// at the slot's row, so neither a submit nor a retire allocates or frees
+/// a block of its own (route blocks kept per slot for the next occupant
+/// fragmented the heap amid each step's short-lived allocations, raising
+/// a 32-engine fleet's peak RSS by ~2%).
 #[derive(Debug, Clone)]
 struct JobState {
     live: bool,
@@ -321,24 +321,13 @@ impl FlowEngine {
         Ok(JobId { slot, seq })
     }
 
-    /// Takes a completed or cancelled job out of flight.
+    /// Takes a completed job out of flight.
     fn retire(&mut self, slot: u32) {
         self.jobs[slot as usize].live = false;
         self.free_slots.push(slot);
         let at = self.active.partition_point(|&s| s < slot);
         self.active.remove(at);
         self.rates_dirty = true;
-    }
-
-    /// Removes a job before it completes, returning its remaining demand,
-    /// or `None` if the job already completed or was cancelled. The freed
-    /// capacity redistributes among the remaining jobs — this is how
-    /// `core::serve` preempts requests and `core::cluster` migrates them
-    /// mid-flight.
-    pub fn cancel(&mut self, id: JobId) -> Option<f64> {
-        let remaining = self.job(id)?.remaining.max(0.0);
-        self.retire(id.slot);
-        Some(remaining)
     }
 
     /// Recomputes max-min fair rates (progressive filling with caps), then
@@ -916,42 +905,5 @@ mod tests {
         // Work conservation: single busy link serves total units at capacity.
         assert!((end.as_secs_f64() - total / 1e9).abs() < 1e-6);
         assert!((eng.stats(l).units_served - total).abs() < 1e3);
-    }
-
-    // ---- cancellation ----
-
-    #[test]
-    fn cancel_frees_capacity_for_the_survivor() {
-        let mut eng = FlowEngine::new();
-        let l = link(&mut eng, 1e9);
-        let a = eng.submit(&[l], 1e9, None).unwrap();
-        let b = eng.submit(&[l], 1e9, None).unwrap();
-        // Both at 0.5 GB/s; advance half a second, then cancel A.
-        eng.advance_to(SimTime::from_millis(500)).unwrap();
-        let rem = eng.cancel(a).unwrap();
-        assert!((rem - 0.75e9).abs() < 1e3, "cancelled remaining {rem}");
-        // B has 0.75e9 left at full rate: finishes 0.75 s later.
-        assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_millis(1250));
-        assert_eq!(eng.cancel(b), None, "completed job cannot be cancelled");
-        assert_eq!(eng.cancel(a), None, "double cancel returns None");
-    }
-
-    #[test]
-    fn cancel_custom_job_reanchors_survivors() {
-        // A multi-resource job and a capped job share a link with a simple
-        // job; cancelling them must hand their share back.
-        let mut eng = FlowEngine::new();
-        let l1 = link(&mut eng, 1e9);
-        let l2 = link(&mut eng, 1e9);
-        let multi = eng.submit(&[l1, l2], 1e9, None).unwrap();
-        let capped = eng.submit(&[l1], 1e9, Some(0.1e9)).unwrap();
-        let simple = eng.submit(&[l1], 1e9, None).unwrap();
-        eng.advance_to(SimTime::from_millis(100)).unwrap();
-        assert!(eng.cancel(multi).is_some());
-        assert!(eng.cancel(capped).is_some());
-        // The simple job is now alone on l1: full capacity.
-        assert!((eng.job_rate(simple).unwrap() - 1e9).abs() < 1.0);
-        eng.run_to_idle().unwrap();
-        assert_eq!(eng.active_jobs(), 0);
     }
 }

@@ -356,10 +356,14 @@ mod tests {
     #[test]
     fn cycle_detected() {
         let (mut eng, _r) = engine_with(&[1e9]);
+        // A graph is append-only, so a cycle needs a forward id: the
+        // second task's id, taken from a longer graph, as `a`'s dependency.
+        let mut longer = TaskGraph::new();
+        longer.milestone("x", &[]);
+        let forward = longer.milestone("y", &[]);
         let mut g = TaskGraph::new();
-        let a = g.milestone("a", &[]);
-        let b = g.milestone("b", &[a]);
-        g.add_deps(a, &[b]);
+        let a = g.milestone("a", &[forward]);
+        g.milestone("b", &[a]);
         match execute(&mut eng, &g) {
             Err(SimError::DependencyCycle(ids)) => assert_eq!(ids, vec![0, 1]),
             other => panic!("expected cycle error, got {other:?}"),
@@ -370,12 +374,8 @@ mod tests {
     fn unknown_dependency_rejected() {
         let (mut eng, _r) = engine_with(&[1e9]);
         let mut g = TaskGraph::new();
-        let a = g.milestone("a", &[]);
-        // Manually corrupt: dependency on a non-existent task id.
-        g.add_deps(a, &[]);
-        let mut g2 = TaskGraph::new();
-        g2.milestone("x", &[TaskId(5)]);
-        assert!(matches!(execute(&mut eng, &g2), Err(SimError::UnknownTask(5))));
+        g.milestone("x", &[TaskId(5)]);
+        assert!(matches!(execute(&mut eng, &g), Err(SimError::UnknownTask(5))));
     }
 
     #[test]

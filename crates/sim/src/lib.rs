@@ -11,7 +11,7 @@
 //! # The engine
 //!
 //! [`FlowEngine`] computes exact max-min rates by progressive filling,
-//! recomputed whenever the active set changes (submit, complete, cancel).
+//! recomputed whenever the active set changes (submit or complete).
 //! A recompute touches only the jobs in flight and the resources they
 //! cross, in reused working memory: a 16-SmartSSD world registers 136
 //! resources, but a decode step loads a few dozen at a time. Exact rates

@@ -221,7 +221,8 @@ impl fmt::Debug for Task<'_> {
 
 /// A DAG of tasks to execute on a [`crate::FlowEngine`].
 ///
-/// Dependency lists and routes of all tasks live in two shared arenas
+/// The graph is append-only: a task's dependencies are fixed when it is
+/// added. Dependency lists and routes of all tasks live in two shared arenas
 /// beside the node list, and each label is a [`Label`] stored in its node,
 /// so adding a task allocates nothing of its own and formats nothing. A
 /// builder that knows its graph's shape sizes all three up front with
@@ -368,29 +369,6 @@ impl TaskGraph {
     pub fn set_background(&mut self, id: TaskId) {
         self.nodes[id.index()].background = true;
     }
-
-    /// Adds extra dependencies to an existing task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` or any dependency is out of range.
-    pub fn add_deps(&mut self, id: TaskId, deps: &[TaskId]) {
-        for d in deps {
-            assert!(d.index() < self.nodes.len(), "dependency {d} out of range");
-        }
-        // Move the task's list to the arena's end (unless it is already
-        // there) so it can grow in place.
-        let Span(start, end) = self.nodes[id.index()].deps;
-        let start = if end as usize == self.deps.len() {
-            start
-        } else {
-            let moved = self.deps.len() as u32;
-            self.deps.extend_from_within(start as usize..end as usize);
-            moved
-        };
-        self.deps.extend_from_slice(deps);
-        self.nodes[id.index()].deps = Span(start, self.deps.len() as u32);
-    }
 }
 
 #[cfg(test)]
@@ -438,22 +416,5 @@ mod tests {
         assert!(!g.task(a).is_background());
         g.set_background(a);
         assert!(g.task(a).is_background());
-    }
-
-    #[test]
-    fn add_deps_appends() {
-        let mut g = TaskGraph::new();
-        let a = g.milestone("a", &[]);
-        let b = g.milestone("b", &[]);
-        let c = g.milestone("c", &[a]);
-        g.add_deps(c, &[b]);
-        assert_eq!(g.task(c).deps(), &[a, b]);
-        // A task whose list is not at the arena's end keeps its old deps
-        // and leaves its neighbours' untouched.
-        g.add_deps(b, &[a]);
-        g.add_deps(b, &[c]);
-        assert_eq!(g.task(b).deps(), &[a, c]);
-        assert_eq!(g.task(c).deps(), &[a, b]);
-        assert_eq!(g.task(a).deps(), &[]);
     }
 }

@@ -20,7 +20,7 @@ fn engine_with_links(bws: &[f64]) -> (FlowEngine, Vec<ResourceId>) {
 }
 
 /// Drives one random interleaving of submits, completion-boundary
-/// advances, partial advances and cancellations over multi-link routes,
+/// advances and partial advances over multi-link routes,
 /// rate caps and zero-amount jobs. At every step the stored completion
 /// predictions must agree with the reference scan; at the end the engine
 /// must drain.
@@ -29,7 +29,6 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
     let n_links = rng.random_range(1..5usize);
     let bws: Vec<f64> = (0..n_links).map(|_| rng.random_range(1.0e8..1.0e10)).collect();
     let (mut eng, links) = engine_with_links(&bws);
-    let mut live = Vec::new();
 
     // A stored absolute prediction rounds `remaining/rate` once; the scan
     // re-divides a drifted `remaining` and can land one picosecond away.
@@ -45,7 +44,7 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
     };
 
     for _ in 0..n_ops {
-        match rng.random_range(0..10u32) {
+        match rng.random_range(0..9u32) {
             0..=4 => {
                 let amount = if rng.random_range(0..10u32) == 0 {
                     0.0
@@ -64,24 +63,16 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
                 } else {
                     None
                 };
-                live.push(eng.submit(&route, amount, cap).unwrap());
+                eng.submit(&route, amount, cap).unwrap();
             }
             5..=6 => {
                 if let Some(t) = stored_matches_scan(&mut eng)? {
                     eng.advance_to(t).unwrap();
                 }
             }
-            7..=8 => {
+            _ => {
                 let dt = SimTime::from_secs_f64_ceil(rng.random_range(1.0e-6..1.0e-2));
                 eng.advance_to(eng.now() + dt).unwrap();
-            }
-            _ => {
-                live.retain(|&id| eng.job_remaining(id).is_some());
-                if !live.is_empty() {
-                    let id = live.swap_remove(rng.random_range(0..live.len()));
-                    prop_assert!(eng.cancel(id).is_some(), "cancel of a live job failed");
-                    prop_assert_eq!(eng.cancel(id), None, "double cancel must return None");
-                }
             }
         }
         stored_matches_scan(&mut eng)?;
@@ -161,16 +152,6 @@ mod reference {
 
         fn slot_of(&self, seq: u64) -> Option<usize> {
             self.jobs.iter().position(|j| j.as_ref().is_some_and(|j| j.seq == seq))
-        }
-
-        pub fn cancel(&mut self, seq: u64) -> Option<f64> {
-            let slot = self.slot_of(seq)?;
-            let remaining = self.jobs[slot].as_ref().unwrap().remaining.max(0.0);
-            self.jobs[slot] = None;
-            self.free_slots.push(slot);
-            self.active -= 1;
-            self.rates_dirty = true;
-            Some(remaining)
         }
 
         pub fn job_rate(&mut self, seq: u64) -> Option<f64> {
@@ -353,7 +334,7 @@ mod reference {
 }
 
 /// Drives the engine and the reference copy through one random sequence
-/// of submits, cancels, completion-boundary and partial advances over
+/// of submits, completion-boundary and partial advances over
 /// capped, multi-link and zero-amount jobs, requiring bit-equal rates,
 /// remaining demands, completion predictions, completions and resource
 /// statistics after every operation.
@@ -393,7 +374,7 @@ fn drive_differential(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
     };
 
     for _ in 0..n_ops {
-        match rng.random_range(0..12u32) {
+        match rng.random_range(0..10u32) {
             0..=4 => {
                 let amount = if rng.random_range(0..8u32) == 0 {
                     0.0
@@ -430,19 +411,11 @@ fn drive_differential(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
                     eng.advance_to(t).unwrap().iter().map(|c| c.job.sequence()).collect();
                 prop_assert_eq!(got, reference.advance_to(t));
             }
-            9 => {
+            _ => {
                 // Rate query straight after a composition change: the
                 // recompute happens here, not at the next advance.
                 if let Some(&seq) = reference.live().last() {
                     let (got, want) = (eng.job_rate(ids[seq as usize]), reference.job_rate(seq));
-                    prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
-                }
-            }
-            _ => {
-                let live = reference.live();
-                if !live.is_empty() {
-                    let seq = live[rng.random_range(0..live.len())];
-                    let (got, want) = (eng.cancel(ids[seq as usize]), reference.cancel(seq));
                     prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
                 }
             }
@@ -475,10 +448,10 @@ proptest! {
         drive_differential(seed, n_ops)?;
     }
 
-    /// Random submit / partial-advance / cancel interleavings with capped,
-    /// multi-link and zero-amount jobs keep the stored completion
-    /// predictions within a picosecond of the reference scan and drain to
-    /// idle.
+    /// Random submit / boundary-advance / partial-advance interleavings
+    /// with capped, multi-link and zero-amount jobs keep the stored
+    /// completion predictions within a picosecond of the reference scan
+    /// and drain to idle.
     #[test]
     fn mixed_churn_predictions_match_scan_and_drain(seed in any::<u64>(), n_ops in 10usize..60) {
         drive_mixed(seed, n_ops)?;

@@ -204,8 +204,8 @@ impl KvShardLedger {
     }
 
     /// Places `bytes` for `request` across the devices, skewed by weight
-    /// and capped by per-device free space, and returns the per-device
-    /// placement. Allocation is all-or-nothing: on error no device
+    /// and capped by per-device free space, and returns the stored
+    /// per-device placement. Allocation is all-or-nothing: on error no device
     /// changes.
     ///
     /// HILOS partitions the KV cache statically, so every stripe must
@@ -221,7 +221,7 @@ impl KvShardLedger {
     /// * [`LedgerError::InsufficientCapacity`] if the placeable devices'
     ///   free space cannot hold `bytes`, or any eligible stripe member is
     ///   already full.
-    pub fn allocate(&mut self, request: u64, bytes: u64) -> Result<Vec<u64>, LedgerError> {
+    pub fn allocate(&mut self, request: u64, bytes: u64) -> Result<&[u64], LedgerError> {
         if self.allocations.contains_key(&request) {
             return Err(LedgerError::DuplicateRequest(request));
         }
@@ -266,8 +266,7 @@ impl KvShardLedger {
         for (s, &p) in self.shards.iter_mut().zip(&placed) {
             s.occupied += p;
         }
-        self.allocations.insert(request, placed.clone());
-        Ok(placed)
+        Ok(self.allocations.entry(request).or_insert(placed))
     }
 
     /// Releases a request's allocation, returning its former placement.
@@ -294,7 +293,7 @@ mod tests {
         let mut l = KvShardLedger::uniform(4, 1 << 20);
         let p = l.allocate(1, 4096).unwrap();
         assert_eq!(p.iter().sum::<u64>(), 4096);
-        for &b in &p {
+        for &b in p {
             assert!((900..=1200).contains(&b), "uneven stripe: {p:?}");
         }
     }
@@ -369,10 +368,8 @@ mod tests {
         assert_eq!(freed.iter().sum::<u64>(), 2400);
         assert_eq!(l.total_occupied(), 0);
         assert!(matches!(l.release(9), Err(LedgerError::UnknownRequest(9))));
-        assert!(matches!(
-            l.allocate(1, 1).and(l.allocate(1, 1)),
-            Err(LedgerError::DuplicateRequest(1))
-        ));
+        l.allocate(1, 1).unwrap();
+        assert!(matches!(l.allocate(1, 1), Err(LedgerError::DuplicateRequest(1))));
     }
 
     #[test]
@@ -380,7 +377,7 @@ mod tests {
         let mut l = KvShardLedger::uniform(3, 1000);
         assert_eq!(l.held_bytes(4), None);
         assert_eq!(l.free_by_device(), vec![1000, 1000, 1000]);
-        let placed = l.allocate(4, 900).unwrap();
+        let placed = l.allocate(4, 900).unwrap().to_vec();
         assert_eq!(l.held_bytes(4), Some(900));
         let free = l.free_by_device();
         for (i, &p) in placed.iter().enumerate() {
@@ -400,7 +397,7 @@ mod tests {
             ShardSpec { capacity_bytes: 3000, weight: 1.0 },
         ]);
         assert_eq!(l.total_weight(), 3.0);
-        let placed = l.allocate(1, 2000).unwrap();
+        let placed = l.allocate(1, 2000).unwrap().to_vec();
         assert_eq!(placed, [l.occupied_bytes(0), l.occupied_bytes(1)]);
         // Release restores zero occupancy exactly.
         l.release(1).unwrap();

@@ -16,9 +16,8 @@ use hilos_sim::SimTime;
 /// assert!(pm9a3.seq_read_bw() > 6.0e9);
 /// assert_eq!(pm9a3.page_bytes(), 4096);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdSpec {
-    name: String,
     capacity_bytes: u64,
     seq_read_bw: f64,
     seq_write_bw: f64,
@@ -36,7 +35,6 @@ impl SsdSpec {
     /// Panics if any bandwidth/capacity is non-positive or the page size is
     /// not a power of two.
     pub fn new(
-        name: impl Into<String>,
         capacity_bytes: u64,
         seq_read_bw: f64,
         seq_write_bw: f64,
@@ -49,7 +47,6 @@ impl SsdSpec {
         assert!(page_bytes.is_power_of_two(), "page size must be a power of two");
         assert!(endurance_bytes > 0.0, "endurance must be positive");
         SsdSpec {
-            name: name.into(),
             capacity_bytes,
             seq_read_bw,
             seq_write_bw,
@@ -63,7 +60,6 @@ impl SsdSpec {
     /// 6.9 GB/s sequential read, 4.1 GB/s sequential write.
     pub fn pm9a3() -> Self {
         SsdSpec::new(
-            "PM9A3-3.84T",
             3_840_000_000_000,
             6.9e9,
             4.1e9,
@@ -80,15 +76,7 @@ impl SsdSpec {
     /// writes ≈2.0 GB/s (paper Fig. 12a / §6.2). Endurance 7.008 PBW with
     /// 3-month retention (paper §6.6).
     pub fn smartssd_nvme() -> Self {
-        SsdSpec::new(
-            "SmartSSD-NVMe-3.84T",
-            3_840_000_000_000,
-            3.2e9,
-            2.0e9,
-            4096,
-            SimTime::from_micros(25),
-            7.008e15,
-        )
+        SsdSpec::new(3_840_000_000_000, 3.2e9, 2.0e9, 4096, SimTime::from_micros(25), 7.008e15)
     }
 
     /// The envisioned ISP-CSD of §7.1: 16 TB NAND behind eight 2,000 MT/s
@@ -96,7 +84,6 @@ impl SsdSpec {
     /// 16 GB/s), write ≈ 8 GB/s.
     pub fn isp_csd() -> Self {
         SsdSpec::new(
-            "ISP-CSD-16T",
             16_000_000_000_000,
             NandGeometry::isp_csd().aggregate_channel_bw(),
             8.0e9,
@@ -104,11 +91,6 @@ impl SsdSpec {
             SimTime::from_micros(20),
             4.0 * 7.008e15,
         )
-    }
-
-    /// Device name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Usable capacity in bytes.
@@ -167,7 +149,6 @@ impl SsdSpec {
         assert!(factor.is_finite() && factor > 0.0, "scale factor must be positive");
         self.seq_read_bw *= factor;
         self.seq_write_bw *= factor;
-        self.name = format!("{}@{:.0}%", self.name, factor * 100.0);
         self
     }
 }
@@ -210,13 +191,13 @@ mod tests {
         // Page-aligned multi-page writes are also WAF 1.
         assert_eq!(s.write_amplification(8192), 1.0);
         // 16 KiB pages (§7.3) quadruple sub-page amplification.
-        let big = SsdSpec::new("16K", 1 << 40, 1e9, 1e9, 16384, SimTime::ZERO, 1e15);
+        let big = SsdSpec::new(1 << 40, 1e9, 1e9, 16384, SimTime::ZERO, 1e15);
         assert_eq!(big.write_amplification(256), 64.0);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_page_size_rejected() {
-        let _ = SsdSpec::new("odd", 1 << 40, 1e9, 1e9, 5000, SimTime::ZERO, 1e15);
+        let _ = SsdSpec::new(1 << 40, 1e9, 1e9, 5000, SimTime::ZERO, 1e15);
     }
 }

@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn ssd_demote_prices_stripe_latency_and_waf() {
         let spec = SsdSpec::smartssd_nvme();
-        let l = KvTierLadder::new(1 << 30, 1 << 30, spec.clone(), 4);
+        let l = KvTierLadder::new(1 << 30, 1 << 30, spec, 4);
         let cmd = spec.cmd_latency().as_secs_f64();
         let bytes = 64 * 1024 * 1024u64;
         // Page-aligned 256 KiB spill chunks: WAF 1, so the demote is the

@@ -207,7 +207,7 @@ proptest! {
                         if weight == 0.0 {
                             prop_assert_eq!(p[2], 0, "offline device took placement");
                         }
-                        live.insert(id, p);
+                        live.insert(id, p.to_vec());
                     }
                     Err(_) => {
                         // Rejections must leave the ledger untouched; the
@@ -331,10 +331,8 @@ proptest! {
         ops in prop::collection::vec((0u8..6, 0u64..64, 1u64..1200), 1..400),
     ) {
         const BPT: u64 = 16; // bytes per token -> 1 KiB blocks of 64 tokens
-        let ssd = SsdSpec::new(
-            "tiny", 96 << 10, 3.2e9, 2.0e9, 4096, SimTime::from_micros(25), 7.008e15,
-        );
-        let new_ladder = || KvTierLadder::new(32 << 10, 64 << 10, ssd.clone(), 2);
+        let ssd = SsdSpec::new(96 << 10, 3.2e9, 2.0e9, 4096, SimTime::from_micros(25), 7.008e15);
+        let new_ladder = || KvTierLadder::new(32 << 10, 64 << 10, ssd, 2);
         let (mut ladder, mut scan_ladder) = (new_ladder(), new_ladder());
         let mut index = PrefixCacheIndex::new(64, BPT);
         let mut scan = ScanIndex::new(64, BPT);

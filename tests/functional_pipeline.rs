@@ -1,9 +1,8 @@
 //! Cross-crate functional integration: the umbrella crate's numerics
 //! paths and schedule tooling working together.
 
-use hilos::accel::{attention_kernel, sliding_window_attention, AttentionInputs, MatrixF32};
+use hilos::accel::MatrixF32;
 use hilos::core::FunctionalBlock;
-use hilos::llm::{RetrievalTask, RetrievalTaskConfig};
 use hilos_bench::experiments;
 
 fn context(s: usize, h: usize, seed: u64) -> MatrixF32 {
@@ -31,27 +30,6 @@ fn incremental_decode_session_stays_exact() {
         let wb = block.attend_writeback(&xq, &prefix, step % 8).unwrap();
         assert!(base.max_abs_diff(&wb) < 3e-4, "step {step}");
     }
-}
-
-/// The synthetic retrieval task decodes identically through the plain
-/// kernel and through the windowed kernel when the window covers all
-/// needles.
-#[test]
-fn windowed_attention_preserves_retrieval_when_window_suffices() {
-    let task = RetrievalTask::generate(&RetrievalTaskConfig::longbench_like(512, 3));
-    let inputs = AttentionInputs {
-        queries: &task.queries,
-        keys: &task.keys,
-        values: &task.values,
-        valid: None,
-        scale: task.scale,
-        host_tail: None,
-    };
-    let full = attention_kernel(&inputs).unwrap();
-    let windowed =
-        sliding_window_attention(&task.queries, &task.keys, &task.values, task.scale, 10_000)
-            .unwrap();
-    assert_eq!(task.decode(&full), task.decode(&windowed));
 }
 
 /// The schedule experiment renders the Fig. 4(a) stages and a critical

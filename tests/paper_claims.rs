@@ -114,7 +114,8 @@ fn ablation_ordering_holds() {
     let model = presets::opt_30b();
     let base = flex_ssd(&model).run_decode(16, 32 * 1024, 4).unwrap().tokens_per_second();
     let run = |wb: bool, x: bool| {
-        let cfg = HilosConfig::ans_only(16).with_writeback(wb).with_xcache(x);
+        let alpha = if x { AlphaPolicy::Auto } else { AlphaPolicy::Fixed(0.0) };
+        let cfg = HilosConfig::ans_only(16).with_writeback(wb).with_alpha(alpha);
         HilosSystem::new(&SystemSpec::a100_smartssd(16), &model, &cfg)
             .unwrap()
             .with_sim_layers(4)
