@@ -25,7 +25,7 @@
 //! remaining demand, is the reference.
 
 use crate::error::SimError;
-use crate::resource::{ResourceId, ResourceSpec, ResourceStats};
+use crate::resource::{Hop, ResourceId, ResourceSpec, ResourceStats};
 use crate::time::SimTime;
 
 /// Identifier of an in-flight job.
@@ -87,23 +87,26 @@ struct JobState {
 /// every row once; otherwise the buffer grows only with the slot count.
 #[derive(Debug, Default)]
 struct Routes {
-    hops: Vec<ResourceId>,
+    hops: Vec<Hop>,
     stride: usize,
 }
 
+/// The filler of an unused route entry.
+const NO_HOP: Hop = Hop::new(ResourceId(0), 0);
+
 impl Routes {
     /// The route of the job in `slot`, `len` hops long.
-    fn of(&self, slot: u32, len: u32) -> &[ResourceId] {
+    fn of(&self, slot: u32, len: u32) -> &[Hop] {
         let start = slot as usize * self.stride;
         &self.hops[start..start + len as usize]
     }
 
     /// Stores `route` in `slot`'s row, first giving every row room for it
     /// (keeping the live jobs' routes) and the buffer a row per slot.
-    fn store(&mut self, jobs: &[JobState], slot: u32, route: &[ResourceId]) {
+    fn store<H: Copy + Into<Hop>>(&mut self, jobs: &[JobState], slot: u32, route: &[H]) {
         if route.len() > self.stride {
             let stride = route.len();
-            let mut hops = vec![ResourceId(0); jobs.len() * stride];
+            let mut hops = vec![NO_HOP; jobs.len() * stride];
             for (s, job) in jobs.iter().enumerate().filter(|(_, j)| j.live) {
                 let len = job.hops as usize;
                 hops[s * stride..s * stride + len].copy_from_slice(self.of(s as u32, job.hops));
@@ -111,9 +114,11 @@ impl Routes {
             self.hops = hops;
             self.stride = stride;
         }
-        self.hops.resize(jobs.len() * self.stride, ResourceId(0));
+        self.hops.resize(jobs.len() * self.stride, NO_HOP);
         let start = slot as usize * self.stride;
-        self.hops[start..start + route.len()].copy_from_slice(route);
+        for (to, &hop) in self.hops[start..start + route.len()].iter_mut().zip(route) {
+            *to = hop.into();
+        }
     }
 }
 
@@ -139,7 +144,8 @@ struct Scratch {
     /// Per resource: crosses the current bottleneck (meaningful while
     /// loaded; rewritten every round it is read).
     bottleneck: Vec<bool>,
-    /// Per resource: rate allocated during an advance.
+    /// Per resource: the rate allocated to the active jobs, summed as the
+    /// last recompute froze them (meaningful while loaded).
     allocated: Vec<f64>,
     /// Resources carrying at least one active job, as of the last
     /// recompute (first-touch order).
@@ -153,6 +159,8 @@ struct Scratch {
     /// Unfrozen slots in slot order, and the survivors of a round.
     unfrozen: Vec<u32>,
     next: Vec<u32>,
+    /// The jobs a round freezes: `(rate, slot)`.
+    frozen: Vec<(f64, u32)>,
     /// Jobs completing in one advance: `(seq, slot)`.
     done: Vec<(u64, u32)>,
 }
@@ -252,7 +260,8 @@ impl FlowEngine {
         self.jobs.get(id.slot as usize).filter(|j| j.live && j.seq == id.seq)
     }
 
-    /// Submits a job demanding `amount` units across `route`.
+    /// Submits a job demanding `amount` units across `route`: resource
+    /// ids, or [`Hop`]s for a job that stands for several identical flows.
     ///
     /// The job occupies every resource in `route` simultaneously; its rate
     /// is bounded by the max-min fair share on each and by `rate_cap` if
@@ -263,20 +272,25 @@ impl FlowEngine {
     ///
     /// * [`SimError::EmptyRoute`] if `route` is empty.
     /// * [`SimError::UnknownResource`] if any id is out of range.
+    /// * [`SimError::ZeroCopies`] if a hop stands for no flow.
     /// * [`SimError::InvalidAmount`] if `amount` is negative or non-finite,
     ///   or `rate_cap` is non-positive or non-finite.
-    pub fn submit(
+    pub fn submit<H: Copy + Into<Hop>>(
         &mut self,
-        route: &[ResourceId],
+        route: &[H],
         amount: f64,
         rate_cap: Option<f64>,
     ) -> Result<JobId, SimError> {
         if route.is_empty() {
             return Err(SimError::EmptyRoute);
         }
-        for r in route {
-            if r.index() >= self.specs.len() {
-                return Err(SimError::UnknownResource(r.index()));
+        for &hop in route {
+            let Hop { resource, copies } = hop.into();
+            if resource.index() >= self.specs.len() {
+                return Err(SimError::UnknownResource(resource.index()));
+            }
+            if copies == 0 {
+                return Err(SimError::ZeroCopies(resource.index()));
             }
         }
         if !amount.is_finite() || amount < 0.0 {
@@ -334,10 +348,15 @@ impl FlowEngine {
     /// refreshes the completion prediction of every job whose rate changed.
     ///
     /// Only resources that carry a job are visited. The arithmetic is the
-    /// textbook loop's, in its order: jobs freeze in slot order, each
-    /// resource's residual is reduced in freeze order, and the bottleneck
-    /// share is a minimum over non-negative shares, which does not depend
-    /// on the order resources are visited in.
+    /// textbook loop's: the bottleneck share is a minimum over
+    /// non-negative shares, which does not depend on the order resources
+    /// are visited in, and every round takes its frozen jobs' rates from
+    /// the residuals in ascending rate order (ties in slot order), each
+    /// hop as many times in a row as it has copies. Every job frozen in a
+    /// round takes the same rate but for a capped job whose cap lies
+    /// within the round's ε below the share, so the order rarely matters;
+    /// where it does, rate order makes a job of k copies take exactly
+    /// what k one-copy jobs would.
     fn recompute_rates(&mut self) {
         if !self.rates_dirty {
             return;
@@ -360,12 +379,14 @@ impl FlowEngine {
             residual,
             load,
             bottleneck,
+            allocated,
             in_use,
             filling,
             fill_share,
             old_rates,
             unfrozen,
             next,
+            frozen,
             ..
         } = &mut self.scratch;
         let jobs = &mut self.jobs;
@@ -382,13 +403,14 @@ impl FlowEngine {
             if let Some(c) = job.rate_cap {
                 min_cap = min_cap.min(c);
             }
-            for r in routes.of(i, job.hops) {
-                let r = r.index();
+            for hop in routes.of(i, job.hops) {
+                let r = hop.resource.index();
                 if load[r] == 0 {
                     in_use.push(r as u32);
                     residual[r] = self.specs[r].capacity();
+                    allocated[r] = 0.0;
                 }
-                load[r] += 1;
+                load[r] += hop.copies;
             }
         }
         filling.clone_from(in_use);
@@ -410,6 +432,7 @@ impl FlowEngine {
 
             let eps = 1e-12 * (1.0 + share.abs());
             next.clear();
+            frozen.clear();
             let mut next_min_cap = f64::INFINITY;
             if min_cap < share - eps {
                 // Jobs whose cap is (close to) the minimum freeze at it.
@@ -418,11 +441,7 @@ impl FlowEngine {
                     match job.rate_cap {
                         Some(c) if c <= min_cap + eps => {
                             job.rate = c;
-                            for r in routes.of(i, job.hops) {
-                                let r = r.index();
-                                residual[r] = (residual[r] - c).max(0.0);
-                                load[r] -= 1;
-                            }
+                            frozen.push((c, i));
                         }
                         cap => {
                             if let Some(c) = cap {
@@ -439,22 +458,15 @@ impl FlowEngine {
                 for (&r, &s) in filling.iter().zip(fill_share.iter()) {
                     bottleneck[r as usize] = s <= share + eps;
                 }
-                let mut froze_any = false;
                 for &i in unfrozen.iter() {
                     let job = &mut jobs[i as usize];
-                    let route = routes.of(i, job.hops);
-                    if route.iter().any(|r| bottleneck[r.index()]) {
-                        froze_any = true;
+                    if routes.of(i, job.hops).iter().any(|h| bottleneck[h.resource.index()]) {
                         let rate = match job.rate_cap {
                             Some(c) => c.min(share),
                             None => share,
                         };
                         job.rate = rate;
-                        for r in route {
-                            let r = r.index();
-                            residual[r] = (residual[r] - rate).max(0.0);
-                            load[r] -= 1;
-                        }
+                        frozen.push((rate, i));
                     } else {
                         if let Some(c) = job.rate_cap {
                             next_min_cap = next_min_cap.min(c);
@@ -464,24 +476,36 @@ impl FlowEngine {
                 }
                 // Safety net against numerical stalls: freeze everything at
                 // the current share if no bottleneck was detected.
-                if !froze_any {
+                if frozen.is_empty() {
                     for &i in next.iter() {
                         let job = &mut jobs[i as usize];
                         job.rate = match job.rate_cap {
                             Some(c) => c.min(share),
                             None => share,
                         };
+                        frozen.push((job.rate, i));
                     }
                     next.clear();
+                }
+            }
+            // Take the frozen rates from the residuals and add them to the
+            // resources' allocated rates, in rate order.
+            if frozen.windows(2).any(|w| w[0].0.to_bits() != w[1].0.to_bits()) {
+                frozen.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            }
+            for &(rate, i) in frozen.iter() {
+                for hop in routes.of(i, jobs[i as usize].hops) {
+                    let r = hop.resource.index();
+                    for _ in 0..hop.copies {
+                        residual[r] = (residual[r] - rate).max(0.0);
+                        allocated[r] += rate;
+                    }
+                    load[r] -= hop.copies;
                 }
             }
             std::mem::swap(unfrozen, next);
             min_cap = next_min_cap;
             filling.retain(|&r| load[r as usize] > 0);
-        }
-        // The safety net can leave loads behind; clear them for next time.
-        for &r in filling.iter() {
-            load[r as usize] = 0;
         }
 
         // Re-predict completions for jobs whose rate changed (or that
@@ -565,16 +589,7 @@ impl FlowEngine {
         // Accumulate resource statistics for the elapsed window. An idle
         // resource serves nothing, so only its observed time moves.
         if dt > 0.0 {
-            let Scratch { allocated, in_use, .. } = &mut self.scratch;
-            for &r in in_use.iter() {
-                allocated[r as usize] = 0.0;
-            }
-            for &slot in &self.active {
-                let j = &self.jobs[slot as usize];
-                for r in self.routes.of(slot, j.hops) {
-                    allocated[r.index()] += j.rate;
-                }
-            }
+            let Scratch { allocated, in_use, .. } = &self.scratch;
             for &r in in_use.iter() {
                 let r = r as usize;
                 let cap = self.specs[r].capacity();
@@ -733,7 +748,7 @@ mod tests {
     fn submit_validation() {
         let mut eng = FlowEngine::new();
         let l = link(&mut eng, 1e9);
-        assert!(matches!(eng.submit(&[], 1.0, None), Err(SimError::EmptyRoute)));
+        assert!(matches!(eng.submit::<ResourceId>(&[], 1.0, None), Err(SimError::EmptyRoute)));
         assert!(matches!(
             eng.submit(&[ResourceId(9)], 1.0, None),
             Err(SimError::UnknownResource(9))
@@ -891,6 +906,105 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(eng.next_completion_time().unwrap(), SimTime::from_secs(3));
         assert_eq!(eng.run_to_idle().unwrap(), SimTime::from_secs(3));
+    }
+
+    /// One world of the weighted-hop equivalence test: an uplink shared by
+    /// every flow and, below it, ports with device links, all fast enough
+    /// that the uplink is the bottleneck.
+    struct Chassis {
+        eng: FlowEngine,
+        uplink: ResourceId,
+        ports: Vec<ResourceId>,
+        devices: Vec<ResourceId>,
+    }
+
+    impl Chassis {
+        fn new(ports: usize, devices: usize) -> Self {
+            let mut eng = FlowEngine::new();
+            let uplink = link(&mut eng, 10e9);
+            let ports = (0..ports).map(|_| link(&mut eng, 40e9)).collect();
+            let devices = (0..devices).map(|_| link(&mut eng, 60e9)).collect();
+            Chassis { eng, uplink, ports, devices }
+        }
+
+        /// Drives the engine to idle and records, at every event, each
+        /// tracked job's rate and the completions, then every resource's
+        /// statistics, all as bits.
+        fn run(mut self, tracked: &[JobId]) -> Vec<u64> {
+            let mut trace = Vec::new();
+            while let Some(t) = self.eng.next_completion_time() {
+                for &id in tracked {
+                    trace.push(self.eng.job_rate(id).map_or(u64::MAX, f64::to_bits));
+                }
+                trace.push(t.as_picos());
+                let done = self.eng.advance_to(t).unwrap();
+                trace.extend(tracked.iter().map(|id| done.iter().any(|c| c.job == *id) as u64));
+            }
+            let mut resources = vec![self.uplink, self.ports[0], self.devices[0]];
+            resources.extend(self.devices.get(1).copied());
+            for r in resources {
+                let s = self.eng.stats(r);
+                trace.extend([s.units_served, s.busy_seconds, s.observed_seconds].map(f64::to_bits));
+            }
+            trace
+        }
+    }
+
+    #[test]
+    fn a_job_of_k_copies_is_bit_identical_to_k_jobs() {
+        // Two flows of a class per device — a read (`a`) and a capped
+        // write (`b`) — on the device's link, its port and the uplink,
+        // beside a capped job on the uplink alone. Paired, two devices
+        // share each port (the chassis layout); unpaired, each device has
+        // a port of its own. The caps sit far below, within ε below, at
+        // and above the uplink's fair share, where a capped job freezes in
+        // the same round as the uncapped ones at a rate of its own.
+        for k in [2u32, 3, 6, 16] {
+            for paired in [false, true] {
+                if paired && k % 2 == 1 {
+                    continue;
+                }
+                let share = 10e9 / (2 * k + 1) as f64;
+                for offset in [-0.5, -3e-13, 0.0, 0.25] {
+                    let cap = Some(share * (1.0 + offset));
+                    let port_of = |d: usize| if paired { d / 2 } else { d };
+                    let ports = port_of(k as usize - 1) + 1;
+
+                    // k devices, one job per flow.
+                    let mut each = Chassis::new(ports, k as usize);
+                    let mut tracked = Vec::new();
+                    for d in 0..k as usize {
+                        let route = [each.devices[d], each.ports[port_of(d)], each.uplink];
+                        let a = each.eng.submit(&route, 3e9, None).unwrap();
+                        let b = each.eng.submit(&route, 1e9, cap).unwrap();
+                        if d == 0 {
+                            tracked.extend([a, b]);
+                        }
+                    }
+                    tracked.push(each.eng.submit(&[each.uplink], 2e9, cap).unwrap());
+                    let want = each.run(&tracked);
+
+                    // One job per flow of the class, standing for k.
+                    let mut class = Chassis::new(ports, k as usize);
+                    let port_copies = if paired { 2 } else { 1 };
+                    let route = [
+                        Hop::new(class.devices[0], 1),
+                        Hop::new(class.ports[0], port_copies),
+                        Hop::new(class.uplink, k),
+                    ];
+                    let a = class.eng.submit(&route, 3e9, None).unwrap();
+                    let b = class.eng.submit(&route, 1e9, cap).unwrap();
+                    let c = class.eng.submit(&[class.uplink], 2e9, cap).unwrap();
+                    let mut got = class.run(&[a, b, c]);
+                    // The other devices' links carry nothing here; in the
+                    // per-device world the second one carries device 0's
+                    // load.
+                    let second = got.len() - 3;
+                    got.splice(second.., want[second..].iter().copied());
+                    assert_eq!(got, want, "k = {k}, paired = {paired}, cap offset {offset}");
+                }
+            }
+        }
     }
 
     #[test]

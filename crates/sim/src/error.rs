@@ -14,6 +14,8 @@ pub enum SimError {
     UnknownResource(usize),
     /// A job amount or rate cap was negative, zero (for caps) or non-finite.
     InvalidAmount(f64),
+    /// A route hop stands for zero flows on the resource it names.
+    ZeroCopies(usize),
     /// `advance_to` was called with a time earlier than the current time.
     TimeReversal {
         /// Current engine time.
@@ -35,6 +37,7 @@ impl fmt::Display for SimError {
             SimError::EmptyRoute => write!(f, "job route is empty"),
             SimError::UnknownResource(i) => write!(f, "unknown resource index {i}"),
             SimError::InvalidAmount(a) => write!(f, "invalid job amount or rate cap {a}"),
+            SimError::ZeroCopies(i) => write!(f, "route hop over resource {i} has zero copies"),
             SimError::TimeReversal { now, requested } => {
                 write!(f, "cannot advance to {requested} before current time {now}")
             }

@@ -71,19 +71,33 @@ impl Timeline {
     /// Because tasks overlap, the sum across categories generally exceeds
     /// the makespan; use the result for *relative* breakdowns as the paper
     /// does in Figs. 2b, 4b and 11b.
+    ///
+    /// A block of [`TaskGraph::copies`] counts once per copy, its tasks
+    /// walked copy after copy, so each sum adds the same terms in the same
+    /// order as on the graph with one task per device.
     pub fn category_seconds(&self, graph: &TaskGraph) -> Vec<(String, f64)> {
         // A graph has a handful of categories, so a linear probe stands in
         // for a map; each sum accumulates in task order either way.
         let mut acc: Vec<(&str, f64)> = Vec::new();
-        for (id, task) in graph.iter() {
+        let mut add = |t: u32| {
+            let id = TaskId(t);
             if let Some(span) = self.span(id) {
-                let category = task.category();
+                let category = graph.task(id).category();
                 match acc.iter_mut().find(|(c, _)| *c == category) {
                     Some((_, sum)) => *sum += span.seconds(),
                     None => acc.push((category, span.seconds())),
                 }
             }
+        };
+        let mut next = 0;
+        for block in graph.blocks() {
+            (next..block.tasks.start).for_each(&mut add);
+            for _ in 0..block.copies {
+                block.tasks.clone().for_each(&mut add);
+            }
+            next = block.tasks.end;
         }
+        (next..graph.len() as u32).for_each(&mut add);
         acc.sort_unstable_by(|a, b| a.0.cmp(b.0));
         acc.into_iter().map(|(c, s)| (c.to_string(), s)).collect()
     }

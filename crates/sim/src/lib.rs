@@ -75,7 +75,7 @@ mod trace;
 pub use engine::{Completion, FlowEngine, JobId};
 pub use error::SimError;
 pub use executor::{execute, TaskSpan, Timeline};
-pub use resource::{ResourceId, ResourceKind, ResourceSpec, ResourceStats};
+pub use resource::{Hop, ResourceId, ResourceKind, ResourceSpec, ResourceStats};
 pub use task::{Label, Task, TaskGraph, TaskId, TaskKind};
 pub use time::{SimTime, PS_PER_SEC};
 pub use trace::{critical_path, gantt, GanttLane};

@@ -25,6 +25,62 @@ impl fmt::Display for ResourceId {
     }
 }
 
+/// One entry of a job's route: a resource and how many identical flows
+/// the job stands for on it.
+///
+/// A job whose hops all have one copy is an ordinary flow. A job that
+/// stands for k identical per-device flows crosses each device's own
+/// resources once (its first device's resources stand for all k) and
+/// every resource the k flows share with `copies` k: it adds k to that
+/// resource's load and takes k times its rate from it (see
+/// [`crate::FlowEngine`]).
+///
+/// # Examples
+///
+/// ```
+/// use hilos_sim::{FlowEngine, Hop, ResourceKind, ResourceSpec};
+///
+/// let mut eng = FlowEngine::new();
+/// let link = eng.add_resource(ResourceSpec::new("uplink", ResourceKind::Link, 3e9));
+/// // Three identical flows as one job, beside a fourth flow.
+/// let three = eng.submit(&[Hop::new(link, 3)], 1e9, None).unwrap();
+/// let one = eng.submit(&[link], 1e9, None).unwrap();
+/// assert_eq!(eng.job_rate(three), Some(0.75e9));
+/// assert_eq!(eng.job_rate(one), Some(0.75e9));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Hop {
+    /// The resource crossed.
+    pub resource: ResourceId,
+    /// Identical flows the job stands for on this resource (at least 1).
+    pub copies: u32,
+}
+
+impl Hop {
+    /// A hop of `copies` identical flows across `resource`.
+    pub const fn new(resource: ResourceId, copies: u32) -> Self {
+        Hop { resource, copies }
+    }
+}
+
+impl From<ResourceId> for Hop {
+    fn from(resource: ResourceId) -> Self {
+        Hop::new(resource, 1)
+    }
+}
+
+impl From<&ResourceId> for Hop {
+    fn from(resource: &ResourceId) -> Self {
+        Hop::new(*resource, 1)
+    }
+}
+
+impl From<&Hop> for Hop {
+    fn from(hop: &Hop) -> Self {
+        *hop
+    }
+}
+
 /// Broad classification of a resource, used for reporting and energy
 /// attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -11,14 +11,15 @@
 //! the paper) contend for resources like any other task but are excluded
 //! from the foreground makespan.
 
-use crate::resource::ResourceId;
+use crate::resource::{Hop, ResourceId};
 use crate::time::SimTime;
-use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Range;
 
 /// A task's label, kept unformatted: a static head, an optional layer
-/// index, an optional device index and a static tail, rendered as
-/// `{head}{layer}.d{device}{tail}` only when it is read.
+/// index, an optional device index (or run of devices) and a static tail,
+/// rendered as `{head}{layer}.d{device}{tail}` only when it is read; a run
+/// of devices renders as `.d{first}-{last}`.
 ///
 /// # Examples
 ///
@@ -30,19 +31,22 @@ use std::fmt;
 /// assert_eq!(read.tail(".cmd").to_string(), "loadkv:l3.d7.cmd");
 /// assert_eq!(read.category(), "loadkv");
 /// assert_eq!(Label::from("plain").to_string(), "plain");
+/// assert_eq!(Label::new("atn:l").layer(0).devices(4, 4).to_string(), "atn:l0.d4-7");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label {
     head: &'static str,
     layer: Option<u32>,
     device: Option<u32>,
+    /// Devices after `device` the label also names.
+    more_devices: u32,
     tail: &'static str,
 }
 
 impl Label {
     /// A label that is just `head`.
     pub const fn new(head: &'static str) -> Self {
-        Label { head, layer: None, device: None, tail: "" }
+        Label { head, layer: None, device: None, more_devices: 0, tail: "" }
     }
 
     /// The label with its layer index set (rendered right after the head).
@@ -52,7 +56,13 @@ impl Label {
 
     /// The label with its device index set (rendered as `.d{device}`).
     pub const fn device(self, device: usize) -> Self {
-        Label { device: Some(device as u32), ..self }
+        Label { device: Some(device as u32), more_devices: 0, ..self }
+    }
+
+    /// The label naming the `count` devices from `first` on (rendered as
+    /// `.d{first}-{last}`, or as [`Label::device`] for one device).
+    pub const fn devices(self, first: usize, count: usize) -> Self {
+        Label { device: Some(first as u32), more_devices: count as u32 - 1, ..self }
     }
 
     /// The label with its tail set (rendered last, e.g. `".cmd"`).
@@ -84,6 +94,9 @@ impl fmt::Display for Label {
         }
         if let Some(device) = self.device {
             write!(f, ".d{device}")?;
+            if self.more_devices > 0 {
+                write!(f, "-{}", device + self.more_devices)?;
+            }
         }
         f.write_str(self.tail)
     }
@@ -119,8 +132,9 @@ pub enum TaskKind<'g> {
     Transfer {
         /// Payload size in bytes.
         bytes: f64,
-        /// Resources crossed (links, memory ports, storage channels).
-        route: &'g [ResourceId],
+        /// Resources crossed (links, memory ports, storage channels),
+        /// each with the identical flows the task stands for on it.
+        route: &'g [Hop],
         /// Optional per-task rate cap in bytes/s.
         rate_cap: Option<f64>,
     },
@@ -248,7 +262,18 @@ impl fmt::Debug for Task<'_> {
 pub struct TaskGraph {
     nodes: Vec<Node>,
     deps: Vec<TaskId>,
-    routes: Vec<ResourceId>,
+    routes: Vec<Hop>,
+    blocks: Vec<Block>,
+}
+
+/// A run of consecutive tasks that stands for `copies` identical
+/// per-device copies of itself (see [`TaskGraph::copies`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Block {
+    /// The block's tasks, by index.
+    pub(crate) tasks: Range<u32>,
+    /// How many devices' copies the block stands for.
+    pub(crate) copies: u32,
 }
 
 impl TaskGraph {
@@ -265,6 +290,7 @@ impl TaskGraph {
             nodes: Vec::with_capacity(tasks),
             deps: Vec::with_capacity(deps),
             routes: Vec::with_capacity(hops),
+            blocks: Vec::new(),
         }
     }
 
@@ -308,10 +334,62 @@ impl TaskGraph {
         id
     }
 
-    fn push_route(&mut self, route: impl IntoIterator<Item = impl Borrow<ResourceId>>) -> Span {
+    fn push_route(&mut self, route: impl IntoIterator<Item = impl Into<Hop>>) -> Span {
         let start = self.routes.len() as u32;
-        self.routes.extend(route.into_iter().map(|r| *r.borrow()));
+        self.routes.extend(route.into_iter().map(Into::into));
         Span(start, self.routes.len() as u32)
+    }
+
+    /// Appends the tasks `add` appends as one block standing for `copies`
+    /// identical per-device copies of itself, the way a per-device graph
+    /// would append them device after device.
+    ///
+    /// The block's tasks are built for one device of a class of `copies`
+    /// identical devices: each crosses that device's own resources with
+    /// one copy and every resource the class shares with as many copies
+    /// as class devices cross it (see [`Hop`]). The flow engine then
+    /// gives each task the rate, and so the span, of every per-device
+    /// copy, and [`crate::Timeline::category_seconds`] counts the block
+    /// `copies` times over, in the per-device graph's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `copies` is zero or if `add` opens a block of its own.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hilos_sim::{execute, FlowEngine, Hop, Label, ResourceKind, ResourceSpec, TaskGraph};
+    ///
+    /// let mut eng = FlowEngine::new();
+    /// let add = |eng: &mut FlowEngine, bw| eng.add_resource(ResourceSpec::new("l", ResourceKind::Link, bw));
+    /// let (own, shared) = (add(&mut eng, 1e9), add(&mut eng, 4e9));
+    /// let mut g = TaskGraph::new();
+    /// // Eight devices' reads as one task: each device's own link once,
+    /// // the shared link eight times.
+    /// let read = g.copies(8, |g| {
+    ///     g.transfer(Label::new("read:").devices(0, 8), 1e9, [Hop::new(own, 1), Hop::new(shared, 8)], &[])
+    /// });
+    /// let timeline = execute(&mut eng, &g).unwrap();
+    /// assert_eq!(timeline.span(read).unwrap().seconds(), 2.0);
+    /// assert_eq!(timeline.category_seconds(&g), vec![("read".to_string(), 16.0)]);
+    /// ```
+    pub fn copies<R>(&mut self, copies: u32, add: impl FnOnce(&mut TaskGraph) -> R) -> R {
+        assert!(copies > 0, "a block stands for at least one copy");
+        let start = self.nodes.len() as u32;
+        let blocks = self.blocks.len();
+        let added = add(self);
+        assert_eq!(self.blocks.len(), blocks, "blocks of copies do not nest");
+        let end = self.nodes.len() as u32;
+        if end > start {
+            self.blocks.push(Block { tasks: start..end, copies });
+        }
+        added
+    }
+
+    /// The blocks of copies, in task order.
+    pub(crate) fn blocks(&self) -> &[Block] {
+        &self.blocks
     }
 
     /// Adds a transfer task.
@@ -319,7 +397,7 @@ impl TaskGraph {
         &mut self,
         label: impl Into<Label>,
         bytes: f64,
-        route: impl IntoIterator<Item = impl Borrow<ResourceId>>,
+        route: impl IntoIterator<Item = impl Into<Hop>>,
         deps: &[TaskId],
     ) -> TaskId {
         let route = self.push_route(route);
@@ -331,7 +409,7 @@ impl TaskGraph {
         &mut self,
         label: impl Into<Label>,
         bytes: f64,
-        route: impl IntoIterator<Item = impl Borrow<ResourceId>>,
+        route: impl IntoIterator<Item = impl Into<Hop>>,
         rate_cap: f64,
         deps: &[TaskId],
     ) -> TaskId {

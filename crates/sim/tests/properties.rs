@@ -88,6 +88,10 @@ fn drive_mixed(seed: u64, n_ops: usize) -> Result<(), TestCaseError> {
 /// vectors and rescans every resource, `advance_to` walks every resource.
 /// The engine may organize its work differently, but every rate,
 /// prediction, completion and statistic must stay bit-equal to this.
+/// Each filling round takes its frozen jobs' rates from the residuals,
+/// and adds them to the resources' allocated rates, in ascending rate
+/// order (ties in slot order): the order that makes a job standing for
+/// k identical flows take and add exactly what k jobs would.
 mod reference {
     use super::*;
 
@@ -117,6 +121,9 @@ mod reference {
         rates_dirty: bool,
         active: usize,
         heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+        /// Per resource, the active jobs' rates as the last recompute
+        /// summed them.
+        allocated: Vec<f64>,
     }
 
     impl RefEngine {
@@ -177,6 +184,7 @@ mod reference {
                 self.jobs.iter().map(|j| j.as_ref().map_or(0.0, |job| job.rate)).collect();
             let n_res = self.capacity.len();
             let mut residual = self.capacity.clone();
+            let mut allocated = vec![0.0; n_res];
             let mut load: Vec<u32> = vec![0; n_res];
             let mut unfrozen: Vec<usize> = Vec::new();
             for (i, j) in self.jobs.iter().enumerate() {
@@ -203,16 +211,14 @@ mod reference {
                     .fold(f64::INFINITY, f64::min);
                 let eps = 1e-12 * (1.0 + share.abs());
                 let mut next = Vec::new();
+                let mut frozen: Vec<(f64, usize)> = Vec::new();
                 if min_cap < share - eps {
                     for &i in &unfrozen {
                         let job = self.jobs[i].as_mut().unwrap();
                         match job.rate_cap {
                             Some(c) if c <= min_cap + eps => {
                                 job.rate = c;
-                                for &r in &job.route {
-                                    residual[r] = (residual[r] - c).max(0.0);
-                                    load[r] -= 1;
-                                }
+                                frozen.push((c, i));
                             }
                             _ => next.push(i),
                         }
@@ -234,10 +240,7 @@ mod reference {
                                 None => share,
                             };
                             job.rate = rate;
-                            for &r in &job.route {
-                                residual[r] = (residual[r] - rate).max(0.0);
-                                load[r] -= 1;
-                            }
+                            frozen.push((rate, i));
                         } else {
                             next.push(i);
                         }
@@ -249,12 +252,22 @@ mod reference {
                                 Some(c) => c.min(share),
                                 None => share,
                             };
+                            frozen.push((job.rate, i));
                         }
                         next.clear();
                     }
                 }
+                frozen.sort_by(|a, b| a.0.total_cmp(&b.0));
+                for &(rate, i) in &frozen {
+                    for &r in &self.jobs[i].as_ref().unwrap().route {
+                        residual[r] = (residual[r] - rate).max(0.0);
+                        allocated[r] += rate;
+                        load[r] -= 1;
+                    }
+                }
                 unfrozen = next;
             }
+            self.allocated = allocated;
             let now = self.now;
             for (slot, (j, old)) in self.jobs.iter_mut().zip(&old_rates).enumerate() {
                 let Some(j) = j else { continue };
@@ -296,14 +309,8 @@ mod reference {
             self.recompute_rates();
             let dt = (t - self.now).as_secs_f64();
             if dt > 0.0 {
-                let mut allocated = vec![0.0; self.capacity.len()];
-                for j in self.jobs.iter().flatten() {
-                    for &r in &j.route {
-                        allocated[r] += j.rate;
-                    }
-                }
                 for (r, s) in self.stats.iter_mut().enumerate() {
-                    let rate = allocated[r].min(self.capacity[r]);
+                    let rate = self.allocated.get(r).map_or(0.0, |a| a.min(self.capacity[r]));
                     s.0 += rate * dt;
                     s.1 += (rate / self.capacity[r]) * dt;
                     s.2 += dt;

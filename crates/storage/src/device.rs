@@ -1,8 +1,7 @@
 //! Runtime SSD devices: a spec's channels as simulation resources.
 
 use crate::spec::SsdSpec;
-use hilos_sim::{Label, ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
-use std::borrow::Borrow;
+use hilos_sim::{Hop, Label, ResourceId, ResourceKind, ResourceSpec, TaskGraph, TaskId};
 use std::iter::once;
 
 /// A device materialized inside a [`hilos_sim::FlowEngine`].
@@ -44,12 +43,12 @@ impl SsdInstance {
         graph: &mut TaskGraph,
         label: impl Into<Label>,
         bytes: f64,
-        route_tail: impl IntoIterator<Item = impl Borrow<ResourceId>>,
+        route_tail: impl IntoIterator<Item = impl Into<Hop>>,
         deps: &[TaskId],
     ) -> TaskId {
         let label = label.into();
         let cmd = graph.delay(label.tail(".cmd"), self.cmd_latency, deps);
-        let route = once(self.read).chain(route_tail.into_iter().map(|r| *r.borrow()));
+        let route = once(Hop::from(self.read)).chain(route_tail.into_iter().map(Into::into));
         graph.transfer(label, bytes, route, &[cmd])
     }
 
@@ -61,12 +60,12 @@ impl SsdInstance {
         graph: &mut TaskGraph,
         label: impl Into<Label>,
         bytes: f64,
-        route_head: impl IntoIterator<Item = impl Borrow<ResourceId>>,
+        route_head: impl IntoIterator<Item = impl Into<Hop>>,
         deps: &[TaskId],
     ) -> TaskId {
         let label = label.into();
         let cmd = graph.delay(label.tail(".cmd"), self.cmd_latency, deps);
-        let route = route_head.into_iter().map(|r| *r.borrow()).chain(once(self.write));
+        let route = route_head.into_iter().map(Into::into).chain(once(Hop::from(self.write)));
         graph.transfer(label, bytes, route, &[cmd])
     }
 }
