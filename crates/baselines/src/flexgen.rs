@@ -208,9 +208,14 @@ impl FlexGenSystem {
         matches!(self.spec.storage, StorageConfig::SmartSsdChassis { .. })
     }
 
+    /// One decode step's graph: per layer, weights and QKV on the GPU, the
+    /// KV cache to the CPU, CPU attention and the MLP, with one chain per
+    /// device class (see [`hilos_platform::DeviceClass`]) for the array's
+    /// KV reads and writes.
     fn build_decode_step(&self, sys: &BuiltSystem, batch: u32, context: u64) -> TaskGraph {
         let m = &self.model;
         let n = sys.devices.len();
+        let classes = sys.classes();
         let bs = batch as f64;
         let s = context as f64;
         let kv_layer_bytes = bs * 2.0 * s * m.kv_dim() as f64 * 2.0;
@@ -219,16 +224,17 @@ impl FlexGenSystem {
         let fabric = if self.is_chassis() { FABRIC_EFFICIENCY } else { 1.0 };
         // Per layer: two weight loads, seven GPU/CPU tasks and, with the
         // KV on the array, a read and a write (two tasks each) per device
-        // plus the read's join.
-        let kv_tasks = if self.kv == KvLocation::SsdArray { 4 * n + 1 } else { 0 };
-        let tasks = self.sim_layers as usize * (2 * source.load_tasks(n) + 7 + kv_tasks);
+        // class plus the read's join.
+        let kv_tasks = if self.kv == KvLocation::SsdArray { 4 * classes.len() + 1 } else { 0 };
+        let tasks =
+            self.sim_layers as usize * (2 * source.load_tasks(classes.len()) + 7 + kv_tasks);
         let mut g = TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks);
 
         let gpu_to_host = sys.topo.route(sys.gpu_node, sys.host_node).expect("route exists");
         let mut prev_w: Option<TaskId> = None;
         let mut prev_layer: Option<TaskId> = None;
         let mut deps: Vec<TaskId> = Vec::with_capacity(2);
-        let mut parts: Vec<TaskId> = Vec::with_capacity(n);
+        let mut parts: Vec<TaskId> = Vec::with_capacity(classes.len());
         for l in 0..self.sim_layers {
             // 1-2: attention weights + QKV projection on the GPU.
             let w_attn = load_weights(
@@ -263,16 +269,19 @@ impl FlexGenSystem {
                 KvLocation::HostDram => {}
                 KvLocation::SsdArray => {
                     parts.clear();
-                    for (d, dev) in sys.devices.iter().enumerate() {
-                        let tail = sys.device_to_host_route(d).iter().chain(once(&sys.host_dram));
+                    for (c, class) in classes.iter().enumerate() {
+                        let tail = sys.class_to_host_route(c).iter().copied();
+                        let tail = tail.chain(once(class.shared(sys.host_dram)));
                         let bytes = kv_layer_bytes / n as f64 / (HOST_IO_EFFICIENCY * fabric);
-                        parts.push(dev.ssd.read_task(
-                            &mut g,
-                            Label::new("loadkv:l").layer(l).device(d),
-                            bytes,
-                            tail,
-                            &[],
-                        ));
+                        parts.push(g.copies(class.count as u32, |g| {
+                            sys.devices[class.first].ssd.read_task(
+                                g,
+                                class.label(Label::new("loadkv:l").layer(l)),
+                                bytes,
+                                tail,
+                                &[],
+                            )
+                        }));
                     }
                     deps.push(g.milestone(Label::new("sync:kv").layer(l), &parts));
                 }
@@ -307,17 +316,19 @@ impl FlexGenSystem {
             // 7: new KV entries written back (buffered page-aligned by the
             // framework; off the critical path).
             if self.kv == KvLocation::SsdArray {
-                for (d, dev) in sys.devices.iter().enumerate() {
+                for (c, class) in classes.iter().enumerate() {
                     let payload = bs * 2.0 * m.kv_dim() as f64 * 2.0 / n as f64;
                     let bytes = (payload / page).ceil() * page;
-                    let store = dev.ssd.write_task(
-                        &mut g,
-                        Label::new("storekv:l").layer(l).device(d),
-                        bytes,
-                        sys.host_to_device_route(d),
-                        &[qkv],
-                    );
-                    g.set_background(store);
+                    g.copies(class.count as u32, |g| {
+                        let store = sys.devices[class.first].ssd.write_task(
+                            g,
+                            class.label(Label::new("storekv:l").layer(l)),
+                            bytes,
+                            sys.host_to_class_route(c),
+                            &[qkv],
+                        );
+                        g.set_background(store);
+                    });
                 }
             }
 
@@ -339,6 +350,62 @@ impl FlexGenSystem {
             );
             prev_layer = Some(mlp);
             prev_w = Some(w_mlp);
+        }
+        g
+    }
+
+    /// The prefill graph: per layer, weights and FlashAttention on the GPU,
+    /// then the KV writes (one chain per device class on the array).
+    fn build_prefill(&self, sys: &BuiltSystem, batch: u32, context: u64) -> TaskGraph {
+        let m = &self.model;
+        let source = weight_source(&self.spec, m);
+        let n = sys.devices.len();
+        let classes = sys.classes();
+        let kv_tasks = if self.kv == KvLocation::SsdArray { 2 * classes.len() + 1 } else { 1 };
+        let tasks = self.sim_layers as usize * (source.load_tasks(classes.len()) + 1 + kv_tasks);
+        let mut g = TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks);
+        let per_layer_flops = batch as f64 * m.prefill_flops(context) / m.layers() as f64;
+        let kv_layer = batch as f64 * 2.0 * context as f64 * m.kv_dim() as f64 * 2.0;
+        let mut prev_w: Option<TaskId> = None;
+        let mut prev_layer: Option<TaskId> = None;
+        for l in 0..self.sim_layers {
+            let w = load_weights(
+                &mut g,
+                sys,
+                source,
+                Label::new("loadw:pf").layer(l),
+                (m.attn_weight_bytes_per_layer()
+                    + m.decode_weight_traffic_bytes(batch) / m.layers() as u64)
+                    as f64,
+                prev_w,
+            );
+            let mut deps = vec![w];
+            deps.extend(prev_layer);
+            let c = g.compute(Label::new("prefill:l").layer(l), per_layer_flops, sys.gpu, &deps);
+            let done = match self.kv {
+                KvLocation::HostDram => {
+                    let mut route = sys.topo.route(sys.gpu_node, sys.host_node).unwrap();
+                    route.push(sys.host_dram);
+                    g.transfer(Label::new("writekv:pf").layer(l), kv_layer, route, &[c])
+                }
+                KvLocation::SsdArray => {
+                    let mut parts = Vec::with_capacity(classes.len());
+                    for (k, class) in classes.iter().enumerate() {
+                        parts.push(g.copies(class.count as u32, |g| {
+                            sys.devices[class.first].ssd.write_task(
+                                g,
+                                class.label(Label::new("writekv:pf").layer(l)),
+                                kv_layer / n as f64,
+                                sys.gpu_to_class_route(k),
+                                &[c],
+                            )
+                        }));
+                    }
+                    g.milestone(Label::new("sync:pf").layer(l), &parts)
+                }
+            };
+            prev_layer = Some(done);
+            prev_w = Some(w);
         }
         g
     }
@@ -409,20 +476,223 @@ impl FlexGenSystem {
         let layer_scale = self.layer_scale()?;
         self.check_capacity(batch, context, 1)?;
         let mut sys = self.build_world()?;
-        let m = &self.model;
-        let source = weight_source(&self.spec, m);
+        let g = self.build_prefill(&sys, batch, context);
+        let timeline = execute(&mut sys.engine, &g).map_err(BaselineError::Sim)?;
+        Ok(timeline.makespan().as_secs_f64() * layer_scale)
+    }
+}
+
+/// FlexGen's graphs with one chain per device, as built before device
+/// classes: the reference the class graphs are held to. Routes are walked
+/// from the topology per task.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use hilos_core::WeightSource;
+    use hilos_interconnect::NodeId;
+    use hilos_sim::ResourceId;
+
+    /// The directed links from `from` to `to`.
+    fn route(sys: &BuiltSystem, from: NodeId, to: NodeId) -> Vec<ResourceId> {
+        sys.topo.route(from, to).expect("route exists")
+    }
+
+    /// Appends a weight transfer of `bytes` to the GPU and returns the task
+    /// that gates dependent compute. Chained on `prev` to model a depth-1
+    /// prefetch stream. Weights on storage load as one transfer per device,
+    /// labelled `label` on that device, joined by a milestone labelled `label`
+    /// with the tail `".done"`.
+    fn load_weights_per_device(
+        graph: &mut TaskGraph,
+        sys: &BuiltSystem,
+        source: WeightSource,
+        label: Label,
+        bytes: f64,
+        prev: Option<TaskId>,
+    ) -> TaskId {
+        let deps = prev.as_slice();
+        match source {
+            WeightSource::HostDram => {
+                let route = once(sys.host_dram).chain(route(sys, sys.host_node, sys.gpu_node));
+                graph.transfer(label, bytes, route, deps)
+            }
+            WeightSource::Storage => {
+                let n = sys.devices.len();
+                let per = bytes / n as f64;
+                let parts: Vec<TaskId> = (0..n)
+                    .map(|d| {
+                        let read = sys.devices[d].ssd.read_resource();
+                        let route = once(read).chain(route(sys, sys.devices[d].node, sys.gpu_node));
+                        graph.transfer(label.device(d), per, route, deps)
+                    })
+                    .collect();
+                graph.milestone(label.tail(".done"), &parts)
+            }
+        }
+    }
+
+    pub(super) fn build_decode_step_per_device(
+        f: &FlexGenSystem,
+        sys: &BuiltSystem,
+        batch: u32,
+        context: u64,
+    ) -> TaskGraph {
+        let m = &f.model;
         let n = sys.devices.len();
-        let kv_tasks = if self.kv == KvLocation::SsdArray { 2 * n + 1 } else { 1 };
-        let tasks = self.sim_layers as usize * (source.load_tasks(n) + 1 + kv_tasks);
+        let bs = batch as f64;
+        let s = context as f64;
+        let kv_layer_bytes = bs * 2.0 * s * m.kv_dim() as f64 * 2.0;
+        let page = f.spec.storage.ssd_spec().page_bytes() as f64;
+        let source = weight_source(&f.spec, m);
+        let fabric = if f.is_chassis() { FABRIC_EFFICIENCY } else { 1.0 };
+        // Per layer: two weight loads, seven GPU/CPU tasks and, with the
+        // KV on the array, a read and a write (two tasks each) per device
+        // plus the read's join.
+        let kv_tasks = if f.kv == KvLocation::SsdArray { 4 * n + 1 } else { 0 };
+        let tasks = f.sim_layers as usize * (2 * source.load_tasks(n) + 7 + kv_tasks);
+        let mut g = TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks);
+
+        let gpu_to_host = sys.topo.route(sys.gpu_node, sys.host_node).expect("route exists");
+        let mut prev_w: Option<TaskId> = None;
+        let mut prev_layer: Option<TaskId> = None;
+        let mut deps: Vec<TaskId> = Vec::with_capacity(2);
+        let mut parts: Vec<TaskId> = Vec::with_capacity(n);
+        for l in 0..f.sim_layers {
+            // 1-2: attention weights + QKV projection on the GPU.
+            let w_attn = load_weights_per_device(
+                &mut g,
+                sys,
+                source,
+                Label::new("loadw:attn").layer(l),
+                m.attn_weight_bytes_per_layer() as f64,
+                prev_w,
+            );
+            deps.clear();
+            deps.push(w_attn);
+            deps.extend(prev_layer);
+            let qkv = g.compute(
+                Label::new("qkv:l").layer(l),
+                bs * m.qkv_flops_per_token_layer(),
+                sys.gpu,
+                &deps,
+            );
+            // Fresh activations hop to the host for the CPU attention.
+            g.transfer(
+                Label::new("act:down").layer(l),
+                bs * m.hidden() as f64 * 2.0,
+                &gpu_to_host,
+                &[qkv],
+            );
+
+            // 3: the KV cache reaches the CPU.
+            deps.clear();
+            deps.push(qkv);
+            match f.kv {
+                KvLocation::HostDram => {}
+                KvLocation::SsdArray => {
+                    parts.clear();
+                    for (d, dev) in sys.devices.iter().enumerate() {
+                        let tail = route(sys, sys.devices[d].node, sys.host_node)
+                            .into_iter()
+                            .chain(once(sys.host_dram));
+                        let bytes = kv_layer_bytes / n as f64 / (HOST_IO_EFFICIENCY * fabric);
+                        parts.push(dev.ssd.read_task(
+                            &mut g,
+                            Label::new("loadkv:l").layer(l).device(d),
+                            bytes,
+                            tail,
+                            &[],
+                        ));
+                    }
+                    deps.push(g.milestone(Label::new("sync:kv").layer(l), &parts));
+                }
+            }
+            let atn_deps = &deps;
+
+            // 4: CPU attention — compute in parallel with the DRAM sweep
+            // over the KV bytes (memory-bound GEMV).
+            let atn_c = g.compute(
+                Label::new("atn:cpu").layer(l),
+                bs * m.heads() as f64 * 4.0 * s * m.head_dim() as f64,
+                sys.cpu,
+                atn_deps,
+            );
+            // The KV sweep runs at the CPU attention's effective
+            // bandwidth (or the UVM fault path's, for DS+UVM), modeled by
+            // inflating the bytes crossing the DRAM port.
+            let sweep_bw = f.uvm_kv_bw.unwrap_or(CPU_ATTENTION_BW).min(CPU_ATTENTION_BW);
+            let sweep_bytes = kv_layer_bytes * (f.spec.host.dram_bw / sweep_bw);
+            let atn_m =
+                g.transfer(Label::new("atnmem:l").layer(l), sweep_bytes, [sys.host_dram], atn_deps);
+            let atn_done = g.milestone(Label::new("sync:atn").layer(l), &[atn_c, atn_m]);
+
+            // Result hops back to the GPU.
+            let act_up = g.transfer(
+                Label::new("act:up").layer(l),
+                bs * m.hidden() as f64 * 2.0,
+                route(sys, sys.host_node, sys.gpu_node),
+                &[atn_done],
+            );
+
+            // 7: new KV entries written back (buffered page-aligned by the
+            // framework; off the critical path).
+            if f.kv == KvLocation::SsdArray {
+                for (d, dev) in sys.devices.iter().enumerate() {
+                    let payload = bs * 2.0 * m.kv_dim() as f64 * 2.0 / n as f64;
+                    let bytes = (payload / page).ceil() * page;
+                    let store = dev.ssd.write_task(
+                        &mut g,
+                        Label::new("storekv:l").layer(l).device(d),
+                        bytes,
+                        route(sys, sys.host_node, sys.devices[d].node),
+                        &[qkv],
+                    );
+                    g.set_background(store);
+                }
+            }
+
+            // 5-6: MLP weights + feed-forward.
+            let w_mlp = load_weights_per_device(
+                &mut g,
+                sys,
+                source,
+                Label::new("loadw:mlp").layer(l),
+                (m.decode_weight_traffic_bytes(batch) / m.layers() as u64
+                    - m.attn_weight_bytes_per_layer()) as f64,
+                Some(w_attn),
+            );
+            let mlp = g.compute(
+                Label::new("mlp:l").layer(l),
+                bs * m.mlp_flops_per_token_layer(l),
+                sys.gpu,
+                &[w_mlp, act_up],
+            );
+            prev_layer = Some(mlp);
+            prev_w = Some(w_mlp);
+        }
+        g
+    }
+
+    pub(super) fn build_prefill_per_device(
+        f: &FlexGenSystem,
+        sys: &BuiltSystem,
+        batch: u32,
+        context: u64,
+    ) -> TaskGraph {
+        let m = &f.model;
+        let source = weight_source(&f.spec, m);
+        let n = sys.devices.len();
+        let kv_tasks = if f.kv == KvLocation::SsdArray { 2 * n + 1 } else { 1 };
+        let tasks = f.sim_layers as usize * (source.load_tasks(n) + 1 + kv_tasks);
         let mut g = TaskGraph::with_capacity(tasks, 2 * tasks, 4 * tasks);
         let per_layer_flops = batch as f64 * m.prefill_flops(context) / m.layers() as f64;
         let kv_layer = batch as f64 * 2.0 * context as f64 * m.kv_dim() as f64 * 2.0;
         let mut prev_w: Option<TaskId> = None;
         let mut prev_layer: Option<TaskId> = None;
-        for l in 0..self.sim_layers {
-            let w = load_weights(
+        for l in 0..f.sim_layers {
+            let w = load_weights_per_device(
                 &mut g,
-                &sys,
+                sys,
                 source,
                 Label::new("loadw:pf").layer(l),
                 (m.attn_weight_bytes_per_layer()
@@ -433,7 +703,7 @@ impl FlexGenSystem {
             let mut deps = vec![w];
             deps.extend(prev_layer);
             let c = g.compute(Label::new("prefill:l").layer(l), per_layer_flops, sys.gpu, &deps);
-            let done = match self.kv {
+            let done = match f.kv {
                 KvLocation::HostDram => {
                     let mut route = sys.topo.route(sys.gpu_node, sys.host_node).unwrap();
                     route.push(sys.host_dram);
@@ -446,7 +716,7 @@ impl FlexGenSystem {
                             &mut g,
                             Label::new("writekv:pf").layer(l).device(d),
                             kv_layer / n as f64,
-                            sys.gpu_to_device_route(d),
+                            route(sys, sys.gpu_node, sys.devices[d].node),
                             &[c],
                         ));
                     }
@@ -456,8 +726,7 @@ impl FlexGenSystem {
             prev_layer = Some(done);
             prev_w = Some(w);
         }
-        let timeline = execute(&mut sys.engine, &g).map_err(BaselineError::Sim)?;
-        Ok(timeline.makespan().as_secs_f64() * layer_scale)
+        g
     }
 }
 
@@ -556,27 +825,125 @@ mod tests {
         assert!((0.55..1.0).contains(&ratio), "ratio {ratio}");
     }
 
-    #[test]
-    fn decode_graph_labels_render_the_pinned_text() {
+    /// Every decode-step label `build` makes on `spec` with the KV on the
+    /// array and in DRAM, weights from DRAM (66B) and from storage (175B).
+    fn label_text(
+        spec: &SystemSpec,
+        build: fn(&FlexGenSystem, &BuiltSystem, u32, u64) -> TaskGraph,
+    ) -> String {
         use std::fmt::Write as _;
-        // KV on the array and in DRAM, weights from DRAM (66B) and from
-        // storage (175B), on four PM9A3 and on the FPGA-less chassis.
         let mut text = String::new();
-        for spec in [SystemSpec::a100_pm9a3(4), SystemSpec::a100_chassis_no_fpga(16)] {
-            for model in [presets::opt_66b(), presets::opt_175b()] {
-                for kv in [KvLocation::SsdArray, KvLocation::HostDram] {
-                    let f = FlexGenSystem::new(&spec, &model, kv).unwrap().with_sim_layers(2);
-                    let sys = f.build_world().unwrap();
-                    for (_, task) in f.build_decode_step(&sys, 4, 8 * 1024).iter() {
-                        writeln!(text, "{}", task.label()).unwrap();
-                    }
+        for model in [presets::opt_66b(), presets::opt_175b()] {
+            for kv in [KvLocation::SsdArray, KvLocation::HostDram] {
+                let f = FlexGenSystem::new(spec, &model, kv).unwrap().with_sim_layers(2);
+                let sys = f.build_world().unwrap();
+                for (_, task) in build(&f, &sys, 4, 8 * 1024).iter() {
+                    writeln!(text, "{}", task.label()).unwrap();
                 }
             }
         }
-        let fnv = text
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
-        assert_eq!(fnv, 0x00e4_72e8_d19f_efb1, "label text moved:\n{text}");
+        text
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn decode_graph_labels_render_the_pinned_text() {
+        // The per-device reference graphs on four PM9A3 and on the
+        // FPGA-less chassis.
+        let mut text = String::new();
+        for spec in [SystemSpec::a100_pm9a3(4), SystemSpec::a100_chassis_no_fpga(16)] {
+            text += &label_text(&spec, reference::build_decode_step_per_device);
+        }
+        assert_eq!(fnv1a(&text), 0x00e4_72e8_d19f_efb1, "label text moved:\n{text}");
+    }
+
+    #[test]
+    fn class_graph_labels_render_the_pinned_text() {
+        // One class on four PM9A3 and on 16 chassis devices; two behind
+        // a chassis of 15, whose last device has a port of its own.
+        let mut text = String::new();
+        for n in [4, 16, 15] {
+            let spec = if n == 4 {
+                SystemSpec::a100_pm9a3(4)
+            } else {
+                SystemSpec::a100_chassis_no_fpga(n)
+            };
+            text += &label_text(&spec, FlexGenSystem::build_decode_step);
+        }
+        assert!(text.contains("loadkv:l1.d0-13.cmd\n") && text.contains("storekv:l0.d14\n"));
+        assert_eq!(fnv1a(&text), 0x90c1_c0c3_c00a_2a01, "label text moved:\n{text}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The class graphs give the per-device reference graphs' step
+        /// seconds, utilizations, category seconds and prefill seconds bit
+        /// for bit, over the five offline presets, conventional SSDs and
+        /// the FPGA-less chassis with 1–16 devices, 0–2 stragglers
+        /// (port-mates included), the KV on the array or in DRAM, batch
+        /// and context.
+        #[test]
+        fn class_graphs_match_the_per_device_reference_bit_for_bit(
+            system in (0usize..5, proptest::prelude::any::<bool>(), 1usize..17, 0usize..3),
+            stragglers in (proptest::prelude::any::<u64>(), 0.05f64..1.5, 0.05f64..1.5),
+            job in (1u32..65, 256u64..131_072, proptest::prelude::any::<bool>(), 1u32..4),
+        ) {
+            let (model, chassis, n, degraded) = system;
+            let (pick, f1, f2) = stragglers;
+            let (batch, context, in_dram, sim_layers) = job;
+            let model = [
+                presets::opt_30b(),
+                presets::opt_66b(),
+                presets::opt_175b(),
+                presets::qwen25_32b(),
+                presets::mixtral_8x7b(),
+            ][model]
+                .clone();
+            let spec =
+                if chassis { SystemSpec::a100_chassis_no_fpga(n) } else { SystemSpec::a100_pm9a3(n) };
+            let kv = if in_dram { KvLocation::HostDram } else { KvLocation::SsdArray };
+            let f = FlexGenSystem::new(&spec, &model, kv).unwrap().with_sim_layers(sim_layers);
+            // The first straggler anywhere; the second on its port-mate
+            // or anywhere.
+            let first = (pick % n as u64) as usize;
+            let second = if pick & (1 << 40) != 0 && (first ^ 1) < n {
+                first ^ 1
+            } else {
+                ((pick >> 8) % n as u64) as usize
+            };
+            let degradations: Vec<(usize, f64)> =
+                [(first, f1), (second, f2)].into_iter().take(degraded).collect();
+            let world = || {
+                BuiltSystem::build_with_degradations(&spec, None, model.head_dim(), &degradations)
+                    .unwrap()
+            };
+            type Builder = fn(&FlexGenSystem, &BuiltSystem, u32, u64) -> TaskGraph;
+            let run = |decode: Builder, prefill: Builder| {
+                let mut sys = world();
+                let graph = decode(&f, &sys, batch, context);
+                let step = execute(&mut sys.engine, &graph).unwrap();
+                let mut bits = vec![step.makespan().as_picos()];
+                bits.extend(
+                    [sys.gpu, sys.cpu, sys.host_dram].map(|r| step.utilization(r).to_bits()),
+                );
+                let categories = step.category_seconds(&graph);
+                bits.extend(categories.iter().map(|(_, s)| s.to_bits()));
+                let graph = prefill(&f, &sys, batch, context);
+                bits.push(execute(&mut sys.engine, &graph).unwrap().makespan().as_picos());
+                (bits, categories)
+            };
+            let got = run(FlexGenSystem::build_decode_step, FlexGenSystem::build_prefill);
+            let want = run(
+                reference::build_decode_step_per_device,
+                reference::build_prefill_per_device,
+            );
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::writeback::SpillDecision;
 use crate::xcache::AlphaModel;
 use hilos_llm::ModelConfig;
 use hilos_platform::{BuiltSystem, SystemSpec};
-use hilos_sim::execute;
+use hilos_sim::{execute, TaskGraph};
 
 /// Everything one executed decode step reports. `Copy`, so the step
 /// memo stores it whole and a hit allocates nothing.
@@ -112,6 +112,21 @@ impl DecodeStepExecutor {
         decision: &SpillDecision,
         breakdown: bool,
     ) -> Result<(StepOutcome, Vec<(String, f64)>), CoreError> {
+        let build = build_hilos_decode_step;
+        self.execute_step_built_by(build, batch, context, alpha, decision, breakdown)
+    }
+
+    /// [`DecodeStepExecutor::execute_step_breakdown`] on the step graph
+    /// `build` builds (the tests pass the per-device reference builder).
+    pub(crate) fn execute_step_built_by(
+        &mut self,
+        build: fn(&BuiltSystem, &ModelConfig, &HilosConfig, &DecodeStepSpec) -> TaskGraph,
+        batch: u32,
+        context: u64,
+        alpha: f64,
+        decision: &SpillDecision,
+        breakdown: bool,
+    ) -> Result<(StepOutcome, Vec<(String, f64)>), CoreError> {
         let step = DecodeStepSpec {
             batch,
             context,
@@ -121,7 +136,7 @@ impl DecodeStepExecutor {
             spill_tokens: decision.spill_tokens,
             sim_layers: self.sim_layers,
         };
-        let graph = build_hilos_decode_step(&self.sys, &self.model, &self.config, &step);
+        let graph = build(&self.sys, &self.model, &self.config, &step);
         let timeline = execute(&mut self.sys.engine, &graph)?;
 
         // Traffic accounting (whole model, analytic — every flow that
@@ -176,8 +191,19 @@ impl DecodeStepExecutor {
         context: u64,
         alpha: f64,
     ) -> Result<f64, CoreError> {
-        let graph =
-            build_hilos_prefill(&self.sys, &self.model, batch, context, alpha, self.sim_layers);
+        self.execute_prefill_built_by(build_hilos_prefill, batch, context, alpha)
+    }
+
+    /// [`DecodeStepExecutor::execute_prefill`] on the prefill graph
+    /// `build` builds (the tests pass the per-device reference builder).
+    pub(crate) fn execute_prefill_built_by(
+        &mut self,
+        build: fn(&BuiltSystem, &ModelConfig, u32, u64, f64, u32) -> TaskGraph,
+        batch: u32,
+        context: u64,
+        alpha: f64,
+    ) -> Result<f64, CoreError> {
+        let graph = build(&self.sys, &self.model, batch, context, alpha, self.sim_layers);
         let timeline = execute(&mut self.sys.engine, &graph)?;
         Ok(timeline.makespan().as_secs_f64() * self.layer_scale)
     }

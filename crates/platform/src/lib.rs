@@ -22,4 +22,6 @@ pub use catalog::{
     expansion_chassis_price_usd, pm9a3_price_power, smartssd_price_power, GpuSpec, HostSpec,
     PowerSpec, StoragePricePower,
 };
-pub use system::{BuiltSystem, DeviceResources, StorageConfig, SystemError, SystemSpec};
+pub use system::{
+    BuiltSystem, DeviceClass, DeviceResources, StorageConfig, SystemError, SystemSpec,
+};

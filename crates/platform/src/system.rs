@@ -11,12 +11,11 @@
 use crate::catalog::{GpuSpec, HostSpec, StoragePricePower};
 use hilos_accel::AccelTimingModel;
 use hilos_interconnect::{LinkSpec, NodeId, PcieGen, Topology, TopologyInstance};
-use hilos_sim::{FlowEngine, ResourceId, ResourceKind, ResourceSpec};
+use hilos_sim::{FlowEngine, Hop, Label, ResourceId, ResourceKind, ResourceSpec};
 use hilos_storage::{KvShardLedger, NandGeometry, ShardSpec, SsdInstance, SsdSpec};
 use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
-use std::iter::once;
 
 /// The storage complex of a system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -313,33 +312,84 @@ pub struct DeviceResources {
     pub accel: Option<ResourceId>,
     /// Internal P2P path from flash to the FPGA (one direction), if any.
     pub internal_path: Option<ResourceId>,
+    /// The chassis port node the device sits behind, if any.
+    pub port: Option<NodeId>,
+}
+
+/// A run of consecutive storage devices that nothing in the model tells
+/// apart: the same (possibly degraded) spec and, behind the chassis, each
+/// on a port whose other device is in the class too. Its devices run
+/// identical per-device chains at identical rates, so a step graph builds
+/// one chain per class instead of one per device.
+///
+/// The class's first device stands for all of them: a class chain crosses
+/// that device's own resources (SSD channels, internal path, FPGA DRAM,
+/// accelerator, device link) with one copy, a chassis port whose two
+/// devices are both in the class with two, and the chassis uplink, every
+/// link above it and host DRAM with [`DeviceClass::count`] (see
+/// [`hilos_sim::Hop`] and [`hilos_sim::TaskGraph::copies`]).
+///
+/// A homogeneous array is one class, unless its device count is odd
+/// behind the chassis: the last device then has a port of its own and is
+/// a class of its own. A straggler is a class of its own, and so is its
+/// port-mate; the healthy devices before and after them are two classes,
+/// so that each class is a run and every per-device sum keeps its order
+/// (see [`hilos_sim::Timeline::category_seconds`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeviceClass {
+    /// The class's first device, whose resources stand for the class.
+    pub first: usize,
+    /// Devices in the class.
+    pub count: usize,
+    /// Copies of the class's chains on the first device's chassis port: 2
+    /// if its port-mate is in the class, else 1.
+    port_copies: u32,
+}
+
+impl DeviceClass {
+    /// A hop over `resource`, which every device of the class crosses:
+    /// one copy per device.
+    pub fn shared(self, resource: ResourceId) -> Hop {
+        Hop::new(resource, self.count as u32)
+    }
+
+    /// `label` naming the class's devices.
+    pub fn label(self, label: Label) -> Label {
+        label.devices(self.first, self.count)
+    }
 }
 
 /// Every route the step builders ask for, walked once from the topology
-/// into one buffer: host → GPU first, then for each device its routes to
-/// the host, from the host, to the GPU and from the GPU. Route `i` is
-/// `hops[ends[i - 1]..ends[i]]` (the first starts at 0).
+/// into one buffer: host → GPU first, then for each device class its
+/// routes to the host, from the host, to the GPU and from the GPU. Route
+/// `i` is `hops[ends[i - 1]..ends[i]]` (the first starts at 0).
 #[derive(Debug)]
 struct Routes {
-    hops: Vec<ResourceId>,
+    hops: Vec<Hop>,
     ends: Vec<u32>,
 }
 
 impl Routes {
     /// Route `i` in the order above.
-    fn get(&self, i: usize) -> &[ResourceId] {
+    fn get(&self, i: usize) -> &[Hop] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
         &self.hops[start..self.ends[i] as usize]
     }
 
-    /// A device's route of the given kind: 0 to the host, 1 from the
-    /// host, 2 to the GPU, 3 from the GPU.
-    fn device(&self, device: usize, kind: usize) -> &[ResourceId] {
-        self.get(1 + 4 * device + kind)
+    /// A class's route of the given kind: 0 to the host, 1 from the host,
+    /// 2 to the GPU, 3 from the GPU.
+    fn class(&self, class: usize, kind: usize) -> &[Hop] {
+        self.get(1 + 4 * class + kind)
     }
 }
 
 /// A [`SystemSpec`] materialized into a [`FlowEngine`].
+///
+/// Every device's resources are registered, but step graphs build one
+/// chain per [`DeviceClass`]: the class's first device's resources stand
+/// for the class, and its routes ([`BuiltSystem::class_to_host_route`]
+/// and the like) cross each link with one copy per class device behind
+/// it.
 #[derive(Debug)]
 pub struct BuiltSystem {
     /// The simulation engine owning every resource.
@@ -362,6 +412,8 @@ pub struct BuiltSystem {
     pub gpu_node: NodeId,
     /// Storage devices in index order.
     pub devices: Vec<DeviceResources>,
+    /// Device classes in device order, covering every device once.
+    classes: Vec<DeviceClass>,
     /// Routes, resolved on the first route query.
     routes: OnceCell<Routes>,
 }
@@ -424,31 +476,59 @@ impl BuiltSystem {
         // PCIe topology.
         let mut topo = Topology::new();
         let gpu_node = topo.add_node(topo.root(), spec.gpu.link);
-        let mut device_nodes = Vec::with_capacity(device_specs.len());
+        // Each device's node and the chassis port it sits behind, if any.
+        let n = device_specs.len();
+        let mut device_nodes = Vec::with_capacity(n);
         match &spec.storage {
             StorageConfig::ConventionalSsds { count, link, .. } => {
                 for _ in 0..*count {
-                    device_nodes.push(topo.add_node(topo.root(), *link));
+                    device_nodes.push((topo.add_node(topo.root(), *link), None));
                 }
             }
             StorageConfig::SmartSsdChassis { count, .. } => {
                 // One x16 uplink -> switch; x8 ports carry two devices each.
                 let chassis = topo.add_node(topo.root(), LinkSpec::new(PcieGen::Gen4, 16));
-                let ports = count.div_ceil(2);
-                for p in 0..ports {
+                let port_count = count.div_ceil(2);
+                for p in 0..port_count {
                     let port = topo.add_node(chassis, LinkSpec::new(PcieGen::Gen4, 8));
                     for d in 0..2 {
                         let idx = p * 2 + d;
                         if idx < *count {
-                            device_nodes.push(topo.add_node(port, LinkSpec::new(PcieGen::Gen3, 4)));
+                            let node = topo.add_node(port, LinkSpec::new(PcieGen::Gen3, 4));
+                            device_nodes.push((node, Some(port)));
                         }
                     }
                 }
             }
             StorageConfig::IspCsd { count } => {
                 for _ in 0..*count {
-                    device_nodes.push(topo.add_node(topo.root(), LinkSpec::new(PcieGen::Gen4, 4)));
+                    let node = topo.add_node(topo.root(), LinkSpec::new(PcieGen::Gen4, 4));
+                    device_nodes.push((node, None));
                 }
+            }
+        }
+        // A device behind a port is paired if its port-mate has its spec.
+        // Classes are runs of one spec, paired throughout behind the
+        // chassis; an unpaired device there (a straggler, its port-mate,
+        // the last of an odd count) is a class of its own, because its
+        // port carries flows no other device's port does.
+        let behind_port = |d: usize| device_nodes[d].1.is_some();
+        let paired =
+            |d: usize| behind_port(d) && (d ^ 1) < n && device_specs[d ^ 1] == device_specs[d];
+        let mut classes: Vec<DeviceClass> = Vec::with_capacity(1);
+        for d in 0..n {
+            match classes.last_mut() {
+                Some(c)
+                    if device_specs[c.first] == device_specs[d]
+                        && (!behind_port(d) || paired(c.first) && paired(d)) =>
+                {
+                    c.count += 1
+                }
+                _ => classes.push(DeviceClass {
+                    first: d,
+                    count: 1,
+                    port_copies: if paired(d) { 2 } else { 1 },
+                }),
             }
         }
         let topo_inst = topo.instantiate(&mut engine);
@@ -457,7 +537,7 @@ impl BuiltSystem {
         // Storage devices and their internals.
         let with_accel = spec.storage.has_accelerators();
         let mut devices = Vec::with_capacity(device_nodes.len());
-        for (node, dev_spec) in device_nodes.iter().zip(device_specs) {
+        for (&(node, port), dev_spec) in device_nodes.iter().zip(device_specs) {
             let ssd = SsdInstance::new(&dev_spec, &mut engine);
             let (fpga_dram, accel, internal_path) = if with_accel {
                 let dram = engine.add_resource(ResourceSpec::new(
@@ -491,7 +571,7 @@ impl BuiltSystem {
             } else {
                 (None, None, None)
             };
-            devices.push(DeviceResources { node: *node, ssd, fpga_dram, accel, internal_path });
+            devices.push(DeviceResources { node, ssd, fpga_dram, accel, internal_path, port });
         }
 
         Ok(BuiltSystem {
@@ -505,55 +585,87 @@ impl BuiltSystem {
             host_node,
             gpu_node,
             devices,
+            classes,
             routes: OnceCell::new(),
         })
+    }
+
+    /// The device classes, in device order: one chain per class is what
+    /// a step graph builds (see [`DeviceClass`]).
+    pub fn classes(&self) -> &[DeviceClass] {
+        &self.classes
     }
 
     fn routes(&self) -> &Routes {
         self.routes.get_or_init(|| {
             let (host, gpu) = (self.host_node, self.gpu_node);
-            let pairs = once((host, gpu)).chain(
-                self.devices
-                    .iter()
-                    .flat_map(|d| [(d.node, host), (host, d.node), (d.node, gpu), (gpu, d.node)]),
-            );
-            let count = 1 + 4 * self.devices.len();
+            let count = 1 + 4 * self.classes.len();
             let mut routes =
                 Routes { hops: Vec::with_capacity(4 * count), ends: Vec::with_capacity(count) };
-            for (from, to) in pairs {
-                self.topo.route_into(from, to, &mut routes.hops).expect("route exists");
+            let mut walked = Vec::with_capacity(4);
+            let mut push = |from, to, copies: &dyn Fn(ResourceId) -> u32| {
+                walked.clear();
+                self.topo.route_into(from, to, &mut walked).expect("route exists");
+                routes.hops.extend(walked.iter().map(|&r| Hop::new(r, copies(r))));
                 routes.ends.push(routes.hops.len() as u32);
+            };
+            push(host, gpu, &|_| 1);
+            for class in &self.classes {
+                // The first device's own link carries one copy, its port
+                // one per class device behind it, every link above the
+                // port all of them.
+                let node = self.devices[class.first].node;
+                let links =
+                    |n: NodeId| [self.topo.uplink_resource(n), self.topo.downlink_resource(n)];
+                let own = links(node);
+                let port = self.devices[class.first].port.map(links);
+                let copies = |r: ResourceId| {
+                    if own.contains(&Some(r)) {
+                        1
+                    } else if port.is_some_and(|p| p.contains(&Some(r))) {
+                        class.port_copies
+                    } else {
+                        class.count as u32
+                    }
+                };
+                for (from, to) in [(node, host), (host, node), (node, gpu), (gpu, node)] {
+                    push(from, to, &copies);
+                }
             }
             routes
         })
     }
 
-    /// Route (directed link resources) from a storage device to the host.
+    /// Route (directed link resources) from a device class to the host,
+    /// crossed by the class's first device with one copy per class device
+    /// on each shared link (see [`DeviceClass`]).
     ///
     /// All routes are walked from the topology once, on the first route
     /// query, and served from that table afterwards.
-    pub fn device_to_host_route(&self, device: usize) -> &[ResourceId] {
-        self.routes().device(device, 0)
+    pub fn class_to_host_route(&self, class: usize) -> &[Hop] {
+        self.routes().class(class, 0)
     }
 
-    /// Route from the host to a storage device.
-    pub fn host_to_device_route(&self, device: usize) -> &[ResourceId] {
-        self.routes().device(device, 1)
+    /// Route from the host to a device class.
+    pub fn host_to_class_route(&self, class: usize) -> &[Hop] {
+        self.routes().class(class, 1)
     }
 
-    /// Route from a device directly to the GPU (GPUDirect Storage / P2P).
-    pub fn device_to_gpu_route(&self, device: usize) -> &[ResourceId] {
-        self.routes().device(device, 2)
+    /// Route from a device class directly to the GPU (GPUDirect Storage /
+    /// P2P).
+    pub fn class_to_gpu_route(&self, class: usize) -> &[Hop] {
+        self.routes().class(class, 2)
     }
 
     /// Route from the host to the GPU.
-    pub fn host_to_gpu_route(&self) -> &[ResourceId] {
+    pub fn host_to_gpu_route(&self) -> &[Hop] {
         self.routes().get(0)
     }
 
-    /// Route from the GPU to a device (e.g. scattering fresh Q/K/V).
-    pub fn gpu_to_device_route(&self, device: usize) -> &[ResourceId] {
-        self.routes().device(device, 3)
+    /// Route from the GPU to a device class (e.g. scattering fresh
+    /// Q/K/V).
+    pub fn gpu_to_class_route(&self, class: usize) -> &[Hop] {
+        self.routes().class(class, 3)
     }
 }
 
@@ -568,7 +680,7 @@ mod tests {
         assert_eq!(sys.devices.len(), 16);
         assert!(sys.devices.iter().all(|d| d.accel.is_some()));
         // Each device routes to the host through port + chassis uplinks.
-        let route = sys.device_to_host_route(0);
+        let route = sys.class_to_host_route(0);
         assert_eq!(route.len(), 3);
     }
 
@@ -579,7 +691,57 @@ mod tests {
         assert_eq!(sys.devices.len(), 4);
         assert!(sys.devices.iter().all(|d| d.accel.is_none()));
         // Dedicated root port: single-hop route.
-        assert_eq!(sys.device_to_host_route(0).len(), 1);
+        assert_eq!(sys.class_to_host_route(0).len(), 1);
+    }
+
+    fn class_list(sys: &BuiltSystem) -> Vec<(usize, usize)> {
+        sys.classes().iter().map(|c| (c.first, c.count)).collect()
+    }
+
+    #[test]
+    fn a_homogeneous_array_is_one_class() {
+        for spec in
+            [SystemSpec::a100_smartssd(16), SystemSpec::a100_pm9a3(4), SystemSpec::a100_isp(8)]
+        {
+            let sys = BuiltSystem::build(&spec, None, 128).unwrap();
+            assert_eq!(class_list(&sys), vec![(0, sys.devices.len())], "{}", spec.name);
+        }
+        // Behind the chassis, the last of an odd count has a port of its own.
+        let odd = BuiltSystem::build(&SystemSpec::a100_smartssd(5), None, 128).unwrap();
+        assert_eq!(class_list(&odd), vec![(0, 4), (4, 1)]);
+        let one = BuiltSystem::build(&SystemSpec::a100_smartssd(1), None, 128).unwrap();
+        assert_eq!(class_list(&one), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn a_straggler_and_its_port_mate_are_classes_of_their_own() {
+        let spec = SystemSpec::a100_smartssd(8);
+        let sys = BuiltSystem::build_with_degradations(&spec, None, 128, &[(5, 0.5)]).unwrap();
+        assert_eq!(class_list(&sys), vec![(0, 4), (4, 1), (5, 1), (6, 2)]);
+        // Without ports, a straggler splits the run but has no port-mate.
+        let isp = SystemSpec::a100_isp(4);
+        let sys = BuiltSystem::build_with_degradations(&isp, None, 128, &[(1, 0.5)]).unwrap();
+        assert_eq!(class_list(&sys), vec![(0, 1), (1, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn class_routes_carry_one_copy_per_device_on_each_shared_link() {
+        let spec = SystemSpec::a100_smartssd(8);
+        let sys = BuiltSystem::build_with_degradations(&spec, None, 128, &[(5, 0.5)]).unwrap();
+        let copies = |route: &[Hop]| route.iter().map(|h| h.copies).collect::<Vec<_>>();
+        // Device link, port (both devices in the class), chassis uplink,
+        // GPU link.
+        assert_eq!(copies(sys.class_to_gpu_route(0)), vec![1, 2, 4, 4]);
+        assert_eq!(copies(sys.gpu_to_class_route(0)), vec![4, 4, 2, 1]);
+        // The straggler's port-mate shares its port with another class.
+        assert_eq!(copies(sys.class_to_host_route(1)), vec![1, 1, 1]);
+        assert_eq!(copies(sys.host_to_class_route(3)), vec![2, 2, 1]);
+        // Each class's first device's own links stand for the class.
+        for (c, class) in sys.classes().iter().enumerate() {
+            let own = sys.topo.uplink_resource(sys.devices[class.first].node).unwrap();
+            assert_eq!(sys.class_to_host_route(c)[0], Hop::new(own, 1));
+        }
+        assert_eq!(copies(sys.host_to_gpu_route()), vec![1]);
     }
 
     #[test]
@@ -662,10 +824,10 @@ mod tests {
             128,
         )
         .unwrap();
-        let route = sys.device_to_gpu_route(0);
+        let route = sys.class_to_gpu_route(0);
         // device -> port -> chassis -> (root) -> gpu: 4 directed links.
         assert_eq!(route.len(), 4);
-        assert!(!route.contains(&sys.host_dram));
+        assert!(route.iter().all(|h| h.resource != sys.host_dram));
     }
 
     #[test]

@@ -23,6 +23,24 @@
 //! completion is the minimum over the stored predictions;
 //! `next_completion_time_scan`, which re-predicts every job from its
 //! remaining demand, is the reference.
+//!
+//! # Weighted hops
+//!
+//! A route entry is a [`Hop`]: a resource and the number of identical
+//! flows the job stands for on it. A job adds its copies to each
+//! resource's load, so the fair share `residual / load` counts it that
+//! many times, and when it freezes it takes its rate from the residual,
+//! and adds it to the resource's allocated rate, once per copy in a row.
+//! That is exactly the float sequence `copies` identical one-copy jobs
+//! frozen in the same round perform: identical jobs see identical shares
+//! on identical routes, so they freeze in the same round, and a round
+//! takes its jobs in ascending rate order, so equal rates are taken
+//! together and their order among themselves cannot change a bit. A job
+//! of weight k is therefore bit-identical to k copies — rates,
+//! completion instants and every resource's statistics — with one
+//! completion event and k times fewer job visits per recompute. The step
+//! builders use this to run one chain per device class instead of one per
+//! device.
 
 use crate::error::SimError;
 use crate::resource::{Hop, ResourceId, ResourceSpec, ResourceStats};
@@ -944,7 +962,8 @@ mod tests {
             resources.extend(self.devices.get(1).copied());
             for r in resources {
                 let s = self.eng.stats(r);
-                trace.extend([s.units_served, s.busy_seconds, s.observed_seconds].map(f64::to_bits));
+                trace
+                    .extend([s.units_served, s.busy_seconds, s.observed_seconds].map(f64::to_bits));
             }
             trace
         }

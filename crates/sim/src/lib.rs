@@ -20,7 +20,10 @@
 //! keep rates, so each job stores its absolute completion prediction and
 //! `next_completion_time` is the minimum over the jobs in flight. Every
 //! golden FNV pin in the serving and cluster layers is taken under this
-//! engine.
+//! engine. A route hop may stand for several identical flows (a [`Hop`]
+//! with `copies`), so one job gives the numbers of k identical per-device
+//! flows bit for bit; [`TaskGraph::copies`] builds a graph's per-device
+//! chains that way.
 //!
 //! On top of the engine sits a [`TaskGraph`] layer: DAGs of transfers,
 //! computes, fixed delays and milestones, with *background* tasks that
