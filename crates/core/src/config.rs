@@ -1,8 +1,6 @@
 //! HILOS configuration: device count, the two optimization settings and
 //! tuning knobs.
 
-use std::fmt;
-
 /// How the X-cache ratio α is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AlphaPolicy {
@@ -113,19 +111,6 @@ impl HilosConfig {
     }
 }
 
-impl fmt::Display for HilosConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "HILOS({} dev, {}{}, c={})",
-            self.n_devices,
-            if self.alpha == AlphaPolicy::Fixed(0.0) { "" } else { "+X" },
-            if self.delayed_writeback { "+WB" } else { "" },
-            self.spill_interval
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,8 +133,6 @@ mod tests {
         assert!(ans_wb.delayed_writeback() && ans_wb.alpha_policy() == off);
         let ans_x = HilosConfig::ans_only(4).with_alpha(AlphaPolicy::Auto);
         assert!(!ans_x.delayed_writeback() && ans_x.alpha_policy() == AlphaPolicy::Auto);
-        assert_eq!(ans.to_string(), "HILOS(4 dev, , c=16)");
-        assert_eq!(ans_x.with_writeback(true).to_string(), "HILOS(4 dev, +X+WB, c=16)");
     }
 
     #[test]

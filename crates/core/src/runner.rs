@@ -364,8 +364,10 @@ impl HilosSystem {
             WeightSource::Storage => m.weight_bytes(),
             WeightSource::HostDram => 0,
         };
+        // The ledger is dropped on return, so no sequence's placement is
+        // recorded.
         let placed = ledger.reserve_evenly(weights_on_dev).is_ok()
-            && (0..spec.batch as u64).all(|seq| ledger.allocate(seq, per_seq).is_ok());
+            && (0..spec.batch).all(|_| ledger.place_unowned(per_seq).is_ok());
         if !placed {
             // `available` is the placeable free space at the point the
             // ledger rejected placement (weights and earlier sequences
@@ -856,7 +858,7 @@ mod tests {
             };
             for &output_len in lens {
                 let got = decode_triple(&sys.run_decode(16, 32 << 10, output_len).unwrap());
-                assert_eq!(got, full_cycle(&sys, 16, 32 << 10, output_len), "{config}");
+                assert_eq!(got, full_cycle(&sys, 16, 32 << 10, output_len), "{config:?}");
             }
         }
     }

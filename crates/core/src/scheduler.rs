@@ -126,7 +126,7 @@ pub fn load_weights(
 }
 
 /// An empty graph sized for `tasks` tasks. A task here has at most two
-/// dependencies but for the few milestones that join a layer's devices,
+/// dependencies but for the few milestones that join a layer's device classes,
 /// and crosses at most four links on average, so the dependency and route
 /// arenas get room for two and four per task.
 fn graph_for(tasks: usize) -> TaskGraph {

@@ -59,9 +59,17 @@ struct Node {
 /// materialize each link direction as a bandwidth resource inside a
 /// [`FlowEngine`]. A node is its [`NodeId`] and its link to its parent:
 /// routing reads nothing else, so switches and endpoints are added alike.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<Node>,
+}
+
+impl Default for Topology {
+    /// [`Topology::new`]: the host root complex alone. (A derived default
+    /// would hold no root, and [`Topology::root`] would name no node.)
+    fn default() -> Self {
+        Topology::new()
+    }
 }
 
 impl Topology {
@@ -344,6 +352,16 @@ mod tests {
         // 16 devices: uplink bound (16e9 / 31.5e9 s).
         assert!((t16 - 16.0 / 31.5).abs() < 0.01, "t16={t16}");
         assert!(t16 > t4 * 1.5);
+    }
+
+    #[test]
+    fn the_default_topology_has_a_root_to_grow_from() {
+        let mut t = Topology::default();
+        assert!(t.is_empty());
+        let dev = t.add_node(t.root(), x4g3());
+        assert_eq!(t.len(), 2);
+        let mut eng = FlowEngine::new();
+        assert_eq!(t.instantiate(&mut eng).route(dev, t.root()).unwrap().len(), 1);
     }
 
     #[test]

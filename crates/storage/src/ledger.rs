@@ -225,14 +225,50 @@ impl KvShardLedger {
         if self.allocations.contains_key(&request) {
             return Err(LedgerError::DuplicateRequest(request));
         }
+        let mut placed = vec![0u64; self.shards.len()];
+        self.place(bytes, |device, take| placed[device] += take)?;
+        Ok(self.allocations.entry(request).or_insert(placed))
+    }
+
+    /// Places `bytes` exactly as [`KvShardLedger::allocate`] would, but
+    /// for no request: the bytes stay placed and are never released, and
+    /// nothing records where they went. A capacity check that places a
+    /// whole batch and then drops the ledger needs no more.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::InsufficientCapacity`] as for
+    /// [`KvShardLedger::allocate`]; no device changes on error.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hilos_storage::{KvShardLedger, ShardSpec};
+    ///
+    /// let shards = vec![
+    ///     ShardSpec { capacity_bytes: 1000, weight: 1.0 },
+    ///     ShardSpec { capacity_bytes: 1000, weight: 0.25 },
+    /// ];
+    /// let (mut owned, mut anonymous) = (KvShardLedger::new(shards.clone()), KvShardLedger::new(shards));
+    /// owned.allocate(7, 900).unwrap();
+    /// anonymous.place_unowned(900).unwrap();
+    /// assert_eq!(owned.free_by_device(), anonymous.free_by_device());
+    /// assert_eq!(anonymous.live_requests(), 0);
+    /// ```
+    pub fn place_unowned(&mut self, bytes: u64) -> Result<(), LedgerError> {
+        self.place(bytes, |_, _| {})
+    }
+
+    /// The placement both [`KvShardLedger::allocate`] and
+    /// [`KvShardLedger::place_unowned`] make: each device's take is added
+    /// to its occupancy and reported to `took`.
+    fn place(&mut self, bytes: u64, mut took: impl FnMut(usize, u64)) -> Result<(), LedgerError> {
         if !self.can_allocate(bytes) {
             return Err(LedgerError::InsufficientCapacity {
                 requested: bytes,
                 free: self.placeable_free(),
             });
         }
-        let n = self.shards.len();
-        let mut placed = vec![0u64; n];
         let mut remaining = bytes;
         // Weighted water-filling: hand every device with slack its weight
         // share of the remainder; devices that hit capacity drop out. Each
@@ -240,33 +276,29 @@ impl KvShardLedger {
         // shrink the remainder geometrically, so this terminates fast.
         while remaining > 0 {
             let mut wsum = 0.0;
-            for (i, s) in self.shards.iter().enumerate() {
-                if s.spec.weight > 0.0
-                    && s.spec.capacity_bytes.saturating_sub(s.occupied + placed[i]) > 0
-                {
+            for s in &self.shards {
+                if s.spec.weight > 0.0 && s.spec.capacity_bytes.saturating_sub(s.occupied) > 0 {
                     wsum += s.spec.weight;
                 }
             }
             debug_assert!(wsum > 0.0, "free-space precondition violated");
             let round = remaining;
-            for (s, p) in self.shards.iter().zip(placed.iter_mut()) {
+            for (device, s) in self.shards.iter_mut().enumerate() {
                 if remaining == 0 {
                     break;
                 }
-                let slack = s.spec.capacity_bytes.saturating_sub(s.occupied + *p);
+                let slack = s.spec.capacity_bytes.saturating_sub(s.occupied);
                 if s.spec.weight <= 0.0 || slack == 0 {
                     continue;
                 }
                 let want = ((round as f64 * s.spec.weight / wsum).ceil() as u64).max(1);
                 let take = want.min(slack).min(remaining);
-                *p += take;
+                s.occupied += take;
                 remaining -= take;
+                took(device, take);
             }
         }
-        for (s, &p) in self.shards.iter_mut().zip(&placed) {
-            s.occupied += p;
-        }
-        Ok(self.allocations.entry(request).or_insert(placed))
+        Ok(())
     }
 
     /// Releases a request's allocation, returning its former placement.
