@@ -62,7 +62,7 @@ impl Label {
     /// The label naming the `count` devices from `first` on (rendered as
     /// `.d{first}-{last}`, or as [`Label::device`] for one device).
     pub const fn devices(self, first: usize, count: usize) -> Self {
-        Label { device: Some(first as u32), more_devices: count as u32 - 1, ..self }
+        Label { device: Some(first as u32), more_devices: (count as u32).saturating_sub(1), ..self }
     }
 
     /// The label with its tail set (rendered last, e.g. `".cmd"`).
